@@ -10,7 +10,7 @@ from .generator import (GKSLGenerator, apply_generator, build_generator,
                         dual_generator_matrix, theta_map)
 from .model import (ModelSpec, SpectralData, block_transfer, load_model,
                     model_from_dict, spectral_decompose)
-from .tmatrix import (BlockColumn, RTable, TMatrix, dyson_oracle,
+from .tmatrix import (BlockColumn, TMatrix, dyson_oracle,
                       dyson_reference, richardson_extrapolate)
 from .verification import (GaussianPacket, LimitCheckReport,
                            check_causal_delta_limit, check_delta_limit,
@@ -28,7 +28,7 @@ __all__ = [
     "drift", "drift_from_t_operator", "dual_generator_matrix", "theta_map",
     "ModelSpec", "SpectralData", "block_transfer", "load_model",
     "model_from_dict", "spectral_decompose",
-    "BlockColumn", "RTable", "TMatrix", "dyson_oracle", "dyson_reference",
+    "BlockColumn", "TMatrix", "dyson_oracle", "dyson_reference",
     "richardson_extrapolate",
     "GaussianPacket", "LimitCheckReport", "check_causal_delta_limit",
     "check_delta_limit", "run_identity_suite",

@@ -10,22 +10,46 @@ transform ``gamma_eps(E)`` and the thermal weight
     gamma(E) = pi*rho(E) + i * PV-integral of rho(E') / (E - E') dE'
 
 which follows from the half-line time integral of the autocorrelation
-with a vanishing convergence factor.  The principal value is computed by
-singularity subtraction plus the analytic log term, so the real part is
-exactly ``pi*rho(E)`` by construction.
+with a vanishing convergence factor.  Every density kind is a piecewise
+polynomial, so the principal value has an exact closed form (the Hilbert
+transform of a piecewise polynomial, F. W. King, *Hilbert Transforms*,
+CUP 2009): on each segment [p, q] with polynomial rho_s,
+
+    PV-integral = rho_s(E) * log|(E-p)/(E-q)| - integral_p^q (rho_s(x)-rho_s(E))/(x-E) dx
+
+and the second term is a polynomial in E.  Grouping the log terms by
+knot t leaves sum_t (rho_right(E) - rho_left(E)) * log|E - t|, which is
+finite at the knots of continuous profiles (the jump factor vanishes
+there) and diverges only at the edges of a ``rect`` profile.  The real
+part is exactly ``pi*rho(E)`` by construction.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import NumericError, ValidationError
 
-GAMMA_QUAD_ABS_TOL = 1e-10
-_EDGE_EPS = 1e-12
-_MEMO_DECIMALS = 12
+
+def _real(value, where):
+    """A finite real number as float; anything else is a ValidationError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValidationError(f"{where} must be a number, got {value!r}")
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValidationError(f"{where} must be finite, got {value!r}")
+    return value
+
+
+def _count(value, where):
+    """An integral number as int; a fractional or non-finite count is rejected
+    rather than truncated."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not float(value).is_integer()):
+        raise ValidationError(f"{where} must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -48,6 +72,9 @@ class DensityProfile:
     def __post_init__(self):
         if self.kind not in ("rect", "bump", "table"):
             raise ValidationError(f"unknown density profile kind {self.kind!r}")
+        params = (self.a, self.b, self.height, self.amplitude, *self.energies, *self.values)
+        if not np.all(np.isfinite(params)):
+            raise ValidationError(f"{self.kind} profile parameters must be finite")
         if not self.a < self.b:
             raise ValidationError("profile support requires a < b")
         if self.kind == "rect" and self.height < 0:
@@ -131,15 +158,20 @@ class DensityProfile:
         if kind == "rect":
             if keys != {"kind", "a", "b", "height"}:
                 raise ValidationError("rect profile takes exactly keys kind, a, b, height")
-            return cls.rect(obj["a"], obj["b"], obj["height"])
+            return cls.rect(*(_real(obj[k], f"rect profile {k}") for k in ("a", "b", "height")))
         if kind == "bump":
             if keys != {"kind", "a", "b", "amplitude"}:
                 raise ValidationError("bump profile takes exactly keys kind, a, b, amplitude")
-            return cls.bump(obj["a"], obj["b"], obj["amplitude"])
+            return cls.bump(*(_real(obj[k], f"bump profile {k}") for k in ("a", "b", "amplitude")))
         if kind == "table":
             if keys != {"kind", "energies", "values"}:
                 raise ValidationError("table profile takes exactly keys kind, energies, values")
-            return cls.table(obj["energies"], obj["values"])
+            columns = []
+            for k in ("energies", "values"):
+                if not isinstance(obj[k], list):
+                    raise ValidationError(f"table profile {k} must be a list")
+                columns.append([_real(x, f"table profile {k}") for x in obj[k]])
+            return cls.table(*columns)
         raise ValidationError(f"unknown density profile kind {kind!r}")
 
 
@@ -159,8 +191,11 @@ class EnergyGrid:
     points: int
 
     def __post_init__(self):
+        _count(self.points, "energy grid points")
         if self.points < 16:
             raise ValidationError("energy grid needs at least 16 points")
+        if not (math.isfinite(self.e_min) and math.isfinite(self.e_max)):
+            raise ValidationError("energy grid bounds must be finite")
         if not self.e_min < self.e_max:
             raise ValidationError("energy grid requires e_min < e_max")
 
@@ -201,6 +236,14 @@ class BathSpec:
             return self.rho1
         raise ValidationError("density index must be 0 or 1")
 
+    def support_nodes(self, eps):
+        """Grid nodes and trapezoid weights where rho_eps is nonzero, with
+        the density values there."""
+        E = self.grid.nodes
+        rho = self.density(eps)(E)
+        mask = rho > 0
+        return E[mask], self.grid.weights[mask], rho[mask]
+
     @property
     def support_gap(self):
         (a0, b0), (a1, b1) = self.rho0.support, self.rho1.support
@@ -218,8 +261,8 @@ def validate_bath(bath, beta):
     cross-correlation of the two form factors vanishes at all times.
     Raises ValidationError on any violation, otherwise returns a report.
     """
-    if beta <= 0:
-        raise ValidationError("beta must be > 0")
+    if not beta > 0 or not math.isfinite(beta):
+        raise ValidationError("beta must be > 0 and finite")
     for eps in (0, 1):
         prof = bath.density(eps)
         a, b = prof.support
@@ -284,66 +327,59 @@ def k_inner_product(bath, X, Y, omega, beta, n_nodes=None):
 
 
 class GammaTable:
-    """Memoized evaluations of gamma_eps(E) for the two densities.
+    """gamma_eps(E) for the two densities, evaluated in closed form.
 
-    Values are cached keyed by (eps, E rounded to 1e-12); the generator
-    assembly re-requests gamma at O(grid x Bohr) points.  Entries are
-    inserted under the interpreter lock, so concurrent read-only use after
-    a single-threaded warm-up is safe.
+    ``gamma(eps, E)`` takes a scalar or an array of energies and returns a
+    complex scalar or an array of the same shape.  Evaluation is exact
+    and vectorised, so nothing is cached.
     """
 
     def __init__(self, bath):
         self.bath = bath
-        self._memo = {}
 
     def gamma(self, eps, E):
-        key = (eps, round(float(E), _MEMO_DECIMALS))
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit
         prof = self.bath.density(eps)
-        value = complex(math.pi * prof(E), _pv_integral(prof, float(E)))
-        self._memo[key] = value
-        return value
+        E = np.asarray(E, dtype=float)
+        out = np.empty(E.shape, dtype=complex)
+        out.real = math.pi * prof(E)
+        out.imag = _pv_integral(prof, E)
+        return complex(out) if out.ndim == 0 else out
 
     def __call__(self, eps, E):
         return self.gamma(eps, E)
 
 
+def _xlogx(x):
+    """x * log|x|, continued by its limit 0 at x = 0."""
+    ax = np.abs(x)
+    nonzero = ax > 0.0
+    return np.where(nonzero, x * np.log(np.where(nonzero, ax, 1.0)), 0.0)
+
+
 def _pv_integral(prof, E):
-    """PV integral of rho(E') / (E - E') dE' over the support of rho."""
-    a, b = prof.support
-    pts = [p for p in prof.breakpoints() if a < p < b]
-    if E < a - _EDGE_EPS or E > b + _EDGE_EPS:
-        val, _ = quad(lambda x: prof(x) / (E - x), a, b,
-                      points=pts or None, limit=200,
-                      epsabs=GAMMA_QUAD_ABS_TOL, epsrel=1e-10)
+    """PV integral of rho(E') / (E - E') dE' in closed form, for an array E.
+
+    rect:  h * log|(E-a)/(E-b)|, infinite at the edges (NumericError);
+    bump:  A * [(E-a)(b-E) log|(E-a)/(E-b)| + (b-a)(E - (a+b)/2)];
+    table: sum over knots t_k of (s_k - s_{k-1}) (E - t_k) log|E - t_k|,
+           s_k the slope right of t_k (zero outside the support); the
+           polynomial part is the total change of rho, which vanishes.
+    """
+    a, b = prof.a, prof.b
+    if prof.kind == "rect":
+        with np.errstate(divide="ignore", invalid="ignore"):
+            val = prof.height * np.log(np.abs((E - a) / (E - b)))
+        if not np.all(np.isfinite(val)):
+            raise NumericError(
+                "gamma evaluated exactly at a rect support edge where the density "
+                "jumps; the imaginary part diverges logarithmically there -- "
+                "offset E away from the edge"
+            )
         return val
-
-    at_edge = min(abs(E - a), abs(E - b)) <= _EDGE_EPS * (1.0 + abs(E))
-    if at_edge and not prof.continuous_at_edges:
-        raise NumericError(
-            "gamma evaluated exactly at a rect support edge where the density "
-            "jumps; the imaginary part diverges logarithmically there -- "
-            "offset E away from the edge"
-        )
-
-    rho_E = prof(E)
-    guard = 1e-9 * (1.0 + abs(E))
-    h = 1e-7 * (b - a)
-    lo = max(E - h, a)
-    hi = min(E + h, b)
-    slope = (prof(hi) - prof(lo)) / (hi - lo)
-
-    def subtracted(x):
-        dx = E - x
-        if abs(dx) < guard:
-            return -slope
-        return (prof(x) - rho_E) / dx
-
-    inner = sorted(set(pts + [E])) if a < E < b else (pts or None)
-    val, _ = quad(subtracted, a, b, points=inner, limit=200,
-                  epsabs=GAMMA_QUAD_ABS_TOL, epsrel=1e-10)
-    if rho_E != 0.0:
-        val += rho_E * math.log(abs((E - a) / (E - b)))
-    return val
+    if prof.kind == "bump":
+        return prof.amplitude * ((b - E) * _xlogx(E - a) + (E - a) * _xlogx(E - b)
+                                 + (b - a) * (E - 0.5 * (a + b)))
+    knots = np.asarray(prof.energies)
+    slopes = np.diff(prof.values) / np.diff(knots)
+    kinks = np.diff(slopes, prepend=0.0, append=0.0)
+    return (_xlogx(E[..., None] - knots) * kinks).sum(axis=-1)

@@ -8,6 +8,7 @@ invocations produce byte-identical files.
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -17,7 +18,8 @@ from .dynamics import evolve_master, trajectory_csv_lines, unravel_jump
 from .errors import NumericError, ValidationError
 from .generator import build_generator, drift, drift_from_t_operator
 from .model import (complex_matrix_from_json, complex_matrix_to_json,
-                    complex_vector_from_json, load_model, spectral_decompose)
+                    complex_vector_from_json, load_model, read_json,
+                    spectral_decompose)
 from .tmatrix import TMatrix
 from .verification import run_identity_suite
 
@@ -37,6 +39,14 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _finite(text):
+    """argparse type: a finite float (nan and inf are usage errors)."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
+
+
 def build_parser():
     parser = _Parser(prog="ldlgen", description="Low-density-limit Markovian "
                      "generator toolkit: model validation, scattering blocks, "
@@ -52,14 +62,14 @@ def build_parser():
     p = sub.add_parser("gamma", help="tabulate gamma_eps(E) on a range")
     p.add_argument("model")
     p.add_argument("--epsilon", type=int, choices=(0, 1), required=True)
-    p.add_argument("--emin", type=float, required=True)
-    p.add_argument("--emax", type=float, required=True)
+    p.add_argument("--emin", type=_finite, required=True)
+    p.add_argument("--emax", type=_finite, required=True)
     p.add_argument("--points", type=int, required=True)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("tmatrix", help="scattering components at one energy")
     p.add_argument("model")
-    p.add_argument("--energy", type=float, required=True)
+    p.add_argument("--energy", type=_finite, required=True)
     p.add_argument("--orders", type=int, default=6)
     p.add_argument("--out", required=True)
 
@@ -74,15 +84,15 @@ def build_parser():
     p = sub.add_parser("evolve", help="integrate the master equation")
     p.add_argument("model")
     p.add_argument("--rho0", required=True)
-    p.add_argument("--tmax", type=float, required=True)
-    p.add_argument("--dt", type=float, required=True)
+    p.add_argument("--tmax", type=_finite, required=True)
+    p.add_argument("--dt", type=_finite, required=True)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("unravel", help="quantum-jump Monte Carlo ensemble")
     p.add_argument("model")
     p.add_argument("--psi0", required=True)
-    p.add_argument("--tmax", type=float, required=True)
-    p.add_argument("--dt", type=float, required=True)
+    p.add_argument("--tmax", type=_finite, required=True)
+    p.add_argument("--dt", type=_finite, required=True)
     p.add_argument("--trajectories", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
@@ -110,14 +120,8 @@ def _emit_lines(lines, path):
 
 
 def _load_state_matrix(path, key="matrix"):
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(
-                f"malformed JSON in {path}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
-            ) from exc
-    if key not in doc:
+    doc = read_json(path)
+    if not isinstance(doc, dict) or key not in doc:
         raise ValidationError(f"state file {path} must contain the key '{key}'")
     return doc[key]
 
@@ -145,10 +149,11 @@ def _cmd_validate(args):
 def _cmd_gamma(args):
     spec = load_model(args.model)
     tm = TMatrix(spec)
+    energies = np.linspace(args.emin, args.emax, args.points)
+    values = tm.gamma(args.epsilon, energies)
     lines = ["E,re_gamma,im_gamma"]
-    for e in np.linspace(args.emin, args.emax, args.points):
-        g = tm.gamma(args.epsilon, float(e))
-        lines.append(f"{float(e)!r},{g.real!r},{g.imag!r}")
+    for e, g in zip(energies.tolist(), values.tolist()):
+        lines.append(f"{e!r},{g.real!r},{g.imag!r}")
     _emit_lines(lines, args.out)
     return EXIT_OK
 
@@ -254,7 +259,7 @@ def run(argv=None):
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except NumericError as exc:
+    except (NumericError, np.linalg.LinAlgError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     return EXIT_USAGE

@@ -11,4 +11,4 @@ class ValidationError(ValueError):
 
 class NumericError(RuntimeError):
     """Raised when a numerical procedure cannot deliver its result
-    (singular solve, quadrature at a discontinuity, trace drift, ...)."""
+    (singular solve, gamma at a rect support edge, trace drift, ...)."""

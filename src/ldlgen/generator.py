@@ -7,13 +7,16 @@ The Heisenberg generator acts as
 with a completely positive part Psi(X) = sum_j w_j L_j^+ X L_j whose
 weights are manifestly nonnegative: each is
 2 * w_grid * exp(-beta E) rho_eps(E) * pi rho_eps'(E + omega), where the
-last factor is Re gamma evaluated exactly from the density (never from
-the principal-value quadrature), so Kraus positivity carries no PV noise.
+last factor is Re gamma evaluated straight from the density (never from
+the principal-value part), so Kraus positivity carries no PV noise.
 
 The drift Gamma is assembled twice: directly from the diagonal R blocks,
 and through the energy-resolved scattering components t^{eps,eps}(E)
 (the partial thermal expectation of the one-particle scattering
-operator, diagonally projected); the two routes must agree.
+operator, diagonally projected); the two routes must agree.  Both
+routes, the generator and the identity suite's three-term map read the
+same batched pass of R blocks per density support
+(`TMatrix.support_blocks`).
 """
 
 import math
@@ -26,16 +29,6 @@ from .errors import ValidationError
 from .model import complex_matrix_from_json, complex_matrix_to_json
 
 _PI = math.pi
-
-
-def _support_nodes(bath, eps):
-    """Grid nodes and trapezoid weights where rho_eps is nonzero."""
-    prof = bath.density(eps)
-    E = bath.grid.nodes
-    w = bath.grid.weights
-    rho = prof(E)
-    mask = rho > 0
-    return E[mask], w[mask], rho[mask]
 
 
 def check_grid_coverage(spec, spectral):
@@ -52,15 +45,26 @@ def check_grid_coverage(spec, spectral):
         raise ValidationError(f"energy grid does not cover: {detail}")
 
 
+def _thermal_pass(tm, eps):
+    """Support nodes of rho_eps with their thermal quadrature weights
+    w * exp(-beta E) * rho_eps(E) and the R blocks there (omega' = 0)."""
+    nodes, wts, rho, R = tm.support_blocks(eps)
+    return nodes, wts * (np.exp(-tm.spec.beta * nodes) * rho), R
+
+
+def _re_gamma(tm, nodes):
+    """Re gamma_eps(E + omega) = pi rho_eps(E + omega), shape (n, 2, |B|)."""
+    shifted = nodes[:, None] + tm.bohr[None, :]
+    bath = tm.spec.bath
+    return np.stack([_PI * bath.density(e)(shifted) for e in (0, 1)], axis=1)
+
+
 def drift(tm):
     """Gamma = -sum_eps integral dE exp(-beta E) rho_eps(E) R^{eps,eps}_{0,0}(E)."""
-    spec = tm.spec
-    out = np.zeros((spec.dim, spec.dim), dtype=complex)
+    out = np.zeros((tm.dim, tm.dim), dtype=complex)
     for eps in (0, 1):
-        nodes, wts, rho = _support_nodes(spec.bath, eps)
-        for E, w, r in zip(nodes, wts, rho):
-            mu = math.exp(-spec.beta * E) * r
-            out -= (w * mu) * tm.r_coefficient(eps, eps, 0.0, 0.0, float(E))
+        _, coef, R = _thermal_pass(tm, eps)
+        out -= np.einsum("n,nij->ij", coef, R[:, eps, eps, tm.spectral.bohr_index(0.0)])
     return out
 
 
@@ -73,21 +77,23 @@ def drift_from_t_operator(tm, diagonal_projection=True):
     bare partial expectation is returned (for the single-Bohr-block
     special case it already equals the drift).
     """
-    spec = tm.spec
-    m = np.zeros((spec.dim, spec.dim), dtype=complex)
+    m = np.zeros((tm.dim, tm.dim), dtype=complex)
     for eps in (0, 1):
-        nodes, wts, rho = _support_nodes(spec.bath, eps)
-        for E, w, r in zip(nodes, wts, rho):
-            mu = math.exp(-spec.beta * E) * r
-            t_comp = np.zeros((spec.dim, spec.dim), dtype=complex)
-            for omega in tm.bohr:
-                t_comp += tm.r_coefficient(eps, eps, float(omega), 0.0, float(E))
-            m -= (w * mu) * t_comp
+        _, coef, R = _thermal_pass(tm, eps)
+        m -= np.einsum("n,nij->ij", coef, R[:, eps, eps].sum(axis=1))
     if not diagonal_projection:
         return m
     out = np.zeros_like(m)
     for _, proj in tm.spectral.levels:
         out += proj @ m @ proj
+    return out
+
+
+def _structure_map(X, r12, r21, ra, rb, re_g):
+    """X r12 + r21^+ X + 2 sum_k re_g[k] ra[k]^+ X rb[k], batched over a
+    leading node axis: r12, r21 (n, d, d); ra, rb (n, K, d, d); re_g (n, K)."""
+    out = X @ r12 + np.swapaxes(r21, -1, -2).conj() @ X
+    out += 2.0 * np.einsum("nk,nkji,jl,nklm->nim", re_g, ra.conj(), X, rb)
     return out
 
 
@@ -98,19 +104,22 @@ def theta_map(tm, X, eps1, eps2, omega1, omega2, E):
       + 2 sum_{e,w} Re gamma_e(E+w) (R^{e,e1}_{w,w1})^+ X R^{e,e2}_{w,w2}
     """
     X = np.asarray(X, dtype=complex)
-    r12 = tm.r_coefficient(eps1, eps2, omega1, omega2, E)
-    r21 = tm.r_coefficient(eps2, eps1, omega2, omega1, E)
-    out = X @ r12 + r21.conj().T @ X
-    bath = tm.spec.bath
-    for eps in (0, 1):
-        for omega in tm.bohr:
-            re_g = _PI * bath.density(eps)(E + float(omega))
-            if re_g == 0.0:
-                continue
-            ra = tm.r_coefficient(eps, eps1, float(omega), omega1, E)
-            rb = tm.r_coefficient(eps, eps2, float(omega), omega2, E)
-            out += (2.0 * re_g) * (ra.conj().T @ X @ rb)
-    return out
+    d = tm.dim
+    sd = tm.spectral
+    R1 = tm.r_blocks([E], omega1)[0]
+    R2 = R1 if omega2 == omega1 else tm.r_blocks([E], omega2)[0]
+
+    def block(R, e, f, omega, omega_prime):
+        b = sd.bohr_index(omega - omega_prime)
+        return np.zeros((d, d), dtype=complex) if b is None else R[e, f, b]
+
+    pairs = [(e, float(w)) for e in (0, 1) for w in tm.bohr]
+    ra = np.array([block(R1, e, eps1, w, omega1) for e, w in pairs])
+    rb = np.array([block(R2, e, eps2, w, omega2) for e, w in pairs])
+    re_g = _re_gamma(tm, np.array([float(E)])).reshape(1, -1)
+    return _structure_map(X, block(R2, eps1, eps2, omega1, omega2)[None],
+                          block(R1, eps2, eps1, omega2, omega1)[None],
+                          ra[None], rb[None], re_g)[0]
 
 
 @dataclass
@@ -195,39 +204,29 @@ class GKSLGenerator:
 def build_generator(tm):
     """Assemble the GKSL generator by trapezoid quadrature over the grid.
 
-    Kraus entries are indexed per (eps, eps', omega, grid node); zero
-    weights are dropped.  H and Gamma come from the diagonal R blocks on
-    the same nodes, so the Lindblad-form identities hold at the level of
-    the discretized integrals, not merely in the continuum limit.
+    Kraus entries are indexed per (eps, grid node, eps', omega); zero
+    weights and zero operators are dropped.  H and Gamma come from the
+    diagonal R blocks on the same nodes, so the Lindblad-form identities
+    hold at the level of the discretized integrals, not merely in the
+    continuum limit.
     """
     spec = tm.spec
     check_grid_coverage(spec, tm.spectral)
     d = spec.dim
-    bath = spec.bath
     ham = np.zeros((d, d), dtype=complex)
-    gamma_drift = np.zeros((d, d), dtype=complex)
     kraus = []
     for eps in (0, 1):
-        nodes, wts, rho = _support_nodes(bath, eps)
-        for E, w, r in zip(nodes, wts, rho):
-            E = float(E)
-            mu = math.exp(-spec.beta * E) * r
-            r00 = tm.r_coefficient(eps, eps, 0.0, 0.0, E)
-            ham += (w * mu) * (r00.conj().T - r00) / 2j
-            gamma_drift -= (w * mu) * r00
-            for eps_p in (0, 1):
-                for omega in tm.bohr:
-                    re_g = _PI * bath.density(eps_p)(E + float(omega))
-                    if re_g <= 0.0:
-                        continue
-                    weight = 2.0 * w * mu * re_g
-                    if weight <= 0.0:
-                        continue
-                    L = tm.r_coefficient(eps_p, eps, float(omega), 0.0, E)
-                    if L.any():
-                        kraus.append((float(weight), L))
-    return GKSLGenerator(drift=gamma_drift, hamiltonian=ham, kraus=kraus,
-                         grid=bath.grid)
+        nodes, coef, R = _thermal_pass(tm, eps)
+        r00 = R[:, eps, eps, tm.spectral.bohr_index(0.0)]
+        ham += np.einsum("n,nij->ij", coef, (np.swapaxes(r00, 1, 2).conj() - r00) / 2j)
+        re_g = _re_gamma(tm, nodes)
+        weight = 2.0 * coef[:, None, None] * re_g
+        ops = R[:, :, eps]                              # L = R^{eps',eps}_{omega,0}
+        keep = (re_g > 0.0) & (weight > 0.0) & ops.reshape(*re_g.shape, -1).any(axis=-1)
+        for n, e, b in zip(*np.nonzero(keep)):
+            kraus.append((float(weight[n, e, b]), ops[n, e, b].copy()))
+    return GKSLGenerator(drift=drift(tm), hamiltonian=ham, kraus=kraus,
+                         grid=spec.bath.grid)
 
 
 def apply_generator(gen, X):

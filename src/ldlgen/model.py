@@ -13,11 +13,12 @@ omega-indexed bookkeeping downstream works with these representatives.
 """
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bath import BathSpec, DensityProfile, EnergyGrid
+from .bath import BathSpec, DensityProfile, EnergyGrid, _count, _real
 from .errors import ValidationError
 
 DEFAULT_BOHR_TOLERANCE = 1e-9
@@ -37,12 +38,7 @@ def complex_matrix_from_json(obj, name="matrix"):
     dim = int(round(len(obj) ** 0.5))
     if dim * dim != len(obj):
         raise ValidationError(f"{name} must have a perfect-square number of entries")
-    flat = []
-    for entry in obj:
-        if not (isinstance(entry, list) and len(entry) == 2):
-            raise ValidationError(f"{name} entries must be [re, im] pairs")
-        flat.append(complex(float(entry[0]), float(entry[1])))
-    return np.array(flat, dtype=complex).reshape(dim, dim)
+    return complex_vector_from_json(obj, name).reshape(dim, dim)
 
 
 def complex_vector_to_json(v):
@@ -52,7 +48,12 @@ def complex_vector_to_json(v):
 def complex_vector_from_json(obj, name="vector"):
     if not isinstance(obj, list) or not obj:
         raise ValidationError(f"{name} must be a non-empty list of [re, im] pairs")
-    return np.array([complex(float(e[0]), float(e[1])) for e in obj], dtype=complex)
+    flat = []
+    for entry in obj:
+        if not (isinstance(entry, list) and len(entry) == 2):
+            raise ValidationError(f"{name} entries must be [re, im] pairs")
+        flat.append(complex(_real(entry[0], name), _real(entry[1], name)))
+    return np.array(flat, dtype=complex)
 
 
 @dataclass
@@ -77,20 +78,22 @@ class ModelSpec:
             raise ValidationError("h_system must be dim x dim")
         if self.coupling.shape != (self.dim, self.dim):
             raise ValidationError("coupling must be dim x dim")
+        if not (np.all(np.isfinite(self.h_system)) and np.all(np.isfinite(self.coupling))):
+            raise ValidationError("h_system and coupling entries must be finite")
         hermit_defect = np.linalg.norm(self.h_system - self.h_system.conj().T)
         scale = max(np.linalg.norm(self.h_system), 1e-300)
         if hermit_defect > 1e-12 * scale:
             raise ValidationError(
                 f"h_system is not Hermitian (relative defect {hermit_defect / scale:.3e})"
             )
-        if self.beta <= 0:
-            raise ValidationError("beta must be > 0")
-        if self.bohr_tolerance <= 0:
-            raise ValidationError("bohr_tolerance must be > 0")
-        if self.neumann_max_order < 1:
+        if not (self.beta > 0 and math.isfinite(self.beta)):
+            raise ValidationError("beta must be > 0 and finite")
+        if not (self.bohr_tolerance > 0 and math.isfinite(self.bohr_tolerance)):
+            raise ValidationError("bohr_tolerance must be > 0 and finite")
+        if _count(self.neumann_max_order, "neumann_max_order") < 1:
             raise ValidationError("neumann_max_order must be >= 1")
-        if self.neumann_tolerance <= 0:
-            raise ValidationError("neumann_tolerance must be > 0")
+        if not (self.neumann_tolerance > 0 and math.isfinite(self.neumann_tolerance)):
+            raise ValidationError("neumann_tolerance must be > 0 and finite")
 
 
 _TOP_KEYS = {"system", "bath", "truncation"}
@@ -127,13 +130,13 @@ def model_from_dict(doc):
     if h.shape != d.shape:
         raise ValidationError("hamiltonian and coupling must have the same dimension")
 
-    beta = float(_require(bath_doc, "beta", "bath"))
+    beta = _real(_require(bath_doc, "beta", "bath"), "bath.beta")
     grid_doc = _require(bath_doc, "grid", "bath")
     _reject_unknown(grid_doc, _GRID_KEYS, "bath.grid")
     grid = EnergyGrid(
-        float(_require(grid_doc, "min", "bath.grid")),
-        float(_require(grid_doc, "max", "bath.grid")),
-        int(_require(grid_doc, "points", "bath.grid")),
+        _real(_require(grid_doc, "min", "bath.grid"), "bath.grid.min"),
+        _real(_require(grid_doc, "max", "bath.grid"), "bath.grid.max"),
+        _count(_require(grid_doc, "points", "bath.grid"), "bath.grid.points"),
     )
     rho0 = DensityProfile.from_json(_require(bath_doc, "rho0", "bath"))
     rho1 = DensityProfile.from_json(_require(bath_doc, "rho1", "bath"))
@@ -141,28 +144,39 @@ def model_from_dict(doc):
 
     kwargs = {}
     if "bohr_tolerance" in system:
-        kwargs["bohr_tolerance"] = float(system["bohr_tolerance"])
+        kwargs["bohr_tolerance"] = _real(system["bohr_tolerance"], "system.bohr_tolerance")
     trunc = doc.get("truncation", {})
     _reject_unknown(trunc, _TRUNCATION_KEYS, "truncation")
     if "neumann_max_order" in trunc:
-        kwargs["neumann_max_order"] = int(trunc["neumann_max_order"])
+        kwargs["neumann_max_order"] = _count(trunc["neumann_max_order"],
+                                             "truncation.neumann_max_order")
     if "neumann_tolerance" in trunc:
-        kwargs["neumann_tolerance"] = float(trunc["neumann_tolerance"])
+        kwargs["neumann_tolerance"] = _real(trunc["neumann_tolerance"],
+                                            "truncation.neumann_tolerance")
 
     return ModelSpec(dim=h.shape[0], h_system=h, coupling=d, beta=beta, bath=bath, **kwargs)
 
 
-def load_model(path):
-    """Parse and validate a model JSON file."""
+def _reject_constant(name):
+    raise ValidationError(f"non-finite number {name} is not allowed")
+
+
+def read_json(path):
+    """Parse a JSON file strictly: malformed text and the NaN / Infinity
+    extensions are ValidationErrors."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     try:
-        doc = json.loads(text)
+        return json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise ValidationError(
             f"malformed JSON in {path}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
-    return model_from_dict(doc)
+
+
+def load_model(path):
+    """Parse and validate a model JSON file."""
+    return model_from_dict(read_json(path))
 
 
 @dataclass
@@ -174,6 +188,12 @@ class SpectralData:
     bohr: np.ndarray                  # sorted canonical Bohr frequencies
     d_blocks: dict = field(repr=False, default_factory=dict)
     tolerance: float = DEFAULT_BOHR_TOLERANCE
+    # eigenbasis of h_system, columns grouped level by level; entry (i, j)
+    # of an operator in this basis carries the canonical Bohr frequency
+    # transfer[i, j] (the representative of e_level(j) - e_level(i))
+    basis: np.ndarray = field(repr=False, default=None)
+    level_index: np.ndarray = field(repr=False, default=None)
+    transfer: np.ndarray = field(repr=False, default=None)
 
     @property
     def bohr_set(self):
@@ -269,20 +289,23 @@ def spectral_decompose(spec):
                 assignments[(k, m)] = rep
 
     bohr = np.array(sorted([-r for r in pos_reps] + [0.0] + pos_reps))
+    level_transfer = np.zeros((n, n))
+    for (k, m), rep in assignments.items():
+        level_transfer[k, m] = rep
+        level_transfer[m, k] = -rep
     d = spec.coupling
     d_blocks = {float(w): np.zeros((spec.dim, spec.dim), dtype=complex) for w in bohr}
     for k in range(n):
         for m in range(n):
-            block = levels[k][1] @ d @ levels[m][1]
-            if k == m:
-                d_blocks[0.0] += block
-            elif energies[m] > energies[k]:
-                d_blocks[assignments[(k, m)]] += block
-            else:
-                d_blocks[-assignments[(m, k)]] += block
+            d_blocks[float(level_transfer[k, m])] += levels[k][1] @ d @ levels[m][1]
 
+    level_index = np.empty(spec.dim, dtype=int)
+    for k, idxs in enumerate(clusters):
+        level_index[idxs] = k
     return SpectralData(dim=spec.dim, levels=levels, bohr=bohr,
-                        d_blocks=d_blocks, tolerance=tol)
+                        d_blocks=d_blocks, tolerance=tol, basis=evecs,
+                        level_index=level_index,
+                        transfer=level_transfer[np.ix_(level_index, level_index)])
 
 
 def block_transfer(X, spectral):

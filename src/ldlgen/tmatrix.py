@@ -7,8 +7,17 @@ here can be restricted exactly to the finite index set
 I(omega') = omega' + B: inverse-column blocks carry transfer
 omega - omega', partial Neumann chains likewise, and rows outside I are
 satisfied automatically because their would-be entries have off-lattice
-transfer.  The index-set stability invariant cross-checks this
-restriction numerically (solve_column accepts index_depth=2).
+transfer.
+
+The same argument splits the |B|*d stacked block system further.  In the
+eigenbasis of H_S the column of (1+T_eps)^{-1} belonging to eigen-column
+m has exactly one candidate entry per row k, the one in the block
+omega = omega' + rep(e_m - e_k), so the system reduces to d independent
+d x d systems.  `TMatrix.r_blocks` solves them for every grid node at
+once; the stacked system (`stacked_column`, `neumann_column`,
+`column_residual`, `t_kernel`) survives as the verification oracle, and
+the index-set stability invariant (`stacked_column(index_depth=2)`)
+cross-checks the restriction numerically.
 """
 
 import math
@@ -20,9 +29,9 @@ from .bath import GammaTable, gauss_legendre_nodes
 from .errors import NumericError, ValidationError
 from .model import spectral_decompose
 
-_KEY_DECIMALS = 12
 _SHIFT_DECIMALS = 9
 CONDITION_LIMIT = 1e12
+PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
 @dataclass
@@ -61,9 +70,10 @@ class BlockColumn:
 class TMatrix:
     """Bundles a validated model with its spectral data and gamma table.
 
-    Every method is a pure function of (model, bath); results are
-    memoized, so instances are cheap to reuse across energies and safe
-    for read-only sharing once warmed up.
+    Every method is a pure function of (model, bath).  The R blocks on the
+    support nodes of each density are computed once per instance
+    (`support_blocks`), so an instance is cheap to reuse and safe for
+    read-only sharing once warmed up.
     """
 
     def __init__(self, spec, spectral=None, gamma_table=None):
@@ -75,8 +85,20 @@ class TMatrix:
             (float(w), sd.d_blocks[float(w)], sd.d_blocks[float(w)].conj().T)
             for w in sd.bohr if sd.d_blocks[float(w)].any()
         ]
-        self._column_memo = {}
         self.condition_limit = CONDITION_LIMIT
+        self._support = {}
+        # level-basis data: coupling in the eigenbasis, canonical transfer
+        # of each entry, one representative column per level, and one
+        # entry mask per Bohr frequency (for splitting R by omega)
+        self._basis = sd.basis
+        self._coupling = sd.basis.conj().T @ spec.coupling @ sd.basis
+        self._transfer = sd.transfer
+        self._levels = sd.level_index
+        n_levels = len(sd.levels)
+        self._level_columns = np.array([int(np.flatnonzero(sd.level_index == k)[0])
+                                        for k in range(n_levels)])
+        self._level_transfer = sd.transfer[np.ix_(self._level_columns, self._level_columns)]
+        self._transfer_masks = sd.transfer[None] == sd.bohr[:, None, None]
 
     # -- basic lookups -------------------------------------------------
 
@@ -91,14 +113,167 @@ class TMatrix:
     def gamma(self, eps, E):
         return self.gamma_table.gamma(eps, E)
 
-    def _d(self, mu):
-        return self.spectral.d_block(mu)
+    def _gamma_where(self, eps, args, needed):
+        """gamma_eps at args where `needed` (broadcast to args) holds, 0 elsewhere,
+        so entries multiplied by a vanishing coupling never reach gamma."""
+        needed = np.broadcast_to(needed, args.shape)
+        out = np.zeros(args.shape, dtype=complex)
+        out[needed] = self.gamma(eps, args[needed])
+        return out
 
-    def _d_dag(self, mu):
-        """(D_mu)^dagger; nonzero only when D_mu is, carries transfer -mu."""
-        return self.spectral.d_dag_block(mu)
+    # -- level-basis solve ---------------------------------------------------
 
-    # -- kernels ---------------------------------------------------------
+    def _level_inverses(self, eps, energies, shifts):
+        """Restricted inverses of 1+T_eps for every node and shift at once.
+
+        By the finite-index-set argument of the module docstring, the
+        column of (1+T_eps)^{-1} at omega' belonging to eigen-column m
+        solves a d x d system: its entry x_k is the block at
+        omega_k = omega' + rep(e_m - e_k), and with s_k = E + omega_k
+
+            eps = 0:  1 + diag gamma_0(s) D~ diag gamma_1(s) D~^+
+            eps = 1:  1 + diag gamma_1(s) D~^+ diag gamma_0(s) D~
+
+        (D~ the coupling in the eigenbasis of H_S).  The inner gamma
+        argument of entry (k, p) is formed as E - rep(e_p - e_k) + omega_k
+        (eps = 0) or E + rep(e_k - e_p) + omega_k (eps = 1), along the
+        canonical Bohr representatives the stacked kernel uses, so
+        tolerance-clustered spectra give the stacked system's numbers.
+
+        energies: (n,); shifts: (L, S), shifts[l, s] the omega' of a column
+        in level l.  Returns X of shape (n, L, S, d, d): X[..., :, m] for an
+        eigen-column m of level l is the solution; the other columns belong
+        to other levels' right-hand sides and are unused.  Raises
+        NumericError when a system's condition number passes the limit.
+        """
+        if eps not in (0, 1):
+            raise ValidationError("eps must be 0 or 1")
+        d = self.dim
+        E = np.asarray(energies, dtype=float)
+        W = self._transfer
+        Dt = self._coupling
+        Dh = Dt.conj().T
+        # omega_k = omega' + rep(e_m - e_k) for a column m of each level
+        omega = shifts[:, :, None] + W[:, self._level_columns].T[:, None, :]
+        outer_args = E[:, None, None, None] + omega
+        if eps == 0:
+            inner_args = (E[:, None, None] - W)[:, None, None] + omega[..., None]
+            left, right = Dt, Dh
+        else:
+            inner_args = (E[:, None, None] + W.T)[:, None, None] + omega[..., None]
+            left, right = Dh, Dt
+        g_out = self._gamma_where(eps, outer_args, left.any(axis=1))
+        g_in = self._gamma_where(1 - eps, inner_args, left != 0)
+        A = g_out[..., None] * ((left * g_in) @ right)
+        A += np.eye(d)
+        cond = np.linalg.cond(A)
+        worst = np.unravel_index(np.argmax(np.where(np.isfinite(cond), cond, np.inf)),
+                                 cond.shape)
+        if not np.isfinite(cond[worst]) or cond[worst] > self.condition_limit:
+            n, l, s = worst
+            raise NumericError(
+                f"1+T_{eps} at omega'={shifts[l, s]}, E={E[n]} is numerically singular "
+                f"(condition estimate {cond[worst]:.3e})"
+            )
+        return np.linalg.solve(A, np.broadcast_to(np.eye(d, dtype=complex), A.shape))
+
+    def _split_by_transfer(self, full):
+        """Blocks of level-basis operators by transfer, in the original basis:
+        (..., d, d) -> (..., |B|, d, d), entry b holding the part with
+        transfer B[b]."""
+        masked = full[..., None, :, :] * self._transfer_masks
+        return self._basis @ masked @ self._basis.conj().T
+
+    def r_blocks(self, energies, omega_prime=0.0):
+        """R^{eps1,eps2}_{omega,omega'}(E) for every node, pair and omega at once.
+
+        Returns a complex array of shape (n, 2, 2, |B|, d, d) whose entry
+        [i, eps1, eps2, b] is the block at E = energies[i] and
+        omega = omega' + B[b] (transfer B[b]):
+
+        R^{0,1} = -i sum D_{omega-omega_1} (1+T_1)^{-1}_{omega_1, omega'}
+        R^{1,0} = -i sum D^+_{omega_1-omega} (1+T_0)^{-1}_{omega_1, omega'}
+        R^{0,0} = -sum D_{omega-omega_1} (1+T_1)^{-1}_{omega_1, omega_2}
+                       D^+_{omega'-omega_2} gamma_1(E+omega_2)
+        R^{1,1} = -sum D^+_{omega_1-omega} (1+T_0)^{-1}_{omega_1, omega_2}
+                       D_{omega_2-omega'} gamma_0(E+omega_2)
+
+        with every off-lattice D subscript treated as zero.  In the
+        eigenbasis the sum over omega_2 = omega' + rep(e_j - e_m) runs over
+        the entries (j, m) of the outer D factor; for each level pair it
+        needs one restricted inverse per node, so all of them come from a
+        single batched solve (`_level_inverses`).
+        """
+        E = np.atleast_1d(np.asarray(energies, dtype=float))
+        d = self.dim
+        Dt = self._coupling
+        Dh = Dt.conj().T
+        lev = self._levels
+        shifts = omega_prime + self._level_transfer   # shifts[l, l'] = omega' + rep(e_l' - e_l)
+        full = np.empty((E.size, 2, 2, d, d), dtype=complex)
+        for eps in (0, 1):
+            X = self._level_inverses(eps, E, shifts)
+            # Y[i, m, k, j]: entry k of eigen-column j's solution at the
+            # shift omega_2 = omega' + rep(e_j - e_m); own[i, k, m] at omega'
+            Y = np.diagonal(X[:, lev][:, :, lev], axis1=1, axis2=4)
+            own = np.diagonal(Y, axis1=1, axis2=3)
+            # eps = 1 solves feed R^{0,1} and R^{0,0}; eps = 0 feed R^{1,0}, R^{1,1}
+            a = 1 - eps
+            left, right = (Dt, Dh) if eps == 1 else (Dh, Dt)
+            g = self._gamma_where(eps, E[:, None, None] + (omega_prime + self._transfer),
+                                  right != 0)
+            full[:, a, eps] = -1j * (left @ own)
+            full[:, a, a] = -np.einsum("xk,imkj,ijm->ixm", left, Y, g * right)
+        return self._split_by_transfer(full)
+
+    def support_blocks(self, eps):
+        """R blocks at omega' = 0 on the grid nodes where rho_eps > 0.
+
+        Returns (nodes, weights, rho, R) with R = r_blocks(nodes); computed
+        once per instance and shared by drift, drift_from_t_operator,
+        build_generator and the identity suite's three-term map.
+        """
+        hit = self._support.get(eps)
+        if hit is None:
+            nodes, wts, rho = self.spec.bath.support_nodes(eps)
+            hit = self._support[eps] = (nodes, wts, rho, self.r_blocks(nodes))
+        return hit
+
+    # -- pointwise views ---------------------------------------------------
+
+    def solve_column(self, eps, omega_prime, E):
+        """Column of (1+T_eps)^{-1} at (omega', E) from the level-basis solve."""
+        d = self.dim
+        shifts = np.full((len(self._level_columns), 1), float(omega_prime))
+        X = self._level_inverses(eps, np.array([float(E)]), shifts)[0, :, 0]
+        own = X[self._levels, :, np.arange(d)].T       # own[k, m] = X[level(m), k, m]
+        offsets = np.array(self.bohr, dtype=float)
+        return BlockColumn(
+            epsilon=eps, omega_prime=float(omega_prime), energy=float(E),
+            offsets=offsets, omegas=omega_prime + offsets,
+            blocks_list=list(self._split_by_transfer(own)),
+        )
+
+    def r_coefficient(self, eps1, eps2, omega, omega_prime, E):
+        """Block coefficient R^{eps1,eps2}_{omega, omega'}(E) (see r_blocks);
+        zero when omega - omega' is off the Bohr lattice."""
+        if eps1 not in (0, 1) or eps2 not in (0, 1):
+            raise ValidationError("R coefficient indices must be 0 or 1")
+        b = self.spectral.bohr_index(omega - omega_prime)
+        if b is None:
+            return np.zeros((self.dim, self.dim), dtype=complex)
+        return self.r_blocks([E], omega_prime)[0, eps1, eps2, b]
+
+    def t_components(self, E):
+        """The four blocks t^{eps,eps'}(E) = sum over omega of R^{eps,eps'}_{omega,0}(E)."""
+        R = self.r_blocks([E])[0]
+        return {pair: R[pair].sum(axis=0) for pair in PAIRS}
+
+    # -- stacked oracle --------------------------------------------------------
+    #
+    # The |I|*d block system on the index set I(omega') = omega' + B (or the
+    # wider depth-2 set), assembled kernel by kernel.  Independent of the
+    # level-basis solve; verification and tests compare the two.
 
     def t_kernel(self, eps, omega, omega_prime, E):
         """Block T^eps_{omega, omega'}(E).
@@ -132,8 +307,6 @@ class TMatrix:
         else:
             raise ValidationError("eps must be 0 or 1")
         return out
-
-    # -- index sets and stacked systems -----------------------------------
 
     def _offsets(self, index_depth):
         B = [float(b) for b in self.bohr]
@@ -169,33 +342,18 @@ class TMatrix:
         rhs[i0 * d:(i0 + 1) * d] = np.eye(d)
         return rhs
 
-    # -- inversion -------------------------------------------------------
-
-    def solve_column(self, eps, omega_prime, E, index_depth=1):
-        """Column of (1+T_eps)^{-1} by dense solve with partial pivoting."""
-        key = (eps, round(float(omega_prime), _KEY_DECIMALS),
-               round(float(E), _KEY_DECIMALS), index_depth)
-        hit = self._column_memo.get(key)
-        if hit is not None:
-            return hit
+    def stacked_column(self, eps, omega_prime, E, index_depth=1):
+        """Column of (1+T_eps)^{-1} by dense solve of the stacked system on
+        I(omega') (index_depth=1) or on the depth-2 index set B + B."""
         offsets = self._offsets(index_depth)
         d = self.dim
-        T = self._stacked_t(eps, omega_prime, E, offsets)
-        A = np.eye(len(offsets) * d, dtype=complex) + T
-        cond = np.linalg.cond(A)
-        if not np.isfinite(cond) or cond > self.condition_limit:
-            raise NumericError(
-                f"1+T_{eps} at omega'={omega_prime}, E={E} is numerically singular "
-                f"(condition estimate {cond:.3e})"
-            )
+        A = np.eye(len(offsets) * d, dtype=complex) + self._stacked_t(eps, omega_prime, E, offsets)
         X = np.linalg.solve(A, self._rhs(offsets))
-        col = BlockColumn(
+        return BlockColumn(
             epsilon=eps, omega_prime=float(omega_prime), energy=float(E),
             offsets=offsets, omegas=omega_prime + offsets,
             blocks_list=[X[i * d:(i + 1) * d] for i in range(len(offsets))],
         )
-        self._column_memo[key] = col
-        return col
 
     def neumann_column(self, eps, omega_prime, E, max_order=None, tol=None):
         """Column of (1+T_eps)^{-1} summed as the alternating T-power series.
@@ -242,88 +400,14 @@ class TMatrix:
         )
 
     def column_residual(self, col):
-        """Frobenius norm of (1+T) @ column - rhs, relative to the rhs."""
+        """Frobenius norm of (1+T) @ column - rhs in the stacked system,
+        relative to the rhs."""
         d = self.dim
         T = self._stacked_t(col.epsilon, col.omega_prime, col.energy, col.offsets)
         A = np.eye(len(col.offsets) * d, dtype=complex) + T
         X = np.vstack(col.blocks_list)
         R = A @ X - self._rhs(col.offsets)
         return float(np.linalg.norm(R) / math.sqrt(d))
-
-    # -- R coefficients ----------------------------------------------------
-
-    def r_coefficient(self, eps1, eps2, omega, omega_prime, E):
-        """Block coefficient R^{eps1,eps2}_{omega, omega'}(E).
-
-        R^{0,1} = -i sum D_{omega-omega_1} (1+T_1)^{-1}_{omega_1, omega'}
-        R^{1,0} = -i sum D^+_{omega_1-omega} (1+T_0)^{-1}_{omega_1, omega'}
-        R^{0,0} = -sum D_{omega-omega_1} (1+T_1)^{-1}_{omega_1, omega_2}
-                       D^+_{omega'-omega_2} gamma_1(E+omega_2)
-        R^{1,1} = -sum D^+_{omega_1-omega} (1+T_0)^{-1}_{omega_1, omega_2}
-                       D_{omega_2-omega'} gamma_0(E+omega_2)
-        with every off-lattice D subscript treated as zero.
-        """
-        d = self.dim
-        out = np.zeros((d, d), dtype=complex)
-        if (eps1, eps2) == (0, 1):
-            col = self.solve_column(1, omega_prime, E)
-            for w1, blk in zip(col.omegas, col.blocks_list):
-                left = self._d(omega - w1)
-                if left.any():
-                    out += left @ blk
-            return -1j * out
-        if (eps1, eps2) == (1, 0):
-            col = self.solve_column(0, omega_prime, E)
-            for w1, blk in zip(col.omegas, col.blocks_list):
-                left = self._d_dag(w1 - omega)
-                if left.any():
-                    out += left @ blk
-            return -1j * out
-        if (eps1, eps2) == (0, 0):
-            for b2 in self.bohr:
-                right = self._d_dag(-b2)
-                if not right.any():
-                    continue
-                w2 = omega_prime + b2
-                col = self.solve_column(1, w2, E)
-                inner = np.zeros((d, d), dtype=complex)
-                for w1, blk in zip(col.omegas, col.blocks_list):
-                    left = self._d(omega - w1)
-                    if left.any():
-                        inner += left @ blk
-                if inner.any():
-                    out += self.gamma(1, E + w2) * (inner @ right)
-            return -out
-        if (eps1, eps2) == (1, 1):
-            for b2 in self.bohr:
-                right = self._d(b2)
-                if not right.any():
-                    continue
-                w2 = omega_prime + b2
-                col = self.solve_column(0, w2, E)
-                inner = np.zeros((d, d), dtype=complex)
-                for w1, blk in zip(col.omegas, col.blocks_list):
-                    left = self._d_dag(w1 - omega)
-                    if left.any():
-                        inner += left @ blk
-                if inner.any():
-                    out += self.gamma(0, E + w2) * (inner @ right)
-            return -out
-        raise ValidationError("R coefficient indices must be 0 or 1")
-
-    def t_components(self, E):
-        """The four blocks t^{eps,eps'}(E) = sum over omega of R^{eps,eps'}_{omega,0}(E)."""
-        out = {}
-        for pair in ((0, 0), (0, 1), (1, 0), (1, 1)):
-            acc = np.zeros((self.dim, self.dim), dtype=complex)
-            for w in self.bohr:
-                acc += self.r_coefficient(pair[0], pair[1], float(w), 0.0, E)
-            out[pair] = acc
-        return out
-
-    def r_table(self, energies, omega_prime=0.0):
-        """RTable over the given energies for every (eps1, eps2, omega)."""
-        return RTable(self, [float(e) for e in energies], float(omega_prime))
 
     # -- closed-form series terms ------------------------------------------
 
@@ -361,20 +445,21 @@ class TMatrix:
             use_dag = odd if a == 0 else not odd
             geps = (1 if odd else 0) if a == 0 else (0 if odd else 1)
             sign = (-1.0 if odd else 1.0) if a == 0 else (1.0 if odd else -1.0)
-            new_layer = {}
+            chains = []
             for shift, mat in layer.values():
                 for w, dw, dwdag in self._entries:
-                    op = dwdag if use_dag else dw
-                    prod = op @ mat
-                    if not prod.any():
-                        continue
-                    s = shift + sign * w
-                    prod *= self.gamma(geps, E + s)
-                    key = round(s, _SHIFT_DECIMALS)
-                    if key in new_layer:
-                        new_layer[key][1] += prod
-                    else:
-                        new_layer[key] = [s, prod]
+                    prod = (dwdag if use_dag else dw) @ mat
+                    if prod.any():
+                        chains.append((shift + sign * w, prod))
+            gammas = self.gamma(geps, E + np.array([s for s, _ in chains]))
+            new_layer = {}
+            for (s, prod), g in zip(chains, gammas):
+                prod *= g
+                key = round(s, _SHIFT_DECIMALS)
+                if key in new_layer:
+                    new_layer[key][1] += prod
+                else:
+                    new_layer[key] = [s, prod]
             layer = new_layer
         total = np.zeros((d, d), dtype=complex)
         for _, mat in layer.values():
@@ -397,27 +482,6 @@ class TMatrix:
                 converged = True
                 break
         return sums, converged
-
-
-class RTable:
-    """R coefficients sampled on an energy grid, keyed by (eps1, eps2, omega, omega')."""
-
-    def __init__(self, tm, energies, omega_prime=0.0):
-        self.tm = tm
-        self.energies = list(energies)
-        self.omega_prime = omega_prime
-        self._cache = {}
-
-    def sample(self, eps1, eps2, omega, omega_prime=None):
-        """Stacked array of R^{eps1,eps2}_{omega, omega'}(E) over the energies."""
-        wp = self.omega_prime if omega_prime is None else float(omega_prime)
-        key = (eps1, eps2, round(float(omega), _KEY_DECIMALS), round(wp, _KEY_DECIMALS))
-        hit = self._cache.get(key)
-        if hit is None:
-            hit = np.stack([self.tm.r_coefficient(eps1, eps2, float(omega), wp, E)
-                            for E in self.energies])
-            self._cache[key] = hit
-        return hit
 
 
 # -- Dyson time-quadrature oracle ---------------------------------------------
@@ -527,21 +591,16 @@ def dyson_oracle(tm, pair, n, u, v, eta, *, t_max=400.0, dt=0.01, n_energy=320):
 
     shifts = sorted({round(float(evals[p] - evals[q]), 12)
                      for p in range(spec.dim) for q in range(spec.dim)})
-    f_s = {}
-    f_r = {}
-    for alpha in shifts:
-        phase = np.exp(1j * alpha * t)
-        vec_s = base_s * phase
-        vec_r = base_r * phase
-        fs = np.zeros(x_b.size, dtype=complex)
-        fr = np.zeros(x_b.size, dtype=complex)
-        for chunk in range(0, x_b.size, 64):
-            sl = slice(chunk, chunk + 64)
-            ph = np.exp(1j * np.outer(t, x_b[sl]))
-            fs[sl] = vec_s @ ph
-            fr[sl] = vec_r @ ph
-        f_s[alpha] = fs
-        f_r[alpha] = fr
+    # rows: base_s and base_r times each shift's phase; every chunk of the
+    # exp(i t x) block is built once and contracted against all rows
+    phases = np.exp(1j * np.outer(shifts, t))
+    rows = np.vstack([base_s * phases, base_r * phases])
+    f = np.empty((rows.shape[0], x_b.size), dtype=complex)
+    for chunk in range(0, x_b.size, 64):
+        sl = slice(chunk, chunk + 64)
+        f[:, sl] = rows @ np.exp(1j * np.outer(t, x_b[sl]))
+    f_s = dict(zip(shifts, f[:len(shifts)]))
+    f_r = dict(zip(shifts, f[len(shifts):]))
 
     row = ut.conj() @ da
     total = 0.0 + 0.0j

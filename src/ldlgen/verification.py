@@ -206,7 +206,8 @@ def _identity_checks(tm, rng):
     for a, b in supports:
         energies.extend(np.linspace(a, b, 5)[1:-1])
 
-    # block-column residual / transfer / Neumann / index-set stability
+    # block-column residual / transfer / Neumann / index-set stability: the
+    # level-basis columns against the stacked-system oracle
     res_solve, res_transfer, res_neumann, res_stability = 0.0, 0.0, 0.0, 0.0
     for eps in (0, 1):
         for wp in tm.bohr:
@@ -223,7 +224,7 @@ def _identity_checks(tm, rng):
                     for b1, b2 in zip(col.blocks_list, ncol.blocks_list):
                         diff = np.linalg.norm(b1 - b2)
                         res_neumann = max(res_neumann, _rel(diff, np.linalg.norm(b1)))
-        wide = tm.solve_column(eps, 0.0, float(energies[0]), index_depth=2)
+        wide = tm.stacked_column(eps, 0.0, float(energies[0]), index_depth=2)
         base = tm.solve_column(eps, 0.0, float(energies[0]))
         for off, blk in zip(base.offsets, base.blocks_list):
             j = int(np.argmin(np.abs(wide.offsets - off)))
@@ -247,10 +248,9 @@ def _identity_checks(tm, rng):
     # level-diagonal projection of the same-index R blocks
     res_diag = 0.0
     projs = [p for _, p in tm.spectral.levels]
-    for E in energies[::2]:
+    for R in tm.r_blocks(energies[::2]):
         for eps in (0, 1):
-            for w in tm.bohr:
-                r = tm.r_coefficient(eps, eps, float(w), 0.0, float(E))
+            for w, r in zip(tm.bohr, R[eps, eps]):
                 diag = sum(p @ r @ p for p in projs)
                 if abs(w) > tm.spectral.tolerance:
                     res_diag = max(res_diag, float(np.linalg.norm(diag)))
@@ -279,12 +279,11 @@ def _identity_checks(tm, rng):
     checks.append(_check("unitality",
                          np.linalg.norm(gen.psi_one - (gen.drift + gen.drift.conj().T)), 1e-10))
     res_rec = 0.0
-    nodes_cache = {}
     for _ in range(20):
         x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         x = x + x.conj().T
         direct = gen.apply(x)
-        three_term = _three_term_generator(tm, x, nodes_cache)
+        three_term = _three_term_generator(tm, x)
         res_rec = max(res_rec, float(np.linalg.norm(direct - three_term)))
     checks.append(_check("lindblad_reconstruction", res_rec, 1e-12))
     choi = gen_mod.choi_matrix(gen)
@@ -294,20 +293,22 @@ def _identity_checks(tm, rng):
     return checks
 
 
-def _three_term_generator(tm, X, cache):
+def _three_term_generator(tm, X):
     """Theta0(X) summed directly from the three-term structure map under
-    the same quadrature (independent arithmetic path from the Kraus form)."""
+    the same quadrature (independent arithmetic path from the Kraus form),
+    on the R blocks each node set already holds."""
     from . import generator as gen_mod
 
-    spec = tm.spec
-    out = np.zeros_like(np.asarray(X, dtype=complex))
+    X = np.asarray(X, dtype=complex)
+    zero = tm.spectral.bohr_index(0.0)
+    out = np.zeros_like(X)
     for eps in (0, 1):
-        if eps not in cache:
-            cache[eps] = gen_mod._support_nodes(spec.bath, eps)
-        nodes, wts, rho = cache[eps]
-        for E, w, r in zip(nodes, wts, rho):
-            mu = math.exp(-spec.beta * E) * r
-            out += (w * mu) * gen_mod.theta_map(tm, X, eps, eps, 0.0, 0.0, float(E))
+        nodes, coef, R = gen_mod._thermal_pass(tm, eps)
+        r0 = R[:, eps, eps, zero]
+        ops = R[:, :, eps].reshape(len(nodes), -1, tm.dim, tm.dim)
+        re_g = gen_mod._re_gamma(tm, nodes).reshape(len(nodes), -1)
+        terms = gen_mod._structure_map(X, r0, r0, ops, ops, re_g)
+        out += np.einsum("n,nij->ij", coef, terms)
     return out
 
 

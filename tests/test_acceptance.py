@@ -14,7 +14,7 @@ import numpy as np
 from ldlgen import TMatrix
 from ldlgen.dynamics import evolve_master, unravel_jump
 from ldlgen.generator import (choi_matrix, drift, drift_from_t_operator,
-                              dual_generator_matrix, theta_map, _support_nodes)
+                              dual_generator_matrix, theta_map)
 from ldlgen.model import model_from_dict
 from ldlgen.tmatrix import dyson_oracle, dyson_reference, richardson_extrapolate
 from ldlgen.verification import (check_causal_delta_limit, check_delta_limit,
@@ -121,7 +121,7 @@ def test_criterion_06_lindblad_structure(nr_tm, nr_gen, rwa_tm, rwa_gen):
     rng = np.random.default_rng(606)
     worst_rec, worst_herm, worst_unital, worst_hg, worst_choi = 0.0, 0.0, 0.0, 0.0, True
     for tm, gen in ((nr_tm, nr_gen), (rwa_tm, rwa_gen)):
-        cache = {e: _support_nodes(tm.spec.bath, e) for e in (0, 1)}
+        cache = {e: tm.spec.bath.support_nodes(e) for e in (0, 1)}
         for _ in range(20):
             x = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
             x = x + x.conj().T

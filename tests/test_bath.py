@@ -101,9 +101,87 @@ def test_gamma_damped_extrapolates_on_support():
         assert abs(extrap - gt.gamma(0, e)) < 1e-6
 
 
-def test_gamma_memoization_returns_identical_value():
-    gt = _table(DensityProfile.bump(0, 1, 1.0))
-    assert gt.gamma(0, 0.3) is gt.gamma(0, 0.3 + 1e-14)
+def test_gamma_array_call_equals_scalar_calls():
+    e = np.linspace(0, 1, 9)
+    v = np.sin(np.pi * e) ** 2
+    v[0] = v[-1] = 0.0
+    energies = np.array([-0.7, 0.0, 0.125, 0.3, 0.3 + 1e-14, 0.61, 1.0, 2.4])
+    for prof in (DensityProfile.bump(0, 1, 1.0), DensityProfile.table(e, v),
+                 DensityProfile.rect(0.05, 0.95, 1.0)):
+        gt = _table(prof)
+        values = gt.gamma(0, energies)
+        assert values.shape == energies.shape and values.dtype == complex
+        assert np.array_equal(values, [gt.gamma(0, float(x)) for x in energies])
+        grid = energies.reshape(2, 4)
+        assert np.array_equal(gt.gamma(0, grid), values.reshape(2, 4))
+
+
+# -- closed form against the quadrature oracle ---------------------------------
+
+
+def _piece(prof, E):
+    """The polynomial piece of rho nearest E, evaluated at E (rho(E) on the
+    support, the extension of the edge piece outside it)."""
+    if prof.kind == "rect":
+        return prof.height
+    if prof.kind == "bump":
+        return prof.amplitude * (E - prof.a) * (prof.b - E)
+    t, v = np.asarray(prof.energies), np.asarray(prof.values)
+    k = int(np.clip(np.searchsorted(t, E) - 1, 0, t.size - 2))
+    return float(v[k] + (v[k + 1] - v[k]) / (t[k + 1] - t[k]) * (E - t[k]))
+
+
+def _quad_pv(prof, E):
+    """PV integral of rho(x) / (E - x) dx by singularity subtraction.
+
+    Subtracts c = the nearest polynomial piece at E, so the integrand
+    (rho(x) - c) / (E - x) stays bounded even just outside an edge, and
+    adds the analytic c * log|(E-a)/(E-b)|."""
+    a, b = prof.support
+    c = prof(E) if a <= E <= b else _piece(prof, E)
+
+    def subtracted(x):
+        return 0.0 if x == E else (prof(x) - c) / (E - x)
+
+    pts = sorted({p for p in prof.breakpoints() + [E] if a < p < b}) or None
+    val, _ = quad(subtracted, a, b, points=pts, limit=400, epsabs=1e-15, epsrel=1e-14)
+    if c:
+        val += c * math.log(abs((E - a) / (E - b)))
+    return val
+
+
+def _oracle_profiles():
+    e = np.linspace(0, 1, 9)
+    v = np.sin(np.pi * e) ** 2
+    v[0] = v[-1] = 0.0
+    return {"rect": DensityProfile.rect(0, 1, 1.3), "bump": DensityProfile.bump(2, 3, 1.7),
+            "table": DensityProfile.table(e, v)}
+
+
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+@pytest.mark.parametrize("kind", ["rect", "bump", "table"])
+def test_gamma_closed_form_matches_quadrature(kind):
+    prof = _oracle_profiles()[kind]
+    a, b = prof.support
+    knots = [a, b] + prof.breakpoints()
+    points = [a - 3.0, a - 0.5, 0.5 * (a + b) + 0.0123, b + 0.7, b + 5.0]
+    points += [t + s for t in knots for s in (-1e-9, 1e-9)]
+    if kind != "rect":
+        points += knots                      # finite exactly at the knots
+    gt = _table(prof) if kind != "bump" else GammaTable(_bath(DensityProfile.bump(0, 1, 1), prof))
+    eps = 0 if kind != "bump" else 1
+    for E in points:
+        g = gt.gamma(eps, E)
+        assert math.isfinite(g.imag)
+        assert g.real == math.pi * prof(E)
+        assert abs(g.imag - _quad_pv(prof, E)) <= 1e-12, (kind, E)
+
+
+def test_gamma_rect_edges_raise_for_arrays():
+    gt = _table(DensityProfile.rect(0, 1, 1.0))
+    for edge in (0.0, 1.0):
+        with pytest.raises(NumericError, match="edge"):
+            gt.gamma(0, np.array([0.5, edge]))
 
 
 def test_mu_inv_zero_density():

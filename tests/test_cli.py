@@ -155,3 +155,61 @@ def test_emitted_json_matrices_reparse_exactly(tmp_path):
     direct = drift(TMatrix(load_model(NR)))
     parsed = np.array([complex(re, im) for re, im in doc["drift"]]).reshape(2, 2)
     assert np.array_equal(parsed, direct)
+
+
+# -- input hardening: each reproduces a defect that used to get through --------
+
+def test_nan_coupling_rejected(tmp_path, capsys):
+    doc = base_model_doc()
+    doc["system"]["coupling"][1] = [float("nan"), 0.0]
+    path = write_model(tmp_path, doc)
+    assert "NaN" in (tmp_path / "model.json").read_text()
+    assert run(["validate", path]) == 1
+    assert run(["drift", path, "--out", str(tmp_path / "d.json")]) == 1
+    assert "NaN" in capsys.readouterr().err
+
+
+def test_infinite_beta_rejected(tmp_path, capsys):
+    doc = base_model_doc()
+    doc["bath"]["beta"] = float("inf")
+    path = write_model(tmp_path, doc)
+    assert run(["drift", path, "--out", str(tmp_path / "d.json")]) == 1
+    assert "Infinity" in capsys.readouterr().err
+
+
+def test_fractional_counts_rejected(tmp_path, capsys):
+    doc = base_model_doc()
+    doc["bath"]["grid"]["points"] = 481.9
+    assert run(["validate", write_model(tmp_path, doc)]) == 1
+    doc = base_model_doc()
+    doc["truncation"]["neumann_max_order"] = 64.5
+    assert run(["validate", write_model(tmp_path, doc)]) == 1
+    err = capsys.readouterr().err
+    assert "481.9" in err and "64.5" in err
+
+
+def test_nonfinite_cli_float_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "gamma.csv"
+    assert run(["gamma", NR, "--epsilon", "0", "--emin", "nan", "--emax", "1",
+                "--points", "4", "--out", str(out)]) == 64
+    assert not out.exists()
+    capsys.readouterr()
+
+
+def test_nonfinite_state_file_rejected(tmp_path):
+    rho = tmp_path / "rho0.json"
+    rho.write_text('{"matrix": [[0.5, 0.0], [NaN, 0.0], [0.0, 0.0], [0.5, 0.0]]}')
+    code = run(["evolve", NR, "--rho0", str(rho), "--tmax", "1.0", "--dt", "0.1",
+                "--out", str(tmp_path / "traj.csv")])
+    assert code == 1
+
+
+def test_linalg_failure_exits_2(tmp_path, monkeypatch, capsys):
+    import ldlgen.cli
+
+    def singular(tm):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(ldlgen.cli, "build_generator", singular)
+    assert run(["generator", NR, "--out", str(tmp_path / "gen.json")]) == 2
+    assert "Singular matrix" in capsys.readouterr().err

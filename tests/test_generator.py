@@ -8,8 +8,7 @@ from ldlgen import TMatrix, ValidationError
 from ldlgen.generator import (GKSLGenerator, apply_generator, build_generator,
                               check_grid_coverage, choi_matrix, drift,
                               drift_from_t_operator, dual_generator_matrix,
-                              heisenberg_generator_matrix, theta_map,
-                              _support_nodes)
+                              heisenberg_generator_matrix, theta_map)
 from ldlgen.model import model_from_dict
 
 from conftest import base_model_doc, random_density
@@ -38,7 +37,7 @@ def born_drift(tm):
     sd = tm.spectral
     out = np.zeros((spec.dim, spec.dim), dtype=complex)
     for eps in (0, 1):
-        nodes, wts, rho = _support_nodes(spec.bath, eps)
+        nodes, wts, rho = spec.bath.support_nodes(eps)
         for E, w, r in zip(nodes, wts, rho):
             mu = math.exp(-spec.beta * E) * r
             acc = np.zeros_like(out)
@@ -121,7 +120,7 @@ def test_reconstruction_identity(nr_tm, nr_gen):
     # Kraus-form Theta0 against the independently summed three-term form
     rng = np.random.default_rng(21)
     spec = nr_tm.spec
-    cache = {e: _support_nodes(spec.bath, e) for e in (0, 1)}
+    cache = {e: spec.bath.support_nodes(e) for e in (0, 1)}
     for _ in range(20):
         x = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         x = x + x.conj().T

@@ -164,12 +164,15 @@ def test_r_transfer_structure(nr_tm):
                     assert np.linalg.norm(comp) < 1e-10
 
 
-def test_r_table_sampling(nr_tm):
+def test_r_blocks_sampling(nr_tm):
     energies = [0.3, 0.5, 2.5]
-    table = nr_tm.r_table(energies)
-    arr = table.sample(0, 1, 1.0)
-    assert arr.shape == (3, 2, 2)
-    assert table.sample(0, 1, 1.0) is arr     # cached
+    R = nr_tm.r_blocks(energies)
+    assert R.shape == (3, 2, 2, 3, 2, 2)
+    b = nr_tm.spectral.bohr_index(1.0)
+    arr = R[:, 0, 1, b]
+    # the batched pass and the pointwise view agree, node by node
+    for k, E in enumerate(energies):
+        assert np.array_equal(arr[k], nr_tm.r_coefficient(0, 1, 1.0, 0.0, E))
     # definite transfer omega - omega' for every sampled slice
     for k in range(3):
         comps = block_transfer(arr[k], nr_tm.spectral)
@@ -181,7 +184,7 @@ def test_r_table_sampling(nr_tm):
 def test_index_set_stability(nr_tm):
     for eps in (0, 1):
         base = nr_tm.solve_column(eps, 0.0, 0.66)
-        wide = nr_tm.solve_column(eps, 0.0, 0.66, index_depth=2)
+        wide = nr_tm.stacked_column(eps, 0.0, 0.66, index_depth=2)
         assert wide.offsets.size > base.offsets.size
         for off, blk in zip(base.offsets, base.blocks_list):
             j = int(np.argmin(np.abs(wide.offsets - off)))

@@ -113,11 +113,6 @@ class DensityProfile:
     def support(self):
         return (self.a, self.b)
 
-    @property
-    def continuous_at_edges(self):
-        # rect jumps at its edges; bump and table vanish there by construction
-        return self.kind != "rect"
-
     def breakpoints(self):
         """Interior points where rho is not smooth (table knots)."""
         if self.kind == "table":
@@ -297,7 +292,7 @@ def mu_inv(bath, eps, E, beta):
     return math.exp(-beta * E) * bath.density(eps)(E)
 
 
-def k_inner_product(bath, X, Y, omega, beta, n_nodes=None):
+def k_inner_product(bath, X, Y, omega, beta):
     """Inner product of rank-one operators |g_f><g_u| and |g_v><g_w|.
 
     X and Y are index pairs (f, u) and (v, w) with entries in {0, 1}.
@@ -344,9 +339,6 @@ class GammaTable:
         out.real = math.pi * prof(E)
         out.imag = _pv_integral(prof, E)
         return complex(out) if out.ndim == 0 else out
-
-    def __call__(self, eps, E):
-        return self.gamma(eps, E)
 
 
 def _xlogx(x):

@@ -1,9 +1,10 @@
 """Command-line surface.
 
-Exit codes: 0 success, 1 validation failure, 2 numeric failure,
-3 identity-suite failure, 64 usage error.  All JSON output is written
-with sorted keys and shortest-round-trip float formatting, so identical
-invocations produce byte-identical files.
+Exit codes: 0 success, 1 validation failure or an unreadable input /
+unwritable output file, 2 numeric failure, 3 identity-suite failure,
+64 usage error.  All JSON output is written with sorted keys and
+shortest-round-trip float formatting, so identical invocations produce
+byte-identical files.
 """
 
 import argparse
@@ -47,12 +48,23 @@ def _finite(text):
     return value
 
 
+def _int_at_least(minimum):
+    """argparse type: an integer >= minimum."""
+    def integer(text):
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"{text!r} is less than {minimum}")
+        return value
+    return integer
+
+
 def build_parser():
     parser = _Parser(prog="ldlgen", description="Low-density-limit Markovian "
                      "generator toolkit: model validation, scattering blocks, "
                      "drift/generator assembly, dynamics, identity checks.")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker cap for parallel sections (results unchanged)")
+    parser.add_argument("--threads", type=_int_at_least(1), default=1,
+                        help="accepted for compatibility; has no effect "
+                        "(unravel runs serially)")
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
 
     p = sub.add_parser("validate", help="validate a model file")
@@ -64,13 +76,13 @@ def build_parser():
     p.add_argument("--epsilon", type=int, choices=(0, 1), required=True)
     p.add_argument("--emin", type=_finite, required=True)
     p.add_argument("--emax", type=_finite, required=True)
-    p.add_argument("--points", type=int, required=True)
+    p.add_argument("--points", type=_int_at_least(1), required=True)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("tmatrix", help="scattering components at one energy")
     p.add_argument("model")
     p.add_argument("--energy", type=_finite, required=True)
-    p.add_argument("--orders", type=int, default=6)
+    p.add_argument("--orders", type=_int_at_least(1), default=6)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("drift", help="drift operator by both routes")
@@ -94,7 +106,7 @@ def build_parser():
     p.add_argument("--tmax", type=_finite, required=True)
     p.add_argument("--dt", type=_finite, required=True)
     p.add_argument("--trajectories", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_int_at_least(0), required=True)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("check", help="run the identity / limit suites")
@@ -210,12 +222,11 @@ def _cmd_evolve(args):
     return EXIT_OK
 
 
-def _cmd_unravel(args, threads):
+def _cmd_unravel(args):
     spec = load_model(args.model)
     gen = build_generator(TMatrix(spec)).compressed()
     psi0 = complex_vector_from_json(_load_state_matrix(args.psi0, key="vector"), "psi0")
-    ens = unravel_jump(gen, psi0, args.tmax, args.dt, args.trajectories,
-                       args.seed, threads=threads)
+    ens = unravel_jump(gen, psi0, args.tmax, args.dt, args.trajectories, args.seed)
     _emit_lines(trajectory_csv_lines(ens.times, ens.mean_states), args.out)
     return EXIT_OK
 
@@ -253,11 +264,14 @@ def run(argv=None):
         if args.command == "evolve":
             return _cmd_evolve(args)
         if args.command == "unravel":
-            return _cmd_unravel(args, max(1, args.threads))
+            return _cmd_unravel(args)
         if args.command == "check":
             return _cmd_check(args)
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except OSError as exc:
+        print(f"file error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (NumericError, np.linalg.LinAlgError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
@@ -267,3 +281,7 @@ def run(argv=None):
 
 def main():
     sys.exit(run(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

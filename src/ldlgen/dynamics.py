@@ -10,11 +10,12 @@ deterministic drift under H_eff = H - (i/2) sum_j w_j L_j^+ L_j, a jump
 when the squared norm crosses a uniform threshold (located by bisection
 inside the step), channel j chosen proportional to w_j ||L_j psi||^2.
 Per-trajectory RNG streams derive from (seed, trajectory index), and the
-ensemble reduction runs over fixed-size index chunks combined in index
-order, so results are bitwise independent of the worker count.
+ensemble runs serially over fixed-size index chunks added in index order,
+so results are bitwise reproducible.  (Threads gained nothing: the per-step
+work is small numpy calls and Python loops that hold the GIL.)
 """
 
-from concurrent.futures import ThreadPoolExecutor
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,12 +32,6 @@ _BISECTION_ITERS = 48
 class DensityTrajectory:
     times: np.ndarray
     states: list = field(repr=False, default_factory=list)
-
-    def state_at(self, t, tol=1e-9):
-        for time, state in zip(self.times, self.states):
-            if abs(time - t) <= tol:
-                return state
-        raise KeyError(f"time {t} not stored in trajectory")
 
 
 @dataclass
@@ -73,15 +68,22 @@ def _taylor_step(matrix, h):
     return out
 
 
+def _step_count(t_max, dt):
+    """Number of fixed steps of size dt covering [0, t_max]."""
+    if not (dt > 0 and t_max >= 0):
+        raise ValidationError("t_max must be >= 0 and dt > 0")
+    if not math.isfinite(t_max / dt):
+        raise ValidationError("t_max/dt is not a finite step count")
+    return int(round(t_max / dt))
+
+
 def evolve_master(gen, rho0, t_max, dt):
     """Integrate rho' = Theta0*(rho) storing the state at every step."""
-    if dt <= 0 or t_max < 0:
-        raise ValidationError("t_max must be >= 0 and dt > 0")
+    n_steps = _step_count(t_max, dt)
     rho0 = _validate_density(rho0, gen.dim)
     liouville = dual_generator_matrix(gen)
     if dt * np.linalg.norm(liouville, 2) >= 0.1:
         raise ValidationError("dt too large for this generator: require dt*||L|| < 0.1")
-    n_steps = int(round(t_max / dt))
     step = _taylor_step(liouville, dt)
     y = rho0.reshape(-1).copy()
     states = [rho0.copy()]
@@ -127,7 +129,7 @@ def _norm_sq(psi):
     return acc
 
 
-def _resolve_jumps(psi_row, remaining, threshold, rng, heff, weights, ops, dt):
+def _resolve_jumps(psi_row, remaining, threshold, rng, heff, weights, ops):
     """Advance one trajectory through `remaining` time, applying jumps.
 
     psi_row is the unnormalized state at the start of the interval, known
@@ -152,8 +154,9 @@ def _resolve_jumps(psi_row, remaining, threshold, rng, heff, weights, ops, dt):
                           for w, L in zip(weights, ops)])
         total = probs.sum()
         if total <= 0.0:
-            # norm loss without available channel: numerical corner, restart clock
-            return cur, threshold
+            # norm lost with no channel able to fire (integrator loss, or an
+            # empty Kraus family): no jump, so finish the interval unjumped
+            return after, threshold
         xi = rng.uniform() * total
         channel = 0
         acc = probs[0]
@@ -193,7 +196,7 @@ def _run_chunk(start, stop, psi0, seed, step, heff, weights, ops, dt, n_steps):
         crossed = np.nonzero(_norm_sq(advanced) < thresholds)[0]
         for idx in crossed:
             state, thr = _resolve_jumps(psi[idx].copy(), dt, thresholds[idx],
-                                        rngs[idx], heff, weights, ops, dt)
+                                        rngs[idx], heff, weights, ops)
             advanced[idx] = state
             thresholds[idx] = thr
         psi = advanced
@@ -206,13 +209,13 @@ def unravel_jump(gen, psi0, t_max, dt, trajectories, seed, threads=1):
 
     Returns the ensemble mean of |psi><psi| (normalized states) at every
     step together with the componentwise Monte-Carlo standard error.
-    Fixed (seed, trajectories, dt) give bitwise-identical results for any
-    thread count.
+    Fixed (seed, trajectories, dt) give bitwise-identical results.
+    ``threads`` is accepted for compatibility and has no effect: the
+    ensemble always runs serially (see the module docstring).
     """
     if trajectories <= 0:
         raise ValidationError("trajectories must be > 0")
-    if dt <= 0 or t_max < 0:
-        raise ValidationError("t_max must be >= 0 and dt > 0")
+    n_steps = _step_count(t_max, dt)
     psi0 = np.asarray(psi0, dtype=complex).reshape(-1)
     if psi0.size != gen.dim:
         raise ValidationError("psi0 dimension does not match the generator")
@@ -224,25 +227,14 @@ def unravel_jump(gen, psi0, t_max, dt, trajectories, seed, threads=1):
     heff = gen.hamiltonian.astype(complex).copy()
     if weights:
         heff = heff - 0.5j * gen.psi_one
-    n_steps = int(round(t_max / dt))
     step = _taylor_step(-1j * heff, dt)
-
-    chunks = [(s, min(s + _CHUNK, trajectories)) for s in range(0, trajectories, _CHUNK)]
-
-    def work(bounds):
-        return _run_chunk(bounds[0], bounds[1], psi0, seed, step, heff,
-                          weights, ops, dt, n_steps)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(work, chunks))
-    else:
-        results = [work(c) for c in chunks]
 
     d = gen.dim
     total1 = np.zeros((n_steps + 1, d, d), dtype=complex)
     total2 = np.zeros((n_steps + 1, d, d), dtype=float)
-    for s1, s2 in results:
+    for start in range(0, trajectories, _CHUNK):
+        s1, s2 = _run_chunk(start, min(start + _CHUNK, trajectories), psi0, seed,
+                            step, heff, weights, ops, dt, n_steps)
         total1 += s1
         total2 += s2
     m = float(trajectories)

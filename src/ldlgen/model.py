@@ -41,10 +41,6 @@ def complex_matrix_from_json(obj, name="matrix"):
     return complex_vector_from_json(obj, name).reshape(dim, dim)
 
 
-def complex_vector_to_json(v):
-    return [[float(z.real), float(z.imag)] for z in np.asarray(v).reshape(-1)]
-
-
 def complex_vector_from_json(obj, name="vector"):
     if not isinstance(obj, list) or not obj:
         raise ValidationError(f"{name} must be a non-empty list of [re, im] pairs")

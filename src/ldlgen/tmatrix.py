@@ -38,9 +38,9 @@ PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
 class BlockColumn:
     """One column of (1+T_eps)^{-1} at fixed (eps, omega', E).
 
-    blocks[omega] solves sum over omega_1 of
-    (1+T_eps)_{omega, omega_1}(E) blocks[omega_1] = delta_{omega, omega'} Id
-    for omega in I(omega'); blocks[omega] has definite transfer
+    block(omega) solves sum over omega_1 of
+    (1+T_eps)_{omega, omega_1}(E) block(omega_1) = delta_{omega, omega'} Id
+    for omega in I(omega'); block(omega) has definite transfer
     omega - omega'.  Columns from the Neumann series carry convergence
     metadata; direct solves leave it at its defaults.
     """
@@ -55,10 +55,6 @@ class BlockColumn:
     final_increment: float = 0.0
     converged: bool = True
     diverged: bool = False
-
-    @property
-    def blocks(self):
-        return {float(w): blk for w, blk in zip(self.omegas, self.blocks_list)}
 
     def block(self, omega, tol=1e-9):
         for w, blk in zip(self.omegas, self.blocks_list):

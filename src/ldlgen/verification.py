@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bath import gauss_legendre_nodes, validate_bath
+from .bath import validate_bath
 from .errors import ValidationError
 from .model import block_transfer
 
@@ -59,13 +59,12 @@ class LimitCheckReport:
 
 
 def _composite_gl(a, b, n_panels, nodes_per_panel=8):
+    """Gauss-Legendre rule on n_panels equal panels of [a, b]; each panel is
+    mapped with the arithmetic of bath.gauss_legendre_nodes, bit for bit."""
+    x, w = np.polynomial.legendre.leggauss(nodes_per_panel)
     edges = np.linspace(a, b, n_panels + 1)
-    xs, ws = [], []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        x, w = gauss_legendre_nodes(lo, hi, nodes_per_panel)
-        xs.append(x)
-        ws.append(w)
-    return np.concatenate(xs), np.concatenate(ws)
+    half = 0.5 * (edges[1:] - edges[:-1])[:, None]
+    return (edges[:-1, None] + half * (x + 1.0)).ravel(), (half * w).ravel()
 
 
 def _symmetric_u_grid(u_max, n_panels):

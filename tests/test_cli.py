@@ -1,10 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 
 from ldlgen.cli import run
 
-from conftest import MODELS, base_model_doc, write_model
+from conftest import MODELS, ROOT, base_model_doc, write_model
 
 NR = str(MODELS / "tm_nr.json")
 
@@ -213,3 +216,65 @@ def test_linalg_failure_exits_2(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(ldlgen.cli, "build_generator", singular)
     assert run(["generator", NR, "--out", str(tmp_path / "gen.json")]) == 2
     assert "Singular matrix" in capsys.readouterr().err
+
+
+def test_negative_counts_are_usage_errors(tmp_path, capsys, monkeypatch):
+    import ldlgen.cli
+
+    def never(path):
+        raise AssertionError("usage errors must be caught before any model is loaded")
+
+    monkeypatch.setattr(ldlgen.cli, "load_model", never)
+    out = str(tmp_path / "out")
+    psi = str(tmp_path / "psi0.json")
+    for argv in (["gamma", NR, "--epsilon", "0", "--emin", "-1", "--emax", "4",
+                  "--points", "-1", "--out", out],
+                 ["gamma", NR, "--epsilon", "0", "--emin", "-1", "--emax", "4",
+                  "--points", "0", "--out", out],
+                 ["tmatrix", NR, "--energy", "0.5", "--orders", "0", "--out", out],
+                 ["--threads", "0", "validate", NR],
+                 ["unravel", NR, "--psi0", psi, "--tmax", "1", "--dt", "0.1",
+                  "--trajectories", "10", "--seed", "-1", "--out", out]):
+        assert run(argv) == 64, argv
+    assert not (tmp_path / "out").exists()
+    capsys.readouterr()
+
+
+def test_nonfinite_step_count_exits_1(tmp_path, capsys):
+    rho = tmp_path / "rho0.json"
+    rho.write_text(json.dumps({"matrix": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]}))
+    psi = tmp_path / "psi0.json"
+    psi.write_text(json.dumps({"vector": [[1.0, 0.0], [0.0, 0.0]]}))
+    span = ["--tmax", "1e300", "--dt", "1e-300", "--out", str(tmp_path / "t.csv")]
+    assert run(["evolve", NR, "--rho0", str(rho), *span]) == 1
+    assert run(["unravel", NR, "--psi0", str(psi), "--trajectories", "2",
+                "--seed", "0", *span]) == 1
+    assert "step count" in capsys.readouterr().err
+
+
+def test_missing_input_file_exits_1(tmp_path, capsys):
+    missing = str(tmp_path / "missing.json")
+    assert run(["validate", missing]) == 1
+    assert run(["evolve", NR, "--rho0", missing, "--tmax", "1.0", "--dt", "0.1",
+                "--out", str(tmp_path / "t.csv")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and all("missing.json" in line for line in err)
+
+
+def test_unwritable_output_exits_1(tmp_path, capsys):
+    out = tmp_path / "no_such_dir" / "d.json"
+    assert run(["drift", NR, "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "no_such_dir" in err[0]
+
+
+def test_python_dash_m_runs_the_cli():
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-m", "ldlgen", "validate", NR],
+                          capture_output=True, text=True, env=env)
+    assert done.returncode == 0
+    assert json.loads(done.stdout)["valid"]
+    done = subprocess.run([sys.executable, "-m", "ldlgen"],
+                          capture_output=True, text=True, env=env)
+    assert done.returncode == 64

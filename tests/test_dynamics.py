@@ -3,8 +3,8 @@ import pytest
 from scipy.linalg import expm
 
 from ldlgen import TMatrix, ValidationError
-from ldlgen.dynamics import (evolve_master, trajectory_csv_lines, unravel_jump,
-                             vacuum_decay)
+from ldlgen.dynamics import (_taylor_step, evolve_master, trajectory_csv_lines,
+                             unravel_jump, vacuum_decay)
 from ldlgen.generator import GKSLGenerator, build_generator, dual_generator_matrix
 from ldlgen.model import model_from_dict
 
@@ -127,19 +127,34 @@ def test_unravel_requires_valid_arguments(nr_gen):
         unravel_jump(nr_gen, 2.0 * psi, 1.0, 0.1, 10, seed=1)
 
 
-def test_unravel_empty_kraus_is_unitary():
+@pytest.mark.parametrize("h, psi0, t_max, dt, trajectories, seed, exact_tol", [
+    pytest.param([[0.4, 0.1], [0.1, -0.4]], [1.0, 0.0], 2.0, 0.02, 40, 9, 1e-9,
+                 id="short_fine_step"),
+    # RK4 loses 2.1e-4 of the norm per step here, so thresholds are crossed
+    # with no channel to fire; the state must still move through every step
+    pytest.param([[1.0, 0.0], [0.0, -1.0]], [2 ** -0.5, 2 ** -0.5], 50.0, 0.5, 400, 7,
+                 None, id="lossy_coarse_step"),
+])
+def test_unravel_empty_kraus_is_unitary(h, psi0, t_max, dt, trajectories, seed, exact_tol):
     gen = GKSLGenerator(drift=np.zeros((2, 2)),
-                        hamiltonian=np.array([[0.4, 0.1], [0.1, -0.4]], dtype=complex),
-                        kraus=[])
-    psi0 = np.array([1.0, 0.0])
-    ens = unravel_jump(gen, psi0, 2.0, 0.02, 40, seed=9)
+                        hamiltonian=np.array(h, dtype=complex), kraus=[])
+    psi0 = np.array(psi0)
+    ens = unravel_jump(gen, psi0, t_max, dt, trajectories, seed=seed)
     for state in ens.mean_states[::20]:
         assert abs(np.trace(state).real - 1.0) < 1e-10
     # identical trajectories: variance is zero up to summation roundoff
     for err in ens.stderr[::20]:
         assert err.max() < 1e-9
-    exact = expm(-1j * gen.hamiltonian * 2.0) @ psi0
-    assert np.abs(ens.mean_states[-1] - np.outer(exact, exact.conj())).max() < 1e-9
+    # every trajectory follows the normalised no-jump propagation
+    step = _taylor_step(-1j * gen.hamiltonian, dt)
+    psi = psi0.astype(complex)
+    for _ in range(len(ens.times) - 1):
+        psi = step @ psi
+    psi = psi / np.linalg.norm(psi)
+    assert np.abs(ens.mean_states[-1] - np.outer(psi, psi.conj())).max() <= 1e-12
+    if exact_tol is not None:
+        exact = expm(-1j * gen.hamiltonian * t_max) @ psi0
+        assert np.abs(ens.mean_states[-1] - np.outer(exact, exact.conj())).max() < exact_tol
 
 
 def test_unravel_bitwise_reproducible_across_threads(nr_gen):

@@ -15,7 +15,8 @@ import sys
 import numpy as np
 
 from .bath import validate_bath
-from .dynamics import evolve_master, trajectory_csv_lines, unravel_jump
+from .dynamics import (_step_count, _validate_density, _validate_pure_state,
+                       evolve_master, trajectory_csv_lines, unravel_jump)
 from .errors import NumericError, ValidationError
 from .generator import build_generator, drift, drift_from_t_operator
 from .model import (complex_matrix_from_json, complex_matrix_to_json,
@@ -105,7 +106,7 @@ def build_parser():
     p.add_argument("--psi0", required=True)
     p.add_argument("--tmax", type=_finite, required=True)
     p.add_argument("--dt", type=_finite, required=True)
-    p.add_argument("--trajectories", type=int, required=True)
+    p.add_argument("--trajectories", type=_int_at_least(1), required=True)
     p.add_argument("--seed", type=_int_at_least(0), required=True)
     p.add_argument("--out", required=True)
 
@@ -215,8 +216,10 @@ def _cmd_generator(args):
 
 def _cmd_evolve(args):
     spec = load_model(args.model)
-    gen = build_generator(TMatrix(spec))
     rho0 = complex_matrix_from_json(_load_state_matrix(args.rho0), "rho0")
+    _validate_density(rho0, spec.dim)                 # before the generator build
+    _step_count(args.tmax, args.dt, spec.dim)
+    gen = build_generator(TMatrix(spec))
     traj = evolve_master(gen, rho0, args.tmax, args.dt)
     _emit_lines(trajectory_csv_lines(traj.times, traj.states), args.out)
     return EXIT_OK
@@ -224,8 +227,10 @@ def _cmd_evolve(args):
 
 def _cmd_unravel(args):
     spec = load_model(args.model)
-    gen = build_generator(TMatrix(spec)).compressed()
     psi0 = complex_vector_from_json(_load_state_matrix(args.psi0, key="vector"), "psi0")
+    _validate_pure_state(psi0, spec.dim)              # before the generator build
+    _step_count(args.tmax, args.dt, spec.dim)
+    gen = build_generator(TMatrix(spec)).compressed()
     ens = unravel_jump(gen, psi0, args.tmax, args.dt, args.trajectories, args.seed)
     _emit_lines(trajectory_csv_lines(ens.times, ens.mean_states), args.out)
     return EXIT_OK

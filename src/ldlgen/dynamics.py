@@ -5,14 +5,23 @@ Runge-Kutta on the vectorized equation; for this autonomous linear
 system one RK4 step is exactly the degree-4 Taylor polynomial of the
 step map, which is precomputed once.
 
-The Monte-Carlo unravelling is the standard norm-loss construction:
-deterministic drift under H_eff = H - (i/2) sum_j w_j L_j^+ L_j, a jump
-when the squared norm crosses a uniform threshold (located by bisection
-inside the step), channel j chosen proportional to w_j ||L_j psi||^2.
-Per-trajectory RNG streams derive from (seed, trajectory index), and the
-ensemble runs serially over fixed-size index chunks added in index order,
-so results are bitwise reproducible.  (Threads gained nothing: the per-step
-work is small numpy calls and Python loops that hold the GIL.)
+The Monte-Carlo unravelling is the standard norm-loss construction
+(Dalibard, Castin and Molmer, PRL 68, 580 (1992)): deterministic drift
+under H_eff = H - (i/2) Psi(1), a jump when the squared norm crosses a
+uniform threshold (located by bisection inside the step), channel j chosen
+with probability proportional to w_j ||L_j psi||^2.  The jump
+probabilities of the whole stacked Kraus family are one contraction, and
+the channel is the first whose cumulative weight exceeds the uniform draw,
+so a channel of zero probability is never chosen.  Per-trajectory RNG
+streams derive from (seed, trajectory index), and the ensemble runs
+serially over fixed-size index chunks added in index order, so results are
+bitwise reproducible.  (Threads gained nothing: the per-step work is small
+numpy calls and Python loops that hold the GIL.)
+
+Trajectories are stored as (steps + 1, d, d) arrays.  Their size is fixed
+before anything is allocated: (steps + 1) * d^2 may not exceed
+MAX_STORED_ENTRIES, so a step count that would exhaust memory is a
+validation error.
 """
 
 import math
@@ -26,12 +35,15 @@ from .generator import dual_generator_matrix
 
 _CHUNK = 1024
 _BISECTION_ITERS = 48
+# Largest stored trajectory, in matrix entries: (steps + 1) * d^2.  At
+# d = 2 that is 1,048,575 steps, 64 MiB for a complex trajectory.
+MAX_STORED_ENTRIES = 1 << 22
 
 
 @dataclass
 class DensityTrajectory:
     times: np.ndarray
-    states: list = field(repr=False, default_factory=list)
+    states: np.ndarray = field(repr=False)        # (steps + 1, d, d)
 
 
 @dataclass
@@ -39,8 +51,8 @@ class JumpEnsemble:
     trajectories: int
     seed: int
     times: np.ndarray
-    mean_states: list = field(repr=False, default_factory=list)
-    stderr: list = field(repr=False, default_factory=list)
+    mean_states: np.ndarray = field(repr=False)   # (steps + 1, d, d)
+    stderr: np.ndarray = field(repr=False)        # (steps + 1, d, d)
 
 
 def _validate_density(rho, dim):
@@ -56,6 +68,15 @@ def _validate_density(rho, dim):
     return rho
 
 
+def _validate_pure_state(psi, dim):
+    psi = np.asarray(psi, dtype=complex).reshape(-1)
+    if psi.size != dim:
+        raise ValidationError("psi0 dimension does not match the generator")
+    if abs(np.linalg.norm(psi) - 1.0) > 1e-9:
+        raise ValidationError("psi0 must be normalized")
+    return psi
+
+
 def _taylor_step(matrix, h):
     """One classical RK4 step map for y' = matrix @ y (its exact form
     for a linear autonomous system)."""
@@ -68,26 +89,33 @@ def _taylor_step(matrix, h):
     return out
 
 
-def _step_count(t_max, dt):
-    """Number of fixed steps of size dt covering [0, t_max]."""
+def _step_count(t_max, dt, dim):
+    """Number of fixed steps of size dt covering [0, t_max], for a stored
+    trajectory of (steps + 1) d x d matrices within MAX_STORED_ENTRIES."""
     if not (dt > 0 and t_max >= 0):
         raise ValidationError("t_max must be >= 0 and dt > 0")
     if not math.isfinite(t_max / dt):
         raise ValidationError("t_max/dt is not a finite step count")
-    return int(round(t_max / dt))
+    n_steps = int(round(t_max / dt))
+    if (n_steps + 1) * dim * dim > MAX_STORED_ENTRIES:
+        raise ValidationError(
+            f"{n_steps} steps at dimension {dim} exceed the stored-trajectory "
+            f"budget of {MAX_STORED_ENTRIES} matrix entries; raise dt or lower t_max")
+    return n_steps
 
 
 def evolve_master(gen, rho0, t_max, dt):
     """Integrate rho' = Theta0*(rho) storing the state at every step."""
-    n_steps = _step_count(t_max, dt)
+    n_steps = _step_count(t_max, dt, gen.dim)
     rho0 = _validate_density(rho0, gen.dim)
     liouville = dual_generator_matrix(gen)
     if dt * np.linalg.norm(liouville, 2) >= 0.1:
         raise ValidationError("dt too large for this generator: require dt*||L|| < 0.1")
     step = _taylor_step(liouville, dt)
-    y = rho0.reshape(-1).copy()
-    states = [rho0.copy()]
-    for _ in range(n_steps):
+    states = np.empty((n_steps + 1, gen.dim, gen.dim), dtype=complex)
+    states[0] = rho0
+    y = rho0.reshape(-1)
+    for k in range(1, n_steps + 1):
         y = step @ y
         rho = y.reshape(gen.dim, gen.dim)
         drift = abs(np.trace(rho).real - 1.0)
@@ -96,7 +124,7 @@ def evolve_master(gen, rho0, t_max, dt):
                 f"trace drift {drift:.3e} exceeded 1e-6 during integration; "
                 "use a smaller dt"
             )
-        states.append(rho.copy())
+        states[k] = rho
     times = np.arange(n_steps + 1) * dt
     return DensityTrajectory(times=times, states=states)
 
@@ -133,7 +161,8 @@ def _resolve_jumps(psi_row, remaining, threshold, rng, heff, weights, ops):
     """Advance one trajectory through `remaining` time, applying jumps.
 
     psi_row is the unnormalized state at the start of the interval, known
-    to cross `threshold` before its end.  Returns (state, threshold)."""
+    to cross `threshold` before its end; weights (K,) and ops (K, d, d) are
+    the stacked Kraus family.  Returns (state, threshold)."""
     cur = psi_row
     while True:
         full = _taylor_step(-1j * heff, remaining)
@@ -150,19 +179,15 @@ def _resolve_jumps(psi_row, remaining, threshold, rng, heff, weights, ops):
                 hi = mid
         t_jump = hi
         cur = _taylor_step(-1j * heff, t_jump) @ cur
-        probs = np.array([w * float(np.linalg.norm(L @ cur) ** 2)
-                          for w, L in zip(weights, ops)])
-        total = probs.sum()
-        if total <= 0.0:
+        cumulative = np.cumsum(weights * _norm_sq(ops @ cur))
+        if cumulative.size == 0 or cumulative[-1] <= 0.0:
             # norm lost with no channel able to fire (integrator loss, or an
             # empty Kraus family): no jump, so finish the interval unjumped
             return after, threshold
-        xi = rng.uniform() * total
-        channel = 0
-        acc = probs[0]
-        while acc < xi and channel < len(probs) - 1:
-            channel += 1
-            acc += probs[channel]
+        # first channel whose cumulative weight exceeds xi < total: its own
+        # weight is positive, even for a draw of exactly 0
+        xi = rng.uniform() * cumulative[-1]
+        channel = np.searchsorted(cumulative, xi, side="right")
         jumped = ops[channel] @ cur
         cur = jumped / np.linalg.norm(jumped)
         threshold = rng.uniform()
@@ -215,18 +240,10 @@ def unravel_jump(gen, psi0, t_max, dt, trajectories, seed, threads=1):
     """
     if trajectories <= 0:
         raise ValidationError("trajectories must be > 0")
-    n_steps = _step_count(t_max, dt)
-    psi0 = np.asarray(psi0, dtype=complex).reshape(-1)
-    if psi0.size != gen.dim:
-        raise ValidationError("psi0 dimension does not match the generator")
-    if abs(np.linalg.norm(psi0) - 1.0) > 1e-9:
-        raise ValidationError("psi0 must be normalized")
+    n_steps = _step_count(t_max, dt, gen.dim)
+    psi0 = _validate_pure_state(psi0, gen.dim)
 
-    weights = [w for w, _ in gen.kraus]
-    ops = [L for _, L in gen.kraus]
-    heff = gen.hamiltonian.astype(complex).copy()
-    if weights:
-        heff = heff - 0.5j * gen.psi_one
+    heff = gen.hamiltonian - 0.5j * gen.psi_one
     step = _taylor_step(-1j * heff, dt)
 
     d = gen.dim
@@ -234,7 +251,7 @@ def unravel_jump(gen, psi0, t_max, dt, trajectories, seed, threads=1):
     total2 = np.zeros((n_steps + 1, d, d), dtype=float)
     for start in range(0, trajectories, _CHUNK):
         s1, s2 = _run_chunk(start, min(start + _CHUNK, trajectories), psi0, seed,
-                            step, heff, weights, ops, dt, n_steps)
+                            step, heff, gen.weights, gen.ops, dt, n_steps)
         total1 += s1
         total2 += s2
     m = float(trajectories)
@@ -245,11 +262,8 @@ def unravel_jump(gen, psi0, t_max, dt, trajectories, seed, threads=1):
     else:
         stderr = np.zeros_like(total2)
     times = np.arange(n_steps + 1) * dt
-    return JumpEnsemble(
-        trajectories=trajectories, seed=seed, times=times,
-        mean_states=[mean[k] for k in range(n_steps + 1)],
-        stderr=[stderr[k] for k in range(n_steps + 1)],
-    )
+    return JumpEnsemble(trajectories=trajectories, seed=seed, times=times,
+                        mean_states=mean, stderr=stderr)
 
 
 def trajectory_csv_lines(times, states):

@@ -10,6 +10,12 @@ weights are manifestly nonnegative: each is
 last factor is Re gamma evaluated straight from the density (never from
 the principal-value part), so Kraus positivity carries no PV noise.
 
+The Kraus family is stored stacked, weights (K,) and operators
+(K, d, d), in the order (eps, grid node, eps', omega).  Psi(1), Psi(X)
+and the Choi matrix are each one contraction over the entry axis, the
+Kraus part of the Schroedinger-picture matrix is the realignment of the
+Choi matrix, and the Heisenberg-picture matrix is its adjoint.
+
 The drift Gamma is assembled twice: directly from the diagonal R blocks,
 and through the energy-resolved scattering components t^{eps,eps}(E)
 (the partial thermal expectation of the one-particle scattering
@@ -126,33 +132,44 @@ def theta_map(tm, X, eps1, eps2, omega1, omega2, E):
 class GKSLGenerator:
     """Drift, effective Hamiltonian and weighted Kraus family.
 
-    kraus holds (weight, operator) pairs realizing
-    Psi(X) = sum_j weight_j operator_j^+ X operator_j.
+    The family is stacked: weights (K,) and ops (K, d, d) realize
+    Psi(X) = sum_j weights[j] ops[j]^+ X ops[j]; an empty family has
+    shapes (0,) and (0, d, d).
     """
 
     drift: np.ndarray
     hamiltonian: np.ndarray
-    kraus: list = field(repr=False)
+    weights: np.ndarray = field(repr=False)
+    ops: np.ndarray = field(repr=False)
     grid: object = None
+
+    def __post_init__(self):
+        d = self.dim
+        self.weights = np.asarray(self.weights, dtype=float).reshape(-1)
+        ops = np.asarray(self.ops, dtype=complex)
+        self.ops = ops.reshape(0, d, d) if ops.size == 0 else ops
+        if self.ops.shape != (self.weights.size, d, d):
+            raise ValidationError(
+                f"{self.weights.size} Kraus weights need operators of shape "
+                f"({self.weights.size}, {d}, {d}), not {ops.shape}")
 
     @property
     def dim(self):
         return self.hamiltonian.shape[0]
 
+    @property
+    def kraus(self):
+        """The family as (weight, operator) pairs."""
+        return list(zip(self.weights.tolist(), self.ops))
+
     @cached_property
     def psi_one(self):
         """Psi(1) = sum_j w_j L_j^+ L_j."""
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        for w, L in self.kraus:
-            out += w * (L.conj().T @ L)
-        return out
+        return _weighted_sum(self.weights, _dagger(self.ops) @ self.ops)
 
     def psi(self, X):
         X = np.asarray(X, dtype=complex)
-        out = np.zeros_like(X)
-        for w, L in self.kraus:
-            out += w * (L.conj().T @ X @ L)
-        return out
+        return _weighted_sum(self.weights, _dagger(self.ops) @ X @ self.ops)
 
     def apply(self, X):
         return apply_generator(self, X)
@@ -164,15 +181,12 @@ class GKSLGenerator:
         threshold * max eigenvalue; Psi, and hence the generator, is
         unchanged up to the truncation.
         """
-        c = choi_matrix(self)
-        evals, evecs = np.linalg.eigh(c)
-        cut = threshold * max(float(evals.max()), 0.0) if evals.size else 0.0
-        kraus = []
-        for val, vec in zip(evals, evecs.T):
-            if val > cut and val > 0.0:
-                kraus.append((float(val), vec.reshape(self.dim, self.dim)))
+        evals, evecs = np.linalg.eigh(choi_matrix(self))
+        keep = (evals > threshold * max(float(evals.max()), 0.0)) & (evals > 0.0)
         return GKSLGenerator(drift=self.drift, hamiltonian=self.hamiltonian,
-                             kraus=kraus, grid=self.grid)
+                             weights=evals[keep],
+                             ops=evecs.T[keep].reshape(-1, self.dim, self.dim),
+                             grid=self.grid)
 
     def to_json(self):
         payload = {
@@ -180,7 +194,7 @@ class GKSLGenerator:
             "drift": complex_matrix_to_json(self.drift),
             "hamiltonian": complex_matrix_to_json(self.hamiltonian),
             "kraus": [
-                {"weight": float(w), "operator": complex_matrix_to_json(L)}
+                {"weight": w, "operator": complex_matrix_to_json(L)}
                 for w, L in self.kraus
             ],
         }
@@ -190,15 +204,24 @@ class GKSLGenerator:
 
     @classmethod
     def from_json(cls, obj):
-        kraus = [
-            (float(entry["weight"]), complex_matrix_from_json(entry["operator"], "kraus operator"))
-            for entry in obj["kraus"]
-        ]
+        entries = obj["kraus"]
         return cls(
             drift=complex_matrix_from_json(obj["drift"], "drift"),
             hamiltonian=complex_matrix_from_json(obj["hamiltonian"], "hamiltonian"),
-            kraus=kraus,
+            weights=[float(entry["weight"]) for entry in entries],
+            ops=[complex_matrix_from_json(entry["operator"], "kraus operator")
+                 for entry in entries],
         )
+
+
+def _dagger(ops):
+    """Conjugate transpose of each matrix in a stack."""
+    return np.swapaxes(ops, -1, -2).conj()
+
+
+def _weighted_sum(weights, terms):
+    """sum_j weights[j] * terms[j], accumulated in entry order."""
+    return np.einsum("j,jab->ab", weights, terms)
 
 
 def build_generator(tm):
@@ -214,19 +237,19 @@ def build_generator(tm):
     check_grid_coverage(spec, tm.spectral)
     d = spec.dim
     ham = np.zeros((d, d), dtype=complex)
-    kraus = []
+    weights, ops = [], []
     for eps in (0, 1):
         nodes, coef, R = _thermal_pass(tm, eps)
         r00 = R[:, eps, eps, tm.spectral.bohr_index(0.0)]
         ham += np.einsum("n,nij->ij", coef, (np.swapaxes(r00, 1, 2).conj() - r00) / 2j)
         re_g = _re_gamma(tm, nodes)
         weight = 2.0 * coef[:, None, None] * re_g
-        ops = R[:, :, eps]                              # L = R^{eps',eps}_{omega,0}
-        keep = (re_g > 0.0) & (weight > 0.0) & ops.reshape(*re_g.shape, -1).any(axis=-1)
-        for n, e, b in zip(*np.nonzero(keep)):
-            kraus.append((float(weight[n, e, b]), ops[n, e, b].copy()))
-    return GKSLGenerator(drift=drift(tm), hamiltonian=ham, kraus=kraus,
-                         grid=spec.bath.grid)
+        ops_eps = R[:, :, eps]                          # L = R^{eps',eps}_{omega,0}
+        keep = (re_g > 0.0) & (weight > 0.0) & ops_eps.reshape(*re_g.shape, -1).any(axis=-1)
+        weights.append(weight[keep])
+        ops.append(ops_eps[keep])
+    return GKSLGenerator(drift=drift(tm), hamiltonian=ham, weights=np.concatenate(weights),
+                         ops=np.concatenate(ops), grid=spec.bath.grid)
 
 
 def apply_generator(gen, X):
@@ -245,13 +268,12 @@ def dual_generator_matrix(gen):
     rho -> sum_j w_j L_j rho L_j^+ - (1/2){Psi(1), rho} - i[H, rho].
 
     With row-major vectorization the map rho -> A rho B has matrix
-    kron(A, B^T).
+    kron(A, B^T), so the Kraus part sum_j w_j kron(L_j, conj(L_j)) is the
+    realignment of the Choi matrix: entry ((a,b),(c,e)) is C[(a,c),(b,e)].
     """
     d = gen.dim
     eye = np.eye(d)
-    out = np.zeros((d * d, d * d), dtype=complex)
-    for w, L in gen.kraus:
-        out += w * np.kron(L, L.conj())
+    out = choi_matrix(gen).reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
     p1 = gen.psi_one
     out -= 0.5 * (np.kron(p1, eye) + np.kron(eye, p1.T))
     h = gen.hamiltonian
@@ -260,17 +282,9 @@ def dual_generator_matrix(gen):
 
 
 def heisenberg_generator_matrix(gen):
-    """Matrix of Theta0 itself on row-major vec(X) (dual of the above)."""
-    d = gen.dim
-    eye = np.eye(d)
-    out = np.zeros((d * d, d * d), dtype=complex)
-    for w, L in gen.kraus:
-        out += w * np.kron(L.conj().T, L.T)
-    p1 = gen.psi_one
-    out -= 0.5 * (np.kron(p1, eye) + np.kron(eye, p1.T))
-    h = gen.hamiltonian
-    out += 1j * (np.kron(h, eye) - np.kron(eye, h.T))
-    return out
+    """Matrix of Theta0 itself on row-major vec(X): the adjoint of the
+    Schroedinger-picture matrix (H and Psi(1) are Hermitian)."""
+    return dual_generator_matrix(gen).conj().T
 
 
 def choi_matrix(gen):
@@ -281,8 +295,5 @@ def choi_matrix(gen):
     its rank counts independent Kraus directions.
     """
     d = gen.dim
-    c = np.zeros((d * d, d * d), dtype=complex)
-    for w, L in gen.kraus:
-        v = L.reshape(-1)
-        c += w * np.outer(v, v.conj())
-    return c
+    vecs = gen.ops.reshape(-1, d * d)
+    return _weighted_sum(gen.weights, vecs[:, :, None] * vecs[:, None, :].conj())

@@ -278,3 +278,48 @@ def test_python_dash_m_runs_the_cli():
     done = subprocess.run([sys.executable, "-m", "ldlgen"],
                           capture_output=True, text=True, env=env)
     assert done.returncode == 64
+
+
+def test_step_budget_exceeded_exits_1(tmp_path, capsys):
+    rho = tmp_path / "rho0.json"
+    rho.write_text(json.dumps({"matrix": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]}))
+    psi = tmp_path / "psi0.json"
+    psi.write_text(json.dumps({"vector": [[1.0, 0.0], [0.0, 0.0]]}))
+    span = ["--tmax", "1e15", "--dt", "1", "--out", str(tmp_path / "t.csv")]
+    assert run(["evolve", NR, "--rho0", str(rho), *span]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "budget" in err[0]
+    assert run(["unravel", NR, "--psi0", str(psi), "--trajectories", "1",
+                "--seed", "0", *span]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "budget" in err[0]
+    assert not (tmp_path / "t.csv").exists()
+
+
+def test_dynamics_input_checked_before_generator_build(tmp_path, capsys, monkeypatch):
+    import ldlgen.cli
+
+    def never(tm):
+        raise AssertionError("bad dynamics input must be caught before the generator build")
+
+    monkeypatch.setattr(ldlgen.cli, "build_generator", never)
+    out = str(tmp_path / "t.csv")
+    states = {"psi3": {"vector": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]},
+              "psi_long": {"vector": [[1.0, 0.0], [1.0, 0.0]]},
+              "rho_trace2": {"matrix": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]}}
+    for name, doc in states.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+    unravel = ["unravel", NR, "--tmax", "1", "--dt", "0.1", "--seed", "0", "--out", out]
+    assert run([*unravel, "--psi0", str(tmp_path / "psi3.json"), "--trajectories", "0"]) == 64
+    assert "trajectories" in capsys.readouterr().err
+    cases = [([*unravel, "--psi0", str(tmp_path / "psi3.json"), "--trajectories", "2"],
+              "dimension"),
+             ([*unravel, "--psi0", str(tmp_path / "psi_long.json"), "--trajectories", "2"],
+              "normalized"),
+             (["evolve", NR, "--rho0", str(tmp_path / "rho_trace2.json"), "--tmax", "1",
+               "--dt", "0.1", "--out", out], "trace")]
+    for argv, reason in cases:
+        assert run(argv) == 1, argv
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and reason in err[0], err
+    assert not (tmp_path / "t.csv").exists()

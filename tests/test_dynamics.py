@@ -3,7 +3,8 @@ import pytest
 from scipy.linalg import expm
 
 from ldlgen import TMatrix, ValidationError
-from ldlgen.dynamics import (_taylor_step, evolve_master, trajectory_csv_lines,
+from ldlgen.dynamics import (MAX_STORED_ENTRIES, _resolve_jumps, _step_count,
+                             _taylor_step, evolve_master, trajectory_csv_lines,
                              unravel_jump, vacuum_decay)
 from ldlgen.generator import GKSLGenerator, build_generator, dual_generator_matrix
 from ldlgen.model import model_from_dict
@@ -23,10 +24,10 @@ def _strong_gen():
     sm = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
     sz = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
     h = 0.8 * sz
-    kraus = [(0.9, sm), (0.4, sz)]
-    psi1 = sum(w * L.conj().T @ L for w, L in kraus)
+    weights, ops = [0.9, 0.4], [sm, sz]
+    psi1 = sum(w * L.conj().T @ L for w, L in zip(weights, ops))
     gamma = 0.5 * psi1 + 1j * h       # keeps Psi(1) = Gamma + Gamma^+
-    return GKSLGenerator(drift=gamma, hamiltonian=h, kraus=kraus)
+    return GKSLGenerator(drift=gamma, hamiltonian=h, weights=weights, ops=ops)
 
 
 def test_evolve_zero_generator_is_constant():
@@ -137,7 +138,7 @@ def test_unravel_requires_valid_arguments(nr_gen):
 ])
 def test_unravel_empty_kraus_is_unitary(h, psi0, t_max, dt, trajectories, seed, exact_tol):
     gen = GKSLGenerator(drift=np.zeros((2, 2)),
-                        hamiltonian=np.array(h, dtype=complex), kraus=[])
+                        hamiltonian=np.array(h, dtype=complex), weights=[], ops=[])
     psi0 = np.array(psi0)
     ens = unravel_jump(gen, psi0, t_max, dt, trajectories, seed=seed)
     for state in ens.mean_states[::20]:
@@ -199,3 +200,43 @@ def test_trajectory_csv_round_trip(nr_gen):
     parsed = np.array([float(x) for x in lines[-1].split(",")[1:]])
     back = (parsed[:4] + 1j * parsed[4:]).reshape(2, 2)
     assert np.array_equal(back, traj.states[-1])
+
+
+class _ZeroDraws:
+    """Stand-in RNG whose every uniform draw is exactly 0.0."""
+
+    def uniform(self):
+        return 0.0
+
+
+def test_zero_draw_never_picks_a_zero_probability_channel():
+    # at the jump |0> is annihilated by channel 0 (probability 0); a draw of
+    # exactly 0 must still pick channel 1, the first with positive weight
+    weights = np.array([1.0, 1.0])
+    ops = np.array([[[0.0, 1.0], [0.0, 0.0]],
+                    [[0.0, 0.0], [1.0, 0.0]]], dtype=complex)
+    heff = -0.5j * np.einsum("j,jki,jkl->il", weights, ops.conj(), ops)
+    psi = np.array([1.0, 0.0], dtype=complex)
+    state, threshold = _resolve_jumps(psi, 2.0, 0.5, _ZeroDraws(), heff, weights, ops)
+    assert np.isfinite(state).all()
+    assert threshold == 0.0
+    assert abs(state[0]) == 0.0 and abs(state[1]) > 0.0
+
+
+def test_step_count_budget():
+    for dim in (2, 3):
+        largest = MAX_STORED_ENTRIES // (dim * dim) - 1
+        assert _step_count(float(largest), 1.0, dim) == largest
+        with pytest.raises(ValidationError, match="budget"):
+            _step_count(float(largest + 1), 1.0, dim)
+    with pytest.raises(ValidationError, match="budget"):
+        _step_count(1e15, 1.0, 2)
+
+
+def test_trajectories_are_arrays(nr_gen):
+    rho0 = np.diag([1.0, 0.0]).astype(complex)
+    traj = evolve_master(nr_gen, rho0, 0.5, 0.1)
+    assert traj.states.shape == (6, 2, 2) and traj.states.dtype == complex
+    assert np.array_equal(traj.states[0], rho0)
+    ens = unravel_jump(nr_gen.compressed(), np.array([1.0, 0.0]), 0.5, 0.1, 3, seed=2)
+    assert ens.mean_states.shape == (6, 2, 2) and ens.stderr.shape == (6, 2, 2)

@@ -189,7 +189,7 @@ def test_choi_zero_and_psd(nr_gen):
 def test_choi_single_kraus_rank_one():
     L = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
     gen = GKSLGenerator(drift=np.zeros((2, 2)), hamiltonian=np.zeros((2, 2)),
-                        kraus=[(0.3, L)])
+                        weights=[0.3], ops=[L])
     c = choi_matrix(gen)
     evals = np.linalg.eigvalsh(c)
     assert int((evals > 1e-10 * evals.max()).sum()) == 1
@@ -289,3 +289,90 @@ def test_generator_serialization_round_trip(nr_gen):
     for (w1, l1), (w2, l2) in zip(back.kraus, nr_gen.kraus):
         assert w1 == w2
         assert np.array_equal(l1, l2)
+
+
+# -- the stacked Kraus family against explicit per-entry loops ----------------
+
+def _loop_psi(weights, ops, x):
+    out = np.zeros_like(x, dtype=complex)
+    for w, L in zip(weights, ops):
+        out += w * (L.conj().T @ x @ L)
+    return out
+
+
+def _loop_choi(weights, ops):
+    d = ops.shape[-1]
+    c = np.zeros((d * d, d * d), dtype=complex)
+    for w, L in zip(weights, ops):
+        v = L.reshape(-1)
+        c += w * np.outer(v, v.conj())
+    return c
+
+
+def _loop_dual(weights, ops, h):
+    d = h.shape[0]
+    eye = np.eye(d)
+    p1 = _loop_psi(weights, ops, eye)
+    out = np.zeros((d * d, d * d), dtype=complex)
+    for w, L in zip(weights, ops):
+        out += w * np.kron(L, L.conj())
+    out -= 0.5 * (np.kron(p1, eye) + np.kron(eye, p1.T))
+    return out - 1j * (np.kron(h, eye) - np.kron(eye, h.T))
+
+
+def _random_family_generator(rng, d, k):
+    h = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    h = h + h.conj().T
+    weights = rng.uniform(0.1, 2.0, size=k)
+    ops = rng.standard_normal((k, d, d)) + 1j * rng.standard_normal((k, d, d))
+    return GKSLGenerator(drift=np.zeros((d, d), dtype=complex), hamiltonian=h,
+                         weights=weights, ops=ops)
+
+
+def test_stacked_family_matches_entry_loops():
+    rng = np.random.default_rng(2024)
+    gen = _random_family_generator(rng, 3, 7)
+    assert gen.weights.shape == (7,) and gen.ops.shape == (7, 3, 3)
+    w, ops = gen.weights, gen.ops
+    x = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    scale = float(w.sum() * (np.abs(ops) ** 2).sum())
+    assert np.abs(gen.psi_one - _loop_psi(w, ops, np.eye(3))).max() <= 1e-14 * scale
+    assert np.abs(gen.psi(x) - _loop_psi(w, ops, x)).max() <= 1e-14 * scale
+    assert np.abs(choi_matrix(gen) - _loop_choi(w, ops)).max() <= 1e-14 * scale
+    dual = _loop_dual(w, ops, gen.hamiltonian)
+    assert np.abs(dual_generator_matrix(gen) - dual).max() <= 1e-14 * scale
+    assert np.abs(heisenberg_generator_matrix(gen) - dual.conj().T).max() <= 1e-14 * scale
+    comp = gen.compressed()
+    assert comp.ops.shape[1:] == (3, 3) and comp.weights.shape == comp.ops.shape[:1]
+    assert np.abs(comp.psi(x) - _loop_psi(w, ops, x)).max() <= 1e-12 * scale
+    assert [pair[0] for pair in gen.kraus] == w.tolist()
+
+
+def test_empty_family_is_zero():
+    gen = GKSLGenerator(drift=np.zeros((2, 2)), hamiltonian=np.diag([1.0, -1.0]),
+                        weights=[], ops=[])
+    assert gen.weights.shape == (0,) and gen.ops.shape == (0, 2, 2)
+    x = np.array([[0.3, 1j], [-1j, 0.7]])
+    assert not gen.psi_one.any() and gen.psi_one.shape == (2, 2)
+    assert not gen.psi(x).any()
+    assert not choi_matrix(gen).any() and choi_matrix(gen).shape == (4, 4)
+    eye = np.eye(2)
+    h = gen.hamiltonian
+    assert np.array_equal(dual_generator_matrix(gen),
+                          -1j * (np.kron(h, eye) - np.kron(eye, h.T)))
+    comp = gen.compressed()
+    assert comp.weights.shape == (0,) and comp.ops.shape == (0, 2, 2)
+    assert not comp.psi(x).any()
+    back = GKSLGenerator.from_json(json.loads(json.dumps(gen.to_json())))
+    assert back.weights.shape == (0,) and back.ops.shape == (0, 2, 2)
+    assert back.kraus == []
+
+
+def test_family_shape_mismatch_rejected():
+    L = np.eye(2, dtype=complex)
+    with pytest.raises(ValidationError, match="Kraus"):
+        GKSLGenerator(drift=np.zeros((2, 2)), hamiltonian=np.zeros((2, 2)),
+                      weights=[0.1, 0.2], ops=[L])
+    with pytest.raises(ValidationError, match="Kraus"):
+        GKSLGenerator(drift=np.zeros((2, 2)), hamiltonian=np.zeros((2, 2)),
+                      weights=[0.1] * 4, ops=np.zeros((1, 4, 4)))

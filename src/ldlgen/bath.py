@@ -43,6 +43,21 @@ def _real(value, where):
     return value
 
 
+def _reject_unknown(obj, allowed, where):
+    """obj must be a JSON object with no keys outside allowed."""
+    if not isinstance(obj, dict):
+        raise ValidationError(f"{where} must be a JSON object")
+    unknown = set(obj.keys()) - allowed
+    if unknown:
+        raise ValidationError(f"unknown key(s) {sorted(unknown)} in {where}")
+
+
+def _require(obj, key, where):
+    if key not in obj:
+        raise ValidationError(f"missing required field '{key}' in {where}")
+    return obj[key]
+
+
 def _count(value, where):
     """An integral number as int; a fractional or non-finite count is rejected
     rather than truncated."""
@@ -214,6 +229,14 @@ class EnergyGrid:
 
     def to_json(self):
         return {"min": self.e_min, "max": self.e_max, "points": self.points}
+
+    @classmethod
+    def from_json(cls, obj, where="grid"):
+        """Inverse of to_json, with every key required and checked."""
+        _reject_unknown(obj, {"min", "max", "points"}, where)
+        return cls(_real(_require(obj, "min", where), f"{where}.min"),
+                   _real(_require(obj, "max", where), f"{where}.max"),
+                   _count(_require(obj, "points", where), f"{where}.points"))
 
 
 @dataclass(frozen=True)

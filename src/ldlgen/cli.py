@@ -244,6 +244,18 @@ def _cmd_check(args):
     return EXIT_OK if report["passed"] else EXIT_SUITE
 
 
+_COMMANDS = {
+    "validate": _cmd_validate,
+    "gamma": _cmd_gamma,
+    "tmatrix": _cmd_tmatrix,
+    "drift": _cmd_drift,
+    "generator": _cmd_generator,
+    "evolve": _cmd_evolve,
+    "unravel": _cmd_unravel,
+    "check": _cmd_check,
+}
+
+
 def run(argv=None):
     parser = build_parser()
     try:
@@ -256,22 +268,7 @@ def run(argv=None):
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
     try:
-        if args.command == "validate":
-            return _cmd_validate(args)
-        if args.command == "gamma":
-            return _cmd_gamma(args)
-        if args.command == "tmatrix":
-            return _cmd_tmatrix(args)
-        if args.command == "drift":
-            return _cmd_drift(args)
-        if args.command == "generator":
-            return _cmd_generator(args)
-        if args.command == "evolve":
-            return _cmd_evolve(args)
-        if args.command == "unravel":
-            return _cmd_unravel(args)
-        if args.command == "check":
-            return _cmd_check(args)
+        return _COMMANDS[args.command](args)
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -281,7 +278,6 @@ def run(argv=None):
     except (NumericError, np.linalg.LinAlgError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    return EXIT_USAGE
 
 
 def main():

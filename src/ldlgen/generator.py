@@ -31,6 +31,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .bath import EnergyGrid
 from .errors import ValidationError
 from .model import complex_matrix_from_json, complex_matrix_to_json
 
@@ -79,9 +80,9 @@ def drift_from_t_operator(tm, diagonal_projection=True):
 
     Computes i * (thermal partial expectation of the scattering operator)
     = -sum_eps integral dE exp(-beta E) rho_eps(E) t^{eps,eps}(E) and
-    projects onto the level diagonal.  With diagonal_projection=False the
-    bare partial expectation is returned (for the single-Bohr-block
-    special case it already equals the drift).
+    projects onto the level diagonal, its transfer-0 component.  With
+    diagonal_projection=False the bare partial expectation is returned
+    (for the single-Bohr-block special case it already equals the drift).
     """
     m = np.zeros((tm.dim, tm.dim), dtype=complex)
     for eps in (0, 1):
@@ -89,10 +90,8 @@ def drift_from_t_operator(tm, diagonal_projection=True):
         m -= np.einsum("n,nij->ij", coef, R[:, eps, eps].sum(axis=1))
     if not diagonal_projection:
         return m
-    out = np.zeros_like(m)
-    for _, proj in tm.spectral.levels:
-        out += proj @ m @ proj
-    return out
+    sd = tm.spectral
+    return sd.split_operator(m)[sd.bohr_index(0.0)]
 
 
 def _structure_map(X, r12, r21, ra, rb, re_g):
@@ -211,6 +210,7 @@ class GKSLGenerator:
             weights=[float(entry["weight"]) for entry in entries],
             ops=[complex_matrix_from_json(entry["operator"], "kraus operator")
                  for entry in entries],
+            grid=EnergyGrid.from_json(obj["grid"]) if "grid" in obj else None,
         )
 
 

@@ -10,6 +10,9 @@ blocks ``D_omega = sum over eps_m - eps_k = omega of P_k D P_m``.
 Bohr frequencies are canonicalized to a single representative float per
 cluster, mirrored so the set is exactly closed under negation; all
 omega-indexed bookkeeping downstream works with these representatives.
+Each eigenbasis entry carries one canonical transfer, and every split by
+transfer (the D blocks, `block_transfer`, the R blocks) reads that
+assignment through `SpectralData.split`.
 """
 
 import json
@@ -18,7 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bath import BathSpec, DensityProfile, EnergyGrid, _count, _real
+from .bath import (BathSpec, DensityProfile, EnergyGrid, _count, _real,
+                   _reject_unknown, _require)
 from .errors import ValidationError
 
 DEFAULT_BOHR_TOLERANCE = 1e-9
@@ -95,26 +99,11 @@ class ModelSpec:
 _TOP_KEYS = {"system", "bath", "truncation"}
 _SYSTEM_KEYS = {"hamiltonian", "coupling", "bohr_tolerance"}
 _BATH_KEYS = {"beta", "grid", "rho0", "rho1"}
-_GRID_KEYS = {"min", "max", "points"}
 _TRUNCATION_KEYS = {"neumann_max_order", "neumann_tolerance"}
-
-
-def _reject_unknown(obj, allowed, where):
-    unknown = set(obj.keys()) - allowed
-    if unknown:
-        raise ValidationError(f"unknown key(s) {sorted(unknown)} in {where}")
-
-
-def _require(obj, key, where):
-    if key not in obj:
-        raise ValidationError(f"missing required field '{key}' in {where}")
-    return obj[key]
 
 
 def model_from_dict(doc):
     """Build a ModelSpec from the strict JSON document schema."""
-    if not isinstance(doc, dict):
-        raise ValidationError("model document must be a JSON object")
     _reject_unknown(doc, _TOP_KEYS, "model")
     system = _require(doc, "system", "model")
     bath_doc = _require(doc, "bath", "model")
@@ -127,13 +116,7 @@ def model_from_dict(doc):
         raise ValidationError("hamiltonian and coupling must have the same dimension")
 
     beta = _real(_require(bath_doc, "beta", "bath"), "bath.beta")
-    grid_doc = _require(bath_doc, "grid", "bath")
-    _reject_unknown(grid_doc, _GRID_KEYS, "bath.grid")
-    grid = EnergyGrid(
-        _real(_require(grid_doc, "min", "bath.grid"), "bath.grid.min"),
-        _real(_require(grid_doc, "max", "bath.grid"), "bath.grid.max"),
-        _count(_require(grid_doc, "points", "bath.grid"), "bath.grid.points"),
-    )
+    grid = EnergyGrid.from_json(_require(bath_doc, "grid", "bath"), "bath.grid")
     rho0 = DensityProfile.from_json(_require(bath_doc, "rho0", "bath"))
     rho1 = DensityProfile.from_json(_require(bath_doc, "rho1", "bath"))
     bath = BathSpec(rho0, rho1, grid)
@@ -177,23 +160,52 @@ def load_model(path):
 
 @dataclass
 class SpectralData:
-    """Grouped spectrum of h_system plus the Bohr-block decomposition of D."""
+    """Grouped spectrum of h_system and its canonical Bohr assignment.
+
+    The eigenbasis ``basis`` has its columns grouped level by level
+    (``level_index`` names each column's level, ``energies`` the level
+    energies); entry (i, j) of an operator in this basis carries the
+    canonical Bohr frequency ``transfer[i, j]``, the representative of
+    e_level(j) - e_level(i).  Every split by transfer reads this one
+    assignment (`split`); ``d_blocks`` is the coupling split that way, an
+    (|B|, d, d) array ordered like ``bohr``.
+    """
 
     dim: int
-    levels: list                      # list of (eigenvalue, projection)
     bohr: np.ndarray                  # sorted canonical Bohr frequencies
-    d_blocks: dict = field(repr=False, default_factory=dict)
+    energies: np.ndarray              # level energies, ascending
+    basis: np.ndarray = field(repr=False)
+    level_index: np.ndarray = field(repr=False)
+    transfer: np.ndarray = field(repr=False)
     tolerance: float = DEFAULT_BOHR_TOLERANCE
-    # eigenbasis of h_system, columns grouped level by level; entry (i, j)
-    # of an operator in this basis carries the canonical Bohr frequency
-    # transfer[i, j] (the representative of e_level(j) - e_level(i))
-    basis: np.ndarray = field(repr=False, default=None)
-    level_index: np.ndarray = field(repr=False, default=None)
-    transfer: np.ndarray = field(repr=False, default=None)
+    d_blocks: np.ndarray = field(repr=False, default=None)
 
     @property
     def bohr_set(self):
         return [float(w) for w in self.bohr]
+
+    @property
+    def levels(self):
+        """(energy, projection) per level, derived from basis and level_index."""
+        out = []
+        for k, energy in enumerate(self.energies):
+            v = self.basis[:, self.level_index == k]
+            out.append((float(energy), v @ v.conj().T))
+        return out
+
+    def split(self, X):
+        """Transfer components of operators given in the eigenbasis.
+
+        X (..., d, d) holds basis^+ A basis; returns (..., |B|, d, d) in the
+        original basis, entry b the part of A with transfer bohr[b].  The
+        components sum back to A.
+        """
+        masked = X[..., None, :, :] * (self.transfer == self.bohr[:, None, None])
+        return self.basis @ masked @ self.basis.conj().T
+
+    def split_operator(self, A):
+        """`split` for operators A (..., d, d) in the original basis."""
+        return self.split(self.basis.conj().T @ A @ self.basis)
 
     def bohr_index(self, omega):
         """Index of omega in the canonical Bohr set, or None if off-lattice."""
@@ -209,7 +221,7 @@ class SpectralData:
         idx = self.bohr_index(omega)
         if idx is None:
             return np.zeros((self.dim, self.dim), dtype=complex)
-        return self.d_blocks[float(self.bohr[idx])]
+        return self.d_blocks[idx]
 
     def d_dag_block(self, omega):
         """(D_omega)^dagger, which carries transfer -omega."""
@@ -218,7 +230,7 @@ class SpectralData:
     @property
     def nonzero_bohr(self):
         """Canonical frequencies whose coupling block is nonzero."""
-        return [w for w in self.bohr if self.d_blocks[float(w)].any()]
+        return [w for w, blk in zip(self.bohr, self.d_blocks) if blk.any()]
 
     @property
     def is_rwa(self):
@@ -245,7 +257,8 @@ def _cluster_sorted(values, tol):
 
 
 def spectral_decompose(spec):
-    """Group eigenvalues, assemble projections, Bohr set and D blocks."""
+    """Group eigenvalues into levels, fix the canonical Bohr set and the
+    transfer of every eigenbasis entry, and split the coupling by it."""
     try:
         evals, evecs = np.linalg.eigh(spec.h_system)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
@@ -253,17 +266,8 @@ def spectral_decompose(spec):
 
     tol = spec.bohr_tolerance
     clusters = _cluster_sorted(evals, tol)
-    levels = []
-    for idxs in clusters:
-        energy = float(np.mean(evals[idxs]))
-        proj = np.zeros((spec.dim, spec.dim), dtype=complex)
-        for i in idxs:
-            v = evecs[:, i]
-            proj += np.outer(v, v.conj())
-        levels.append((energy, proj))
-
-    energies = np.array([e for e, _ in levels])
-    n = len(levels)
+    energies = np.array([float(np.mean(evals[idxs])) for idxs in clusters])
+    n = energies.size
 
     # positive level differences, clustered, one representative per cluster;
     # mirroring the representatives keeps B exactly closed under negation
@@ -274,7 +278,7 @@ def spectral_decompose(spec):
                 diffs.append((energies[m] - energies[k], k, m))
     diffs.sort(key=lambda t: t[0])
     pos_reps = []
-    assignments = {}         # (k, m) with m above k -> representative
+    level_transfer = np.zeros((n, n))
     if diffs:
         vals = [d[0] for d in diffs]
         for idxs in _cluster_sorted(vals, tol):
@@ -282,43 +286,27 @@ def spectral_decompose(spec):
             pos_reps.append(rep)
             for i in idxs:
                 _, k, m = diffs[i]
-                assignments[(k, m)] = rep
+                level_transfer[k, m] = rep
+                level_transfer[m, k] = -rep
 
     bohr = np.array(sorted([-r for r in pos_reps] + [0.0] + pos_reps))
-    level_transfer = np.zeros((n, n))
-    for (k, m), rep in assignments.items():
-        level_transfer[k, m] = rep
-        level_transfer[m, k] = -rep
-    d = spec.coupling
-    d_blocks = {float(w): np.zeros((spec.dim, spec.dim), dtype=complex) for w in bohr}
-    for k in range(n):
-        for m in range(n):
-            d_blocks[float(level_transfer[k, m])] += levels[k][1] @ d @ levels[m][1]
-
     level_index = np.empty(spec.dim, dtype=int)
     for k, idxs in enumerate(clusters):
         level_index[idxs] = k
-    return SpectralData(dim=spec.dim, levels=levels, bohr=bohr,
-                        d_blocks=d_blocks, tolerance=tol, basis=evecs,
-                        level_index=level_index,
-                        transfer=level_transfer[np.ix_(level_index, level_index)])
+    sd = SpectralData(dim=spec.dim, bohr=bohr, energies=energies, basis=evecs,
+                      level_index=level_index,
+                      transfer=level_transfer[np.ix_(level_index, level_index)],
+                      tolerance=tol)
+    sd.d_blocks = sd.split_operator(spec.coupling)
+    return sd
 
 
 def block_transfer(X, spectral):
     """Decompose an arbitrary operator into its transfer components.
 
     Returns {omega: X_omega} over the Bohr set with
-    X_omega = sum over eps_m - eps_k = omega of P_k X P_m; the components
-    sum back to X.
+    X_omega = sum over rep(eps_m - eps_k) = omega of P_k X P_m, read from
+    the canonical transfer assignment; the components sum back to X.
     """
-    X = np.asarray(X, dtype=complex)
-    out = {float(w): np.zeros_like(X) for w in spectral.bohr}
-    for k, (ek, pk) in enumerate(spectral.levels):
-        for m, (em, pm) in enumerate(spectral.levels):
-            idx = spectral.bohr_index(em - ek)
-            if idx is None:
-                raise ValidationError(
-                    f"level difference {em - ek} missing from the Bohr set"
-                )
-            out[float(spectral.bohr[idx])] += pk @ X @ pm
-    return out
+    comps = spectral.split_operator(np.asarray(X, dtype=complex))
+    return {float(w): c for w, c in zip(spectral.bohr, comps)}

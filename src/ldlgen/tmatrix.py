@@ -77,24 +77,16 @@ class TMatrix:
         self.spectral = spectral if spectral is not None else spectral_decompose(spec)
         self.gamma_table = gamma_table if gamma_table is not None else GammaTable(spec.bath)
         sd = self.spectral
-        self._entries = [
-            (float(w), sd.d_blocks[float(w)], sd.d_blocks[float(w)].conj().T)
-            for w in sd.bohr if sd.d_blocks[float(w)].any()
-        ]
+        self._entries = [(float(w), blk, blk.conj().T)
+                         for w, blk in zip(sd.bohr, sd.d_blocks) if blk.any()]
         self.condition_limit = CONDITION_LIMIT
         self._support = {}
-        # level-basis data: coupling in the eigenbasis, canonical transfer
-        # of each entry, one representative column per level, and one
-        # entry mask per Bohr frequency (for splitting R by omega)
-        self._basis = sd.basis
+        # level-basis data: coupling in the eigenbasis, one representative
+        # column per level and the transfers between those columns
         self._coupling = sd.basis.conj().T @ spec.coupling @ sd.basis
-        self._transfer = sd.transfer
-        self._levels = sd.level_index
-        n_levels = len(sd.levels)
         self._level_columns = np.array([int(np.flatnonzero(sd.level_index == k)[0])
-                                        for k in range(n_levels)])
+                                        for k in range(sd.energies.size)])
         self._level_transfer = sd.transfer[np.ix_(self._level_columns, self._level_columns)]
-        self._transfer_masks = sd.transfer[None] == sd.bohr[:, None, None]
 
     # -- basic lookups -------------------------------------------------
 
@@ -146,7 +138,7 @@ class TMatrix:
             raise ValidationError("eps must be 0 or 1")
         d = self.dim
         E = np.asarray(energies, dtype=float)
-        W = self._transfer
+        W = self.spectral.transfer
         Dt = self._coupling
         Dh = Dt.conj().T
         # omega_k = omega' + rep(e_m - e_k) for a column m of each level
@@ -173,13 +165,6 @@ class TMatrix:
             )
         return np.linalg.solve(A, np.broadcast_to(np.eye(d, dtype=complex), A.shape))
 
-    def _split_by_transfer(self, full):
-        """Blocks of level-basis operators by transfer, in the original basis:
-        (..., d, d) -> (..., |B|, d, d), entry b holding the part with
-        transfer B[b]."""
-        masked = full[..., None, :, :] * self._transfer_masks
-        return self._basis @ masked @ self._basis.conj().T
-
     def r_blocks(self, energies, omega_prime=0.0):
         """R^{eps1,eps2}_{omega,omega'}(E) for every node, pair and omega at once.
 
@@ -204,7 +189,7 @@ class TMatrix:
         d = self.dim
         Dt = self._coupling
         Dh = Dt.conj().T
-        lev = self._levels
+        lev, W = self.spectral.level_index, self.spectral.transfer
         shifts = omega_prime + self._level_transfer   # shifts[l, l'] = omega' + rep(e_l' - e_l)
         full = np.empty((E.size, 2, 2, d, d), dtype=complex)
         for eps in (0, 1):
@@ -216,11 +201,10 @@ class TMatrix:
             # eps = 1 solves feed R^{0,1} and R^{0,0}; eps = 0 feed R^{1,0}, R^{1,1}
             a = 1 - eps
             left, right = (Dt, Dh) if eps == 1 else (Dh, Dt)
-            g = self._gamma_where(eps, E[:, None, None] + (omega_prime + self._transfer),
-                                  right != 0)
+            g = self._gamma_where(eps, E[:, None, None] + (omega_prime + W), right != 0)
             full[:, a, eps] = -1j * (left @ own)
             full[:, a, a] = -np.einsum("xk,imkj,ijm->ixm", left, Y, g * right)
-        return self._split_by_transfer(full)
+        return self.spectral.split(full)
 
     def support_blocks(self, eps):
         """R blocks at omega' = 0 on the grid nodes where rho_eps > 0.
@@ -242,12 +226,12 @@ class TMatrix:
         d = self.dim
         shifts = np.full((len(self._level_columns), 1), float(omega_prime))
         X = self._level_inverses(eps, np.array([float(E)]), shifts)[0, :, 0]
-        own = X[self._levels, :, np.arange(d)].T       # own[k, m] = X[level(m), k, m]
+        own = X[self.spectral.level_index, :, np.arange(d)].T   # own[k, m] = X[level(m), k, m]
         offsets = np.array(self.bohr, dtype=float)
         return BlockColumn(
             epsilon=eps, omega_prime=float(omega_prime), energy=float(E),
             offsets=offsets, omegas=omega_prime + offsets,
-            blocks_list=list(self._split_by_transfer(own)),
+            blocks_list=list(self.spectral.split(own)),
         )
 
     def r_coefficient(self, eps1, eps2, omega, omega_prime, E):
@@ -552,28 +536,25 @@ def dyson_oracle(tm, pair, n, u, v, eta, *, t_max=400.0, dt=0.01, n_energy=320):
     vt = evecs.conj().T @ v
     da = evecs.conj().T @ d_ops[a] @ evecs
     dother = evecs.conj().T @ d_ops[1 - a] @ evecs
+    row = ut.conj() @ da
 
     n_steps = int(round(t_max / dt))
     if n_steps % 2 == 1:
         n_steps += 1
     t = np.arange(n_steps + 1) * dt
     wts = _simpson_weights(n_steps + 1, dt)
+    # one phase row per eigen-index pair: phases[p, q] = exp(i (e_p - e_q) t)
+    phases = np.exp(1j * (evals[:, None] - evals[None, :])[..., None] * t)
 
     if n == 2:
         # -i * integral_0^inf corr_{1-a}(-t) corr_a(t)
-        #      u^+ D_a e^{-itH} D_{1-a} e^{itH} v * e^{-eta t} dt
+        #      u^+ D_a e^{-itH} D_{1-a} e^{itH} v * e^{-eta t} dt,
+        # whose (l, m) eigen-entry carries the phase exp(i (e_m - e_l) t)
         corr_in = np.conj(_corr_on_grid(bath.density(1 - a), t, n_energy))
         corr_out = _corr_on_grid(bath.density(a), t, n_energy)
         base = wts * np.exp(-eta * t) * corr_in * corr_out
-        row = ut.conj() @ da
-        total = 0.0 + 0.0j
-        for l in range(spec.dim):
-            for m in range(spec.dim):
-                c = row[l] * dother[l, m] * vt[m]
-                if c == 0:
-                    continue
-                total += c * np.dot(base, np.exp(1j * (evals[m] - evals[l]) * t))
-        return -1j * total
+        coef = row[:, None] * dother * vt[None, :]
+        return -1j * np.sum(coef * (phases @ base).T)
 
     # n == 3: gap variables s = t1 - t2 >= 0, r = t2 >= 0 parametrize the
     # ordered simplex exactly; the product-Simpson double sum is evaluated
@@ -585,31 +566,18 @@ def dyson_oracle(tm, pair, n, u, v, eta, *, t_max=400.0, dt=0.01, n_energy=320):
     base_s = wts * np.exp(-eta * t) * corr_s
     base_r = wts * np.exp(-2.0 * eta * t) * corr_r
 
-    shifts = sorted({round(float(evals[p] - evals[q]), 12)
-                     for p in range(spec.dim) for q in range(spec.dim)})
-    # rows: base_s and base_r times each shift's phase; every chunk of the
+    # rows: base_s and base_r times each pair's phase; every chunk of the
     # exp(i t x) block is built once and contracted against all rows
-    phases = np.exp(1j * np.outer(shifts, t))
-    rows = np.vstack([base_s * phases, base_r * phases])
+    rows = np.concatenate([base_s * phases, base_r * phases]).reshape(-1, t.size)
     f = np.empty((rows.shape[0], x_b.size), dtype=complex)
     for chunk in range(0, x_b.size, 64):
         sl = slice(chunk, chunk + 64)
         f[:, sl] = rows @ np.exp(1j * np.outer(t, x_b[sl]))
-    f_s = dict(zip(shifts, f[:len(shifts)]))
-    f_r = dict(zip(shifts, f[len(shifts):]))
+    f_s, f_r = f.reshape(2, spec.dim, spec.dim, x_b.size)
 
-    row = ut.conj() @ da
-    total = 0.0 + 0.0j
-    for l in range(spec.dim):
-        for m in range(spec.dim):
-            for p in range(spec.dim):
-                c = row[l] * dother[l, m] * da[m, p] * vt[p]
-                if c == 0:
-                    continue
-                am = round(float(evals[p] - evals[m]), 12)
-                al = round(float(evals[p] - evals[l]), 12)
-                total += c * np.dot(c_b, f_s[am] * f_r[al])
-    return -total
+    # entry (l, m, p) pairs the s-row of (p, m) with the r-row of (p, l)
+    coef = row[:, None, None] * dother[:, :, None] * da[None] * vt[None, None, :]
+    return -np.einsum("lmp,pmx,plx,x->", coef, f_s, f_r, c_b)
 
 
 def dyson_reference(tm, pair, n, u, v, n_energy=192):

@@ -18,7 +18,6 @@ import numpy as np
 
 from .bath import validate_bath
 from .errors import ValidationError
-from .model import block_transfer
 
 
 @dataclass(frozen=True)
@@ -130,46 +129,35 @@ def _u_extent(h):
     return 18.0 / h.sigma
 
 
+def _limit_report(f, g, lambdas, u, wu, hhat, target, mismatch_freq=0.0):
+    """Pair the rescaled kernel with f, g and the Fourier-transformed h
+    (hhat on the u nodes, weights wu) for each lambda; report the errors
+    against target."""
+    lambdas = [float(l) for l in lambdas]
+    values = [complex(np.dot(wu, _overlap_vector(f, g, lam, u, mismatch_freq) * hhat))
+              for lam in lambdas]
+    errors = [abs(j - target) for j in values]
+    monotone = all(e2 < e1 for e1, e2 in zip(errors, errors[1:]))
+    return LimitCheckReport(lambdas=lambdas, errors=errors, limit_value=complex(target),
+                            monotone=monotone, values=values)
+
+
 def check_delta_limit(f, g, h, omega_match, lambdas, mismatch=1.0):
     """Pair the rescaled kernel with f, g, h for each lambda and compare
     against 2 pi h(0) * integral f g (matching frequencies) or 0."""
-    lambdas = [float(l) for l in lambdas]
-    u_max = _u_extent(h)
-    (ul, wl), (ur, wr) = _symmetric_u_grid(u_max, 160)
+    (ul, wl), (ur, wr) = _symmetric_u_grid(_u_extent(h), 160)
     u = np.concatenate([ul, ur])
-    wu = np.concatenate([wl, wr])
-    hhat = _fourier_of_h(h, u)
     target = 2.0 * math.pi * h(0.0) * _product_integral(f, g) if omega_match else 0.0
-    values, errors = [], []
-    for lam in lambdas:
-        freq = 0.0 if omega_match else mismatch
-        gvec = _overlap_vector(f, g, lam, u, mismatch_freq=freq)
-        j = complex(np.dot(wu, gvec * hhat))
-        values.append(j)
-        errors.append(abs(j - target))
-    monotone = all(e2 < e1 for e1, e2 in zip(errors, errors[1:]))
-    return LimitCheckReport(lambdas=lambdas, errors=errors,
-                            limit_value=complex(target), monotone=monotone,
-                            values=values)
+    return _limit_report(f, g, lambdas, u, np.concatenate([wl, wr]), _fourier_of_h(h, u),
+                         target, mismatch_freq=0.0 if omega_match else mismatch)
 
 
 def check_causal_delta_limit(f, g, h, lambdas):
     """Same pairing restricted to the ordered half t' < t; the limit pairs
     h with the resolvent kernel: integral f g * (pi h(0) - i PV(h/X))."""
-    lambdas = [float(l) for l in lambdas]
-    u_max = _u_extent(h)
-    (ul, wl), _ = _symmetric_u_grid(u_max, 160)
-    hhat = _fourier_of_h(h, ul)
+    (ul, wl), _ = _symmetric_u_grid(_u_extent(h), 160)
     target = _product_integral(f, g) * complex(math.pi * h(0.0), -_pv_over_x(h))
-    values, errors = [], []
-    for lam in lambdas:
-        gvec = _overlap_vector(f, g, lam, ul)
-        j = complex(np.dot(wl, gvec * hhat))
-        values.append(j)
-        errors.append(abs(j - target))
-    monotone = all(e2 < e1 for e1, e2 in zip(errors, errors[1:]))
-    return LimitCheckReport(lambdas=lambdas, errors=errors,
-                            limit_value=target, monotone=monotone, values=values)
+    return _limit_report(f, g, lambdas, ul, wl, _fourier_of_h(h, ul), target)
 
 
 def default_test_functions():
@@ -199,6 +187,7 @@ def _identity_checks(tm, rng):
     from . import generator as gen_mod
 
     d = tm.dim
+    sd = tm.spectral
     checks = []
     supports = [tm.spec.bath.density(e).support for e in (0, 1)]
     energies = []
@@ -213,10 +202,11 @@ def _identity_checks(tm, rng):
             for E in energies[::2]:
                 col = tm.solve_column(eps, float(wp), float(E))
                 res_solve = max(res_solve, tm.column_residual(col))
-                for off, blk in zip(col.offsets, col.blocks_list):
-                    comps = block_transfer(blk, tm.spectral)
-                    stray = sum(np.linalg.norm(m) for w, m in comps.items()
-                                if abs(w - off) > tm.spectral.tolerance)
+                # every returned block, re-split from the original basis
+                comps = sd.split_operator(np.array(col.blocks_list))
+                for off, parts in zip(col.offsets, comps):
+                    stray = sum(np.linalg.norm(m) for w, m in zip(sd.bohr, parts)
+                                if abs(w - off) > sd.tolerance)
                     res_transfer = max(res_transfer, stray)
                 ncol = tm.neumann_column(eps, float(wp), float(E))
                 if ncol.converged:
@@ -244,14 +234,14 @@ def _identity_checks(tm, rng):
             res_series = max(res_series, float(np.linalg.norm(sums[-1] - comps[key])))
     checks.append(_check("appendix_series_identity", res_series, 1e-10))
 
-    # level-diagonal projection of the same-index R blocks
+    # level-diagonal (transfer-0) projection of the same-index R blocks
     res_diag = 0.0
-    projs = [p for _, p in tm.spectral.levels]
+    zero = sd.bohr_index(0.0)
     for R in tm.r_blocks(energies[::2]):
         for eps in (0, 1):
-            for w, r in zip(tm.bohr, R[eps, eps]):
-                diag = sum(p @ r @ p for p in projs)
-                if abs(w) > tm.spectral.tolerance:
+            diags = sd.split_operator(R[eps, eps])[:, zero]
+            for w, r, diag in zip(tm.bohr, R[eps, eps], diags):
+                if abs(w) > sd.tolerance:
                     res_diag = max(res_diag, float(np.linalg.norm(diag)))
                 else:
                     res_diag = max(res_diag, float(np.linalg.norm(diag - r)))
@@ -264,7 +254,7 @@ def _identity_checks(tm, rng):
                          np.linalg.norm(gamma_direct - gamma_via_t), 1e-10))
     comm = gamma_direct @ tm.spec.h_system - tm.spec.h_system @ gamma_direct
     checks.append(_check("drift_commutes_with_h_system", np.linalg.norm(comm), 1e-10))
-    if tm.spectral.is_rwa:
+    if sd.is_rwa:
         bare = gen_mod.drift_from_t_operator(tm, diagonal_projection=False)
         checks.append(_check("rwa_full_trace_drift",
                              np.linalg.norm(gamma_direct - bare), 1e-10))
@@ -311,23 +301,22 @@ def _three_term_generator(tm, X):
     return out
 
 
+def _limit_decay_checks(name, rep):
+    """Final relative error, and errors that fall monotonically and at
+    least halve with each halving of lambda."""
+    halving = all(e2 <= 0.5 * e1 for e1, e2 in zip(rep.errors, rep.errors[1:]))
+    return [_check(f"{name}_final_error", rep.errors[-1] / abs(rep.limit_value), 5e-2),
+            _check(f"{name}_decay", 0.0 if (rep.monotone and halving) else 1.0, 0.5)]
+
+
 def _limit_checks():
     f, g, h = default_test_functions()
     lambdas = [0.4, 0.2, 0.1]
-    checks = []
     rep = check_delta_limit(f, g, h, True, lambdas)
-    scale = abs(rep.limit_value)
-    ratios_ok = all(e2 <= 0.5 * e1 for e1, e2 in zip(rep.errors, rep.errors[1:]))
-    checks.append(_check("delta_limit_final_error", rep.errors[-1] / scale, 5e-2))
-    checks.append(_check("delta_limit_decay", 0.0 if (rep.monotone and ratios_ok) else 1.0, 0.5))
     crep = check_causal_delta_limit(f, g, h, lambdas)
-    cscale = abs(crep.limit_value)
-    cratios_ok = all(e2 <= 0.5 * e1 for e1, e2 in zip(crep.errors, crep.errors[1:]))
-    checks.append(_check("causal_limit_final_error", crep.errors[-1] / cscale, 5e-2))
-    checks.append(_check("causal_limit_decay", 0.0 if (crep.monotone and cratios_ok) else 1.0, 0.5))
     ratio = abs(crep.values[-1] / rep.values[-1] - 0.5)
-    checks.append(_check("causal_half_ratio", ratio, 1e-3))
-    return checks
+    return (_limit_decay_checks("delta_limit", rep) + _limit_decay_checks("causal_limit", crep)
+            + [_check("causal_half_ratio", ratio, 1e-3)])
 
 
 def run_identity_suite(tm, which="all"):

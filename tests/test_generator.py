@@ -285,6 +285,7 @@ def test_generator_serialization_round_trip(nr_gen):
     back = GKSLGenerator.from_json(payload)
     assert np.array_equal(back.drift, nr_gen.drift)
     assert np.array_equal(back.hamiltonian, nr_gen.hamiltonian)
+    assert back.grid == nr_gen.grid
     assert len(back.kraus) == len(nr_gen.kraus)
     for (w1, l1), (w2, l2) in zip(back.kraus, nr_gen.kraus):
         assert w1 == w2

@@ -60,6 +60,14 @@ def test_unknown_keys_rejected():
         model_from_dict(doc)
 
 
+@pytest.mark.parametrize("section", ["system", "bath", "grid", "truncation"])
+def test_non_object_sections_rejected(section):
+    doc = base_model_doc()
+    (doc["bath"] if section == "grid" else doc)[section] = [1.0]
+    with pytest.raises(ValidationError, match="must be a JSON object"):
+        model_from_dict(doc)
+
+
 def _two_level(coupling):
     doc = base_model_doc()
     doc["system"]["coupling"] = coupling
@@ -134,7 +142,7 @@ def test_spectral_invariants_random_model():
     assert 0.0 in bohr
     assert np.array_equal(np.sort(-bohr), bohr)
 
-    assert np.linalg.norm(sum(sd.d_blocks.values()) - spec.coupling) < 1e-12
+    assert np.linalg.norm(sd.d_blocks.sum(axis=0) - spec.coupling) < 1e-12
 
     dag = spectral_decompose(
         model_from_dict({**base_model_doc(), "system": {
@@ -174,3 +182,25 @@ def test_block_transfer_completeness():
     x = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     comps = block_transfer(x, sd)
     assert np.abs(sum(comps.values()) - x).max() < 1e-12
+
+
+def test_block_transfer_on_chained_bohr_cluster():
+    # the positive level differences near 0.1 chain in steps of 7e-10, below
+    # the default bohr_tolerance 1e-9, into one cluster whose representative
+    # sits 1.4e-9 from the difference 0.1: only the canonical transfer
+    # assignment, not a tolerance lookup, finds that difference's block
+    levels = [0.0, 0.1, 0.2 + 7e-10, 0.3 + 2.1e-9, 0.4 + 4.2e-9]
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+    doc = base_model_doc()
+    doc["system"]["hamiltonian"] = [[z, 0.0] for z in np.diag(levels).reshape(-1)]
+    coupling = 0.03 * (a + a.conj().T) / 2.0
+    doc["system"]["coupling"] = [[z.real, z.imag] for z in coupling.reshape(-1)]
+    spec = model_from_dict(doc)
+    sd = spectral_decompose(spec)
+    assert abs(sd.transfer[0, 1] - (0.1 + 1.4e-9)) < 1e-15
+    assert sd.bohr_index(0.1) is None
+    comps = block_transfer(spec.coupling, sd)
+    assert list(comps) == sd.bohr_set
+    assert np.abs(sum(comps.values()) - spec.coupling).max() < 1e-12
+    assert np.array_equal(np.array(list(comps.values())), sd.d_blocks)

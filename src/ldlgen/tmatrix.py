@@ -14,10 +14,17 @@ eigenbasis of H_S the column of (1+T_eps)^{-1} belonging to eigen-column
 m has exactly one candidate entry per row k, the one in the block
 omega = omega' + rep(e_m - e_k), so the system reduces to d independent
 d x d systems.  `TMatrix.r_blocks` solves them for every grid node at
-once; the stacked system (`stacked_column`, `neumann_column`,
-`column_residual`, `t_kernel`) survives as the verification oracle, and
-the index-set stability invariant (`stacked_column(index_depth=2)`)
-cross-checks the restriction numerically.
+once.  The stacked system (`stacked_column`, `neumann_column`,
+`column_residual`, `t_kernel`) survives as the verification oracle: it is
+assembled in the same eigenbasis, one array pass per (eps, omega', E),
+with every kernel entry placed in the one block its canonical transfer
+names, and the index-set stability invariant
+(`stacked_column(index_depth=2)`) cross-checks the restriction
+numerically.  The two routes solve the same system when the canonical
+transfers compose, transfer[k, m] - transfer[k, p] = transfer[p, m]
+within the Bohr tolerance for every eigen-index triple; chained Bohr
+clusters can break that, and then no placement on the offset lattice
+reproduces the per-eigen-column systems.
 """
 
 import math
@@ -27,9 +34,8 @@ import numpy as np
 
 from .bath import GammaTable, gauss_legendre_nodes
 from .errors import NumericError, ValidationError
-from .model import spectral_decompose
+from .model import _cluster_sorted, spectral_decompose
 
-_SHIFT_DECIMALS = 9
 CONDITION_LIMIT = 1e12
 PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
@@ -38,33 +44,30 @@ PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
 class BlockColumn:
     """One column of (1+T_eps)^{-1} at fixed (eps, omega', E).
 
-    block(omega) solves sum over omega_1 of
-    (1+T_eps)_{omega, omega_1}(E) block(omega_1) = delta_{omega, omega'} Id
-    for omega in I(omega'); block(omega) has definite transfer
-    omega - omega'.  Columns from the Neumann series carry convergence
-    metadata; direct solves leave it at its defaults.
+    blocks[i] (original basis) solves sum over j of
+    (1+T_eps)_{omega_i, omega_j}(E) blocks[j] = delta_{omega_i, omega'} Id
+    on the index set omega_i = omega' + offsets[i], and has definite
+    transfer offsets[i].  Columns from the Neumann series carry
+    convergence metadata; direct solves leave it at its defaults.
     """
 
     epsilon: int
     omega_prime: float
     energy: float
-    offsets: np.ndarray                 # omega - omega' values (the Bohr set)
-    omegas: np.ndarray                  # omega' + offsets
-    blocks_list: list = field(repr=False, default_factory=list)
+    offsets: np.ndarray                 # omega - omega' values, sorted
+    blocks: np.ndarray = field(repr=False)   # (|I|, d, d), ordered like offsets
     order: int = 0
     final_increment: float = 0.0
     converged: bool = True
     diverged: bool = False
 
-    def block(self, omega, tol=1e-9):
-        for w, blk in zip(self.omegas, self.blocks_list):
-            if abs(w - omega) <= tol:
-                return blk
-        raise KeyError(f"omega {omega} not in this column's index set")
+    @property
+    def omegas(self):
+        return self.omega_prime + self.offsets
 
 
 class TMatrix:
-    """Bundles a validated model with its spectral data and gamma table.
+    """Bundles a validated model with its spectral data and gamma evaluator.
 
     Every method is a pure function of (model, bath).  The R blocks on the
     support nodes of each density are computed once per instance
@@ -72,16 +75,14 @@ class TMatrix:
     read-only sharing once warmed up.
     """
 
-    def __init__(self, spec, spectral=None, gamma_table=None):
+    def __init__(self, spec, spectral=None):
         self.spec = spec
         self.spectral = spectral if spectral is not None else spectral_decompose(spec)
-        self.gamma_table = gamma_table if gamma_table is not None else GammaTable(spec.bath)
+        self._gammas = GammaTable(spec.bath)
         sd = self.spectral
-        self._entries = [(float(w), blk, blk.conj().T)
-                         for w, blk in zip(sd.bohr, sd.d_blocks) if blk.any()]
         self.condition_limit = CONDITION_LIMIT
         self._support = {}
-        # level-basis data: coupling in the eigenbasis, one representative
+        # eigenbasis data: the coupling (level solve and oracle), one representative
         # column per level and the transfers between those columns
         self._coupling = sd.basis.conj().T @ spec.coupling @ sd.basis
         self._level_columns = np.array([int(np.flatnonzero(sd.level_index == k)[0])
@@ -99,7 +100,7 @@ class TMatrix:
         return self.spectral.bohr
 
     def gamma(self, eps, E):
-        return self.gamma_table.gamma(eps, E)
+        return self._gammas.gamma(eps, E)
 
     def _gamma_where(self, eps, args, needed):
         """gamma_eps at args where `needed` (broadcast to args) holds, 0 elsewhere,
@@ -125,8 +126,11 @@ class TMatrix:
         (D~ the coupling in the eigenbasis of H_S).  The inner gamma
         argument of entry (k, p) is formed as E - rep(e_p - e_k) + omega_k
         (eps = 0) or E + rep(e_k - e_p) + omega_k (eps = 1), along the
-        canonical Bohr representatives the stacked kernel uses, so
-        tolerance-clustered spectra give the stacked system's numbers.
+        canonical Bohr representatives the stacked kernel uses.  The
+        result equals the stacked system's wherever the representatives
+        compose (see the module docstring); on chained Bohr clusters they
+        need not, and the two systems differ at the size of the entries
+        that break it.
 
         energies: (n,); shifts: (L, S), shifts[l, s] the omega' of a column
         in level l.  Returns X of shape (n, L, S, d, d): X[..., :, m] for an
@@ -228,11 +232,8 @@ class TMatrix:
         X = self._level_inverses(eps, np.array([float(E)]), shifts)[0, :, 0]
         own = X[self.spectral.level_index, :, np.arange(d)].T   # own[k, m] = X[level(m), k, m]
         offsets = np.array(self.bohr, dtype=float)
-        return BlockColumn(
-            epsilon=eps, omega_prime=float(omega_prime), energy=float(E),
-            offsets=offsets, omegas=omega_prime + offsets,
-            blocks_list=list(self.spectral.split(own)),
-        )
+        return BlockColumn(epsilon=eps, omega_prime=float(omega_prime), energy=float(E),
+                           offsets=offsets, blocks=self.spectral.split(own))
 
     def r_coefficient(self, eps1, eps2, omega, omega_prime, E):
         """Block coefficient R^{eps1,eps2}_{omega, omega'}(E) (see r_blocks);
@@ -251,66 +252,75 @@ class TMatrix:
 
     # -- stacked oracle --------------------------------------------------------
     #
-    # The |I|*d block system on the index set I(omega') = omega' + B (or the
-    # wider depth-2 set), assembled kernel by kernel.  Independent of the
-    # level-basis solve; verification and tests compare the two.
+    # The |I|*d block system on the index set I(omega') = omega' + offsets,
+    # assembled in the eigenbasis of H_S in one array pass per (eps, omega', E).
+    # Independent of the level-basis solve: its own dense solve, power series
+    # and chain products; verification and tests compare the two.
+
+    def _kernels(self, eps, omegas, E):
+        """Kernel operators K_eps(omega) in the eigenbasis, one per omega:
+
+        eps=0: gamma0(E+omega) sum_m gamma1(E - W[k,m] + omega) D~[k,m] D~^+[m,p]
+        eps=1: gamma1(E+omega) sum_m gamma0(E + W[m,k] + omega) D~^+[k,m] D~[m,p]
+
+        with W the canonical transfer and D~ the coupling in the eigenbasis;
+        these are the Bohr-pair sums gamma D_{mu1} D^+_{mu2} and
+        gamma D^+_{nu1} D_{nu2}, and entry (k, p) carries transfer W[k, p].
+        Returns an array of shape (len(omegas), d, d).
+        """
+        if eps not in (0, 1):
+            raise ValidationError("eps must be 0 or 1")
+        W = self.spectral.transfer
+        Dt = self._coupling
+        Dh = Dt.conj().T
+        left, right, inner = (Dt, Dh, E - W) if eps == 0 else (Dh, Dt, E + W.T)
+        omegas = np.asarray(omegas, dtype=float)
+        outer_args = np.broadcast_to((E + omegas)[:, None], (omegas.size, self.dim))
+        g_out = self._gamma_where(eps, outer_args, left.any(axis=1))
+        g_in = self._gamma_where(1 - eps, inner + omegas[:, None, None], left != 0)
+        return g_out[..., None] * ((left * g_in) @ right)
 
     def t_kernel(self, eps, omega, omega_prime, E):
-        """Block T^eps_{omega, omega'}(E).
-
-        eps=0: gamma0(E+omega) * sum gamma1(E-mu1+omega) D_{mu1} D^+_{mu2}
-               over Bohr pairs with mu1 - mu2 = omega - omega'.
-        eps=1: gamma1(E+omega) * sum gamma0(E+nu1+omega) D^+_{nu1} D_{nu2}
-               over pairs with nu1 - nu2 = omega' - omega.
+        """Block T^eps_{omega, omega'}(E) in the original basis: the part of
+        K_eps(omega) (see `_kernels`) with canonical transfer omega - omega'.
         Off-lattice differences give the zero matrix.
         """
-        return self._kernel_delta(eps, omega, omega - omega_prime, E)
-
-    def _kernel_delta(self, eps, omega, delta, E):
-        d = self.dim
-        tol = self.spectral.tolerance
-        out = np.zeros((d, d), dtype=complex)
-        if eps == 0:
-            for mu1, d1, _ in self._entries:
-                for mu2, _, d2dag in self._entries:
-                    if abs((mu1 - mu2) - delta) <= tol:
-                        out += self.gamma(1, E - mu1 + omega) * (d1 @ d2dag)
-            if out.any():
-                out *= self.gamma(0, E + omega)
-        elif eps == 1:
-            for nu1, _, d1dag in self._entries:
-                for nu2, d2, _ in self._entries:
-                    if abs((nu1 - nu2) + delta) <= tol:
-                        out += self.gamma(0, E + nu1 + omega) * (d1dag @ d2)
-            if out.any():
-                out *= self.gamma(1, E + omega)
-        else:
-            raise ValidationError("eps must be 0 or 1")
-        return out
+        K = self._kernels(eps, [omega], E)[0]
+        b = self.spectral.bohr_index(omega - omega_prime)
+        if b is None:
+            return np.zeros((self.dim, self.dim), dtype=complex)
+        return self.spectral.split(K)[b]
 
     def _offsets(self, index_depth):
-        B = [float(b) for b in self.bohr]
-        if index_depth <= 1:
-            return np.array(B)
+        """Offsets of the index set: the Bohr set B (depth 1), or B plus the
+        smallest member of each tolerance cluster of the sums B + B that lie
+        farther than the tolerance from every member of B (depth 2)."""
+        if index_depth not in (1, 2):
+            raise ValidationError("index_depth must be 1 or 2")
+        B = np.array(self.bohr, dtype=float)
+        if index_depth == 1:
+            return B
         tol = self.spectral.tolerance
-        sums = sorted(b1 + b2 for b1 in B for b2 in B)
-        reps = []
-        for s in sums + B:
-            if not any(abs(s - r) <= tol for r in reps):
-                reps.append(s)
-        return np.array(sorted(reps))
+        sums = np.sort((B[:, None] + B).ravel())
+        sums = sums[np.abs(sums[:, None] - B).min(axis=1) > tol]
+        reps = [sums[idxs[0]] for idxs in _cluster_sorted(sums, tol)] if sums.size else []
+        return np.sort(np.concatenate([B, reps]))
 
     def _stacked_t(self, eps, omega_prime, E, offsets):
-        """The T part of the stacked block system on I(omega')."""
-        d = self.dim
-        m = len(offsets)
-        T = np.zeros((m * d, m * d), dtype=complex)
-        for i, bi in enumerate(offsets):
-            for j, bj in enumerate(offsets):
-                blk = self._kernel_delta(eps, omega_prime + bi, bi - bj, E)
-                if blk.any():
-                    T[i * d:(i + 1) * d, j * d:(j + 1) * d] = blk
-        return T
+        """The T part of the stacked block system on omega' + offsets, in the
+        eigenbasis, shape (|I| d, |I| d).  Entry (k, p) of row block i's
+        kernel goes to the one column block whose offset is nearest
+        offsets[i] - W[k, p], and is dropped when none lies within the Bohr
+        tolerance."""
+        d, n = self.dim, len(offsets)
+        K = self._kernels(eps, omega_prime + offsets, E)
+        dist = np.abs((offsets[:, None, None] - self.spectral.transfer)[..., None] - offsets)
+        j = dist.argmin(axis=-1)
+        keep = dist.min(axis=-1) <= self.spectral.tolerance
+        i, k, p = np.nonzero(keep)
+        T = np.zeros((n, d, n, d), dtype=complex)
+        T[i, k, j[keep], p] = K[keep]
+        return T.reshape(n * d, n * d)
 
     def _rhs(self, offsets):
         d = self.dim
@@ -322,18 +332,20 @@ class TMatrix:
         rhs[i0 * d:(i0 + 1) * d] = np.eye(d)
         return rhs
 
+    def _column(self, eps, omega_prime, E, offsets, X, **series):
+        """BlockColumn from a stacked eigenbasis solution X of shape (|I| d, d)."""
+        basis = self.spectral.basis
+        blocks = basis @ X.reshape(len(offsets), self.dim, self.dim) @ basis.conj().T
+        return BlockColumn(epsilon=eps, omega_prime=float(omega_prime), energy=float(E),
+                           offsets=offsets, blocks=blocks, **series)
+
     def stacked_column(self, eps, omega_prime, E, index_depth=1):
         """Column of (1+T_eps)^{-1} by dense solve of the stacked system on
-        I(omega') (index_depth=1) or on the depth-2 index set B + B."""
+        I(omega') (index_depth=1) or on the depth-2 index set (see `_offsets`);
+        any other depth raises ValidationError."""
         offsets = self._offsets(index_depth)
-        d = self.dim
-        A = np.eye(len(offsets) * d, dtype=complex) + self._stacked_t(eps, omega_prime, E, offsets)
-        X = np.linalg.solve(A, self._rhs(offsets))
-        return BlockColumn(
-            epsilon=eps, omega_prime=float(omega_prime), energy=float(E),
-            offsets=offsets, omegas=omega_prime + offsets,
-            blocks_list=[X[i * d:(i + 1) * d] for i in range(len(offsets))],
-        )
+        A = np.eye(len(offsets) * self.dim, dtype=complex) + self._stacked_t(eps, omega_prime, E, offsets)
+        return self._column(eps, omega_prime, E, offsets, np.linalg.solve(A, self._rhs(offsets)))
 
     def neumann_column(self, eps, omega_prime, E, max_order=None, tol=None):
         """Column of (1+T_eps)^{-1} summed as the alternating T-power series.
@@ -348,7 +360,6 @@ class TMatrix:
         if tol is None:
             tol = self.spec.neumann_tolerance
         offsets = self._offsets(1)
-        d = self.dim
         T = self._stacked_t(eps, omega_prime, E, offsets)
         rhs = self._rhs(offsets)
         term = rhs.copy()
@@ -371,21 +382,18 @@ class TMatrix:
             if len(increments) >= 5 and increments[-1] >= increments[-5]:
                 diverged = True
                 break
-        return BlockColumn(
-            epsilon=eps, omega_prime=float(omega_prime), energy=float(E),
-            offsets=offsets, omegas=omega_prime + offsets,
-            blocks_list=[total[i * d:(i + 1) * d] for i in range(len(offsets))],
-            order=order, final_increment=increments[-1] if increments else 0.0,
-            converged=converged, diverged=diverged,
-        )
+        return self._column(eps, omega_prime, E, offsets, total, order=order,
+                            final_increment=increments[-1] if increments else 0.0,
+                            converged=converged, diverged=diverged)
 
     def column_residual(self, col):
         """Frobenius norm of (1+T) @ column - rhs in the stacked system,
         relative to the rhs."""
         d = self.dim
+        basis = self.spectral.basis
+        X = (basis.conj().T @ col.blocks @ basis).reshape(-1, d)
         T = self._stacked_t(col.epsilon, col.omega_prime, col.energy, col.offsets)
         A = np.eye(len(col.offsets) * d, dtype=complex) + T
-        X = np.vstack(col.blocks_list)
         R = A @ X - self._rhs(col.offsets)
         return float(np.linalg.norm(R) / math.sqrt(d))
 
@@ -397,9 +405,12 @@ class TMatrix:
 
         Evaluates the alternating multi-sum over Bohr subscripts with
         cumulative-shift gamma arguments; terms with any off-lattice
-        subscript vanish because the corresponding D block is zero.  The
-        enumeration runs innermost-index first, binning partial chains by
-        their accumulated shift (an exact regrouping of the printed sum).
+        subscript vanish because the corresponding D block is zero.  In the
+        eigenbasis the chain is built innermost factor first: each layer is
+        (D~ or D~^+) @ L times the Hadamard factor gamma(E + W), because the
+        accumulated shift of entry (k, p) of a partial chain is its
+        canonical transfer W[k, p] (an exact regrouping of the printed sum
+        on spectra whose representatives compose).
         """
         pair = str(pair)
         if pair not in ("00", "11", "01", "10"):
@@ -417,34 +428,19 @@ class TMatrix:
             J = 2 * n
             pref = -1j * (-1.0) ** n
 
-        d = self.dim
-        full = self.spec.coupling if a == 0 else self.spec.coupling.conj().T
-        layer = {0.0: [0.0, np.eye(d, dtype=complex)]}
+        sd = self.spectral
+        Dt = self._coupling
+        factors = (Dt, Dt.conj().T)
+        args = E + sd.transfer
+        layer = np.eye(self.dim, dtype=complex)
         for j in range(J, 0, -1):
-            odd = (j % 2 == 1)
-            use_dag = odd if a == 0 else not odd
-            geps = (1 if odd else 0) if a == 0 else (0 if odd else 1)
-            sign = (-1.0 if odd else 1.0) if a == 0 else (1.0 if odd else -1.0)
-            chains = []
-            for shift, mat in layer.values():
-                for w, dw, dwdag in self._entries:
-                    prod = (dwdag if use_dag else dw) @ mat
-                    if prod.any():
-                        chains.append((shift + sign * w, prod))
-            gammas = self.gamma(geps, E + np.array([s for s, _ in chains]))
-            new_layer = {}
-            for (s, prod), g in zip(chains, gammas):
-                prod *= g
-                key = round(s, _SHIFT_DECIMALS)
-                if key in new_layer:
-                    new_layer[key][1] += prod
-                else:
-                    new_layer[key] = [s, prod]
-            layer = new_layer
-        total = np.zeros((d, d), dtype=complex)
-        for _, mat in layer.values():
-            total += mat
-        return pref * (full @ total)
+            # factor j from the left: D~^+ with gamma_1 when j + a is odd,
+            # D~ with gamma_0 when it is even
+            geps = (j + a) % 2
+            layer = factors[geps] @ layer
+            layer *= self._gamma_where(geps, args, layer != 0)
+        full = self.spec.coupling if a == 0 else self.spec.coupling.conj().T
+        return pref * (full @ (sd.basis @ layer @ sd.basis.conj().T))
 
     def appendix_partial_sums(self, pair, E, max_orders=24, tol=1e-12):
         """Cumulative series sums for one pair; stops at the first term
@@ -538,7 +534,7 @@ def dyson_oracle(tm, pair, n, u, v, eta, *, t_max=400.0, dt=0.01, n_energy=320):
     dother = evecs.conj().T @ d_ops[1 - a] @ evecs
     row = ut.conj() @ da
 
-    n_steps = int(round(t_max / dt))
+    n_steps = int(np.rint(t_max / dt))
     if n_steps % 2 == 1:
         n_steps += 1
     t = np.arange(n_steps + 1) * dt

@@ -179,10 +179,6 @@ def _check(name, residual, tolerance):
     }
 
 
-def _rel(diff, ref):
-    return diff / max(ref, 1e-300)
-
-
 def _identity_checks(tm, rng):
     from . import generator as gen_mod
 
@@ -197,27 +193,27 @@ def _identity_checks(tm, rng):
     # block-column residual / transfer / Neumann / index-set stability: the
     # level-basis columns against the stacked-system oracle
     res_solve, res_transfer, res_neumann, res_stability = 0.0, 0.0, 0.0, 0.0
+    wrong_transfer = ~np.eye(sd.bohr.size, dtype=bool)
     for eps in (0, 1):
         for wp in tm.bohr:
             for E in energies[::2]:
                 col = tm.solve_column(eps, float(wp), float(E))
                 res_solve = max(res_solve, tm.column_residual(col))
-                # every returned block, re-split from the original basis
-                comps = sd.split_operator(np.array(col.blocks_list))
-                for off, parts in zip(col.offsets, comps):
-                    stray = sum(np.linalg.norm(m) for w, m in zip(sd.bohr, parts)
-                                if abs(w - off) > sd.tolerance)
-                    res_transfer = max(res_transfer, stray)
+                # every returned block, re-split from the original basis; at
+                # depth 1 the offsets are the Bohr set itself
+                parts = np.linalg.norm(sd.split_operator(col.blocks), axis=(-2, -1))
+                res_transfer = max(res_transfer, float((parts * wrong_transfer).sum(axis=1).max()))
                 ncol = tm.neumann_column(eps, float(wp), float(E))
                 if ncol.converged:
-                    for b1, b2 in zip(col.blocks_list, ncol.blocks_list):
-                        diff = np.linalg.norm(b1 - b2)
-                        res_neumann = max(res_neumann, _rel(diff, np.linalg.norm(b1)))
+                    diff = np.linalg.norm(col.blocks - ncol.blocks, axis=(-2, -1))
+                    ref = np.maximum(np.linalg.norm(col.blocks, axis=(-2, -1)), 1e-300)
+                    res_neumann = max(res_neumann, float((diff / ref).max()))
         wide = tm.stacked_column(eps, 0.0, float(energies[0]), index_depth=2)
         base = tm.solve_column(eps, 0.0, float(energies[0]))
-        for off, blk in zip(base.offsets, base.blocks_list):
-            j = int(np.argmin(np.abs(wide.offsets - off)))
-            res_stability = max(res_stability, float(np.linalg.norm(blk - wide.blocks_list[j])))
+        # the depth-2 offsets contain the Bohr set exactly
+        j = np.searchsorted(wide.offsets, base.offsets)
+        res_stability = max(res_stability, float(
+            np.linalg.norm(base.blocks - wide.blocks[j], axis=(-2, -1)).max()))
     checks.append(_check("block_column_residual", res_solve, 1e-12))
     checks.append(_check("block_column_transfer", res_transfer, 1e-12))
     checks.append(_check("neumann_vs_direct", res_neumann, 1e-10))

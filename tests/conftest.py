@@ -32,6 +32,20 @@ def base_model_doc():
     return copy.deepcopy(_BASE_DOC)
 
 
+def chained_cluster_doc():
+    """d = 5 model whose positive level differences near 0.1 chain in steps
+    of 7e-10, below the default bohr_tolerance 1e-9, into one Bohr cluster
+    whose representative sits 1.4e-9 from the difference 0.1."""
+    levels = [0.0, 0.1, 0.2 + 7e-10, 0.3 + 2.1e-9, 0.4 + 4.2e-9]
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+    doc = base_model_doc()
+    doc["system"]["hamiltonian"] = [[z, 0.0] for z in np.diag(levels).reshape(-1)]
+    coupling = 0.03 * (a + a.conj().T) / 2.0
+    doc["system"]["coupling"] = [[z.real, z.imag] for z in coupling.reshape(-1)]
+    return doc
+
+
 def write_model(tmp_path, doc, name="model.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))

@@ -57,7 +57,7 @@ def test_criterion_02_neumann_vs_direct(nr_tm, rwa_tm):
                     direct = tm.solve_column(eps, float(wp), E)
                     series = tm.neumann_column(eps, float(wp), E, tol=1e-12)
                     assert series.converged
-                    for b1, b2 in zip(direct.blocks_list, series.blocks_list):
+                    for b1, b2 in zip(direct.blocks, series.blocks):
                         diff = float(np.linalg.norm(b1 - b2))
                         if diff:
                             worst = max(worst, diff / max(np.linalg.norm(b1), 1e-300))
@@ -211,13 +211,13 @@ def test_criterion_09_distributional_limits():
              f"{final:.2e}/{cfinal:.2e} <= 5e-2, causal half-ratio defect {half:.2e} <= 1e-3")
 
 
-def test_criterion_10_born_scaling(nr_tm):
+def test_criterion_10_born_scaling():
     from test_generator import born_drift
     discrepancy = {}
     for scale in (0.1, 0.01):
         doc = base_model_doc()
         doc["system"]["coupling"] = [[0.0, 0.0], [scale, 0.0], [scale, 0.0], [0.0, 0.0]]
-        tm = TMatrix(model_from_dict(doc), gamma_table=nr_tm.gamma_table)
+        tm = TMatrix(model_from_dict(doc))
         discrepancy[scale] = float(np.linalg.norm(drift(tm) - born_drift(tm)))
     ratio = discrepancy[0.1] / discrepancy[0.01]
     ok = 5e3 <= ratio <= 2e4

@@ -15,6 +15,7 @@ import pytest
 from ldlgen import TMatrix
 from ldlgen.generator import drift, drift_from_t_operator
 from ldlgen.model import model_from_dict
+from ldlgen.verification import run_identity_suite
 
 from conftest import base_model_doc
 
@@ -68,7 +69,7 @@ class StackedR:
         sd = self.tm.spectral
         out = np.zeros((self.tm.dim, self.tm.dim), dtype=complex)
         col = self.column(eps, omega_prime, E)
-        for w1, blk in zip(col.omegas, col.blocks_list):
+        for w1, blk in zip(col.omegas, col.blocks):
             left = sd.d_block(omega - w1) if eps == 1 else sd.d_dag_block(w1 - omega)
             out += left @ blk
         return out
@@ -116,10 +117,15 @@ def test_solve_column_matches_stacked_oracle(hard_tm):
             col = tm.solve_column(eps, omega_prime, 0.52)
             ref = tm.stacked_column(eps, omega_prime, 0.52)
             assert np.array_equal(col.offsets, ref.offsets)
-            for got, want in zip(col.blocks_list, ref.blocks_list):
+            for got, want in zip(col.blocks, ref.blocks):
                 assert np.linalg.norm(got - want) <= 1e-12
             assert tm.column_residual(col) < 1e-12
 
 
 def test_drift_identity_on_hard_spectra(hard_tm):
     assert np.linalg.norm(drift(hard_tm) - drift_from_t_operator(hard_tm)) < 1e-10
+
+
+def test_identity_suite_on_hard_spectra(hard_tm):
+    report = run_identity_suite(hard_tm, "identities")
+    assert [c["check"] for c in report["checks"] if not c["pass"]] == []

@@ -4,7 +4,7 @@ import pytest
 from ldlgen import ValidationError, block_transfer, load_model, spectral_decompose
 from ldlgen.model import model_from_dict
 
-from conftest import base_model_doc, write_model
+from conftest import base_model_doc, chained_cluster_doc, write_model
 
 
 def test_load_model_round_trip(tmp_path):
@@ -185,18 +185,10 @@ def test_block_transfer_completeness():
 
 
 def test_block_transfer_on_chained_bohr_cluster():
-    # the positive level differences near 0.1 chain in steps of 7e-10, below
-    # the default bohr_tolerance 1e-9, into one cluster whose representative
-    # sits 1.4e-9 from the difference 0.1: only the canonical transfer
-    # assignment, not a tolerance lookup, finds that difference's block
-    levels = [0.0, 0.1, 0.2 + 7e-10, 0.3 + 2.1e-9, 0.4 + 4.2e-9]
-    rng = np.random.default_rng(3)
-    a = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-    doc = base_model_doc()
-    doc["system"]["hamiltonian"] = [[z, 0.0] for z in np.diag(levels).reshape(-1)]
-    coupling = 0.03 * (a + a.conj().T) / 2.0
-    doc["system"]["coupling"] = [[z.real, z.imag] for z in coupling.reshape(-1)]
-    spec = model_from_dict(doc)
+    # the cluster representative sits 1.4e-9 from the difference 0.1: only
+    # the canonical transfer assignment, not a tolerance lookup, finds that
+    # difference's block
+    spec = model_from_dict(chained_cluster_doc())
     sd = spectral_decompose(spec)
     assert abs(sd.transfer[0, 1] - (0.1 + 1.4e-9)) < 1e-15
     assert sd.bohr_index(0.1) is None

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bath import GammaTable, gauss_legendre_nodes
+from .bath import GammaTable, _count, _real, gauss_legendre_nodes
 from .errors import NumericError, ValidationError
 from .model import _cluster_sorted, spectral_decompose
 
@@ -477,20 +477,67 @@ def _parity_pair(pair, n):
     return (a, b) if b == 1 - a else None
 
 
+def _contraction_vectors(tm, pair, u, v, n_energy):
+    """Validate the block label, the energy node count and the bra/ket
+    vectors shared by the oracle and its reference; returns u, v as
+    complex arrays."""
+    if not isinstance(pair, str) or pair not in ("00", "01", "10", "11"):
+        raise ValidationError(f"pair must be one of 00, 01, 10, 11, got {pair!r}")
+    if _count(n_energy, "n_energy") < 1:
+        raise ValidationError("n_energy must be >= 1")
+    out = []
+    for name, vec in (("u", u), ("v", v)):
+        try:
+            arr = np.asarray(vec, dtype=complex)
+        except (TypeError, ValueError):
+            raise ValidationError(f"{name} must be a numeric vector") from None
+        if arr.shape != (tm.dim,):
+            raise ValidationError(f"{name} must be a vector of length {tm.dim}, got shape {arr.shape}")
+        if not np.isfinite(arr).all():
+            raise ValidationError(f"{name} must be finite")
+        out.append(arr)
+    return out
+
+
 def _corr_weights(profile, n_nodes):
     x, w = gauss_legendre_nodes(profile.a, profile.b, n_nodes)
     return x, w * profile(x)
 
 
-def _corr_on_grid(profile, t, n_nodes=320):
-    """corr(t) = integral rho(E) e^{itE} dE by Gauss-Legendre quadrature."""
+def _grid_exponentials(n_points, dt, x):
+    """Split-exponent factors of the block exp(i k dt x), k < n_points.
+
+    With m = ceil(sqrt(n_points)) and k = q m + r, exp(i k dt x) =
+    giant[q] * baby[r], so only (ceil(n_points / m) + m) |x| exponentials
+    are evaluated instead of n_points |x|.  Returns giant, shape
+    (ceil(n_points / m), |x|), and baby, shape (m, |x|); grid index k is
+    entry (q, r) of a row-major (ceil(n_points / m), m) array, zero-padded
+    past n_points.
+    """
+    m = math.isqrt(n_points - 1) + 1
+    giant = np.exp(1j * np.outer(np.arange(-(-n_points // m)) * m * dt, x))
+    baby = np.exp(1j * np.outer(np.arange(m) * dt, x))
+    return giant, baby
+
+
+def _grid_corr(profile, dt, n_points, n_nodes):
+    """corr(k dt) = integral rho(E) e^{i k dt E} dE for k < n_points, by
+    Gauss-Legendre quadrature on the split-exponent factors."""
     x, c = _corr_weights(profile, n_nodes)
-    t = np.asarray(t, dtype=float)
-    out = np.zeros(t.shape, dtype=complex)
-    for chunk in range(0, x.size, 64):
-        sl = slice(chunk, chunk + 64)
-        out += np.exp(1j * np.outer(t, x[sl])) @ c[sl]
-    return out
+    giant, baby = _grid_exponentials(n_points, dt, x)
+    return ((giant * c) @ baby.T).ravel()[:n_points]
+
+
+def _grid_fourier(rows, dt, x):
+    """sum over k of rows[..., k] exp(i k dt x) for every x, on the
+    split-exponent factors: one matmul against baby, one contraction
+    against giant."""
+    n_points = rows.shape[-1]
+    giant, baby = _grid_exponentials(n_points, dt, x)
+    padded = np.zeros(rows.shape[:-1] + (giant.shape[0] * baby.shape[0],), dtype=complex)
+    padded[..., :n_points] = rows
+    blocks = padded.reshape(rows.shape[:-1] + (giant.shape[0], baby.shape[0])) @ baby
+    return np.einsum("...qx,qx->...x", blocks, giant)
 
 
 def _simpson_weights(n_points, h):
@@ -506,22 +553,40 @@ def _simpson_weights(n_points, h):
 def dyson_oracle(tm, pair, n, u, v, eta, *, t_max=400.0, dt=0.01, n_energy=320):
     """Time-domain contraction of the n-th scattering expansion term.
 
-    Supports n in {1, 2, 3} (cost grows with one time dimension per
-    order).  Returns 0 when the (pair, n) parities are incompatible, i.e.
-    when the exact matrix element vanishes.
+    Supports n in {1, 2, 3}.  Returns 0 when the (pair, n) parities are
+    incompatible, i.e. when the exact matrix element vanishes.  Every
+    input is checked first: eta, t_max and dt finite with eta > 0 and
+    0 < dt <= t_max, n_energy a positive integer, pair one of 00, 01, 10,
+    11, and u, v finite vectors of length d; anything else raises
+    ValidationError.
+
+    Cost, with N = t_max / dt + 1 grid points (step count rounded up to
+    even) and n_energy = |x| correlation nodes: each correlation is
+    evaluated on the grid from about 2 sqrt(N) |x| exponentials (the
+    split-exponent factors of exp(i t x)) and N |x| multiply-adds; the
+    eigen-index phase rows take d^2 N exponentials.  n = 2 needs two
+    correlations; n = 3 needs two more correlations plus one
+    split-exponent contraction of its 2 d^2 phase rows against the
+    |x| nodes of rho_b, about 2 d^2 N |x| multiply-adds.
     """
+    eta = _real(eta, "damping eta")
     if eta <= 0:
         raise ValidationError("damping eta must be > 0")
-    if n < 1 or n > 3:
+    t_max = _real(t_max, "t_max")
+    dt = _real(dt, "dt")
+    if dt <= 0:
+        raise ValidationError("time step dt must be > 0")
+    if t_max < dt:
+        raise ValidationError(f"t_max must be >= dt, got t_max={t_max}, dt={dt}")
+    if isinstance(n, bool) or n not in (1, 2, 3):
         raise ValidationError("dyson oracle supports n in {1, 2, 3}")
+    u, v = _contraction_vectors(tm, pair, u, v, n_energy)
     ab = _parity_pair(pair, n)
     if ab is None:
         return 0.0 + 0.0j
     a, b = ab
     spec = tm.spec
     bath = spec.bath
-    u = np.asarray(u, dtype=complex)
-    v = np.asarray(v, dtype=complex)
 
     d_ops = (spec.coupling, spec.coupling.conj().T)
     if n == 1:
@@ -546,8 +611,8 @@ def dyson_oracle(tm, pair, n, u, v, eta, *, t_max=400.0, dt=0.01, n_energy=320):
         # -i * integral_0^inf corr_{1-a}(-t) corr_a(t)
         #      u^+ D_a e^{-itH} D_{1-a} e^{itH} v * e^{-eta t} dt,
         # whose (l, m) eigen-entry carries the phase exp(i (e_m - e_l) t)
-        corr_in = np.conj(_corr_on_grid(bath.density(1 - a), t, n_energy))
-        corr_out = _corr_on_grid(bath.density(a), t, n_energy)
+        corr_in = np.conj(_grid_corr(bath.density(1 - a), dt, t.size, n_energy))
+        corr_out = _grid_corr(bath.density(a), dt, t.size, n_energy)
         base = wts * np.exp(-eta * t) * corr_in * corr_out
         coef = row[:, None] * dother * vt[None, :]
         return -1j * np.sum(coef * (phases @ base).T)
@@ -557,19 +622,15 @@ def dyson_oracle(tm, pair, n, u, v, eta, *, t_max=400.0, dt=0.01, n_energy=320):
     # in a separated form over the correlation quadrature nodes (an exact
     # regrouping of the nested sum, cross-checked in the test suite).
     x_b, c_b = _corr_weights(bath.density(b), n_energy)
-    corr_s = np.conj(_corr_on_grid(bath.density(a), t, n_energy))
-    corr_r = np.conj(_corr_on_grid(bath.density(1 - a), t, n_energy))
+    corr_s = np.conj(_grid_corr(bath.density(a), dt, t.size, n_energy))
+    corr_r = np.conj(_grid_corr(bath.density(1 - a), dt, t.size, n_energy))
     base_s = wts * np.exp(-eta * t) * corr_s
     base_r = wts * np.exp(-2.0 * eta * t) * corr_r
 
-    # rows: base_s and base_r times each pair's phase; every chunk of the
-    # exp(i t x) block is built once and contracted against all rows
-    rows = np.concatenate([base_s * phases, base_r * phases]).reshape(-1, t.size)
-    f = np.empty((rows.shape[0], x_b.size), dtype=complex)
-    for chunk in range(0, x_b.size, 64):
-        sl = slice(chunk, chunk + 64)
-        f[:, sl] = rows @ np.exp(1j * np.outer(t, x_b[sl]))
-    f_s, f_r = f.reshape(2, spec.dim, spec.dim, x_b.size)
+    # rows: base_s and base_r times each pair's phase, all contracted
+    # against exp(i t x_b) at once
+    rows = np.stack([base_s * phases, base_r * phases])
+    f_s, f_r = _grid_fourier(rows, dt, x_b)
 
     # entry (l, m, p) pairs the s-row of (p, m) with the r-row of (p, l)
     coef = row[:, None, None] * dother[:, :, None] * da[None] * vt[None, None, :]
@@ -578,7 +639,9 @@ def dyson_oracle(tm, pair, n, u, v, eta, *, t_max=400.0, dt=0.01, n_energy=320):
 
 def dyson_reference(tm, pair, n, u, v, n_energy=192):
     """Energy-domain counterpart i * integral dE u^+ T^{pair}_n(E) v rho_b(E)
-    built from the closed-form series term (the quantity the oracle checks)."""
+    built from the closed-form series term (the quantity the oracle checks).
+    pair, u, v and n_energy are checked as in `dyson_oracle`."""
+    u, v = _contraction_vectors(tm, pair, u, v, n_energy)
     ab = _parity_pair(pair, n)
     if ab is None:
         return 0.0 + 0.0j
@@ -589,8 +652,6 @@ def dyson_reference(tm, pair, n, u, v, n_energy=192):
         order = (n - 1) // 2
     prof = tm.spec.bath.density(b)
     x, w = gauss_legendre_nodes(prof.a, prof.b, n_energy)
-    u = np.asarray(u, dtype=complex)
-    v = np.asarray(v, dtype=complex)
     total = 0.0 + 0.0j
     for E, wt in zip(x, w):
         term = tm.appendix_term(pair, order, float(E))
@@ -599,8 +660,18 @@ def dyson_reference(tm, pair, n, u, v, n_energy=192):
 
 
 def richardson_extrapolate(values, etas):
-    """Value at eta = 0 from samples at the given etas (Lagrange at 0)."""
-    etas = [float(e) for e in etas]
+    """Value at eta = 0 from samples at the given etas (Lagrange at 0).
+
+    Needs one value per eta, at least one sample, and finite, distinct
+    etas; anything else raises ValidationError."""
+    values = list(values)
+    etas = [_real(e, "eta") for e in etas]
+    if not etas or len(values) != len(etas):
+        raise ValidationError(
+            f"need one value per eta and at least one sample, got {len(values)} values "
+            f"and {len(etas)} etas")
+    if len(set(etas)) != len(etas):
+        raise ValidationError(f"etas must be distinct, got {etas}")
     out = 0.0 + 0.0j
     for i, vi in enumerate(values):
         li = 1.0

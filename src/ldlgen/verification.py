@@ -19,6 +19,10 @@ import numpy as np
 from .bath import validate_bath
 from .errors import ValidationError
 
+# entries of one (u nodes) x (t nodes) block in _overlap_vector: bounds its
+# memory, and blocks larger than the cache made the mismatched check slower
+_OVERLAP_CHUNK = 1 << 15
+
 
 @dataclass(frozen=True)
 class GaussianPacket:
@@ -97,12 +101,13 @@ def _overlap_vector(f, g, lam, u, mismatch_freq=0.0):
     t, wt = _composite_gl(af, bf, n_panels)
     ft = f(t) * wt
     out = np.empty(u.size, dtype=complex)
-    for k, uk in enumerate(u):
-        tp = t + lam ** 2 * uk
+    step = max(1, _OVERLAP_CHUNK // t.size)
+    for chunk in range(0, u.size, step):
+        tp = t + lam ** 2 * u[chunk:chunk + step, None]
         vals = ft * g(tp)
         if mismatch_freq:
             vals = vals * np.exp(1j * (mismatch_freq / lam ** 2) * tp)
-        out[k] = vals.sum()
+        out[chunk:chunk + step] = vals.sum(axis=1)
     return out
 
 

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from ldlgen import TMatrix, ValidationError, block_transfer
+from ldlgen.bath import DensityProfile
 from ldlgen.model import model_from_dict
-from ldlgen.tmatrix import (_corr_on_grid, _parity_pair, _simpson_weights,
-                            dyson_oracle, dyson_reference, richardson_extrapolate)
+from ldlgen.tmatrix import (_corr_weights, _grid_corr, _grid_exponentials, _grid_fourier,
+                            _parity_pair, _simpson_weights, dyson_oracle, dyson_reference,
+                            richardson_extrapolate)
 from ldlgen.verification import run_identity_suite
 
 from conftest import base_model_doc, chained_cluster_doc
@@ -324,6 +326,53 @@ def test_appendix_00_n1_matches_definition(nr_tm):
 
 # -- Dyson oracle ----------------------------------------------------------------
 
+def _corr_on_grid(profile, t, n_nodes=320):
+    """corr(t) = integral rho(E) e^{itE} dE by Gauss-Legendre quadrature,
+    with the direct exponential (the reference for the split-exponent form)."""
+    x, c = _corr_weights(profile, n_nodes)
+    t = np.asarray(t, dtype=float)
+    out = np.zeros(t.shape, dtype=complex)
+    for chunk in range(0, x.size, 64):
+        sl = slice(chunk, chunk + 64)
+        out += np.exp(1j * np.outer(t, x[sl])) @ c[sl]
+    return out
+
+
+PROFILES = {
+    "rect": DensityProfile.rect(0.0, 1.0, 0.8),
+    "bump": DensityProfile.bump(2.0, 3.0, 1.0),
+    "table": DensityProfile.table([0.0, 0.15, 0.5, 0.9, 1.0], [0.0, 1.3, 0.4, 0.9, 0.0]),
+}
+
+
+@pytest.mark.parametrize("n_points", [1, 2, 3, 49, 40001])
+@pytest.mark.parametrize("kind", sorted(PROFILES))
+def test_grid_exponentials_match_direct_sum(kind, n_points):
+    prof = PROFILES[kind]
+    dt = 0.01
+    # the phase range t * x, not the node count, sets the roundoff; 64 nodes
+    # keep the direct 40,001-point block small
+    n_nodes = 320 if n_points < 40001 else 64
+    x, c = _corr_weights(prof, n_nodes)
+    t = np.arange(n_points) * dt
+    giant, baby = _grid_exponentials(n_points, dt, x)
+    # O(sqrt(n) |x|) exponentials, not O(n |x|)
+    assert giant.shape[0] + baby.shape[0] <= 2 * np.sqrt(n_points) + 2
+    assert giant.shape[0] * baby.shape[0] >= n_points
+
+    corr = _grid_corr(prof, dt, n_points, n_nodes)
+    assert corr.shape == (n_points,)
+    assert np.abs(corr - _corr_on_grid(prof, t, n_nodes)).max() <= 1e-13 * np.abs(c).sum()
+
+    rows = np.random.default_rng(n_points).standard_normal((2, n_points)) * c.sum()
+    direct = np.zeros((2, x.size), dtype=complex)
+    for chunk in range(0, x.size, 64):
+        sl = slice(chunk, chunk + 64)
+        direct[:, sl] = rows @ np.exp(1j * np.outer(t, x[sl]))
+    diff = np.abs(_grid_fourier(rows, dt, x) - direct).max()
+    assert diff <= 1e-13 * np.abs(rows).sum(axis=1).max()
+
+
 def test_dyson_requires_positive_damping(nr_tm):
     with pytest.raises(ValidationError, match="eta"):
         dyson_oracle(nr_tm, "01", 1, E1, E2, 0.0)
@@ -409,3 +458,109 @@ def test_dyson_n3_matches_closed_form(nr_tm):
     extrap = richardson_extrapolate(vals, etas)
     ref = dyson_reference(nr_tm, "01", 3, E1, E2)
     assert abs(extrap - ref) < 1e-6
+
+
+def _table_model():
+    doc = base_model_doc()
+    doc["bath"]["rho0"] = PROFILES["table"].to_json()
+    doc["bath"]["rho1"] = DensityProfile.table([2.0, 2.3, 2.6, 3.0], [0.0, 0.7, 1.1, 0.0]).to_json()
+    return TMatrix(model_from_dict(doc))
+
+
+def _dyson_t2_direct(tm, pair, u, v, eta, t_max, dt, n_energy):
+    """n = 2 term with the direct exponential in every correlation and phase."""
+    a, _ = _parity_pair(pair, 2)
+    spec = tm.spec
+    bath = spec.bath
+    d_ops = (spec.coupling, spec.coupling.conj().T)
+    evals, evecs = np.linalg.eigh(spec.h_system)
+    ut = evecs.conj().T @ np.asarray(u, complex)
+    vt = evecs.conj().T @ np.asarray(v, complex)
+    da = evecs.conj().T @ d_ops[a] @ evecs
+    do = evecs.conj().T @ d_ops[1 - a] @ evecs
+    n = int(round(t_max / dt))
+    n += n % 2
+    t = np.arange(n + 1) * dt
+    base = (_simpson_weights(n + 1, dt) * np.exp(-eta * t)
+            * np.conj(_corr_on_grid(bath.density(1 - a), t, n_energy))
+            * _corr_on_grid(bath.density(a), t, n_energy))
+    row = ut.conj() @ da
+    total = 0j
+    for l in range(spec.dim):
+        for m in range(spec.dim):
+            total += row[l] * do[l, m] * vt[m] * np.dot(np.exp(1j * (evals[m] - evals[l]) * t), base)
+    return -1j * total
+
+
+@pytest.mark.parametrize("pair,n,u,v", [("00", 2, E1, E1), ("11", 2, E2, E2),
+                                         ("01", 3, E1, E2), ("10", 3, E2, E1)])
+def test_dyson_on_table_densities_matches_direct_exponential(pair, n, u, v):
+    tm = _table_model()
+    fast = dyson_oracle(tm, pair, n, u, v, 2e-3, t_max=60.0, dt=0.05, n_energy=160)
+    if n == 2:
+        slow = _dyson_t2_direct(tm, pair, u, v, 2e-3, 60.0, 0.05, 160)
+    else:
+        slow = _dyson_t3_nested(tm, pair, u, v, 2e-3, 60.0, 0.05)
+    assert fast != 0
+    assert abs(fast - slow) <= 1e-12 * abs(slow)
+
+
+BAD_ORACLE_INPUTS = [
+    ({"eta": float("nan")}, "eta"),
+    ({"eta": float("inf")}, "eta"),
+    ({"eta": -1e-3}, "eta"),
+    ({"dt": 0.0}, "dt"),
+    ({"dt": -0.01}, "dt"),
+    ({"dt": float("nan")}, "dt"),
+    ({"t_max": float("inf")}, "t_max"),
+    ({"t_max": 0.004}, "t_max"),
+    ({"n_energy": 0}, "n_energy"),
+    ({"n_energy": 2.5}, "n_energy"),
+    ({"u": np.ones(3)}, "u"),
+    ({"v": np.ones(1)}, "v"),
+    ({"u": np.array([np.nan, 0.0])}, "u"),
+    ({"v": np.array([0.0, np.inf])}, "v"),
+    ({"pair": "02"}, "pair"),
+    ({"pair": "0"}, "pair"),
+    ({"pair": 11}, "pair"),
+    ({"n": 2.5}, "n in"),
+]
+
+
+@pytest.mark.parametrize("bad,match", BAD_ORACLE_INPUTS)
+def test_dyson_oracle_rejects_bad_input(nr_tm, bad, match):
+    args = {"pair": "00", "n": 2, "u": E1, "v": E1, "eta": 1e-3}
+    args.update(bad)
+    kw = {k: args.pop(k) for k in ("t_max", "dt", "n_energy") if k in args}
+    kw.setdefault("dt", 0.01)
+    with pytest.raises(ValidationError, match=match):
+        dyson_oracle(nr_tm, args["pair"], args["n"], args["u"], args["v"], args["eta"], **kw)
+
+
+@pytest.mark.parametrize("bad,match", [b for b in BAD_ORACLE_INPUTS
+                                       if next(iter(b[0])) in ("pair", "u", "v", "n_energy")])
+def test_dyson_reference_rejects_bad_input(nr_tm, bad, match):
+    args = {"pair": "00", "u": E1, "v": E1, "n_energy": 192}
+    args.update(bad)
+    with pytest.raises(ValidationError, match=match):
+        dyson_reference(nr_tm, args["pair"], 2, args["u"], args["v"], n_energy=args["n_energy"])
+
+
+def test_richardson_extrapolate_exact_on_polynomials():
+    etas = [4e-3, 2e-3, 1e-3]
+    vals = [1.5 - 2.0j + 3.0 * e - 7.0 * e * e for e in etas]
+    assert abs(richardson_extrapolate(vals, etas) - (1.5 - 2.0j)) < 1e-12
+    assert richardson_extrapolate([0.25j], [1e-3]) == 0.25j
+
+
+@pytest.mark.parametrize("values,etas,match", [
+    ([1.0, 2.0], [1e-3, 1e-3], "distinct"),
+    ([1.0, 2.0, 3.0], [1e-3, 2e-3], "one value per eta"),
+    ([1.0], [1e-3, 2e-3], "one value per eta"),
+    ([], [], "at least one"),
+    ([1.0, 2.0], [1e-3, float("nan")], "finite"),
+    ([1.0, 2.0], [1e-3, float("inf")], "finite"),
+])
+def test_richardson_extrapolate_rejects_bad_samples(values, etas, match):
+    with pytest.raises(ValidationError, match=match):
+        richardson_extrapolate(values, etas)

@@ -1,8 +1,10 @@
+import dataclasses
 import math
 
+import numpy as np
 import pytest
 
-from ldlgen import TMatrix, ValidationError
+from ldlgen import TMatrix, ValidationError, verification
 from ldlgen.model import model_from_dict
 from ldlgen.verification import (GaussianPacket, LimitCheckReport,
                                  check_causal_delta_limit, check_delta_limit,
@@ -17,6 +19,38 @@ def test_report_requires_decreasing_lambdas():
     with pytest.raises(ValidationError):
         LimitCheckReport(lambdas=[0.1, 0.2], errors=[1.0, 2.0],
                          limit_value=0j, monotone=False)
+
+
+def _overlap_vector_per_node(f, g, lam, u, mismatch_freq=0.0):
+    """The overlap G(u) one u node at a time (reference for the chunked form)."""
+    af, bf = f.extent()
+    if mismatch_freq:
+        rate = abs(mismatch_freq) / lam ** 2
+        n_panels = max(64, int(rate * (bf - af) / (2.0 * math.pi) * 4.0))
+    else:
+        n_panels = 64
+    t, wt = verification._composite_gl(af, bf, n_panels)
+    ft = f(t) * wt
+    out = np.empty(u.size, dtype=complex)
+    for k, uk in enumerate(u):
+        tp = t + lam ** 2 * uk
+        vals = ft * g(tp)
+        if mismatch_freq:
+            vals = vals * np.exp(1j * (mismatch_freq / lam ** 2) * tp)
+        out[k] = vals.sum()
+    return out
+
+
+@pytest.mark.parametrize("check,args", [(check_delta_limit, (True,)),
+                                        (check_delta_limit, (False,)),
+                                        (check_causal_delta_limit, ())],
+                         ids=["matching", "mismatched", "causal"])
+def test_limit_reports_byte_identical_to_per_node_overlap(monkeypatch, check, args):
+    f, g, h = default_test_functions()
+    chunked = check(f, g, h, *args, LAMBDAS)
+    monkeypatch.setattr(verification, "_overlap_vector", _overlap_vector_per_node)
+    per_node = check(f, g, h, *args, LAMBDAS)
+    assert dataclasses.asdict(chunked) == dataclasses.asdict(per_node)
 
 
 def test_delta_limit_monotone_decay():

@@ -38,6 +38,9 @@ from .model import _cluster_sorted, spectral_decompose
 
 CONDITION_LIMIT = 1e12
 PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
+# Largest Dyson-oracle time grid, in steps (the grid has steps + 1 points);
+# at d = 2 the n = 3 phase rows and their stack then take 192 MiB.
+MAX_GRID_STEPS = 1 << 20
 
 
 @dataclass
@@ -555,10 +558,10 @@ def dyson_oracle(tm, pair, n, u, v, eta, *, t_max=400.0, dt=0.01, n_energy=320):
 
     Supports n in {1, 2, 3}.  Returns 0 when the (pair, n) parities are
     incompatible, i.e. when the exact matrix element vanishes.  Every
-    input is checked first: eta, t_max and dt finite with eta > 0 and
-    0 < dt <= t_max, n_energy a positive integer, pair one of 00, 01, 10,
-    11, and u, v finite vectors of length d; anything else raises
-    ValidationError.
+    input is checked first: eta, t_max and dt finite with eta > 0,
+    0 < dt <= t_max and t_max / dt <= MAX_GRID_STEPS, n_energy a positive
+    integer, pair one of 00, 01, 10, 11, and u, v finite vectors of length
+    d; anything else raises ValidationError.
 
     Cost, with N = t_max / dt + 1 grid points (step count rounded up to
     even) and n_energy = |x| correlation nodes: each correlation is
@@ -578,6 +581,9 @@ def dyson_oracle(tm, pair, n, u, v, eta, *, t_max=400.0, dt=0.01, n_energy=320):
         raise ValidationError("time step dt must be > 0")
     if t_max < dt:
         raise ValidationError(f"t_max must be >= dt, got t_max={t_max}, dt={dt}")
+    if not t_max / dt <= MAX_GRID_STEPS:
+        raise ValidationError(f"t_max/dt = {t_max / dt:.6g} exceeds the time-grid budget of "
+                              f"{MAX_GRID_STEPS} steps; raise dt or lower t_max")
     if isinstance(n, bool) or n not in (1, 2, 3):
         raise ValidationError("dyson oracle supports n in {1, 2, 3}")
     u, v = _contraction_vectors(tm, pair, u, v, n_energy)

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from ldlgen import TMatrix, ValidationError
-from ldlgen.dynamics import (MAX_STORED_ENTRIES, _resolve_jumps, _step_count,
-                             _taylor_step, evolve_master, trajectory_csv_lines,
-                             unravel_jump, vacuum_decay)
+from ldlgen import TMatrix, ValidationError, dynamics
+from ldlgen.dynamics import (_CHUNK, MAX_STORED_ENTRIES, _resolve_jumps, _run_chunk,
+                             _step_count, _taylor_step, evolve_master,
+                             trajectory_csv_lines, unravel_jump, vacuum_decay)
 from ldlgen.generator import GKSLGenerator, build_generator, dual_generator_matrix
 from ldlgen.model import model_from_dict
 
@@ -126,6 +126,25 @@ def test_unravel_requires_valid_arguments(nr_gen):
         unravel_jump(nr_gen, psi, 1.0, -0.1, 10, seed=1)
     with pytest.raises(ValidationError, match="normalized"):
         unravel_jump(nr_gen, 2.0 * psi, 1.0, 0.1, 10, seed=1)
+    for trajectories in (2.5, True, "10", None):
+        with pytest.raises(ValidationError, match="trajectories"):
+            unravel_jump(nr_gen, psi, 1.0, 0.1, trajectories, seed=1)
+    for seed in (-1, 1.5, False, float("nan")):
+        with pytest.raises(ValidationError, match="seed"):
+            unravel_jump(nr_gen, psi, 1.0, 0.1, 10, seed=seed)
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda gen: evolve_master(gen, np.array([[np.nan, 0.0], [0.0, 1.0]]), 1.0, 0.1),
+                 id="evolve_nan_rho0"),
+    pytest.param(lambda gen: unravel_jump(gen, np.array([np.nan, 1.0]), 1.0, 0.1, 10, seed=1),
+                 id="unravel_nan_psi0"),
+    pytest.param(lambda gen: vacuum_decay(gen, float("nan")), id="vacuum_decay_nan_t"),
+    pytest.param(lambda gen: vacuum_decay(gen, float("inf")), id="vacuum_decay_inf_t"),
+])
+def test_dynamics_rejects_non_finite_input(nr_gen, call):
+    with pytest.raises(ValidationError, match="finite"):
+        call(nr_gen)
 
 
 @pytest.mark.parametrize("h, psi0, t_max, dt, trajectories, seed, exact_tol", [
@@ -144,7 +163,7 @@ def test_unravel_empty_kraus_is_unitary(h, psi0, t_max, dt, trajectories, seed, 
     for state in ens.mean_states[::20]:
         assert abs(np.trace(state).real - 1.0) < 1e-10
     # identical trajectories: variance is zero up to summation roundoff
-    for err in ens.stderr[::20]:
+    for err in ens.stderr:
         assert err.max() < 1e-9
     # every trajectory follows the normalised no-jump propagation
     step = _taylor_step(-1j * gen.hamiltonian, dt)
@@ -156,6 +175,43 @@ def test_unravel_empty_kraus_is_unitary(h, psi0, t_max, dt, trajectories, seed, 
     if exact_tol is not None:
         exact = expm(-1j * gen.hamiltonian * t_max) @ psi0
         assert np.abs(ens.mean_states[-1] - np.outer(exact, exact.conj())).max() < exact_tol
+
+
+def test_unravel_identical_trajectories_across_chunks():
+    # two full chunks and a partial one: the chunk merge must keep the
+    # spread of identical trajectories at roundoff
+    h = np.array([[0.4, 0.1], [0.1, -0.4]], dtype=complex)
+    gen = GKSLGenerator(drift=np.zeros((2, 2)), hamiltonian=h, weights=[], ops=[])
+    psi0 = np.array([1.0, 0.0])
+    ens = unravel_jump(gen, psi0, 1.0, 0.02, 2 * _CHUNK + 3, seed=4)
+    step = _taylor_step(-1j * h, 0.02)
+    psi = psi0.astype(complex)
+    for k, (mean, err) in enumerate(zip(ens.mean_states, ens.stderr)):
+        if k:
+            psi = step @ psi
+        normed = psi / np.linalg.norm(psi)
+        assert err.max() <= 1e-12
+        assert np.abs(mean - np.outer(normed, normed.conj())).max() <= 1e-12
+
+
+def test_chunk_merge_matches_direct_moments(monkeypatch):
+    # chunks of 4 over 11 trajectories, so the merge runs over a partial
+    # chunk; the reference is the plain sample mean and standard error of
+    # the trajectories run one at a time
+    gen = _strong_gen()
+    psi0 = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
+    heff = gen.hamiltonian - 0.5j * gen.psi_one
+    step = _taylor_step(-1j * heff, 0.01)
+    m = 11
+    monkeypatch.setattr(dynamics, "_CHUNK", 4)
+    ens = unravel_jump(gen, psi0, 0.5, 0.01, m, seed=3)
+    x = np.array([_run_chunk(i, i + 1, psi0, 3, step, heff, gen.weights, gen.ops, 0.01, 50)[0]
+                  for i in range(m)])
+    mean = x.mean(axis=0)
+    stderr = np.sqrt(np.sum(np.abs(x - mean) ** 2, axis=0) / (m * (m - 1)))
+    assert stderr.max() > 0.05            # the trajectories did jump apart
+    assert np.abs(ens.mean_states - mean).max() <= 1e-14
+    assert np.abs(ens.stderr - stderr).max() <= 1e-14
 
 
 def test_unravel_bitwise_reproducible_across_threads(nr_gen):
@@ -202,11 +258,60 @@ def test_trajectory_csv_round_trip(nr_gen):
     assert np.array_equal(back, traj.states[-1])
 
 
-class _ZeroDraws:
-    """Stand-in RNG whose every uniform draw is exactly 0.0."""
+def _resolve_jumps_rebuilt(psi_row, remaining, threshold, rng, heff, weights, ops):
+    """Oracle for `_resolve_jumps`: rebuilds the RK4 step map for every
+    trial time of the bisection and measures the propagated vector's norm.
+    Returns (state, threshold, channels fired in order)."""
+    channels = []
+    cur = psi_row
+    while True:
+        after = _taylor_step(-1j * heff, remaining) @ cur
+        if float(np.vdot(after, after).real) >= threshold:
+            return after, threshold, channels
+        lo, hi = 0.0, remaining
+        for _ in range(48):
+            mid = 0.5 * (lo + hi)
+            trial = _taylor_step(-1j * heff, mid) @ cur
+            if float(np.vdot(trial, trial).real) > threshold:
+                lo = mid
+            else:
+                hi = mid
+        cur = _taylor_step(-1j * heff, hi) @ cur
+        cumulative = np.cumsum(weights * np.sum(np.abs(ops @ cur) ** 2, axis=1))
+        if cumulative.size == 0 or cumulative[-1] <= 0.0:
+            return after, threshold, channels
+        xi = rng.uniform() * cumulative[-1]
+        channel = int(np.searchsorted(cumulative, xi, side="right"))
+        channels.append(channel)
+        jumped = ops[channel] @ cur
+        cur = jumped / np.linalg.norm(jumped)
+        threshold = rng.uniform()
+        remaining = remaining - hi
+        if remaining <= 0.0:
+            return cur, threshold, channels
+
+
+class _ReplayDraws:
+    """Stand-in RNG that returns a fixed list of uniform draws in order."""
+
+    def __init__(self, draws):
+        self.draws, self.used = draws, 0
 
     def uniform(self):
-        return 0.0
+        self.used += 1
+        return self.draws[self.used - 1]
+
+
+class _ChannelLog(np.ndarray):
+    """Kraus stack that records the channel j of every lookup ops[j]."""
+
+    def __array_finalize__(self, obj):
+        self.picked = getattr(obj, "picked", None)
+
+    def __getitem__(self, key):
+        if self.ndim == 3 and isinstance(key, (int, np.integer)):
+            self.picked.append(int(key))
+        return super().__getitem__(key)
 
 
 def test_zero_draw_never_picks_a_zero_probability_channel():
@@ -217,10 +322,39 @@ def test_zero_draw_never_picks_a_zero_probability_channel():
                     [[0.0, 0.0], [1.0, 0.0]]], dtype=complex)
     heff = -0.5j * np.einsum("j,jki,jkl->il", weights, ops.conj(), ops)
     psi = np.array([1.0, 0.0], dtype=complex)
-    state, threshold = _resolve_jumps(psi, 2.0, 0.5, _ZeroDraws(), heff, weights, ops)
+    draws = _ReplayDraws([0.0, 0.0])
+    state, threshold = _resolve_jumps(psi, 2.0, 0.5, draws, heff, weights, ops)
     assert np.isfinite(state).all()
     assert threshold == 0.0
     assert abs(state[0]) == 0.0 and abs(state[1]) > 0.0
+
+
+def test_resolve_jumps_matches_rebuilt_step_oracle():
+    gen = _strong_gen()
+    heff = gen.hamiltonian - 0.5j * gen.psi_one
+    rng = np.random.default_rng(11)
+    fired = []
+    for _ in range(40):
+        psi = rng.normal(size=2) + 1j * rng.normal(size=2)
+        psi /= np.linalg.norm(psi)
+        remaining = float(rng.uniform(0.002, 0.02))
+        # channel draws alternate with thresholds near 1, so an interval
+        # holds several jumps
+        draws = np.column_stack([rng.uniform(size=20),
+                                 rng.uniform(0.995, 0.9995, size=20)]).ravel().tolist()
+        ref = _ReplayDraws(draws)
+        want, want_thr, channels = _resolve_jumps_rebuilt(psi, remaining, 0.999, ref, heff,
+                                                          gen.weights, gen.ops)
+        ops = gen.ops.copy().view(_ChannelLog)
+        ops.picked = []
+        got_rng = _ReplayDraws(draws)
+        got, got_thr = _resolve_jumps(psi, remaining, 0.999, got_rng, heff, gen.weights, ops)
+        assert ops.picked == channels
+        assert got_rng.used == ref.used and got_thr == want_thr
+        assert np.abs(np.asarray(got) - want).max() <= 1e-12
+        fired.append(channels)
+    assert {0, 1} <= {c for chans in fired for c in chans}
+    assert max(len(chans) for chans in fired) >= 3
 
 
 def test_step_count_budget():

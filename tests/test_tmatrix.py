@@ -524,6 +524,8 @@ BAD_ORACLE_INPUTS = [
     ({"pair": "0"}, "pair"),
     ({"pair": 11}, "pair"),
     ({"n": 2.5}, "n in"),
+    ({"t_max": 1e300, "dt": 1e-10}, "budget"),
+    ({"t_max": 1e9, "dt": 1e-3}, "budget"),
 ]
 
 

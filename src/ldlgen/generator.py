@@ -34,6 +34,7 @@ import numpy as np
 from .bath import EnergyGrid
 from .errors import ValidationError
 from .model import complex_matrix_from_json, complex_matrix_to_json
+from .tmatrix import _energies, _index
 
 _PI = math.pi
 
@@ -107,24 +108,25 @@ def theta_map(tm, X, eps1, eps2, omega1, omega2, E):
 
     X R^{e1,e2}_{w1,w2} + (R^{e2,e1}_{w2,w1})^+ X
       + 2 sum_{e,w} Re gamma_e(E+w) (R^{e,e1}_{w,w1})^+ X R^{e,e2}_{w,w2}
+
+    E is a finite energy or a 1-D array of them; an array adds a leading
+    node axis to the result.
     """
+    eps1, eps2 = _index(eps1, "eps1"), _index(eps2, "eps2")
     X = np.asarray(X, dtype=complex)
-    d = tm.dim
-    sd = tm.spectral
-    R1 = tm.r_blocks([E], omega1)[0]
-    R2 = R1 if omega2 == omega1 else tm.r_blocks([E], omega2)[0]
-
-    def block(R, e, f, omega, omega_prime):
-        b = sd.bohr_index(omega - omega_prime)
-        return np.zeros((d, d), dtype=complex) if b is None else R[e, f, b]
-
-    pairs = [(e, float(w)) for e in (0, 1) for w in tm.bohr]
-    ra = np.array([block(R1, e, eps1, w, omega1) for e, w in pairs])
-    rb = np.array([block(R2, e, eps2, w, omega2) for e, w in pairs])
-    re_g = _re_gamma(tm, np.array([float(E)])).reshape(1, -1)
-    return _structure_map(X, block(R2, eps1, eps2, omega1, omega2)[None],
-                          block(R1, eps2, eps1, omega2, omega1)[None],
-                          ra[None], rb[None], re_g)[0]
+    if X.shape != (tm.dim, tm.dim) or not np.isfinite(X).all():
+        raise ValidationError(f"X must be a finite {tm.dim} x {tm.dim} matrix")
+    E = _energies(E)
+    nodes = E.reshape(-1)
+    at = tm.spectral.at
+    R1 = tm.r_blocks(nodes, omega1)
+    R2 = R1 if omega2 == omega1 else tm.r_blocks(nodes, omega2)
+    ra = np.stack([at(R1[:, e, eps1], w - omega1) for e in (0, 1) for w in tm.bohr], axis=1)
+    rb = np.stack([at(R2[:, e, eps2], w - omega2) for e in (0, 1) for w in tm.bohr], axis=1)
+    re_g = _re_gamma(tm, nodes).reshape(nodes.size, -1)
+    out = _structure_map(X, at(R2[:, eps1, eps2], omega1 - omega2),
+                         at(R1[:, eps2, eps1], omega2 - omega1), ra, rb, re_g)
+    return out.reshape(E.shape + X.shape)
 
 
 @dataclass

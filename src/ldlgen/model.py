@@ -216,12 +216,17 @@ class SpectralData:
                 best, dist = j, abs(self.bohr[j] - omega)
         return best
 
-    def d_block(self, omega):
-        """D_omega, the transfer-omega block of the coupling (zero off lattice)."""
+    def at(self, blocks, omega):
+        """Entry of a (..., |B|, d, d) array ordered like ``bohr`` at the canonical
+        frequency of omega, or zeros of shape (..., d, d) off the lattice."""
         idx = self.bohr_index(omega)
         if idx is None:
-            return np.zeros((self.dim, self.dim), dtype=complex)
-        return self.d_blocks[idx]
+            return np.zeros(blocks.shape[:-3] + blocks.shape[-2:], dtype=blocks.dtype)
+        return blocks[..., idx, :, :]
+
+    def d_block(self, omega):
+        """D_omega, the transfer-omega block of the coupling (zero off lattice)."""
+        return self.at(self.d_blocks, omega)
 
     def d_dag_block(self, omega):
         """(D_omega)^dagger, which carries transfer -omega."""

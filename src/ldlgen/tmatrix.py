@@ -15,16 +15,17 @@ m has exactly one candidate entry per row k, the one in the block
 omega = omega' + rep(e_m - e_k), so the system reduces to d independent
 d x d systems.  `TMatrix.r_blocks` solves them for every grid node at
 once.  The stacked system (`stacked_column`, `neumann_column`,
-`column_residual`, `t_kernel`) survives as the verification oracle: it is
-assembled in the same eigenbasis, one array pass per (eps, omega', E),
-with every kernel entry placed in the one block its canonical transfer
-names, and the index-set stability invariant
-(`stacked_column(index_depth=2)`) cross-checks the restriction
-numerically.  The two routes solve the same system when the canonical
-transfers compose, transfer[k, m] - transfer[k, p] = transfer[p, m]
-within the Bohr tolerance for every eigen-index triple; chained Bohr
-clusters can break that, and then no placement on the offset lattice
-reproduces the per-eigen-column systems.
+`column_residual`) survives as the verification oracle.  The two routes
+and `t_kernel` share one thing, the kernel entries (`TMatrix._kernels`);
+the oracle keeps its own placement of each entry in the one block its
+canonical transfer names, its own dense solve and power series, and the
+depth-2 index set that cross-checks the restriction.  The series chains
+(`appendix_term`) and the Dyson oracle never call `_kernels`, so they
+check the kernel entries independently.  The two routes solve the same
+system when the canonical transfers compose, transfer[k, m] -
+transfer[k, p] = transfer[p, m] within the Bohr tolerance for every
+eigen-index triple; chained Bohr clusters can break that, and then no
+placement on the offset lattice reproduces the per-eigen-column systems.
 """
 
 import math
@@ -41,6 +42,34 @@ PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
 # Largest Dyson-oracle time grid, in steps (the grid has steps + 1 points);
 # at d = 2 the n = 3 phase rows and their stack then take 192 MiB.
 MAX_GRID_STEPS = 1 << 20
+
+
+def _index(value, name):
+    """A label 0 or 1 as int; 1.0 passes, a bool or anything else is a ValidationError."""
+    if _count(value, name) not in (0, 1):
+        raise ValidationError(f"{name} must be 0 or 1, got {value!r}")
+    return int(value)
+
+
+def _energies(E):
+    """A finite real energy, or a 1-D array of them, as a float array of the
+    same shape; anything else is a ValidationError.  The pointwise views
+    take either: an array adds a leading node axis to the result."""
+    try:
+        arr = np.asarray(E)
+        ok = arr.dtype.kind in "iuf" and arr.ndim <= 1 and np.isfinite(arr).all()
+    except ValueError:
+        ok = False
+    if not ok:
+        raise ValidationError(f"energy must be a finite number or a 1-D array of them, got {E!r}")
+    return arr.astype(float)
+
+
+def _series_pair(pair):
+    pair = str(pair)
+    if pair not in ("00", "11", "01", "10"):
+        raise ValidationError("pair must be one of 00, 11, 01, 10")
+    return pair
 
 
 @dataclass
@@ -85,9 +114,11 @@ class TMatrix:
         sd = self.spectral
         self.condition_limit = CONDITION_LIMIT
         self._support = {}
-        # eigenbasis data: the coupling (level solve and oracle), one representative
+        # eigenbasis data: the coupling pair (D~, D~^+), indexed by eps in the
+        # kernels, the R blocks and the series chains; one representative
         # column per level and the transfers between those columns
-        self._coupling = sd.basis.conj().T @ spec.coupling @ sd.basis
+        coupling = sd.basis.conj().T @ spec.coupling @ sd.basis
+        self._pair = (coupling, coupling.conj().T)
         self._level_columns = np.array([int(np.flatnonzero(sd.level_index == k)[0])
                                         for k in range(sd.energies.size)])
         self._level_transfer = sd.transfer[np.ix_(self._level_columns, self._level_columns)]
@@ -113,6 +144,30 @@ class TMatrix:
         out[needed] = self.gamma(eps, args[needed])
         return out
 
+    # -- the scattering kernel ------------------------------------------------
+
+    def _kernels(self, eps, E, omega):
+        """Rows of the kernel operators K_eps in the eigenbasis: row k of
+        K_eps(omega[..., k]) at energy E, for per-row offsets omega of shape
+        (..., d) broadcast against E.  With (L, R) = (D~, D~^+) for eps = 0
+        and (D~^+, D~) for eps = 1, D~ the coupling in the eigenbasis and W
+        the canonical transfer,
+
+            K_eps(omega)[k, p] = gamma_eps(E + omega)
+                sum_m gamma_{1-eps}(E - W[k, m] + omega) L[k, m] R[m, p],
+
+        the Bohr-pair sums gamma D_{mu1} D^+_{mu2} (eps = 0) and
+        gamma D^+_{nu1} D_{nu2} (eps = 1); entry (k, p) carries transfer
+        W[k, p].  Returns an array of shape (..., d, d).
+        """
+        eps = _index(eps, "eps")
+        left, right = self._pair[eps], self._pair[1 - eps]
+        E = np.asarray(E, dtype=float)[..., None]
+        g_out = self._gamma_where(eps, E + omega, left.any(axis=1))
+        inner = (E[..., None] - self.spectral.transfer) + omega[..., None]
+        g_in = self._gamma_where(1 - eps, inner, left != 0)
+        return g_out[..., None] * ((left * g_in) @ right)
+
     # -- level-basis solve ---------------------------------------------------
 
     def _level_inverses(self, eps, energies, shifts):
@@ -121,16 +176,9 @@ class TMatrix:
         By the finite-index-set argument of the module docstring, the
         column of (1+T_eps)^{-1} at omega' belonging to eigen-column m
         solves a d x d system: its entry x_k is the block at
-        omega_k = omega' + rep(e_m - e_k), and with s_k = E + omega_k
-
-            eps = 0:  1 + diag gamma_0(s) D~ diag gamma_1(s) D~^+
-            eps = 1:  1 + diag gamma_1(s) D~^+ diag gamma_0(s) D~
-
-        (D~ the coupling in the eigenbasis of H_S).  The inner gamma
-        argument of entry (k, p) is formed as E - rep(e_p - e_k) + omega_k
-        (eps = 0) or E + rep(e_k - e_p) + omega_k (eps = 1), along the
-        canonical Bohr representatives the stacked kernel uses.  The
-        result equals the stacked system's wherever the representatives
+        omega_k = omega' + rep(e_m - e_k), so the system matrix is
+        1 + `_kernels` with row k at the offset omega_k.  The result
+        equals the stacked system's wherever the canonical transfers
         compose (see the module docstring); on chained Bohr clusters they
         need not, and the two systems differ at the size of the entries
         that break it.
@@ -141,26 +189,11 @@ class TMatrix:
         to other levels' right-hand sides and are unused.  Raises
         NumericError when a system's condition number passes the limit.
         """
-        if eps not in (0, 1):
-            raise ValidationError("eps must be 0 or 1")
         d = self.dim
         E = np.asarray(energies, dtype=float)
-        W = self.spectral.transfer
-        Dt = self._coupling
-        Dh = Dt.conj().T
         # omega_k = omega' + rep(e_m - e_k) for a column m of each level
-        omega = shifts[:, :, None] + W[:, self._level_columns].T[:, None, :]
-        outer_args = E[:, None, None, None] + omega
-        if eps == 0:
-            inner_args = (E[:, None, None] - W)[:, None, None] + omega[..., None]
-            left, right = Dt, Dh
-        else:
-            inner_args = (E[:, None, None] + W.T)[:, None, None] + omega[..., None]
-            left, right = Dh, Dt
-        g_out = self._gamma_where(eps, outer_args, left.any(axis=1))
-        g_in = self._gamma_where(1 - eps, inner_args, left != 0)
-        A = g_out[..., None] * ((left * g_in) @ right)
-        A += np.eye(d)
+        omega = shifts[:, :, None] + self.spectral.transfer[:, self._level_columns].T[:, None, :]
+        A = np.eye(d) + self._kernels(eps, E[:, None, None], omega)
         cond = np.linalg.cond(A)
         worst = np.unravel_index(np.argmax(np.where(np.isfinite(cond), cond, np.inf)),
                                  cond.shape)
@@ -177,7 +210,8 @@ class TMatrix:
 
         Returns a complex array of shape (n, 2, 2, |B|, d, d) whose entry
         [i, eps1, eps2, b] is the block at E = energies[i] and
-        omega = omega' + B[b] (transfer B[b]):
+        omega = omega' + B[b] (transfer B[b]); a scalar energy gives the
+        shape without the node axis (see `_energies`):
 
         R^{0,1} = -i sum D_{omega-omega_1} (1+T_1)^{-1}_{omega_1, omega'}
         R^{1,0} = -i sum D^+_{omega_1-omega} (1+T_0)^{-1}_{omega_1, omega'}
@@ -192,13 +226,11 @@ class TMatrix:
         needs one restricted inverse per node, so all of them come from a
         single batched solve (`_level_inverses`).
         """
-        E = np.atleast_1d(np.asarray(energies, dtype=float))
-        d = self.dim
-        Dt = self._coupling
-        Dh = Dt.conj().T
+        energies, omega_prime = _energies(energies), _real(omega_prime, "omega'")
+        E = energies.reshape(-1)
         lev, W = self.spectral.level_index, self.spectral.transfer
         shifts = omega_prime + self._level_transfer   # shifts[l, l'] = omega' + rep(e_l' - e_l)
-        full = np.empty((E.size, 2, 2, d, d), dtype=complex)
+        full = np.empty((E.size, 2, 2, self.dim, self.dim), dtype=complex)
         for eps in (0, 1):
             X = self._level_inverses(eps, E, shifts)
             # Y[i, m, k, j]: entry k of eigen-column j's solution at the
@@ -207,11 +239,12 @@ class TMatrix:
             own = np.diagonal(Y, axis1=1, axis2=3)
             # eps = 1 solves feed R^{0,1} and R^{0,0}; eps = 0 feed R^{1,0}, R^{1,1}
             a = 1 - eps
-            left, right = (Dt, Dh) if eps == 1 else (Dh, Dt)
+            left, right = self._pair[a], self._pair[eps]
             g = self._gamma_where(eps, E[:, None, None] + (omega_prime + W), right != 0)
             full[:, a, eps] = -1j * (left @ own)
             full[:, a, a] = -np.einsum("xk,imkj,ijm->ixm", left, Y, g * right)
-        return self.spectral.split(full)
+        R = self.spectral.split(full)
+        return R.reshape(energies.shape + R.shape[1:])
 
     def support_blocks(self, eps):
         """R blocks at omega' = 0 on the grid nodes where rho_eps > 0.
@@ -230,69 +263,41 @@ class TMatrix:
 
     def solve_column(self, eps, omega_prime, E):
         """Column of (1+T_eps)^{-1} at (omega', E) from the level-basis solve."""
-        d = self.dim
-        shifts = np.full((len(self._level_columns), 1), float(omega_prime))
-        X = self._level_inverses(eps, np.array([float(E)]), shifts)[0, :, 0]
-        own = X[self.spectral.level_index, :, np.arange(d)].T   # own[k, m] = X[level(m), k, m]
-        offsets = np.array(self.bohr, dtype=float)
-        return BlockColumn(epsilon=eps, omega_prime=float(omega_prime), energy=float(E),
-                           offsets=offsets, blocks=self.spectral.split(own))
+        eps, omega_prime, E = _index(eps, "eps"), _real(omega_prime, "omega'"), _real(E, "energy E")
+        shifts = np.full((len(self._level_columns), 1), omega_prime)
+        X = self._level_inverses(eps, np.array([E]), shifts)[0, :, 0]
+        own = X[self.spectral.level_index, :, np.arange(self.dim)].T  # [k, m] = X[level(m), k, m]
+        return BlockColumn(epsilon=eps, omega_prime=omega_prime, energy=E,
+                           offsets=self.bohr.copy(), blocks=self.spectral.split(own))
 
     def r_coefficient(self, eps1, eps2, omega, omega_prime, E):
         """Block coefficient R^{eps1,eps2}_{omega, omega'}(E) (see r_blocks);
         zero when omega - omega' is off the Bohr lattice."""
-        if eps1 not in (0, 1) or eps2 not in (0, 1):
-            raise ValidationError("R coefficient indices must be 0 or 1")
-        b = self.spectral.bohr_index(omega - omega_prime)
-        if b is None:
-            return np.zeros((self.dim, self.dim), dtype=complex)
-        return self.r_blocks([E], omega_prime)[0, eps1, eps2, b]
+        eps1, eps2 = _index(eps1, "eps1"), _index(eps2, "eps2")
+        R = self.r_blocks(E, omega_prime)[..., eps1, eps2, :, :, :]
+        return self.spectral.at(R, _real(omega, "omega") - omega_prime)
 
     def t_components(self, E):
         """The four blocks t^{eps,eps'}(E) = sum over omega of R^{eps,eps'}_{omega,0}(E)."""
-        R = self.r_blocks([E])[0]
-        return {pair: R[pair].sum(axis=0) for pair in PAIRS}
-
-    # -- stacked oracle --------------------------------------------------------
-    #
-    # The |I|*d block system on the index set I(omega') = omega' + offsets,
-    # assembled in the eigenbasis of H_S in one array pass per (eps, omega', E).
-    # Independent of the level-basis solve: its own dense solve, power series
-    # and chain products; verification and tests compare the two.
-
-    def _kernels(self, eps, omegas, E):
-        """Kernel operators K_eps(omega) in the eigenbasis, one per omega:
-
-        eps=0: gamma0(E+omega) sum_m gamma1(E - W[k,m] + omega) D~[k,m] D~^+[m,p]
-        eps=1: gamma1(E+omega) sum_m gamma0(E + W[m,k] + omega) D~^+[k,m] D~[m,p]
-
-        with W the canonical transfer and D~ the coupling in the eigenbasis;
-        these are the Bohr-pair sums gamma D_{mu1} D^+_{mu2} and
-        gamma D^+_{nu1} D_{nu2}, and entry (k, p) carries transfer W[k, p].
-        Returns an array of shape (len(omegas), d, d).
-        """
-        if eps not in (0, 1):
-            raise ValidationError("eps must be 0 or 1")
-        W = self.spectral.transfer
-        Dt = self._coupling
-        Dh = Dt.conj().T
-        left, right, inner = (Dt, Dh, E - W) if eps == 0 else (Dh, Dt, E + W.T)
-        omegas = np.asarray(omegas, dtype=float)
-        outer_args = np.broadcast_to((E + omegas)[:, None], (omegas.size, self.dim))
-        g_out = self._gamma_where(eps, outer_args, left.any(axis=1))
-        g_in = self._gamma_where(1 - eps, inner + omegas[:, None, None], left != 0)
-        return g_out[..., None] * ((left * g_in) @ right)
+        R = self.r_blocks(E)
+        return {(a, b): R[..., a, b, :, :, :].sum(axis=-3) for a, b in PAIRS}
 
     def t_kernel(self, eps, omega, omega_prime, E):
         """Block T^eps_{omega, omega'}(E) in the original basis: the part of
         K_eps(omega) (see `_kernels`) with canonical transfer omega - omega'.
         Off-lattice differences give the zero matrix.
         """
-        K = self._kernels(eps, [omega], E)[0]
-        b = self.spectral.bohr_index(omega - omega_prime)
-        if b is None:
-            return np.zeros((self.dim, self.dim), dtype=complex)
-        return self.spectral.split(K)[b]
+        omega = _real(omega, "omega")
+        K = self._kernels(eps, _real(E, "energy E"), np.full(self.dim, omega))
+        return self.spectral.at(self.spectral.split(K), omega - _real(omega_prime, "omega'"))
+
+    # -- stacked oracle --------------------------------------------------------
+    #
+    # The |I|*d block system on the index set I(omega') = omega' + offsets,
+    # assembled in the eigenbasis of H_S in one array pass per (eps, omega', E).
+    # It shares the kernel entries (`_kernels`) with the level-basis solve and
+    # nothing else: its own placement, dense solve, power series and depth-2
+    # index set; verification and tests compare the two.
 
     def _offsets(self, index_depth):
         """Offsets of the index set: the Bohr set B (depth 1), or B plus the
@@ -316,7 +321,8 @@ class TMatrix:
         offsets[i] - W[k, p], and is dropped when none lies within the Bohr
         tolerance."""
         d, n = self.dim, len(offsets)
-        K = self._kernels(eps, omega_prime + offsets, E)
+        omega = np.broadcast_to((_real(omega_prime, "omega'") + offsets)[:, None], (n, d))
+        K = self._kernels(eps, _real(E, "energy E"), omega)
         dist = np.abs((offsets[:, None, None] - self.spectral.transfer)[..., None] - offsets)
         j = dist.argmin(axis=-1)
         keep = dist.min(axis=-1) <= self.spectral.tolerance
@@ -415,41 +421,35 @@ class TMatrix:
         canonical transfer W[k, p] (an exact regrouping of the printed sum
         on spectra whose representatives compose).
         """
-        pair = str(pair)
-        if pair not in ("00", "11", "01", "10"):
-            raise ValidationError("pair must be one of 00, 11, 01, 10")
+        pair = _series_pair(pair)
+        n = _count(n, "series order n")
+        E = _energies(E)
         a = int(pair[0])
         diagonal = pair[0] == pair[1]
-        if diagonal:
-            if n < 1:
-                raise ValidationError("diagonal-pair series terms need n >= 1")
-            J = 2 * n - 1
-            pref = (-1.0) ** n
-        else:
-            if n < 0:
-                raise ValidationError("off-diagonal series terms need n >= 0")
-            J = 2 * n
-            pref = -1j * (-1.0) ** n
+        if n < diagonal:
+            raise ValidationError(f"series terms of pair {pair} need n >= {int(diagonal)}")
+        J = 2 * n - diagonal
+        pref = (-1.0) ** n * (1.0 if diagonal else -1j)
 
         sd = self.spectral
-        Dt = self._coupling
-        factors = (Dt, Dt.conj().T)
-        args = E + sd.transfer
-        layer = np.eye(self.dim, dtype=complex)
+        args = E[..., None, None] + sd.transfer
+        layer = np.broadcast_to(np.eye(self.dim, dtype=complex), args.shape)
         for j in range(J, 0, -1):
             # factor j from the left: D~^+ with gamma_1 when j + a is odd,
             # D~ with gamma_0 when it is even
             geps = (j + a) % 2
-            layer = factors[geps] @ layer
-            layer *= self._gamma_where(geps, args, layer != 0)
-        full = self.spec.coupling if a == 0 else self.spec.coupling.conj().T
+            layer = self._pair[geps] @ layer
+            layer = layer * self._gamma_where(geps, args, layer != 0)
+        full = (self.spec.coupling, self.spec.coupling.conj().T)[a]
         return pref * (full @ (sd.basis @ layer @ sd.basis.conj().T))
 
     def appendix_partial_sums(self, pair, E, max_orders=24, tol=1e-12):
         """Cumulative series sums for one pair; stops at the first term
         whose Frobenius norm drops below tol.  Returns (sums, converged)."""
-        diagonal = pair[0] == pair[1]
-        start = 1 if diagonal else 0
+        pair = _series_pair(pair)
+        if _count(max_orders, "max_orders") < 1:
+            raise ValidationError("max_orders must be >= 1")
+        start = 1 if pair[0] == pair[1] else 0
         total = np.zeros((self.dim, self.dim), dtype=complex)
         sums = []
         converged = False
@@ -646,23 +646,16 @@ def dyson_oracle(tm, pair, n, u, v, eta, *, t_max=400.0, dt=0.01, n_energy=320):
 def dyson_reference(tm, pair, n, u, v, n_energy=192):
     """Energy-domain counterpart i * integral dE u^+ T^{pair}_n(E) v rho_b(E)
     built from the closed-form series term (the quantity the oracle checks).
-    pair, u, v and n_energy are checked as in `dyson_oracle`."""
+    pair, u, v and n_energy are checked as in `dyson_oracle`, and n must be
+    an integer."""
     u, v = _contraction_vectors(tm, pair, u, v, n_energy)
-    ab = _parity_pair(pair, n)
+    ab = _parity_pair(pair, _count(n, "expansion order n"))
     if ab is None:
         return 0.0 + 0.0j
-    _, b = ab
-    if n % 2 == 0:
-        order = n // 2
-    else:
-        order = (n - 1) // 2
-    prof = tm.spec.bath.density(b)
+    prof = tm.spec.bath.density(ab[1])
     x, w = gauss_legendre_nodes(prof.a, prof.b, n_energy)
-    total = 0.0 + 0.0j
-    for E, wt in zip(x, w):
-        term = tm.appendix_term(pair, order, float(E))
-        total += wt * prof(E) * (u.conj() @ term @ v)
-    return 1j * total
+    terms = u.conj() @ tm.appendix_term(pair, n // 2, x) @ v
+    return 1j * complex(np.dot(w * prof(x), terms))
 
 
 def richardson_extrapolate(values, etas):

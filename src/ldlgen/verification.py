@@ -91,24 +91,24 @@ def _fourier_of_h(h, u):
 
 def _overlap_vector(f, g, lam, u, mismatch_freq=0.0):
     """G(u) = integral f(t) g(t + lam^2 u) [exp(i t' mismatch / lam^2)] dt
-    with t' = t + lam^2 u; returned for every u node."""
+    with t' = t + lam^2 u; returned for every u node.  The phase factors as
+    exp(i mismatch t / lam^2) exp(i mismatch u): the first is folded into
+    f once, the second multiplies the sums, so no chunk evaluates an
+    exponential; without a mismatch the sums stay real."""
     af, bf = f.extent()
+    n_panels = 64
     if mismatch_freq:
-        rate = abs(mismatch_freq) / lam ** 2
-        n_panels = max(64, int(rate * (bf - af) / (2.0 * math.pi) * 4.0))
-    else:
-        n_panels = 64
+        n_panels = max(64, int(abs(mismatch_freq) / lam ** 2 * (bf - af) / (2.0 * math.pi) * 4.0))
     t, wt = _composite_gl(af, bf, n_panels)
     ft = f(t) * wt
+    if mismatch_freq:
+        ft = ft * np.exp(1j * (mismatch_freq / lam ** 2) * t)
     out = np.empty(u.size, dtype=complex)
     step = max(1, _OVERLAP_CHUNK // t.size)
     for chunk in range(0, u.size, step):
         tp = t + lam ** 2 * u[chunk:chunk + step, None]
-        vals = ft * g(tp)
-        if mismatch_freq:
-            vals = vals * np.exp(1j * (mismatch_freq / lam ** 2) * tp)
-        out[chunk:chunk + step] = vals.sum(axis=1)
-    return out
+        out[chunk:chunk + step] = (ft * g(tp)).sum(axis=1)
+    return out * np.exp(1j * mismatch_freq * u) if mismatch_freq else out
 
 
 def _product_integral(f, g):

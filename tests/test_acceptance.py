@@ -6,7 +6,6 @@ Reference models: TM-RWA (coupling 0.1 |e1><e2|) and TM-NR (coupling
 to see the per-criterion lines.
 """
 
-import math
 import time
 
 import numpy as np
@@ -128,9 +127,8 @@ def test_criterion_06_lindblad_structure(nr_tm, nr_gen, rwa_tm, rwa_gen):
             three = np.zeros_like(x, dtype=complex)
             for eps in (0, 1):
                 nodes, wts, rho = cache[eps]
-                for E, w, r in zip(nodes, wts, rho):
-                    mu = math.exp(-tm.spec.beta * E) * r
-                    three += (w * mu) * theta_map(tm, x, eps, eps, 0.0, 0.0, float(E))
+                mu = np.exp(-tm.spec.beta * nodes) * rho
+                three += np.einsum("n,nij->ij", wts * mu, theta_map(tm, x, eps, eps, 0.0, 0.0, nodes))
             worst_rec = max(worst_rec, float(np.linalg.norm(gen.apply(x) - three)))
         worst_herm = max(worst_herm, float(np.linalg.norm(gen.hamiltonian - gen.hamiltonian.conj().T)))
         worst_unital = max(worst_unital, float(np.linalg.norm(gen.psi_one - (gen.drift + gen.drift.conj().T))))

@@ -127,9 +127,8 @@ def test_reconstruction_identity(nr_tm, nr_gen):
         three = np.zeros_like(x, dtype=complex)
         for eps in (0, 1):
             nodes, wts, rho = cache[eps]
-            for E, w, r in zip(nodes, wts, rho):
-                mu = math.exp(-spec.beta * E) * r
-                three += (w * mu) * theta_map(nr_tm, x, eps, eps, 0.0, 0.0, float(E))
+            mu = np.exp(-spec.beta * nodes) * rho
+            three += np.einsum("n,nij->ij", wts * mu, theta_map(nr_tm, x, eps, eps, 0.0, 0.0, nodes))
         assert np.linalg.norm(nr_gen.apply(x) - three) < 1e-12
 
 

@@ -22,7 +22,7 @@ from conftest import base_model_doc
 PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
-def _model(levels, seed, rotate=False):
+def _model(levels, seed, rotate=False, hermitian=True):
     rng = np.random.default_rng(seed)
     dim = len(levels)
     h = np.diag(np.asarray(levels, dtype=float)).astype(complex)
@@ -31,7 +31,7 @@ def _model(levels, seed, rotate=False):
         h = q @ h @ q.conj().T
         h = (h + h.conj().T) / 2.0
     a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    coupling = 0.03 * (a + a.conj().T) / 2.0
+    coupling = 0.03 * (a + a.conj().T) / 2.0 if hermitian else 0.03 * a
     doc = base_model_doc()
     doc["system"]["hamiltonian"] = [[z.real, z.imag] for z in h.reshape(-1)]
     doc["system"]["coupling"] = [[z.real, z.imag] for z in coupling.reshape(-1)]
@@ -93,6 +93,43 @@ def test_levels_are_grouped_as_intended():
                      "clustered_gaps_d3": 3, "generic_d4": 4}
     # the two gaps 0.4 and 0.4 + 5e-10 share one canonical representative
     assert len(_model([0.0, 0.4, 0.8 + 5e-10], 7).bohr) == 5
+
+
+@pytest.mark.parametrize("hermitian", [True, False], ids=["hermitian", "general"])
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_kernel_matches_bohr_pair_sum(name, hermitian):
+    # every block T^eps_{w,w'}(E), w, w' in B, against the printed Bohr-pair
+    # sum built from the D blocks and scalar gamma alone:
+    #   eps = 0: sum gamma_0(E+w) gamma_1(E+w-mu1) D_mu1 D_mu2^+ over mu1 - mu2 = w - w'
+    #   eps = 1: sum gamma_1(E+w) gamma_0(E+w+nu1) D_nu1^+ D_nu2 over nu2 - nu1 = w - w'
+    # on the hard spectra, with their Hermitian coupling and with a general
+    # one (where D~ and D~^+ differ)
+    levels, rotate = MODELS[name]
+    tm = _model(levels, seed=7, rotate=rotate, hermitian=hermitian)
+    sd = tm.spectral
+    B = [float(b) for b in tm.bohr]
+    worst, scale = 0.0, 0.0
+    for E in (0.37, 2.61):
+        for eps in (0, 1):
+            for w in B:
+                terms = []
+                for m1 in B:
+                    inner = tm.gamma(1 - eps, E + w - m1 if eps == 0 else E + w + m1)
+                    for m2 in B:
+                        if eps == 0:
+                            terms.append((m1 - m2, inner * (sd.d_block(m1) @ sd.d_dag_block(m2))))
+                        else:
+                            terms.append((m2 - m1, inner * (sd.d_dag_block(m1) @ sd.d_block(m2))))
+                for wp in B:
+                    want = np.zeros((tm.dim, tm.dim), dtype=complex)
+                    for shift, term in terms:
+                        if abs(shift - (w - wp)) <= sd.tolerance:
+                            want += term
+                    want *= tm.gamma(eps, E + w)
+                    worst = max(worst, float(np.abs(tm.t_kernel(eps, w, wp, E) - want).max()))
+                    scale = max(scale, float(np.abs(want).max()))
+    assert scale > 0
+    assert worst <= 1e-13 * scale
 
 
 def test_r_blocks_match_stacked_oracle(hard_tm):

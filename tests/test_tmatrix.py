@@ -3,6 +3,7 @@ import pytest
 
 from ldlgen import TMatrix, ValidationError, block_transfer
 from ldlgen.bath import DensityProfile
+from ldlgen.generator import theta_map
 from ldlgen.model import model_from_dict
 from ldlgen.tmatrix import (_corr_weights, _grid_corr, _grid_exponentials, _grid_fourier,
                             _parity_pair, _simpson_weights, dyson_oracle, dyson_reference,
@@ -271,6 +272,82 @@ def test_diagonal_projection_of_r_blocks(nr_tm):
             r0 = nr_tm.r_coefficient(eps, eps, 0.0, 0.0, E)
             diag0 = sum(p @ r0 @ p for p in projs)
             assert np.linalg.norm(diag0 - r0) < 1e-10
+
+
+# -- input checks and energy arrays ---------------------------------------------
+
+NAN = float("nan")
+BAD_CALLS = {
+    "r_coefficient_bool_eps": lambda tm: tm.r_coefficient(True, 0, 0.0, 0.0, 0.5),
+    "r_coefficient_eps2": lambda tm: tm.r_coefficient(0, 2, 0.0, 0.0, 0.5),
+    "theta_map_eps1": lambda tm: theta_map(tm, np.eye(2), 2, 0, 0.0, 0.0, 0.5),
+    "theta_map_3x3": lambda tm: theta_map(tm, np.eye(3), 0, 0, 0.0, 0.0, 0.5),
+    "theta_map_nan_x": lambda tm: theta_map(tm, np.full((2, 2), NAN), 0, 0, 0.0, 0.0, 0.5),
+    "appendix_fractional_n": lambda tm: tm.appendix_term("01", 1.5, 0.5),
+    "appendix_bool_n": lambda tm: tm.appendix_term("01", True, 0.5),
+    "appendix_pair": lambda tm: tm.appendix_term("02", 1, 0.5),
+    "partial_sums_zero_orders": lambda tm: tm.appendix_partial_sums("00", 0.5, max_orders=0),
+    "partial_sums_pair": lambda tm: tm.appendix_partial_sums("2", 0.5),
+    "t_kernel_bool_eps": lambda tm: tm.t_kernel(True, 0.0, 0.0, 0.5),
+    "solve_column_eps": lambda tm: tm.solve_column(2, 0.0, 0.5),
+    "stacked_column_nan_omega": lambda tm: tm.stacked_column(0, NAN, 0.5),
+    "r_blocks_nan_omega": lambda tm: tm.r_blocks(0.5, NAN),
+    "r_coefficient_nan_omega": lambda tm: tm.r_coefficient(0, 0, NAN, 0.0, 0.5),
+    "theta_map_nan_omega": lambda tm: theta_map(tm, np.eye(2), 0, 0, NAN, 0.0, 0.5),
+    "nan_r_blocks": lambda tm: tm.r_blocks([0.5, NAN]),
+    "nan_solve_column": lambda tm: tm.solve_column(0, 0.0, NAN),
+    "nan_r_coefficient": lambda tm: tm.r_coefficient(0, 0, 0.0, 0.0, NAN),
+    "nan_t_components": lambda tm: tm.t_components(NAN),
+    "nan_theta_map": lambda tm: theta_map(tm, np.eye(2), 0, 0, 0.0, 0.0, NAN),
+    "nan_stacked_column": lambda tm: tm.stacked_column(0, 0.0, NAN),
+    "nan_t_kernel": lambda tm: tm.t_kernel(0, 0.0, 0.0, NAN),
+    "nan_appendix_term": lambda tm: tm.appendix_term("01", 1, NAN),
+    "nan_neumann_column": lambda tm: tm.neumann_column(0, 0.0, NAN),
+    "inf_array_energy": lambda tm: tm.t_components(np.array([0.5, np.inf])),
+    "2d_energy": lambda tm: tm.appendix_term("00", 1, np.full((2, 2), 0.5)),
+    "bool_energy": lambda tm: tm.r_coefficient(0, 0, 0.0, 0.0, True),
+    "string_energy": lambda tm: tm.t_components("0.5"),
+    "ragged_energy": lambda tm: tm.t_components([[0.5], [0.5, 0.6]]),
+    "dyson_reference_fractional_n": lambda tm: dyson_reference(tm, "01", 3.5, E1, E2),
+    "dyson_reference_bool_n": lambda tm: dyson_reference(tm, "01", True, E1, E2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_CALLS))
+def test_scattering_views_reject_bad_input(nr_tm, name):
+    with pytest.raises(ValidationError):
+        BAD_CALLS[name](nr_tm)
+
+
+def test_float_labels_match_integer_labels(nr_tm):
+    assert np.array_equal(nr_tm.t_kernel(1.0, 1.0, 0.0, 0.5), nr_tm.t_kernel(1, 1.0, 0.0, 0.5))
+    assert np.array_equal(nr_tm.solve_column(1.0, 0.0, 0.5).blocks,
+                          nr_tm.solve_column(1, 0.0, 0.5).blocks)
+    assert np.array_equal(nr_tm.r_coefficient(1.0, 0.0, 0.0, 0.0, 0.5),
+                          nr_tm.r_coefficient(1, 0, 0.0, 0.0, 0.5))
+
+
+def test_views_take_energy_arrays(nr_tm):
+    # an energy array adds a leading node axis whose slices are the scalar
+    # calls; before, appendix_term mixed the nodes into one matrix
+    tm = nr_tm
+    E = np.array([0.37, 0.5, 2.61])
+    x = np.array([[0.3, 0.1 - 0.2j], [0.1 + 0.2j, -0.7]])
+    views = {
+        "r_coefficient": lambda e: tm.r_coefficient(1, 0, 1.0, 0.0, e),
+        "r_coefficient_off_lattice": lambda e: tm.r_coefficient(0, 0, 0.4, 0.0, e),
+        "t_components": lambda e: np.stack(list(tm.t_components(e).values()), axis=-3),
+        "theta_map": lambda e: theta_map(tm, x, 0, 1, 0.0, 1.0, e),
+        "appendix_term_01_n0": lambda e: tm.appendix_term("01", 0, e),
+        "appendix_term_01_n1": lambda e: tm.appendix_term("01", 1, e),
+        "appendix_term_00_n2": lambda e: tm.appendix_term("00", 2, e),
+    }
+    for name, view in views.items():
+        batched = view(E)
+        single = np.array([view(float(e)) for e in E])
+        assert batched.shape == single.shape == (3,) + view(0.5).shape, name
+        assert np.abs(batched - single).max() <= 1e-15 * max(np.abs(single).max(), 1e-300), name
+    assert tm.r_blocks(0.5).shape == tm.r_blocks([0.5]).shape[1:]
 
 
 # -- appendix closed forms ------------------------------------------------------

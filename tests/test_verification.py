@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -21,8 +22,11 @@ def test_report_requires_decreasing_lambdas():
                          limit_value=0j, monotone=False)
 
 
-def _overlap_vector_per_node(f, g, lam, u, mismatch_freq=0.0):
-    """The overlap G(u) one u node at a time (reference for the chunked form)."""
+def _overlap_vector_per_node(f, g, lam, u, mismatch_freq=0.0, factored=True):
+    """The overlap G(u) one u node at a time (reference for the chunked form).
+    factored=True splits the phase exp(i m t' / lam^2) into
+    exp(i m t / lam^2) exp(i m u) as the chunked form does; False evaluates
+    it directly at t' = t + lam^2 u."""
     af, bf = f.extent()
     if mismatch_freq:
         rate = abs(mismatch_freq) / lam ** 2
@@ -31,13 +35,17 @@ def _overlap_vector_per_node(f, g, lam, u, mismatch_freq=0.0):
         n_panels = 64
     t, wt = verification._composite_gl(af, bf, n_panels)
     ft = f(t) * wt
+    if mismatch_freq and factored:
+        ft = ft * np.exp(1j * (mismatch_freq / lam ** 2) * t)
     out = np.empty(u.size, dtype=complex)
     for k, uk in enumerate(u):
         tp = t + lam ** 2 * uk
         vals = ft * g(tp)
-        if mismatch_freq:
+        if mismatch_freq and not factored:
             vals = vals * np.exp(1j * (mismatch_freq / lam ** 2) * tp)
         out[k] = vals.sum()
+    if mismatch_freq and factored:
+        out *= np.exp(1j * mismatch_freq * u)
     return out
 
 
@@ -51,6 +59,24 @@ def test_limit_reports_byte_identical_to_per_node_overlap(monkeypatch, check, ar
     monkeypatch.setattr(verification, "_overlap_vector", _overlap_vector_per_node)
     per_node = check(f, g, h, *args, LAMBDAS)
     assert dataclasses.asdict(chunked) == dataclasses.asdict(per_node)
+
+
+@pytest.mark.parametrize("mismatch,lambdas", [(0.05, LAMBDAS), (1.0, LAMBDAS[:2])],
+                         ids=["slow_phase", "unit_phase"])
+def test_mismatched_limit_factoring_matches_direct_phase(monkeypatch, mismatch, lambdas):
+    # the factored phase moves the mismatched report only at roundoff.  g != f,
+    # because with f = g the real part of the report does not see the
+    # exp(i m u) factor at all; the direct phase costs one complex
+    # exponential per (u, t) node pair, so the unit mismatch, whose t grid
+    # grows as 1/lambda^2, stops at the two larger lambdas
+    f, _, h = default_test_functions()
+    g = GaussianPacket(center=0.4, sigma=1.2, coeffs=(1.0, 0.3))
+    factored = check_delta_limit(f, g, h, False, lambdas, mismatch=mismatch)
+    monkeypatch.setattr(verification, "_overlap_vector",
+                        functools.partial(_overlap_vector_per_node, factored=False))
+    direct = check_delta_limit(f, g, h, False, lambdas, mismatch=mismatch)
+    assert max(abs(a - b) for a, b in zip(factored.values, direct.values)) <= 1e-13
+    assert max(abs(a - b) for a, b in zip(factored.errors, direct.errors)) <= 1e-13
 
 
 def test_delta_limit_monotone_decay():

@@ -3,22 +3,40 @@
 The master equation is integrated with classical fixed-step 4th-order
 Runge-Kutta on the vectorized equation; for this autonomous linear
 system one RK4 step is exactly the degree-4 Taylor polynomial of the
-step map, which is precomputed once.
+step map, which is precomputed once.  Each step is one matrix product
+written into the stored trajectory; the trace drift is checked per block
+of steps, and the first offending step is reported.
 
 The Monte-Carlo unravelling is the standard norm-loss construction
 (Dalibard, Castin and Molmer, PRL 68, 580 (1992)): drift under
 H_eff = H - (i/2) Psi(1), a jump when the squared norm crosses a uniform
 threshold, channel j chosen with probability proportional to
 w_j ||L_j psi||^2 (the first channel whose cumulative weight exceeds the
-draw, so a zero-probability channel never fires).  One matmul advances a
-chunk of trajectories by a step.  Inside a crossing step the state is
-sum_k tau^k v_k over the Taylor rows v_k = (-i H_eff)^k psi / k!, and the
-crossing time is a bisection on its squared norm, a degree-8 polynomial.
-Each chunk keeps two-pass moments of |psi><psi| (the mean and M2, the sum
-of |x - mean|^2), merged in index order by the update of Chan, Golub and
-LeVeque (Am. Stat. 37, 242 (1983)).  RNG streams derive from (seed,
-trajectory index) and the ensemble runs serially (threads gained nothing:
-the work holds the GIL), so results are bitwise reproducible.
+draw, so a zero-probability channel never fires).  Every trajectory starts
+from psi0 and follows the same no-jump evolution c_k = step^k psi0 until
+its first jump, so that evolution is integrated once per call (the
+cohort): trajectory i first jumps at the first step k >= 1 where
+||c_k||^2 falls below its first threshold u_i, found for a whole chunk by
+one search against the running minimum of ||c_k||^2.  Before a chunk's
+earliest first jump its moments are those of the cohort alone; after it,
+only the jumped trajectories are stepped, one matmul for the batch, and
+each newcomer enters through the jump resolution from c_{k-1}.  Inside a
+crossing step the state is sum_k tau^k v_k over the Taylor rows
+v_k = (-i H_eff)^k psi / k!, and the crossing time is a bisection on its
+squared norm, a degree-8 polynomial.  Each chunk keeps two-pass moments of
+|psi><psi| (the mean and M2, the sum of |x - mean|^2): the jumped batch's
+are merged with the cohort's (its projector, M2 = 0) at every step, and
+the chunks are merged in index order, both by the update of Chan, Golub
+and LeVeque (Am. Stat. 37, 242 (1983)).
+
+RNG streams derive from (seed, trajectory index): trajectory i draws from
+Generator(PCG64(SeedSequence(entropy=seed, spawn_key=(i,)))).  The first
+draw of a whole chunk is computed at once by `_first_uniforms` (the
+SeedSequence hash, PCG64 seeding and one output, as array arithmetic);
+the Generator itself is built only when a trajectory first jumps, and its
+own first draw must equal the vectorised one.  The ensemble runs serially
+(threads gained nothing: the work holds the GIL), so results are bitwise
+reproducible.
 
 Trajectories are stored as (steps + 1, d, d) arrays; (steps + 1) * d^2 may
 not exceed MAX_STORED_ENTRIES, so a step count that would exhaust memory
@@ -37,6 +55,8 @@ from .generator import dual_generator_matrix
 
 _CHUNK = 1024
 _BISECTION_ITERS = 48
+# evolve_master checks the trace drift once per block of this many steps
+_DRIFT_BLOCK = 256
 # Gram entry (j, k) of the Taylor rows feeds the tau^(j + k) coefficient of
 # the squared norm; _POWERS are the exponents of tau in the step polynomial
 _POWERS = np.arange(5)
@@ -44,6 +64,14 @@ _GRAM_DEGREE = np.add.outer(_POWERS, _POWERS).ravel()
 # Largest stored trajectory, in matrix entries: (steps + 1) * d^2.  At
 # d = 2 that is 1,048,575 steps, 64 MiB for a complex trajectory.
 MAX_STORED_ENTRIES = 1 << 22
+# Trajectory indices must fit one 32-bit spawn-key word (`_first_uniforms`)
+MAX_TRAJECTORIES = 1 << 32
+# numpy's SeedSequence hash (pool of 4 words) and PCG64 (XSL-RR 128/64)
+_MASK32, _MASK64, _MASK128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+_HASH_INIT_A, _HASH_MULT_A = 0x43B0D7E5, 0x931E8875
+_HASH_INIT_B, _HASH_MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 @dataclass
@@ -59,6 +87,8 @@ class JumpEnsemble:
     times: np.ndarray
     mean_states: np.ndarray = field(repr=False)   # (steps + 1, d, d)
     stderr: np.ndarray = field(repr=False)        # (steps + 1, d, d)
+    jumps: int = 0          # jumps fired over the ensemble
+    no_channel: int = 0     # threshold crossings no channel could fire
 
 
 def _validate_density(rho, dim):
@@ -124,15 +154,17 @@ def evolve_master(gen, rho0, t_max, dt):
     step = _taylor_step(liouville, dt)
     states = np.empty((n_steps + 1, gen.dim, gen.dim), dtype=complex)
     states[0] = rho0
-    y = rho0.reshape(-1)
-    for k in range(1, n_steps + 1):
-        y = step @ y
-        rho = y.reshape(gen.dim, gen.dim)
-        drift = abs(np.trace(rho).real - 1.0)
-        if not drift <= 1e-6:
-            raise NumericError(f"trace drift {drift:.3e} exceeded 1e-6 during integration; "
-                               "use a smaller dt")
-        states[k] = rho
+    flat = states.reshape(n_steps + 1, -1)
+    # a block's growth is at most about exp(0.1 * _DRIFT_BLOCK): finite
+    for lo in range(1, n_steps + 1, _DRIFT_BLOCK):
+        hi = min(lo + _DRIFT_BLOCK, n_steps + 1)
+        for k in range(lo, hi):
+            np.matmul(step, flat[k - 1], out=flat[k])
+        drift = np.abs(np.trace(states[lo:hi], axis1=1, axis2=2).real - 1.0)
+        bad = np.flatnonzero(~(drift <= 1e-6))
+        if bad.size:
+            raise NumericError(f"trace drift {drift[bad[0]]:.3e} exceeded 1e-6 during "
+                               "integration; use a smaller dt")
     times = np.arange(n_steps + 1) * dt
     return DensityTrajectory(times=times, states=states)
 
@@ -149,11 +181,13 @@ def _resolve_jumps(psi_row, remaining, threshold, rng, heff, weights, ops):
 
     psi_row is the unnormalized state at the start of the interval, known
     to cross `threshold` before its end; weights (K,) and ops (K, d, d) are
-    the stacked Kraus family.  Returns (state, threshold).  The Taylor rows
-    are formed once per unjumped stretch; the squared norm's coefficients
-    are c_m = sum_{j+k=m} Re<v_j, v_k>."""
+    the stacked Kraus family.  Returns (state, threshold, jumps fired,
+    crossings no channel could fire).  The Taylor rows are formed once per
+    unjumped stretch; the squared norm's coefficients are
+    c_m = sum_{j+k=m} Re<v_j, v_k>."""
     a = -1j * heff
     cur = psi_row
+    jumps = 0
     while True:
         rows = [cur]
         for k in (1.0, 2.0, 3.0, 4.0):
@@ -162,7 +196,7 @@ def _resolve_jumps(psi_row, remaining, threshold, rng, heff, weights, ops):
         gram = (rows.conj() @ rows.T).real
         coeffs = np.bincount(_GRAM_DEGREE, gram.ravel())[::-1].tolist()
         if _horner(coeffs, remaining) >= threshold:
-            return remaining ** _POWERS @ rows, threshold
+            return remaining ** _POWERS @ rows, threshold, jumps, 0
         lo, hi = 0.0, remaining
         for _ in range(_BISECTION_ITERS):
             mid = 0.5 * (lo + hi)
@@ -175,17 +209,18 @@ def _resolve_jumps(psi_row, remaining, threshold, rng, heff, weights, ops):
         if cumulative.size == 0 or cumulative[-1] <= 0.0:
             # norm lost with no channel able to fire (integrator loss, or an
             # empty Kraus family): no jump, so finish the interval unjumped
-            return remaining ** _POWERS @ rows, threshold
+            return remaining ** _POWERS @ rows, threshold, jumps, 1
         # first channel whose cumulative weight exceeds xi < total: its own
         # weight is positive, even for a draw of exactly 0
         xi = rng.uniform() * cumulative[-1]
         channel = np.searchsorted(cumulative, xi, side="right")
         jumped = ops[channel] @ cur
         cur = jumped / np.linalg.norm(jumped)
+        jumps += 1
         threshold = rng.uniform()
         remaining = remaining - hi
         if remaining <= 0.0:
-            return cur, threshold
+            return cur, threshold, jumps, 0
 
 
 def _horner(coeffs, x):
@@ -196,74 +231,188 @@ def _horner(coeffs, x):
     return acc
 
 
-def _run_chunk(start, stop, psi0, seed, step, heff, weights, ops, dt, n_steps):
+def _first_uniforms(seed, start, stop):
+    """The first `uniform()` of Generator(PCG64(SeedSequence(entropy=seed,
+    spawn_key=(i,)))) for every i in [start, stop), stop <= 2^32, bitwise.
+
+    numpy's SeedSequence hashes the seed's 32-bit words (padded to 4) and
+    the spawn-key word into a pool of 4 words and expands it to 8; PCG64
+    seeds its 128-bit LCG from them and returns the XSL-RR output of one
+    step; uniform() is that output's top 53 bits times 2^-53.  The hash
+    runs on uint64 arrays masked to 32 bits, the LCG on Python integers in
+    object arrays."""
+    index = np.arange(start, stop, dtype=np.uint64)
+    words = [seed >> (32 * j) & _MASK32 for j in range(max(4, -(-seed.bit_length() // 32)))]
+    entropy = [np.full(index.shape, w, dtype=np.uint64) for w in words] + [index]
+    const = _HASH_INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ const
+        const = const * _HASH_MULT_A & _MASK32
+        value = value * const & _MASK32
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        out = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+        return out ^ (out >> 16)
+
+    pool = [hashmix(w) for w in entropy[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for w in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(w))
+    const, state = _HASH_INIT_B, []
+    for i in range(8):
+        value = pool[i % 4] ^ const
+        const = const * _HASH_MULT_B & _MASK32
+        value = value * const & _MASK32
+        state.append((value ^ (value >> 16)).astype(object))
+    # little-endian word pairs: (seed_hi, seed_lo, inc_hi, inc_lo)
+    seed_hi, seed_lo, inc_hi, inc_lo = (state[2 * j] | state[2 * j + 1] << 32 for j in range(4))
+    inc = ((inc_hi << 64 | inc_lo) << 1 | 1) & _MASK128
+    lcg = ((inc + (seed_hi << 64 | seed_lo)) * _PCG_MULT + inc) & _MASK128
+    lcg = (lcg * _PCG_MULT + inc) & _MASK128
+    rot = lcg >> 122
+    folded = (lcg >> 64) ^ (lcg & _MASK64)
+    raw = ((folded >> rot) | (folded << (-rot & 63))) & _MASK64
+    return (raw >> 11).astype(float) * 2.0 ** -53
+
+
+def _trajectory_rng(seed, index, first):
+    """Trajectory `index`'s Generator, advanced past its first draw, which
+    must equal the vectorised `first`."""
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(
+        entropy=seed, spawn_key=(int(index),))))
+    drawn = rng.uniform()
+    if drawn != first:
+        raise NumericError(f"trajectory {index}: vectorised first draw {first!r} differs "
+                           f"from its generator's {drawn!r}")
+    return rng
+
+
+def _moments(psi):
+    """Mean of the normalized |psi><psi| over the columns of psi (d, n) and
+    M2, the sum of |x - mean|^2."""
+    normed = psi / np.sqrt(np.sum(np.abs(psi) ** 2, axis=0))
+    x = normed[:, None, :] * normed[None, :, :].conj()
+    mean = np.sum(x, axis=2) / psi.shape[1]
+    return mean, np.sum(np.abs(x - mean[:, :, None]) ** 2, axis=2)
+
+
+def _merge(mean, m2, n, other_mean, other_m2, n_other):
+    """The (mean, M2) of two sets of n and n_other samples, by the update of
+    Chan, Golub and LeVeque; an empty first set gives the second's as is."""
+    if not n:
+        return other_mean, other_m2
+    total = n + n_other
+    delta = other_mean - mean
+    return (mean + delta * (n_other / total),
+            m2 + (other_m2 + np.abs(delta) ** 2 * (n * n_other / total)))
+
+
+def _no_jump_cohort(psi0, step, n_steps):
+    """The shared no-jump evolution c_k = step^k psi0: the states
+    (n_steps + 1, d), the running minimum of ||c_k||^2 over k >= 1 and the
+    normalized projectors (n_steps + 1, d, d) (zero where the norm is)."""
+    c = np.empty((n_steps + 1, psi0.size), dtype=complex)
+    c[0] = psi0
+    for k in range(1, n_steps + 1):
+        np.matmul(step, c[k - 1], out=c[k])
+    norm2 = np.sum(np.abs(c) ** 2, axis=1)
+    norm = np.sqrt(norm2)[:, None]
+    normed = np.divide(c, norm, out=np.zeros_like(c), where=norm > 0.0)
+    floor = np.minimum.accumulate(norm2[1:])
+    return c, floor, normed[:, :, None] * normed[:, None, :].conj()
+
+
+def _run_chunk(start, stop, seed, cohort, step, heff, weights, ops, dt):
     """Trajectories [start, stop): the chunk mean of the normalized
     |psi><psi| at every step and M2, the sum of |x - mean|^2 over the
-    chunk, both (n_steps + 1, d, d)."""
-    d = psi0.size
+    chunk, both (n_steps + 1, d, d), with the jumps fired and the
+    crossings no channel could fire."""
+    c, floor, proj = cohort
+    n_steps, d = c.shape[0] - 1, c.shape[1]
     n = stop - start
-    rngs = [np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(idx,))))
-            for idx in range(start, stop)]
-    thresholds = np.array([rng.uniform() for rng in rngs])
-    psi = np.repeat(psi0[:, None], n, axis=1)     # (d, n): trajectory axis last
+    u = _first_uniforms(seed, start, stop)
+    # each trajectory's first jump step: the first k >= 1 with ||c_k||^2 < u
+    # (n_steps + 1 if none), which is where the running minimum falls below u
+    first = np.searchsorted(-floor, -u, side="right") + 1
+    order = np.argsort(first, kind="stable")
+    joined = np.searchsorted(first[order], np.arange(n_steps + 1), side="right")
+    k0 = int(first[order[0]])
     mean = np.empty((n_steps + 1, d, d), dtype=complex)
-    m2 = np.empty((n_steps + 1, d, d))
-
-    def accumulate(k):
-        normed = psi / np.sqrt(np.sum(np.abs(psi) ** 2, axis=0))
-        x = normed[:, None, :] * normed[None, :, :].conj()
-        mean[k] = np.sum(x, axis=2) / n
-        m2[k] = np.sum(np.abs(x - mean[k][:, :, None]) ** 2, axis=2)
-
-    accumulate(0)
-    for k in range(1, n_steps + 1):
-        advanced = step @ psi
-        crossed = np.nonzero(np.sum(np.abs(advanced) ** 2, axis=0) < thresholds)[0]
-        for idx in crossed:
-            advanced[:, idx], thresholds[idx] = _resolve_jumps(
-                psi[:, idx], dt, thresholds[idx], rngs[idx], heff, weights, ops)
-        psi = advanced
-        accumulate(k)
-    return mean, m2
+    m2 = np.zeros((n_steps + 1, d, d))
+    mean[:k0] = proj[:k0]
+    # the jumped batch, in order of first jump: its first `active` columns
+    psi = np.empty((d, n), dtype=complex)
+    thresholds = np.empty(n)
+    rngs = []
+    counts = np.zeros(2, dtype=int)
+    active = 0
+    for k in range(k0, n_steps + 1):
+        advanced = step @ psi[:, :active]
+        crossed = np.nonzero(np.sum(np.abs(advanced) ** 2, axis=0) < thresholds[:active])[0]
+        for j in crossed:
+            advanced[:, j], thresholds[j], *fired = _resolve_jumps(
+                psi[:, j], dt, thresholds[j], rngs[j], heff, weights, ops)
+            counts += fired
+        psi[:, :active] = advanced
+        for j in range(active, joined[k]):
+            i = order[j]
+            rngs.append(_trajectory_rng(seed, start + i, u[i]))
+            psi[:, j], thresholds[j], *fired = _resolve_jumps(
+                c[k - 1], dt, u[i], rngs[j], heff, weights, ops)
+            counts += fired
+        active = int(joined[k])
+        mean[k], m2[k] = _merge(proj[k], 0.0, n - active, *_moments(psi[:, :active]), active)
+    return mean, m2, counts
 
 
 def unravel_jump(gen, psi0, t_max, dt, trajectories, seed, threads=1):
     """Monte-Carlo wave-function ensemble for the generator's dual dynamics.
 
     Returns the ensemble mean of |psi><psi| (normalized states) at every
-    step together with the componentwise Monte-Carlo standard error.
-    Fixed (seed, trajectories, dt) give bitwise-identical results.
-    ``trajectories`` must be a positive integer and ``seed`` a nonnegative
-    one.  ``threads`` is accepted for compatibility and has no effect: the
-    ensemble always runs serially (see the module docstring).
+    step together with the componentwise Monte-Carlo standard error, the
+    number of jumps fired and the number of threshold crossings that no
+    channel could fire.  Fixed (seed, trajectories, dt) give
+    bitwise-identical results.  ``trajectories`` must be an integer in
+    [1, 2^32] and ``seed`` a nonnegative one.  ``threads`` is accepted for
+    compatibility and has no effect: the ensemble always runs serially (see
+    the module docstring).
     """
     trajectories, seed = _count(trajectories, "trajectories"), _count(seed, "seed")
     if trajectories <= 0 or seed < 0:
         raise ValidationError(f"need trajectories > 0 and seed >= 0, got {trajectories}, {seed}")
+    if trajectories > MAX_TRAJECTORIES:
+        raise ValidationError(f"trajectories {trajectories} exceeds {MAX_TRAJECTORIES}: "
+                              "trajectory indices must fit one 32-bit spawn-key word")
     n_steps = _step_count(t_max, dt, gen.dim)
     psi0 = _validate_pure_state(psi0, gen.dim)
 
     heff = gen.hamiltonian - 0.5j * gen.psi_one
     step = _taylor_step(-1j * heff, dt)
+    cohort = _no_jump_cohort(psi0, step, n_steps)
 
     d = gen.dim
-    mean = np.zeros((n_steps + 1, d, d), dtype=complex)
-    m2 = np.zeros((n_steps + 1, d, d))
+    mean = m2 = None
+    counts = np.zeros(2, dtype=int)
     for start in range(0, trajectories, _CHUNK):
         stop = min(start + _CHUNK, trajectories)
-        c_mean, c_m2 = _run_chunk(start, stop, psi0, seed, step, heff,
-                                  gen.weights, gen.ops, dt, n_steps)
-        # Chan, Golub and LeVeque's merge of the chunk into trajectories [0, start)
-        n_c = stop - start
-        delta = c_mean - mean
-        mean += delta * (n_c / stop)
-        m2 += c_m2 + np.abs(delta) ** 2 * (start * n_c / stop)
+        c_mean, c_m2, c_counts = _run_chunk(start, stop, seed, cohort, step, heff,
+                                            gen.weights, gen.ops, dt)
+        counts += c_counts
+        mean, m2 = _merge(mean, m2, start, c_mean, c_m2, stop - start)
     m = float(trajectories)
     # a single trajectory has M2 = 0 and so a zero standard error
     stderr = np.sqrt(m2 / (m * max(m - 1.0, 1.0)))
     times = np.arange(n_steps + 1) * dt
     return JumpEnsemble(trajectories=trajectories, seed=seed, times=times,
-                        mean_states=mean, stderr=stderr)
+                        mean_states=mean, stderr=stderr,
+                        jumps=int(counts[0]), no_channel=int(counts[1]))
 
 
 def trajectory_csv_lines(times, states):

@@ -40,8 +40,14 @@ _PI = math.pi
 
 
 def check_grid_coverage(spec, spectral):
-    """The grid must cover each density support shifted by every Bohr frequency."""
+    """Each density support must hold a grid node, and the grid must cover
+    each support shifted by every Bohr frequency."""
     grid = spec.bath.grid
+    for eps in (0, 1):
+        if not spec.bath.support_nodes(eps)[0].size:
+            a, b = spec.bath.density(eps).support
+            raise ValidationError(f"no grid node lies inside the support [{a:g}, {b:g}] "
+                                  f"of rho{eps}; refine the energy grid")
     missing = []
     for omega in spectral.bohr:
         for eps in (0, 1):
@@ -69,6 +75,7 @@ def _re_gamma(tm, nodes):
 
 def drift(tm):
     """Gamma = -sum_eps integral dE exp(-beta E) rho_eps(E) R^{eps,eps}_{0,0}(E)."""
+    check_grid_coverage(tm.spec, tm.spectral)
     out = np.zeros((tm.dim, tm.dim), dtype=complex)
     for eps in (0, 1):
         _, coef, R = _thermal_pass(tm, eps)
@@ -85,6 +92,7 @@ def drift_from_t_operator(tm, diagonal_projection=True):
     diagonal_projection=False the bare partial expectation is returned
     (for the single-Bohr-block special case it already equals the drift).
     """
+    check_grid_coverage(tm.spec, tm.spectral)
     m = np.zeros((tm.dim, tm.dim), dtype=complex)
     for eps in (0, 1):
         _, coef, R = _thermal_pass(tm, eps)

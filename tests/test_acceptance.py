@@ -187,7 +187,7 @@ def test_criterion_08_jump_unravelling(nr_gen):
     _verdict(8, ok,
              f"jump unravelling M=20000: |mean - ODE| within max(4 stderr, 2e-2) "
              f"at 10 checkpoints (worst excess {worst_excess:.3e}), bitwise across "
-             f"threads = {bitwise}, {elapsed:.0f}s (< 300s)")
+             f"threads = {bitwise}, jumps fired = {ens.jumps}, {elapsed:.0f}s (< 300s)")
 
 
 def test_criterion_09_distributional_limits():

@@ -4,6 +4,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from ldlgen.cli import run
 
@@ -78,6 +79,17 @@ def test_drift_output_contains_both_routes(tmp_path):
     assert doc["frobenius_discrepancy"] <= 1e-10
     assert len(doc["drift"]) == 4
     assert len(doc["drift_from_t_operator"]) == 4
+
+
+@pytest.mark.parametrize("command", ["drift", "generator", "check"])
+def test_empty_density_support_exits_1(tmp_path, capsys, command):
+    # a bump on [0.001, 0.002] holds no node of the grid (spacing 0.0125)
+    doc = base_model_doc()
+    doc["bath"]["rho0"] = {"kind": "bump", "a": 0.001, "b": 0.002, "amplitude": 1.0}
+    path = write_model(tmp_path, doc)
+    assert run([command, path, "--out", str(tmp_path / "out.json")]) == 1
+    err = capsys.readouterr().err
+    assert "no grid node lies inside the support [0.001, 0.002] of rho0" in err
 
 
 def test_generator_output_round_trips(tmp_path):

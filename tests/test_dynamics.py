@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from ldlgen import TMatrix, ValidationError, dynamics
-from ldlgen.dynamics import (_CHUNK, MAX_STORED_ENTRIES, _resolve_jumps, _run_chunk,
-                             _step_count, _taylor_step, evolve_master,
-                             trajectory_csv_lines, unravel_jump, vacuum_decay)
+from ldlgen import NumericError, TMatrix, ValidationError, dynamics
+from ldlgen.dynamics import (_CHUNK, _DRIFT_BLOCK, MAX_STORED_ENTRIES, MAX_TRAJECTORIES,
+                             _first_uniforms, _resolve_jumps, _step_count, _taylor_step,
+                             evolve_master, trajectory_csv_lines, unravel_jump,
+                             vacuum_decay)
 from ldlgen.generator import GKSLGenerator, build_generator, dual_generator_matrix
 from ldlgen.model import model_from_dict
 
@@ -18,13 +19,14 @@ def _zero_gen():
     return build_generator(TMatrix(model_from_dict(doc)))
 
 
-def _strong_gen():
+def _strong_gen(rate=1.0):
     """Hand-built amplitude-damping-plus-dephasing generator with O(1) rates,
-    strong enough that integrator error sits above the roundoff floor."""
+    strong enough that integrator error sits above the roundoff floor;
+    `rate` scales both channel weights."""
     sm = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
     sz = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
     h = 0.8 * sz
-    weights, ops = [0.9, 0.4], [sm, sz]
+    weights, ops = [0.9 * rate, 0.4 * rate], [sm, sz]
     psi1 = sum(w * L.conj().T @ L for w, L in zip(weights, ops))
     gamma = 0.5 * psi1 + 1j * h       # keeps Psi(1) = Gamma + Gamma^+
     return GKSLGenerator(drift=gamma, hamiltonian=h, weights=weights, ops=ops)
@@ -95,6 +97,46 @@ def test_evolve_rejects_bad_initial_state(nr_gen):
     not_psd = np.array([[1.2, 0.0], [0.0, -0.2]])
     with pytest.raises(ValidationError, match="positive"):
         evolve_master(nr_gen, not_psd, 1.0, 0.1)
+
+
+def _per_step_evolve(liouville, rho0, n_steps, dt):
+    """Oracle for `evolve_master`: one `step @ y` per step, the trace drift
+    checked after each.  Returns the states, or the first drift past 1e-6."""
+    step = _taylor_step(liouville, dt)
+    y = np.asarray(rho0, dtype=complex).reshape(-1)
+    states = [y]
+    for _ in range(n_steps):
+        y = step @ y
+        drift = abs(np.trace(y.reshape(rho0.shape)).real - 1.0)
+        if not drift <= 1e-6:
+            return drift
+        states.append(y)
+    return np.array(states).reshape(-1, *rho0.shape)
+
+
+def test_evolve_bytes_match_per_step_loop(nr_gen):
+    psi0 = np.array([1.0, 1.0]) / np.sqrt(2.0)
+    rho0 = np.outer(psi0, psi0.conj())
+    for gen, t_max, dt in ((nr_gen.compressed(), 100.0, 0.05), (_strong_gen(), 3.0, 0.01)):
+        n_steps = round(t_max / dt)
+        assert n_steps > _DRIFT_BLOCK
+        want = _per_step_evolve(dual_generator_matrix(gen), rho0, n_steps, dt)
+        assert evolve_master(gen, rho0, t_max, dt).states.tobytes() == want.tobytes()
+
+
+def test_evolve_reports_first_trace_drift(monkeypatch):
+    # a Liouvillian with uniform loss 2e-9 loses 1e-6 of the trace after
+    # about 5,000 steps of 0.1: past the first drift-check block
+    gen = _zero_gen()
+    rho0 = np.diag([0.6, 0.4]).astype(complex)
+    lossy = dual_generator_matrix(gen) - 2e-9 * np.eye(4)
+    monkeypatch.setattr(dynamics, "dual_generator_matrix", lambda g: lossy)
+    drift = _per_step_evolve(lossy, rho0, 10000, 0.1)
+    assert isinstance(drift, float)
+    message = f"trace drift {drift:.3e} exceeded 1e-6 during integration; use a smaller dt"
+    with pytest.raises(NumericError) as err:
+        evolve_master(gen, rho0, 1000.0, 0.1)
+    assert str(err.value) == message
 
 
 def test_evolve_rejects_oversized_step():
@@ -194,24 +236,97 @@ def test_unravel_identical_trajectories_across_chunks():
         assert np.abs(mean - np.outer(normed, normed.conj())).max() <= 1e-12
 
 
-def test_chunk_merge_matches_direct_moments(monkeypatch):
-    # chunks of 4 over 11 trajectories, so the merge runs over a partial
-    # chunk; the reference is the plain sample mean and standard error of
-    # the trajectories run one at a time
-    gen = _strong_gen()
-    psi0 = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
+def _per_trajectory_ensemble(gen, psi0, n_steps, dt, m, seed):
+    """Oracle for `unravel_jump`: every trajectory run alone from its own
+    (seed, index) Generator, stepped by `step @ psi` and resolved by
+    `_resolve_jumps` when it crosses its threshold.  Returns the plain
+    sample mean and standard error, the jumps fired by each trajectory and
+    the crossings no channel could fire."""
     heff = gen.hamiltonian - 0.5j * gen.psi_one
-    step = _taylor_step(-1j * heff, 0.01)
-    m = 11
-    monkeypatch.setattr(dynamics, "_CHUNK", 4)
-    ens = unravel_jump(gen, psi0, 0.5, 0.01, m, seed=3)
-    x = np.array([_run_chunk(i, i + 1, psi0, 3, step, heff, gen.weights, gen.ops, 0.01, 50)[0]
-                  for i in range(m)])
+    step = _taylor_step(-1j * heff, dt)
+    x = np.empty((m, n_steps + 1, gen.dim, gen.dim), dtype=complex)
+    jumps, no_channel = np.zeros(m, dtype=int), 0
+    for i in range(m):
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=seed,
+                                                                         spawn_key=(i,))))
+        threshold = rng.uniform()
+        psi = psi0.astype(complex)
+        for k in range(n_steps + 1):
+            if k:
+                after = step @ psi
+                if np.sum(np.abs(after) ** 2) < threshold:
+                    after, threshold, fired, stalled = _resolve_jumps(
+                        psi, dt, threshold, rng, heff, gen.weights, gen.ops)
+                    jumps[i] += fired
+                    no_channel += stalled
+                psi = after
+            normed = psi / np.linalg.norm(psi)
+            x[i, k] = np.outer(normed, normed.conj())
     mean = x.mean(axis=0)
     stderr = np.sqrt(np.sum(np.abs(x - mean) ** 2, axis=0) / (m * (m - 1)))
-    assert stderr.max() > 0.05            # the trajectories did jump apart
-    assert np.abs(ens.mean_states - mean).max() <= 1e-14
-    assert np.abs(ens.stderr - stderr).max() <= 1e-14
+    return mean, stderr, jumps, no_channel
+
+
+def _empty_family_gen():
+    h = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+    return GKSLGenerator(drift=np.zeros((2, 2)), hamiltonian=h, weights=[], ops=[])
+
+
+def test_chunk_merge_matches_direct_moments(monkeypatch):
+    # chunks of 4, so the merge runs over partial chunks and, in the weak
+    # case, over chunks holding both never-jumped and jumped trajectories;
+    # the RK4 norm loss of the empty family crosses thresholds with no
+    # channel able to fire
+    psi0 = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
+    monkeypatch.setattr(dynamics, "_CHUNK", 4)
+    for gen, t_max, dt, m, seed, who_jumps in (
+            (_strong_gen(), 10.0, 0.05, 11, 3, "all"),
+            (_strong_gen(0.1), 5.0, 0.02, 40, 5, "some"),
+            (_empty_family_gen(), 50.0, 0.5, 40, 7, "none")):
+        ens = unravel_jump(gen, psi0, t_max, dt, m, seed=seed)
+        mean, stderr, jumps, no_channel = _per_trajectory_ensemble(
+            gen, psi0, round(t_max / dt), dt, m, seed)
+        assert np.abs(ens.mean_states - mean).max() <= 1e-14
+        assert np.abs(ens.stderr - stderr).max() <= 1e-14
+        assert ens.jumps == jumps.sum() and ens.no_channel == no_channel
+        if who_jumps == "all":
+            assert (jumps > 0).all() and stderr.max() > 0.05
+        elif who_jumps == "some":
+            jumped = (jumps > 0).reshape(-1, 4)
+            assert (jumped.any(axis=1) & ~jumped.all(axis=1)).any()
+        else:
+            assert ens.jumps == 0 and ens.no_channel > 0
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2024, 2 ** 32 + 5, 2 ** 70 + 3])
+def test_first_uniforms_match_numpy_streams(seed):
+    # ranges across the first chunk boundary and up to the last index a
+    # 32-bit spawn-key word holds
+    top = MAX_TRAJECTORIES
+    for start, stop in ((0, 3), (_CHUNK - 5, 2 * _CHUNK + 5), (top - 4, top)):
+        want = [np.random.Generator(np.random.PCG64(np.random.SeedSequence(
+            entropy=seed, spawn_key=(i,)))).uniform() for i in range(start, stop)]
+        got = _first_uniforms(seed, start, stop)
+        assert got.dtype == float and np.array_equal(got, want)
+
+
+def test_first_draw_mismatch_raises(monkeypatch):
+    exact = dynamics._first_uniforms
+    monkeypatch.setattr(dynamics, "_first_uniforms",
+                        lambda seed, start, stop: np.nextafter(exact(seed, start, stop), 2.0))
+    psi0 = np.array([1.0, 0.0])
+    with pytest.raises(NumericError, match="first draw"):
+        unravel_jump(_strong_gen(), psi0, 2.0, 0.01, 8, seed=3)
+
+
+def test_unravel_rejects_more_trajectories_than_spawn_keys(monkeypatch):
+    def never(*args):
+        raise AssertionError("unravel_jump ran before rejecting its arguments")
+
+    monkeypatch.setattr(dynamics, "_taylor_step", never)
+    monkeypatch.setattr(dynamics, "_run_chunk", never)
+    with pytest.raises(ValidationError, match="spawn-key"):
+        unravel_jump(_strong_gen(), np.array([1.0, 0.0]), 1.0, 0.1, MAX_TRAJECTORIES + 1, seed=1)
 
 
 def test_unravel_bitwise_reproducible_across_threads(nr_gen):
@@ -323,9 +438,9 @@ def test_zero_draw_never_picks_a_zero_probability_channel():
     heff = -0.5j * np.einsum("j,jki,jkl->il", weights, ops.conj(), ops)
     psi = np.array([1.0, 0.0], dtype=complex)
     draws = _ReplayDraws([0.0, 0.0])
-    state, threshold = _resolve_jumps(psi, 2.0, 0.5, draws, heff, weights, ops)
+    state, threshold, jumps, no_channel = _resolve_jumps(psi, 2.0, 0.5, draws, heff, weights, ops)
     assert np.isfinite(state).all()
-    assert threshold == 0.0
+    assert threshold == 0.0 and (jumps, no_channel) == (1, 0)
     assert abs(state[0]) == 0.0 and abs(state[1]) > 0.0
 
 
@@ -348,8 +463,9 @@ def test_resolve_jumps_matches_rebuilt_step_oracle():
         ops = gen.ops.copy().view(_ChannelLog)
         ops.picked = []
         got_rng = _ReplayDraws(draws)
-        got, got_thr = _resolve_jumps(psi, remaining, 0.999, got_rng, heff, gen.weights, ops)
-        assert ops.picked == channels
+        got, got_thr, jumps, no_channel = _resolve_jumps(psi, remaining, 0.999, got_rng, heff,
+                                                         gen.weights, ops)
+        assert ops.picked == channels and (jumps, no_channel) == (len(channels), 0)
         assert got_rng.used == ref.used and got_thr == want_thr
         assert np.abs(np.asarray(got) - want).max() <= 1e-12
         fired.append(channels)

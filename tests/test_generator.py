@@ -212,6 +212,17 @@ def test_grid_coverage_error():
         check_grid_coverage(tm.spec, tm.spectral)
 
 
+def test_empty_support_names_its_density():
+    # no node of the grid (spacing 0.0125) lies inside [2.001, 2.002]
+    doc = base_model_doc()
+    doc["bath"]["rho1"] = {"kind": "bump", "a": 2.001, "b": 2.002, "amplitude": 1.0}
+    tm = TMatrix(model_from_dict(doc))
+    for call in (lambda: check_grid_coverage(tm.spec, tm.spectral), lambda: drift(tm),
+                 lambda: drift_from_t_operator(tm), lambda: build_generator(tm)):
+        with pytest.raises(ValidationError, match=r"support \[2.001, 2.002\] of rho1"):
+            call()
+
+
 def test_three_level_cross_support_channels():
     # Bohr shift 1.8 bridges the two bath supports, so energy-exchanging
     # Kraus channels (nonzero transfer) are active; the structure identities

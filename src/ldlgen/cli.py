@@ -15,8 +15,9 @@ import sys
 import numpy as np
 
 from .bath import validate_bath
-from .dynamics import (_step_count, _validate_density, _validate_pure_state,
-                       evolve_master, trajectory_csv_lines, unravel_jump)
+from .dynamics import (MAX_STORED_ENTRIES, _step_count, _validate_density,
+                       _validate_pure_state, evolve_master, trajectory_csv_lines,
+                       unravel_jump)
 from .errors import NumericError, ValidationError
 from .generator import build_generator, drift, drift_from_t_operator
 from .model import (complex_matrix_from_json, complex_matrix_to_json,
@@ -160,6 +161,9 @@ def _cmd_validate(args):
 
 
 def _cmd_gamma(args):
+    if args.points > MAX_STORED_ENTRIES:               # before any allocation
+        raise ValidationError(f"--points {args.points} exceeds the cap of "
+                              f"{MAX_STORED_ENTRIES} energies")
     spec = load_model(args.model)
     tm = TMatrix(spec)
     energies = np.linspace(args.emin, args.emax, args.points)

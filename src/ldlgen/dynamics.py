@@ -47,7 +47,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
 
 from .bath import _count, _real
 from .errors import NumericError, ValidationError
@@ -170,9 +169,14 @@ def evolve_master(gen, rho0, t_max, dt):
 
 
 def vacuum_decay(gen, t):
-    """Vacuum expectation of the limiting evolution operator, exp(-Gamma t)."""
+    """Vacuum expectation of the limiting evolution operator, exp(-Gamma t).
+
+    scipy is imported here, not at module level: this is its only use in
+    ldlgen, and importing scipy.linalg would add about 0.3 s to every CLI
+    start-up."""
     if _real(t, "t") < 0:
         raise ValidationError("t must be >= 0")
+    from scipy.linalg import expm
     return expm(-gen.drift * t)
 
 
@@ -422,9 +426,8 @@ def trajectory_csv_lines(times, states):
     header += [f"re_{i}{j}" for i in range(dim) for j in range(dim)]
     header += [f"im_{i}{j}" for i in range(dim) for j in range(dim)]
     yield ",".join(header)
-    for t, state in zip(times, states):
-        flat = state.reshape(-1)
-        row = [repr(float(t))]
-        row += [repr(float(z.real)) for z in flat]
-        row += [repr(float(z.imag)) for z in flat]
-        yield ",".join(row)
+    # Python floats from .tolist() repr exactly like float(numpy scalar)
+    flat = np.asarray(states).reshape(len(times), -1)
+    for t, re, im in zip(np.asarray(times, dtype=float).tolist(),
+                         flat.real.tolist(), flat.imag.tolist()):
+        yield ",".join(map(repr, [t, *re, *im]))

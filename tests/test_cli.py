@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from ldlgen.cli import run
+from ldlgen.dynamics import MAX_STORED_ENTRIES
 
 from conftest import MODELS, ROOT, base_model_doc, write_model
 
@@ -46,6 +47,19 @@ def test_gamma_csv(tmp_path):
     first = lines[1].split(",")
     assert float(first[0]) == -1.0
     assert float(first[1]) == 0.0            # off support: Re gamma = 0
+
+
+@pytest.mark.parametrize("points", [MAX_STORED_ENTRIES + 1, 10 ** 15])
+def test_gamma_points_above_cap_exits_1(tmp_path, capsys, points):
+    out = tmp_path / "gamma.csv"
+    code = run(["gamma", NR, "--epsilon", "0", "--emin", "-1", "--emax", "4",
+                "--points", str(points), "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines() == [f"validation error: --points {points} exceeds the cap "
+                                f"of {MAX_STORED_ENTRIES} energies"]
+    assert not out.exists()
 
 
 def test_gamma_at_rect_edge_exits_2(tmp_path):
@@ -290,6 +304,47 @@ def test_python_dash_m_runs_the_cli():
     done = subprocess.run([sys.executable, "-m", "ldlgen"],
                           capture_output=True, text=True, env=env)
     assert done.returncode == 64
+
+
+# Runs in a fresh interpreter: this test process has imported scipy already.
+_COLD_START_SCRIPT = """
+import json, sys
+from pathlib import Path
+import ldlgen
+assert "scipy" not in sys.modules, "import ldlgen"
+from ldlgen.cli import run
+assert "scipy" not in sys.modules, "import ldlgen.cli"
+model, tmp = sys.argv[1], Path(sys.argv[2])
+(tmp / "rho0.json").write_text(json.dumps(
+    {"matrix": [[0.5, 0.0], [0.25, 0.0], [0.25, 0.0], [0.5, 0.0]]}))
+(tmp / "psi0.json").write_text(json.dumps({"vector": [[1.0, 0.0], [0.0, 0.0]]}))
+commands = [
+    ["validate", model, "--out", str(tmp / "v.json")],
+    ["gamma", model, "--epsilon", "1", "--emin", "-1", "--emax", "4", "--points", "9",
+     "--out", str(tmp / "g.csv")],
+    ["tmatrix", model, "--energy", "0.5", "--out", str(tmp / "t.json")],
+    ["drift", model, "--out", str(tmp / "d.json")],
+    ["generator", model, "--out", str(tmp / "gen.json")],
+    ["evolve", model, "--rho0", str(tmp / "rho0.json"), "--tmax", "0.5", "--dt", "0.1",
+     "--out", str(tmp / "e.csv")],
+    ["unravel", model, "--psi0", str(tmp / "psi0.json"), "--tmax", "0.5", "--dt", "0.1",
+     "--trajectories", "5", "--seed", "1", "--out", str(tmp / "u.csv")],
+    ["check", model, "--suite", "all", "--out", str(tmp / "c.json")],
+]
+for argv in commands:
+    assert run(argv) == 0, argv
+    assert "scipy" not in sys.modules, argv[0]
+print(len(commands))
+"""
+
+
+def test_cli_commands_never_import_scipy(tmp_path):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", _COLD_START_SCRIPT, NR, str(tmp_path)],
+                          capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["8"]
 
 
 def test_step_budget_exceeded_exits_1(tmp_path, capsys):

@@ -373,6 +373,42 @@ def test_trajectory_csv_round_trip(nr_gen):
     assert np.array_equal(back, traj.states[-1])
 
 
+def _csv_lines_per_scalar(times, states):
+    """Oracle for `trajectory_csv_lines`: one float() and repr per scalar."""
+    dim = states[0].shape[0]
+    header = ["t"]
+    header += [f"re_{i}{j}" for i in range(dim) for j in range(dim)]
+    header += [f"im_{i}{j}" for i in range(dim) for j in range(dim)]
+    yield ",".join(header)
+    for t, state in zip(times, states):
+        flat = state.reshape(-1)
+        row = [repr(float(t))]
+        row += [repr(float(z.real)) for z in flat]
+        row += [repr(float(z.imag)) for z in flat]
+        yield ",".join(row)
+
+
+def test_trajectory_csv_bytes_match_per_scalar_oracle(nr_gen):
+    rho0 = np.array([[0.5, 0.25], [0.25, 0.5]], dtype=complex)
+    traj = evolve_master(nr_gen, rho0, 20.0, 0.05)
+    cases = [(traj.times, traj.states)]
+    rng = np.random.default_rng(11)
+    states = rng.normal(size=(7, 3, 3)) + 1j * rng.normal(size=(7, 3, 3))
+    states[1, 0, 0] = complex(-0.0, -0.0)
+    states[2, 1, 2] = complex(5e-324, -2.5e-310)      # subnormal real and imaginary
+    states[3, 2, 1] = complex(-np.finfo(float).tiny / 3, 0.0)
+    states[4] = 1e300
+    times = np.arange(7) * 0.1
+    times[0] = -0.0
+    cases.append((times, states))
+    for times, states in cases:
+        new = list(trajectory_csv_lines(times, states))
+        assert new == list(_csv_lines_per_scalar(times, states))
+    fields = [line.split(",") for line in new]
+    assert fields[1][0] == "-0.0" and fields[2][1] == fields[2][10] == "-0.0"
+    assert fields[3][6] == "5e-324" and fields[3][15] == "-2.5e-310"
+
+
 def _resolve_jumps_rebuilt(psi_row, remaining, threshold, rng, heff, weights, ops):
     """Oracle for `_resolve_jumps`: rebuilds the RK4 step map for every
     trial time of the bisection and measures the propagated vector's norm.

@@ -272,21 +272,15 @@ class BathSpec:
         return -min(b0 - a1, b1 - a0)
 
 
-def validate_bath(bath, beta):
-    """Check nonnegativity, disjoint supports and grid coverage.
+def validate_bath(bath, bohr):
+    """The one admissibility check of the thermal quadrature.
 
-    Disjoint supports realize the requirement that the thermal
-    cross-correlation of the two form factors vanishes at all times.
-    Raises ValidationError on any violation, otherwise returns a report.
+    In this order: the supports of rho0 and rho1 are disjoint, so the
+    thermal cross-correlation of the two form factors vanishes at all
+    times; a grid node lies inside each support; and the grid covers each
+    support shifted by every Bohr frequency in `bohr`.  Raises
+    ValidationError on the first violation, otherwise returns a report.
     """
-    if not beta > 0 or not math.isfinite(beta):
-        raise ValidationError("beta must be > 0 and finite")
-    for eps in (0, 1):
-        prof = bath.density(eps)
-        a, b = prof.support
-        sample = np.linspace(a, b, 1001)
-        if np.any(prof(sample) < 0):
-            raise ValidationError(f"rho{eps} takes negative values on its support")
     gap = bath.support_gap
     if gap <= 0:
         raise ValidationError(
@@ -294,9 +288,16 @@ def validate_bath(bath, beta):
             "energy supports so the thermal cross-correlation of the form "
             "factors vanishes for all times"
         )
-    covered = all(bath.grid.covers(*bath.density(eps).support) for eps in (0, 1))
-    if not covered:
-        raise ValidationError("energy grid does not cover both density supports")
+    supports = [bath.density(eps).support for eps in (0, 1)]
+    for eps, (a, b) in enumerate(supports):
+        if not bath.support_nodes(eps)[0].size:
+            raise ValidationError(f"no grid node lies inside the support [{a:g}, {b:g}] "
+                                  f"of rho{eps}; refine the energy grid")
+    missing = [(eps, float(omega)) for omega in bohr for eps, (a, b) in enumerate(supports)
+               if not bath.grid.covers(a + omega, b + omega)]
+    if missing:
+        detail = ", ".join(f"support of rho{e} shifted by {w:+g}" for e, w in missing)
+        raise ValidationError(f"energy grid does not cover: {detail}")
     return {
         "nonnegative": True,
         "disjoint_supports": True,

@@ -31,6 +31,11 @@ EXIT_VALIDATION = 1
 EXIT_NUMERIC = 2
 EXIT_SUITE = 3
 EXIT_USAGE = 64
+# Largest `tmatrix --orders`.  The JSON holds every cumulative sum, 4 * orders
+# d x d matrices, and a series whose terms are still above the 1e-12 stopping
+# tolerance after 1000 orders shrinks by a factor of 0.97 or more per order:
+# too slow to tell from divergence, so more orders add output, not information.
+MAX_SERIES_ORDERS = 1000
 
 
 class _UsageError(Exception):
@@ -50,12 +55,14 @@ def _finite(text):
     return value
 
 
-def _int_at_least(minimum):
-    """argparse type: an integer >= minimum."""
+def _int_at_least(minimum, maximum=math.inf):
+    """argparse type: an integer >= minimum and <= maximum."""
     def integer(text):
         value = int(text)
         if value < minimum:
             raise argparse.ArgumentTypeError(f"{text!r} is less than {minimum}")
+        if value > maximum:
+            raise argparse.ArgumentTypeError(f"{text!r} is more than {maximum}")
         return value
     return integer
 
@@ -84,7 +91,7 @@ def build_parser():
     p = sub.add_parser("tmatrix", help="scattering components at one energy")
     p.add_argument("model")
     p.add_argument("--energy", type=_finite, required=True)
-    p.add_argument("--orders", type=_int_at_least(1), default=6)
+    p.add_argument("--orders", type=_int_at_least(1, MAX_SERIES_ORDERS), default=6)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("drift", help="drift operator by both routes")
@@ -142,8 +149,8 @@ def _load_state_matrix(path, key="matrix"):
 
 def _cmd_validate(args):
     spec = load_model(args.model)
-    bath_report = validate_bath(spec.bath, spec.beta)
     sd = spectral_decompose(spec)
+    bath_report = validate_bath(spec.bath, sd.bohr)
     payload = {
         "valid": True,
         "model": {

@@ -39,26 +39,6 @@ from .tmatrix import _energies, _index
 _PI = math.pi
 
 
-def check_grid_coverage(spec, spectral):
-    """Each density support must hold a grid node, and the grid must cover
-    each support shifted by every Bohr frequency."""
-    grid = spec.bath.grid
-    for eps in (0, 1):
-        if not spec.bath.support_nodes(eps)[0].size:
-            a, b = spec.bath.density(eps).support
-            raise ValidationError(f"no grid node lies inside the support [{a:g}, {b:g}] "
-                                  f"of rho{eps}; refine the energy grid")
-    missing = []
-    for omega in spectral.bohr:
-        for eps in (0, 1):
-            a, b = spec.bath.density(eps).support
-            if not grid.covers(a + omega, b + omega):
-                missing.append((eps, float(omega)))
-    if missing:
-        detail = ", ".join(f"support of rho{e} shifted by {w:+g}" for e, w in missing)
-        raise ValidationError(f"energy grid does not cover: {detail}")
-
-
 def _thermal_pass(tm, eps):
     """Support nodes of rho_eps with their thermal quadrature weights
     w * exp(-beta E) * rho_eps(E) and the R blocks there (omega' = 0)."""
@@ -75,7 +55,6 @@ def _re_gamma(tm, nodes):
 
 def drift(tm):
     """Gamma = -sum_eps integral dE exp(-beta E) rho_eps(E) R^{eps,eps}_{0,0}(E)."""
-    check_grid_coverage(tm.spec, tm.spectral)
     out = np.zeros((tm.dim, tm.dim), dtype=complex)
     for eps in (0, 1):
         _, coef, R = _thermal_pass(tm, eps)
@@ -92,7 +71,6 @@ def drift_from_t_operator(tm, diagonal_projection=True):
     diagonal_projection=False the bare partial expectation is returned
     (for the single-Bohr-block special case it already equals the drift).
     """
-    check_grid_coverage(tm.spec, tm.spectral)
     m = np.zeros((tm.dim, tm.dim), dtype=complex)
     for eps in (0, 1):
         _, coef, R = _thermal_pass(tm, eps)
@@ -244,7 +222,6 @@ def build_generator(tm):
     continuum limit.
     """
     spec = tm.spec
-    check_grid_coverage(spec, tm.spectral)
     d = spec.dim
     ham = np.zeros((d, d), dtype=complex)
     weights, ops = [], []

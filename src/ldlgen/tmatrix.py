@@ -28,12 +28,13 @@ eigen-index triple; chained Bohr clusters can break that, and then no
 placement on the offset lattice reproduces the per-eigen-column systems.
 """
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bath import GammaTable, _count, _real, gauss_legendre_nodes
+from .bath import GammaTable, _count, _real, gauss_legendre_nodes, validate_bath
 from .errors import NumericError, ValidationError
 from .model import _cluster_sorted, spectral_decompose
 
@@ -66,9 +67,9 @@ def _energies(E):
 
 
 def _series_pair(pair):
-    pair = str(pair)
-    if pair not in ("00", "11", "01", "10"):
-        raise ValidationError("pair must be one of 00, 11, 01, 10")
+    """An eps-pair label: exactly one of the strings 00, 01, 10, 11."""
+    if not isinstance(pair, str) or pair not in ("00", "01", "10", "11"):
+        raise ValidationError(f"pair must be one of 00, 01, 10, 11, got {pair!r}")
     return pair
 
 
@@ -221,10 +222,11 @@ class TMatrix:
                        D_{omega_2-omega'} gamma_0(E+omega_2)
 
         with every off-lattice D subscript treated as zero.  In the
-        eigenbasis the sum over omega_2 = omega' + rep(e_j - e_m) runs over
-        the entries (j, m) of the outer D factor; for each level pair it
-        needs one restricted inverse per node, so all of them come from a
-        single batched solve (`_level_inverses`).
+        eigenbasis, with W the canonical transfer (W[i, j] = rep(e_j - e_i)),
+        the sum over omega_2 = omega' + W[j, m] = omega' + rep(e_m - e_j)
+        runs over the entries (j, m) of the outer D factor; for each level
+        pair it needs one restricted inverse per node, so all of them come
+        from a single batched solve (`_level_inverses`).
         """
         energies, omega_prime = _energies(energies), _real(omega_prime, "omega'")
         E = energies.reshape(-1)
@@ -234,7 +236,8 @@ class TMatrix:
         for eps in (0, 1):
             X = self._level_inverses(eps, E, shifts)
             # Y[i, m, k, j]: entry k of eigen-column j's solution at the
-            # shift omega_2 = omega' + rep(e_j - e_m); own[i, k, m] at omega'
+            # shift omega_2 = omega' + W[j, m] = omega' + rep(e_m - e_j);
+            # own[i, k, m] at omega'
             Y = np.diagonal(X[:, lev][:, :, lev], axis1=1, axis2=4)
             own = np.diagonal(Y, axis1=1, axis2=3)
             # eps = 1 solves feed R^{0,1} and R^{0,0}; eps = 0 feed R^{1,0}, R^{1,1}
@@ -251,10 +254,14 @@ class TMatrix:
 
         Returns (nodes, weights, rho, R) with R = r_blocks(nodes); computed
         once per instance and shared by drift, drift_from_t_operator,
-        build_generator and the identity suite's three-term map.
+        build_generator and the identity suite's three-term map.  The first
+        call checks the bath (`validate_bath`), so no thermal quadrature
+        runs on an inadmissible model.
         """
         hit = self._support.get(eps)
         if hit is None:
+            if not self._support:
+                validate_bath(self.spec.bath, self.bohr)
             nodes, wts, rho = self.spec.bath.support_nodes(eps)
             hit = self._support[eps] = (nodes, wts, rho, self.r_blocks(nodes))
         return hit
@@ -408,59 +415,67 @@ class TMatrix:
 
     # -- closed-form series terms ------------------------------------------
 
-    def appendix_term(self, pair, n, E):
-        """Closed-form series term T^{pair}_k(E), k = 2n (diagonal pairs,
-        n >= 1) or k = 2n+1 (off-diagonal pairs, n >= 0).
+    def _appendix_terms(self, pair, E):
+        """Yields (n, T^{pair}_k(E)) for n = 1, 2, ... (diagonal pairs,
+        k = 2n) or n = 0, 1, ... (off-diagonal pairs, k = 2n+1).
 
         Evaluates the alternating multi-sum over Bohr subscripts with
         cumulative-shift gamma arguments; terms with any off-lattice
         subscript vanish because the corresponding D block is zero.  In the
-        eigenbasis the chain is built innermost factor first: each layer is
-        (D~ or D~^+) @ L times the Hadamard factor gamma(E + W), because the
-        accumulated shift of entry (k, p) of a partial chain is its
-        canonical transfer W[k, p] (an exact regrouping of the printed sum
-        on spectra whose representatives compose).
+        eigenbasis the chain of factors j = 2n - [diagonal], ..., 1 is built
+        innermost first: each is a layer (D~ or D~^+) @ L times the Hadamard
+        factor gamma(E + W), because the accumulated shift of entry (k, p)
+        of a partial chain is its canonical transfer W[k, p] (an exact
+        regrouping of the printed sum on spectra whose representatives
+        compose).  A layer depends on j only through (j + a) % 2, so the
+        order-(n+1) chain is the order-n chain with layers 2 and 1 applied
+        on the left, and one chain serves every order.
         """
-        pair = _series_pair(pair)
-        n = _count(n, "series order n")
-        E = _energies(E)
-        a = int(pair[0])
+        a, diagonal = int(pair[0]), pair[0] == pair[1]
+        sd = self.spectral
+        args = E[..., None, None] + sd.transfer
+        full = (self.spec.coupling, self.spec.coupling.conj().T)[a]
+        chain = np.broadcast_to(np.eye(self.dim, dtype=complex), args.shape)
+        layers = (1,) if diagonal else ()
+        for n in itertools.count(int(diagonal)):
+            for j in layers:
+                # D~^+ with gamma_1 when j + a is odd, D~ with gamma_0 when even
+                geps = (j + a) % 2
+                chain = self._pair[geps] @ chain
+                chain = chain * self._gamma_where(geps, args, chain != 0)
+            pref = (-1.0) ** n * (1.0 if diagonal else -1j)
+            yield n, pref * (full @ (sd.basis @ chain @ sd.basis.conj().T))
+            layers = (2, 1)
+
+    def appendix_term(self, pair, n, E):
+        """Closed-form series term T^{pair}_k(E), k = 2n (diagonal pairs,
+        n >= 1) or k = 2n+1 (off-diagonal pairs, n >= 0); see
+        `_appendix_terms`."""
+        pair, n, E = _series_pair(pair), _count(n, "series order n"), _energies(E)
         diagonal = pair[0] == pair[1]
         if n < diagonal:
             raise ValidationError(f"series terms of pair {pair} need n >= {int(diagonal)}")
-        J = 2 * n - diagonal
-        pref = (-1.0) ** n * (1.0 if diagonal else -1j)
-
-        sd = self.spectral
-        args = E[..., None, None] + sd.transfer
-        layer = np.broadcast_to(np.eye(self.dim, dtype=complex), args.shape)
-        for j in range(J, 0, -1):
-            # factor j from the left: D~^+ with gamma_1 when j + a is odd,
-            # D~ with gamma_0 when it is even
-            geps = (j + a) % 2
-            layer = self._pair[geps] @ layer
-            layer = layer * self._gamma_where(geps, args, layer != 0)
-        full = (self.spec.coupling, self.spec.coupling.conj().T)[a]
-        return pref * (full @ (sd.basis @ layer @ sd.basis.conj().T))
+        return next(itertools.islice(self._appendix_terms(pair, E), n - diagonal, None))[1]
 
     def appendix_partial_sums(self, pair, E, max_orders=24, tol=1e-12):
         """Cumulative series sums for one pair; stops at the first term
-        whose Frobenius norm drops below tol.  Returns (sums, converged)."""
-        pair = _series_pair(pair)
+        whose Frobenius norm drops below tol.  Returns (sums, converged).
+        A sum that overflows to a non-finite value raises NumericError."""
+        pair, E = _series_pair(pair), _energies(E)
         if _count(max_orders, "max_orders") < 1:
             raise ValidationError("max_orders must be >= 1")
-        start = 1 if pair[0] == pair[1] else 0
         total = np.zeros((self.dim, self.dim), dtype=complex)
         sums = []
-        converged = False
-        for n in range(start, start + max_orders):
-            term = self.appendix_term(pair, n, E)
-            total = total + term
-            sums.append(total.copy())
-            if np.linalg.norm(term) < tol:
-                converged = True
-                break
-        return sums, converged
+        with np.errstate(over="ignore", invalid="ignore"):
+            for n, term in itertools.islice(self._appendix_terms(pair, E), max_orders):
+                total = total + term
+                if not np.isfinite(total).all():
+                    raise NumericError(f"appendix series of pair {pair} overflows at "
+                                       f"order n = {n}; the series diverges here")
+                sums.append(total)
+                if np.linalg.norm(term) < tol:
+                    return sums, True
+        return sums, False
 
 
 # -- Dyson time-quadrature oracle ---------------------------------------------
@@ -484,8 +499,7 @@ def _contraction_vectors(tm, pair, u, v, n_energy):
     """Validate the block label, the energy node count and the bra/ket
     vectors shared by the oracle and its reference; returns u, v as
     complex arrays."""
-    if not isinstance(pair, str) or pair not in ("00", "01", "10", "11"):
-        raise ValidationError(f"pair must be one of 00, 01, 10, 11, got {pair!r}")
+    _series_pair(pair)
     if _count(n_energy, "n_energy") < 1:
         raise ValidationError("n_energy must be >= 1")
     out = []

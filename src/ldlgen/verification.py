@@ -225,7 +225,7 @@ def _identity_checks(tm, rng):
     checks.append(_check("index_set_stability", res_stability, 1e-12))
 
     # series identities: partial closed-form sums against the solve route;
-    # a divergent series leaves a large residual and fails the check honestly
+    # a divergent series fails the check; one that overflows raises NumericError
     res_series = 0.0
     for E in energies[::2]:
         comps = tm.t_components(float(E))
@@ -323,13 +323,13 @@ def _limit_checks():
 def run_identity_suite(tm, which="all"):
     """Run the named checks at their stated tolerances.
 
-    Refuses to run (raises ValidationError) when the bath violates the
-    disjoint-support technical condition.  Returns a report dict with one
+    Refuses to run (raises ValidationError) when the bath is not
+    admissible (`validate_bath`).  Returns a report dict with one
     {check, residual, tolerance, pass} entry per check, sorted by name.
     """
     if which not in ("identities", "limits", "all"):
         raise ValidationError("suite must be one of identities, limits, all")
-    validate_bath(tm.spec.bath, tm.spec.beta)
+    validate_bath(tm.spec.bath, tm.bohr)
     rng = np.random.default_rng(12345)
     checks = []
     if which in ("identities", "all"):

@@ -231,7 +231,7 @@ def test_k_inner_product_gram_positive():
 
 def test_validate_bath_pass():
     bath = _bath(DensityProfile.rect(0, 1, 1.0), DensityProfile.rect(2, 3, 1.0))
-    report = validate_bath(bath, beta=0.5)
+    report = validate_bath(bath, [0.0])
     assert report["support_gap"] == 1.0
     assert report["disjoint_supports"]
 
@@ -239,7 +239,7 @@ def test_validate_bath_pass():
 def test_validate_bath_overlap_fails():
     bath = _bath(DensityProfile.rect(0, 1.5, 1.0), DensityProfile.rect(1, 3, 1.0))
     with pytest.raises(ValidationError, match="disjoint"):
-        validate_bath(bath, beta=0.5)
+        validate_bath(bath, [0.0])
 
 
 def test_validate_bath_negative_table_fails():
@@ -251,7 +251,7 @@ def test_validate_bath_grid_must_cover():
     bath = _bath(DensityProfile.rect(0, 1, 1.0), DensityProfile.rect(2, 3, 1.0),
                  grid=EnergyGrid(0.5, 4.5, 481))
     with pytest.raises(ValidationError, match="grid"):
-        validate_bath(bath, beta=0.5)
+        validate_bath(bath, [0.0])
 
 
 def test_energy_grid_invariants():

@@ -1,12 +1,14 @@
 import json
 import os
+import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
-from ldlgen.cli import run
+from ldlgen.cli import MAX_SERIES_ORDERS, run
 from ldlgen.dynamics import MAX_STORED_ENTRIES
 
 from conftest import MODELS, ROOT, base_model_doc, write_model
@@ -95,15 +97,65 @@ def test_drift_output_contains_both_routes(tmp_path):
     assert len(doc["drift_from_t_operator"]) == 4
 
 
-@pytest.mark.parametrize("command", ["drift", "generator", "check"])
+def _inadmissible_models():
+    """{name: (model document, gate message)} for each way a bath can fail
+    `validate_bath` on the tm_nr grid (-1.5..4.5, spacing 0.0125)."""
+    empty = base_model_doc()            # a bump on [0.001, 0.002] holds no node
+    empty["bath"]["rho0"] = {"kind": "bump", "a": 0.001, "b": 0.002, "amplitude": 1.0}
+    overlap = base_model_doc()
+    overlap["bath"]["rho1"] = {"kind": "bump", "a": 0.5, "b": 3.0, "amplitude": 1.0}
+    shifted = base_model_doc()          # Bohr shift 5 carries both supports off the grid
+    shifted["system"]["hamiltonian"] = [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [5.0, 0.0]]
+    return {"empty": (empty, "no grid node lies inside the support [0.001, 0.002] of rho0"),
+            "overlap": (overlap, "supports of rho0 and rho1 overlap"),
+            "shifted": (shifted, "energy grid does not cover: support of rho0 shifted by -5")}
+
+
+@pytest.mark.parametrize("command", ["validate", "drift", "generator", "evolve", "unravel",
+                                     "check"])
 def test_empty_density_support_exits_1(tmp_path, capsys, command):
-    # a bump on [0.001, 0.002] holds no node of the grid (spacing 0.0125)
-    doc = base_model_doc()
-    doc["bath"]["rho0"] = {"kind": "bump", "a": 0.001, "b": 0.002, "amplitude": 1.0}
-    path = write_model(tmp_path, doc)
-    assert run([command, path, "--out", str(tmp_path / "out.json")]) == 1
-    err = capsys.readouterr().err
-    assert "no grid node lies inside the support [0.001, 0.002] of rho0" in err
+    # every thermal command refuses every inadmissible bath with the one gate's message
+    rho = tmp_path / "rho0.json"
+    rho.write_text(json.dumps({"matrix": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]}))
+    psi = tmp_path / "psi0.json"
+    psi.write_text(json.dumps({"vector": [[1.0, 0.0], [0.0, 0.0]]}))
+    extra = {"evolve": ["--rho0", str(rho), "--tmax", "1", "--dt", "0.1"],
+             "unravel": ["--psi0", str(psi), "--tmax", "1", "--dt", "0.1",
+                         "--trajectories", "10", "--seed", "1"]}.get(command, [])
+    for name, (doc, message) in _inadmissible_models().items():
+        path = write_model(tmp_path, doc, f"{name}.json")
+        out = tmp_path / f"{name}.out"
+        assert run([command, path, *extra, "--out", str(out)]) == 1, name
+        assert message in capsys.readouterr().err, name
+        assert not out.exists(), name
+
+
+def test_overlap_model_still_runs_gamma_and_tmatrix(tmp_path, capsys):
+    # gamma and tmatrix never read the thermal quadrature, so the gate does not apply
+    path = write_model(tmp_path, _inadmissible_models()["overlap"][0])
+    out = str(tmp_path / "out")
+    assert run(["gamma", path, "--epsilon", "1", "--emin", "0", "--emax", "3",
+                "--points", "7", "--out", out]) == 0
+    assert run(["tmatrix", path, "--energy", "0.5", "--out", out]) == 0
+    capsys.readouterr()
+
+
+def test_overflowing_series_exits_2(tmp_path, capsys):
+    # the closed-form series of a 1000 sigma_x coupling overflows within 60
+    # orders, and that of 1e9 sigma_x within the suite's 24: a numeric
+    # failure naming the pair and order, with no warning and no output
+    # (the suite used to drop the NaN residual and pass)
+    for scale, argv in ((1000.0, ["tmatrix", "--energy", "0.5", "--orders", "60"]),
+                        (1e9, ["check", "--suite", "identities"])):
+        doc = base_model_doc()
+        doc["system"]["coupling"] = [[0.0, 0.0], [scale, 0.0], [scale, 0.0], [0.0, 0.0]]
+        out = tmp_path / "out.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run([argv[0], write_model(tmp_path, doc), *argv[1:], "--out", str(out)]) == 2
+        assert re.search(r"appendix series of pair 00 overflows at order n = \d+",
+                         capsys.readouterr().err)
+        assert not out.exists()
 
 
 def test_generator_output_round_trips(tmp_path):
@@ -258,6 +310,8 @@ def test_negative_counts_are_usage_errors(tmp_path, capsys, monkeypatch):
                  ["gamma", NR, "--epsilon", "0", "--emin", "-1", "--emax", "4",
                   "--points", "0", "--out", out],
                  ["tmatrix", NR, "--energy", "0.5", "--orders", "0", "--out", out],
+                 ["tmatrix", NR, "--energy", "0.5", "--orders", str(MAX_SERIES_ORDERS + 1),
+                  "--out", out],
                  ["--threads", "0", "validate", NR],
                  ["unravel", NR, "--psi0", psi, "--tmax", "1", "--dt", "0.1",
                   "--trajectories", "10", "--seed", "-1", "--out", out]):

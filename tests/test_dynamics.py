@@ -330,15 +330,19 @@ def test_unravel_rejects_more_trajectories_than_spawn_keys(monkeypatch):
 
 
 def test_unravel_bitwise_reproducible_across_threads(nr_gen):
-    genc = nr_gen.compressed()
+    # the compressed tm_nr generator fires about one jump; _strong_gen puts
+    # the jump path under the same contract
     psi0 = np.array([1.0, 1.0]) / np.sqrt(2.0)
-    runs = [unravel_jump(genc, psi0, 4.0, 0.05, 600, seed=77, threads=k)
-            for k in (1, 2, 4)]
-    for other in runs[1:]:
-        for a, b in zip(runs[0].mean_states, other.mean_states):
-            assert np.array_equal(a, b)
-        for a, b in zip(runs[0].stderr, other.stderr):
-            assert np.array_equal(a, b)
+    for gen in (nr_gen.compressed(), _strong_gen()):
+        runs = [unravel_jump(gen, psi0, 4.0, 0.05, 600, seed=77, threads=k)
+                for k in (1, 2, 4)]
+        for other in runs[1:]:
+            assert other.jumps == runs[0].jumps
+            for a, b in zip(runs[0].mean_states, other.mean_states):
+                assert np.array_equal(a, b)
+            for a, b in zip(runs[0].stderr, other.stderr):
+                assert np.array_equal(a, b)
+    assert runs[0].jumps > 0
 
 
 def test_unravel_mean_is_hermitian(nr_gen):

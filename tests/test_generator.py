@@ -4,11 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from ldlgen import TMatrix, ValidationError
+from ldlgen import TMatrix, ValidationError, validate_bath
 from ldlgen.generator import (GKSLGenerator, apply_generator, build_generator,
-                              check_grid_coverage, choi_matrix, drift,
-                              drift_from_t_operator, dual_generator_matrix,
-                              heisenberg_generator_matrix, theta_map)
+                              choi_matrix, drift, drift_from_t_operator,
+                              dual_generator_matrix, heisenberg_generator_matrix,
+                              theta_map)
 from ldlgen.model import model_from_dict
 
 from conftest import base_model_doc, random_density
@@ -209,7 +209,7 @@ def test_grid_coverage_error():
     doc["system"]["hamiltonian"] = [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [5.0, 0.0]]
     tm = TMatrix(model_from_dict(doc))
     with pytest.raises(ValidationError, match="shifted by"):
-        check_grid_coverage(tm.spec, tm.spectral)
+        validate_bath(tm.spec.bath, tm.bohr)
 
 
 def test_empty_support_names_its_density():
@@ -217,7 +217,7 @@ def test_empty_support_names_its_density():
     doc = base_model_doc()
     doc["bath"]["rho1"] = {"kind": "bump", "a": 2.001, "b": 2.002, "amplitude": 1.0}
     tm = TMatrix(model_from_dict(doc))
-    for call in (lambda: check_grid_coverage(tm.spec, tm.spectral), lambda: drift(tm),
+    for call in (lambda: validate_bath(tm.spec.bath, tm.bohr), lambda: drift(tm),
                  lambda: drift_from_t_operator(tm), lambda: build_generator(tm)):
         with pytest.raises(ValidationError, match=r"support \[2.001, 2.002\] of rho1"):
             call()

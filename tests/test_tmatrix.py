@@ -288,6 +288,8 @@ BAD_CALLS = {
     "appendix_pair": lambda tm: tm.appendix_term("02", 1, 0.5),
     "partial_sums_zero_orders": lambda tm: tm.appendix_partial_sums("00", 0.5, max_orders=0),
     "partial_sums_pair": lambda tm: tm.appendix_partial_sums("2", 0.5),
+    "appendix_int_pair": lambda tm: tm.appendix_term(11, 1, 0.5),
+    "partial_sums_int_pair": lambda tm: tm.appendix_partial_sums(10, 0.5),
     "t_kernel_bool_eps": lambda tm: tm.t_kernel(True, 0.0, 0.0, 0.5),
     "solve_column_eps": lambda tm: tm.solve_column(2, 0.0, 0.5),
     "stacked_column_nan_omega": lambda tm: tm.stacked_column(0, NAN, 0.5),
@@ -399,6 +401,51 @@ def test_appendix_00_n1_matches_definition(nr_tm):
         for w1 in (-1.0, 1.0):
             expect -= sd.d_block(w) @ sd.d_block(w1).conj().T * tm.gamma(1, E - w1)
     assert np.abs(tm.appendix_term("00", 1, E) - expect).max() < 1e-14
+
+
+def _appendix_term_own_chain(tm, pair, n, E):
+    """The series term with its chain of 2n - [diagonal] layers built from
+    the identity (reference for the shared chain of `_appendix_terms`)."""
+    a, diagonal = int(pair[0]), pair[0] == pair[1]
+    E = np.asarray(E, dtype=float)
+    sd = tm.spectral
+    args = E[..., None, None] + sd.transfer
+    layer = np.broadcast_to(np.eye(tm.dim, dtype=complex), args.shape)
+    for j in range(2 * n - diagonal, 0, -1):
+        geps = (j + a) % 2
+        layer = tm._pair[geps] @ layer
+        layer = layer * tm._gamma_where(geps, args, layer != 0)
+    full = (tm.spec.coupling, tm.spec.coupling.conj().T)[a]
+    pref = (-1.0) ** n * (1.0 if diagonal else -1j)
+    return pref * (full @ (sd.basis @ layer @ sd.basis.conj().T))
+
+
+def _generic_d4_model():
+    rng = np.random.default_rng(41)
+    a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    doc = base_model_doc()
+    doc["system"]["hamiltonian"] = [[z, 0.0] for z in np.diag([0.0, 0.23, 0.41, 0.57]).ravel()]
+    doc["system"]["coupling"] = [[z.real, z.imag] for z in (0.03 * (a + a.conj().T) / 2).ravel()]
+    return TMatrix(model_from_dict(doc))
+
+
+def test_appendix_shared_chain_matches_own_chain_bitwise(nr_tm):
+    # the order-(n+1) chain extends the order-n chain by two layers; every
+    # term and partial sum equals the per-term chain bit for bit
+    orders = 12
+    for tm in (nr_tm, _generic_d4_model(), _scaled_model(4.0)):
+        for pair in ("00", "01", "10", "11"):
+            start = int(pair[0] == pair[1])
+            for E in (0.5, np.array([0.37, 1.5, 2.61])):
+                own = [_appendix_term_own_chain(tm, pair, n, E)
+                       for n in range(start, start + orders)]
+                sums, _ = tm.appendix_partial_sums(pair, E, max_orders=orders, tol=0.0)
+                assert len(sums) == orders
+                total = np.zeros((tm.dim, tm.dim), dtype=complex)
+                for n, (want, got) in enumerate(zip(own, sums), start):
+                    total = total + want
+                    assert got.tobytes() == total.tobytes(), (pair, n)
+                    assert tm.appendix_term(pair, n, E).tobytes() == want.tobytes(), (pair, n)
 
 
 # -- Dyson oracle ----------------------------------------------------------------

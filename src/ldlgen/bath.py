@@ -24,8 +24,10 @@ there) and diverges only at the edges of a ``rect`` profile.  The real
 part is exactly ``pi*rho(E)`` by construction.
 """
 
+import functools
 import math
 import numbers
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -185,9 +187,24 @@ class DensityProfile:
         raise ValidationError(f"unknown density profile kind {kind!r}")
 
 
+@functools.lru_cache(maxsize=16)
+def _legendre_rule(n):
+    """The n-point Gauss-Legendre rule on [-1, 1], built once per order.
+
+    The rule depends on n alone, and `leggauss` (a dense eigensolve plus a
+    refinement; Golub and Welsch, Math. Comp. 23, 221 (1969)) costs about
+    10 ms at n = 320, so every quadrature shares one read-only copy.
+    """
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
 def gauss_legendre_nodes(a, b, n):
     """Gauss-Legendre nodes and weights mapped to [a, b]."""
-    x, w = np.polynomial.legendre.leggauss(n)
+    # operator.index refuses a float order, as leggauss does, cached or not
+    x, w = _legendre_rule(operator.index(n))
     half = 0.5 * (b - a)
     return a + half * (x + 1.0), half * w
 

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 validation failure or an unreadable input /
 unwritable output file, 2 numeric failure, 3 identity-suite failure,
-64 usage error.  All JSON output is written with sorted keys and
+64 usage error.  All JSON output is strict (no NaN or Infinity; a
+non-finite value exits 2) and is written with sorted keys and
 shortest-round-trip float formatting, so identical invocations produce
 byte-identical files.
 """
@@ -126,7 +127,13 @@ def build_parser():
 
 
 def _emit_json(payload, path):
-    text = json.dumps(payload, indent=2, sort_keys=True)
+    """Strict JSON, as `model.read_json` reads it: a NaN or infinity in the
+    payload is a numeric failure, and nothing is written."""
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError:
+        raise NumericError("the output holds NaN or Infinity, which strict JSON "
+                           "cannot carry; nothing was written") from None
     if path is None:
         print(text)
     else:

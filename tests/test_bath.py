@@ -5,7 +5,8 @@ import pytest
 from scipy.integrate import quad
 
 from ldlgen import NumericError, ValidationError, k_inner_product, mu_inv, validate_bath
-from ldlgen.bath import BathSpec, DensityProfile, EnergyGrid, GammaTable
+from ldlgen.bath import (BathSpec, DensityProfile, EnergyGrid, GammaTable, _legendre_rule,
+                         gauss_legendre_nodes)
 
 
 def _bath(rho0, rho1, grid=None):
@@ -259,3 +260,33 @@ def test_energy_grid_invariants():
         EnergyGrid(0.0, 1.0, 8)
     grid = EnergyGrid(0.0, 1.0, 101)
     assert abs(grid.weights.sum() - 1.0) < 1e-14
+
+
+# -- the shared Gauss-Legendre rule --------------------------------------------
+
+@pytest.mark.parametrize("n", [1, 8, 192, 320, 400])
+def test_legendre_rule_is_leggauss_bit_for_bit(n):
+    _legendre_rule.cache_clear()
+    for _ in range(2):                       # cold, then from the cache
+        x, w = _legendre_rule(n)
+        ref_x, ref_w = np.polynomial.legendre.leggauss(n)
+        assert x.tobytes() == ref_x.tobytes() and w.tobytes() == ref_w.tobytes()
+
+
+def test_legendre_rule_is_read_only_and_bounded():
+    # an order no quadrature uses, so a writable rule cannot leak into them
+    x, w = _legendre_rule(3)
+    for arr in (x, w):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0
+    assert _legendre_rule.cache_info().maxsize is not None
+    # the mapped rule is a fresh array; the shared one is untouched
+    xm, _ = gauss_legendre_nodes(0.0, 1.0, 3)
+    xm[0] = 5.0
+    assert _legendre_rule(3)[0].tobytes() == np.polynomial.legendre.leggauss(3)[0].tobytes()
+
+
+def test_gauss_legendre_nodes_refuses_a_float_order_even_when_cached():
+    gauss_legendre_nodes(0.0, 1.0, 8)
+    with pytest.raises(TypeError):
+        gauss_legendre_nodes(0.0, 1.0, 8.0)

@@ -158,6 +158,33 @@ def test_overflowing_series_exits_2(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_overflowing_residual_fails_its_check_as_null(tmp_path, capsys):
+    # the 1e6 sigma_x series stays finite, but the norm of its residual
+    # overflows: a failed check with a null residual, in strict JSON, and
+    # no RuntimeWarning (an error under this suite's warning filter)
+    from ldlgen.model import read_json
+
+    doc = base_model_doc()
+    doc["system"]["coupling"] = [[0.0, 0.0], [1e6, 0.0], [1e6, 0.0], [0.0, 0.0]]
+    out = tmp_path / "check.json"
+    assert run(["check", write_model(tmp_path, doc), "--suite", "identities",
+                "--out", str(out)]) == 3
+    assert capsys.readouterr().err == ""
+    report = read_json(str(out))
+    series = next(c for c in report["checks"] if c["check"] == "appendix_series_identity")
+    assert series["residual"] is None and series["pass"] is False
+
+
+def test_nonfinite_output_exits_2(tmp_path, monkeypatch, capsys):
+    import ldlgen.cli
+
+    monkeypatch.setattr(ldlgen.cli, "drift", lambda tm: np.full((2, 2), np.nan, dtype=complex))
+    out = tmp_path / "drift.json"
+    assert run(["drift", NR, "--out", str(out)]) == 2
+    assert "NaN or Infinity" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_generator_output_round_trips(tmp_path):
     out = tmp_path / "gen.json"
     assert run(["generator", NR, "--out", str(out)]) == 0

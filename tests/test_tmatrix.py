@@ -497,6 +497,22 @@ def test_grid_exponentials_match_direct_sum(kind, n_points):
     assert diff <= 1e-13 * np.abs(rows).sum(axis=1).max()
 
 
+def test_dyson_oracle_bitwise_equal_with_cold_and_warm_rule_cache(nr_tm):
+    # the acceptance criterion 03 cases: every value is the same bits whether
+    # each call builds its Gauss-Legendre rules afresh or reuses them
+    from ldlgen.bath import _legendre_rule
+
+    mix = np.array([0.6, 0.8])
+    cases = [("00", 2, E1, E1), ("00", 2, E2, E2), ("11", 2, mix, mix),
+             ("01", 3, E1, E2), ("10", 3, E2, E1), ("01", 3, mix, E2)]
+    for pair, n, u, v in cases:
+        for eta in (4e-3, 2e-3, 1e-3):
+            _legendre_rule.cache_clear()
+            cold = dyson_oracle(nr_tm, pair, n, u, v, eta, t_max=400.0, dt=0.01)
+            warm = dyson_oracle(nr_tm, pair, n, u, v, eta, t_max=400.0, dt=0.01)
+            assert cold.real.hex() == warm.real.hex() and cold.imag.hex() == warm.imag.hex()
+
+
 def test_dyson_requires_positive_damping(nr_tm):
     with pytest.raises(ValidationError, match="eta"):
         dyson_oracle(nr_tm, "01", 1, E1, E2, 0.0)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from ldlgen import TMatrix, ValidationError, verification
+from ldlgen.bath import gauss_legendre_nodes
 from ldlgen.model import model_from_dict
 from ldlgen.verification import (GaussianPacket, LimitCheckReport,
                                  check_causal_delta_limit, check_delta_limit,
@@ -47,6 +48,37 @@ def _overlap_vector_per_node(f, g, lam, u, mismatch_freq=0.0, factored=True):
     if mismatch_freq and factored:
         out *= np.exp(1j * mismatch_freq * u)
     return out
+
+
+def _fourier_of_h_dense(h, u):
+    """The transform with one exponential per (u, x) pair, in chunks of 512
+    u rows (the reference for the factored form)."""
+    a, b = h.extent()
+    x, w = verification._composite_gl(a, b, 48)
+    hw = h(x) * w
+    out = np.zeros(u.size, dtype=complex)
+    for chunk in range(0, u.size, 512):
+        sl = slice(chunk, chunk + 512)
+        out[sl] = np.exp(1j * np.outer(u[sl], x)) @ hw
+    return out
+
+
+@pytest.mark.parametrize("h", [GaussianPacket(), GaussianPacket(0.3, 0.5, (1.0, 0.2, -0.1))],
+                         ids=["default", "shifted_poly"])
+def test_factored_fourier_of_h_matches_dense(h):
+    (ul, _), (ur, _) = verification._symmetric_u_grid(verification._u_extent(h), 160)
+    u = np.concatenate([ul, ur])
+    dense = _fourier_of_h_dense(h, u)
+    diff = np.abs(verification._fourier_of_h(h, u) - dense).max()
+    assert diff <= 1e-13 * np.abs(dense).max()
+
+
+@pytest.mark.parametrize("n", [8, 320])
+def test_one_panel_composite_rule_is_gauss_legendre_nodes(n):
+    for a, b in ((0.0, 1.0), (-1.5, 4.5), (0.3, 0.30001)):
+        x, w = verification._composite_gl(a, b, 1, n)
+        ref_x, ref_w = gauss_legendre_nodes(a, b, n)
+        assert x.tobytes() == ref_x.tobytes() and w.tobytes() == ref_w.tobytes()
 
 
 @pytest.mark.parametrize("check,args", [(check_delta_limit, (True,)),
@@ -174,3 +206,14 @@ def test_suite_fails_honestly_at_divergent_coupling():
 def test_suite_rejects_unknown_selector(nr_tm):
     with pytest.raises(ValidationError):
         run_identity_suite(nr_tm, which="everything")
+
+
+def test_nan_residual_fails_its_check(nr_tm, monkeypatch):
+    # builtin max(0.0, nan) is 0.0, which once let a NaN residual pass
+    monkeypatch.setattr(TMatrix, "column_residual", lambda self, col: float("nan"))
+    report = run_identity_suite(nr_tm, which="identities")
+    entry = next(c for c in report["checks"] if c["check"] == "block_column_residual")
+    assert entry["residual"] is None and entry["pass"] is False
+    assert not report["passed"]
+    others = [c for c in report["checks"] if c["check"] != "block_column_residual"]
+    assert all(c["pass"] for c in others)

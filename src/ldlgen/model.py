@@ -31,9 +31,8 @@ DEFAULT_NEUMANN_TOLERANCE = 1e-12
 
 
 def complex_matrix_to_json(m):
-    """Row-major list of [re, im] pairs."""
-    m = np.asarray(m)
-    return [[float(z.real), float(z.imag)] for z in m.reshape(-1)]
+    """Row-major list of [re, im] pairs of Python floats (-0.0 kept)."""
+    return np.ascontiguousarray(m, dtype=complex).reshape(-1).view(float).reshape(-1, 2).tolist()
 
 
 def complex_matrix_from_json(obj, name="matrix"):

@@ -497,10 +497,11 @@ def _parity_pair(pair, n):
 
 def _contraction_vectors(tm, pair, u, v, n_energy):
     """Validate the block label, the energy node count and the bra/ket
-    vectors shared by the oracle and its reference; returns u, v as
-    complex arrays."""
+    vectors shared by the oracle and its reference; returns n_energy as
+    an int, then u, v as complex arrays."""
     _series_pair(pair)
-    if _count(n_energy, "n_energy") < 1:
+    n_energy = _count(n_energy, "n_energy")
+    if n_energy < 1:
         raise ValidationError("n_energy must be >= 1")
     out = []
     for name, vec in (("u", u), ("v", v)):
@@ -513,7 +514,7 @@ def _contraction_vectors(tm, pair, u, v, n_energy):
         if not np.isfinite(arr).all():
             raise ValidationError(f"{name} must be finite")
         out.append(arr)
-    return out
+    return n_energy, *out
 
 
 def _corr_weights(profile, n_nodes):
@@ -600,7 +601,7 @@ def dyson_oracle(tm, pair, n, u, v, eta, *, t_max=400.0, dt=0.01, n_energy=320):
                               f"{MAX_GRID_STEPS} steps; raise dt or lower t_max")
     if isinstance(n, bool) or n not in (1, 2, 3):
         raise ValidationError("dyson oracle supports n in {1, 2, 3}")
-    u, v = _contraction_vectors(tm, pair, u, v, n_energy)
+    n_energy, u, v = _contraction_vectors(tm, pair, u, v, n_energy)
     ab = _parity_pair(pair, n)
     if ab is None:
         return 0.0 + 0.0j
@@ -662,7 +663,7 @@ def dyson_reference(tm, pair, n, u, v, n_energy=192):
     built from the closed-form series term (the quantity the oracle checks).
     pair, u, v and n_energy are checked as in `dyson_oracle`, and n must be
     an integer."""
-    u, v = _contraction_vectors(tm, pair, u, v, n_energy)
+    n_energy, u, v = _contraction_vectors(tm, pair, u, v, n_energy)
     ab = _parity_pair(pair, _count(n, "expansion order n"))
     if ab is None:
         return 0.0 + 0.0j

@@ -25,6 +25,32 @@ def test_validate_good_model(tmp_path):
     assert report["bath"]["support_gap"] == 1.0
 
 
+def test_parser_built_once_gives_the_same_results_as_fresh_ones(tmp_path, capsys):
+    import ldlgen.cli
+
+    steps = [["generator", NR, "--bogus"],
+             ["--threads", "2", "generator", NR, "--out", "{dir}/gen.json"],
+             ["drift", NR, "--out", "{dir}/drift.json"]]
+
+    def run_steps(directory, fresh):
+        directory.mkdir()
+        results = []
+        for argv in steps:
+            if fresh:
+                ldlgen.cli.build_parser.cache_clear()
+            code = run([a.format(dir=directory) for a in argv])
+            results.append((code, capsys.readouterr()))
+        files = {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+        return results, files
+
+    ldlgen.cli.build_parser.cache_clear()
+    shared = run_steps(tmp_path / "shared", fresh=False)
+    assert ldlgen.cli.build_parser.cache_info().misses == 1
+    assert [code for code, _ in shared[0]] == [64, 0, 0]
+    assert sorted(shared[1]) == ["drift.json", "gen.json"]
+    assert run_steps(tmp_path / "fresh", fresh=True) == shared
+
+
 def test_validate_bad_model_exits_1(tmp_path):
     doc = base_model_doc()
     doc["bath"]["rho1"] = {"kind": "bump", "a": 0.5, "b": 3.0, "amplitude": 1.0}

@@ -666,6 +666,7 @@ BAD_ORACLE_INPUTS = [
     ({"n": 2.5}, "n in"),
     ({"t_max": 1e300, "dt": 1e-10}, "budget"),
     ({"t_max": 1e9, "dt": 1e-3}, "budget"),
+    ({"n_energy": 192.5}, "n_energy"),
 ]
 
 
@@ -706,3 +707,18 @@ def test_richardson_extrapolate_exact_on_polynomials():
 def test_richardson_extrapolate_rejects_bad_samples(values, etas, match):
     with pytest.raises(ValidationError, match=match):
         richardson_extrapolate(values, etas)
+
+
+def test_dyson_integral_float_node_count_is_the_integer(nr_tm):
+    # an integral float n_energy passes the input check, so it must run
+    # exactly as its integer does
+    def same_bits(a, b):
+        return a.real.hex() == b.real.hex() and a.imag.hex() == b.imag.hex()
+
+    mix = np.array([0.6, 0.8])
+    for pair, n, u, v in (("00", 2, E1, E1), ("01", 3, mix, E2)):
+        refs = [dyson_reference(nr_tm, pair, n, u, v, n_energy=count) for count in (192, 192.0, 8.0)]
+        assert same_bits(refs[0], refs[1]) and not same_bits(refs[0], refs[2])
+        oracles = [dyson_oracle(nr_tm, pair, n, u, v, 2e-3, t_max=60.0, dt=0.05, n_energy=count)
+                   for count in (320, 320.0, 16.0)]
+        assert same_bits(oracles[0], oracles[1]) and not same_bits(oracles[0], oracles[2])

@@ -32,7 +32,8 @@ and LeVeque (Am. Stat. 37, 242 (1983)).
 RNG streams derive from (seed, trajectory index): trajectory i draws from
 Generator(PCG64(SeedSequence(entropy=seed, spawn_key=(i,)))).  The first
 draw of a whole chunk is computed at once by `_first_uniforms` (the
-SeedSequence hash, PCG64 seeding and one output, as array arithmetic);
+SeedSequence hash, PCG64 seeding and one output, as uint64 array
+arithmetic);
 the Generator itself is built only when a trajectory first jumps, and its
 own first draw must equal the vectorised one.  The ensemble runs serially
 (threads gained nothing: the work holds the GIL), so results are bitwise
@@ -66,11 +67,12 @@ MAX_STORED_ENTRIES = 1 << 22
 # Trajectory indices must fit one 32-bit spawn-key word (`_first_uniforms`)
 MAX_TRAJECTORIES = 1 << 32
 # numpy's SeedSequence hash (pool of 4 words) and PCG64 (XSL-RR 128/64)
-_MASK32, _MASK64, _MASK128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+_MASK32 = (1 << 32) - 1
 _HASH_INIT_A, _HASH_MULT_A = 0x43B0D7E5, 0x931E8875
 _HASH_INIT_B, _HASH_MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_PCG_MULT_LIMBS = tuple(_PCG_MULT >> (32 * j) & _MASK32 for j in range(4))
 
 
 @dataclass
@@ -235,6 +237,32 @@ def _horner(coeffs, x):
     return acc
 
 
+def _carry128(cols):
+    """Limbs of sum_k cols[k] 2^(32 k) mod 2^128, low limb first; every
+    column must stay below 2^64 - 2^32."""
+    out, carry = [], 0
+    for col in cols:
+        total = col + carry
+        out.append(total & _MASK32)
+        carry = total >> 32
+    return out
+
+
+def _mul_add128(x, y):
+    """x * _PCG_MULT + y mod 2^128 on 32-bit limbs, low limb first.  Only
+    the 10 limb products x_i m_j with i + j < 4 reach below 2^128; each is
+    below 2^64 and is split into its low and high 32 bits, which are summed
+    by column before the carries are propagated."""
+    cols = list(y)
+    for i in range(4):
+        for j in range(4 - i):
+            prod = x[i] * _PCG_MULT_LIMBS[j]
+            cols[i + j] = cols[i + j] + (prod & _MASK32)
+            if i + j < 3:
+                cols[i + j + 1] = cols[i + j + 1] + (prod >> 32)
+    return _carry128(cols)
+
+
 def _first_uniforms(seed, start, stop):
     """The first `uniform()` of Generator(PCG64(SeedSequence(entropy=seed,
     spawn_key=(i,)))) for every i in [start, stop), stop <= 2^32, bitwise.
@@ -242,12 +270,12 @@ def _first_uniforms(seed, start, stop):
     numpy's SeedSequence hashes the seed's 32-bit words (padded to 4) and
     the spawn-key word into a pool of 4 words and expands it to 8; PCG64
     seeds its 128-bit LCG from them and returns the XSL-RR output of one
-    step; uniform() is that output's top 53 bits times 2^-53.  The hash
-    runs on uint64 arrays masked to 32 bits, the LCG on Python integers in
-    object arrays."""
-    index = np.arange(start, stop, dtype=np.uint64)
-    words = [seed >> (32 * j) & _MASK32 for j in range(max(4, -(-seed.bit_length() // 32)))]
-    entropy = [np.full(index.shape, w, dtype=np.uint64) for w in words] + [index]
+    step; uniform() is that output's top 53 bits times 2^-53.  Only the
+    spawn-key word, the last entropy word, differs between trajectories,
+    so the seed's words are hashed once on Python integers; the index
+    word's four hashmix/mix rounds and the expansion run on uint64 arrays
+    masked to 32 bits.  The LCG holds its state and increment as four
+    32-bit limbs, low limb first, in uint64 arrays (`_mul_add128`)."""
     const = _HASH_INIT_A
 
     def hashmix(value):
@@ -261,28 +289,33 @@ def _first_uniforms(seed, start, stop):
         out = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
         return out ^ (out >> 16)
 
-    pool = [hashmix(w) for w in entropy[:4]]
+    words = [seed >> (32 * j) & _MASK32 for j in range(max(4, -(-seed.bit_length() // 32)))]
+    pool = [hashmix(w) for w in words[:4]]
     for src in range(4):
         for dst in range(4):
             if src != dst:
                 pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for w in entropy[4:]:
+    for w in words[4:]:
         for dst in range(4):
             pool[dst] = mix(pool[dst], hashmix(w))
-    const, state = _HASH_INIT_B, []
+    index = np.arange(start, stop, dtype=np.uint64)
+    pool = [mix(p, hashmix(index)) for p in pool]
+    const, s = _HASH_INIT_B, []
     for i in range(8):
         value = pool[i % 4] ^ const
         const = const * _HASH_MULT_B & _MASK32
         value = value * const & _MASK32
-        state.append((value ^ (value >> 16)).astype(object))
-    # little-endian word pairs: (seed_hi, seed_lo, inc_hi, inc_lo)
-    seed_hi, seed_lo, inc_hi, inc_lo = (state[2 * j] | state[2 * j + 1] << 32 for j in range(4))
-    inc = ((inc_hi << 64 | inc_lo) << 1 | 1) & _MASK128
-    lcg = ((inc + (seed_hi << 64 | seed_lo)) * _PCG_MULT + inc) & _MASK128
-    lcg = (lcg * _PCG_MULT + inc) & _MASK128
-    rot = lcg >> 122
-    folded = (lcg >> 64) ^ (lcg & _MASK64)
-    raw = ((folded >> rot) | (folded << (-rot & 63))) & _MASK64
+        s.append(value ^ (value >> 16))
+    # the 8 words s are little-endian pairs (seed_hi, seed_lo, inc_hi,
+    # inc_lo); inc = (inc_hi:inc_lo << 1) | 1
+    inc = [(s[6] << 1 | 1) & _MASK32, (s[7] << 1 | s[6] >> 31) & _MASK32,
+           (s[4] << 1 | s[7] >> 31) & _MASK32, (s[5] << 1 | s[4] >> 31) & _MASK32]
+    lcg = _carry128([a + b for a, b in zip(inc, [s[2], s[3], s[0], s[1]])])
+    lcg = _mul_add128(_mul_add128(lcg, inc), inc)
+    # XSL-RR: rotate hi64 ^ lo64 right by the state's top 6 bits
+    rot = lcg[3] >> 26
+    folded = (lcg[0] ^ lcg[2]) | (lcg[1] ^ lcg[3]) << 32
+    raw = (folded >> rot) | (folded << ((64 - rot) & 63))
     return (raw >> 11).astype(float) * 2.0 ** -53
 
 
@@ -384,13 +417,15 @@ def unravel_jump(gen, psi0, t_max, dt, trajectories, seed, threads=1):
     number of jumps fired and the number of threshold crossings that no
     channel could fire.  Fixed (seed, trajectories, dt) give
     bitwise-identical results.  ``trajectories`` must be an integer in
-    [1, 2^32] and ``seed`` a nonnegative one.  ``threads`` is accepted for
-    compatibility and has no effect: the ensemble always runs serially (see
-    the module docstring).
+    [1, 2^32] and ``seed`` a nonnegative one.  ``threads`` must be an
+    integer >= 1, as on the command line; it has no effect: the ensemble
+    always runs serially (see the module docstring).
     """
     trajectories, seed = _count(trajectories, "trajectories"), _count(seed, "seed")
     if trajectories <= 0 or seed < 0:
         raise ValidationError(f"need trajectories > 0 and seed >= 0, got {trajectories}, {seed}")
+    if _count(threads, "threads") < 1:
+        raise ValidationError(f"threads must be at least 1, got {threads!r}")
     if trajectories > MAX_TRAJECTORIES:
         raise ValidationError(f"trajectories {trajectories} exceeds {MAX_TRAJECTORIES}: "
                               "trajectory indices must fit one 32-bit spawn-key word")

@@ -142,35 +142,54 @@ def _u_extent(h):
     return 18.0 / h.sigma
 
 
-def _limit_report(f, g, lambdas, u, wu, hhat, target, mismatch_freq=0.0):
-    """Pair the rescaled kernel with f, g and the Fourier-transformed h
-    (hhat on the u nodes, weights wu) for each lambda; report the errors
-    against target."""
-    lambdas = [float(l) for l in lambdas]
-    values = [complex(np.dot(wu, _overlap_vector(f, g, lam, u, mismatch_freq) * hhat))
-              for lam in lambdas]
+def _pairings(f, g, h, lambdas, mismatch_freq=0.0):
+    """The rescaled kernel paired with f, g and h for each lambda, over the
+    symmetric u grid (full) and over its left half u < 0 (causal, t' < t).
+    Both come from one overlap vector per lambda and one Fourier transform
+    of h, on the whole grid; the left half is its first half."""
+    (ul, wl), (ur, wr) = _symmetric_u_grid(_u_extent(h), 160)
+    u, wu = np.concatenate([ul, ur]), np.concatenate([wl, wr])
+    hhat = _fourier_of_h(h, u)
+    full, causal = [], []
+    for lam in lambdas:
+        integrand = _overlap_vector(f, g, lam, u, mismatch_freq) * hhat
+        full.append(complex(np.dot(wu, integrand)))
+        causal.append(complex(np.dot(wl, integrand[:ul.size])))
+    return full, causal
+
+
+def _limit_report(lambdas, values, target):
+    """The pairings' errors against target, and whether they fall."""
     errors = [abs(j - target) for j in values]
     monotone = all(e2 < e1 for e1, e2 in zip(errors, errors[1:]))
     return LimitCheckReport(lambdas=lambdas, errors=errors, limit_value=complex(target),
                             monotone=monotone, values=values)
 
 
+def _matched_reports(f, g, h, lambdas):
+    """The reports of check_delta_limit at matching frequencies and of
+    check_causal_delta_limit, from one pass of `_pairings`."""
+    lambdas = [float(l) for l in lambdas]
+    full, causal = _pairings(f, g, h, lambdas)
+    product = _product_integral(f, g)
+    return (_limit_report(lambdas, full, 2.0 * math.pi * h(0.0) * product),
+            _limit_report(lambdas, causal,
+                          product * complex(math.pi * h(0.0), -_pv_over_x(h))))
+
+
 def check_delta_limit(f, g, h, omega_match, lambdas, mismatch=1.0):
     """Pair the rescaled kernel with f, g, h for each lambda and compare
     against 2 pi h(0) * integral f g (matching frequencies) or 0."""
-    (ul, wl), (ur, wr) = _symmetric_u_grid(_u_extent(h), 160)
-    u = np.concatenate([ul, ur])
-    target = 2.0 * math.pi * h(0.0) * _product_integral(f, g) if omega_match else 0.0
-    return _limit_report(f, g, lambdas, u, np.concatenate([wl, wr]), _fourier_of_h(h, u),
-                         target, mismatch_freq=0.0 if omega_match else mismatch)
+    if omega_match:
+        return _matched_reports(f, g, h, lambdas)[0]
+    lambdas = [float(l) for l in lambdas]
+    return _limit_report(lambdas, _pairings(f, g, h, lambdas, mismatch)[0], 0.0)
 
 
 def check_causal_delta_limit(f, g, h, lambdas):
     """Same pairing restricted to the ordered half t' < t; the limit pairs
     h with the resolvent kernel: integral f g * (pi h(0) - i PV(h/X))."""
-    (ul, wl), _ = _symmetric_u_grid(_u_extent(h), 160)
-    target = _product_integral(f, g) * complex(math.pi * h(0.0), -_pv_over_x(h))
-    return _limit_report(f, g, lambdas, ul, wl, _fourier_of_h(h, ul), target)
+    return _matched_reports(f, g, h, lambdas)[1]
 
 
 def default_test_functions():
@@ -327,8 +346,7 @@ def _limit_decay_checks(name, rep):
 def _limit_checks():
     f, g, h = default_test_functions()
     lambdas = [0.4, 0.2, 0.1]
-    rep = check_delta_limit(f, g, h, True, lambdas)
-    crep = check_causal_delta_limit(f, g, h, lambdas)
+    rep, crep = _matched_reports(f, g, h, lambdas)
     ratio = abs(crep.values[-1] / rep.values[-1] - 0.5)
     return (_limit_decay_checks("delta_limit", rep) + _limit_decay_checks("causal_limit", crep)
             + [_check("causal_half_ratio", ratio, 1e-3)])

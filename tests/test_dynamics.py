@@ -1,16 +1,72 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from ldlgen import NumericError, TMatrix, ValidationError, dynamics
-from ldlgen.dynamics import (_CHUNK, _DRIFT_BLOCK, MAX_STORED_ENTRIES, MAX_TRAJECTORIES,
-                             _first_uniforms, _resolve_jumps, _step_count, _taylor_step,
-                             evolve_master, trajectory_csv_lines, unravel_jump,
-                             vacuum_decay)
+from ldlgen.dynamics import (_CHUNK, _DRIFT_BLOCK, _HASH_INIT_A, _HASH_INIT_B, _HASH_MULT_A,
+                             _HASH_MULT_B, _MASK32, _MIX_MULT_L, _MIX_MULT_R, _PCG_MULT,
+                             MAX_STORED_ENTRIES, MAX_TRAJECTORIES, _first_uniforms,
+                             _resolve_jumps, _step_count, _taylor_step, evolve_master,
+                             trajectory_csv_lines, unravel_jump, vacuum_decay)
 from ldlgen.generator import GKSLGenerator, build_generator, dual_generator_matrix
 from ldlgen.model import model_from_dict
 
 from conftest import base_model_doc, random_density
+
+
+_MASK64, _MASK128 = (1 << 64) - 1, (1 << 128) - 1
+
+
+def _object_first_uniforms(seed, start, stop):
+    """Oracle for `dynamics._first_uniforms`: the whole SeedSequence hash
+    per trajectory on uint64 arrays masked to 32 bits, and the 128-bit LCG
+    as Python integers in object arrays."""
+    index = np.arange(start, stop, dtype=np.uint64)
+    words = [seed >> (32 * j) & _MASK32 for j in range(max(4, -(-seed.bit_length() // 32)))]
+    entropy = [np.full(index.shape, w, dtype=np.uint64) for w in words] + [index]
+    const = _HASH_INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ const
+        const = const * _HASH_MULT_A & _MASK32
+        value = value * const & _MASK32
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        out = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+        return out ^ (out >> 16)
+
+    pool = [hashmix(w) for w in entropy[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for w in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(w))
+    const, state = _HASH_INIT_B, []
+    for i in range(8):
+        value = pool[i % 4] ^ const
+        const = const * _HASH_MULT_B & _MASK32
+        value = value * const & _MASK32
+        state.append((value ^ (value >> 16)).astype(object))
+    # little-endian word pairs: (seed_hi, seed_lo, inc_hi, inc_lo)
+    seed_hi, seed_lo, inc_hi, inc_lo = (state[2 * j] | state[2 * j + 1] << 32 for j in range(4))
+    inc = ((inc_hi << 64 | inc_lo) << 1 | 1) & _MASK128
+    lcg = ((inc + (seed_hi << 64 | seed_lo)) * _PCG_MULT + inc) & _MASK128
+    lcg = (lcg * _PCG_MULT + inc) & _MASK128
+    rot = lcg >> 122
+    folded = (lcg >> 64) ^ (lcg & _MASK64)
+    raw = ((folded >> rot) | (folded << (-rot & 63))) & _MASK64
+    return (raw >> 11).astype(float) * 2.0 ** -53
+
+
+def _numpy_first_uniforms(seed, start, stop):
+    return [np.random.Generator(np.random.PCG64(np.random.SeedSequence(
+        entropy=seed, spawn_key=(i,)))).uniform() for i in range(start, stop)]
 
 
 def _zero_gen():
@@ -310,6 +366,44 @@ def test_first_uniforms_match_numpy_streams(seed):
         assert got.dtype == float and np.array_equal(got, want)
 
 
+# seeds 2^128 + 7 and 2^200 + 17 have more than four 32-bit words, so they
+# alone hash the seed words past the pool
+@pytest.mark.parametrize("seed", [0, 1, 2024, 2 ** 32 + 5, 2 ** 70 + 3, 2 ** 128 + 7,
+                                  2 ** 200 + 17])
+def test_first_uniforms_match_object_array_oracle(seed):
+    top = MAX_TRAJECTORIES
+    for start, stop in ((0, 3), (1019, 2053), (_CHUNK - 5, 2 * _CHUNK + 5), (0, 20000),
+                        (top - 4, top), (7, 7)):
+        want = _object_first_uniforms(seed, start, stop)
+        got = _first_uniforms(seed, start, stop)
+        assert got.dtype == want.dtype == float and np.array_equal(got, want)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(seed=st.integers(0, 2 ** 256 - 1), start=st.integers(0, 2 ** 32 - 1),
+       size=st.integers(0, 4))
+def test_first_uniforms_match_numpy_generators(seed, start, size):
+    stop = min(start + size, 2 ** 32)
+    got = _first_uniforms(seed, start, stop)
+    assert got.dtype == float and np.array_equal(got, _numpy_first_uniforms(seed, start, stop))
+
+
+@pytest.mark.parametrize("case", ["tm_nr", "strong"])
+def test_unravel_bytes_match_object_array_draws(monkeypatch, nr_gen, case):
+    if case == "tm_nr":
+        gen, t_max, dt, trajectories, seed = nr_gen.compressed(), 20.0, 0.05, 20000, 2024
+    else:
+        gen, t_max, dt, trajectories, seed = _strong_gen(), 2.0, 0.01, 4000, 123
+    psi0 = np.array([1.0, 1.0]) / np.sqrt(2.0)
+    new = unravel_jump(gen, psi0, t_max, dt, trajectories, seed)
+    monkeypatch.setattr(dynamics, "_first_uniforms", _object_first_uniforms)
+    old = unravel_jump(gen, psi0, t_max, dt, trajectories, seed)
+    assert new.mean_states.tobytes() == old.mean_states.tobytes()
+    assert new.stderr.tobytes() == old.stderr.tobytes()
+    assert (new.jumps, new.no_channel) == (old.jumps, old.no_channel)
+    assert new.jumps > 0
+
+
 def test_first_draw_mismatch_raises(monkeypatch):
     exact = dynamics._first_uniforms
     monkeypatch.setattr(dynamics, "_first_uniforms",
@@ -327,6 +421,17 @@ def test_unravel_rejects_more_trajectories_than_spawn_keys(monkeypatch):
     monkeypatch.setattr(dynamics, "_run_chunk", never)
     with pytest.raises(ValidationError, match="spawn-key"):
         unravel_jump(_strong_gen(), np.array([1.0, 0.0]), 1.0, 0.1, MAX_TRAJECTORIES + 1, seed=1)
+
+
+@pytest.mark.parametrize("threads", [0, -5, 1.5, "x", True, None])
+def test_unravel_rejects_bad_thread_counts(monkeypatch, threads):
+    def never(*args):
+        raise AssertionError("unravel_jump ran before rejecting its arguments")
+
+    monkeypatch.setattr(dynamics, "_taylor_step", never)
+    monkeypatch.setattr(dynamics, "_run_chunk", never)
+    with pytest.raises(ValidationError, match="threads"):
+        unravel_jump(_strong_gen(), np.array([1.0, 0.0]), 1.0, 0.1, 10, seed=1, threads=threads)
 
 
 def test_unravel_bitwise_reproducible_across_threads(nr_gen):

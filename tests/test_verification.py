@@ -149,6 +149,29 @@ def test_causal_limit_even_h_is_half():
         assert abs(cv / fv - 0.5) < 1e-3
 
 
+def test_limit_checks_compute_each_overlap_once(monkeypatch):
+    calls = []
+    for name in ("_overlap_vector", "_fourier_of_h"):
+        def counted(*args, _name=name, _fn=getattr(verification, name)):
+            calls.append(_name)
+            return _fn(*args)
+        monkeypatch.setattr(verification, name, counted)
+    checks = verification._limit_checks()
+    assert sorted(calls) == ["_fourier_of_h"] + ["_overlap_vector"] * len(LAMBDAS)
+    assert all(c["pass"] for c in checks)
+
+
+def test_causal_pairing_equals_left_half_grid_pairing():
+    # the causal values are the left half of the full grid's integrand; on
+    # the left half's own nodes the pairing gives the same bits
+    f, g, h = default_test_functions()
+    (ul, wl), _ = verification._symmetric_u_grid(verification._u_extent(h), 160)
+    hhat = verification._fourier_of_h(h, ul)
+    own = [complex(np.dot(wl, verification._overlap_vector(f, g, lam, ul) * hhat))
+           for lam in LAMBDAS]
+    assert check_causal_delta_limit(f, g, h, LAMBDAS).values == own
+
+
 def test_causal_limit_odd_h_is_imaginary():
     f, g, _ = default_test_functions()
     h = GaussianPacket(0.0, 1.0, (0.0, 1.0))   # X e^{-X^2/2}, h(0) = 0

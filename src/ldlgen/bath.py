@@ -209,6 +209,14 @@ def gauss_legendre_nodes(a, b, n):
     return a + half * (x + 1.0), half * w
 
 
+# Largest energy grid.  Every node inside a density's support holds its R
+# blocks, a complex (2, 2, |B|, d, d) array of 64 |B| d^2 bytes, for the
+# life of the TMatrix, and the batched level solve needs several times that
+# while it runs.  At 2^16 nodes the cached blocks take 50 MB per density at
+# d = 2 (|B| = 3) and 264 MB at d = 3 (|B| = 7); the shipped models use 481.
+MAX_GRID_POINTS = 1 << 16
+
+
 @dataclass(frozen=True)
 class EnergyGrid:
     """Uniform energy grid carrying trapezoid weights for the dE integrals."""
@@ -221,6 +229,9 @@ class EnergyGrid:
         _count(self.points, "energy grid points")
         if self.points < 16:
             raise ValidationError("energy grid needs at least 16 points")
+        if self.points > MAX_GRID_POINTS:
+            raise ValidationError(f"energy grid has {self.points} points, above the cap of "
+                                  f"{MAX_GRID_POINTS}")
         if not (math.isfinite(self.e_min) and math.isfinite(self.e_max)):
             raise ValidationError("energy grid bounds must be finite")
         if not self.e_min < self.e_max:

@@ -3,9 +3,12 @@
 The master equation is integrated with classical fixed-step 4th-order
 Runge-Kutta on the vectorized equation; for this autonomous linear
 system one RK4 step is exactly the degree-4 Taylor polynomial of the
-step map, which is precomputed once.  Each step is one matrix product
-written into the stored trajectory; the trace drift is checked per block
-of steps, and the first offending step is reported.
+step map, which is precomputed once.  Each step is one matrix-vector
+product written into the next row of the stored trajectory by `_orbit`,
+which `evolve_master` and the no-jump cohort below share: a bound
+`step.dot` call per row, the same BLAS gemv as `step @ y`, so the states
+are the bytes of the plain per-step product.  The trace drift is checked
+per block of steps, and the first offending step is reported.
 
 The Monte-Carlo unravelling is the standard norm-loss construction
 (Dalibard, Castin and Molmer, PRL 68, 580 (1992)): drift under
@@ -17,7 +20,9 @@ from psi0 and follows the same no-jump evolution c_k = step^k psi0 until
 its first jump, so that evolution is integrated once per call (the
 cohort): trajectory i first jumps at the first step k >= 1 where
 ||c_k||^2 falls below its first threshold u_i, found for a whole chunk by
-one search against the running minimum of ||c_k||^2.  Before a chunk's
+one search against the running minimum of ||c_k||^2.  A no-jump step whose
+2-norm exceeds 1 (+1e-12) is rejected: it would raise norms, so thresholds
+would stop being crossed and jumps would stop firing.  Before a chunk's
 earliest first jump its moments are those of the cohort alone; after it,
 only the jumped trajectories are stepped, one matmul for the batch, and
 each newcomer enters through the jump resolution from c_{k-1}.  Inside a
@@ -145,6 +150,21 @@ def _step_count(t_max, dt, dim):
     return n_steps
 
 
+def _orbit(step, flat, lo, hi):
+    """Rows lo..hi-1 of the C-contiguous (n, D) array `flat` as
+    flat[k] = step @ flat[k - 1], written in place from row lo - 1.
+
+    One bound `step.dot` call per row, into the row itself: the same BLAS
+    gemv as `step @ y` at the least dispatch cost.  The rows are walked
+    lazily through the slice; a list of every row view would hold one
+    Python object per step."""
+    apply = step.dot
+    prev = flat[lo - 1]
+    for row in flat[lo:hi]:
+        apply(prev, out=row)
+        prev = row
+
+
 def evolve_master(gen, rho0, t_max, dt):
     """Integrate rho' = Theta0*(rho) storing the state at every step."""
     n_steps = _step_count(t_max, dt, gen.dim)
@@ -159,8 +179,7 @@ def evolve_master(gen, rho0, t_max, dt):
     # a block's growth is at most about exp(0.1 * _DRIFT_BLOCK): finite
     for lo in range(1, n_steps + 1, _DRIFT_BLOCK):
         hi = min(lo + _DRIFT_BLOCK, n_steps + 1)
-        for k in range(lo, hi):
-            np.matmul(step, flat[k - 1], out=flat[k])
+        _orbit(step, flat, lo, hi)
         drift = np.abs(np.trace(states[lo:hi], axis1=1, axis2=2).real - 1.0)
         bad = np.flatnonzero(~(drift <= 1e-6))
         if bad.size:
@@ -357,8 +376,7 @@ def _no_jump_cohort(psi0, step, n_steps):
     normalized projectors (n_steps + 1, d, d) (zero where the norm is)."""
     c = np.empty((n_steps + 1, psi0.size), dtype=complex)
     c[0] = psi0
-    for k in range(1, n_steps + 1):
-        np.matmul(step, c[k - 1], out=c[k])
+    _orbit(step, c, 1, n_steps + 1)
     norm2 = np.sum(np.abs(c) ** 2, axis=1)
     norm = np.sqrt(norm2)[:, None]
     normed = np.divide(c, norm, out=np.zeros_like(c), where=norm > 0.0)
@@ -419,7 +437,8 @@ def unravel_jump(gen, psi0, t_max, dt, trajectories, seed, threads=1):
     bitwise-identical results.  ``trajectories`` must be an integer in
     [1, 2^32] and ``seed`` a nonnegative one.  ``threads`` must be an
     integer >= 1, as on the command line; it has no effect: the ensemble
-    always runs serially (see the module docstring).
+    always runs serially (see the module docstring).  A dt whose RK4
+    no-jump step has 2-norm above 1 + 1e-12 is a ValidationError.
     """
     trajectories, seed = _count(trajectories, "trajectories"), _count(seed, "seed")
     if trajectories <= 0 or seed < 0:
@@ -434,6 +453,10 @@ def unravel_jump(gen, psi0, t_max, dt, trajectories, seed, threads=1):
 
     heff = gen.hamiltonian - 0.5j * gen.psi_one
     step = _taylor_step(-1j * heff, dt)
+    step_norm = np.linalg.norm(step, 2)
+    if not step_norm <= 1.0 + 1e-12:
+        raise ValidationError(f"dt {dt!r} too large for this generator: the no-jump step "
+                              f"has norm {step_norm:.6g} > 1; use a smaller dt")
     cohort = _no_jump_cohort(psi0, step, n_steps)
 
     d = gen.dim

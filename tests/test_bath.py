@@ -5,8 +5,8 @@ import pytest
 from scipy.integrate import quad
 
 from ldlgen import NumericError, ValidationError, k_inner_product, mu_inv, validate_bath
-from ldlgen.bath import (BathSpec, DensityProfile, EnergyGrid, GammaTable, _legendre_rule,
-                         gauss_legendre_nodes)
+from ldlgen.bath import (MAX_GRID_POINTS, BathSpec, DensityProfile, EnergyGrid, GammaTable,
+                         _legendre_rule, gauss_legendre_nodes)
 
 
 def _bath(rho0, rho1, grid=None):
@@ -260,6 +260,11 @@ def test_energy_grid_invariants():
         EnergyGrid(0.0, 1.0, 8)
     grid = EnergyGrid(0.0, 1.0, 101)
     assert abs(grid.weights.sum() - 1.0) < 1e-14
+    assert EnergyGrid(0.0, 1.0, MAX_GRID_POINTS).nodes[-1] == 1.0
+    for points in (MAX_GRID_POINTS + 1, 50_000_001):
+        with pytest.raises(ValidationError) as err:
+            EnergyGrid(0.0, 1.0, points)
+        assert str(err.value) == f"energy grid has {points} points, above the cap of 65536"
 
 
 # -- the shared Gauss-Legendre rule --------------------------------------------

@@ -322,6 +322,17 @@ def test_fractional_counts_rejected(tmp_path, capsys):
     assert "481.9" in err and "64.5" in err
 
 
+def test_oversized_energy_grid_exits_1(tmp_path, capsys):
+    # 50,000,001 nodes used to pass `validate` and end in a MemoryError
+    doc = base_model_doc()
+    doc["bath"]["grid"]["points"] = 50_000_001
+    for argv in (["validate"], ["drift", "--out", str(tmp_path / "d.json")]):
+        assert run([argv[0], write_model(tmp_path, doc), *argv[1:]]) == 1
+        assert capsys.readouterr().err == ("validation error: energy grid has 50000001 points, "
+                                           "above the cap of 65536\n")
+    assert not (tmp_path / "d.json").exists()
+
+
 def test_nonfinite_cli_float_is_usage_error(tmp_path, capsys):
     out = tmp_path / "gamma.csv"
     assert run(["gamma", NR, "--epsilon", "0", "--emin", "nan", "--emax", "1",
@@ -383,6 +394,19 @@ def test_nonfinite_step_count_exits_1(tmp_path, capsys):
     assert run(["unravel", NR, "--psi0", str(psi), "--trajectories", "2",
                 "--seed", "0", *span]) == 1
     assert "step count" in capsys.readouterr().err
+
+
+def test_unravel_norm_raising_step_exits_1(tmp_path, capsys):
+    # tm_nr's no-jump generator is tiny, but RK4 is unstable beyond a step
+    # of about 1.3e4: the one step of 2e4 has norm 10.6
+    psi = tmp_path / "psi0.json"
+    psi.write_text(json.dumps({"vector": [[1.0, 0.0], [0.0, 0.0]]}))
+    out = tmp_path / "u.csv"
+    assert run(["unravel", NR, "--psi0", str(psi), "--tmax", "20000", "--dt", "20000",
+                "--trajectories", "2", "--seed", "0", "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("validation error: dt 20000.0 too large")
+    assert not out.exists()
 
 
 def test_missing_input_file_exits_1(tmp_path, capsys):

@@ -75,17 +75,30 @@ def _zero_gen():
     return build_generator(TMatrix(model_from_dict(doc)))
 
 
+def _gksl(h, weights, ops):
+    """The generator of Hamiltonian h and Kraus family (weights, ops)."""
+    psi1 = sum(w * L.conj().T @ L for w, L in zip(weights, ops))
+    gamma = 0.5 * psi1 + 1j * h       # keeps Psi(1) = Gamma + Gamma^+
+    return GKSLGenerator(drift=gamma, hamiltonian=h, weights=weights, ops=ops)
+
+
 def _strong_gen(rate=1.0):
     """Hand-built amplitude-damping-plus-dephasing generator with O(1) rates,
     strong enough that integrator error sits above the roundoff floor;
     `rate` scales both channel weights."""
     sm = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
     sz = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-    h = 0.8 * sz
-    weights, ops = [0.9 * rate, 0.4 * rate], [sm, sz]
-    psi1 = sum(w * L.conj().T @ L for w, L in zip(weights, ops))
-    gamma = 0.5 * psi1 + 1j * h       # keeps Psi(1) = Gamma + Gamma^+
-    return GKSLGenerator(drift=gamma, hamiltonian=h, weights=weights, ops=ops)
+    return _gksl(0.8 * sz, [0.9 * rate, 0.4 * rate], [sm, sz])
+
+
+def _random_gen(rng, d, dt):
+    """A random GKSL generator on d levels with d Kraus channels, scaled so
+    that dt * ||L|| = 0.05 (L is linear in h and the weights together)."""
+    a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    ops = rng.standard_normal((d, d, d)) + 1j * rng.standard_normal((d, d, d))
+    h, weights = 0.5 * (a + a.conj().T), rng.uniform(0.1, 1.0, size=d)
+    scale = 0.05 / (dt * np.linalg.norm(dual_generator_matrix(_gksl(h, weights, ops)), 2))
+    return _gksl(scale * h, scale * weights, ops)
 
 
 def test_evolve_zero_generator_is_constant():
@@ -178,6 +191,25 @@ def test_evolve_bytes_match_per_step_loop(nr_gen):
         assert n_steps > _DRIFT_BLOCK
         want = _per_step_evolve(dual_generator_matrix(gen), rho0, n_steps, dt)
         assert evolve_master(gen, rho0, t_max, dt).states.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_orbit_bytes_match_per_step_products_on_random_generators(d):
+    # evolve_master and the no-jump cohort both step through `_orbit`; over
+    # several drift-check blocks each state must be the bytes of `step @ y`
+    rng = np.random.default_rng(100 + d)
+    dt, n_steps = 0.05, 2 * _DRIFT_BLOCK + 7
+    gen = _random_gen(rng, d, dt)
+    rho0 = random_density(rng, d)
+    want = _per_step_evolve(dual_generator_matrix(gen), rho0, n_steps, dt)
+    assert evolve_master(gen, rho0, n_steps * dt, dt).states.tobytes() == want.tobytes()
+    step = _taylor_step(-1j * (gen.hamiltonian - 0.5j * gen.psi_one), dt)
+    c = [rng.standard_normal(d) + 1j * rng.standard_normal(d)]
+    c[0] /= np.linalg.norm(c[0])
+    for _ in range(n_steps):
+        c.append(step @ c[-1])
+    cohort, _, _ = dynamics._no_jump_cohort(c[0], step, n_steps)
+    assert cohort.tobytes() == np.array(c).tobytes()
 
 
 def test_evolve_reports_first_trace_drift(monkeypatch):
@@ -432,6 +464,23 @@ def test_unravel_rejects_bad_thread_counts(monkeypatch, threads):
     monkeypatch.setattr(dynamics, "_run_chunk", never)
     with pytest.raises(ValidationError, match="threads"):
         unravel_jump(_strong_gen(), np.array([1.0, 0.0]), 1.0, 0.1, 10, seed=1, threads=threads)
+
+
+def test_unravel_rejects_norm_raising_step():
+    # at dt = 10 the RK4 no-jump step of _strong_gen has norm 365: norms
+    # would grow, no threshold would be crossed and no jump would fire
+    gen, psi0 = _strong_gen(), np.array([0.0, 1.0])
+    with pytest.raises(ValidationError) as err:
+        unravel_jump(gen, psi0, 200.0, 10.0, 200, seed=1)
+    assert str(err.value).startswith("dt 10.0 too large for this generator: the no-jump "
+                                     "step has norm 365.")
+    with pytest.raises(ValidationError, match="trajectories"):
+        unravel_jump(gen, psi0, 200.0, 10.0, 0, seed=1)
+    # a contracting step passes, as does the empty family's step of norm 0.999895
+    assert unravel_jump(gen, psi0, 40.0, 2.0, 200, seed=1).jumps > 0
+    heff = _empty_family_gen().hamiltonian
+    assert 0.9998 < np.linalg.norm(_taylor_step(-1j * heff, 0.5), 2) < 1.0
+    unravel_jump(_empty_family_gen(), psi0, 5.0, 0.5, 10, seed=1)
 
 
 def test_unravel_bitwise_reproducible_across_threads(nr_gen):

@@ -209,11 +209,11 @@ def gauss_legendre_nodes(a, b, n):
     return a + half * (x + 1.0), half * w
 
 
-# Largest energy grid.  Every node inside a density's support holds its R
-# blocks, a complex (2, 2, |B|, d, d) array of 64 |B| d^2 bytes, for the
-# life of the TMatrix, and the batched level solve needs several times that
-# while it runs.  At 2^16 nodes the cached blocks take 50 MB per density at
-# d = 2 (|B| = 3) and 264 MB at d = 3 (|B| = 7); the shipped models use 481.
+# Largest energy grid.  Each support node keeps its R column, 32 |B| d^2 bytes,
+# and 16 |B| bytes of Re gamma for the life of the TMatrix (`thermal_pass`);
+# building them takes 64 |B| d^2 bytes of R blocks per node and several times
+# that in the level solve.  At 2^16 support nodes the pass keeps 29 MB at d = 2
+# (|B| = 3) and 141 MB at d = 3 (|B| = 7); the shipped models use 481 points.
 MAX_GRID_POINTS = 1 << 16
 
 
@@ -364,11 +364,8 @@ def k_inner_product(bath, X, Y, omega, beta):
     hi = min(rho_f.b, rho_u.b + omega)
     if lo >= hi:
         return 0.0 + 0.0j
-    n = max(int(round((hi - lo) / bath.grid.spacing)) + 1, 16)
-    E = np.linspace(lo, hi, n)
-    wts = np.full(n, (hi - lo) / (n - 1))
-    wts[0] *= 0.5
-    wts[-1] *= 0.5
+    grid = EnergyGrid(lo, hi, max(int(round((hi - lo) / bath.grid.spacing)) + 1, 16))
+    E, wts = grid.nodes, grid.weights
     integrand = rho_f(E) * np.exp(-beta * (E - omega)) * rho_u(E - omega)
     return complex(2.0 * math.pi * np.dot(wts, integrand))
 

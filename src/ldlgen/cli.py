@@ -1,9 +1,10 @@
 """Command-line surface.
 
 Exit codes: 0 success, 1 validation failure or an unreadable input /
-unwritable output file, 2 numeric failure, 3 identity-suite failure,
-64 usage error.  All JSON output is strict (no NaN or Infinity; a
-non-finite value exits 2) and is byte for byte the text of
+unwritable output file, 2 numeric failure or an allocation that runs out
+of memory, 3 identity-suite failure, 64 usage error.  All JSON output is
+strict (no NaN or Infinity; a non-finite value exits 2) and is byte for
+byte the text of
 ``json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)``:
 sorted keys, a two-space indent and shortest-round-trip floats, so
 identical invocations produce byte-identical files.  The indent is laid
@@ -366,6 +367,10 @@ def run(argv=None):
         return EXIT_VALIDATION
     except (NumericError, np.linalg.LinAlgError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
+    except MemoryError as exc:
+        print(f"numeric error: out of memory ({str(exc) or 'allocation failed'})",
+              file=sys.stderr)
         return EXIT_NUMERIC
 
 

@@ -20,46 +20,33 @@ The drift Gamma is assembled twice: directly from the diagonal R blocks,
 and through the energy-resolved scattering components t^{eps,eps}(E)
 (the partial thermal expectation of the one-particle scattering
 operator, diagonally projected); the two routes must agree.  Both
-routes, the generator and the identity suite's three-term map read the
-same batched pass of R blocks per density support
-(`TMatrix.support_blocks`).
+routes, the generator and the identity suite's three-term map read one
+thermal pass (`TMatrix.thermal_pass`): the support nodes of both
+densities on one axis, with their quadrature weights, the R column
+R^{e,eps}_{omega,0}(E) and Re gamma, so each is one contraction over the
+node axis.
 """
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .bath import EnergyGrid
+from .bath import EnergyGrid, _real, _require
 from .errors import ValidationError
 from .model import complex_matrix_from_json, complex_matrix_to_json
 from .tmatrix import _energies, _index
 
-_PI = math.pi
 
-
-def _thermal_pass(tm, eps):
-    """Support nodes of rho_eps with their thermal quadrature weights
-    w * exp(-beta E) * rho_eps(E) and the R blocks there (omega' = 0)."""
-    nodes, wts, rho, R = tm.support_blocks(eps)
-    return nodes, wts * (np.exp(-tm.spec.beta * nodes) * rho), R
-
-
-def _re_gamma(tm, nodes):
-    """Re gamma_eps(E + omega) = pi rho_eps(E + omega), shape (n, 2, |B|)."""
-    shifted = nodes[:, None] + tm.bohr[None, :]
-    bath = tm.spec.bath
-    return np.stack([_PI * bath.density(e)(shifted) for e in (0, 1)], axis=1)
+def _diagonal_r(tm, tp):
+    """R^{eps,eps}_{0,0}(E) at each node of the thermal pass, (N, d, d)."""
+    return tp.ops[np.arange(tp.eps.size), tp.eps, tm.spectral.bohr_index(0.0)]
 
 
 def drift(tm):
     """Gamma = -sum_eps integral dE exp(-beta E) rho_eps(E) R^{eps,eps}_{0,0}(E)."""
-    out = np.zeros((tm.dim, tm.dim), dtype=complex)
-    for eps in (0, 1):
-        _, coef, R = _thermal_pass(tm, eps)
-        out -= np.einsum("n,nij->ij", coef, R[:, eps, eps, tm.spectral.bohr_index(0.0)])
-    return out
+    tp = tm.thermal_pass()
+    return np.einsum("n,nij->ij", -tp.coef, _diagonal_r(tm, tp))
 
 
 def drift_from_t_operator(tm, diagonal_projection=True):
@@ -71,10 +58,8 @@ def drift_from_t_operator(tm, diagonal_projection=True):
     diagonal_projection=False the bare partial expectation is returned
     (for the single-Bohr-block special case it already equals the drift).
     """
-    m = np.zeros((tm.dim, tm.dim), dtype=complex)
-    for eps in (0, 1):
-        _, coef, R = _thermal_pass(tm, eps)
-        m -= np.einsum("n,nij->ij", coef, R[:, eps, eps].sum(axis=1))
+    tp = tm.thermal_pass()
+    m = np.einsum("n,nij->ij", -tp.coef, tp.ops[np.arange(tp.eps.size), tp.eps].sum(axis=1))
     if not diagonal_projection:
         return m
     sd = tm.spectral
@@ -109,7 +94,7 @@ def theta_map(tm, X, eps1, eps2, omega1, omega2, E):
     R2 = R1 if omega2 == omega1 else tm.r_blocks(nodes, omega2)
     ra = np.stack([at(R1[:, e, eps1], w - omega1) for e in (0, 1) for w in tm.bohr], axis=1)
     rb = np.stack([at(R2[:, e, eps2], w - omega2) for e in (0, 1) for w in tm.bohr], axis=1)
-    re_g = _re_gamma(tm, nodes).reshape(nodes.size, -1)
+    re_g = tm._re_gamma(nodes).reshape(nodes.size, -1)
     out = _structure_map(X, at(R2[:, eps1, eps2], omega1 - omega2),
                          at(R1[:, eps2, eps1], omega2 - omega1), ra, rb, re_g)
     return out.reshape(E.shape + X.shape)
@@ -131,7 +116,12 @@ class GKSLGenerator:
     grid: object = None
 
     def __post_init__(self):
+        self.drift = np.asarray(self.drift, dtype=complex)
+        self.hamiltonian = np.asarray(self.hamiltonian, dtype=complex)
         d = self.dim
+        for name, m in (("drift", self.drift), ("hamiltonian", self.hamiltonian)):
+            if m.shape != (d, d):
+                raise ValidationError(f"{name} must be {d} x {d}, not {m.shape}")
         self.weights = np.asarray(self.weights, dtype=float).reshape(-1)
         ops = np.asarray(self.ops, dtype=complex)
         self.ops = ops.reshape(0, d, d) if ops.size == 0 else ops
@@ -139,6 +129,10 @@ class GKSLGenerator:
             raise ValidationError(
                 f"{self.weights.size} Kraus weights need operators of shape "
                 f"({self.weights.size}, {d}, {d}), not {ops.shape}")
+        if not (self.weights >= 0.0).all() or not np.isfinite(self.weights).all():
+            raise ValidationError("Kraus weights must be finite and nonnegative")
+        if not all(np.isfinite(m).all() for m in (self.ops, self.drift, self.hamiltonian)):
+            raise ValidationError("Kraus operators, drift and hamiltonian must be finite")
 
     @property
     def dim(self):
@@ -191,13 +185,15 @@ class GKSLGenerator:
 
     @classmethod
     def from_json(cls, obj):
-        entries = obj["kraus"]
+        entries = _require(obj, "kraus", "generator")
         return cls(
-            drift=complex_matrix_from_json(obj["drift"], "drift"),
-            hamiltonian=complex_matrix_from_json(obj["hamiltonian"], "hamiltonian"),
-            weights=[float(entry["weight"]) for entry in entries],
-            ops=[complex_matrix_from_json(entry["operator"], "kraus operator")
-                 for entry in entries],
+            drift=complex_matrix_from_json(_require(obj, "drift", "generator"), "drift"),
+            hamiltonian=complex_matrix_from_json(_require(obj, "hamiltonian", "generator"),
+                                                 "hamiltonian"),
+            weights=[_real(_require(entry, "weight", "kraus entry"), "kraus weight")
+                     for entry in entries],
+            ops=[complex_matrix_from_json(_require(entry, "operator", "kraus entry"),
+                                          "kraus operator") for entry in entries],
             grid=EnergyGrid.from_json(obj["grid"]) if "grid" in obj else None,
         )
 
@@ -215,28 +211,21 @@ def _weighted_sum(weights, terms):
 def build_generator(tm):
     """Assemble the GKSL generator by trapezoid quadrature over the grid.
 
-    Kraus entries are indexed per (eps, grid node, eps', omega); zero
-    weights and zero operators are dropped.  H and Gamma come from the
-    diagonal R blocks on the same nodes, so the Lindblad-form identities
-    hold at the level of the discretized integrals, not merely in the
-    continuum limit.
+    Everything is read from the thermal pass: the Kraus operators are its
+    R column, one entry per (eps, grid node, eps', omega) in that order;
+    zero weights and zero operators are dropped by one mask.  H and Gamma
+    come from the diagonal R blocks on the same nodes, so the
+    Lindblad-form identities hold at the level of the discretized
+    integrals, not merely in the continuum limit.
     """
-    spec = tm.spec
-    d = spec.dim
-    ham = np.zeros((d, d), dtype=complex)
-    weights, ops = [], []
-    for eps in (0, 1):
-        nodes, coef, R = _thermal_pass(tm, eps)
-        r00 = R[:, eps, eps, tm.spectral.bohr_index(0.0)]
-        ham += np.einsum("n,nij->ij", coef, (np.swapaxes(r00, 1, 2).conj() - r00) / 2j)
-        re_g = _re_gamma(tm, nodes)
-        weight = 2.0 * coef[:, None, None] * re_g
-        ops_eps = R[:, :, eps]                          # L = R^{eps',eps}_{omega,0}
-        keep = (re_g > 0.0) & (weight > 0.0) & ops_eps.reshape(*re_g.shape, -1).any(axis=-1)
-        weights.append(weight[keep])
-        ops.append(ops_eps[keep])
-    return GKSLGenerator(drift=drift(tm), hamiltonian=ham, weights=np.concatenate(weights),
-                         ops=np.concatenate(ops), grid=spec.bath.grid)
+    tp = tm.thermal_pass()
+    r00 = _diagonal_r(tm, tp)
+    ham = np.einsum("n,nij->ij", tp.coef, (_dagger(r00) - r00) / 2j)
+    weight = 2.0 * tp.coef[:, None, None] * tp.re_gamma
+    # L = R^{eps',eps}_{omega,0}; no coef is negative, so weight > 0 implies Re gamma > 0
+    keep = (weight > 0.0) & tp.ops.reshape(*weight.shape, -1).any(axis=-1)
+    return GKSLGenerator(drift=drift(tm), hamiltonian=ham, weights=weight[keep],
+                         ops=tp.ops[keep], grid=tm.spec.bath.grid)
 
 
 def apply_generator(gen, X):

@@ -30,6 +30,7 @@ placement on the offset lattice reproduces the per-eigen-column systems.
 
 import itertools
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -99,12 +100,15 @@ class BlockColumn:
         return self.omega_prime + self.offsets
 
 
+ThermalPass = namedtuple("ThermalPass", "eps coef ops re_gamma")
+
+
 class TMatrix:
     """Bundles a validated model with its spectral data and gamma evaluator.
 
-    Every method is a pure function of (model, bath).  The R blocks on the
-    support nodes of each density are computed once per instance
-    (`support_blocks`), so an instance is cheap to reuse and safe for
+    Every method is a pure function of (model, bath).  The thermal pass
+    over the support nodes of both densities is computed once per instance
+    (`thermal_pass`), so an instance is cheap to reuse and safe for
     read-only sharing once warmed up.
     """
 
@@ -114,7 +118,7 @@ class TMatrix:
         self._gammas = GammaTable(spec.bath)
         sd = self.spectral
         self.condition_limit = CONDITION_LIMIT
-        self._support = {}
+        self._thermal = None
         # eigenbasis data: the coupling pair (D~, D~^+), indexed by eps in the
         # kernels, the R blocks and the series chains; one representative
         # column per level and the transfers between those columns
@@ -249,22 +253,30 @@ class TMatrix:
         R = self.spectral.split(full)
         return R.reshape(energies.shape + R.shape[1:])
 
-    def support_blocks(self, eps):
-        """R blocks at omega' = 0 on the grid nodes where rho_eps > 0.
+    def _re_gamma(self, nodes):
+        """Re gamma_e(E + omega) = pi rho_e(E + omega), shape (n, 2, |B|)."""
+        shifted = nodes[:, None] + self.bohr[None, :]
+        return np.stack([math.pi * self.spec.bath.density(e)(shifted) for e in (0, 1)], axis=1)
 
-        Returns (nodes, weights, rho, R) with R = r_blocks(nodes); computed
-        once per instance and shared by drift, drift_from_t_operator,
-        build_generator and the identity suite's three-term map.  The first
-        call checks the bath (`validate_bath`), so no thermal quadrature
-        runs on an inadmissible model.
+    def thermal_pass(self):
+        """The support nodes of rho0, then of rho1, on one axis of N nodes:
+        eps (N,), each node's density; coef (N,), w exp(-beta E) rho_eps(E);
+        ops (N, 2, |B|, d, d), the R column R^{e,eps}_{omega,0}(E) ordered
+        like bohr; re_gamma (N, 2, |B|), pi rho_e(E + omega).  Built once per
+        instance by one `r_blocks` call, after `validate_bath`, and read by
+        drift, drift_from_t_operator, build_generator and the three-term map.
         """
-        hit = self._support.get(eps)
-        if hit is None:
-            if not self._support:
-                validate_bath(self.spec.bath, self.bohr)
-            nodes, wts, rho = self.spec.bath.support_nodes(eps)
-            hit = self._support[eps] = (nodes, wts, rho, self.r_blocks(nodes))
-        return hit
+        if self._thermal is None:
+            bath = self.spec.bath
+            validate_bath(bath, self.bohr)
+            parts = [bath.support_nodes(e) for e in (0, 1)]
+            nodes, wts, rho = (np.concatenate(a) for a in zip(*parts))
+            eps = np.repeat([0, 1], [part[0].size for part in parts])
+            R = self.r_blocks(nodes)
+            self._thermal = ThermalPass(
+                eps=eps, coef=wts * (np.exp(-self.spec.beta * nodes) * rho),
+                ops=R[np.arange(eps.size), :, eps], re_gamma=self._re_gamma(nodes))
+        return self._thermal
 
     # -- pointwise views ---------------------------------------------------
 

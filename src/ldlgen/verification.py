@@ -319,20 +319,15 @@ def _identity_checks(tm, rng):
 def _three_term_generator(tm, X):
     """Theta0(X) summed directly from the three-term structure map under
     the same quadrature (independent arithmetic path from the Kraus form),
-    on the R blocks each node set already holds."""
+    on the R blocks the thermal pass already holds."""
     from . import generator as gen_mod
 
-    X = np.asarray(X, dtype=complex)
-    zero = tm.spectral.bohr_index(0.0)
-    out = np.zeros_like(X)
-    for eps in (0, 1):
-        nodes, coef, R = gen_mod._thermal_pass(tm, eps)
-        r0 = R[:, eps, eps, zero]
-        ops = R[:, :, eps].reshape(len(nodes), -1, tm.dim, tm.dim)
-        re_g = gen_mod._re_gamma(tm, nodes).reshape(len(nodes), -1)
-        terms = gen_mod._structure_map(X, r0, r0, ops, ops, re_g)
-        out += np.einsum("n,nij->ij", coef, terms)
-    return out
+    tp = tm.thermal_pass()
+    r0 = gen_mod._diagonal_r(tm, tp)
+    ops = tp.ops.reshape(tp.eps.size, -1, tm.dim, tm.dim)
+    terms = gen_mod._structure_map(np.asarray(X, dtype=complex), r0, r0, ops, ops,
+                                   tp.re_gamma.reshape(ops.shape[:2]))
+    return np.einsum("n,nij->ij", tp.coef, terms)
 
 
 def _limit_decay_checks(name, rep):

@@ -1,4 +1,5 @@
 import copy
+import importlib.util
 import json
 import pathlib
 
@@ -44,6 +45,14 @@ def chained_cluster_doc():
     coupling = 0.03 * (a + a.conj().T) / 2.0
     doc["system"]["coupling"] = [[z.real, z.imag] for z in coupling.reshape(-1)]
     return doc
+
+
+def ladder_model_doc(seed, dim, near_degenerate=False):
+    """A model of the benchmark's seeded dimension ladder (perfbench/ladder.py)."""
+    spec = importlib.util.spec_from_file_location("ladder", ROOT / "perfbench" / "ladder.py")
+    ladder = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ladder)
+    return ladder.ladder_model(seed, dim, near_degenerate)
 
 
 def write_model(tmp_path, doc, name="model.json"):

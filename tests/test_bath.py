@@ -218,6 +218,42 @@ def test_k_inner_product_shifted_supports_vanish():
     assert abs(k_inner_product(bath, (0, 0), (0, 0), omega=5.0, beta=0.5)) == 0.0
 
 
+def _hand_trapezoid_k(bath, f, u, omega, beta):
+    """k_inner_product's diagonal entry with the trapezoid rule written out
+    by hand: nodes at the grid's spacing over the support overlap."""
+    rho_f, rho_u = bath.density(f), bath.density(u)
+    lo, hi = max(rho_f.a, rho_u.a + omega), min(rho_f.b, rho_u.b + omega)
+    n = max(int(round((hi - lo) / bath.grid.spacing)) + 1, 16)
+    E = np.linspace(lo, hi, n)
+    wts = np.full(n, (hi - lo) / (n - 1))
+    wts[0] *= 0.5
+    wts[-1] *= 0.5
+    integrand = rho_f(E) * np.exp(-beta * (E - omega)) * rho_u(E - omega)
+    return complex(2.0 * math.pi * np.dot(wts, integrand))
+
+
+@pytest.mark.parametrize("grid", [EnergyGrid(-1.5, 4.5, 481), EnergyGrid(-2.0, 5.0, 97)])
+def test_k_inner_product_equals_hand_trapezoid_bitwise(grid):
+    table = DensityProfile.table([2.0, 2.3, 2.9, 3.0], [0.0, 0.7, 0.2, 0.0])
+    bath = _bath(DensityProfile.bump(0, 1, 1.3), table, grid)
+    for f, u in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        for omega in (-2.5, -1.0, 0.0, 0.37, 1.9):
+            for beta in (0.0, 0.5, 2.0):
+                val = k_inner_product(bath, (f, u), (f, u), omega, beta)
+                lo = max(bath.density(f).a, bath.density(u).a + omega)
+                hi = min(bath.density(f).b, bath.density(u).b + omega)
+                expect = _hand_trapezoid_k(bath, f, u, omega, beta) if lo < hi else 0j
+                assert val == expect
+
+
+def test_k_inner_product_refuses_more_than_the_grid_cap():
+    # the overlap [0, 2] spans about 131,000 spacings of this grid
+    bath = _bath(DensityProfile.rect(0, 2, 1.0), DensityProfile.rect(3, 4, 1.0),
+                 EnergyGrid(0.0, 1.0, MAX_GRID_POINTS))
+    with pytest.raises(ValidationError, match="above the cap"):
+        k_inner_product(bath, (0, 0), (0, 0), omega=0.0, beta=0.5)
+
+
 def test_k_inner_product_gram_positive():
     bath = _bath(DensityProfile.bump(0, 1, 1.0), DensityProfile.bump(2, 3, 1.0))
     family = [(0, 0), (0, 1), (1, 0), (1, 1)]

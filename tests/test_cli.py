@@ -360,6 +360,22 @@ def test_linalg_failure_exits_2(tmp_path, monkeypatch, capsys):
     assert "Singular matrix" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("message", ["Unable to allocate 8.00 EiB for an array", ""])
+def test_out_of_memory_exits_2(tmp_path, monkeypatch, capsys, message):
+    import ldlgen.cli
+
+    def exhausted(tm):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(ldlgen.cli, "build_generator", exhausted)
+    out = tmp_path / "gen.json"
+    assert run(["generator", NR, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numeric error: out of memory (")
+    assert (message or "allocation failed") in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_negative_counts_are_usage_errors(tmp_path, capsys, monkeypatch):
     import ldlgen.cli
 

@@ -11,7 +11,9 @@ from ldlgen.generator import (GKSLGenerator, apply_generator, build_generator,
                               theta_map)
 from ldlgen.model import model_from_dict
 
-from conftest import base_model_doc, random_density
+from ldlgen.verification import run_identity_suite
+
+from conftest import base_model_doc, ladder_model_doc, random_density
 
 
 def _zero_model():
@@ -387,3 +389,118 @@ def test_family_shape_mismatch_rejected():
     with pytest.raises(ValidationError, match="Kraus"):
         GKSLGenerator(drift=np.zeros((2, 2)), hamiltonian=np.zeros((2, 2)),
                       weights=[0.1] * 4, ops=np.zeros((1, 4, 4)))
+
+
+@pytest.mark.parametrize("field, value, match", [
+    ("weights", [np.nan], "finite and nonnegative"),
+    ("weights", [-1.0], "finite and nonnegative"),
+    ("weights", [np.inf], "finite and nonnegative"),
+    ("ops", [[[np.nan, 0.0], [0.0, 0.0]]], "must be finite"),
+    ("drift", [[np.inf, 0.0], [0.0, 0.0]], "must be finite"),
+    ("hamiltonian", [[0.0, np.nan], [np.nan, 0.0]], "must be finite"),
+    ("drift", np.zeros((3, 3)), "drift must be 2 x 2"),
+    ("hamiltonian", np.zeros((2, 3)), "hamiltonian must be 2 x 2"),
+])
+def test_generator_rejects_bad_parts(field, value, match):
+    parts = dict(drift=np.zeros((2, 2)), hamiltonian=np.zeros((2, 2)), weights=[0.3],
+                 ops=[np.eye(2)])
+    parts[field] = value
+    with pytest.raises(ValidationError, match=match):
+        GKSLGenerator(**parts)
+
+
+def test_generator_accepts_zero_weight():
+    gen = GKSLGenerator(drift=np.zeros((2, 2)), hamiltonian=np.zeros((2, 2)), weights=[0.0],
+                        ops=[np.eye(2)])
+    assert not gen.psi_one.any()
+
+
+def test_generator_from_json_rejects_bad_documents(nr_gen):
+    doc = json.loads(json.dumps(nr_gen.to_json()))
+    bad = json.loads(json.dumps(doc))
+    bad["kraus"][0]["weight"] = -1.0
+    with pytest.raises(ValidationError, match="nonnegative"):
+        GKSLGenerator.from_json(bad)
+    bad["kraus"][0]["weight"] = float("nan")
+    with pytest.raises(ValidationError, match="kraus weight must be finite"):
+        GKSLGenerator.from_json(bad)
+    bad = json.loads(json.dumps(doc))
+    bad["drift"] = [[0.0, 0.0]] * 4
+    bad["hamiltonian"] = [[0.0, 0.0]] * 9
+    with pytest.raises(ValidationError, match="drift must be 3 x 3"):
+        GKSLGenerator.from_json(bad)
+    for key in ("kraus", "drift", "hamiltonian"):
+        bad = {k: v for k, v in doc.items() if k != key}
+        with pytest.raises(ValidationError, match=f"missing required field '{key}'"):
+            GKSLGenerator.from_json(bad)
+    for key in ("weight", "operator"):
+        bad = json.loads(json.dumps(doc))
+        del bad["kraus"][1][key]
+        with pytest.raises(ValidationError, match=f"missing required field '{key}'"):
+            GKSLGenerator.from_json(bad)
+
+
+# -- the thermal pass ------------------------------------------------------------
+
+def test_thermal_pass_solves_the_support_nodes_once(nr_spec, monkeypatch):
+    tm = TMatrix(nr_spec)
+    support = np.concatenate([nr_spec.bath.support_nodes(e)[0] for e in (0, 1)])
+    calls = []
+    r_blocks = TMatrix.r_blocks
+
+    def counting(self, energies, omega_prime=0.0):
+        calls.append(np.array(energies, dtype=float).reshape(-1))
+        return r_blocks(self, energies, omega_prime)
+
+    monkeypatch.setattr(TMatrix, "r_blocks", counting)
+    drift(tm)
+    drift_from_t_operator(tm)
+    build_generator(tm)
+    run_identity_suite(tm, "identities")
+    assert sum(np.array_equal(E, support) for E in calls) == 1
+    # every other call is one of the suite's few pointwise energies
+    assert all(E.size <= 3 for E in calls if not np.array_equal(E, support))
+
+
+def _per_density_assembly(tm):
+    """Drift, drift through t, H and the Kraus family assembled one density at
+    a time: each density's own support nodes and r_blocks call, its terms
+    summed in turn, its Kraus entries appended in the order (node, eps', omega)."""
+    spec, sd = tm.spec, tm.spectral
+    zero = sd.bohr_index(0.0)
+    gamma, t, ham = (np.zeros((spec.dim, spec.dim), dtype=complex) for _ in range(3))
+    weights, ops = [], []
+    for eps in (0, 1):
+        nodes, wts, rho = spec.bath.support_nodes(eps)
+        coef = wts * (np.exp(-spec.beta * nodes) * rho)
+        R = tm.r_blocks(nodes)
+        r00 = R[:, eps, eps, zero]
+        gamma -= np.einsum("n,nij->ij", coef, r00)
+        t -= np.einsum("n,nij->ij", coef, R[:, eps, eps].sum(axis=1))
+        ham += np.einsum("n,nij->ij", coef, (np.swapaxes(r00, 1, 2).conj() - r00) / 2j)
+        shifted = nodes[:, None] + tm.bohr[None, :]
+        re_g = np.stack([math.pi * spec.bath.density(e)(shifted) for e in (0, 1)], axis=1)
+        weight = 2.0 * coef[:, None, None] * re_g
+        ops_eps = R[:, :, eps]
+        keep = (re_g > 0.0) & (weight > 0.0) & ops_eps.reshape(*re_g.shape, -1).any(axis=-1)
+        weights.append(weight[keep])
+        ops.append(ops_eps[keep])
+    return gamma, sd.split_operator(t)[zero], ham, np.concatenate(weights), np.concatenate(ops)
+
+
+def _relative(a, b):
+    return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("model", ["tm_nr", "tm_rwa", "ladder_d3"])
+def test_thermal_pass_matches_per_density_assembly(request, model):
+    tm = (TMatrix(model_from_dict(ladder_model_doc(3, 3))) if model == "ladder_d3"
+          else request.getfixturevalue(model.replace("tm_", "") + "_tm"))
+    gamma, gamma_t, ham, weights, ops = _per_density_assembly(tm)
+    gen = build_generator(tm)
+    assert gen.weights.tobytes() == weights.tobytes()
+    assert gen.ops.shape == ops.shape and gen.ops.tobytes() == ops.tobytes()
+    assert _relative(gen.drift, gamma) <= 1e-14
+    assert _relative(gen.hamiltonian, ham) <= 1e-14
+    assert _relative(drift_from_t_operator(tm), gamma_t) <= 1e-14
+

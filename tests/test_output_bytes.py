@@ -8,7 +8,6 @@ faster emitter and payload builder must reproduce byte for byte, and
 reproduce.
 """
 
-import importlib.util
 import json
 import math
 
@@ -21,7 +20,7 @@ from ldlgen import TMatrix, cli, generator, load_model
 from ldlgen.errors import NumericError
 from ldlgen.model import complex_matrix_to_json
 
-from conftest import MODELS, ROOT
+from conftest import MODELS, ladder_model_doc
 
 NR = str(MODELS / "tm_nr.json")
 RWA = str(MODELS / "tm_rwa.json")
@@ -135,11 +134,8 @@ def test_complex_matrix_to_json_matches_scalar_loop(matrix):
 # -- CLI files against the parent emitter and builder --------------------------
 
 def _ladder_model_path(tmp_path):
-    spec = importlib.util.spec_from_file_location("ladder", ROOT / "perfbench" / "ladder.py")
-    ladder = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(ladder)
     path = tmp_path / "ladder_d3.json"
-    path.write_text(json.dumps(ladder.ladder_model(LADDER_SEED, 3)))
+    path.write_text(json.dumps(ladder_model_doc(LADDER_SEED, 3)))
     return str(path)
 
 

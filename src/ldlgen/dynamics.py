@@ -451,8 +451,7 @@ def unravel_jump(gen, psi0, t_max, dt, trajectories, seed, threads=1):
     n_steps = _step_count(t_max, dt, gen.dim)
     psi0 = _validate_pure_state(psi0, gen.dim)
 
-    heff = gen.hamiltonian - 0.5j * gen.psi_one
-    step = _taylor_step(-1j * heff, dt)
+    step = _taylor_step(-1j * gen.heff, dt)
     step_norm = np.linalg.norm(step, 2)
     if not step_norm <= 1.0 + 1e-12:
         raise ValidationError(f"dt {dt!r} too large for this generator: the no-jump step "
@@ -464,7 +463,7 @@ def unravel_jump(gen, psi0, t_max, dt, trajectories, seed, threads=1):
     counts = np.zeros(2, dtype=int)
     for start in range(0, trajectories, _CHUNK):
         stop = min(start + _CHUNK, trajectories)
-        c_mean, c_m2, c_counts = _run_chunk(start, stop, seed, cohort, step, heff,
+        c_mean, c_m2, c_counts = _run_chunk(start, stop, seed, cohort, step, gen.heff,
                                             gen.weights, gen.ops, dt)
         counts += c_counts
         mean, m2 = _merge(mean, m2, start, c_mean, c_m2, stop - start)

@@ -11,10 +11,11 @@ last factor is Re gamma evaluated straight from the density (never from
 the principal-value part), so Kraus positivity carries no PV noise.
 
 The Kraus family is stored stacked, weights (K,) and operators
-(K, d, d), in the order (eps, grid node, eps', omega).  Psi(1), Psi(X)
-and the Choi matrix are each one contraction over the entry axis, the
-Kraus part of the Schroedinger-picture matrix is the realignment of the
-Choi matrix, and the Heisenberg-picture matrix is its adjoint.
+(K, d, d), in the order (eps, grid node, eps', omega).  Its entry axis is
+contracted once, in the cached Choi matrix C = sum_j w_j |vec L_j><vec L_j|,
+which Psi(X), Psi(1), the compressed family and the Liouvillian's Kraus part
+read; the rest reads the cached H_eff = H - (i/2) Psi(1), as in
+Theta0(X) = Psi(X) + i(H_eff^+ X - X H_eff).
 
 The drift Gamma is assembled twice: directly from the diagonal R blocks,
 and through the energy-resolved scattering components t^{eps,eps}(E)
@@ -69,8 +70,8 @@ def drift_from_t_operator(tm, diagonal_projection=True):
 def _structure_map(X, r12, r21, ra, rb, re_g):
     """X r12 + r21^+ X + 2 sum_k re_g[k] ra[k]^+ X rb[k], batched over a
     leading node axis: r12, r21 (n, d, d); ra, rb (n, K, d, d); re_g (n, K)."""
-    out = X @ r12 + np.swapaxes(r21, -1, -2).conj() @ X
-    out += 2.0 * np.einsum("nk,nkji,jl,nklm->nim", re_g, ra.conj(), X, rb)
+    out = X @ r12 + _dagger(r21) @ X
+    out += 2.0 * np.einsum("nk,nkim->nim", re_g, _dagger(ra) @ X @ rb)
     return out
 
 
@@ -118,6 +119,9 @@ class GKSLGenerator:
     def __post_init__(self):
         self.drift = np.asarray(self.drift, dtype=complex)
         self.hamiltonian = np.asarray(self.hamiltonian, dtype=complex)
+        if self.hamiltonian.ndim != 2:
+            raise ValidationError(
+                f"hamiltonian must be a matrix, not of shape {self.hamiltonian.shape}")
         d = self.dim
         for name, m in (("drift", self.drift), ("hamiltonian", self.hamiltonian)):
             if m.shape != (d, d):
@@ -144,13 +148,25 @@ class GKSLGenerator:
         return list(zip(self.weights.tolist(), self.ops))
 
     @cached_property
+    def choi(self):
+        """Choi matrix sum_j w_j |vec L_j><vec L_j| (row-major vec), read-only."""
+        vecs = self.ops.reshape(-1, self.dim ** 2)
+        return _read_only((vecs.T * self.weights) @ vecs.conj())
+
+    @cached_property
+    def heff(self):
+        """Effective Hamiltonian H - (i/2) Psi(1), read-only."""
+        return _read_only(self.hamiltonian - 0.5j * self.psi_one)
+
+    @cached_property
     def psi_one(self):
         """Psi(1) = sum_j w_j L_j^+ L_j."""
-        return _weighted_sum(self.weights, _dagger(self.ops) @ self.ops)
+        return _read_only(self.psi(np.eye(self.dim)))
 
     def psi(self, X):
+        """Psi(X)_il = sum_jk X_jk conj(C[(j,i),(k,l)])."""
         X = np.asarray(X, dtype=complex)
-        return _weighted_sum(self.weights, _dagger(self.ops) @ X @ self.ops)
+        return np.einsum("jk,jikl->il", X, self.choi.reshape((self.dim,) * 4).conj())
 
     def apply(self, X):
         return apply_generator(self, X)
@@ -162,7 +178,7 @@ class GKSLGenerator:
         threshold * max eigenvalue; Psi, and hence the generator, is
         unchanged up to the truncation.
         """
-        evals, evecs = np.linalg.eigh(choi_matrix(self))
+        evals, evecs = np.linalg.eigh(self.choi)
         keep = (evals > threshold * max(float(evals.max()), 0.0)) & (evals > 0.0)
         return GKSLGenerator(drift=self.drift, hamiltonian=self.hamiltonian,
                              weights=evals[keep],
@@ -186,6 +202,8 @@ class GKSLGenerator:
     @classmethod
     def from_json(cls, obj):
         entries = _require(obj, "kraus", "generator")
+        if not (isinstance(entries, list) and all(isinstance(e, dict) for e in entries)):
+            raise ValidationError("kraus must be a list of {weight, operator} objects")
         return cls(
             drift=complex_matrix_from_json(_require(obj, "drift", "generator"), "drift"),
             hamiltonian=complex_matrix_from_json(_require(obj, "hamiltonian", "generator"),
@@ -203,9 +221,9 @@ def _dagger(ops):
     return np.swapaxes(ops, -1, -2).conj()
 
 
-def _weighted_sum(weights, terms):
-    """sum_j weights[j] * terms[j], accumulated in entry order."""
-    return np.einsum("j,jab->ab", weights, terms)
+def _read_only(a):
+    a.flags.writeable = False
+    return a
 
 
 def build_generator(tm):
@@ -229,32 +247,25 @@ def build_generator(tm):
 
 
 def apply_generator(gen, X):
-    """Theta0(X) = Psi(X) - (1/2){Psi(1), X} + i[H, X]."""
+    """Theta0(X) = Psi(X) - (1/2){Psi(1), X} + i[H, X] = Psi(X) + i(H_eff^+ X - X H_eff)."""
     X = np.asarray(X, dtype=complex)
     if X.shape != (gen.dim, gen.dim):
         raise ValidationError("operator dimension does not match the generator")
-    p1 = gen.psi_one
-    h = gen.hamiltonian
-    return gen.psi(X) - 0.5 * (p1 @ X + X @ p1) + 1j * (h @ X - X @ h)
+    return gen.psi(X) + 1j * (gen.heff.conj().T @ X - X @ gen.heff)
 
 
 def dual_generator_matrix(gen):
     """Matrix of the Schroedinger-picture generator on row-major vec(rho):
 
-    rho -> sum_j w_j L_j rho L_j^+ - (1/2){Psi(1), rho} - i[H, rho].
+    rho -> sum_j w_j L_j rho L_j^+ - i(H_eff rho - rho H_eff^+).
 
     With row-major vectorization the map rho -> A rho B has matrix
     kron(A, B^T), so the Kraus part sum_j w_j kron(L_j, conj(L_j)) is the
     realignment of the Choi matrix: entry ((a,b),(c,e)) is C[(a,c),(b,e)].
     """
-    d = gen.dim
-    eye = np.eye(d)
-    out = choi_matrix(gen).reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
-    p1 = gen.psi_one
-    out -= 0.5 * (np.kron(p1, eye) + np.kron(eye, p1.T))
-    h = gen.hamiltonian
-    out -= 1j * (np.kron(h, eye) - np.kron(eye, h.T))
-    return out
+    eye = np.eye(gen.dim)
+    kraus = gen.choi.reshape((gen.dim,) * 4).transpose(0, 2, 1, 3).reshape(gen.choi.shape)
+    return kraus - 1j * (np.kron(gen.heff, eye) - np.kron(eye, gen.heff.conj()))
 
 
 def heisenberg_generator_matrix(gen):
@@ -264,12 +275,6 @@ def heisenberg_generator_matrix(gen):
 
 
 def choi_matrix(gen):
-    """Choi matrix of the completely positive part Psi.
-
-    C = sum_j w_j |vec L_j><vec L_j| (row-major vec), Hermitian and
-    positive semidefinite whenever the assembled weights are nonnegative;
-    its rank counts independent Kraus directions.
-    """
-    d = gen.dim
-    vecs = gen.ops.reshape(-1, d * d)
-    return _weighted_sum(gen.weights, vecs[:, :, None] * vecs[:, None, :].conj())
+    """Choi matrix of Psi (`gen.choi`, read-only): Hermitian, positive semidefinite
+    whenever the weights are nonnegative, of rank the number of independent Kraus directions."""
+    return gen.choi

@@ -1,8 +1,11 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ldlgen import TMatrix, ValidationError, validate_bath
 from ldlgen.generator import (GKSLGenerator, apply_generator, build_generator,
@@ -400,6 +403,7 @@ def test_family_shape_mismatch_rejected():
     ("hamiltonian", [[0.0, np.nan], [np.nan, 0.0]], "must be finite"),
     ("drift", np.zeros((3, 3)), "drift must be 2 x 2"),
     ("hamiltonian", np.zeros((2, 3)), "hamiltonian must be 2 x 2"),
+    ("hamiltonian", np.array(1.0), "hamiltonian must be a matrix"),
 ])
 def test_generator_rejects_bad_parts(field, value, match):
     parts = dict(drift=np.zeros((2, 2)), hamiltonian=np.zeros((2, 2)), weights=[0.3],
@@ -438,6 +442,67 @@ def test_generator_from_json_rejects_bad_documents(nr_gen):
         del bad["kraus"][1][key]
         with pytest.raises(ValidationError, match=f"missing required field '{key}'"):
             GKSLGenerator.from_json(bad)
+
+
+@pytest.mark.parametrize("kraus", [3, ["weight"]])
+def test_generator_from_json_rejects_malformed_kraus(nr_gen, kraus):
+    doc = json.loads(json.dumps(nr_gen.to_json()))
+    doc["kraus"] = kraus
+    with pytest.raises(ValidationError, match="kraus must be a list"):
+        GKSLGenerator.from_json(doc)
+
+
+# -- one Choi matrix and one H_eff ------------------------------------------------
+
+PSI_PROFILE = settings(derandomize=True, max_examples=200, deadline=None, database=None)
+
+
+@PSI_PROFILE
+@given(d=st.integers(1, 4), k=st.integers(0, 40), seed=st.integers(0, 2 ** 32 - 1))
+def test_psi_representation_matches_entry_loops(d, k, seed):
+    rng = np.random.default_rng(seed)
+    gen = _random_family_generator(rng, d, k)
+    w, ops, h = gen.weights, gen.ops, gen.hamiltonian
+    x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    bound = 1e-14 * float(w.sum() * (np.abs(ops) ** 2).sum())
+    p1 = _loop_psi(w, ops, np.eye(d))
+    assert np.abs(gen.psi_one - p1).max() <= bound
+    assert np.abs(gen.psi(x) - _loop_psi(w, ops, x)).max() <= bound
+    assert np.abs(choi_matrix(gen) - _loop_choi(w, ops)).max() <= bound
+    dual = _loop_dual(w, ops, h)
+    assert np.abs(dual_generator_matrix(gen) - dual).max() <= bound
+    assert np.abs(heisenberg_generator_matrix(gen) - dual.conj().T).max() <= bound
+    theta = _loop_psi(w, ops, x) - 0.5 * (p1 @ x + x @ p1) + 1j * (h @ x - x @ h)
+    assert np.abs(gen.apply(x) - theta).max() <= bound
+
+
+def test_choi_and_heff_are_read_only():
+    rng = np.random.default_rng(11)
+    gen = _random_family_generator(rng, 2, 3)
+    for cached in (gen.choi, gen.heff, gen.psi_one):
+        with pytest.raises(ValueError, match="read-only"):
+            cached[0, 0] = 1.0
+    assert choi_matrix(gen) is gen.choi
+    # at d = 1 the realigned Choi matrix can be a view of the cached one
+    gen = _random_family_generator(rng, 1, 4)
+    before = gen.choi.copy()
+    dual_generator_matrix(gen)
+    assert np.array_equal(gen.choi, before)
+
+
+def test_psi_builds_no_per_entry_stack():
+    gen = _random_family_generator(np.random.default_rng(5), 5, 3000)
+    x = np.eye(5) + 0.5j
+    tracemalloc.start()
+    try:
+        choi_matrix(gen)
+        _ = gen.psi_one
+        gen.psi(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one (K, d^2, d^2) stack alone would be 30 MB
+    assert peak < 4e6
 
 
 # -- the thermal pass ------------------------------------------------------------

@@ -26,47 +26,17 @@ part is exactly ``pi*rho(E)`` by construction.
 
 import functools
 import math
-import numbers
 import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericError, ValidationError
+from .errors import NumericError, ValidationError, _count, _fields, _real
 
 
-def _real(value, where):
-    """A finite real number as float; anything else is a ValidationError."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValidationError(f"{where} must be a number, got {value!r}")
-    value = float(value)
-    if not math.isfinite(value):
-        raise ValidationError(f"{where} must be finite, got {value!r}")
-    return value
-
-
-def _reject_unknown(obj, allowed, where):
-    """obj must be a JSON object with no keys outside allowed."""
-    if not isinstance(obj, dict):
-        raise ValidationError(f"{where} must be a JSON object")
-    unknown = set(obj.keys()) - allowed
-    if unknown:
-        raise ValidationError(f"unknown key(s) {sorted(unknown)} in {where}")
-
-
-def _require(obj, key, where):
-    if key not in obj:
-        raise ValidationError(f"missing required field '{key}' in {where}")
-    return obj[key]
-
-
-def _count(value, where):
-    """An integral number as int; a fractional or non-finite count is rejected
-    rather than truncated."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not float(value).is_integer()):
-        raise ValidationError(f"{where} must be an integer, got {value!r}")
-    return int(value)
+# the parameters of each profile kind, in the order its constructor takes them
+_PROFILE_PARAMS = {"rect": ("a", "b", "height"), "bump": ("a", "b", "amplitude"),
+                   "table": ("energies", "values")}
 
 
 @dataclass(frozen=True)
@@ -114,16 +84,18 @@ class DensityProfile:
 
     @classmethod
     def rect(cls, a, b, height):
-        return cls("rect", float(a), float(b), height=float(height))
+        return cls("rect", _real(a, "rect profile a"), _real(b, "rect profile b"),
+                   height=_real(height, "rect profile height"))
 
     @classmethod
     def bump(cls, a, b, amplitude):
-        return cls("bump", float(a), float(b), amplitude=float(amplitude))
+        return cls("bump", _real(a, "bump profile a"), _real(b, "bump profile b"),
+                   amplitude=_real(amplitude, "bump profile amplitude"))
 
     @classmethod
     def table(cls, energies, values):
-        energies = tuple(float(e) for e in energies)
-        values = tuple(float(v) for v in values)
+        energies = tuple(_real(e, "table profile energies") for e in energies)
+        values = tuple(_real(v, "table profile values") for v in values)
         return cls("table", energies[0], energies[-1], energies=energies, values=values)
 
     @property
@@ -166,25 +138,15 @@ class DensityProfile:
         if not isinstance(obj, dict) or "kind" not in obj:
             raise ValidationError("density profile must be an object with a 'kind' key")
         kind = obj["kind"]
-        keys = set(obj.keys())
-        if kind == "rect":
-            if keys != {"kind", "a", "b", "height"}:
-                raise ValidationError("rect profile takes exactly keys kind, a, b, height")
-            return cls.rect(*(_real(obj[k], f"rect profile {k}") for k in ("a", "b", "height")))
-        if kind == "bump":
-            if keys != {"kind", "a", "b", "amplitude"}:
-                raise ValidationError("bump profile takes exactly keys kind, a, b, amplitude")
-            return cls.bump(*(_real(obj[k], f"bump profile {k}") for k in ("a", "b", "amplitude")))
+        params = _PROFILE_PARAMS.get(kind) if isinstance(kind, str) else None
+        if params is None:
+            raise ValidationError(f"unknown density profile kind {kind!r}")
+        _fields(obj, f"{kind} profile", ("kind", *params))
         if kind == "table":
-            if keys != {"kind", "energies", "values"}:
-                raise ValidationError("table profile takes exactly keys kind, energies, values")
-            columns = []
-            for k in ("energies", "values"):
+            for k in params:
                 if not isinstance(obj[k], list):
                     raise ValidationError(f"table profile {k} must be a list")
-                columns.append([_real(x, f"table profile {k}") for x in obj[k]])
-            return cls.table(*columns)
-        raise ValidationError(f"unknown density profile kind {kind!r}")
+        return getattr(cls, kind)(*(obj[k] for k in params))
 
 
 @functools.lru_cache(maxsize=16)
@@ -226,14 +188,14 @@ class EnergyGrid:
     points: int
 
     def __post_init__(self):
-        _count(self.points, "energy grid points")
+        # a frozen dataclass: store the checked values through object.__setattr__
+        for name, check in (("points", _count), ("e_min", _real), ("e_max", _real)):
+            object.__setattr__(self, name, check(getattr(self, name), f"energy grid {name}"))
         if self.points < 16:
             raise ValidationError("energy grid needs at least 16 points")
         if self.points > MAX_GRID_POINTS:
             raise ValidationError(f"energy grid has {self.points} points, above the cap of "
                                   f"{MAX_GRID_POINTS}")
-        if not (math.isfinite(self.e_min) and math.isfinite(self.e_max)):
-            raise ValidationError("energy grid bounds must be finite")
         if not self.e_min < self.e_max:
             raise ValidationError("energy grid requires e_min < e_max")
 
@@ -261,10 +223,9 @@ class EnergyGrid:
     @classmethod
     def from_json(cls, obj, where="grid"):
         """Inverse of to_json, with every key required and checked."""
-        _reject_unknown(obj, {"min", "max", "points"}, where)
-        return cls(_real(_require(obj, "min", where), f"{where}.min"),
-                   _real(_require(obj, "max", where), f"{where}.max"),
-                   _count(_require(obj, "points", where), f"{where}.points"))
+        _fields(obj, where, ("min", "max", "points"))
+        return cls(_real(obj["min"], f"{where}.min"), _real(obj["max"], f"{where}.max"),
+                   _count(obj["points"], f"{where}.points"))
 
 
 @dataclass(frozen=True)
@@ -341,7 +302,7 @@ def mu_inv(bath, eps, E, beta):
     Only the reciprocal is ever needed; the density itself diverges off
     support and is never formed.
     """
-    return math.exp(-beta * E) * bath.density(eps)(E)
+    return math.exp(-_real(beta, "beta") * _real(E, "energy E")) * bath.density(eps)(E)
 
 
 def k_inner_product(bath, X, Y, omega, beta):
@@ -354,6 +315,7 @@ def k_inner_product(bath, X, Y, omega, beta):
     """
     f, u = X
     v, w = Y
+    omega, beta = _real(omega, "omega"), _real(beta, "beta")
     if f != v or u != w:
         return 0.0 + 0.0j
     rho_f = bath.density(f)

@@ -26,7 +26,7 @@ from .bath import validate_bath
 from .dynamics import (MAX_STORED_ENTRIES, _step_count, _validate_density,
                        _validate_pure_state, evolve_master, trajectory_csv_lines,
                        unravel_jump)
-from .errors import NumericError, ValidationError
+from .errors import NumericError, ValidationError, _fields
 from .generator import build_generator, drift, drift_from_t_operator
 from .model import (complex_matrix_from_json, complex_matrix_to_json,
                     complex_vector_from_json, load_model, read_json,
@@ -222,10 +222,7 @@ def _emit_lines(lines, path):
 
 
 def _load_state_matrix(path, key="matrix"):
-    doc = read_json(path)
-    if not isinstance(doc, dict) or key not in doc:
-        raise ValidationError(f"state file {path} must contain the key '{key}'")
-    return doc[key]
+    return _fields(read_json(path), f"state file {path}", (key,))[key]
 
 
 def _cmd_validate(args):
@@ -237,7 +234,7 @@ def _cmd_validate(args):
         "model": {
             "dim": spec.dim,
             "beta": spec.beta,
-            "levels": [float(e) for e, _ in sd.levels],
+            "levels": sd.energies.tolist(),
             "bohr_set": sd.bohr_set,
             "is_rwa": sd.is_rwa,
             "rwa_frequency": sd.rwa_frequency,

@@ -54,8 +54,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bath import _count, _real
-from .errors import NumericError, ValidationError
+from .errors import NumericError, ValidationError, _array, _count, _real
 from .generator import dual_generator_matrix
 
 _CHUNK = 1024
@@ -98,11 +97,7 @@ class JumpEnsemble:
 
 
 def _validate_density(rho, dim):
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (dim, dim):
-        raise ValidationError("initial state dimension does not match the generator")
-    if not np.isfinite(rho).all():
-        raise ValidationError("initial state has non-finite entries")
+    rho = _array(rho, (dim, dim), "initial state")
     if np.linalg.norm(rho - rho.conj().T) > 1e-9:
         raise ValidationError("initial state is not Hermitian")
     if abs(np.trace(rho).real - 1.0) > 1e-9 or abs(np.trace(rho).imag) > 1e-12:
@@ -113,11 +108,7 @@ def _validate_density(rho, dim):
 
 
 def _validate_pure_state(psi, dim):
-    psi = np.asarray(psi, dtype=complex).reshape(-1)
-    if psi.size != dim:
-        raise ValidationError("psi0 dimension does not match the generator")
-    if not np.isfinite(psi).all():
-        raise ValidationError("psi0 has non-finite entries")
+    psi = _array(np.ravel(psi), (dim,), "psi0")
     if abs(np.linalg.norm(psi) - 1.0) > 1e-9:
         raise ValidationError("psi0 must be normalized")
     return psi
@@ -138,6 +129,7 @@ def _taylor_step(matrix, h):
 def _step_count(t_max, dt, dim):
     """Number of fixed steps of size dt covering [0, t_max], for a stored
     trajectory of (steps + 1) d x d matrices within MAX_STORED_ENTRIES."""
+    t_max, dt = _real(t_max, "t_max"), _real(dt, "dt")
     if not (dt > 0 and t_max >= 0):
         raise ValidationError("t_max must be >= 0 and dt > 0")
     if not math.isfinite(t_max / dt):

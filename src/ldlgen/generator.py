@@ -33,10 +33,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .bath import EnergyGrid, _real, _require
-from .errors import ValidationError
+from .bath import EnergyGrid
+from .errors import ValidationError, _array, _energies, _fields, _index, _real
 from .model import complex_matrix_from_json, complex_matrix_to_json
-from .tmatrix import _energies, _index
 
 
 def _diagonal_r(tm, tp):
@@ -85,10 +84,7 @@ def theta_map(tm, X, eps1, eps2, omega1, omega2, E):
     node axis to the result.
     """
     eps1, eps2 = _index(eps1, "eps1"), _index(eps2, "eps2")
-    X = np.asarray(X, dtype=complex)
-    if X.shape != (tm.dim, tm.dim) or not np.isfinite(X).all():
-        raise ValidationError(f"X must be a finite {tm.dim} x {tm.dim} matrix")
-    E = _energies(E)
+    X, E = _array(X, (tm.dim, tm.dim), "X"), _energies(E)
     nodes = E.reshape(-1)
     at = tm.spectral.at
     R1 = tm.r_blocks(nodes, omega1)
@@ -117,26 +113,18 @@ class GKSLGenerator:
     grid: object = None
 
     def __post_init__(self):
-        self.drift = np.asarray(self.drift, dtype=complex)
-        self.hamiltonian = np.asarray(self.hamiltonian, dtype=complex)
-        if self.hamiltonian.ndim != 2:
-            raise ValidationError(
-                f"hamiltonian must be a matrix, not of shape {self.hamiltonian.shape}")
-        d = self.dim
-        for name, m in (("drift", self.drift), ("hamiltonian", self.hamiltonian)):
-            if m.shape != (d, d):
-                raise ValidationError(f"{name} must be {d} x {d}, not {m.shape}")
-        self.weights = np.asarray(self.weights, dtype=float).reshape(-1)
-        ops = np.asarray(self.ops, dtype=complex)
-        self.ops = ops.reshape(0, d, d) if ops.size == 0 else ops
-        if self.ops.shape != (self.weights.size, d, d):
-            raise ValidationError(
-                f"{self.weights.size} Kraus weights need operators of shape "
-                f"({self.weights.size}, {d}, {d}), not {ops.shape}")
-        if not (self.weights >= 0.0).all() or not np.isfinite(self.weights).all():
-            raise ValidationError("Kraus weights must be finite and nonnegative")
-        if not all(np.isfinite(m).all() for m in (self.ops, self.drift, self.hamiltonian)):
-            raise ValidationError("Kraus operators, drift and hamiltonian must be finite")
+        shape = np.shape(self.hamiltonian)
+        if len(shape) != 2:
+            raise ValidationError(f"hamiltonian must be a matrix, not of shape {shape}")
+        d = shape[0]
+        self.hamiltonian = _array(self.hamiltonian, (d, d), "hamiltonian")
+        self.drift = _array(self.drift, (d, d), "drift")
+        weights = np.ravel(self.weights)
+        self.weights = _array(weights, weights.shape, "Kraus weights", dtype=float,
+                              nonnegative=True)
+        # an empty family may come as [] rather than of shape (0, d, d)
+        ops = self.ops if np.size(self.ops) else np.zeros((0, d, d))
+        self.ops = _array(ops, (self.weights.size, d, d), "Kraus operators")
 
     @property
     def dim(self):
@@ -165,7 +153,7 @@ class GKSLGenerator:
 
     def psi(self, X):
         """Psi(X)_il = sum_jk X_jk conj(C[(j,i),(k,l)])."""
-        X = np.asarray(X, dtype=complex)
+        X = _array(X, (self.dim, self.dim), "X")
         return np.einsum("jk,jikl->il", X, self.choi.reshape((self.dim,) * 4).conj())
 
     def apply(self, X):
@@ -201,17 +189,18 @@ class GKSLGenerator:
 
     @classmethod
     def from_json(cls, obj):
-        entries = _require(obj, "kraus", "generator")
+        _fields(obj, "generator", ("kraus", "drift", "hamiltonian"), ("dim", "grid"))
+        entries = obj["kraus"]
         if not (isinstance(entries, list) and all(isinstance(e, dict) for e in entries)):
             raise ValidationError("kraus must be a list of {weight, operator} objects")
+        for entry in entries:
+            _fields(entry, "kraus entry", ("weight", "operator"))
         return cls(
-            drift=complex_matrix_from_json(_require(obj, "drift", "generator"), "drift"),
-            hamiltonian=complex_matrix_from_json(_require(obj, "hamiltonian", "generator"),
-                                                 "hamiltonian"),
-            weights=[_real(_require(entry, "weight", "kraus entry"), "kraus weight")
-                     for entry in entries],
-            ops=[complex_matrix_from_json(_require(entry, "operator", "kraus entry"),
-                                          "kraus operator") for entry in entries],
+            drift=complex_matrix_from_json(obj["drift"], "drift"),
+            hamiltonian=complex_matrix_from_json(obj["hamiltonian"], "hamiltonian"),
+            weights=[_real(entry["weight"], "kraus weight") for entry in entries],
+            ops=[complex_matrix_from_json(entry["operator"], "kraus operator")
+                 for entry in entries],
             grid=EnergyGrid.from_json(obj["grid"]) if "grid" in obj else None,
         )
 
@@ -248,9 +237,7 @@ def build_generator(tm):
 
 def apply_generator(gen, X):
     """Theta0(X) = Psi(X) - (1/2){Psi(1), X} + i[H, X] = Psi(X) + i(H_eff^+ X - X H_eff)."""
-    X = np.asarray(X, dtype=complex)
-    if X.shape != (gen.dim, gen.dim):
-        raise ValidationError("operator dimension does not match the generator")
+    X = _array(X, (gen.dim, gen.dim), "X")
     return gen.psi(X) + 1j * (gen.heff.conj().T @ X - X @ gen.heff)
 
 

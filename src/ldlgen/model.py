@@ -16,14 +16,12 @@ assignment through `SpectralData.split`.
 """
 
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bath import (BathSpec, DensityProfile, EnergyGrid, _count, _real,
-                   _reject_unknown, _require)
-from .errors import ValidationError
+from .bath import BathSpec, DensityProfile, EnergyGrid
+from .errors import ValidationError, _array, _count, _fields, _real
 
 DEFAULT_BOHR_TOLERANCE = 1e-9
 DEFAULT_NEUMANN_MAX_ORDER = 64
@@ -69,62 +67,52 @@ class ModelSpec:
     neumann_tolerance: float = DEFAULT_NEUMANN_TOLERANCE
 
     def __post_init__(self):
-        self.h_system = np.asarray(self.h_system, dtype=complex)
-        self.coupling = np.asarray(self.coupling, dtype=complex)
+        self.dim = _count(self.dim, "dim")
         if self.dim < 1:
             raise ValidationError("dim must be >= 1")
-        if self.h_system.shape != (self.dim, self.dim):
-            raise ValidationError("h_system must be dim x dim")
-        if self.coupling.shape != (self.dim, self.dim):
-            raise ValidationError("coupling must be dim x dim")
-        if not (np.all(np.isfinite(self.h_system)) and np.all(np.isfinite(self.coupling))):
-            raise ValidationError("h_system and coupling entries must be finite")
+        self.h_system = _array(self.h_system, (self.dim, self.dim), "h_system")
+        self.coupling = _array(self.coupling, (self.dim, self.dim), "coupling")
         hermit_defect = np.linalg.norm(self.h_system - self.h_system.conj().T)
         scale = max(np.linalg.norm(self.h_system), 1e-300)
         if hermit_defect > 1e-12 * scale:
             raise ValidationError(
                 f"h_system is not Hermitian (relative defect {hermit_defect / scale:.3e})"
             )
-        if not (self.beta > 0 and math.isfinite(self.beta)):
+        self.beta = _real(self.beta, "beta")
+        if not self.beta > 0:
             raise ValidationError("beta must be > 0 and finite")
-        if not (self.bohr_tolerance > 0 and math.isfinite(self.bohr_tolerance)):
+        self.bohr_tolerance = _real(self.bohr_tolerance, "bohr_tolerance")
+        if not self.bohr_tolerance > 0:
             raise ValidationError("bohr_tolerance must be > 0 and finite")
-        if _count(self.neumann_max_order, "neumann_max_order") < 1:
+        self.neumann_max_order = _count(self.neumann_max_order, "neumann_max_order")
+        if self.neumann_max_order < 1:
             raise ValidationError("neumann_max_order must be >= 1")
-        if not (self.neumann_tolerance > 0 and math.isfinite(self.neumann_tolerance)):
+        self.neumann_tolerance = _real(self.neumann_tolerance, "neumann_tolerance")
+        if not self.neumann_tolerance > 0:
             raise ValidationError("neumann_tolerance must be > 0 and finite")
-
-
-_TOP_KEYS = {"system", "bath", "truncation"}
-_SYSTEM_KEYS = {"hamiltonian", "coupling", "bohr_tolerance"}
-_BATH_KEYS = {"beta", "grid", "rho0", "rho1"}
-_TRUNCATION_KEYS = {"neumann_max_order", "neumann_tolerance"}
 
 
 def model_from_dict(doc):
     """Build a ModelSpec from the strict JSON document schema."""
-    _reject_unknown(doc, _TOP_KEYS, "model")
-    system = _require(doc, "system", "model")
-    bath_doc = _require(doc, "bath", "model")
-    _reject_unknown(system, _SYSTEM_KEYS, "system")
-    _reject_unknown(bath_doc, _BATH_KEYS, "bath")
+    _fields(doc, "model", ("system", "bath"), ("truncation",))
+    system = _fields(doc["system"], "system", ("hamiltonian", "coupling"), ("bohr_tolerance",))
+    bath_doc = _fields(doc["bath"], "bath", ("beta", "grid", "rho0", "rho1"))
+    trunc = _fields(doc.get("truncation", {}), "truncation", (),
+                    ("neumann_max_order", "neumann_tolerance"))
 
-    h = complex_matrix_from_json(_require(system, "hamiltonian", "system"), "system.hamiltonian")
-    d = complex_matrix_from_json(_require(system, "coupling", "system"), "system.coupling")
+    h = complex_matrix_from_json(system["hamiltonian"], "system.hamiltonian")
+    d = complex_matrix_from_json(system["coupling"], "system.coupling")
     if h.shape != d.shape:
         raise ValidationError("hamiltonian and coupling must have the same dimension")
 
-    beta = _real(_require(bath_doc, "beta", "bath"), "bath.beta")
-    grid = EnergyGrid.from_json(_require(bath_doc, "grid", "bath"), "bath.grid")
-    rho0 = DensityProfile.from_json(_require(bath_doc, "rho0", "bath"))
-    rho1 = DensityProfile.from_json(_require(bath_doc, "rho1", "bath"))
-    bath = BathSpec(rho0, rho1, grid)
+    beta = _real(bath_doc["beta"], "bath.beta")
+    grid = EnergyGrid.from_json(bath_doc["grid"], "bath.grid")
+    bath = BathSpec(DensityProfile.from_json(bath_doc["rho0"]),
+                    DensityProfile.from_json(bath_doc["rho1"]), grid)
 
     kwargs = {}
     if "bohr_tolerance" in system:
         kwargs["bohr_tolerance"] = _real(system["bohr_tolerance"], "system.bohr_tolerance")
-    trunc = doc.get("truncation", {})
-    _reject_unknown(trunc, _TRUNCATION_KEYS, "truncation")
     if "neumann_max_order" in trunc:
         kwargs["neumann_max_order"] = _count(trunc["neumann_max_order"],
                                              "truncation.neumann_max_order")

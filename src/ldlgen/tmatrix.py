@@ -35,8 +35,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bath import GammaTable, _count, _real, gauss_legendre_nodes, validate_bath
-from .errors import NumericError, ValidationError
+from .bath import GammaTable, gauss_legendre_nodes, validate_bath
+from .errors import NumericError, ValidationError, _array, _count, _energies, _index, _real
 from .model import _cluster_sorted, spectral_decompose
 
 CONDITION_LIMIT = 1e12
@@ -44,27 +44,6 @@ PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
 # Largest Dyson-oracle time grid, in steps (the grid has steps + 1 points);
 # at d = 2 the n = 3 phase rows and their stack then take 192 MiB.
 MAX_GRID_STEPS = 1 << 20
-
-
-def _index(value, name):
-    """A label 0 or 1 as int; 1.0 passes, a bool or anything else is a ValidationError."""
-    if _count(value, name) not in (0, 1):
-        raise ValidationError(f"{name} must be 0 or 1, got {value!r}")
-    return int(value)
-
-
-def _energies(E):
-    """A finite real energy, or a 1-D array of them, as a float array of the
-    same shape; anything else is a ValidationError.  The pointwise views
-    take either: an array adds a leading node axis to the result."""
-    try:
-        arr = np.asarray(E)
-        ok = arr.dtype.kind in "iuf" and arr.ndim <= 1 and np.isfinite(arr).all()
-    except ValueError:
-        ok = False
-    if not ok:
-        raise ValidationError(f"energy must be a finite number or a 1-D array of them, got {E!r}")
-    return arr.astype(float)
 
 
 def _series_pair(pair):
@@ -515,18 +494,7 @@ def _contraction_vectors(tm, pair, u, v, n_energy):
     n_energy = _count(n_energy, "n_energy")
     if n_energy < 1:
         raise ValidationError("n_energy must be >= 1")
-    out = []
-    for name, vec in (("u", u), ("v", v)):
-        try:
-            arr = np.asarray(vec, dtype=complex)
-        except (TypeError, ValueError):
-            raise ValidationError(f"{name} must be a numeric vector") from None
-        if arr.shape != (tm.dim,):
-            raise ValidationError(f"{name} must be a vector of length {tm.dim}, got shape {arr.shape}")
-        if not np.isfinite(arr).all():
-            raise ValidationError(f"{name} must be finite")
-        out.append(arr)
-    return n_energy, *out
+    return n_energy, _array(u, (tm.dim,), "u"), _array(v, (tm.dim,), "v")
 
 
 def _corr_weights(profile, n_nodes):

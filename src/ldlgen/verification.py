@@ -17,7 +17,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bath import _legendre_rule, validate_bath
-from .errors import ValidationError
+from .errors import ValidationError, _real
+from .generator import (_diagonal_r, _structure_map, build_generator, choi_matrix, drift,
+                        drift_from_t_operator)
 
 # entries of one (u nodes) x (t nodes) block in _overlap_vector: bounds its
 # memory, and blocks larger than the cache made the mismatched check slower
@@ -169,7 +171,7 @@ def _limit_report(lambdas, values, target):
 def _matched_reports(f, g, h, lambdas):
     """The reports of check_delta_limit at matching frequencies and of
     check_causal_delta_limit, from one pass of `_pairings`."""
-    lambdas = [float(l) for l in lambdas]
+    lambdas = [_real(l, "lambda") for l in lambdas]
     full, causal = _pairings(f, g, h, lambdas)
     product = _product_integral(f, g)
     return (_limit_report(lambdas, full, 2.0 * math.pi * h(0.0) * product),
@@ -182,7 +184,7 @@ def check_delta_limit(f, g, h, omega_match, lambdas, mismatch=1.0):
     against 2 pi h(0) * integral f g (matching frequencies) or 0."""
     if omega_match:
         return _matched_reports(f, g, h, lambdas)[0]
-    lambdas = [float(l) for l in lambdas]
+    lambdas = [_real(l, "lambda") for l in lambdas]
     return _limit_report(lambdas, _pairings(f, g, h, lambdas, mismatch)[0], 0.0)
 
 
@@ -216,8 +218,6 @@ def _check(name, residual, tolerance):
 
 
 def _identity_checks(tm, rng):
-    from . import generator as gen_mod
-
     d = tm.dim
     sd = tm.spectral
     checks = []
@@ -282,18 +282,18 @@ def _identity_checks(tm, rng):
     checks.append(_check("diagonal_projection", res_diag, 1e-10))
 
     # drift identities and the Lindblad structure
-    gamma_direct = gen_mod.drift(tm)
-    gamma_via_t = gen_mod.drift_from_t_operator(tm)
+    gamma_direct = drift(tm)
+    gamma_via_t = drift_from_t_operator(tm)
     checks.append(_check("drift_vs_t_operator",
                          np.linalg.norm(gamma_direct - gamma_via_t), 1e-10))
     comm = gamma_direct @ tm.spec.h_system - tm.spec.h_system @ gamma_direct
     checks.append(_check("drift_commutes_with_h_system", np.linalg.norm(comm), 1e-10))
     if sd.is_rwa:
-        bare = gen_mod.drift_from_t_operator(tm, diagonal_projection=False)
+        bare = drift_from_t_operator(tm, diagonal_projection=False)
         checks.append(_check("rwa_full_trace_drift",
                              np.linalg.norm(gamma_direct - bare), 1e-10))
 
-    gen = gen_mod.build_generator(tm)
+    gen = build_generator(tm)
     checks.append(_check("hamiltonian_hermitian",
                          np.linalg.norm(gen.hamiltonian - gen.hamiltonian.conj().T), 1e-12))
     checks.append(_check("hamiltonian_from_drift",
@@ -309,7 +309,7 @@ def _identity_checks(tm, rng):
         three_term = _three_term_generator(tm, x)
         res_rec = np.maximum(res_rec, float(np.linalg.norm(direct - three_term)))
     checks.append(_check("lindblad_reconstruction", res_rec, 1e-12))
-    choi = gen_mod.choi_matrix(gen)
+    choi = choi_matrix(gen)
     min_eig = float(np.linalg.eigvalsh(choi).min())
     norm_choi = float(np.linalg.norm(choi, 2))
     checks.append(_check("choi_positive", 0.0 if min_eig >= 0 else -min_eig, 1e-10 * norm_choi))
@@ -320,13 +320,11 @@ def _three_term_generator(tm, X):
     """Theta0(X) summed directly from the three-term structure map under
     the same quadrature (independent arithmetic path from the Kraus form),
     on the R blocks the thermal pass already holds."""
-    from . import generator as gen_mod
-
     tp = tm.thermal_pass()
-    r0 = gen_mod._diagonal_r(tm, tp)
+    r0 = _diagonal_r(tm, tp)
     ops = tp.ops.reshape(tp.eps.size, -1, tm.dim, tm.dim)
-    terms = gen_mod._structure_map(np.asarray(X, dtype=complex), r0, r0, ops, ops,
-                                   tp.re_gamma.reshape(ops.shape[:2]))
+    terms = _structure_map(np.asarray(X, dtype=complex), r0, r0, ops, ops,
+                           tp.re_gamma.reshape(ops.shape[:2]))
     return np.einsum("n,nij->ij", tp.coef, terms)
 
 

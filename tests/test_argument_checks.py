@@ -1,0 +1,115 @@
+"""Every public entry reads its arguments through the checks of `ldlgen.errors`:
+a malformed argument is a ValidationError, never a bare TypeError or
+ValueError and never a NaN result."""
+
+import json
+
+import numpy as np
+import pytest
+
+from ldlgen import ValidationError
+from ldlgen.bath import DensityProfile, EnergyGrid, k_inner_product, mu_inv
+from ldlgen.cli import run
+from ldlgen.dynamics import evolve_master, unravel_jump
+from ldlgen.generator import GKSLGenerator, apply_generator, theta_map
+from ldlgen.model import ModelSpec
+from ldlgen.tmatrix import TMatrix
+from ldlgen.verification import (check_causal_delta_limit, check_delta_limit,
+                                 default_test_functions)
+
+from conftest import MODELS
+
+NR = str(MODELS / "tm_nr.json")
+RHO = np.diag([1.0, 0.0])
+PSI = np.array([1.0, 0.0])
+NAN = np.full((2, 2), np.nan)
+
+
+def _spec(nr_spec, **changes):
+    fields = dict(dim=2, h_system=nr_spec.h_system, coupling=nr_spec.coupling,
+                  beta=nr_spec.beta, bath=nr_spec.bath)
+    return ModelSpec(**{**fields, **changes})
+
+
+def _generator(**changes):
+    parts = dict(drift=np.zeros((2, 2)), hamiltonian=np.zeros((2, 2)), weights=[0.3],
+                 ops=[np.eye(2)])
+    return GKSLGenerator(**{**parts, **changes})
+
+
+def _limit(check, *args):
+    f, g, h = default_test_functions()
+    return check(f, g, h, *args)
+
+
+BAD_CALLS = {
+    # a bare TypeError at the parent
+    "generator_from_json_int": lambda s, tm, gen: GKSLGenerator.from_json(3),
+    "generator_from_json_none": lambda s, tm, gen: GKSLGenerator.from_json(None),
+    "generator_from_json_str": lambda s, tm, gen: GKSLGenerator.from_json("kraus"),
+    "evolve_master_t_max": lambda s, tm, gen: evolve_master(gen, RHO, "x", 0.1),
+    "unravel_jump_t_max": lambda s, tm, gen: unravel_jump(gen, PSI, "x", 0.1, 10, 1),
+    "model_spec_beta": lambda s, tm, gen: _spec(s, beta="x"),
+    "energy_grid_e_min": lambda s, tm, gen: EnergyGrid("0", 1.0, 16),
+    "k_inner_product_omega": lambda s, tm, gen: k_inner_product(s.bath, (0, 0), (0, 0),
+                                                                "x", 1.0),
+    "mu_inv_energy": lambda s, tm, gen: mu_inv(s.bath, 0, "x", 1.0),
+    # a bare ValueError at the parent
+    "psi_dimension": lambda s, tm, gen: gen.psi(np.eye(3)),
+    "apply_generator_str": lambda s, tm, gen: apply_generator(gen, "ab"),
+    "theta_map_str": lambda s, tm, gen: theta_map(tm, "ab", 0, 0, 0.0, 0.0, 0.5),
+    "evolve_master_str": lambda s, tm, gen: evolve_master(gen, "ab", 1.0, 0.1),
+    "unravel_jump_str": lambda s, tm, gen: unravel_jump(gen, "ab", 1.0, 0.1, 10, 1),
+    "model_spec_h_system": lambda s, tm, gen: _spec(s, h_system="ab"),
+    "generator_ops": lambda s, tm, gen: _generator(ops="ab"),
+    "generator_weights": lambda s, tm, gen: _generator(weights=["a"]),
+    "rect_profile": lambda s, tm, gen: DensityProfile.rect("a", 1, 1),
+    "delta_limit_lambdas": lambda s, tm, gen: _limit(check_delta_limit, True, ["a"]),
+    "causal_limit_lambdas": lambda s, tm, gen: _limit(check_causal_delta_limit, ["a"]),
+    # a NaN result at the parent
+    "psi_nan": lambda s, tm, gen: gen.psi(NAN),
+    "apply_generator_nan": lambda s, tm, gen: apply_generator(gen, NAN),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_CALLS))
+def test_malformed_argument_is_a_validation_error(nr_spec, nr_tm, nr_gen, name):
+    with pytest.raises(ValidationError):
+        BAD_CALLS[name](nr_spec, nr_tm, nr_gen)
+
+
+def test_float_counts_are_stored_as_int(nr_spec):
+    grid = EnergyGrid(0.0, 1.0, 16.0)
+    assert type(grid.points) is int and grid.nodes.size == 16
+    assert json.dumps(grid.to_json()) == '{"min": 0.0, "max": 1.0, "points": 16}'
+    spec = _spec(nr_spec, dim=2.0, neumann_max_order=64.0)
+    assert type(spec.dim) is int and type(spec.neumann_max_order) is int
+    tm = TMatrix(spec)
+    col = tm.neumann_column(0, 0.0, 0.5)
+    assert col.converged and col.blocks.shape == (3, 2, 2)
+
+
+def test_state_file_with_unknown_key_exits_1(tmp_path, capsys):
+    rho = tmp_path / "rho0.json"
+    rho.write_text(json.dumps({"matrix": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
+                               "note": 1}))
+    psi = tmp_path / "psi0.json"
+    psi.write_text(json.dumps({"vector": [[1.0, 0.0], [0.0, 0.0]], "note": 1}))
+    out = tmp_path / "t.csv"
+    span = ["--tmax", "1", "--dt", "0.1", "--out", str(out)]
+    assert run(["evolve", NR, "--rho0", str(rho), *span]) == 1
+    assert run(["unravel", NR, "--psi0", str(psi), "--trajectories", "2", "--seed", "0",
+                *span]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and all("unknown key(s) ['note'] in state file" in line for line in err)
+    assert not out.exists()
+
+
+def test_generator_document_with_unknown_key_rejected(nr_gen):
+    doc = json.loads(json.dumps(nr_gen.to_json()))
+    GKSLGenerator.from_json(doc)
+    with pytest.raises(ValidationError, match=r"unknown key\(s\) \['note'\] in generator"):
+        GKSLGenerator.from_json({**doc, "note": 1})
+    doc["kraus"][0]["note"] = 1
+    with pytest.raises(ValidationError, match=r"unknown key\(s\) \['note'\] in kraus entry"):
+        GKSLGenerator.from_json(doc)

@@ -37,6 +37,7 @@ from .errors import NumericError, ValidationError, _count, _fields, _real
 # the parameters of each profile kind, in the order its constructor takes them
 _PROFILE_PARAMS = {"rect": ("a", "b", "height"), "bump": ("a", "b", "amplitude"),
                    "table": ("energies", "values")}
+_TABLE_LENGTHS = "table profile needs matching energies/values, len >= 2"
 
 
 @dataclass(frozen=True)
@@ -72,7 +73,7 @@ class DensityProfile:
             e = np.asarray(self.energies, dtype=float)
             v = np.asarray(self.values, dtype=float)
             if e.size < 2 or e.size != v.size:
-                raise ValidationError("table profile needs matching energies/values, len >= 2")
+                raise ValidationError(_TABLE_LENGTHS)
             if np.any(np.diff(e) <= 0):
                 raise ValidationError("table energies must be strictly increasing")
             if abs(e[0] - self.a) > 1e-12 or abs(e[-1] - self.b) > 1e-12:
@@ -96,6 +97,8 @@ class DensityProfile:
     def table(cls, energies, values):
         energies = tuple(_real(e, "table profile energies") for e in energies)
         values = tuple(_real(v, "table profile values") for v in values)
+        if len(energies) < 2 or len(energies) != len(values):
+            raise ValidationError(_TABLE_LENGTHS)
         return cls("table", energies[0], energies[-1], energies=energies, values=values)
 
     @property
@@ -114,7 +117,9 @@ class DensityProfile:
         if self.kind == "rect":
             out = np.where(inside, self.height, 0.0)
         elif self.kind == "bump":
-            out = np.where(inside, self.amplitude * (E - self.a) * (self.b - E), 0.0)
+            # clipped, so energies far outside the support cannot overflow
+            Ec = np.clip(E, self.a, self.b)
+            out = np.where(inside, self.amplitude * (Ec - self.a) * (self.b - Ec), 0.0)
         else:
             out = np.where(inside, np.interp(E, self.energies, self.values), 0.0)
         if out.ndim == 0:
@@ -198,6 +203,9 @@ class EnergyGrid:
                                   f"{MAX_GRID_POINTS}")
         if not self.e_min < self.e_max:
             raise ValidationError("energy grid requires e_min < e_max")
+        if not math.isfinite(self.e_max - self.e_min):
+            raise ValidationError(f"energy grid span e_max - e_min overflows "
+                                  f"(e_min = {self.e_min:g}, e_max = {self.e_max:g})")
 
     @property
     def nodes(self):
@@ -261,15 +269,25 @@ class BathSpec:
         return -min(b0 - a1, b1 - a0)
 
 
-def validate_bath(bath, bohr):
+def _thermal_weights(nodes, wts, rho, beta):
+    """w exp(-beta E) rho(E) at support nodes E with trapezoid weights w and
+    density values rho: the weight of each node in the thermal quadrature."""
+    return wts * (np.exp(-beta * nodes) * rho)
+
+
+def validate_bath(bath, bohr, beta):
     """The one admissibility check of the thermal quadrature.
 
     In this order: the supports of rho0 and rho1 are disjoint, so the
     thermal cross-correlation of the two form factors vanishes at all
-    times; a grid node lies inside each support; and the grid covers each
-    support shifted by every Bohr frequency in `bohr`.  Raises
-    ValidationError on the first violation, otherwise returns a report.
+    times; a grid node lies inside each support; the grid covers each
+    support shifted by every Bohr frequency in `bohr`; and at every support
+    node E both beta E and the thermal weight w exp(-beta E) rho(E)
+    (`_thermal_weights`) are finite (the weight may underflow to 0).
+    Raises ValidationError on the first violation, otherwise returns a
+    report.
     """
+    beta = _real(beta, "beta")
     gap = bath.support_gap
     if gap <= 0:
         raise ValidationError(
@@ -287,6 +305,16 @@ def validate_bath(bath, bohr):
     if missing:
         detail = ", ".join(f"support of rho{e} shifted by {w:+g}" for e, w in missing)
         raise ValidationError(f"energy grid does not cover: {detail}")
+    for eps in (0, 1):
+        nodes, wts, rho = bath.support_nodes(eps)
+        with np.errstate(over="ignore"):
+            weights = _thermal_weights(nodes, wts, rho, beta)
+            bad = ~np.isfinite(beta * nodes) | ~np.isfinite(weights)
+        if bad.any():
+            raise ValidationError(
+                f"thermal weight w*exp(-beta*E)*rho(E) is out of range at beta = {beta:g}, "
+                f"E = {nodes[bad][0]:g} (a support node of rho{eps}): beta*E and the weight "
+                f"must be finite")
     return {
         "nonnegative": True,
         "disjoint_supports": True,

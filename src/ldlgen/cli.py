@@ -228,7 +228,7 @@ def _load_state_matrix(path, key="matrix"):
 def _cmd_validate(args):
     spec = load_model(args.model)
     sd = spectral_decompose(spec)
-    bath_report = validate_bath(spec.bath, sd.bohr)
+    bath_report = validate_bath(spec.bath, sd.bohr, spec.beta)
     payload = {
         "valid": True,
         "model": {

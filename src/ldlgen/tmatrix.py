@@ -35,14 +35,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bath import GammaTable, gauss_legendre_nodes, validate_bath
+from .bath import GammaTable, gauss_legendre_nodes, _thermal_weights, validate_bath
 from .errors import NumericError, ValidationError, _array, _count, _energies, _index, _real
 from .model import _cluster_sorted, spectral_decompose
 
 CONDITION_LIMIT = 1e12
 PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
 # Largest Dyson-oracle time grid, in steps (the grid has steps + 1 points);
-# at d = 2 the n = 3 phase rows and their stack then take 192 MiB.
+# at d = 2 the kept phase rows and the n = 3 zero-padded buffer then take 192 MiB.
 MAX_GRID_STEPS = 1 << 20
 
 
@@ -80,6 +80,10 @@ class BlockColumn:
 
 
 ThermalPass = namedtuple("ThermalPass", "eps coef ops re_gamma")
+# The eta-independent part of the Dyson oracle on one time grid (see
+# `TMatrix._dyson_grid`), and one density's correlation on it.
+DysonGrid = namedtuple("DysonGrid", "t wts evecs phases corr")
+GridCorrelation = namedtuple("GridCorrelation", "x c giant baby corr")
 
 
 class TMatrix:
@@ -87,8 +91,9 @@ class TMatrix:
 
     Every method is a pure function of (model, bath).  The thermal pass
     over the support nodes of both densities is computed once per instance
-    (`thermal_pass`), so an instance is cheap to reuse and safe for
-    read-only sharing once warmed up.
+    (`thermal_pass`), and the Dyson oracle's time grid once per grid key
+    (`_dyson_grid`), so an instance is cheap to reuse; it is safe for
+    read-only sharing once warmed up and used on one Dyson grid.
     """
 
     def __init__(self, spec, spectral=None):
@@ -98,6 +103,7 @@ class TMatrix:
         sd = self.spectral
         self.condition_limit = CONDITION_LIMIT
         self._thermal = None
+        self._dyson = None          # (key, DysonGrid) of the last Dyson time grid
         # eigenbasis data: the coupling pair (D~, D~^+), indexed by eps in the
         # kernels, the R blocks and the series chains; one representative
         # column per level and the transfers between those columns
@@ -247,15 +253,36 @@ class TMatrix:
         """
         if self._thermal is None:
             bath = self.spec.bath
-            validate_bath(bath, self.bohr)
+            validate_bath(bath, self.bohr, self.spec.beta)
             parts = [bath.support_nodes(e) for e in (0, 1)]
             nodes, wts, rho = (np.concatenate(a) for a in zip(*parts))
             eps = np.repeat([0, 1], [part[0].size for part in parts])
             R = self.r_blocks(nodes)
             self._thermal = ThermalPass(
-                eps=eps, coef=wts * (np.exp(-self.spec.beta * nodes) * rho),
+                eps=eps, coef=_thermal_weights(nodes, wts, rho, self.spec.beta),
                 ops=R[np.arange(eps.size), :, eps], re_gamma=self._re_gamma(nodes))
         return self._thermal
+
+    def _dyson_grid(self, dt, n_steps, n_energy):
+        """The eta-independent part of `dyson_oracle` on the grid t = k dt,
+        k = 0..n_steps: t and its Simpson weights; evecs, the eigenbasis of
+        H_S; phases (d, d, N), phases[p, q] = exp(i (e_p - e_q) t); and corr,
+        one GridCorrelation of n_energy nodes per density eps.  Reads only
+        h_system and the bath densities.  One grid is kept: a call with
+        another key (dt, n_steps, n_energy) drops it before building its own.
+        """
+        key = (dt, n_steps, n_energy)
+        if self._dyson is None or self._dyson[0] != key:
+            self._dyson = None
+            evals, evecs = np.linalg.eigh(self.spec.h_system)
+            t = np.arange(n_steps + 1) * dt
+            grid = DysonGrid(
+                t=t, wts=_simpson_weights(t.size, dt), evecs=evecs,
+                phases=np.exp(1j * (evals[:, None] - evals[None, :])[..., None] * t),
+                corr=tuple(_grid_correlation(self.spec.bath.density(e), dt, t.size, n_energy)
+                           for e in (0, 1)))
+            self._dyson = (key, grid)
+        return self._dyson[1]
 
     # -- pointwise views ---------------------------------------------------
 
@@ -518,23 +545,21 @@ def _grid_exponentials(n_points, dt, x):
     return giant, baby
 
 
-def _grid_corr(profile, dt, n_points, n_nodes):
+def _grid_correlation(profile, dt, n_points, n_nodes):
     """corr(k dt) = integral rho(E) e^{i k dt E} dE for k < n_points, by
-    Gauss-Legendre quadrature on the split-exponent factors."""
+    Gauss-Legendre quadrature on the split-exponent factors, with the
+    nodes, weights and factors it is built from."""
     x, c = _corr_weights(profile, n_nodes)
     giant, baby = _grid_exponentials(n_points, dt, x)
-    return ((giant * c) @ baby.T).ravel()[:n_points]
+    return GridCorrelation(x, c, giant, baby, ((giant * c) @ baby.T).ravel()[:n_points])
 
 
-def _grid_fourier(rows, dt, x):
-    """sum over k of rows[..., k] exp(i k dt x) for every x, on the
-    split-exponent factors: one matmul against baby, one contraction
-    against giant."""
-    n_points = rows.shape[-1]
-    giant, baby = _grid_exponentials(n_points, dt, x)
-    padded = np.zeros(rows.shape[:-1] + (giant.shape[0] * baby.shape[0],), dtype=complex)
-    padded[..., :n_points] = rows
-    blocks = padded.reshape(rows.shape[:-1] + (giant.shape[0], baby.shape[0])) @ baby
+def _grid_fourier(padded, giant, baby):
+    """sum over k of rows[..., k] exp(i k dt x) for every node x, on the
+    split-exponent factors of exp(i k dt x) (`_grid_exponentials`); padded
+    holds the rows zero-padded to giant.shape[0] * baby.shape[0] grid
+    indices.  One matmul against baby, one contraction against giant."""
+    blocks = padded.reshape(padded.shape[:-1] + (giant.shape[0], baby.shape[0])) @ baby
     return np.einsum("...qx,qx->...x", blocks, giant)
 
 
@@ -559,13 +584,17 @@ def dyson_oracle(tm, pair, n, u, v, eta, *, t_max=400.0, dt=0.01, n_energy=320):
     d; anything else raises ValidationError.
 
     Cost, with N = t_max / dt + 1 grid points (step count rounded up to
-    even) and n_energy = |x| correlation nodes: each correlation is
-    evaluated on the grid from about 2 sqrt(N) |x| exponentials (the
-    split-exponent factors of exp(i t x)) and N |x| multiply-adds; the
-    eigen-index phase rows take d^2 N exponentials.  n = 2 needs two
-    correlations; n = 3 needs two more correlations plus one
-    split-exponent contraction of its 2 d^2 phase rows against the
-    |x| nodes of rho_b, about 2 d^2 N |x| multiply-adds.
+    even) and n_energy = |x| correlation nodes.  Everything that does not
+    depend on eta is built once per TMatrix and grid key (dt, step count,
+    n_energy) and kept until a call on another grid replaces it
+    (`TMatrix._dyson_grid`): the Simpson weights, the eigenbasis of H_S
+    and its d^2 phase rows (d^2 N exponentials), and both correlations on
+    the grid, each from about 2 sqrt(N) |x| exponentials (the
+    split-exponent factors of exp(i t x)) and N |x| multiply-adds.  A call
+    then pays for the eta-dependent part only: the N damping exponentials,
+    a d^2 N contraction for n = 2, and for n = 3 one split-exponent
+    contraction of its 2 d^2 damped phase rows against the |x| nodes of
+    rho_b, about 2 d^2 N |x| multiply-adds.
     """
     eta = _real(eta, "damping eta")
     if eta <= 0:
@@ -587,34 +616,26 @@ def dyson_oracle(tm, pair, n, u, v, eta, *, t_max=400.0, dt=0.01, n_energy=320):
         return 0.0 + 0.0j
     a, b = ab
     spec = tm.spec
-    bath = spec.bath
 
     d_ops = (spec.coupling, spec.coupling.conj().T)
     if n == 1:
-        return complex(u.conj() @ d_ops[a] @ v) * bath.density(b).norm_squared()
+        return complex(u.conj() @ d_ops[a] @ v) * spec.bath.density(b).norm_squared()
 
-    evals, evecs = np.linalg.eigh(spec.h_system)
+    n_steps = int(np.rint(t_max / dt))
+    if n_steps % 2 == 1:
+        n_steps += 1
+    t, wts, evecs, phases, corr = tm._dyson_grid(dt, n_steps, n_energy)
     ut = evecs.conj().T @ u
     vt = evecs.conj().T @ v
     da = evecs.conj().T @ d_ops[a] @ evecs
     dother = evecs.conj().T @ d_ops[1 - a] @ evecs
     row = ut.conj() @ da
 
-    n_steps = int(np.rint(t_max / dt))
-    if n_steps % 2 == 1:
-        n_steps += 1
-    t = np.arange(n_steps + 1) * dt
-    wts = _simpson_weights(n_steps + 1, dt)
-    # one phase row per eigen-index pair: phases[p, q] = exp(i (e_p - e_q) t)
-    phases = np.exp(1j * (evals[:, None] - evals[None, :])[..., None] * t)
-
     if n == 2:
         # -i * integral_0^inf corr_{1-a}(-t) corr_a(t)
         #      u^+ D_a e^{-itH} D_{1-a} e^{itH} v * e^{-eta t} dt,
         # whose (l, m) eigen-entry carries the phase exp(i (e_m - e_l) t)
-        corr_in = np.conj(_grid_corr(bath.density(1 - a), dt, t.size, n_energy))
-        corr_out = _grid_corr(bath.density(a), dt, t.size, n_energy)
-        base = wts * np.exp(-eta * t) * corr_in * corr_out
+        base = wts * np.exp(-eta * t) * np.conj(corr[1 - a].corr) * corr[a].corr
         coef = row[:, None] * dother * vt[None, :]
         return -1j * np.sum(coef * (phases @ base).T)
 
@@ -622,20 +643,21 @@ def dyson_oracle(tm, pair, n, u, v, eta, *, t_max=400.0, dt=0.01, n_energy=320):
     # ordered simplex exactly; the product-Simpson double sum is evaluated
     # in a separated form over the correlation quadrature nodes (an exact
     # regrouping of the nested sum, cross-checked in the test suite).
-    x_b, c_b = _corr_weights(bath.density(b), n_energy)
-    corr_s = np.conj(_grid_corr(bath.density(a), dt, t.size, n_energy))
-    corr_r = np.conj(_grid_corr(bath.density(1 - a), dt, t.size, n_energy))
-    base_s = wts * np.exp(-eta * t) * corr_s
-    base_r = wts * np.exp(-2.0 * eta * t) * corr_r
+    base_s = wts * np.exp(-eta * t) * np.conj(corr[a].corr)
+    base_r = wts * np.exp(-2.0 * eta * t) * np.conj(corr[1 - a].corr)
 
-    # rows: base_s and base_r times each pair's phase, all contracted
-    # against exp(i t x_b) at once
-    rows = np.stack([base_s * phases, base_r * phases])
-    f_s, f_r = _grid_fourier(rows, dt, x_b)
+    # rows: base_s and base_r times each pair's phase, written straight into
+    # the zero-padded split-exponent buffer and contracted against
+    # exp(i t x_b) at once
+    giant, baby = corr[b].giant, corr[b].baby
+    padded = np.zeros((2,) + phases.shape[:-1] + (giant.shape[0] * baby.shape[0],), dtype=complex)
+    np.multiply(base_s, phases, out=padded[0, ..., :t.size])
+    np.multiply(base_r, phases, out=padded[1, ..., :t.size])
+    f_s, f_r = _grid_fourier(padded, giant, baby)
 
     # entry (l, m, p) pairs the s-row of (p, m) with the r-row of (p, l)
     coef = row[:, None, None] * dother[:, :, None] * da[None] * vt[None, None, :]
-    return -np.einsum("lmp,pmx,plx,x->", coef, f_s, f_r, c_b)
+    return -np.einsum("lmp,pmx,plx,x->", coef, f_s, f_r, corr[b].c)
 
 
 def dyson_reference(tm, pair, n, u, v, n_energy=192):

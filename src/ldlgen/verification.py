@@ -355,7 +355,7 @@ def run_identity_suite(tm, which="all"):
     """
     if which not in ("identities", "limits", "all"):
         raise ValidationError("suite must be one of identities, limits, all")
-    validate_bath(tm.spec.bath, tm.bohr)
+    validate_bath(tm.spec.bath, tm.bohr, tm.spec.beta)
     rng = np.random.default_rng(12345)
     checks = []
     if which in ("identities", "all"):

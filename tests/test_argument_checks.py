@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from ldlgen import ValidationError
-from ldlgen.bath import DensityProfile, EnergyGrid, k_inner_product, mu_inv
+from ldlgen.bath import DensityProfile, EnergyGrid, k_inner_product, mu_inv, validate_bath
 from ldlgen.cli import run
 from ldlgen.dynamics import evolve_master, unravel_jump
 from ldlgen.generator import GKSLGenerator, apply_generator, theta_map
@@ -54,6 +54,9 @@ BAD_CALLS = {
     "k_inner_product_omega": lambda s, tm, gen: k_inner_product(s.bath, (0, 0), (0, 0),
                                                                 "x", 1.0),
     "mu_inv_energy": lambda s, tm, gen: mu_inv(s.bath, 0, "x", 1.0),
+    # a bare UFuncTypeError, and True read as beta = 1, before beta went through _real
+    "validate_bath_beta_str": lambda s, tm, gen: validate_bath(s.bath, tm.bohr, "x"),
+    "validate_bath_beta_bool": lambda s, tm, gen: validate_bath(s.bath, tm.bohr, True),
     # a bare ValueError at the parent
     "psi_dimension": lambda s, tm, gen: gen.psi(np.eye(3)),
     "apply_generator_str": lambda s, tm, gen: apply_generator(gen, "ab"),
@@ -69,6 +72,10 @@ BAD_CALLS = {
     # a NaN result at the parent
     "psi_nan": lambda s, tm, gen: gen.psi(NAN),
     "apply_generator_nan": lambda s, tm, gen: apply_generator(gen, NAN),
+    # a bare IndexError at the parent
+    "table_profile_empty": lambda s, tm, gen: DensityProfile.table([], []),
+    # overflow warnings from np.linspace at the parent
+    "energy_grid_span": lambda s, tm, gen: EnergyGrid(-1e308, 1e308, 16).nodes,
 }
 
 

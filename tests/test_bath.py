@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -268,7 +269,7 @@ def test_k_inner_product_gram_positive():
 
 def test_validate_bath_pass():
     bath = _bath(DensityProfile.rect(0, 1, 1.0), DensityProfile.rect(2, 3, 1.0))
-    report = validate_bath(bath, [0.0])
+    report = validate_bath(bath, [0.0], 1.0)
     assert report["support_gap"] == 1.0
     assert report["disjoint_supports"]
 
@@ -276,7 +277,39 @@ def test_validate_bath_pass():
 def test_validate_bath_overlap_fails():
     bath = _bath(DensityProfile.rect(0, 1.5, 1.0), DensityProfile.rect(1, 3, 1.0))
     with pytest.raises(ValidationError, match="disjoint"):
-        validate_bath(bath, [0.0])
+        validate_bath(bath, [0.0], 1.0)
+
+
+def test_validate_bath_thermal_weight_must_stay_finite():
+    bath = _bath(DensityProfile.rect(-2, -1, 1.0), DensityProfile.rect(2, 3, 1.0),
+                 grid=EnergyGrid(-4.0, 4.0, 401))
+    # exp(-beta E) overflows at E = -2 for beta = 800; beta*E does for beta = 1e308
+    for beta in (800.0, 1e308):
+        with pytest.raises(ValidationError, match=re.escape(
+                f"beta = {beta:g}, E = -2 (a support node of rho0)")):
+            validate_bath(bath, [0.0], beta)
+    # exp(-300 E) underflows to 0 on rho1's support: that is fine
+    with np.errstate(over="raise", invalid="raise"):
+        assert validate_bath(bath, [0.0], 300.0) == validate_bath(bath, [0.0], 1.0)
+
+
+def test_validate_bath_checks_the_weight_with_its_density():
+    # exp(708) = 3.0e307 is finite, but rho = 10 times it overflows at E = -2
+    grid = EnergyGrid(-4.0, 4.0, 401)
+    rho1 = DensityProfile.rect(2, 3, 1.0)
+    tall = _bath(DensityProfile.rect(-2, -1, 10.0), rho1, grid=grid)
+    with pytest.raises(ValidationError, match=re.escape(
+            "beta = 354, E = -2 (a support node of rho0)")):
+        validate_bath(tall, [0.0], 354.0)
+    with np.errstate(over="raise", invalid="raise"):
+        validate_bath(_bath(DensityProfile.rect(-2, -1, 1.0), rho1, grid=grid), [0.0], 354.0)
+
+
+def test_bump_far_outside_its_support_is_zero_without_overflow():
+    prof = DensityProfile.bump(0.0, 1.0, 1.0)
+    E = np.array([-1e307, -1.0, 0.0, 0.25, 1.0, 2.0, 1e307])
+    with np.errstate(all="raise"):
+        assert prof(E).tolist() == [0.0, 0.0, 0.0, 0.1875, 0.0, 0.0, 0.0]
 
 
 def test_validate_bath_negative_table_fails():
@@ -288,7 +321,7 @@ def test_validate_bath_grid_must_cover():
     bath = _bath(DensityProfile.rect(0, 1, 1.0), DensityProfile.rect(2, 3, 1.0),
                  grid=EnergyGrid(0.5, 4.5, 481))
     with pytest.raises(ValidationError, match="grid"):
-        validate_bath(bath, [0.0])
+        validate_bath(bath, [0.0], 1.0)
 
 
 def test_energy_grid_invariants():

@@ -333,6 +333,57 @@ def test_oversized_energy_grid_exits_1(tmp_path, capsys):
     assert not (tmp_path / "d.json").exists()
 
 
+def test_empty_table_profile_exits_1(tmp_path, capsys):
+    # an empty table used to end in an IndexError traceback from energies[0]
+    doc = base_model_doc()
+    doc["bath"]["rho0"] = {"kind": "table", "energies": [], "values": []}
+    assert run(["validate", write_model(tmp_path, doc)]) == 1
+    assert capsys.readouterr().err == ("validation error: table profile needs matching "
+                                       "energies/values, len >= 2\n")
+
+
+def _run_warnings_as_errors(*argv):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-W", "error", "-m", "ldlgen", *argv],
+                          capture_output=True, text=True, env=env)
+
+
+def test_overflowing_grid_span_exits_1_without_warnings(tmp_path):
+    # the span 2e308 overflows: numpy warned in linspace and the bump profile
+    # before the grid was refused
+    doc = base_model_doc()
+    doc["bath"]["grid"] = {"min": -1e308, "max": 1e308, "points": 481}
+    done = _run_warnings_as_errors("validate", write_model(tmp_path, doc))
+    assert done.returncode == 1
+    assert done.stderr == ("validation error: energy grid span e_max - e_min overflows "
+                           "(e_min = -1e+308, e_max = 1e+308)\n")
+    # a finite span this wide puts nodes where the bump's product overflowed
+    doc["bath"]["grid"] = {"min": -1e307, "max": 1e307, "points": 481}
+    done = _run_warnings_as_errors("validate", write_model(tmp_path, doc))
+    assert done.returncode == 1
+    assert done.stderr.startswith("validation error: no grid node lies inside the support")
+
+
+def test_overflowing_thermal_weight_exits_1(tmp_path, capsys):
+    # beta * E overflowed to inf in thermal_pass, with a warning and exit 0
+    doc = base_model_doc()
+    doc["bath"]["beta"] = 1e308
+    path = write_model(tmp_path, doc)
+    for argv in (["validate"], ["drift", "--out", str(tmp_path / "d.json")]):
+        assert run([argv[0], path, *argv[1:]]) == 1
+        assert capsys.readouterr().err == (
+            "validation error: thermal weight w*exp(-beta*E)*rho(E) is out of range at "
+            "beta = 1e+308, E = 2.0125 (a support node of rho1): beta*E and the weight must "
+            "be finite\n")
+    assert not (tmp_path / "d.json").exists()
+    # a weight that underflows to 0 is a valid model, and numpy does not warn
+    doc["bath"]["beta"] = 1e3
+    done = _run_warnings_as_errors("drift", write_model(tmp_path, doc),
+                                   "--out", str(tmp_path / "d.json"))
+    assert done.returncode == 0 and done.stderr == ""
+
+
 def test_nonfinite_cli_float_is_usage_error(tmp_path, capsys):
     out = tmp_path / "gamma.csv"
     assert run(["gamma", NR, "--epsilon", "0", "--emin", "nan", "--emax", "1",

@@ -214,7 +214,7 @@ def test_grid_coverage_error():
     doc["system"]["hamiltonian"] = [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [5.0, 0.0]]
     tm = TMatrix(model_from_dict(doc))
     with pytest.raises(ValidationError, match="shifted by"):
-        validate_bath(tm.spec.bath, tm.bohr)
+        validate_bath(tm.spec.bath, tm.bohr, tm.spec.beta)
 
 
 def test_empty_support_names_its_density():
@@ -222,7 +222,7 @@ def test_empty_support_names_its_density():
     doc = base_model_doc()
     doc["bath"]["rho1"] = {"kind": "bump", "a": 2.001, "b": 2.002, "amplitude": 1.0}
     tm = TMatrix(model_from_dict(doc))
-    for call in (lambda: validate_bath(tm.spec.bath, tm.bohr), lambda: drift(tm),
+    for call in (lambda: validate_bath(tm.spec.bath, tm.bohr, tm.spec.beta), lambda: drift(tm),
                  lambda: drift_from_t_operator(tm), lambda: build_generator(tm)):
         with pytest.raises(ValidationError, match=r"support \[2.001, 2.002\] of rho1"):
             call()

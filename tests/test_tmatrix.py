@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from ldlgen import TMatrix, ValidationError, block_transfer
 from ldlgen.bath import DensityProfile
 from ldlgen.generator import theta_map
 from ldlgen.model import model_from_dict
-from ldlgen.tmatrix import (_corr_weights, _grid_corr, _grid_exponentials, _grid_fourier,
+from ldlgen.tmatrix import (_corr_weights, _grid_correlation, _grid_exponentials, _grid_fourier,
                             _parity_pair, _simpson_weights, dyson_oracle, dyson_reference,
                             richardson_extrapolate)
 from ldlgen.verification import run_identity_suite
@@ -14,6 +16,7 @@ from conftest import base_model_doc, chained_cluster_doc
 
 E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])
+MIX = np.array([0.6, 0.8])
 
 
 def _scaled_model(scale):
@@ -484,7 +487,7 @@ def test_grid_exponentials_match_direct_sum(kind, n_points):
     assert giant.shape[0] + baby.shape[0] <= 2 * np.sqrt(n_points) + 2
     assert giant.shape[0] * baby.shape[0] >= n_points
 
-    corr = _grid_corr(prof, dt, n_points, n_nodes)
+    corr = _grid_correlation(prof, dt, n_points, n_nodes).corr
     assert corr.shape == (n_points,)
     assert np.abs(corr - _corr_on_grid(prof, t, n_nodes)).max() <= 1e-13 * np.abs(c).sum()
 
@@ -493,24 +496,65 @@ def test_grid_exponentials_match_direct_sum(kind, n_points):
     for chunk in range(0, x.size, 64):
         sl = slice(chunk, chunk + 64)
         direct[:, sl] = rows @ np.exp(1j * np.outer(t, x[sl]))
-    diff = np.abs(_grid_fourier(rows, dt, x) - direct).max()
+    padded = np.pad(rows, ((0, 0), (0, giant.shape[0] * baby.shape[0] - n_points)))
+    diff = np.abs(_grid_fourier(padded, giant, baby) - direct).max()
     assert diff <= 1e-13 * np.abs(rows).sum(axis=1).max()
 
 
-def test_dyson_oracle_bitwise_equal_with_cold_and_warm_rule_cache(nr_tm):
+CRITERION_03_CASES = [("00", 2, E1, E1), ("00", 2, E2, E2), ("11", 2, MIX, MIX),
+                      ("01", 3, E1, E2), ("10", 3, E2, E1), ("01", 3, MIX, E2)]
+
+
+def test_dyson_oracle_bitwise_equal_with_cold_and_warm_rule_cache(nr_spec):
     # the acceptance criterion 03 cases: every value is the same bits whether
-    # each call builds its Gauss-Legendre rules afresh or reuses them
+    # each call builds its Gauss-Legendre rules and its time grid afresh (a
+    # new TMatrix) or reuses them (one warm TMatrix), and again after a call
+    # on a second grid has replaced the warm instance's kept grid
     from ldlgen.bath import _legendre_rule
 
-    mix = np.array([0.6, 0.8])
-    cases = [("00", 2, E1, E1), ("00", 2, E2, E2), ("11", 2, mix, mix),
-             ("01", 3, E1, E2), ("10", 3, E2, E1), ("01", 3, mix, E2)]
-    for pair, n, u, v in cases:
-        for eta in (4e-3, 2e-3, 1e-3):
+    etas = (4e-3, 2e-3, 1e-3)
+    cold = []
+    for pair, n, u, v in CRITERION_03_CASES:
+        for eta in etas:
             _legendre_rule.cache_clear()
-            cold = dyson_oracle(nr_tm, pair, n, u, v, eta, t_max=400.0, dt=0.01)
-            warm = dyson_oracle(nr_tm, pair, n, u, v, eta, t_max=400.0, dt=0.01)
-            assert cold.real.hex() == warm.real.hex() and cold.imag.hex() == warm.imag.hex()
+            cold.append(dyson_oracle(TMatrix(nr_spec), pair, n, u, v, eta, t_max=400.0, dt=0.01))
+    warm_tm = TMatrix(nr_spec)
+
+    def sweep():
+        return [dyson_oracle(warm_tm, pair, n, u, v, eta, t_max=400.0, dt=0.01)
+                for pair, n, u, v in CRITERION_03_CASES for eta in etas]
+
+    warm = sweep()
+    dyson_oracle(warm_tm, "01", 3, E1, E2, 2e-3, t_max=200.0, dt=0.02)
+    assert warm_tm._dyson[0] == (0.02, 10000, 320)
+    replaced = sweep()
+    for values in (warm, replaced):
+        assert [(z.real.hex(), z.imag.hex()) for z in values] == \
+            [(z.real.hex(), z.imag.hex()) for z in cold]
+
+
+def test_dyson_sweep_keeps_one_grid_and_peaks_below_the_per_call_grids(nr_spec):
+    # the three-eta n = 3 sweep of criterion 03.  When each call built its own
+    # grid and stacked its damped phase rows before padding them, the sweep
+    # peaked at 26.3 MB traced; it now peaks at 23.3 MB and keeps one grid of
+    # 8.6 MB (two correlations with their split-exponent factors, 2.6 MB of
+    # phase rows, t and the Simpson weights).  The bounds leave 1.3 MB below
+    # the old peak and 1.7 MB above the new one.
+    tm = TMatrix(nr_spec)
+    tracemalloc.start()
+    try:
+        for eta in (4e-3, 2e-3, 1e-3):
+            dyson_oracle(tm, "01", 3, E1, E2, eta, t_max=400.0, dt=0.01)
+        kept, peak = tracemalloc.get_traced_memory()
+        # a grid of 10,001 points (3.2 MB) replaces the 40,001-point one
+        dyson_oracle(tm, "01", 3, E1, E2, 2e-3, t_max=200.0, dt=0.02)
+        replaced = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert peak < 25.0e6
+    assert 8.0e6 < kept < 9.0e6
+    assert replaced < 4.0e6
+    assert tm._dyson[0] == (0.02, 10000, 320)
 
 
 def test_dyson_requires_positive_damping(nr_tm):

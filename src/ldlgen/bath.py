@@ -328,9 +328,21 @@ def mu_inv(bath, eps, E, beta):
     """Reciprocal thermal density exp(-beta*E) * rho_eps(E).
 
     Only the reciprocal is ever needed; the density itself diverges off
-    support and is never formed.
+    support and is never formed.  It is 0 wherever rho_eps(E) is, without
+    evaluating the exponential; where rho_eps(E) > 0 and the value
+    overflows, NumericError.
     """
-    return math.exp(-_real(beta, "beta") * _real(E, "energy E")) * bath.density(eps)(E)
+    beta, E = _real(beta, "beta"), _real(E, "energy E")
+    rho = bath.density(eps)(E)
+    if rho == 0.0:
+        return 0.0
+    try:
+        value = math.exp(-beta * E) * rho
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise NumericError(f"exp(-beta*E)*rho{eps}(E) overflows at beta = {beta:g}, E = {E:g}")
+    return value
 
 
 def k_inner_product(bath, X, Y, omega, beta):
@@ -395,6 +407,8 @@ def _pv_integral(prof, E):
     table: sum over knots t_k of (s_k - s_{k-1}) (E - t_k) log|E - t_k|,
            s_k the slope right of t_k (zero outside the support); the
            polynomial part is the total change of rho, which vanishes.
+    The bump and table forms overflow far from the support (|E| near
+    1e300); a value that is not finite there is a NumericError naming E.
     """
     a, b = prof.a, prof.b
     if prof.kind == "rect":
@@ -407,10 +421,18 @@ def _pv_integral(prof, E):
                 "offset E away from the edge"
             )
         return val
-    if prof.kind == "bump":
-        return prof.amplitude * ((b - E) * _xlogx(E - a) + (E - a) * _xlogx(E - b)
-                                 + (b - a) * (E - 0.5 * (a + b)))
-    knots = np.asarray(prof.energies)
-    slopes = np.diff(prof.values) / np.diff(knots)
-    kinks = np.diff(slopes, prepend=0.0, append=0.0)
-    return (_xlogx(E[..., None] - knots) * kinks).sum(axis=-1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if prof.kind == "bump":
+            val = prof.amplitude * ((b - E) * _xlogx(E - a) + (E - a) * _xlogx(E - b)
+                                    + (b - a) * (E - 0.5 * (a + b)))
+        else:
+            knots = np.asarray(prof.energies)
+            slopes = np.diff(prof.values) / np.diff(knots)
+            kinks = np.diff(slopes, prepend=0.0, append=0.0)
+            val = (_xlogx(E[..., None] - knots) * kinks).sum(axis=-1)
+    bad = ~np.isfinite(val)
+    if bad.any():
+        raise NumericError(
+            f"gamma overflows at E = {E[bad][0]:g}: the closed-form principal value of "
+            f"the {prof.kind} density on [{a:g}, {b:g}] is not finite there")
+    return val

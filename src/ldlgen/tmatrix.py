@@ -177,23 +177,50 @@ class TMatrix:
         in level l.  Returns X of shape (n, L, S, d, d): X[..., :, m] for an
         eigen-column m of level l is the solution; the other columns belong
         to other levels' right-hand sides and are unused.  Raises
-        NumericError when a system's condition number passes the limit.
+        NumericError when a system's 2-norm condition number passes the
+        limit, naming the system of largest condition number.
+
+        The gate is screened with the inverse the batched solve returns:
+        since kappa_2 <= kappa_F = |A|_F |A^-1|_F <= d kappa_2, a system
+        whose kappa_F is finite and at most half the limit passes (the
+        half covers rounding in the computed inverse, about kappa u
+        relative at the limit), and only the others get the SVD of
+        `np.linalg.cond` (`_condition_gate`).  Every system past the limit
+        is among them, so the decision and the system named are those of
+        an SVD of every system.  When the solve meets an exactly singular
+        system (LinAlgError), every system gets the SVD.
         """
         d = self.dim
         E = np.asarray(energies, dtype=float)
         # omega_k = omega' + rep(e_m - e_k) for a column m of each level
         omega = shifts[:, :, None] + self.spectral.transfer[:, self._level_columns].T[:, None, :]
         A = np.eye(d) + self._kernels(eps, E[:, None, None], omega)
-        cond = np.linalg.cond(A)
-        worst = np.unravel_index(np.argmax(np.where(np.isfinite(cond), cond, np.inf)),
-                                 cond.shape)
+        try:
+            X = np.linalg.solve(A, np.broadcast_to(np.eye(d, dtype=complex), A.shape))
+        except np.linalg.LinAlgError:
+            self._condition_gate(eps, E, shifts, A, np.ones(A.shape[:-2], dtype=bool))
+            raise
+        with np.errstate(over="ignore", invalid="ignore"):
+            kappa_f = np.linalg.norm(A, axis=(-2, -1)) * np.linalg.norm(X, axis=(-2, -1))
+        self._condition_gate(eps, E, shifts, A, ~(kappa_f <= self.condition_limit / 2))
+        return X
+
+    def _condition_gate(self, eps, E, shifts, A, unsure):
+        """NumericError if the largest 2-norm condition number of the systems
+        A (n, L, S, d, d) is not finite or passes the limit, naming that
+        system; only the systems marked `unsure` get an SVD, the others
+        count as 0."""
+        if not unsure.any():
+            return
+        cond = np.zeros(unsure.shape)
+        cond[unsure] = np.linalg.cond(A[unsure])
+        worst = np.unravel_index(np.argmax(np.where(np.isfinite(cond), cond, np.inf)), cond.shape)
         if not np.isfinite(cond[worst]) or cond[worst] > self.condition_limit:
             n, l, s = worst
             raise NumericError(
                 f"1+T_{eps} at omega'={shifts[l, s]}, E={E[n]} is numerically singular "
                 f"(condition estimate {cond[worst]:.3e})"
             )
-        return np.linalg.solve(A, np.broadcast_to(np.eye(d, dtype=complex), A.shape))
 
     def r_blocks(self, energies, omega_prime=0.0):
         """R^{eps1,eps2}_{omega,omega'}(E) for every node, pair and omega at once.
@@ -218,7 +245,12 @@ class TMatrix:
         from a single batched solve (`_level_inverses`).
         """
         energies, omega_prime = _energies(energies), _real(omega_prime, "omega'")
-        E = energies.reshape(-1)
+        R = self.spectral.split(self._r_eigen(energies.reshape(-1), omega_prime))
+        return R.reshape(energies.shape + R.shape[1:])
+
+    def _r_eigen(self, E, omega_prime):
+        """The four R^{eps1,eps2}_{., omega'}(E) of `r_blocks` at the nodes E (n,),
+        before the split by transfer: shape (n, 2, 2, d, d), in the eigenbasis."""
         lev, W = self.spectral.level_index, self.spectral.transfer
         shifts = omega_prime + self._level_transfer   # shifts[l, l'] = omega' + rep(e_l' - e_l)
         full = np.empty((E.size, 2, 2, self.dim, self.dim), dtype=complex)
@@ -235,8 +267,7 @@ class TMatrix:
             g = self._gamma_where(eps, E[:, None, None] + (omega_prime + W), right != 0)
             full[:, a, eps] = -1j * (left @ own)
             full[:, a, a] = -np.einsum("xk,imkj,ijm->ixm", left, Y, g * right)
-        R = self.spectral.split(full)
-        return R.reshape(energies.shape + R.shape[1:])
+        return full
 
     def _re_gamma(self, nodes):
         """Re gamma_e(E + omega) = pi rho_e(E + omega), shape (n, 2, |B|)."""
@@ -248,8 +279,11 @@ class TMatrix:
         eps (N,), each node's density; coef (N,), w exp(-beta E) rho_eps(E);
         ops (N, 2, |B|, d, d), the R column R^{e,eps}_{omega,0}(E) ordered
         like bohr; re_gamma (N, 2, |B|), pi rho_e(E + omega).  Built once per
-        instance by one `r_blocks` call, after `validate_bath`, and read by
-        drift, drift_from_t_operator, build_generator and the three-term map.
+        instance, after `validate_bath`, from one batched solve of the R
+        blocks (`_r_eigen`, what `r_blocks` splits); only the pairs (e, eps)
+        each node keeps are split by transfer, so ops equals
+        r_blocks(nodes)[arange(N), :, eps].  Read by drift,
+        drift_from_t_operator, build_generator and the three-term map.
         """
         if self._thermal is None:
             bath = self.spec.bath
@@ -257,10 +291,11 @@ class TMatrix:
             parts = [bath.support_nodes(e) for e in (0, 1)]
             nodes, wts, rho = (np.concatenate(a) for a in zip(*parts))
             eps = np.repeat([0, 1], [part[0].size for part in parts])
-            R = self.r_blocks(nodes)
+            full = self._r_eigen(nodes, 0.0)
             self._thermal = ThermalPass(
                 eps=eps, coef=_thermal_weights(nodes, wts, rho, self.spec.beta),
-                ops=R[np.arange(eps.size), :, eps], re_gamma=self._re_gamma(nodes))
+                ops=self.spectral.split(full[np.arange(eps.size), :, eps]),
+                re_gamma=self._re_gamma(nodes))
         return self._thermal
 
     def _dyson_grid(self, dt, n_steps, n_energy):

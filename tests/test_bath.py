@@ -186,9 +186,38 @@ def test_gamma_rect_edges_raise_for_arrays():
             gt.gamma(0, np.array([0.5, edge]))
 
 
+@pytest.mark.parametrize("rho0", [DensityProfile.bump(0, 1, 1.0),
+                                  DensityProfile.table([0.0, 0.5, 1.0], [0.0, 1.0, 0.0])])
+def test_gamma_overflowing_closed_form_is_numeric_error(rho0):
+    # far from the support the closed form overflows a double: a numeric
+    # error naming the energy, not a RuntimeWarning and a nan
+    gt = _table(rho0)
+    assert np.isfinite(gt.gamma(0, np.array([-1e150, 1e150]))).all()
+    for E in (1e307, np.array([0.5, -1e307])):
+        with pytest.raises(NumericError, match=r"gamma overflows at E = -?1e\+307"):
+            gt.gamma(0, E)
+
+
 def test_mu_inv_zero_density():
     bath = _bath(DensityProfile.bump(0, 1, 1.0), DensityProfile.bump(2, 3, 1.0))
     assert mu_inv(bath, 0, 1.7, beta=0.5) == 0.0
+
+
+def test_mu_inv_vanishing_density_skips_the_exponential():
+    # exp(1000) overflows a double, but rho0 vanishes at E = -1000
+    bath = _bath(DensityProfile.bump(0, 1, 1.0), DensityProfile.bump(2, 3, 1.0))
+    assert mu_inv(bath, 0, -1000.0, 1.0) == 0.0
+
+
+def test_mu_inv_overflow_on_support_is_numeric_error():
+    bath = _bath(DensityProfile.bump(0, 1, 1.0), DensityProfile.bump(2, 3, 1.0))
+    with pytest.raises(NumericError, match=r"overflows at beta = -2000, E = 0\.5"):
+        mu_inv(bath, 0, 0.5, -2000.0)
+    # exp(-beta E) = exp(709) is finite; ten times it is not
+    rho1 = DensityProfile.bump(2, 3, 1.0)
+    assert math.isfinite(mu_inv(_bath(DensityProfile.rect(-2, -1, 1.0), rho1), 0, -1.0, 709.0))
+    with pytest.raises(NumericError, match="overflows"):
+        mu_inv(_bath(DensityProfile.rect(-2, -1, 10.0), rho1), 0, -1.0, 709.0)
 
 
 def test_mu_inv_beta_zero_collapses():

@@ -166,6 +166,20 @@ def test_overlap_model_still_runs_gamma_and_tmatrix(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_gamma_overflowing_principal_value_exits_2(tmp_path, capsys):
+    # the bump's closed-form principal value overflows at E = +-1e300: a
+    # numeric error naming the energy, with no warning and no output
+    # (the command used to warn twice and write nan)
+    out = tmp_path / "gamma.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["gamma", NR, "--epsilon", "0", "--emin=-1e300", "--emax=1e300",
+                    "--points", "3", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numeric error: gamma overflows at E = -1e+300")
+    assert not out.exists()
+
+
 def test_overflowing_series_exits_2(tmp_path, capsys):
     # the closed-form series of a 1000 sigma_x coupling overflows within 60
     # orders, and that of 1e9 sigma_x within the suite's 24: a numeric

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -16,7 +19,7 @@ from ldlgen.model import model_from_dict
 
 from ldlgen.verification import run_identity_suite
 
-from conftest import base_model_doc, ladder_model_doc, random_density
+from conftest import MODELS, ROOT, base_model_doc, ladder_model_doc, random_density
 
 
 def _zero_model():
@@ -511,13 +514,13 @@ def test_thermal_pass_solves_the_support_nodes_once(nr_spec, monkeypatch):
     tm = TMatrix(nr_spec)
     support = np.concatenate([nr_spec.bath.support_nodes(e)[0] for e in (0, 1)])
     calls = []
-    r_blocks = TMatrix.r_blocks
+    r_eigen = TMatrix._r_eigen           # the batched solve under r_blocks and the pass
 
-    def counting(self, energies, omega_prime=0.0):
+    def counting(self, energies, omega_prime):
         calls.append(np.array(energies, dtype=float).reshape(-1))
-        return r_blocks(self, energies, omega_prime)
+        return r_eigen(self, energies, omega_prime)
 
-    monkeypatch.setattr(TMatrix, "r_blocks", counting)
+    monkeypatch.setattr(TMatrix, "_r_eigen", counting)
     drift(tm)
     drift_from_t_operator(tm)
     build_generator(tm)
@@ -568,4 +571,34 @@ def test_thermal_pass_matches_per_density_assembly(request, model):
     assert _relative(gen.drift, gamma) <= 1e-14
     assert _relative(gen.hamiltonian, ham) <= 1e-14
     assert _relative(drift_from_t_operator(tm), gamma_t) <= 1e-14
+
+
+# Runs in a fresh interpreter, so OPENBLAS_NUM_THREADS takes effect.
+_SPLIT_KEPT_HALF_SCRIPT = """
+import sys
+import numpy as np
+from ldlgen import TMatrix, load_model
+for path in sys.argv[1:]:
+    tm = TMatrix(load_model(path))
+    tp = tm.thermal_pass()
+    nodes = np.concatenate([tm.spec.bath.support_nodes(e)[0] for e in (0, 1)])
+    full = tm.r_blocks(nodes)[np.arange(tp.eps.size), :, tp.eps]
+    assert tp.ops.shape == full.shape and tp.ops.tobytes() == full.tobytes(), path
+    print(path)
+"""
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_thermal_pass_splits_only_the_kept_half_bitwise(tmp_path, threads):
+    # the pass splits R^{e,eps} for each node's own eps only; the result is
+    # the same bits as splitting all four pairs and keeping half
+    ladder = tmp_path / "ladder_d3.json"
+    ladder.write_text(json.dumps(ladder_model_doc(3, 3)))
+    models = [str(MODELS / "tm_nr.json"), str(MODELS / "tm_rwa.json"), str(ladder)]
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", _SPLIT_KEPT_HALF_SCRIPT, *models],
+                          capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == models
 

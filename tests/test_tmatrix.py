@@ -2,14 +2,16 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ldlgen import TMatrix, ValidationError, block_transfer
+from ldlgen import NumericError, TMatrix, ValidationError, block_transfer
 from ldlgen.bath import DensityProfile
 from ldlgen.generator import theta_map
 from ldlgen.model import model_from_dict
-from ldlgen.tmatrix import (_corr_weights, _grid_correlation, _grid_exponentials, _grid_fourier,
-                            _parity_pair, _simpson_weights, dyson_oracle, dyson_reference,
-                            richardson_extrapolate)
+from ldlgen.tmatrix import (CONDITION_LIMIT, _corr_weights, _grid_correlation,
+                            _grid_exponentials, _grid_fourier, _parity_pair, _simpson_weights,
+                            dyson_oracle, dyson_reference, richardson_extrapolate)
 from ldlgen.verification import run_identity_suite
 
 from conftest import base_model_doc, chained_cluster_doc
@@ -117,6 +119,106 @@ def test_solve_reports_condition_estimate(nr_tm):
     tm.condition_limit = 1.0          # any nontrivial system now trips the gate
     with pytest.raises(NumericError, match="condition estimate"):
         tm.solve_column(0, 0.0, 0.5)
+
+
+# -- the condition gate of the level-basis solve ---------------------------------
+#
+# The oracle is the gate before screening: np.linalg.cond (an SVD) of every
+# system, the worst one named.
+
+def _level_systems(tm, eps, energies, shifts):
+    """The matrices 1 + K of `_level_inverses`, formed as it forms them."""
+    omega = shifts[:, :, None] + tm.spectral.transfer[:, tm._level_columns].T[:, None, :]
+    return np.eye(tm.dim) + tm._kernels(eps, energies[:, None, None], omega)
+
+
+def _oracle_gate(A, limit, eps, energies, shifts):
+    """The NumericError text of an SVD of every system, or None when all pass."""
+    cond = np.linalg.cond(A)
+    worst = np.unravel_index(np.argmax(np.where(np.isfinite(cond), cond, np.inf)), cond.shape)
+    if np.isfinite(cond[worst]) and cond[worst] <= limit:
+        return None
+    n, l, s = worst
+    return (f"1+T_{eps} at omega'={shifts[l, s]}, E={energies[n]} is numerically singular "
+            f"(condition estimate {cond[worst]:.3e})")
+
+
+def _gate_message(tm, eps, energies, shifts):
+    try:
+        tm._level_inverses(eps, energies, shifts)
+    except NumericError as exc:
+        return str(exc)
+    return None
+
+
+def test_condition_gate_names_the_oracles_worst_system():
+    # limits between the smallest and the largest kappa_2 of the thermal
+    # systems of a strongly coupled model: the message is the full SVD's
+    # (kappa_2 from 1.007 to 25.4, so most limits leave systems unscreened)
+    tm = _scaled_model(20.0)
+    E = np.linspace(-1.4, 4.4, 60)
+    shifts = tm._level_transfer
+    for eps in (0, 1):
+        A = _level_systems(tm, eps, E, shifts)
+        kappa = np.unique(np.linalg.cond(A))
+        for limit in ((kappa[0] + kappa[1]) / 2, np.sqrt(kappa[0] * kappa[-1]),
+                      (kappa[-2] + kappa[-1]) / 2):
+            tm.condition_limit = float(limit)
+            expected = _oracle_gate(A, limit, eps, E, shifts)
+            assert expected is not None
+            assert _gate_message(tm, eps, E, shifts) == expected
+        tm.condition_limit = float(kappa[-1])
+        assert _gate_message(tm, eps, E, shifts) is None
+
+
+def test_condition_gate_on_an_exactly_singular_system(monkeypatch):
+    # the batched solve raises LinAlgError; the gate still names the system
+    tm = TMatrix(model_from_dict(base_model_doc()))
+    E = np.array([0.3, 0.5, 0.7])
+    shifts = tm._level_transfer
+    kernels = tm._kernels
+
+    def singular_at_one(eps, energies, omega):
+        K = kernels(eps, energies, omega)
+        K[1, 0, 1] = -np.eye(tm.dim)          # A = 0 at E = 0.5
+        return K
+
+    monkeypatch.setattr(tm, "_kernels", singular_at_one)
+    A = _level_systems(tm, 0, E, shifts)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(A, np.broadcast_to(np.eye(tm.dim, dtype=complex), A.shape))
+    with pytest.raises(NumericError) as exc:
+        tm._level_inverses(0, E, shifts)
+    assert str(exc.value) == _oracle_gate(A, tm.condition_limit, 0, E, shifts)
+    assert "E=0.5" in str(exc.value) and "condition estimate inf" in str(exc.value)
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(dim=st.sampled_from([2, 4]), seed=st.integers(0, 2 ** 32 - 1),
+       limit=st.sampled_from([1e6, CONDITION_LIMIT]),
+       log_ratios=st.lists(st.sampled_from([-8.0, -2.0, -0.3, -0.01, -1e-4, 1e-4, 0.01,
+                                            0.3, 2.0, 8.0]), min_size=1, max_size=6))
+def test_screened_gate_decides_as_the_full_svd(dim, seed, limit, log_ratios):
+    # batches of systems with prescribed singular values, condition numbers
+    # limit * 10**r on both sides of the limit; the screened gate raises
+    # exactly when the SVD of every system does, with the same text
+    tm = _scaled_model(0.1) if dim == 2 else _generic_d4_model()
+    rng = np.random.default_rng(seed)
+    levels = tm._level_columns.size
+    shape = (len(log_ratios), levels, 1)
+    A = np.empty(shape + (dim, dim), dtype=complex)
+    for n, r in enumerate(log_ratios):
+        for l in range(levels):
+            kappa = min(limit * 10.0 ** rng.choice([r, -abs(r)]), 1e17)
+            u, v = (np.linalg.qr(rng.standard_normal((dim, dim))
+                                 + 1j * rng.standard_normal((dim, dim)))[0] for _ in range(2))
+            A[n, l, 0] = (u * np.geomspace(1.0, 1.0 / kappa, dim)) @ v.conj().T
+    E = 0.1 * np.arange(len(log_ratios))
+    shifts = np.zeros((levels, 1))
+    tm.condition_limit = limit
+    tm._kernels = lambda eps, energies, omega: A - np.eye(dim)
+    seen = np.eye(dim) + (A - np.eye(dim))
+    assert _gate_message(tm, 0, E, shifts) == _oracle_gate(seen, limit, 0, E, shifts)
 
 
 def test_neumann_divergence_flagged():

@@ -351,7 +351,9 @@ def k_inner_product(bath, X, Y, omega, beta):
     X and Y are index pairs (f, u) and (v, w) with entries in {0, 1}.
     Evaluates 2*pi * delta_{f,v} * delta_{u,w} *
     integral of rho_f(E) * exp(-beta*(E-omega)) * rho_u(E-omega) dE
-    by quadrature on the bath grid.
+    by quadrature on the bath grid.  The exponential is evaluated only
+    where the density product is nonzero; where the integrand or the
+    integral is not finite there, NumericError.
     """
     f, u = X
     v, w = Y
@@ -368,8 +370,18 @@ def k_inner_product(bath, X, Y, omega, beta):
         return 0.0 + 0.0j
     grid = EnergyGrid(lo, hi, max(int(round((hi - lo) / bath.grid.spacing)) + 1, 16))
     E, wts = grid.nodes, grid.weights
-    integrand = rho_f(E) * np.exp(-beta * (E - omega)) * rho_u(E - omega)
-    return complex(2.0 * math.pi * np.dot(wts, integrand))
+    dens_f, dens_u = rho_f(E), rho_u(E - omega)
+    on = (dens_f != 0.0) & (dens_u != 0.0)
+    integrand = np.zeros_like(E)
+    with np.errstate(over="ignore", invalid="ignore"):
+        integrand[on] = dens_f[on] * np.exp(-beta * (E[on] - omega)) * dens_u[on]
+        value = 2.0 * math.pi * np.dot(wts, integrand)
+    bad = ~np.isfinite(integrand)
+    if bad.any() or not math.isfinite(value):
+        at = E[bad][0] if bad.any() else E[np.argmax(integrand)]
+        raise NumericError(f"exp(-beta*(E-omega)) overflows the K inner product "
+                           f"at beta = {beta:g}, E = {at:g}")
+    return complex(value)
 
 
 class GammaTable:

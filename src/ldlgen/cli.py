@@ -10,7 +10,13 @@ sorted keys, a two-space indent and shortest-round-trip floats, so
 identical invocations produce byte-identical files.  The indent is laid
 out around C-encoded number lists (see `_emit_json`), because CPython's
 C encoder does not indent and its pure-Python fallback costs about
-2.5 us per float.
+2.5 us per float.  The `generator` file's Kraus family, nearly all of its
+text, is laid out with no per-entry Python walk: chunks of a float table
+(one row per entry: the operator's re/im pairs, then the weight) whose
+cells are joined to a separator cycle fixed by d; +0.0 cells are constant
+text and only the others go through the C encoder (`_kraus_chunks`).  A
+chunk holds at most `_KRAUS_CHUNK_FLOATS` floats or one entry, so the
+text of the whole family is never held in memory at once.
 """
 
 import argparse
@@ -197,22 +203,94 @@ def _indented(value, level):
     return _COMPACT.encode(value)
 
 
+_NON_FINITE = ("the output holds NaN or Infinity, which strict JSON cannot carry; "
+               "nothing was written")
+# Floats per piece of a Kraus family's text: a piece holds a float table and
+# an object array of this many cells, 0.5 MB each, and about 1 MB of text.
+_KRAUS_CHUNK_FLOATS = 1 << 16
+
+
 def _emit_json(payload, path):
     """Strict JSON, as `model.read_json` reads it: the text is exactly
     ``json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)``
     (plus a final newline in a file), built by `_indented` at C-encoder
     speed.  A NaN or infinity in the payload is a numeric failure, and
-    nothing is written."""
+    nothing is written.
+
+    A generator document is written by `_emit_generator` to the same text
+    without building the payload: its Kraus family is laid out from a float
+    table by `_kraus_chunks` and written in pieces of at most
+    `_KRAUS_CHUNK_FLOATS` floats (or one entry), so beyond the generator
+    itself the write holds one piece's table, object array and text (about
+    3 MB), never the text of the whole family.
+    """
     try:
         text = _indented(payload, 0)
     except ValueError:
-        raise NumericError("the output holds NaN or Infinity, which strict JSON "
-                           "cannot carry; nothing was written") from None
+        raise NumericError(_NON_FINITE) from None
     if path is None:
         print(text)
     else:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
+
+
+def _emit_generator(gen, path):
+    """`_emit_json(gen.to_json(), path)`, byte for byte, without building
+    the Kraus list: every other key is laid out by `_indented` and the
+    family, whose key sorts last, by `_kraus_chunks`.  Every value is
+    checked finite before the file is opened."""
+    try:
+        head = _indented(gen._json_head(), 0)
+    except ValueError:
+        raise NumericError(_NON_FINITE) from None
+    if not (np.isfinite(gen.weights).all() and np.isfinite(gen.ops).all()):
+        raise NumericError(_NON_FINITE)
+    with open(path, "w", encoding="utf-8") as fh:
+        # head ends in the dict's closing "\n}"; the family is its last item
+        fh.write(head[:-2] + ',\n  "kraus": ')
+        fh.writelines(_kraus_chunks(gen.weights, gen.ops, 1))
+        fh.write("\n}\n")
+
+
+def _kraus_chunks(weights, ops, level):
+    """The list ``[{"operator": complex_matrix_to_json(L), "weight": w}, ...]``
+    as `_indented` writes it at nesting depth `level`, in pieces.
+
+    A piece is a float table of up to `_KRAUS_CHUNK_FLOATS` cells, one row
+    per entry: the row-major re/im pairs of the operator, then the weight
+    ("operator" sorts before "weight").  The text before cell p is the same
+    in every row, `cycle[p]`, fixed by d and `level`, so a +0.0 cell, as
+    most cells of a Bohr-masked family are, is the constant text
+    ``cycle[p] + "0.0"``.  The other cells go through one C-encoder call,
+    whose float text is `float.__repr__`; its tokens are split on "," and
+    appended to their `cycle[p]`.  The input must be finite.
+    """
+    if not weights.size:
+        yield "[]"
+        return
+    i1, i2, i3, i4 = ("\n" + "  " * (level + n) for n in range(1, 5))
+    entry = i1 + "{" + i2 + '"operator": [' + i3 + "[" + i4
+    pairs = ["," + i4, i3 + "]," + i3 + "[" + i4] * ops[0].size
+    cycle = np.array([i1 + "}," + entry, *pairs[:-1], i3 + "]" + i2 + "]," + i2 + '"weight": '],
+                     dtype=object)
+    zeros = cycle + "0.0"
+    rows = max(1, _KRAUS_CHUNK_FLOATS // cycle.size)
+    for lo in range(0, weights.size, rows):
+        n = min(rows, weights.size - lo)
+        table = np.empty((n, cycle.size))
+        table[:, :-1] = np.ascontiguousarray(ops[lo:lo + n]).reshape(n, -1).view(float)
+        table[:, -1] = weights[lo:lo + n]
+        text = np.tile(zeros, (n, 1))
+        other = (table != 0.0) | np.signbit(table)
+        if other.any():
+            tokens = _COMPACT.encode(table[other].tolist())[1:-1].split(",")
+            text[other] = cycle[other.nonzero()[1]] + np.array(tokens, dtype=object)
+        pieces = text.ravel().tolist()
+        if lo == 0:                               # the list opens instead
+            pieces[0] = "[" + pieces[0][len(i1) + 2:]
+        yield "".join(pieces)
+    yield i1 + "}\n" + "  " * level + "]"
 
 
 def _emit_lines(lines, path):
@@ -297,7 +375,7 @@ def _cmd_drift(args):
 def _cmd_generator(args):
     spec = load_model(args.model)
     gen = build_generator(TMatrix(spec))
-    _emit_json(gen.to_json(), args.out)
+    _emit_generator(gen, args.out)
     return EXIT_OK
 
 

@@ -174,18 +174,21 @@ class GKSLGenerator:
                              grid=self.grid)
 
     def to_json(self):
-        payload = {
+        payload = self._json_head()
+        payload["kraus"] = [{"weight": w, "operator": complex_matrix_to_json(L)}
+                            for w, L in self.kraus]
+        return payload
+
+    def _json_head(self):
+        """Every key of `to_json` but "kraus", which sorts after all of them."""
+        head = {
             "dim": self.dim,
             "drift": complex_matrix_to_json(self.drift),
             "hamiltonian": complex_matrix_to_json(self.hamiltonian),
-            "kraus": [
-                {"weight": w, "operator": complex_matrix_to_json(L)}
-                for w, L in self.kraus
-            ],
         }
         if self.grid is not None:
-            payload["grid"] = self.grid.to_json()
-        return payload
+            head["grid"] = self.grid.to_json()
+        return head
 
     @classmethod
     def from_json(cls, obj):

@@ -1,13 +1,17 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from ldlgen import NumericError, ValidationError, k_inner_product, mu_inv, validate_bath
+from ldlgen import (NumericError, ValidationError, k_inner_product, load_model, mu_inv,
+                    validate_bath)
 from ldlgen.bath import (MAX_GRID_POINTS, BathSpec, DensityProfile, EnergyGrid, GammaTable,
                          _legendre_rule, gauss_legendre_nodes)
+
+from conftest import MODELS
 
 
 def _bath(rho0, rho1, grid=None):
@@ -274,6 +278,32 @@ def test_k_inner_product_equals_hand_trapezoid_bitwise(grid):
                 hi = min(bath.density(f).b, bath.density(u).b + omega)
                 expect = _hand_trapezoid_k(bath, f, u, omega, beta) if lo < hi else 0j
                 assert val == expect
+
+
+@pytest.mark.parametrize("case", ["rect", "tm_nr"])
+def test_k_inner_product_overflow_is_numeric_error(case):
+    if case == "rect":
+        bath = _bath(DensityProfile.rect(-2, -1, 1.0), DensityProfile.bump(2, 3, 1.0),
+                     EnergyGrid(-3.0, 4.0, 481))
+        beta, where = 1000.0, r"beta = 1000, E = -2$"
+    else:
+        bath = load_model(MODELS / "tm_nr.json").bath
+        beta, where = -2000.0, r"beta = -2000, E = 0\.\d+$"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match="overflows the K inner product at " + where):
+            k_inner_product(bath, (0, 0), (0, 0), 0.0, beta)
+
+
+def test_k_inner_product_skips_the_exponential_where_the_density_vanishes():
+    # the overlap nodes are -2, -2 + 1/69, ...: exp(-355 E) overflows only at
+    # E = -2, the bump's edge, where rho0 is 0
+    bath = _bath(DensityProfile.bump(-2, -1, 1.0), DensityProfile.bump(2, 3, 1.0),
+                 EnergyGrid(-3.0, 4.0, 481))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = k_inner_product(bath, (0, 0), (0, 0), 0.0, 355.0)
+    assert math.isfinite(value.real) and value.real > 1e300 and value.imag == 0.0
 
 
 def test_k_inner_product_refuses_more_than_the_grid_cap():

@@ -5,20 +5,26 @@ sort_keys=True, allow_nan=False)``; `_parent_dumps` and
 `_parent_complex_matrix_to_json` below are the plain implementations the
 faster emitter and payload builder must reproduce byte for byte, and
 `_parent_gamma_lines` is the per-scalar CSV loop the `gamma` rows must
-reproduce.
+reproduce.  The `generator` file, whose Kraus family is laid out from a
+float table without building `to_json()`, must equal the indented dump
+of `GKSLGenerator.to_json()`.
 """
 
 import json
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ldlgen import TMatrix, cli, generator, load_model
+from ldlgen import TMatrix, build_generator, cli, generator, load_model
+from ldlgen.bath import EnergyGrid
 from ldlgen.errors import NumericError
-from ldlgen.model import complex_matrix_to_json
+from ldlgen.generator import GKSLGenerator
+from ldlgen.model import complex_matrix_to_json, model_from_dict
 
 from conftest import MODELS, ladder_model_doc
 
@@ -156,10 +162,119 @@ def test_cli_files_match_parent_bytes(tmp_path, monkeypatch, model, command):
     new, old = tmp_path / "new.json", tmp_path / "old.json"
     code = cli.run(argv + [str(new)])
     monkeypatch.setattr(cli, "_emit_json", _parent_emit_json)
+    monkeypatch.setattr(cli, "_emit_generator",
+                        lambda gen, path: _parent_emit_json(gen.to_json(), path))
     monkeypatch.setattr(cli, "complex_matrix_to_json", _parent_complex_matrix_to_json)
     monkeypatch.setattr(generator, "complex_matrix_to_json", _parent_complex_matrix_to_json)
     assert cli.run(argv + [str(old)]) == code == 0
     assert new.read_bytes() == old.read_bytes()
+
+
+# -- the generator file's Kraus layout ----------------------------------------
+
+def _generator_dump(gen):
+    return json.dumps(gen.to_json(), indent=2, sort_keys=True) + "\n"
+
+
+def _emitted_generator(gen, path):
+    cli._emit_generator(gen, str(path))
+    return path.read_text(encoding="utf-8")
+
+
+_MAX_FLOAT = 1.7976931348623157e308
+_SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, _MAX_FLOAT, -_MAX_FLOAT,
+            1.0, -3.0, 2.0 ** 60, 1e16, 0.1]
+_WEIGHT_SPECIAL = [0.0, -0.0, 5e-324, 1e-300, _MAX_FLOAT, 1.0, 7.0, 2.0 ** 60, 1e16, 0.25]
+_cells = st.one_of(st.sampled_from(_SPECIAL), st.floats(allow_nan=False, allow_infinity=False))
+_weights = st.one_of(st.sampled_from(_WEIGHT_SPECIAL),
+                     st.floats(min_value=0.0, allow_nan=False, allow_infinity=False))
+_grids = st.sampled_from([None, EnergyGrid(-1.5, 4.5, 481), EnergyGrid(-1e-300, _MAX_FLOAT, 16)])
+
+
+def _complex_arrays(draw, shape):
+    """A complex array of `shape`, +0.0 but for the re/im parts drawn at
+    drawn positions (zeros dominate a Bohr-masked family); a view, so a
+    -0.0 part stays -0.0."""
+    parts = np.zeros(2 * math.prod(shape))
+    if parts.size:
+        cells = draw(st.dictionaries(st.integers(0, parts.size - 1), _cells, max_size=parts.size))
+        parts[list(cells)] = list(cells.values())
+    return parts.view(complex).reshape(shape)
+
+
+@st.composite
+def _generators(draw):
+    d = draw(st.integers(1, 4))
+    k = draw(st.integers(0, 24))
+    weights = draw(st.lists(_weights, min_size=k, max_size=k))
+    return GKSLGenerator(drift=_complex_arrays(draw, (d, d)),
+                         hamiltonian=_complex_arrays(draw, (d, d)),
+                         weights=np.array(weights, dtype=float),
+                         ops=_complex_arrays(draw, (k, d, d)), grid=draw(_grids))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(_generators(), st.integers(1, 30))
+def test_generator_file_matches_indented_dumps(out_path, gen, chunk_floats):
+    # budgets of 1 to 30 floats split a family of up to 24 entries into
+    # chunks of one entry (d >= 3) up to ten (d = 1)
+    with mock.patch.object(cli, "_KRAUS_CHUNK_FLOATS", chunk_floats):
+        assert _emitted_generator(gen, out_path) == _generator_dump(gen)
+
+
+def test_generator_file_across_default_chunks(out_path):
+    rng = np.random.default_rng(5)
+    d, rows = 3, cli._KRAUS_CHUNK_FLOATS // 19
+    k = 2 * rows + 3                                     # three chunks, the last short
+    ops = rng.standard_normal((k, d, d)) + 1j * rng.standard_normal((k, d, d))
+    ops[rng.random((k, d, d)) < 0.8] = 0.0
+    ops[::7, 0, 0] = complex(-0.0, 0.0)
+    weights = rng.random(k)
+    weights[::5] = 0.0
+    gen = GKSLGenerator(drift=ops[0], hamiltonian=ops[1], weights=weights, ops=ops)
+    assert _emitted_generator(gen, out_path) == _generator_dump(gen)
+
+
+def test_generator_file_is_written_chunk_by_chunk(out_path, monkeypatch):
+    # about 6 MB of text; the write may hold a few 4096-float chunks of it
+    rng = np.random.default_rng(7)
+    k, d = 20_000, 3
+    ops = np.zeros((k, d, d), dtype=complex)
+    ops[:, 0, 1] = rng.standard_normal(k)
+    gen = GKSLGenerator(drift=np.eye(d), hamiltonian=np.eye(d), weights=rng.random(k), ops=ops)
+    monkeypatch.setattr(cli, "_KRAUS_CHUNK_FLOATS", 4096)
+    tracemalloc.start()
+    try:
+        cli._emit_generator(gen, str(out_path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = out_path.stat().st_size
+    assert size > 5_000_000 and peak < size / 10
+
+
+@pytest.mark.parametrize("model", ["tm_nr", "tm_rwa", "ladder_d3"])
+def test_generator_cli_file_matches_indented_dumps(tmp_path, model):
+    path = {"tm_nr": NR, "tm_rwa": RWA}.get(model) or _ladder_model_path(tmp_path)
+    out = tmp_path / "gen.json"
+    assert cli.run(["generator", path, "--out", str(out)]) == 0
+    gen = build_generator(TMatrix(load_model(path)))
+    assert out.read_text(encoding="utf-8") == _generator_dump(gen)
+
+
+@pytest.mark.parametrize("field, index", [("weights", (3,)), ("ops", (5, 1, 0)),
+                                          ("drift", (0, 1)), ("hamiltonian", (1, 1))])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_generator_nonfinite_value_exits_2_and_writes_nothing(tmp_path, monkeypatch,
+                                                              field, index, value):
+    gen = build_generator(TMatrix(model_from_dict(ladder_model_doc(LADDER_SEED, 2))))
+    array = getattr(gen, field).copy()
+    array[index] = value
+    setattr(gen, field, array)                     # past the constructor's check
+    monkeypatch.setattr(cli, "build_generator", lambda tm: gen)
+    out = tmp_path / "gen.json"
+    assert cli.run(["generator", NR, "--out", str(out)]) == cli.EXIT_NUMERIC
+    assert not out.exists()
 
 
 # -- gamma CSV rows ------------------------------------------------------------

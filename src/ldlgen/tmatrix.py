@@ -15,7 +15,8 @@ m has exactly one candidate entry per row k, the one in the block
 omega = omega' + rep(e_m - e_k), so the system reduces to d independent
 d x d systems.  `TMatrix.r_blocks` solves them for every grid node at
 once.  The stacked system (`stacked_column`, `neumann_column`,
-`column_residual`) survives as the verification oracle.  The two routes
+`column_residual`, and `column_pass`, which batches them over (omega', E))
+survives as the verification oracle.  The two routes
 and `t_kernel` share one thing, the kernel entries (`TMatrix._kernels`);
 the oracle keeps its own placement of each entry in the one block its
 canonical transfer names, its own dense solve and power series, and the
@@ -44,6 +45,9 @@ PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
 # Largest Dyson-oracle time grid, in steps (the grid has steps + 1 points);
 # at d = 2 the kept phase rows and the n = 3 zero-padded buffer then take 192 MiB.
 MAX_GRID_STEPS = 1 << 20
+# Largest stack of stacked systems T that `TMatrix.column_pass` holds at once,
+# in bytes (at ladder d = 6 about a third of one epsilon's columns).
+_STACK_CHUNK_BYTES = 1 << 24
 
 
 def _series_pair(pair):
@@ -80,6 +84,9 @@ class BlockColumn:
 
 
 ThermalPass = namedtuple("ThermalPass", "eps coef ops re_gamma")
+# The batched depth-1 columns of `TMatrix.column_pass`, one entry per column.
+ColumnPass = namedtuple("ColumnPass", "omega_prime energy blocks residual neumann order "
+                                      "final_increment converged diverged")
 # The eta-independent part of the Dyson oracle on one time grid (see
 # `TMatrix._dyson_grid`), and one density's correlation on it.
 DysonGrid = namedtuple("DysonGrid", "t wts evecs phases corr")
@@ -354,10 +361,12 @@ class TMatrix:
     # -- stacked oracle --------------------------------------------------------
     #
     # The |I|*d block system on the index set I(omega') = omega' + offsets,
-    # assembled in the eigenbasis of H_S in one array pass per (eps, omega', E).
-    # It shares the kernel entries (`_kernels`) with the level-basis solve and
-    # nothing else: its own placement, dense solve, power series and depth-2
-    # index set; verification and tests compare the two.
+    # assembled in the eigenbasis of H_S in one array pass for any stack of
+    # (omega', E).  It shares the kernel entries (`_kernels`) with the
+    # level-basis solve and nothing else: its own placement, dense solve,
+    # power series and depth-2 index set; verification and tests compare the
+    # two.  `column_pass` batches the columns the identity suite reads; the
+    # pointwise views compute one column each with the same arithmetic.
 
     def _offsets(self, index_depth):
         """Offsets of the index set: the Bohr set B (depth 1), or B plus the
@@ -376,20 +385,22 @@ class TMatrix:
 
     def _stacked_t(self, eps, omega_prime, E, offsets):
         """The T part of the stacked block system on omega' + offsets, in the
-        eigenbasis, shape (|I| d, |I| d).  Entry (k, p) of row block i's
-        kernel goes to the one column block whose offset is nearest
-        offsets[i] - W[k, p], and is dropped when none lies within the Bohr
-        tolerance."""
+        eigenbasis, for omega' and E of one shape S (checked by the caller):
+        shape S + (|I| d, |I| d).  Entry (k, p) of row block i's kernel goes
+        to the one column block whose offset is nearest offsets[i] - W[k, p],
+        and is dropped when none lies within the Bohr tolerance; the placement
+        does not depend on omega' or E."""
         d, n = self.dim, len(offsets)
-        omega = np.broadcast_to((_real(omega_prime, "omega'") + offsets)[:, None], (n, d))
-        K = self._kernels(eps, _real(E, "energy E"), omega)
+        omega_prime, E = np.asarray(omega_prime, dtype=float), np.asarray(E, dtype=float)
+        omega = np.broadcast_to((omega_prime[..., None] + offsets)[..., None], E.shape + (n, d))
+        K = self._kernels(eps, E[..., None], omega)
         dist = np.abs((offsets[:, None, None] - self.spectral.transfer)[..., None] - offsets)
         j = dist.argmin(axis=-1)
         keep = dist.min(axis=-1) <= self.spectral.tolerance
         i, k, p = np.nonzero(keep)
-        T = np.zeros((n, d, n, d), dtype=complex)
-        T[i, k, j[keep], p] = K[keep]
-        return T.reshape(n * d, n * d)
+        T = np.zeros(E.shape + (n, d, n, d), dtype=complex)
+        T[..., i, k, j[keep], p] = K[..., keep]
+        return T.reshape(E.shape + (n * d, n * d))
 
     def _rhs(self, offsets):
         d = self.dim
@@ -401,17 +412,23 @@ class TMatrix:
         rhs[i0 * d:(i0 + 1) * d] = np.eye(d)
         return rhs
 
+    def _original(self, X, n_offsets):
+        """Blocks in the original basis from stacked eigenbasis solutions
+        X (..., |I| d, d): shape (..., |I|, d, d)."""
+        basis = self.spectral.basis
+        blocks = X.reshape(X.shape[:-2] + (n_offsets, self.dim, self.dim))
+        return basis @ blocks @ basis.conj().T
+
     def _column(self, eps, omega_prime, E, offsets, X, **series):
         """BlockColumn from a stacked eigenbasis solution X of shape (|I| d, d)."""
-        basis = self.spectral.basis
-        blocks = basis @ X.reshape(len(offsets), self.dim, self.dim) @ basis.conj().T
         return BlockColumn(epsilon=eps, omega_prime=float(omega_prime), energy=float(E),
-                           offsets=offsets, blocks=blocks, **series)
+                           offsets=offsets, blocks=self._original(X, len(offsets)), **series)
 
     def stacked_column(self, eps, omega_prime, E, index_depth=1):
         """Column of (1+T_eps)^{-1} by dense solve of the stacked system on
         I(omega') (index_depth=1) or on the depth-2 index set (see `_offsets`);
         any other depth raises ValidationError."""
+        omega_prime, E = _real(omega_prime, "omega'"), _real(E, "energy E")
         offsets = self._offsets(index_depth)
         A = np.eye(len(offsets) * self.dim, dtype=complex) + self._stacked_t(eps, omega_prime, E, offsets)
         return self._column(eps, omega_prime, E, offsets, np.linalg.solve(A, self._rhs(offsets)))
@@ -424,47 +441,107 @@ class TMatrix:
         stopped decreasing over the last 5 orders.  Divergence is reported,
         not raised: the caller decides (the direct solve remains available).
         """
+        omega_prime, E = _real(omega_prime, "omega'"), _real(E, "energy E")
+        offsets = self._offsets(1)
+        T = self._stacked_t(eps, omega_prime, E, offsets)
+        total, order, final, converged, diverged = self._neumann_series(T[None], offsets,
+                                                                        max_order, tol)
+        return self._column(eps, omega_prime, E, offsets, total[0], order=int(order[0]),
+                            final_increment=float(final[0]), converged=bool(converged[0]),
+                            diverged=bool(diverged[0]))
+
+    def _neumann_series(self, T, offsets, max_order=None, tol=None):
+        """The series of `neumann_column` for a stack of stacked systems
+        T (C, |I| d, |I| d) at once.  Each column stops on its own: once its
+        term drops below tol or its increments stall it is frozen, and the
+        rest go on.  Every increment is np.linalg.norm of that column's
+        term, the arithmetic of one column alone.  Returns the eigenbasis
+        sums (C, |I| d, d) and, per column, order, final_increment,
+        converged and diverged."""
         if max_order is None:
             max_order = self.spec.neumann_max_order
         if tol is None:
             tol = self.spec.neumann_tolerance
-        offsets = self._offsets(1)
-        T = self._stacked_t(eps, omega_prime, E, offsets)
-        rhs = self._rhs(offsets)
-        term = rhs.copy()
-        total = rhs.copy()
-        increments = []
-        converged = False
-        diverged = False
-        order = 0
+        n = T.shape[0]
+        total = np.broadcast_to(self._rhs(offsets), (n,) + T.shape[1:2] + (self.dim,)).copy()
+        order, final = np.zeros(n, dtype=int), np.zeros(n)
+        converged, diverged = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
+        live, term, recent = np.arange(n), total.copy(), np.empty((n, 0))
         for k in range(1, max_order + 1):
             term = -(T @ term)
-            total += term
-            inc = float(np.linalg.norm(term))
-            increments.append(inc)
-            if inc < tol:
-                # the truncation order actually needed excludes this term
-                converged = True
-                order = k - 1
-                break
-            order = k
-            if len(increments) >= 5 and increments[-1] >= increments[-5]:
-                diverged = True
-                break
-        return self._column(eps, omega_prime, E, offsets, total, order=order,
-                            final_increment=increments[-1] if increments else 0.0,
-                            converged=converged, diverged=diverged)
+            total[live] += term
+            inc = np.array([np.linalg.norm(t) for t in term])
+            # the last five increments of each live column
+            recent = np.concatenate([recent[:, -4:], inc[:, None]], axis=1)
+            final[live] = inc
+            done = inc < tol
+            # the truncation order actually needed excludes a term below tol
+            order[live] = np.where(done, k - 1, k)
+            converged[live] = done
+            stalled = ~done & (recent.shape[1] >= 5) & (recent[:, -1] >= recent[:, 0])
+            diverged[live] = stalled
+            stop = done | stalled
+            if stop.any():
+                go = ~stop
+                if not go.any():
+                    break
+                live, term, T, recent = live[go], term[go], T[go], recent[go]
+        return total, order, final, converged, diverged
 
     def column_residual(self, col):
         """Frobenius norm of (1+T) @ column - rhs in the stacked system,
         relative to the rhs."""
+        T = self._stacked_t(col.epsilon, col.omega_prime, col.energy, col.offsets)
+        return float(self._residuals(T, col.offsets, col.blocks[None])[0])
+
+    def _residuals(self, T, offsets, blocks):
+        """`column_residual` for a stack: T (C, |I| d, |I| d) and blocks
+        (C, |I|, d, d) in the original basis; one norm per column, (C,)."""
         d = self.dim
         basis = self.spectral.basis
-        X = (basis.conj().T @ col.blocks @ basis).reshape(-1, d)
-        T = self._stacked_t(col.epsilon, col.omega_prime, col.energy, col.offsets)
-        A = np.eye(len(col.offsets) * d, dtype=complex) + T
-        R = A @ X - self._rhs(col.offsets)
-        return float(np.linalg.norm(R) / math.sqrt(d))
+        X = (basis.conj().T @ blocks @ basis).reshape(blocks.shape[0], -1, d)
+        A = np.eye(len(offsets) * d, dtype=complex) + T
+        R = A @ X - self._rhs(offsets)
+        return np.array([np.linalg.norm(r) / math.sqrt(d) for r in R])
+
+    def column_pass(self, eps, energies):
+        """Every depth-1 column of (1+T_eps)^{-1} at omega' in B and E in
+        `energies`, in a few array passes.
+
+        Column c is omega' = bohr[c // n], E = energies[c % n] for n
+        energies.  Its direct blocks come from one level-basis solve of all
+        columns (`_level_inverses`); one stacked T per column, assembled
+        batched and in chunks of at most _STACK_CHUNK_BYTES, gives the
+        residuals and the Neumann series of every column of the chunk at
+        once.  Each field equals, bitwise, its pointwise view: blocks[c] is
+        solve_column(eps, omega', E).blocks, residual[c] is column_residual
+        of that column, and neumann[c], order[c], final_increment[c],
+        converged[c] and diverged[c] are those of neumann_column(eps,
+        omega', E).
+        """
+        eps, E = _index(eps, "eps"), _energies(energies).reshape(-1)
+        sd, d, B = self.spectral, self.dim, self.bohr
+        n, m = E.size, B.size * E.size
+        shifts = np.broadcast_to(B, (len(self._level_columns), B.size))
+        X = self._level_inverses(eps, E, shifts)
+        # own[s, i, k, m] = X[i, level(m), s, k, m]
+        own = X[:, sd.level_index, :, :, np.arange(d)].transpose(2, 1, 3, 0)
+        blocks = sd.split(own.reshape(m, d, d))
+        omega_prime, energy = np.repeat(B, n), np.tile(E, B.size)
+        residual, neumann = np.empty(m), np.empty_like(blocks)
+        order, final = np.empty(m, dtype=int), np.empty(m)
+        converged, diverged = np.empty(m, dtype=bool), np.empty(m, dtype=bool)
+        step = max(1, _STACK_CHUNK_BYTES // (16 * (B.size * d) ** 2))
+        for lo in range(0, m, step):
+            part = slice(lo, lo + step)
+            T = self._stacked_t(eps, omega_prime[part], energy[part], B)
+            residual[part] = self._residuals(T, B, blocks[part])
+            total, order[part], final[part], converged[part], diverged[part] = \
+                self._neumann_series(T, B)
+            neumann[part] = self._original(total, B.size)
+        return ColumnPass(omega_prime=omega_prime, energy=energy, blocks=blocks,
+                          residual=residual, neumann=neumann, order=order,
+                          final_increment=final, converged=converged, diverged=diverged)
 
     # -- closed-form series terms ------------------------------------------
 
@@ -513,22 +590,32 @@ class TMatrix:
     def appendix_partial_sums(self, pair, E, max_orders=24, tol=1e-12):
         """Cumulative series sums for one pair; stops at the first term
         whose Frobenius norm drops below tol.  Returns (sums, converged).
-        A sum that overflows to a non-finite value raises NumericError."""
+        A 1-D array of energies sums every energy at once: each entry of
+        sums then stacks the energies' totals, an energy's total is frozen
+        once its own term drops below tol, and converged is an array, so
+        sums[-1][i] and converged[i] are those of energy E[i] alone.  A sum
+        that overflows to a non-finite value before it is frozen raises
+        NumericError."""
         pair, E = _series_pair(pair), _energies(E)
         if _count(max_orders, "max_orders") < 1:
             raise ValidationError("max_orders must be >= 1")
-        total = np.zeros((self.dim, self.dim), dtype=complex)
+        total = np.zeros(E.shape + (self.dim, self.dim), dtype=complex)
+        live = np.ones(E.shape, dtype=bool)
         sums = []
         with np.errstate(over="ignore", invalid="ignore"):
             for n, term in itertools.islice(self._appendix_terms(pair, E), max_orders):
-                total = total + term
+                total = np.where(live[..., None, None], total + term, total)
                 if not np.isfinite(total).all():
                     raise NumericError(f"appendix series of pair {pair} overflows at "
                                        f"order n = {n}; the series diverges here")
                 sums.append(total)
-                if np.linalg.norm(term) < tol:
-                    return sums, True
-        return sums, False
+                # one norm per energy, each that of a lone (d, d) term
+                small = np.array([np.linalg.norm(t) < tol
+                                  for t in term.reshape(-1, self.dim, self.dim)])
+                live = live & ~small.reshape(E.shape)
+                if not live.any():
+                    break
+        return sums, (~live if E.ndim else not live)
 
 
 # -- Dyson time-quadrature oracle ---------------------------------------------

@@ -8,7 +8,17 @@ whose energy kernel is the resolvent 1/(i(X - i0)), i.e. the pairing
 pi h(0) - i PV(h/X).  The double time integral is computed in the
 substituted variable u = (t'-t)/lambda^2, where the X quadrature
 produces the Fourier transform of h: the Gaussian envelopes damp the
-u integrand, so the cost is uniform in lambda.
+u integrand, so the cost is uniform in lambda.  The packets are evaluated
+in place over each chunk of (u, t) nodes, with the bits of the
+out-of-place formula.
+
+The identity suite (`run_identity_suite`) checks the level-basis solve,
+the closed-form series, the drift routes and the Lindblad form against
+independent oracles, each in a few array passes: the stacked-system
+columns are batched per eps over every (omega', E) probe
+(`TMatrix.column_pass`, bitwise the pointwise views), the series sums take
+the probe energies as one array, and the three-term reconstruction of
+Theta0 is one contraction over (node, entry, X) for all random X.
 """
 
 import math
@@ -18,7 +28,7 @@ import numpy as np
 
 from .bath import _legendre_rule, validate_bath
 from .errors import ValidationError, _real
-from .generator import (_diagonal_r, _structure_map, build_generator, choi_matrix, drift,
+from .generator import (_dagger, _diagonal_r, build_generator, choi_matrix, drift,
                         drift_from_t_operator)
 
 # entries of one (u nodes) x (t nodes) block in _overlap_vector: bounds its
@@ -26,24 +36,56 @@ from .generator import (_diagonal_r, _structure_map, build_generator, choi_matri
 _OVERLAP_CHUNK = 1 << 15
 # Gauss-Legendre nodes per panel of every composite rule
 _PANEL_NODES = 8
+# Most panels of the t rule in a mismatched overlap: 2^19 t nodes, whose
+# complex f w takes 8 MiB (see `_overlap_panels`)
+MAX_OVERLAP_PANELS = 1 << 16
 
 
 @dataclass(frozen=True)
 class GaussianPacket:
-    """poly(x - center) * exp(-(x - center)^2 / (2 sigma^2)); coeffs low-to-high."""
+    """poly(x - center) * exp(-(x - center)^2 / (2 sigma^2)); coeffs low-to-high.
+
+    center must be finite, sigma finite and > 0, and coeffs a non-empty
+    tuple (or list) of finite reals; anything else raises ValidationError.
+    """
 
     center: float = 0.0
     sigma: float = 1.0
     coeffs: tuple = (1.0,)
 
+    def __post_init__(self):
+        sigma = _real(self.sigma, "packet sigma")
+        if not sigma > 0:
+            raise ValidationError(f"packet sigma must be > 0, got {sigma!r}")
+        if not isinstance(self.coeffs, (tuple, list)) or not self.coeffs:
+            raise ValidationError(f"packet coeffs must be a non-empty tuple of numbers, "
+                                  f"got {self.coeffs!r}")
+        object.__setattr__(self, "center", _real(self.center, "packet center"))
+        object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "coeffs", tuple(_real(c, "packet coefficient")
+                                                 for c in self.coeffs))
+
     def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        z = x - self.center
-        poly = np.zeros_like(z)
-        for c in reversed(self.coeffs):
-            poly = poly * z + c
-        out = poly * np.exp(-z * z / (2.0 * self.sigma ** 2))
+        out = self._overwrite(np.array(x, dtype=float))
         return float(out) if out.ndim == 0 else out
+
+    def _overwrite(self, x):
+        """The packet at x, a float array, written over x and returned.
+        Horner's rule starts from the leading coefficient, which is its first
+        step 0 z + c = c; z z / -(2 sigma^2) is -z z / (2 sigma^2) bit for
+        bit, so this is the formula above evaluated without temporaries."""
+        x -= self.center
+        poly = self.coeffs[-1]
+        if len(self.coeffs) > 1:
+            poly = np.full_like(x, poly)
+            for c in reversed(self.coeffs[:-1]):
+                poly *= x
+                poly += c
+        np.multiply(x, x, out=x)
+        np.divide(x, -2.0 * self.sigma ** 2, out=x)
+        np.exp(x, out=x)
+        x *= poly
+        return x
 
     def extent(self, n_sigma=10.0):
         pad = n_sigma * self.sigma
@@ -99,25 +141,46 @@ def _fourier_of_h(h, u):
     return (np.exp(1j * np.outer(u, mid)) * panel_sums).sum(axis=1)
 
 
+def _overlap_panels(f, lam, mismatch_freq):
+    """Panels of the t rule in `_overlap_vector`: 64, or enough to resolve
+    the phase exp(i mismatch t / lam^2) with four panels per period.  More
+    than MAX_OVERLAP_PANELS, or a lam^2 that underflows to 0, raises
+    ValidationError naming lam."""
+    if not mismatch_freq:
+        return 64
+    af, bf = f.extent()
+    lam2 = lam ** 2
+    need = abs(mismatch_freq) / lam2 * (bf - af) / (2.0 * math.pi) * 4.0 if lam2 else math.inf
+    if not need <= MAX_OVERLAP_PANELS:
+        raise ValidationError(
+            f"lambda = {lam!r} needs more than the {MAX_OVERLAP_PANELS} panels of the t rule "
+            f"at frequency mismatch {mismatch_freq!r}; raise lambda")
+    return max(64, int(need))
+
+
 def _overlap_vector(f, g, lam, u, mismatch_freq=0.0):
     """G(u) = integral f(t) g(t + lam^2 u) [exp(i t' mismatch / lam^2)] dt
     with t' = t + lam^2 u; returned for every u node.  The phase factors as
     exp(i mismatch t / lam^2) exp(i mismatch u): the first is folded into
     f once, the second multiplies the sums, so no chunk evaluates an
-    exponential; without a mismatch the sums stay real."""
+    exponential; without a mismatch the sums stay real.  Each chunk of
+    (u, t) nodes is evaluated in one buffer: t', then g(t') over it
+    (`GaussianPacket._overwrite`), then times f w."""
     af, bf = f.extent()
-    n_panels = 64
-    if mismatch_freq:
-        n_panels = max(64, int(abs(mismatch_freq) / lam ** 2 * (bf - af) / (2.0 * math.pi) * 4.0))
-    t, wt = _composite_gl(af, bf, n_panels)
+    t, wt = _composite_gl(af, bf, _overlap_panels(f, lam, mismatch_freq))
     ft = f(t) * wt
     if mismatch_freq:
         ft = ft * np.exp(1j * (mismatch_freq / lam ** 2) * t)
     out = np.empty(u.size, dtype=complex)
     step = max(1, _OVERLAP_CHUNK // t.size)
+    buf = np.empty((min(step, u.size), t.size))
+    prod = np.empty(buf.shape, dtype=complex) if mismatch_freq else buf
     for chunk in range(0, u.size, step):
-        tp = t + lam ** 2 * u[chunk:chunk + step, None]
-        out[chunk:chunk + step] = (ft * g(tp)).sum(axis=1)
+        rows = slice(0, min(step, u.size - chunk))
+        tp = buf[rows]
+        np.add(t, lam ** 2 * u[chunk:chunk + step, None], out=tp)
+        np.multiply(ft, g._overwrite(tp), out=prod[rows])
+        out[chunk:chunk + step] = prod[rows].sum(axis=1)
     return out * np.exp(1j * mismatch_freq * u) if mismatch_freq else out
 
 
@@ -168,10 +231,21 @@ def _limit_report(lambdas, values, target):
                             monotone=monotone, values=values)
 
 
+def _lambdas(lambdas):
+    """At least one lambda, each finite and > 0, as a list of floats."""
+    lambdas = [_real(l, "lambda") for l in lambdas]
+    if not lambdas:
+        raise ValidationError("need at least one lambda")
+    for lam in lambdas:
+        if not lam > 0:
+            raise ValidationError(f"lambda must be > 0, got {lam!r}")
+    return lambdas
+
+
 def _matched_reports(f, g, h, lambdas):
     """The reports of check_delta_limit at matching frequencies and of
     check_causal_delta_limit, from one pass of `_pairings`."""
-    lambdas = [_real(l, "lambda") for l in lambdas]
+    lambdas = _lambdas(lambdas)
     full, causal = _pairings(f, g, h, lambdas)
     product = _product_integral(f, g)
     return (_limit_report(lambdas, full, 2.0 * math.pi * h(0.0) * product),
@@ -181,16 +255,22 @@ def _matched_reports(f, g, h, lambdas):
 
 def check_delta_limit(f, g, h, omega_match, lambdas, mismatch=1.0):
     """Pair the rescaled kernel with f, g, h for each lambda and compare
-    against 2 pi h(0) * integral f g (matching frequencies) or 0."""
+    against 2 pi h(0) * integral f g (matching frequencies) or 0.  Needs at
+    least one lambda, each finite and > 0; at mismatched frequencies each
+    must also keep the t rule within MAX_OVERLAP_PANELS panels, which is
+    checked for every lambda before any is paired."""
     if omega_match:
         return _matched_reports(f, g, h, lambdas)[0]
-    lambdas = [_real(l, "lambda") for l in lambdas]
+    lambdas = _lambdas(lambdas)
+    for lam in lambdas:
+        _overlap_panels(f, lam, mismatch)
     return _limit_report(lambdas, _pairings(f, g, h, lambdas, mismatch)[0], 0.0)
 
 
 def check_causal_delta_limit(f, g, h, lambdas):
     """Same pairing restricted to the ordered half t' < t; the limit pairs
-    h with the resolvent kernel: integral f g * (pi h(0) - i PV(h/X))."""
+    h with the resolvent kernel: integral f g * (pi h(0) - i PV(h/X)).
+    Needs at least one lambda, each finite and > 0."""
     return _matched_reports(f, g, h, lambdas)[1]
 
 
@@ -227,51 +307,53 @@ def _identity_checks(tm, rng):
         energies.extend(np.linspace(a, b, 5)[1:-1])
 
     # block-column residual / transfer / Neumann / index-set stability: the
-    # level-basis columns against the stacked-system oracle.  Residuals fold
-    # with np.maximum, which keeps a NaN where builtin max would drop it
+    # level-basis columns against the stacked-system oracle, every
+    # (omega', E) column of one eps batched in one `column_pass`.  Residuals
+    # fold with np.maximum and array max, which keep a NaN where builtin max
+    # would drop it
     res_solve, res_transfer, res_neumann, res_stability = 0.0, 0.0, 0.0, 0.0
     wrong_transfer = ~np.eye(sd.bohr.size, dtype=bool)
+    probes = np.array(energies[::2])
     for eps in (0, 1):
-        for wp in tm.bohr:
-            for E in energies[::2]:
-                col = tm.solve_column(eps, float(wp), float(E))
-                res_solve = np.maximum(res_solve, tm.column_residual(col))
-                # every returned block, re-split from the original basis; at
-                # depth 1 the offsets are the Bohr set itself
-                parts = np.linalg.norm(sd.split_operator(col.blocks), axis=(-2, -1))
-                res_transfer = np.maximum(res_transfer,
-                                          float((parts * wrong_transfer).sum(axis=1).max()))
-                ncol = tm.neumann_column(eps, float(wp), float(E))
-                if ncol.converged:
-                    diff = np.linalg.norm(col.blocks - ncol.blocks, axis=(-2, -1))
-                    ref = np.maximum(np.linalg.norm(col.blocks, axis=(-2, -1)), 1e-300)
-                    res_neumann = np.maximum(res_neumann, float((diff / ref).max()))
-        wide = tm.stacked_column(eps, 0.0, float(energies[0]), index_depth=2)
-        base = tm.solve_column(eps, 0.0, float(energies[0]))
-        # the depth-2 offsets contain the Bohr set exactly
-        j = np.searchsorted(wide.offsets, base.offsets)
+        cols = tm.column_pass(eps, probes)
+        res_solve = np.maximum(res_solve, cols.residual.max())
+        # every returned block, re-split from the original basis; at depth 1
+        # the offsets are the Bohr set itself
+        parts = np.linalg.norm(sd.split_operator(cols.blocks), axis=(-2, -1))
+        res_transfer = np.maximum(res_transfer,
+                                  float((parts * wrong_transfer).sum(axis=-1).max()))
+        if cols.converged.any():
+            direct = cols.blocks[cols.converged]
+            diff = np.linalg.norm(direct - cols.neumann[cols.converged], axis=(-2, -1))
+            ref = np.maximum(np.linalg.norm(direct, axis=(-2, -1)), 1e-300)
+            res_neumann = np.maximum(res_neumann, float((diff / ref).max()))
+        wide = tm.stacked_column(eps, 0.0, float(probes[0]), index_depth=2)
+        # the column at omega' = 0, E = probes[0]; the depth-2 offsets
+        # contain the Bohr set exactly
+        base = cols.blocks[sd.bohr_index(0.0) * probes.size]
+        j = np.searchsorted(wide.offsets, sd.bohr)
         res_stability = np.maximum(res_stability, float(
-            np.linalg.norm(base.blocks - wide.blocks[j], axis=(-2, -1)).max()))
+            np.linalg.norm(base - wide.blocks[j], axis=(-2, -1)).max()))
     checks.append(_check("block_column_residual", res_solve, 1e-12))
     checks.append(_check("block_column_transfer", res_transfer, 1e-12))
     checks.append(_check("neumann_vs_direct", res_neumann, 1e-10))
     checks.append(_check("index_set_stability", res_stability, 1e-12))
 
-    # series identities: partial closed-form sums against the solve route;
-    # a divergent series fails the check; one that overflows raises NumericError
+    # series identities: partial closed-form sums against the solve route,
+    # each pair summed at every probe energy at once; a divergent series
+    # fails the check; one that overflows raises NumericError
+    comps = tm.t_components(probes)
     res_series = 0.0
-    for E in energies[::2]:
-        comps = tm.t_components(float(E))
-        for pair, key in (("00", (0, 0)), ("01", (0, 1)),
-                          ("10", (1, 0)), ("11", (1, 1))):
-            sums, _ = tm.appendix_partial_sums(pair, float(E))
-            res_series = np.maximum(res_series, float(np.linalg.norm(sums[-1] - comps[key])))
+    for pair, key in (("00", (0, 0)), ("01", (0, 1)), ("10", (1, 0)), ("11", (1, 1))):
+        sums, _ = tm.appendix_partial_sums(pair, probes)
+        res_series = np.maximum(res_series, np.max(
+            [np.linalg.norm(s - c) for s, c in zip(sums[-1], comps[key])]))
     checks.append(_check("appendix_series_identity", res_series, 1e-10))
 
     # level-diagonal (transfer-0) projection of the same-index R blocks
     res_diag = 0.0
     zero = sd.bohr_index(0.0)
-    for R in tm.r_blocks(energies[::2]):
+    for R in tm.r_blocks(probes):
         for eps in (0, 1):
             diags = sd.split_operator(R[eps, eps])[:, zero]
             for w, r, diag in zip(tm.bohr, R[eps, eps], diags):
@@ -301,13 +383,12 @@ def _identity_checks(tm, rng):
                          1e-10))
     checks.append(_check("unitality",
                          np.linalg.norm(gen.psi_one - (gen.drift + gen.drift.conj().T)), 1e-10))
-    res_rec = 0.0
-    for _ in range(20):
-        x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        x = x + x.conj().T
-        direct = gen.apply(x)
-        three_term = _three_term_generator(tm, x)
-        res_rec = np.maximum(res_rec, float(np.linalg.norm(direct - three_term)))
+    # 20 random Hermitian X, drawn one after the other, through both routes
+    xs = rng.standard_normal((20, 2, d, d))
+    xs = xs[:, 0] + 1j * xs[:, 1]
+    xs = xs + _dagger(xs)
+    direct = np.stack([gen.apply(x) for x in xs])
+    res_rec = np.linalg.norm(direct - _three_term_generator(tm, xs), axis=(-2, -1)).max()
     checks.append(_check("lindblad_reconstruction", res_rec, 1e-12))
     choi = choi_matrix(gen)
     min_eig = float(np.linalg.eigvalsh(choi).min())
@@ -316,16 +397,23 @@ def _identity_checks(tm, rng):
     return checks
 
 
-def _three_term_generator(tm, X):
-    """Theta0(X) summed directly from the three-term structure map under
-    the same quadrature (independent arithmetic path from the Kraus form),
-    on the R blocks the thermal pass already holds."""
+def _three_term_generator(tm, xs):
+    """Theta0(X) for each X of a stack xs (n, d, d), summed from the three-term
+    structure map under the same quadrature (independent arithmetic path
+    from the Kraus form), on the R blocks the thermal pass already holds:
+
+        X a + a^+ X + sum over (node n, entry k) of
+            2 coef[n] re_gamma[n, k] ops[n, k]^+ X ops[n, k],
+
+    a = sum over n of coef[n] R^{eps,eps}_{0,0}: the jump part is one
+    contraction over (node, entry, X).  Reads neither the Choi matrix nor
+    H_eff of the generator."""
     tp = tm.thermal_pass()
-    r0 = _diagonal_r(tm, tp)
-    ops = tp.ops.reshape(tp.eps.size, -1, tm.dim, tm.dim)
-    terms = _structure_map(np.asarray(X, dtype=complex), r0, r0, ops, ops,
-                           tp.re_gamma.reshape(ops.shape[:2]))
-    return np.einsum("n,nij->ij", tp.coef, terms)
+    a = np.einsum("n,nij->ij", tp.coef, _diagonal_r(tm, tp))
+    weight = 2.0 * tp.coef[:, None] * tp.re_gamma.reshape(tp.coef.size, -1)
+    ops = tp.ops.reshape(weight.shape + (tm.dim, tm.dim))
+    jump = np.einsum("nk,nkji,xjl,nklm->xim", weight, ops.conj(), xs, ops, optimize=True)
+    return xs @ a + _dagger(a) @ xs + jump
 
 
 def _limit_decay_checks(name, rep):

@@ -7,14 +7,14 @@ import json
 import numpy as np
 import pytest
 
-from ldlgen import ValidationError
+from ldlgen import ValidationError, verification
 from ldlgen.bath import DensityProfile, EnergyGrid, k_inner_product, mu_inv, validate_bath
 from ldlgen.cli import run
 from ldlgen.dynamics import evolve_master, unravel_jump
 from ldlgen.generator import GKSLGenerator, apply_generator, theta_map
 from ldlgen.model import ModelSpec
 from ldlgen.tmatrix import TMatrix
-from ldlgen.verification import (check_causal_delta_limit, check_delta_limit,
+from ldlgen.verification import (GaussianPacket, check_causal_delta_limit, check_delta_limit,
                                  default_test_functions)
 
 from conftest import MODELS
@@ -69,6 +69,27 @@ BAD_CALLS = {
     "rect_profile": lambda s, tm, gen: DensityProfile.rect("a", 1, 1),
     "delta_limit_lambdas": lambda s, tm, gen: _limit(check_delta_limit, True, ["a"]),
     "causal_limit_lambdas": lambda s, tm, gen: _limit(check_causal_delta_limit, ["a"]),
+    # packet inputs: at the parent sigma = 0 raised a bare ZeroDivisionError,
+    # sigma < 0 reversed the extent and passed, center = inf warned twice and
+    # coeffs = () gave an all-zero report
+    "packet_sigma_zero": lambda s, tm, gen: GaussianPacket(sigma=0.0),
+    "packet_sigma_negative": lambda s, tm, gen: GaussianPacket(sigma=-1.0),
+    "packet_sigma_inf": lambda s, tm, gen: GaussianPacket(sigma=float("inf")),
+    "packet_center_inf": lambda s, tm, gen: GaussianPacket(center=float("inf")),
+    "packet_center_str": lambda s, tm, gen: GaussianPacket(center="0"),
+    "packet_coeffs_empty": lambda s, tm, gen: GaussianPacket(coeffs=()),
+    "packet_coeffs_nan": lambda s, tm, gen: GaussianPacket(coeffs=(1.0, float("nan"))),
+    "packet_coeffs_scalar": lambda s, tm, gen: GaussianPacket(coeffs=1.0),
+    "packet_coeffs_str": lambda s, tm, gen: GaussianPacket(coeffs="1"),
+    # lambdas: none, or one <= 0 (a bare ZeroDivisionError when mismatched at
+    # the parent), or one whose square underflows to 0 (the same)
+    "delta_limit_no_lambda": lambda s, tm, gen: _limit(check_delta_limit, True, []),
+    "causal_limit_no_lambda": lambda s, tm, gen: _limit(check_causal_delta_limit, []),
+    "mismatched_limit_lambda_zero": lambda s, tm, gen: _limit(check_delta_limit, False,
+                                                              [0.4, 0.0]),
+    "delta_limit_lambda_negative": lambda s, tm, gen: _limit(check_delta_limit, True, [-0.1]),
+    "mismatched_limit_lambda_tiny": lambda s, tm, gen: _limit(check_delta_limit, False,
+                                                              [1e-200]),
     # a NaN result at the parent
     "psi_nan": lambda s, tm, gen: gen.psi(NAN),
     "apply_generator_nan": lambda s, tm, gen: apply_generator(gen, NAN),
@@ -120,3 +141,21 @@ def test_generator_document_with_unknown_key_rejected(nr_gen):
     doc["kraus"][0]["note"] = 1
     with pytest.raises(ValidationError, match=r"unknown key\(s\) \['note'\] in kraus entry"):
         GKSLGenerator.from_json(doc)
+
+
+def test_mismatched_limit_checks_the_panel_budget_first(monkeypatch):
+    # lambda = 1e-4 at unit mismatch asks for about 1.3e9 panels of the t
+    # rule; the budget is checked for every lambda before any is paired
+    def no_pairing(*args):
+        raise AssertionError("paired before the panel budget was checked")
+
+    monkeypatch.setattr(verification, "_pairings", no_pairing)
+    with pytest.raises(ValidationError, match=r"lambda = 0\.0001 needs more than the 65536 "):
+        _limit(check_delta_limit, False, [0.4, 1e-4])
+    # the largest lambda past the budget at unit mismatch, and one just inside it
+    f = default_test_functions()[0]
+    span = f.extent()[1] - f.extent()[0]
+    edge = (span / (2.0 * np.pi) * 4.0 / verification.MAX_OVERLAP_PANELS) ** 0.5
+    with pytest.raises(ValidationError, match="panels of the t rule"):
+        verification._overlap_panels(f, 0.99 * edge, 1.0)
+    assert verification._overlap_panels(f, 1.01 * edge, 1.0) <= verification.MAX_OVERLAP_PANELS

@@ -1,0 +1,231 @@
+"""The batched passes of the identity suite against their per-column views.
+
+`TMatrix.column_pass` solves every (omega', E) column of one eps at once,
+`appendix_partial_sums` and `t_components` take the probe energies as one
+array, and the three-term map reconstructs a stack of X in one contraction.
+Each is compared with the pointwise views it replaces in the suite: the
+column fields and series sums bit for bit (and the residual and Neumann
+views with one-column loops kept here), and the whole identity report
+against a per-column reference of `_identity_checks` kept here.
+"""
+
+import numpy as np
+import pytest
+
+from ldlgen import TMatrix, load_model
+from ldlgen import verification
+from ldlgen.generator import (_diagonal_r, _structure_map, build_generator, choi_matrix, drift,
+                              drift_from_t_operator)
+from ldlgen.model import model_from_dict
+
+from conftest import MODELS, base_model_doc, chained_cluster_doc, ladder_model_doc
+from test_level_solve import MODELS as HARD_SPECTRA, _model
+
+
+def _divergent_doc():
+    # the model of test_suite_fails_honestly_at_divergent_coupling
+    doc = base_model_doc()
+    doc["system"]["coupling"] = [[0.0, 0.0], [4.0, 0.0], [4.0, 0.0], [0.0, 0.0]]
+    return doc
+
+
+BUILDERS = {
+    "tm_nr": lambda: TMatrix(load_model(MODELS / "tm_nr.json")),
+    "tm_rwa": lambda: TMatrix(load_model(MODELS / "tm_rwa.json")),
+    "ladder_d3": lambda: TMatrix(model_from_dict(ladder_model_doc(0, 3))),
+    "chained": lambda: TMatrix(model_from_dict(chained_cluster_doc())),
+    "divergent": lambda: TMatrix(model_from_dict(_divergent_doc())),
+    **{name: (lambda lv=levels, rot=rotate: _model(lv, seed=7, rotate=rot))
+       for name, (levels, rotate) in HARD_SPECTRA.items()},
+}
+
+
+@pytest.fixture(scope="module", params=sorted(BUILDERS))
+def tm(request):
+    return BUILDERS[request.param]()
+
+
+def _probes(tm):
+    """The probe energies of `_identity_checks`."""
+    energies = []
+    for a, b in (tm.spec.bath.density(e).support for e in (0, 1)):
+        energies.extend(np.linspace(a, b, 5)[1:-1])
+    return energies
+
+
+def _same(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _neumann_loop(tm, eps, omega_prime, E):
+    """The alternating T-power series of one column, one order at a time:
+    (eigenbasis sum, order, final_increment, converged, diverged)."""
+    offsets = tm._offsets(1)
+    T = tm._stacked_t(eps, omega_prime, E, offsets)
+    term = tm._rhs(offsets)
+    total = term.copy()
+    increments = []
+    for k in range(1, tm.spec.neumann_max_order + 1):
+        term = -(T @ term)
+        total += term
+        increments.append(float(np.linalg.norm(term)))
+        if increments[-1] < tm.spec.neumann_tolerance:
+            return total, k - 1, increments[-1], True, False
+        if len(increments) >= 5 and increments[-1] >= increments[-5]:
+            return total, k, increments[-1], False, True
+    return total, len(increments), increments[-1], False, False
+
+
+def _residual_loop(tm, col):
+    """Frobenius norm of (1+T) @ column - rhs for one column."""
+    d, basis = tm.dim, tm.spectral.basis
+    X = (basis.conj().T @ col.blocks @ basis).reshape(-1, d)
+    T = tm._stacked_t(col.epsilon, col.omega_prime, col.energy, col.offsets)
+    R = (np.eye(len(col.offsets) * d, dtype=complex) + T) @ X - tm._rhs(col.offsets)
+    return float(np.linalg.norm(R) / np.sqrt(d))
+
+
+def test_column_pass_matches_per_column_views(tm):
+    energies = np.array(_probes(tm)[::2])
+    for eps in (0, 1):
+        cols = tm.column_pass(eps, energies)
+        assert cols.blocks.shape == (tm.bohr.size * energies.size, tm.bohr.size, tm.dim, tm.dim)
+        c = 0
+        for wp in tm.bohr:
+            for E in energies:
+                assert (cols.omega_prime[c], cols.energy[c]) == (wp, E)
+                direct = tm.solve_column(eps, float(wp), float(E))
+                assert _same(cols.blocks[c], direct.blocks)
+                assert _same(cols.residual[c], tm.column_residual(direct))
+                assert _same(cols.residual[c], _residual_loop(tm, direct))
+                series = tm.neumann_column(eps, float(wp), float(E))
+                assert _same(cols.neumann[c], series.blocks)
+                loop = _neumann_loop(tm, eps, float(wp), float(E))
+                assert _same(series.blocks, tm._original(loop[0], tm.bohr.size))
+                for got, want in zip((series.order, series.final_increment, series.converged,
+                                      series.diverged), loop[1:]):
+                    assert type(got) is type(want) and got == want
+                assert int(cols.order[c]) == series.order
+                assert _same(cols.final_increment[c], series.final_increment)
+                assert bool(cols.converged[c]) is series.converged
+                assert bool(cols.diverged[c]) is series.diverged
+                c += 1
+
+
+def test_series_on_energy_array_matches_per_energy_calls(tm):
+    energies = np.array(_probes(tm)[::2])
+    comps = tm.t_components(energies)
+    for pair, key in (("00", (0, 0)), ("01", (0, 1)), ("10", (1, 0)), ("11", (1, 1))):
+        sums, converged = tm.appendix_partial_sums(pair, energies)
+        assert converged.shape == energies.shape
+        for i, E in enumerate(energies):
+            own, own_converged = tm.appendix_partial_sums(pair, float(E))
+            assert _same(sums[-1][i], own[-1]) and converged[i] == own_converged
+            # an energy's total stays frozen after its own last order
+            assert all(_same(s[i], own[-1]) for s in sums[len(own):])
+            assert _same(comps[key][i], tm.t_components(float(E))[key])
+
+
+def _three_term_per_x(tm, X):
+    """The three-term map of one X through `_structure_map`, node by node."""
+    tp = tm.thermal_pass()
+    r0 = _diagonal_r(tm, tp)
+    ops = tp.ops.reshape(tp.eps.size, -1, tm.dim, tm.dim)
+    terms = _structure_map(np.asarray(X, dtype=complex), r0, r0, ops, ops,
+                           tp.re_gamma.reshape(ops.shape[:2]))
+    return np.einsum("n,nij->ij", tp.coef, terms)
+
+
+def _identity_checks_per_column(tm, rng):
+    """`_identity_checks` one column, one energy and one X at a time, on the
+    pointwise views (the reference for the batched passes)."""
+    check = verification._check
+    d, sd = tm.dim, tm.spectral
+    energies = _probes(tm)
+    checks = []
+    res_solve, res_transfer, res_neumann, res_stability = 0.0, 0.0, 0.0, 0.0
+    wrong_transfer = ~np.eye(sd.bohr.size, dtype=bool)
+    for eps in (0, 1):
+        for wp in tm.bohr:
+            for E in energies[::2]:
+                col = tm.solve_column(eps, float(wp), float(E))
+                res_solve = np.maximum(res_solve, tm.column_residual(col))
+                parts = np.linalg.norm(sd.split_operator(col.blocks), axis=(-2, -1))
+                res_transfer = np.maximum(res_transfer,
+                                          float((parts * wrong_transfer).sum(axis=1).max()))
+                ncol = tm.neumann_column(eps, float(wp), float(E))
+                if ncol.converged:
+                    diff = np.linalg.norm(col.blocks - ncol.blocks, axis=(-2, -1))
+                    ref = np.maximum(np.linalg.norm(col.blocks, axis=(-2, -1)), 1e-300)
+                    res_neumann = np.maximum(res_neumann, float((diff / ref).max()))
+        wide = tm.stacked_column(eps, 0.0, float(energies[0]), index_depth=2)
+        base = tm.solve_column(eps, 0.0, float(energies[0]))
+        j = np.searchsorted(wide.offsets, base.offsets)
+        res_stability = np.maximum(res_stability, float(
+            np.linalg.norm(base.blocks - wide.blocks[j], axis=(-2, -1)).max()))
+    checks.append(check("block_column_residual", res_solve, 1e-12))
+    checks.append(check("block_column_transfer", res_transfer, 1e-12))
+    checks.append(check("neumann_vs_direct", res_neumann, 1e-10))
+    checks.append(check("index_set_stability", res_stability, 1e-12))
+
+    res_series = 0.0
+    for E in energies[::2]:
+        comps = tm.t_components(float(E))
+        for pair, key in (("00", (0, 0)), ("01", (0, 1)), ("10", (1, 0)), ("11", (1, 1))):
+            sums, _ = tm.appendix_partial_sums(pair, float(E))
+            res_series = np.maximum(res_series, float(np.linalg.norm(sums[-1] - comps[key])))
+    checks.append(check("appendix_series_identity", res_series, 1e-10))
+
+    res_diag = 0.0
+    zero = sd.bohr_index(0.0)
+    for R in tm.r_blocks(energies[::2]):
+        for eps in (0, 1):
+            diags = sd.split_operator(R[eps, eps])[:, zero]
+            for w, r, diag in zip(tm.bohr, R[eps, eps], diags):
+                target = diag if abs(w) > sd.tolerance else diag - r
+                res_diag = np.maximum(res_diag, float(np.linalg.norm(target)))
+    checks.append(check("diagonal_projection", res_diag, 1e-10))
+
+    gamma_direct = drift(tm)
+    checks.append(check("drift_vs_t_operator",
+                        np.linalg.norm(gamma_direct - drift_from_t_operator(tm)), 1e-10))
+    comm = gamma_direct @ tm.spec.h_system - tm.spec.h_system @ gamma_direct
+    checks.append(check("drift_commutes_with_h_system", np.linalg.norm(comm), 1e-10))
+    if sd.is_rwa:
+        bare = drift_from_t_operator(tm, diagonal_projection=False)
+        checks.append(check("rwa_full_trace_drift", np.linalg.norm(gamma_direct - bare), 1e-10))
+    gen = build_generator(tm)
+    checks.append(check("hamiltonian_hermitian",
+                        np.linalg.norm(gen.hamiltonian - gen.hamiltonian.conj().T), 1e-12))
+    checks.append(check("hamiltonian_from_drift",
+                        np.linalg.norm(gen.hamiltonian - (gen.drift - gen.drift.conj().T) / 2j),
+                        1e-10))
+    checks.append(check("unitality",
+                        np.linalg.norm(gen.psi_one - (gen.drift + gen.drift.conj().T)), 1e-10))
+    res_rec = 0.0
+    for _ in range(20):
+        x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        x = x + x.conj().T
+        res_rec = np.maximum(res_rec, float(np.linalg.norm(gen.apply(x)
+                                                           - _three_term_per_x(tm, x))))
+    checks.append(check("lindblad_reconstruction", res_rec, 1e-12))
+    choi = choi_matrix(gen)
+    min_eig = float(np.linalg.eigvalsh(choi).min())
+    checks.append(check("choi_positive", 0.0 if min_eig >= 0 else -min_eig,
+                        1e-10 * float(np.linalg.norm(choi, 2))))
+    return checks
+
+
+def test_identity_checks_match_per_column_reference(tm):
+    with np.errstate(over="ignore", invalid="ignore"):
+        batched = verification._identity_checks(tm, np.random.default_rng(12345))
+        reference = _identity_checks_per_column(tm, np.random.default_rng(12345))
+    assert [c["check"] for c in batched] == [c["check"] for c in reference]
+    for got, want in zip(batched, reference):
+        assert got["pass"] == want["pass"] and got["tolerance"] == want["tolerance"], got
+        if got["check"] == "lindblad_reconstruction":
+            # one contraction over (node, entry, X) instead of a node sum per X
+            assert abs(got["residual"] - want["residual"]) <= 1e-14
+        else:
+            assert got["residual"] == want["residual"], got

@@ -410,6 +410,10 @@ BAD_CALLS = {
     "nan_t_kernel": lambda tm: tm.t_kernel(0, 0.0, 0.0, NAN),
     "nan_appendix_term": lambda tm: tm.appendix_term("01", 1, NAN),
     "nan_neumann_column": lambda tm: tm.neumann_column(0, 0.0, NAN),
+    "nan_neumann_column_omega": lambda tm: tm.neumann_column(0, NAN, 0.5),
+    "column_pass_eps": lambda tm: tm.column_pass(2, [0.5]),
+    "nan_column_pass": lambda tm: tm.column_pass(0, [0.5, NAN]),
+    "nan_partial_sums_array": lambda tm: tm.appendix_partial_sums("00", [0.5, NAN]),
     "inf_array_energy": lambda tm: tm.t_components(np.array([0.5, np.inf])),
     "2d_energy": lambda tm: tm.appendix_term("00", 1, np.full((2, 2), 0.5)),
     "bool_energy": lambda tm: tm.r_coefficient(0, 0, 0.0, 0.0, True),

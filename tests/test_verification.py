@@ -73,6 +73,30 @@ def test_factored_fourier_of_h_matches_dense(h):
     assert diff <= 1e-13 * np.abs(dense).max()
 
 
+def _packet_out_of_place(packet, x):
+    """poly(z) exp(-z^2 / (2 sigma^2)) with one temporary per operation, as
+    `GaussianPacket.__call__` read before it wrote into its argument."""
+    z = np.asarray(x, dtype=float) - packet.center
+    poly = np.zeros_like(z)
+    for c in reversed(packet.coeffs):
+        poly = poly * z + c
+    return poly * np.exp(-z * z / (2.0 * packet.sigma ** 2))
+
+
+@pytest.mark.parametrize("packet", [GaussianPacket(), GaussianPacket(0.3, 0.5, (1.0, 0.2, -0.1)),
+                                    GaussianPacket(-1.7, 2.3, (0.0, 0.0, 1.0)),
+                                    GaussianPacket(0.4, 1.2, (2.5,)),
+                                    GaussianPacket(0.0, 0.7, (0.0, 1.0, 0.5, -0.25))],
+                         ids=["default", "shifted_poly", "square", "scaled", "cubic"])
+def test_packet_in_place_bitwise_equal_to_out_of_place_formula(packet):
+    x = np.linspace(-12.0, 12.0, 4097)
+    got = packet(x)
+    assert got.tobytes() == _packet_out_of_place(packet, x).tobytes()
+    assert packet(0.37) == float(_packet_out_of_place(packet, 0.37))
+    # the argument is copied, not overwritten
+    assert x[0] == -12.0 and x[-1] == 12.0
+
+
 @pytest.mark.parametrize("n", [8, 320])
 def test_one_panel_composite_rule_is_gauss_legendre_nodes(n):
     for a, b in ((0.0, 1.0), (-1.5, 4.5), (0.3, 0.30001)):
@@ -233,7 +257,13 @@ def test_suite_rejects_unknown_selector(nr_tm):
 
 def test_nan_residual_fails_its_check(nr_tm, monkeypatch):
     # builtin max(0.0, nan) is 0.0, which once let a NaN residual pass
-    monkeypatch.setattr(TMatrix, "column_residual", lambda self, col: float("nan"))
+    column_pass = TMatrix.column_pass
+
+    def nan_residuals(self, eps, energies):
+        cols = column_pass(self, eps, energies)
+        return cols._replace(residual=np.full_like(cols.residual, np.nan))
+
+    monkeypatch.setattr(TMatrix, "column_pass", nan_residuals)
     report = run_identity_suite(nr_tm, which="identities")
     entry = next(c for c in report["checks"] if c["check"] == "block_column_residual")
     assert entry["residual"] is None and entry["pass"] is False

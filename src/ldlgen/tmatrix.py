@@ -43,8 +43,14 @@ from .model import _cluster_sorted, spectral_decompose
 CONDITION_LIMIT = 1e12
 PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
 # Largest Dyson-oracle time grid, in steps (the grid has steps + 1 points);
-# at d = 2 the kept phase rows and the n = 3 zero-padded buffer then take 192 MiB.
+# at d = 2 the kept d^2 phase rows then take 64 MiB, and the n = 3
+# zero-padded buffer, at most 2 d^2 rows, 128 MiB.
 MAX_GRID_STEPS = 1 << 20
+# Most energy nodes a Dyson contraction takes.  The Gauss-Legendre rule is a
+# dense n^2 eigensolve (8 MiB and about 0.1 s at the cap), and each density's
+# split-exponent factors at MAX_GRID_STEPS hold about 2 sqrt(N) n complex
+# entries, 2 * 1025 * 1024 * 16 B = 32 MiB at the cap.
+MAX_ENERGY_NODES = 1 << 10
 # Largest stack of stacked systems T that `TMatrix.column_pass` holds at once,
 # in bytes (at ladder d = 6 about a third of one epsilon's columns).
 _STACK_CHUNK_BYTES = 1 << 24
@@ -318,9 +324,16 @@ class TMatrix:
             self._dyson = None
             evals, evecs = np.linalg.eigh(self.spec.h_system)
             t = np.arange(n_steps + 1) * dt
+            # phases[q, p] = conj(phases[p, q]) and phases[p, p] = 1 exactly,
+            # so only the d (d - 1) / 2 rows p < q take exponentials
+            upper = np.triu_indices(evals.size, 1)
+            above = np.exp(1j * (evals[:, None] - evals[None, :])[upper][:, None] * t)
+            phases = np.empty((evals.size, evals.size, t.size), dtype=complex)
+            phases[upper] = above
+            phases[upper[::-1]] = np.conj(above)
+            phases[np.diag_indices(evals.size)] = 1.0
             grid = DysonGrid(
-                t=t, wts=_simpson_weights(t.size, dt), evecs=evecs,
-                phases=np.exp(1j * (evals[:, None] - evals[None, :])[..., None] * t),
+                t=t, wts=_simpson_weights(t.size, dt), evecs=evecs, phases=phases,
                 corr=tuple(_grid_correlation(self.spec.bath.density(e), dt, t.size, n_energy)
                            for e in (0, 1)))
             self._dyson = (key, grid)
@@ -641,8 +654,9 @@ def _contraction_vectors(tm, pair, u, v, n_energy):
     an int, then u, v as complex arrays."""
     _series_pair(pair)
     n_energy = _count(n_energy, "n_energy")
-    if n_energy < 1:
-        raise ValidationError("n_energy must be >= 1")
+    if not 1 <= n_energy <= MAX_ENERGY_NODES:
+        raise ValidationError(f"n_energy must be between 1 and {MAX_ENERGY_NODES}, "
+                              f"got {n_energy}")
     return n_energy, _array(u, (tm.dim,), "u"), _array(v, (tm.dim,), "v")
 
 
@@ -701,22 +715,25 @@ def dyson_oracle(tm, pair, n, u, v, eta, *, t_max=400.0, dt=0.01, n_energy=320):
     Supports n in {1, 2, 3}.  Returns 0 when the (pair, n) parities are
     incompatible, i.e. when the exact matrix element vanishes.  Every
     input is checked first: eta, t_max and dt finite with eta > 0,
-    0 < dt <= t_max and t_max / dt <= MAX_GRID_STEPS, n_energy a positive
-    integer, pair one of 00, 01, 10, 11, and u, v finite vectors of length
-    d; anything else raises ValidationError.
+    0 < dt <= t_max and t_max / dt <= MAX_GRID_STEPS, n_energy an integer
+    in 1..MAX_ENERGY_NODES, pair one of 00, 01, 10, 11, and u, v finite
+    vectors of length d; anything else raises ValidationError.
 
     Cost, with N = t_max / dt + 1 grid points (step count rounded up to
     even) and n_energy = |x| correlation nodes.  Everything that does not
     depend on eta is built once per TMatrix and grid key (dt, step count,
     n_energy) and kept until a call on another grid replaces it
     (`TMatrix._dyson_grid`): the Simpson weights, the eigenbasis of H_S
-    and its d^2 phase rows (d^2 N exponentials), and both correlations on
-    the grid, each from about 2 sqrt(N) |x| exponentials (the
-    split-exponent factors of exp(i t x)) and N |x| multiply-adds.  A call
-    then pays for the eta-dependent part only: the N damping exponentials,
-    a d^2 N contraction for n = 2, and for n = 3 one split-exponent
-    contraction of its 2 d^2 damped phase rows against the |x| nodes of
-    rho_b, about 2 d^2 N |x| multiply-adds.
+    and its d^2 phase rows (d (d - 1) N / 2 exponentials, the rest by
+    conjugate symmetry), and both correlations on the grid, each from
+    about 2 sqrt(N) |x| exponentials (the split-exponent factors of
+    exp(i t x)) and N |x| multiply-adds.  A call then pays for the
+    eta-dependent part only: the N damping exponentials, a d^2 N
+    contraction for n = 2, and for n = 3 one split-exponent contraction
+    against the |x| nodes of rho_b of the K of its 2 d^2 damped phase rows
+    that a non-zero coefficient reads, about K N |x| multiply-adds; on the
+    n = 3 cases of acceptance criterion 03 on models/tm_nr.json, K = 2 of
+    the 8 rows.
     """
     eta = _real(eta, "damping eta")
     if eta <= 0:
@@ -768,17 +785,24 @@ def dyson_oracle(tm, pair, n, u, v, eta, *, t_max=400.0, dt=0.01, n_energy=320):
     base_s = wts * np.exp(-eta * t) * np.conj(corr[a].corr)
     base_r = wts * np.exp(-2.0 * eta * t) * np.conj(corr[1 - a].corr)
 
-    # rows: base_s and base_r times each pair's phase, written straight into
+    # entry (l, m, p) pairs the s-row of (p, m) with the r-row of (p, l).
+    # Only the rows that a non-zero entry reads are transformed: any other
+    # row would add exact zeros to the sum.  They are written straight into
     # the zero-padded split-exponent buffer and contracted against
-    # exp(i t x_b) at once
-    giant, baby = corr[b].giant, corr[b].baby
-    padded = np.zeros((2,) + phases.shape[:-1] + (giant.shape[0] * baby.shape[0],), dtype=complex)
-    np.multiply(base_s, phases, out=padded[0, ..., :t.size])
-    np.multiply(base_r, phases, out=padded[1, ..., :t.size])
-    f_s, f_r = _grid_fourier(padded, giant, baby)
-
-    # entry (l, m, p) pairs the s-row of (p, m) with the r-row of (p, l)
+    # exp(i t x_b) at once.
     coef = row[:, None, None] * dother[:, :, None] * da[None] * vt[None, None, :]
+    read = coef != 0
+    s_p, s_q = np.nonzero(read.any(axis=0).T)
+    r_p, r_q = np.nonzero(read.any(axis=1).T)
+    giant, baby = corr[b].giant, corr[b].baby
+    f_s, f_r = np.zeros((2, tm.dim, tm.dim, giant.shape[1]), dtype=complex)
+    if s_p.size:
+        padded = np.zeros((s_p.size + r_p.size, giant.shape[0] * baby.shape[0]), dtype=complex)
+        np.multiply(base_s, phases[s_p, s_q], out=padded[:s_p.size, :t.size])
+        np.multiply(base_r, phases[r_p, r_q], out=padded[s_p.size:, :t.size])
+        rows = _grid_fourier(padded, giant, baby)
+        f_s[s_p, s_q] = rows[:s_p.size]
+        f_r[r_p, r_q] = rows[s_p.size:]
     return -np.einsum("lmp,pmx,plx,x->", coef, f_s, f_r, corr[b].c)
 
 
@@ -800,14 +824,15 @@ def dyson_reference(tm, pair, n, u, v, n_energy=192):
 def richardson_extrapolate(values, etas):
     """Value at eta = 0 from samples at the given etas (Lagrange at 0).
 
-    Needs one value per eta, at least one sample, and finite, distinct
-    etas; anything else raises ValidationError."""
+    Needs one finite value per eta, at least one sample, and finite,
+    distinct etas; anything else raises ValidationError."""
     values = list(values)
     etas = [_real(e, "eta") for e in etas]
     if not etas or len(values) != len(etas):
         raise ValidationError(
             f"need one value per eta and at least one sample, got {len(values)} values "
             f"and {len(etas)} etas")
+    values = _array(values, (len(etas),), "values")
     if len(set(etas)) != len(etas):
         raise ValidationError(f"etas must be distinct, got {etas}")
     out = 0.0 + 0.0j

@@ -13,7 +13,7 @@ from ldlgen.cli import run
 from ldlgen.dynamics import evolve_master, unravel_jump
 from ldlgen.generator import GKSLGenerator, apply_generator, theta_map
 from ldlgen.model import ModelSpec
-from ldlgen.tmatrix import TMatrix
+from ldlgen.tmatrix import TMatrix, richardson_extrapolate
 from ldlgen.verification import (GaussianPacket, check_causal_delta_limit, check_delta_limit,
                                  default_test_functions)
 
@@ -51,6 +51,7 @@ BAD_CALLS = {
     "unravel_jump_t_max": lambda s, tm, gen: unravel_jump(gen, PSI, "x", 0.1, 10, 1),
     "model_spec_beta": lambda s, tm, gen: _spec(s, beta="x"),
     "energy_grid_e_min": lambda s, tm, gen: EnergyGrid("0", 1.0, 16),
+    "richardson_value_str": lambda s, tm, gen: richardson_extrapolate(["x", 1.0], [1e-3, 2e-3]),
     "k_inner_product_omega": lambda s, tm, gen: k_inner_product(s.bath, (0, 0), (0, 0),
                                                                 "x", 1.0),
     "mu_inv_energy": lambda s, tm, gen: mu_inv(s.bath, 0, "x", 1.0),
@@ -93,6 +94,8 @@ BAD_CALLS = {
     # a NaN result at the parent
     "psi_nan": lambda s, tm, gen: gen.psi(NAN),
     "apply_generator_nan": lambda s, tm, gen: apply_generator(gen, NAN),
+    "richardson_value_nan": lambda s, tm, gen: richardson_extrapolate([np.nan, 1.0],
+                                                                      [1e-3, 2e-3]),
     # a bare IndexError at the parent
     "table_profile_empty": lambda s, tm, gen: DensityProfile.table([], []),
     # overflow warnings from np.linspace at the parent

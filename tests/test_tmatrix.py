@@ -5,16 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ldlgen import NumericError, TMatrix, ValidationError, block_transfer
+from ldlgen import NumericError, TMatrix, ValidationError, block_transfer, tmatrix
 from ldlgen.bath import DensityProfile
 from ldlgen.generator import theta_map
 from ldlgen.model import model_from_dict
-from ldlgen.tmatrix import (CONDITION_LIMIT, _corr_weights, _grid_correlation,
+from ldlgen.tmatrix import (CONDITION_LIMIT, MAX_ENERGY_NODES, _corr_weights, _grid_correlation,
                             _grid_exponentials, _grid_fourier, _parity_pair, _simpson_weights,
                             dyson_oracle, dyson_reference, richardson_extrapolate)
 from ldlgen.verification import run_identity_suite
 
-from conftest import base_model_doc, chained_cluster_doc
+from conftest import base_model_doc, chained_cluster_doc, ladder_model_doc
 
 E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])
@@ -640,12 +640,17 @@ def test_dyson_oracle_bitwise_equal_with_cold_and_warm_rule_cache(nr_spec):
 
 
 def test_dyson_sweep_keeps_one_grid_and_peaks_below_the_per_call_grids(nr_spec):
-    # the three-eta n = 3 sweep of criterion 03.  When each call built its own
-    # grid and stacked its damped phase rows before padding them, the sweep
-    # peaked at 26.3 MB traced; it now peaks at 23.3 MB and keeps one grid of
-    # 8.6 MB (two correlations with their split-exponent factors, 2.6 MB of
-    # phase rows, t and the Simpson weights).  The bounds leave 1.3 MB below
-    # the old peak and 1.7 MB above the new one.
+    # the three-eta n = 3 sweep of criterion 03.  It keeps one grid of 8.6 MB
+    # (two correlations with their split-exponent factors, 2.6 MB of phase
+    # rows, t and the Simpson weights).  Padding all 8 damped phase rows, the
+    # sweep peaked at 23.3 MB traced; padding only the 2 rows a non-zero
+    # coefficient reads, it peaks at 13.3 MB.  The bound leaves 1.7 MB above
+    # the new peak and 8.3 MB below the old one.  The Gauss-Legendre rule is
+    # a module-wide cache, built here first so that no figure depends on
+    # which tests ran before.
+    from ldlgen.bath import _legendre_rule
+
+    _legendre_rule(320)
     tm = TMatrix(nr_spec)
     tracemalloc.start()
     try:
@@ -657,10 +662,109 @@ def test_dyson_sweep_keeps_one_grid_and_peaks_below_the_per_call_grids(nr_spec):
         replaced = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert peak < 25.0e6
+    assert peak < 15.0e6
     assert 8.0e6 < kept < 9.0e6
     assert replaced < 4.0e6
     assert tm._dyson[0] == (0.02, 10000, 320)
+
+
+def _n3_full_rows(tm, pair, u, v, eta, t_max, dt, n_energy=320):
+    """The n = 3 oracle value with every one of its 2 d^2 damped phase rows
+    transformed, phases from the direct exponential of every (p, q) pair:
+    the formula the oracle regroups by dropping the rows no non-zero
+    coefficient reads."""
+    a, b = _parity_pair(pair, 3)
+    spec = tm.spec
+    d_ops = (spec.coupling, spec.coupling.conj().T)
+    n_steps = int(np.rint(t_max / dt))
+    n_steps += n_steps % 2
+    t, wts, evecs, _, corr = tm._dyson_grid(dt, n_steps, n_energy)
+    evals = np.linalg.eigh(spec.h_system)[0]
+    phases = np.exp(1j * (evals[:, None] - evals[None, :])[..., None] * t)
+    ut = evecs.conj().T @ np.asarray(u, dtype=complex)
+    vt = evecs.conj().T @ np.asarray(v, dtype=complex)
+    da = evecs.conj().T @ d_ops[a] @ evecs
+    dother = evecs.conj().T @ d_ops[1 - a] @ evecs
+    row = ut.conj() @ da
+    base_s = wts * np.exp(-eta * t) * np.conj(corr[a].corr)
+    base_r = wts * np.exp(-2.0 * eta * t) * np.conj(corr[1 - a].corr)
+    giant, baby = corr[b].giant, corr[b].baby
+    padded = np.zeros((2,) + phases.shape[:-1] + (giant.shape[0] * baby.shape[0],), dtype=complex)
+    np.multiply(base_s, phases, out=padded[0, ..., :t.size])
+    np.multiply(base_r, phases, out=padded[1, ..., :t.size])
+    f_s, f_r = _grid_fourier(padded, giant, baby)
+    coef = row[:, None, None] * dother[:, :, None] * da[None] * vt[None, None, :]
+    return -np.einsum("lmp,pmx,plx,x->", coef, f_s, f_r, corr[b].c)
+
+
+def _hex(z):
+    return z.real.hex(), z.imag.hex()
+
+
+def _rows_transformed(monkeypatch):
+    """Patch `_grid_fourier` to record how many rows each call transforms."""
+    counts = []
+
+    def counting(padded, giant, baby):
+        counts.append(padded.shape[0])
+        return _grid_fourier(padded, giant, baby)
+
+    monkeypatch.setattr(tmatrix, "_grid_fourier", counting)
+    return counts
+
+
+def test_dyson_n3_read_rows_bitwise_equal_full_rows_on_criterion_03(nr_spec, monkeypatch):
+    # only the s-row (1, 0) and the r-row (1, 1) carry a non-zero
+    # coefficient; dropping the other six changes no bit
+    tm = TMatrix(nr_spec)
+    counts = _rows_transformed(monkeypatch)
+    for pair, n, u, v in CRITERION_03_CASES:
+        if n != 3:
+            continue
+        for eta in (4e-3, 1e-3):
+            fast = dyson_oracle(tm, pair, n, u, v, eta, t_max=400.0, dt=0.01)
+            assert _hex(fast) == _hex(_n3_full_rows(tm, pair, u, v, eta, 400.0, 0.01))
+    assert counts == [2] * 6
+
+
+@pytest.mark.parametrize("dim,near_degenerate,rows", [(2, False, 8), (3, False, 18),
+                                                     (3, True, 18)])
+def test_dyson_n3_read_rows_bitwise_equal_full_rows_on_ladder(dim, near_degenerate, rows,
+                                                              monkeypatch):
+    # dense coefficients: every one of the 2 d^2 rows is read
+    tm = TMatrix(model_from_dict(ladder_model_doc(0, dim, near_degenerate)))
+    rng = np.random.default_rng(dim + 10 * near_degenerate)
+    counts = _rows_transformed(monkeypatch)
+    for pair in ("01", "10"):
+        u, v = rng.standard_normal((2, dim)) + 1j * rng.standard_normal((2, dim))
+        fast = dyson_oracle(tm, pair, 3, u, v, 2e-3, t_max=100.0, dt=0.02)
+        assert fast != 0
+        assert _hex(fast) == _hex(_n3_full_rows(tm, pair, u, v, 2e-3, 100.0, 0.02))
+    assert counts == [rows] * 2
+
+
+@pytest.mark.parametrize("model", ["tm_nr", "ladder_d3", "ladder_d3_near_degenerate"])
+def test_dyson_grid_phases_by_conjugate_symmetry_match_every_exponential(nr_spec, model):
+    spec = {"tm_nr": nr_spec,
+            "ladder_d3": model_from_dict(ladder_model_doc(0, 3)),
+            "ladder_d3_near_degenerate": model_from_dict(ladder_model_doc(0, 3, True))}[model]
+    grid = TMatrix(spec)._dyson_grid(0.01, 40000, 320)
+    evals = np.linalg.eigh(spec.h_system)[0]
+    direct = np.exp(1j * (evals[:, None] - evals[None, :])[..., None] * grid.t)
+    assert grid.phases.tobytes() == direct.tobytes()
+
+
+def test_dyson_n3_without_a_nonzero_coefficient_is_the_full_row_zero(nr_tm, monkeypatch):
+    # no row is read, so nothing is transformed, and the value keeps the
+    # sign of the full-row sum's zero
+    zero = np.zeros(2)
+    counts = _rows_transformed(monkeypatch)
+    for tm, pair, u, v in ((nr_tm, "01", zero, E2), (nr_tm, "10", E2, zero),
+                           (_zero_model(), "01", E1, E2), (_zero_model(), "10", MIX, E1)):
+        value = dyson_oracle(tm, pair, 3, u, v, 1e-3, t_max=20.0, dt=0.05)
+        assert value == 0
+        assert _hex(value) == _hex(_n3_full_rows(tm, pair, u, v, 1e-3, 20.0, 0.05))
+    assert counts == []
 
 
 def test_dyson_requires_positive_damping(nr_tm):
@@ -817,6 +921,7 @@ BAD_ORACLE_INPUTS = [
     ({"t_max": 1e300, "dt": 1e-10}, "budget"),
     ({"t_max": 1e9, "dt": 1e-3}, "budget"),
     ({"n_energy": 192.5}, "n_energy"),
+    ({"n_energy": MAX_ENERGY_NODES + 1}, "n_energy must be between 1 and 1024"),
 ]
 
 

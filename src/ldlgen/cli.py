@@ -3,27 +3,24 @@
 Exit codes: 0 success, 1 validation failure or an unreadable input /
 unwritable output file, 2 numeric failure or an allocation that runs out
 of memory, 3 identity-suite failure, 64 usage error.  All JSON output is
-strict (no NaN or Infinity; a non-finite value exits 2) and is byte for
-byte the text of
-``json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)``:
-sorted keys, a two-space indent and shortest-round-trip floats, so
-identical invocations produce byte-identical files.  The indent is laid
-out around C-encoded number lists (see `_emit_json`), because CPython's
-C encoder does not indent and its pure-Python fallback costs about
-2.5 us per float.  The `generator` file's Kraus family, nearly all of its
-text, is laid out with no per-entry Python walk: chunks of a float table
-(one row per entry: the operator's re/im pairs, then the weight) whose
-cells are joined to a separator cycle fixed by d; +0.0 cells are constant
-text and only the others go through the C encoder (`_kraus_chunks`).  A
-chunk holds at most `_KRAUS_CHUNK_FLOATS` floats or one entry, so the
-text of the whole family is never held in memory at once.
+strict (no NaN or Infinity; a non-finite value exits 2), and its text is
+``json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)``'s own
+(`_dumps`): sorted keys, a two-space indent and shortest-round-trip
+floats, so identical invocations produce byte-identical files.  Only the
+`generator` file's Kraus family, nearly all of its text, is laid out
+here, to the same text and with no per-entry Python walk: chunks of a
+float table (one row per entry: the operator's re/im pairs, then the
+weight) whose cells are joined to a separator cycle fixed by d; +0.0
+cells are constant text and only the others go through the C encoder
+(`_kraus_chunks`).  A chunk holds at most `_KRAUS_CHUNK_FLOATS` floats or
+one entry, so the text of the whole family is never held in memory at
+once.
 """
 
 import argparse
 import functools
 import json
 import math
-import re
 import sys
 
 import numpy as np
@@ -142,67 +139,8 @@ def build_parser():
     return parser
 
 
-# Compact C-encoder text; nothing it emits for a scalar holds a comma or a
-# bracket.
+# Compact C-encoder text; nothing it emits for a float holds a comma.
 _COMPACT = json.JSONEncoder(separators=(",", ":"), allow_nan=False)
-# One scalar token of compact text: no quote rules out a string, no brace an
-# object.
-_TOKEN = r'[^"{}\[\],]+'
-_SCALARS = re.compile(rf"\[{_TOKEN}(?:,{_TOKEN})*\]")
-_ROWS = re.compile(rf"\[\[{_TOKEN}(?:,{_TOKEN})*\](?:,\[{_TOKEN}(?:,{_TOKEN})*\])*\]")
-
-
-def _key_text(key):
-    """A dict key as the indented encoder writes it: str as is; int, float,
-    bool and None as the string of their JSON text."""
-    if isinstance(key, str):
-        return _COMPACT.encode(key)
-    if isinstance(key, (int, float)) or key is None:
-        return _COMPACT.encode(_COMPACT.encode(key))
-    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
-
-
-def _indented(value, level):
-    """`value` as ``json.dumps(indent=2, sort_keys=True, allow_nan=False)``
-    writes it at nesting depth `level`.
-
-    Dicts and lists are walked here.  A non-empty list of scalars, or of
-    non-empty lists of scalars, is encoded compactly in C and its commas
-    and row brackets are then replaced by the indented line breaks; the
-    regular-expression match on the compact text is what proves it holds
-    no string, object or list of the other depth.  Any other list is
-    walked item by item; one that starts with a dict is walked without a
-    compact attempt, so the numbers under it are encoded once.
-    """
-    outer = "\n" + "  " * level
-    inner = outer + "  "
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = [f"{_key_text(k)}: {_indented(v, level + 1)}"
-                 for k, v in sorted(value.items())]
-        return "{" + inner + ("," + inner).join(items) + outer + "}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        if isinstance(value[0], (list, tuple)):
-            flat = _COMPACT.encode(value)
-            if _ROWS.fullmatch(flat):
-                entry = inner + "  "
-                body = flat[2:-2].replace(",", "," + entry).replace(
-                    "]," + entry + "[", inner + "]," + inner + "[" + entry)
-                return "[" + inner + "[" + entry + body + inner + "]" + outer + "]"
-        elif not isinstance(value[0], dict):
-            flat = _COMPACT.encode(value)
-            if _SCALARS.fullmatch(flat):
-                return "[" + inner + flat[1:-1].replace(",", "," + inner) + outer + "]"
-        items = [_indented(v, level + 1) for v in value]
-        return "[" + inner + ("," + inner).join(items) + outer + "]"
-    if type(value) is float and math.isfinite(value):     # the encoder's float text
-        return float.__repr__(value)
-    return _COMPACT.encode(value)
-
-
 _NON_FINITE = ("the output holds NaN or Infinity, which strict JSON cannot carry; "
                "nothing was written")
 # Floats per piece of a Kraus family's text: a piece holds a float table and
@@ -210,12 +148,20 @@ _NON_FINITE = ("the output holds NaN or Infinity, which strict JSON cannot carry
 _KRAUS_CHUNK_FLOATS = 1 << 16
 
 
+def _dumps(payload):
+    """``json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)``,
+    the text of every JSON output; a NaN or infinity in the payload is a
+    numeric failure."""
+    try:
+        return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError:
+        raise NumericError(_NON_FINITE) from None
+
+
 def _emit_json(payload, path):
-    """Strict JSON, as `model.read_json` reads it: the text is exactly
-    ``json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)``
-    (plus a final newline in a file), built by `_indented` at C-encoder
-    speed.  A NaN or infinity in the payload is a numeric failure, and
-    nothing is written.
+    """Strict JSON, as `model.read_json` reads it: the text is `_dumps`'s
+    own (plus a final newline in a file).  A NaN or infinity in the
+    payload is a numeric failure, and nothing is written.
 
     A generator document is written by `_emit_generator` to the same text
     without building the payload: its Kraus family is laid out from a float
@@ -224,10 +170,7 @@ def _emit_json(payload, path):
     itself the write holds one piece's table, object array and text (about
     3 MB), never the text of the whole family.
     """
-    try:
-        text = _indented(payload, 0)
-    except ValueError:
-        raise NumericError(_NON_FINITE) from None
+    text = _dumps(payload)
     if path is None:
         print(text)
     else:
@@ -237,13 +180,10 @@ def _emit_json(payload, path):
 
 def _emit_generator(gen, path):
     """`_emit_json(gen.to_json(), path)`, byte for byte, without building
-    the Kraus list: every other key is laid out by `_indented` and the
-    family, whose key sorts last, by `_kraus_chunks`.  Every value is
+    the Kraus list: every other key is `_dumps`'s text and the family,
+    whose key sorts last, is laid out by `_kraus_chunks`.  Every value is
     checked finite before the file is opened."""
-    try:
-        head = _indented(gen._json_head(), 0)
-    except ValueError:
-        raise NumericError(_NON_FINITE) from None
+    head = _dumps(gen._json_head())
     if not (np.isfinite(gen.weights).all() and np.isfinite(gen.ops).all()):
         raise NumericError(_NON_FINITE)
     with open(path, "w", encoding="utf-8") as fh:
@@ -255,7 +195,8 @@ def _emit_generator(gen, path):
 
 def _kraus_chunks(weights, ops, level):
     """The list ``[{"operator": complex_matrix_to_json(L), "weight": w}, ...]``
-    as `_indented` writes it at nesting depth `level`, in pieces.
+    as ``json.dumps(indent=2, sort_keys=True)`` writes it at nesting depth
+    `level`, in pieces.
 
     A piece is a float table of up to `_KRAUS_CHUNK_FLOATS` cells, one row
     per entry: the row-major re/im pairs of the operator, then the weight

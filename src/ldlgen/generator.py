@@ -163,9 +163,12 @@ class GKSLGenerator:
         """Equivalent generator whose Kraus family has at most dim^2 members.
 
         Eigendecomposes the Choi matrix of Psi and keeps eigenvalues above
-        threshold * max eigenvalue; Psi, and hence the generator, is
-        unchanged up to the truncation.
+        threshold * max eigenvalue, 0 <= threshold < 1; Psi, and hence the
+        generator, is unchanged up to the truncation.
         """
+        threshold = _real(threshold, "threshold")
+        if not 0.0 <= threshold < 1.0:
+            raise ValidationError(f"threshold must be >= 0 and < 1, got {threshold!r}")
         evals, evecs = np.linalg.eigh(self.choi)
         keep = (evals > threshold * max(float(evals.max()), 0.0)) & (evals > 0.0)
         return GKSLGenerator(drift=self.drift, hamiltonian=self.hamiltonian,

@@ -341,19 +341,22 @@ def _identity_checks(tm, rng):
 
     # series identities: partial closed-form sums against the solve route,
     # each pair summed at every probe energy at once; a divergent series
-    # fails the check; one that overflows raises NumericError
-    comps = tm.t_components(probes)
+    # fails the check; one that overflows raises NumericError.  The probe R
+    # blocks are solved once for these t components (`t_components`' own
+    # sum) and the diagonal projection below
+    R_probes = tm.r_blocks(probes)
     res_series = 0.0
-    for pair, key in (("00", (0, 0)), ("01", (0, 1)), ("10", (1, 0)), ("11", (1, 1))):
+    for pair, (a, b) in (("00", (0, 0)), ("01", (0, 1)), ("10", (1, 0)), ("11", (1, 1))):
         sums, _ = tm.appendix_partial_sums(pair, probes)
+        comps = R_probes[:, a, b].sum(axis=-3)
         res_series = np.maximum(res_series, np.max(
-            [np.linalg.norm(s - c) for s, c in zip(sums[-1], comps[key])]))
+            [np.linalg.norm(s - c) for s, c in zip(sums[-1], comps)]))
     checks.append(_check("appendix_series_identity", res_series, 1e-10))
 
     # level-diagonal (transfer-0) projection of the same-index R blocks
     res_diag = 0.0
     zero = sd.bohr_index(0.0)
-    for R in tm.r_blocks(probes):
+    for R in R_probes:
         for eps in (0, 1):
             diags = sd.split_operator(R[eps, eps])[:, zero]
             for w, r, diag in zip(tm.bohr, R[eps, eps], diags):

@@ -96,6 +96,10 @@ BAD_CALLS = {
     "apply_generator_nan": lambda s, tm, gen: apply_generator(gen, NAN),
     "richardson_value_nan": lambda s, tm, gen: richardson_extrapolate([np.nan, 1.0],
                                                                       [1e-3, 2e-3]),
+    # an empty Kraus family (Psi = 0) or a bare TypeError at the parent
+    "compressed_threshold_nan": lambda s, tm, gen: gen.compressed(float("nan")),
+    "compressed_threshold_above_one": lambda s, tm, gen: gen.compressed(2.0),
+    "compressed_threshold_str": lambda s, tm, gen: gen.compressed("x"),
     # a bare IndexError at the parent
     "table_profile_empty": lambda s, tm, gen: DensityProfile.table([], []),
     # overflow warnings from np.linspace at the parent

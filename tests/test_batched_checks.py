@@ -229,3 +229,20 @@ def test_identity_checks_match_per_column_reference(tm):
             assert abs(got["residual"] - want["residual"]) <= 1e-14
         else:
             assert got["residual"] == want["residual"], got
+
+
+def test_identity_suite_solves_the_probe_r_blocks_once(monkeypatch):
+    # the series identity's t components and the diagonal projection read
+    # one r_blocks call on the probe energies
+    tm = BUILDERS["tm_nr"]()
+    calls = []
+    r_blocks = TMatrix.r_blocks
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return r_blocks(self, *args, **kwargs)
+
+    monkeypatch.setattr(TMatrix, "r_blocks", counted)
+    verification.run_identity_suite(tm, "identities")
+    assert len(calls) == 1
+    assert _same(calls[0][0], np.array(_probes(tm)[::2]))

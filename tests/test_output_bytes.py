@@ -3,11 +3,11 @@
 Every JSON file is the text of ``json.dumps(payload, indent=2,
 sort_keys=True, allow_nan=False)``; `_parent_dumps` and
 `_parent_complex_matrix_to_json` below are the plain implementations the
-faster emitter and payload builder must reproduce byte for byte, and
+emitter and the payload builder must reproduce byte for byte, and
 `_parent_gamma_lines` is the per-scalar CSV loop the `gamma` rows must
-reproduce.  The `generator` file, whose Kraus family is laid out from a
-float table without building `to_json()`, must equal the indented dump
-of `GKSLGenerator.to_json()`.
+reproduce.  The `generator` file's Kraus family is laid out by
+`cli._kraus_chunks` from a float table without building `to_json()`; the
+file must equal the indented dump of `GKSLGenerator.to_json()`.
 """
 
 import json

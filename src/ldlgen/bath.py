@@ -168,6 +168,21 @@ def _legendre_rule(n):
     return x, w
 
 
+def _exp_rows(n, c, x):
+    """The rows exp(i k c x), k < n, shape (n, |x|), by baby and giant steps.
+
+    With m = ceil(sqrt(n)) and k = a m + b, row k is exp(i a m c x) *
+    exp(i b c x), so only (ceil(n / m) + m) |x| exponentials are evaluated,
+    and n |x| complex products fill the rows.  Each row agrees with the
+    direct exp(i k c x) to a few ulps of its phase k c x.
+    """
+    m = math.isqrt(n - 1) + 1
+    giant = np.exp(1j * np.outer(np.arange(-(-n // m)) * (m * c), x))
+    baby = np.exp(1j * np.outer(np.arange(m) * c, x))
+    rows = giant[:, None, :] * baby[None, :, :]
+    return rows.reshape(-1, rows.shape[-1])[:n]
+
+
 def gauss_legendre_nodes(a, b, n):
     """Gauss-Legendre nodes and weights mapped to [a, b]."""
     # operator.index refuses a float order, as leggauss does, cached or not

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bath import _legendre_rule, validate_bath
+from .bath import _exp_rows, _legendre_rule, validate_bath
 from .errors import ValidationError, _real
 from .generator import (_dagger, _diagonal_r, build_generator, choi_matrix, drift,
                         drift_from_t_operator)
@@ -45,8 +45,9 @@ MAX_OVERLAP_PANELS = 1 << 16
 class GaussianPacket:
     """poly(x - center) * exp(-(x - center)^2 / (2 sigma^2)); coeffs low-to-high.
 
-    center must be finite, sigma finite and > 0, and coeffs a non-empty
-    tuple (or list) of finite reals; anything else raises ValidationError.
+    center must be finite, sigma finite and > 0 with 2 sigma^2 a finite,
+    normal float, and coeffs a non-empty tuple (or list) of finite reals;
+    anything else raises ValidationError.
     """
 
     center: float = 0.0
@@ -57,6 +58,12 @@ class GaussianPacket:
         sigma = _real(self.sigma, "packet sigma")
         if not sigma > 0:
             raise ValidationError(f"packet sigma must be > 0, got {sigma!r}")
+        # the exponent divides by 2 sigma^2: zero or subnormal, it gives NaN
+        # or loses bits; past the float range, sigma ** 2 raises OverflowError
+        spread = 2.0 * (sigma * sigma)
+        if not np.finfo(float).tiny <= spread < math.inf:
+            raise ValidationError(f"packet sigma = {sigma!r} puts 2 sigma^2 = {spread!r} outside "
+                                  f"the normal float range")
         if not isinstance(self.coeffs, (tuple, list)) or not self.coeffs:
             raise ValidationError(f"packet coeffs must be a non-empty tuple of numbers, "
                                   f"got {self.coeffs!r}")
@@ -73,8 +80,11 @@ class GaussianPacket:
         """The packet at x, a float array, written over x and returned.
         Horner's rule starts from the leading coefficient, which is its first
         step 0 z + c = c; z z / -(2 sigma^2) is -z z / (2 sigma^2) bit for
-        bit, so this is the formula above evaluated without temporaries."""
-        x -= self.center
+        bit, so this is the formula above evaluated without temporaries.  A
+        center of +0.0 and a polynomial of 1.0 alone are skipped: x - 0.0
+        and x * 1.0 are x in every bit."""
+        if self.center or math.copysign(1.0, self.center) < 0:
+            x -= self.center
         poly = self.coeffs[-1]
         if len(self.coeffs) > 1:
             poly = np.full_like(x, poly)
@@ -84,7 +94,8 @@ class GaussianPacket:
         np.multiply(x, x, out=x)
         np.divide(x, -2.0 * self.sigma ** 2, out=x)
         np.exp(x, out=x)
-        x *= poly
+        if self.coeffs != (1.0,):
+            x *= poly
         return x
 
     def extent(self, n_sigma=10.0):
@@ -127,18 +138,20 @@ def _symmetric_u_grid(u_max, n_panels):
 def _fourier_of_h(h, u):
     """sum over nodes x of h(x) w exp(i u x) on the composite rule over
     h.extent(), for every u.  All panels have the width 2 half, so each
-    node is x = mid_p + half xi_q and exp(i u x) factors into
-    exp(i u mid_p) exp(i u half xi_q): U (P + Q) exponentials for U u
-    nodes, P panels and Q nodes per panel, instead of U P Q.  h(x) w
-    stays on the rule's own nodes."""
+    node is x = mid_p + half xi_q with mid_p = a + half + 2 half p, and
+    exp(i u x) factors into exp(i u (a + half)) exp(i p 2 half u)
+    exp(i u half xi_q); the panel phases exp(i p 2 half u) come from their
+    own baby and giant steps (`bath._exp_rows`).  For U u nodes, P panels
+    and Q nodes per panel that is about U (1 + 2 sqrt(P) + Q) exponentials
+    instead of U P Q.  h(x) w stays on the rule's own nodes."""
     a, b = h.extent()
     n_panels = 48
     x, w = _composite_gl(a, b, n_panels)
     xi, _ = _legendre_rule(_PANEL_NODES)
     half = 0.5 * (b - a) / n_panels
-    mid = np.linspace(a + half, b - half, n_panels)
-    panel_sums = np.exp(1j * half * np.outer(u, xi)) @ (h(x) * w).reshape(n_panels, -1).T
-    return (np.exp(1j * np.outer(u, mid)) * panel_sums).sum(axis=1)
+    panel_sums = (h(x) * w).reshape(n_panels, -1) @ np.exp(1j * half * np.outer(xi, u))
+    panel_sums *= _exp_rows(n_panels, 2.0 * half, u)
+    return np.exp(1j * (a + half) * u) * panel_sums.sum(axis=0)
 
 
 def _overlap_panels(f, lam, mismatch_freq):
@@ -173,13 +186,16 @@ def _overlap_vector(f, g, lam, u, mismatch_freq=0.0):
         ft = ft * np.exp(1j * (mismatch_freq / lam ** 2) * t)
     out = np.empty(u.size, dtype=complex)
     step = max(1, _OVERLAP_CHUNK // t.size)
-    buf = np.empty((min(step, u.size), t.size))
+    # t and f w tiled to a chunk's rows once, so no chunk broadcasts a row
+    t_rows = np.tile(t, (min(step, u.size), 1))
+    ft_rows = np.tile(ft, (t_rows.shape[0], 1))
+    buf = np.empty(t_rows.shape)
     prod = np.empty(buf.shape, dtype=complex) if mismatch_freq else buf
     for chunk in range(0, u.size, step):
         rows = slice(0, min(step, u.size - chunk))
         tp = buf[rows]
-        np.add(t, lam ** 2 * u[chunk:chunk + step, None], out=tp)
-        np.multiply(ft, g._overwrite(tp), out=prod[rows])
+        np.add(t_rows[rows], lam ** 2 * u[chunk:chunk + step, None], out=tp)
+        np.multiply(ft_rows[rows], g._overwrite(tp), out=prod[rows])
         out[chunk:chunk + step] = prod[rows].sum(axis=1)
     return out * np.exp(1j * mismatch_freq * u) if mismatch_freq else out
 
@@ -231,21 +247,28 @@ def _limit_report(lambdas, values, target):
                             monotone=monotone, values=values)
 
 
-def _lambdas(lambdas):
-    """At least one lambda, each finite and > 0, as a list of floats."""
+def _lambdas(lambdas, h):
+    """At least one lambda, each finite and > 0 with a largest time shift
+    lam^2 `_u_extent(h)` whose square is a finite float (g squares the
+    shifted times), as a list of floats; every lambda is checked before
+    any is paired."""
     lambdas = [_real(l, "lambda") for l in lambdas]
     if not lambdas:
         raise ValidationError("need at least one lambda")
     for lam in lambdas:
         if not lam > 0:
             raise ValidationError(f"lambda must be > 0, got {lam!r}")
+        shift = lam * lam * _u_extent(h)
+        if not math.isfinite(shift * shift):
+            raise ValidationError(f"lambda = {lam!r} shifts the times by up to {shift!r}, "
+                                  f"whose square is past the float range; lower lambda")
     return lambdas
 
 
 def _matched_reports(f, g, h, lambdas):
     """The reports of check_delta_limit at matching frequencies and of
     check_causal_delta_limit, from one pass of `_pairings`."""
-    lambdas = _lambdas(lambdas)
+    lambdas = _lambdas(lambdas, h)
     full, causal = _pairings(f, g, h, lambdas)
     product = _product_integral(f, g)
     return (_limit_report(lambdas, full, 2.0 * math.pi * h(0.0) * product),
@@ -256,12 +279,13 @@ def _matched_reports(f, g, h, lambdas):
 def check_delta_limit(f, g, h, omega_match, lambdas, mismatch=1.0):
     """Pair the rescaled kernel with f, g, h for each lambda and compare
     against 2 pi h(0) * integral f g (matching frequencies) or 0.  Needs at
-    least one lambda, each finite and > 0; at mismatched frequencies each
-    must also keep the t rule within MAX_OVERLAP_PANELS panels, which is
-    checked for every lambda before any is paired."""
+    least one lambda, each finite and > 0 with lam^2 18 / h.sigma, the
+    largest time shift, squaring to a finite float; at mismatched
+    frequencies each must also keep the t rule within MAX_OVERLAP_PANELS
+    panels.  Every lambda is checked before any is paired."""
     if omega_match:
         return _matched_reports(f, g, h, lambdas)[0]
-    lambdas = _lambdas(lambdas)
+    lambdas = _lambdas(lambdas, h)
     for lam in lambdas:
         _overlap_panels(f, lam, mismatch)
     return _limit_report(lambdas, _pairings(f, g, h, lambdas, mismatch)[0], 0.0)
@@ -270,7 +294,7 @@ def check_delta_limit(f, g, h, omega_match, lambdas, mismatch=1.0):
 def check_causal_delta_limit(f, g, h, lambdas):
     """Same pairing restricted to the ordered half t' < t; the limit pairs
     h with the resolvent kernel: integral f g * (pi h(0) - i PV(h/X)).
-    Needs at least one lambda, each finite and > 0."""
+    Needs lambdas as `check_delta_limit` does at matching frequencies."""
     return _matched_reports(f, g, h, lambdas)[1]
 
 

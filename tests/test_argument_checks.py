@@ -82,6 +82,10 @@ BAD_CALLS = {
     "packet_coeffs_nan": lambda s, tm, gen: GaussianPacket(coeffs=(1.0, float("nan"))),
     "packet_coeffs_scalar": lambda s, tm, gen: GaussianPacket(coeffs=1.0),
     "packet_coeffs_str": lambda s, tm, gen: GaussianPacket(coeffs="1"),
+    # 2 sigma^2 underflows to 0 (a NaN with a divide warning at the parent)
+    # or overflows (a bare OverflowError at the parent)
+    "packet_sigma_tiny": lambda s, tm, gen: GaussianPacket(sigma=1e-300),
+    "packet_sigma_huge": lambda s, tm, gen: GaussianPacket(sigma=1e155),
     # lambdas: none, or one <= 0 (a bare ZeroDivisionError when mismatched at
     # the parent), or one whose square underflows to 0 (the same)
     "delta_limit_no_lambda": lambda s, tm, gen: _limit(check_delta_limit, True, []),
@@ -91,6 +95,16 @@ BAD_CALLS = {
     "delta_limit_lambda_negative": lambda s, tm, gen: _limit(check_delta_limit, True, [-0.1]),
     "mismatched_limit_lambda_tiny": lambda s, tm, gen: _limit(check_delta_limit, False,
                                                               [1e-200]),
+    # a time shift lam^2 u whose square overflows: overflow warnings at
+    # lam = 1e150, a bare OverflowError from lam ** 2 at 1.3e154 (parent)
+    "delta_limit_lambda_huge": lambda s, tm, gen: _limit(check_delta_limit, True, [0.4, 1e150]),
+    "delta_limit_lambda_overflows": lambda s, tm, gen: _limit(check_delta_limit, True,
+                                                              [1.3e154]),
+    "mismatched_limit_lambda_overflows": lambda s, tm, gen: _limit(check_delta_limit, False,
+                                                                   [1.3e154, 0.4]),
+    "causal_limit_lambda_huge": lambda s, tm, gen: _limit(check_causal_delta_limit, [1e150]),
+    "causal_limit_lambda_overflows": lambda s, tm, gen: _limit(check_causal_delta_limit,
+                                                               [0.4, 1.3e154]),
     # a NaN result at the parent
     "psi_nan": lambda s, tm, gen: gen.psi(NAN),
     "apply_generator_nan": lambda s, tm, gen: apply_generator(gen, NAN),

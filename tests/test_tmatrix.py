@@ -1,4 +1,6 @@
+import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -6,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ldlgen import NumericError, TMatrix, ValidationError, block_transfer, tmatrix
-from ldlgen.bath import DensityProfile
+from ldlgen.bath import DensityProfile, _exp_rows
 from ldlgen.generator import theta_map
 from ldlgen.model import model_from_dict
 from ldlgen.tmatrix import (CONDITION_LIMIT, MAX_ENERGY_NODES, _corr_weights, _grid_correlation,
@@ -607,6 +609,18 @@ def test_grid_exponentials_match_direct_sum(kind, n_points):
     assert diff <= 1e-13 * np.abs(rows).sum(axis=1).max()
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 15, 16, 17, 201, 40001])
+def test_exp_rows_match_direct_exponentials(n):
+    # baby and giant steps: within a few ulps of each row's phase k c x
+    x = _corr_weights(PROFILES["table"], 64)[0] - 0.37
+    for c in (0.01, 2.01):
+        direct = np.exp(1j * np.outer(np.arange(n) * c, x))
+        rows = _exp_rows(n, c, x)
+        assert rows.shape == (n, x.size)
+        bound = 1e-13 * (1.0 + np.abs(np.outer(np.arange(n) * c, x)).max())
+        assert np.abs(rows - direct).max() <= bound
+
+
 CRITERION_03_CASES = [("00", 2, E1, E1), ("00", 2, E2, E2), ("11", 2, MIX, MIX),
                       ("01", 3, E1, E2), ("10", 3, E2, E1), ("01", 3, MIX, E2)]
 
@@ -666,6 +680,59 @@ def test_dyson_sweep_keeps_one_grid_and_peaks_below_the_per_call_grids(nr_spec):
     assert 8.0e6 < kept < 9.0e6
     assert replaced < 4.0e6
     assert tm._dyson[0] == (0.02, 10000, 320)
+
+
+def _one_level_grid_exponentials(n_points, dt, x):
+    """The split-exponent factors with one exponential per factor entry: the
+    reference for the factor tables that `_exp_rows` builds."""
+    m = math.isqrt(n_points - 1) + 1
+    giant = np.exp(1j * np.outer(np.arange(-(-n_points // m)) * m * dt, x))
+    baby = np.exp(1j * np.outer(np.arange(m) * dt, x))
+    return giant, baby
+
+
+def test_dyson_oracle_on_split_factor_tables_matches_one_level_factors(nr_spec, monkeypatch):
+    # the criterion-03 values move only at roundoff when the factor tables
+    # are built by baby and giant steps of their own
+    etas = (4e-3, 2e-3, 1e-3)
+
+    def values():
+        return [dyson_oracle(TMatrix(nr_spec), pair, n, u, v, eta, t_max=400.0, dt=0.01)
+                for pair, n, u, v in CRITERION_03_CASES for eta in etas]
+
+    split = values()
+    monkeypatch.setattr(tmatrix, "_grid_exponentials", _one_level_grid_exponentials)
+    one_level = values()
+    assert max(abs(a - b) for a, b in zip(split, one_level)) <= 1e-15
+
+
+def test_cold_dyson_grid_evaluates_few_exponentials_per_correlation(nr_spec, monkeypatch):
+    # at most 20,000 complex exponentials per correlation (18,560 with 320
+    # nodes and 40,001 points), plus the 40,001 direct phase-row entries
+    # of the one row p < q at d = 2
+    counted = []
+    exp = np.exp
+
+    def counting(*args, **kwargs):
+        out = exp(*args, **kwargs)
+        if np.iscomplexobj(out):
+            counted.append(np.size(out))
+        return out
+
+    monkeypatch.setattr(np, "exp", counting)
+    grid = TMatrix(nr_spec)._dyson_grid(0.01, 40000, 320)
+    assert sum(counted) - grid.t.size <= 2 * 20000
+
+
+@pytest.mark.parametrize("pair,n,u,v", [("00", 2, E1, E1), ("01", 3, E1, E2)], ids=["n2", "n3"])
+def test_dyson_oracle_at_huge_damping_is_finite_without_warnings(nr_tm, pair, n, u, v):
+    # eta t overflows to inf past t = 0, where the damping's limit is 0;
+    # at n = 3 the doubled damping computed as -2 eta t is -inf * 0 = NaN at
+    # t = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = dyson_oracle(nr_tm, pair, n, u, v, 1e308)
+    assert np.isfinite(value)
 
 
 def _n3_full_rows(tm, pair, u, v, eta, t_max, dt, n_energy=320):

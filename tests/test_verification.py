@@ -73,6 +73,44 @@ def test_factored_fourier_of_h_matches_dense(h):
     assert diff <= 1e-13 * np.abs(dense).max()
 
 
+def _fourier_of_h_panel_exponentials(h, u):
+    """The transform with one exponential per (u, panel midpoint) pair: the
+    reference for the panel phases that `_exp_rows` builds."""
+    a, b = h.extent()
+    n_panels = 48
+    x, w = verification._composite_gl(a, b, n_panels)
+    xi, _ = verification._legendre_rule(verification._PANEL_NODES)
+    half = 0.5 * (b - a) / n_panels
+    mid = np.linspace(a + half, b - half, n_panels)
+    panel_sums = np.exp(1j * half * np.outer(u, xi)) @ (h(x) * w).reshape(n_panels, -1).T
+    return (np.exp(1j * np.outer(u, mid)) * panel_sums).sum(axis=1)
+
+
+def test_limit_suite_on_panel_phase_steps_matches_panel_exponentials(nr_tm, monkeypatch):
+    # every pairing within 1e-13 relative and every pass flag the same.  The
+    # residuals are O(1) quantities less their limits (a relative error, a
+    # ratio less 1/2), so they move by at most about 1e-13 absolute: a
+    # roundoff move of a pairing moves the 2.5e-5 final error by far more
+    # than 1e-13 of itself
+    f, g, h = default_test_functions()
+
+    def run():
+        return run_identity_suite(nr_tm, "limits"), verification._matched_reports(f, g, h,
+                                                                                  LAMBDAS)
+
+    stepped, stepped_reports = run()
+    monkeypatch.setattr(verification, "_fourier_of_h", _fourier_of_h_panel_exponentials)
+    direct, direct_reports = run()
+    for new, old in zip(stepped_reports, direct_reports):
+        for a, b in zip(new.values, old.values):
+            assert abs(a - b) <= 1e-13 * abs(b)
+    assert [c["check"] for c in stepped["checks"]] == [c["check"] for c in direct["checks"]]
+    for new, old in zip(stepped["checks"], direct["checks"]):
+        assert new["pass"] == old["pass"] and new["tolerance"] == old["tolerance"]
+        assert abs(new["residual"] - old["residual"]) <= 1e-13
+    assert stepped["passed"] == direct["passed"]
+
+
 def _packet_out_of_place(packet, x):
     """poly(z) exp(-z^2 / (2 sigma^2)) with one temporary per operation, as
     `GaussianPacket.__call__` read before it wrote into its argument."""
@@ -86,15 +124,20 @@ def _packet_out_of_place(packet, x):
 @pytest.mark.parametrize("packet", [GaussianPacket(), GaussianPacket(0.3, 0.5, (1.0, 0.2, -0.1)),
                                     GaussianPacket(-1.7, 2.3, (0.0, 0.0, 1.0)),
                                     GaussianPacket(0.4, 1.2, (2.5,)),
-                                    GaussianPacket(0.0, 0.7, (0.0, 1.0, 0.5, -0.25))],
-                         ids=["default", "shifted_poly", "square", "scaled", "cubic"])
+                                    GaussianPacket(0.0, 0.7, (0.0, 1.0, 0.5, -0.25)),
+                                    GaussianPacket(-0.0, 1.0, (0.0, 1.0))],
+                         ids=["default", "shifted_poly", "square", "scaled", "cubic",
+                              "negative_zero_center"])
 def test_packet_in_place_bitwise_equal_to_out_of_place_formula(packet):
-    x = np.linspace(-12.0, 12.0, 4097)
+    # the default packet skips the shift by +0.0 and the product with 1.0;
+    # a center of -0.0 is still subtracted, as it turns -0.0 into +0.0
+    x = np.concatenate([np.linspace(-12.0, 12.0, 4097), [-0.0, 0.0]])
+    given = x.tobytes()
     got = packet(x)
     assert got.tobytes() == _packet_out_of_place(packet, x).tobytes()
     assert packet(0.37) == float(_packet_out_of_place(packet, 0.37))
     # the argument is copied, not overwritten
-    assert x[0] == -12.0 and x[-1] == 12.0
+    assert x.tobytes() == given
 
 
 @pytest.mark.parametrize("n", [8, 320])

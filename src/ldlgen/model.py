@@ -194,22 +194,26 @@ class SpectralData:
         """`split` for operators A (..., d, d) in the original basis."""
         return self.split(self.basis.conj().T @ A @ self.basis)
 
+    def nearest(self, values, offsets=None):
+        """Index of the member of the sorted ``offsets`` (default ``bohr``) nearest
+        each value, or -1 where none is within ``tolerance``; a tie goes to the lower
+        index, as with argmin.  Only a value's two searchsorted neighbours are measured."""
+        offsets = self.bohr if offsets is None else offsets
+        hi = np.minimum(np.searchsorted(offsets, values), offsets.size - 1)
+        lo = np.maximum(hi - 1, 0)
+        d_lo, d_hi = np.abs(values - offsets[lo]), np.abs(values - offsets[hi])
+        return np.where(np.minimum(d_lo, d_hi) <= self.tolerance, np.where(d_hi < d_lo, hi, lo), -1)
+
     def bohr_index(self, omega):
         """Index of omega in the canonical Bohr set, or None if off-lattice."""
-        i = int(np.searchsorted(self.bohr, omega))
-        best, dist = None, self.tolerance
-        for j in (i - 1, i, i + 1):
-            if 0 <= j < self.bohr.size and abs(self.bohr[j] - omega) <= dist:
-                best, dist = j, abs(self.bohr[j] - omega)
-        return best
+        idx = int(self.nearest(omega))
+        return None if idx < 0 else idx
 
     def at(self, blocks, omega):
-        """Entry of a (..., |B|, d, d) array ordered like ``bohr`` at the canonical
-        frequency of omega, or zeros of shape (..., d, d) off the lattice."""
-        idx = self.bohr_index(omega)
-        if idx is None:
-            return np.zeros(blocks.shape[:-3] + blocks.shape[-2:], dtype=blocks.dtype)
-        return blocks[..., idx, :, :]
+        """Entries of a (..., |B|, d, d) array ordered like ``bohr`` at the canonical
+        frequencies of omega, of shape S: shape (..., S, d, d), zeros off the lattice."""
+        idx = self.nearest(omega)
+        return np.where((idx >= 0)[..., None, None], blocks[..., idx, :, :], 0)
 
     def d_block(self, omega):
         """D_omega, the transfer-omega block of the coupling (zero off lattice)."""

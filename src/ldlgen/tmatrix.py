@@ -16,17 +16,19 @@ omega = omega' + rep(e_m - e_k), so the system reduces to d independent
 d x d systems.  `TMatrix.r_blocks` solves them for every grid node at
 once.  The stacked system (`stacked_column`, `neumann_column`,
 `column_residual`, and `column_pass`, which batches them over (omega', E))
-survives as the verification oracle.  The two routes
-and `t_kernel` share one thing, the kernel entries (`TMatrix._kernels`);
-the oracle keeps its own placement of each entry in the one block its
-canonical transfer names, its own dense solve and power series, and the
-depth-2 index set that cross-checks the restriction.  The series chains
-(`appendix_term`) and the Dyson oracle never call `_kernels`, so they
-check the kernel entries independently.  The two routes solve the same
-system when the canonical transfers compose, transfer[k, m] -
-transfer[k, p] = transfer[p, m] within the Bohr tolerance for every
-eigen-index triple; chained Bohr clusters can break that, and then no
-placement on the offset lattice reproduces the per-eigen-column systems.
+survives as the verification oracle.  The two routes and `t_kernel`
+share one thing, the kernel entries (`TMatrix._kernels`); the oracle
+keeps its own placement of each entry in the one block its canonical
+transfer names, its own dense solve and power series, and the depth-2
+index set that cross-checks the restriction.  One lookup,
+`SpectralData.nearest` (lower offset on a tie), matches every float offset
+to B or to an index set.  The series chains (`appendix_term`) and the
+Dyson oracle never call `_kernels`, so they check the kernel entries
+independently.  The two routes solve the same system when the canonical
+transfers compose, transfer[k, m] - transfer[k, p] = transfer[p, m]
+within the Bohr tolerance for every eigen-index triple; chained Bohr
+clusters can break that, and then no placement on the offset lattice
+reproduces the per-eigen-column systems.
 """
 
 import itertools
@@ -54,6 +56,14 @@ MAX_ENERGY_NODES = 1 << 10
 # Largest stack of stacked systems T that `TMatrix.column_pass` holds at once,
 # in bytes (at ladder d = 6 about a third of one epsilon's columns).
 _STACK_CHUNK_BYTES = 1 << 24
+
+
+def _frobenius(X):
+    """np.linalg.norm of each matrix of a stack X (..., m, n), bit for bit: the
+    same strided dot products of the real and of the imaginary parts."""
+    flat = X.reshape(X.shape[:-2] + (1, -1))
+    re, im = flat.real, flat.imag
+    return np.sqrt(re @ np.swapaxes(re, -1, -2) + im @ np.swapaxes(im, -1, -2))[..., 0, 0]
 
 
 def _series_pair(pair):
@@ -392,7 +402,7 @@ class TMatrix:
             return B
         tol = self.spectral.tolerance
         sums = np.sort((B[:, None] + B).ravel())
-        sums = sums[np.abs(sums[:, None] - B).min(axis=1) > tol]
+        sums = sums[self.spectral.nearest(sums) < 0]
         reps = [sums[idxs[0]] for idxs in _cluster_sorted(sums, tol)] if sums.size else []
         return np.sort(np.concatenate([B, reps]))
 
@@ -400,30 +410,26 @@ class TMatrix:
         """The T part of the stacked block system on omega' + offsets, in the
         eigenbasis, for omega' and E of one shape S (checked by the caller):
         shape S + (|I| d, |I| d).  Entry (k, p) of row block i's kernel goes
-        to the one column block whose offset is nearest offsets[i] - W[k, p],
-        and is dropped when none lies within the Bohr tolerance; the placement
-        does not depend on omega' or E."""
+        to column block `SpectralData.nearest`(offsets[i] - W[k, p], offsets),
+        the lower one on a tie, and is dropped when none is within the Bohr
+        tolerance: one lookup of |I| d^2 values, the same for every omega', E."""
         d, n = self.dim, len(offsets)
         omega_prime, E = np.asarray(omega_prime, dtype=float), np.asarray(E, dtype=float)
         omega = np.broadcast_to((omega_prime[..., None] + offsets)[..., None], E.shape + (n, d))
         K = self._kernels(eps, E[..., None], omega)
-        dist = np.abs((offsets[:, None, None] - self.spectral.transfer)[..., None] - offsets)
-        j = dist.argmin(axis=-1)
-        keep = dist.min(axis=-1) <= self.spectral.tolerance
-        i, k, p = np.nonzero(keep)
+        j = self.spectral.nearest(offsets[:, None, None] - self.spectral.transfer, offsets)
+        i, k, p = np.nonzero(j >= 0)
         T = np.zeros(E.shape + (n, d, n, d), dtype=complex)
-        T[..., i, k, j[keep], p] = K[..., keep]
+        T[..., i, k, j[i, k, p], p] = K[..., i, k, p]
         return T.reshape(E.shape + (n * d, n * d))
 
     def _rhs(self, offsets):
-        d = self.dim
-        m = len(offsets)
-        i0 = int(np.argmin(np.abs(offsets)))
-        if abs(offsets[i0]) > self.spectral.tolerance:
+        i0 = int(self.spectral.nearest(0.0, offsets))
+        if i0 < 0:
             raise ValidationError("index set does not contain the diagonal offset 0")
-        rhs = np.zeros((m * d, d), dtype=complex)
-        rhs[i0 * d:(i0 + 1) * d] = np.eye(d)
-        return rhs
+        rhs = np.zeros((len(offsets), self.dim, self.dim), dtype=complex)
+        rhs[i0] = np.eye(self.dim)
+        return rhs.reshape(-1, self.dim)
 
     def _original(self, X, n_offsets):
         """Blocks in the original basis from stacked eigenbasis solutions
@@ -483,7 +489,7 @@ class TMatrix:
         for k in range(1, max_order + 1):
             term = -(T @ term)
             total[live] += term
-            inc = np.array([np.linalg.norm(t) for t in term])
+            inc = _frobenius(term)
             # the last five increments of each live column
             recent = np.concatenate([recent[:, -4:], inc[:, None]], axis=1)
             final[live] = inc
@@ -515,7 +521,7 @@ class TMatrix:
         X = (basis.conj().T @ blocks @ basis).reshape(blocks.shape[0], -1, d)
         A = np.eye(len(offsets) * d, dtype=complex) + T
         R = A @ X - self._rhs(offsets)
-        return np.array([np.linalg.norm(r) / math.sqrt(d) for r in R])
+        return _frobenius(R) / math.sqrt(d)
 
     def column_pass(self, eps, energies):
         """Every depth-1 column of (1+T_eps)^{-1} at omega' in B and E in
@@ -622,10 +628,7 @@ class TMatrix:
                     raise NumericError(f"appendix series of pair {pair} overflows at "
                                        f"order n = {n}; the series diverges here")
                 sums.append(total)
-                # one norm per energy, each that of a lone (d, d) term
-                small = np.array([np.linalg.norm(t) < tol
-                                  for t in term.reshape(-1, self.dim, self.dim)])
-                live = live & ~small.reshape(E.shape)
+                live = live & ~(_frobenius(term) < tol)
                 if not live.any():
                     break
         return sums, (~live if E.ndim else not live)

@@ -30,6 +30,7 @@ from .bath import _exp_rows, _legendre_rule, validate_bath
 from .errors import ValidationError, _real
 from .generator import (_dagger, _diagonal_r, build_generator, choi_matrix, drift,
                         drift_from_t_operator)
+from .tmatrix import _frobenius
 
 # entries of one (u nodes) x (t nodes) block in _overlap_vector: bounds its
 # memory, and blocks larger than the cache made the mismatched check slower
@@ -45,9 +46,9 @@ MAX_OVERLAP_PANELS = 1 << 16
 class GaussianPacket:
     """poly(x - center) * exp(-(x - center)^2 / (2 sigma^2)); coeffs low-to-high.
 
-    center must be finite, sigma finite and > 0 with 2 sigma^2 a finite,
-    normal float, and coeffs a non-empty tuple (or list) of finite reals;
-    anything else raises ValidationError.
+    center must be finite, sigma finite and > 0 with 2 sigma^2 a normal float
+    and (10 sigma)^2 finite, and coeffs a non-empty tuple (or list) of finite
+    reals; anything else raises ValidationError.  It is 0 where (x - center)^2 overflows.
     """
 
     center: float = 0.0
@@ -58,12 +59,12 @@ class GaussianPacket:
         sigma = _real(self.sigma, "packet sigma")
         if not sigma > 0:
             raise ValidationError(f"packet sigma must be > 0, got {sigma!r}")
-        # the exponent divides by 2 sigma^2: zero or subnormal, it gives NaN
-        # or loses bits; past the float range, sigma ** 2 raises OverflowError
-        spread = 2.0 * (sigma * sigma)
-        if not np.finfo(float).tiny <= spread < math.inf:
-            raise ValidationError(f"packet sigma = {sigma!r} puts 2 sigma^2 = {spread!r} outside "
-                                  f"the normal float range")
+        # the exponent divides by 2 sigma^2 (zero or subnormal: NaN or lost bits);
+        # the limit checks square distances across the 10 sigma extent
+        spread, pad = 2.0 * (sigma * sigma), 10.0 * sigma
+        if not (spread >= np.finfo(float).tiny and pad * pad < math.inf):
+            raise ValidationError(f"packet sigma = {sigma!r} puts 2 sigma^2 = {spread!r} below "
+                                  f"the normal floats or its 10 sigma extent squared past them")
         if not isinstance(self.coeffs, (tuple, list)) or not self.coeffs:
             raise ValidationError(f"packet coeffs must be a non-empty tuple of numbers, "
                                   f"got {self.coeffs!r}")
@@ -83,19 +84,20 @@ class GaussianPacket:
         bit, so this is the formula above evaluated without temporaries.  A
         center of +0.0 and a polynomial of 1.0 alone are skipped: x - 0.0
         and x * 1.0 are x in every bit."""
-        if self.center or math.copysign(1.0, self.center) < 0:
-            x -= self.center
-        poly = self.coeffs[-1]
-        if len(self.coeffs) > 1:
-            poly = np.full_like(x, poly)
-            for c in reversed(self.coeffs[:-1]):
-                poly *= x
-                poly += c
-        np.multiply(x, x, out=x)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if self.center or math.copysign(1.0, self.center) < 0:
+                x -= self.center
+            poly = self.coeffs[-1]
+            if len(self.coeffs) > 1:
+                poly = np.full_like(x, poly)
+                for c in reversed(self.coeffs[:-1]):
+                    poly *= x
+                    poly += c
+            np.multiply(x, x, out=x)
         np.divide(x, -2.0 * self.sigma ** 2, out=x)
         np.exp(x, out=x)
         if self.coeffs != (1.0,):
-            x *= poly
+            np.multiply(x, poly, out=x, where=x != 0)  # 0 even where poly overflowed
         return x
 
     def extent(self, n_sigma=10.0):
@@ -247,28 +249,28 @@ def _limit_report(lambdas, values, target):
                             monotone=monotone, values=values)
 
 
-def _lambdas(lambdas, h):
-    """At least one lambda, each finite and > 0 with a largest time shift
-    lam^2 `_u_extent(h)` whose square is a finite float (g squares the
-    shifted times), as a list of floats; every lambda is checked before
-    any is paired."""
+def _lambdas(f, g, h, lambdas):
+    """At least one lambda, each finite and > 0, as a list of floats.  g
+    squares the distance from its center of the times t + lam^2 u, t over
+    f's extent and |u| up to `_u_extent(h)`, so the largest distance must
+    square to a finite float.  All is checked before any pairing."""
     lambdas = [_real(l, "lambda") for l in lambdas]
     if not lambdas:
         raise ValidationError("need at least one lambda")
-    for lam in lambdas:
-        if not lam > 0:
-            raise ValidationError(f"lambda must be > 0, got {lam!r}")
-        shift = lam * lam * _u_extent(h)
-        if not math.isfinite(shift * shift):
-            raise ValidationError(f"lambda = {lam!r} shifts the times by up to {shift!r}, "
-                                  f"whose square is past the float range; lower lambda")
+    if not min(lambdas) > 0:
+        raise ValidationError(f"lambda must be > 0, got {min(lambdas)!r}")
+    lam = max(lambdas)
+    reach = max(abs(t - g.center) for t in f.extent()) + lam * lam * _u_extent(h)
+    if not math.isfinite(reach * reach):
+        raise ValidationError(f"lambda = {lam!r} and the f, g centers {f.center!r}, {g.center!r} "
+                              f"put shifted times {reach!r} from g's center; its square overflows")
     return lambdas
 
 
 def _matched_reports(f, g, h, lambdas):
     """The reports of check_delta_limit at matching frequencies and of
     check_causal_delta_limit, from one pass of `_pairings`."""
-    lambdas = _lambdas(lambdas, h)
+    lambdas = _lambdas(f, g, h, lambdas)
     full, causal = _pairings(f, g, h, lambdas)
     product = _product_integral(f, g)
     return (_limit_report(lambdas, full, 2.0 * math.pi * h(0.0) * product),
@@ -278,14 +280,13 @@ def _matched_reports(f, g, h, lambdas):
 
 def check_delta_limit(f, g, h, omega_match, lambdas, mismatch=1.0):
     """Pair the rescaled kernel with f, g, h for each lambda and compare
-    against 2 pi h(0) * integral f g (matching frequencies) or 0.  Needs at
-    least one lambda, each finite and > 0 with lam^2 18 / h.sigma, the
-    largest time shift, squaring to a finite float; at mismatched
-    frequencies each must also keep the t rule within MAX_OVERLAP_PANELS
-    panels.  Every lambda is checked before any is paired."""
+    against 2 pi h(0) * integral f g (matching frequencies) or 0.  Needs
+    lambdas and packets that `_lambdas` admits; at mismatched frequencies
+    each lambda must also keep the t rule within MAX_OVERLAP_PANELS panels.
+    Everything is checked before any pairing."""
     if omega_match:
         return _matched_reports(f, g, h, lambdas)[0]
-    lambdas = _lambdas(lambdas, h)
+    lambdas = _lambdas(f, g, h, lambdas)
     for lam in lambdas:
         _overlap_panels(f, lam, mismatch)
     return _limit_report(lambdas, _pairings(f, g, h, lambdas, mismatch)[0], 0.0)
@@ -325,10 +326,6 @@ def _identity_checks(tm, rng):
     d = tm.dim
     sd = tm.spectral
     checks = []
-    supports = [tm.spec.bath.density(e).support for e in (0, 1)]
-    energies = []
-    for a, b in supports:
-        energies.extend(np.linspace(a, b, 5)[1:-1])
 
     # block-column residual / transfer / Neumann / index-set stability: the
     # level-basis columns against the stacked-system oracle, every
@@ -337,7 +334,9 @@ def _identity_checks(tm, rng):
     # would drop it
     res_solve, res_transfer, res_neumann, res_stability = 0.0, 0.0, 0.0, 0.0
     wrong_transfer = ~np.eye(sd.bohr.size, dtype=bool)
-    probes = np.array(energies[::2])
+    # every other of the three quartile points of each density's support
+    probes = np.concatenate([np.linspace(*tm.spec.bath.density(e).support, 5)[1:-1]
+                             for e in (0, 1)])[::2]
     for eps in (0, 1):
         cols = tm.column_pass(eps, probes)
         res_solve = np.maximum(res_solve, cols.residual.max())
@@ -373,21 +372,15 @@ def _identity_checks(tm, rng):
     for pair, (a, b) in (("00", (0, 0)), ("01", (0, 1)), ("10", (1, 0)), ("11", (1, 1))):
         sums, _ = tm.appendix_partial_sums(pair, probes)
         comps = R_probes[:, a, b].sum(axis=-3)
-        res_series = np.maximum(res_series, np.max(
-            [np.linalg.norm(s - c) for s, c in zip(sums[-1], comps)]))
+        res_series = np.maximum(res_series, _frobenius(sums[-1] - comps).max())
     checks.append(_check("appendix_series_identity", res_series, 1e-10))
 
-    # level-diagonal (transfer-0) projection of the same-index R blocks
-    res_diag = 0.0
+    # level-diagonal (transfer-0) projection of the same-index R blocks at
+    # every probe, eps and omega: the block itself at omega = 0, else zero
+    same = R_probes[:, (0, 1), (0, 1)]
     zero = sd.bohr_index(0.0)
-    for R in R_probes:
-        for eps in (0, 1):
-            diags = sd.split_operator(R[eps, eps])[:, zero]
-            for w, r, diag in zip(tm.bohr, R[eps, eps], diags):
-                if abs(w) > sd.tolerance:
-                    res_diag = np.maximum(res_diag, float(np.linalg.norm(diag)))
-                else:
-                    res_diag = np.maximum(res_diag, float(np.linalg.norm(diag - r)))
+    own = np.where((np.arange(sd.bohr.size) == zero)[:, None, None], same, 0)
+    res_diag = _frobenius(sd.split_operator(same)[..., zero, :, :] - own).max()
     checks.append(_check("diagonal_projection", res_diag, 1e-10))
 
     # drift identities and the Lindblad structure

@@ -16,7 +16,7 @@ from ldlgen import TMatrix, load_model
 from ldlgen import verification
 from ldlgen.generator import (_diagonal_r, _structure_map, build_generator, choi_matrix, drift,
                               drift_from_t_operator)
-from ldlgen.model import model_from_dict
+from ldlgen.model import _cluster_sorted, model_from_dict
 
 from conftest import MODELS, base_model_doc, chained_cluster_doc, ladder_model_doc
 from test_level_solve import MODELS as HARD_SPECTRA, _model
@@ -84,6 +84,46 @@ def _residual_loop(tm, col):
     T = tm._stacked_t(col.epsilon, col.omega_prime, col.energy, col.offsets)
     R = (np.eye(len(col.offsets) * d, dtype=complex) + T) @ X - tm._rhs(col.offsets)
     return float(np.linalg.norm(R) / np.sqrt(d))
+
+
+def _dense_offsets(tm, index_depth):
+    """The index-set offsets with the dense |B + B| x |B| distance matrix."""
+    B, tol = np.array(tm.bohr, dtype=float), tm.spectral.tolerance
+    if index_depth == 1:
+        return B
+    sums = np.sort((B[:, None] + B).ravel())
+    sums = sums[np.abs(sums[:, None] - B).min(axis=1) > tol]
+    reps = [sums[idxs[0]] for idxs in _cluster_sorted(sums, tol)] if sums.size else []
+    return np.sort(np.concatenate([B, reps]))
+
+
+def _dense_stacked_t(tm, eps, omega_prime, E, offsets):
+    """The stacked T with each entry placed by argmin over the dense
+    |I| x d x d x |I| distance array, kept when that minimum is within the
+    Bohr tolerance (a tie goes to the lower offset, as with argmin)."""
+    d, n = tm.dim, len(offsets)
+    omega = np.broadcast_to((omega_prime + offsets)[:, None], (n, d))
+    K = tm._kernels(eps, E, omega)
+    dist = np.abs((offsets[:, None, None] - tm.spectral.transfer)[..., None] - offsets)
+    j = dist.argmin(axis=-1)
+    keep = dist.min(axis=-1) <= tm.spectral.tolerance
+    i, k, p = np.nonzero(keep)
+    T = np.zeros((n, d, n, d), dtype=complex)
+    T[i, k, j[keep], p] = K[keep]
+    return T.reshape(n * d, n * d)
+
+
+def test_stacked_t_placement_matches_dense_argmin(tm):
+    # depth 1 and depth 2, on every spectrum here (the chained cluster among
+    # them): the index set and every placed entry, bit for bit
+    E = float(_probes(tm)[0])
+    for depth in (1, 2):
+        offsets = tm._offsets(depth)
+        assert _same(offsets, _dense_offsets(tm, depth))
+        for eps in (0, 1):
+            for wp in (0.0, float(tm.bohr[-1])):
+                assert _same(tm._stacked_t(eps, wp, E, offsets),
+                             _dense_stacked_t(tm, eps, wp, E, offsets))
 
 
 def test_column_pass_matches_per_column_views(tm):

@@ -14,12 +14,13 @@ from ldlgen import TMatrix, ValidationError, validate_bath
 from ldlgen.generator import (GKSLGenerator, apply_generator, build_generator,
                               choi_matrix, drift, drift_from_t_operator,
                               dual_generator_matrix, heisenberg_generator_matrix,
-                              theta_map)
+                              _structure_map, theta_map)
 from ldlgen.model import model_from_dict
 
 from ldlgen.verification import run_identity_suite
 
-from conftest import MODELS, ROOT, base_model_doc, ladder_model_doc, random_density
+from conftest import (MODELS, ROOT, base_model_doc, chained_cluster_doc, ladder_model_doc,
+                      random_density)
 
 
 def _zero_model():
@@ -107,6 +108,48 @@ def test_theta_map_adjoint_symmetry(nr_tm):
         lhs = theta_map(nr_tm, x.conj().T, 1, 0, 1.0, 0.0, E)
         rhs = theta_map(nr_tm, x, 0, 1, 0.0, 1.0, E).conj().T
         assert np.abs(lhs - rhs).max() < 1e-12
+
+
+def _theta_map_per_frequency(tm, X, eps1, eps2, omega1, omega2, E):
+    """theta_map with its R blocks gathered one frequency at a time, each by
+    a scalar candidate loop over the searchsorted neighbours (the reference
+    for the array lookup)."""
+    sd = tm.spectral
+
+    def at(blocks, omega):
+        i = int(np.searchsorted(sd.bohr, omega))
+        best, dist = None, sd.tolerance
+        for j in (i - 1, i, i + 1):
+            if 0 <= j < sd.bohr.size and abs(sd.bohr[j] - omega) <= dist:
+                best, dist = j, abs(sd.bohr[j] - omega)
+        if best is None:
+            return np.zeros(blocks.shape[:-3] + blocks.shape[-2:], dtype=blocks.dtype)
+        return blocks[..., best, :, :]
+
+    R1 = tm.r_blocks(E, omega1)
+    R2 = R1 if omega2 == omega1 else tm.r_blocks(E, omega2)
+    ra = np.stack([at(R1[:, e, eps1], w - omega1) for e in (0, 1) for w in tm.bohr], axis=1)
+    rb = np.stack([at(R2[:, e, eps2], w - omega2) for e in (0, 1) for w in tm.bohr], axis=1)
+    re_g = tm._re_gamma(E).reshape(E.size, -1)
+    return _structure_map(np.asarray(X, dtype=complex), at(R2[:, eps1, eps2], omega1 - omega2),
+                          at(R1[:, eps2, eps1], omega2 - omega1), ra, rb, re_g)
+
+
+@pytest.mark.parametrize("name", ["tm_nr", "chained"])
+def test_theta_map_on_energy_array_matches_per_frequency_gathers(nr_tm, name):
+    # bitwise; on the chained cluster 0.1 is off the lattice, so omega1 -
+    # omega2 and some w - omega2 name no block
+    tm = nr_tm if name == "tm_nr" else TMatrix(model_from_dict(chained_cluster_doc()))
+    B = [float(w) for w in tm.bohr]
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((tm.dim, tm.dim)) + 1j * rng.standard_normal((tm.dim, tm.dim))
+    E = np.array([0.3, 0.55, 2.4, 2.75])
+    for eps1, eps2, omega1, omega2 in ((0, 0, 0.0, 0.0), (0, 1, 0.0, B[-1]), (1, 0, B[0], 0.0),
+                                       (1, 1, B[1], B[-2]), (0, 1, 0.0, 0.1)):
+        got = theta_map(tm, x, eps1, eps2, omega1, omega2, E)
+        want = _theta_map_per_frequency(tm, x, eps1, eps2, omega1, omega2, E)
+        assert got.shape == want.shape == (E.size, tm.dim, tm.dim)
+        assert got.tobytes() == want.tobytes(), (eps1, eps2, omega1, omega2)
 
 
 def test_build_generator_zero_coupling():

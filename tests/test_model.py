@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ldlgen import ValidationError, block_transfer, load_model, spectral_decompose
-from ldlgen.model import model_from_dict
+from ldlgen.model import SpectralData, model_from_dict
 
 from conftest import base_model_doc, chained_cluster_doc, write_model
 
@@ -196,3 +196,65 @@ def test_block_transfer_on_chained_bohr_cluster():
     assert list(comps) == sd.bohr_set
     assert np.abs(sum(comps.values()) - spec.coupling).max() < 1e-12
     assert np.array_equal(np.array(list(comps.values())), sd.d_blocks)
+
+
+# -- the Bohr-lattice lookup -----------------------------------------------------
+
+def _hand_built(bohr, tolerance):
+    """SpectralData of a one-level system with the given sorted offset set;
+    `nearest`, `bohr_index` and `at` read only bohr and tolerance."""
+    return SpectralData(dim=1, bohr=np.array(bohr, dtype=float), energies=np.zeros(1),
+                        basis=np.eye(1), level_index=np.zeros(1, dtype=int),
+                        transfer=np.zeros((1, 1)), tolerance=tolerance)
+
+
+def test_nearest_on_single_member_bohr_set():
+    doc = base_model_doc()
+    doc["system"]["hamiltonian"] = [[0.3, 0.0]]
+    doc["system"]["coupling"] = [[0.1, 0.0]]
+    sd = spectral_decompose(model_from_dict(doc))
+    assert sd.bohr.tolist() == [0.0]
+    got = sd.nearest([-1.0, -1e-9, 0.0, 5e-10, 1.1e-9, 3.0])
+    assert got.tolist() == [-1, 0, 0, 0, -1, -1]
+    assert sd.bohr_index(1e-9) == 0 and sd.bohr_index(2e-9) is None
+
+
+def test_nearest_below_first_above_last_and_off_lattice(nr_spec):
+    sd = spectral_decompose(nr_spec)
+    assert sd.bohr.tolist() == [-1.0, 0.0, 1.0]
+    values = np.array([[-1.0 - 5e-10, 1.0 + 5e-10, -7.0, 7.0],
+                       [-1.0 - 2e-9, 1.0 + 2e-9, 0.5, -0.25]])
+    got = sd.nearest(values)
+    assert got.shape == values.shape and got.dtype.kind == "i"
+    assert got.tolist() == [[0, 2, -1, -1], [-1, -1, -1, -1]]
+    # the same answers from an explicit offset set, and from the scalar form
+    assert sd.nearest(values, np.array([-1.0, 0.0, 1.0])).tolist() == got.tolist()
+    assert [sd.bohr_index(v) for v in values[0]] == [0, 2, None, None]
+
+
+def test_nearest_sends_a_midway_value_to_the_lower_index():
+    # 0.5 is exactly midway between 0 and 1 and within the tolerance of both;
+    # argmin picks the lower index, and so does the lookup (the scalar
+    # candidate loop it replaced picked the higher one)
+    sd = _hand_built([-1.0, 0.0, 1.0], 0.5)
+    assert sd.nearest([-0.5, 0.5]).tolist() == [0, 1]
+    assert sd.bohr_index(0.5) == 1 and sd.bohr_index(-0.5) == 0
+    distances = np.abs(np.array([-0.5, 0.5])[:, None] - sd.bohr)
+    assert distances.argmin(axis=1).tolist() == [0, 1]
+
+
+def test_at_keeps_its_shape_contract():
+    sd = _hand_built([-1.0, 0.0, 1.0], 1e-9)
+    rng = np.random.default_rng(0)
+    blocks = rng.standard_normal((2, 4, 3, 2, 2)) + 1j * rng.standard_normal((2, 4, 3, 2, 2))
+    # a scalar omega gives (..., d, d): the block on the lattice, zeros off it
+    on, off = sd.at(blocks, 1.0), sd.at(blocks, 0.5)
+    assert on.shape == off.shape == (2, 4, 2, 2) and on.dtype == off.dtype == blocks.dtype
+    assert np.array_equal(on, blocks[..., 2, :, :]) and not off.any()
+    # an array of shape S gives (..., S, d, d), entry by entry the scalar form
+    omegas = np.array([[0.0, 0.5], [-1.0, 1.0 + 1e-10], [3.0, -1.0 - 1e-10]])
+    got = sd.at(blocks, omegas)
+    assert got.shape == (2, 4, 3, 2, 2, 2) and got.dtype == blocks.dtype
+    for index in np.ndindex(omegas.shape):
+        assert np.array_equal(got[:, :, index[0], index[1]], sd.at(blocks, omegas[index]))
+    assert not got[:, :, 0, 1].any() and not got[:, :, 2, 0].any()

@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -138,6 +139,39 @@ def test_packet_in_place_bitwise_equal_to_out_of_place_formula(packet):
     assert packet(0.37) == float(_packet_out_of_place(packet, 0.37))
     # the argument is copied, not overwritten
     assert x.tobytes() == given
+
+
+@pytest.mark.parametrize("packet", [GaussianPacket(center=1e200),
+                                    GaussianPacket(center=1.7e308, coeffs=(1.0, 0.0)),
+                                    GaussianPacket(center=-1e200, coeffs=(0.0, 0.0, 2.0, -1.0))],
+                         ids=["gaussian", "zero_leading_coefficient", "cubic"])
+def test_packet_is_zero_where_the_squared_distance_overflows(packet):
+    # z z, the polynomial and even z itself overflow: the packet is the
+    # Gaussian's limit 0, with no warning and no NaN
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert packet(0.0) == 0.0
+        got = packet(np.array([0.0, -packet.center]))
+    assert got.tolist() == [0.0, 0.0]
+
+
+@pytest.mark.parametrize("call", [
+    lambda f, g, h: check_delta_limit(GaussianPacket(sigma=9e153), g, h, True, [0.4]),
+    lambda f, g, h: check_delta_limit(f, g, GaussianPacket(sigma=9e153), True, [0.4]),
+    lambda f, g, h: check_delta_limit(GaussianPacket(center=1.7e308), GaussianPacket(-1.7e308),
+                                      h, True, [0.4]),
+    lambda f, g, h: check_delta_limit(GaussianPacket(center=-1e200), g, h, False, [0.4]),
+    lambda f, g, h: check_causal_delta_limit(f, GaussianPacket(center=1e155), h, [0.4])],
+    ids=["sigma_as_f", "sigma_as_h", "centers_overflow", "mismatched_centers",
+         "causal_centers"])
+def test_limit_checks_refuse_packets_whose_distances_overflow(call):
+    # a 10 sigma extent, or the distance of a shifted time from g's center,
+    # whose square is past the float range: a ValidationError before any
+    # pairing, not an overflow warning (both sigma cases used to warn)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="packet sigma|g's center"):
+            call(*default_test_functions())
 
 
 @pytest.mark.parametrize("n", [8, 320])

@@ -14,9 +14,10 @@ eigenbasis of H_S the column of (1+T_eps)^{-1} belonging to eigen-column
 m has exactly one candidate entry per row k, the one in the block
 omega = omega' + rep(e_m - e_k), so the system reduces to d independent
 d x d systems.  `TMatrix.r_blocks` solves them for every grid node at
-once.  The stacked system (`stacked_column`, `neumann_column`,
-`column_residual`, and `column_pass`, which batches them over (omega', E))
-survives as the verification oracle.  The two routes and `t_kernel`
+once.  The stacked system survives as the verification oracle, with one
+column API: `column_pass`, every depth-1 column of one eps over (omega', E)
+with its residual and Neumann series, and `stacked_column`, its dense solve
+of one column at depth 1 or 2.  The two routes and `t_kernel`
 share one thing, the kernel entries (`TMatrix._kernels`); the oracle
 keeps its own placement of each entry in the one block its canonical
 transfer names, its own dense solve and power series, and the depth-2
@@ -75,13 +76,13 @@ def _series_pair(pair):
 
 @dataclass
 class BlockColumn:
-    """One column of (1+T_eps)^{-1} at fixed (eps, omega', E).
+    """One column of (1+T_eps)^{-1} at fixed (eps, omega', E), the dense
+    solve of `TMatrix.stacked_column`.
 
     blocks[i] (original basis) solves sum over j of
     (1+T_eps)_{omega_i, omega_j}(E) blocks[j] = delta_{omega_i, omega'} Id
     on the index set omega_i = omega' + offsets[i], and has definite
-    transfer offsets[i].  Columns from the Neumann series carry
-    convergence metadata; direct solves leave it at its defaults.
+    transfer offsets[i].
     """
 
     epsilon: int
@@ -89,10 +90,6 @@ class BlockColumn:
     energy: float
     offsets: np.ndarray                 # omega - omega' values, sorted
     blocks: np.ndarray = field(repr=False)   # (|I|, d, d), ordered like offsets
-    order: int = 0
-    final_increment: float = 0.0
-    converged: bool = True
-    diverged: bool = False
 
     @property
     def omegas(self):
@@ -351,15 +348,6 @@ class TMatrix:
 
     # -- pointwise views ---------------------------------------------------
 
-    def solve_column(self, eps, omega_prime, E):
-        """Column of (1+T_eps)^{-1} at (omega', E) from the level-basis solve."""
-        eps, omega_prime, E = _index(eps, "eps"), _real(omega_prime, "omega'"), _real(E, "energy E")
-        shifts = np.full((len(self._level_columns), 1), omega_prime)
-        X = self._level_inverses(eps, np.array([E]), shifts)[0, :, 0]
-        own = X[self.spectral.level_index, :, np.arange(self.dim)].T  # [k, m] = X[level(m), k, m]
-        return BlockColumn(epsilon=eps, omega_prime=omega_prime, energy=E,
-                           offsets=self.bohr.copy(), blocks=self.spectral.split(own))
-
     def r_coefficient(self, eps1, eps2, omega, omega_prime, E):
         """Block coefficient R^{eps1,eps2}_{omega, omega'}(E) (see r_blocks);
         zero when omega - omega' is off the Bohr lattice."""
@@ -388,14 +376,14 @@ class TMatrix:
     # (omega', E).  It shares the kernel entries (`_kernels`) with the
     # level-basis solve and nothing else: its own placement, dense solve,
     # power series and depth-2 index set; verification and tests compare the
-    # two.  `column_pass` batches the columns the identity suite reads; the
-    # pointwise views compute one column each with the same arithmetic.
+    # two.  `column_pass` batches the columns the identity suite reads;
+    # `stacked_column` solves one column densely, at depth 1 or 2.
 
     def _offsets(self, index_depth):
         """Offsets of the index set: the Bohr set B (depth 1), or B plus the
         smallest member of each tolerance cluster of the sums B + B that lie
         farther than the tolerance from every member of B (depth 2)."""
-        if index_depth not in (1, 2):
+        if _count(index_depth, "index_depth") not in (1, 2):
             raise ValidationError("index_depth must be 1 or 2")
         B = np.array(self.bohr, dtype=float)
         if index_depth == 1:
@@ -424,11 +412,9 @@ class TMatrix:
         return T.reshape(E.shape + (n * d, n * d))
 
     def _rhs(self, offsets):
-        i0 = int(self.spectral.nearest(0.0, offsets))
-        if i0 < 0:
-            raise ValidationError("index set does not contain the diagonal offset 0")
+        """Identity at offset 0, which every index set (`_offsets`) holds exactly."""
         rhs = np.zeros((len(offsets), self.dim, self.dim), dtype=complex)
-        rhs[i0] = np.eye(self.dim)
+        rhs[np.searchsorted(offsets, 0.0)] = np.eye(self.dim)
         return rhs.reshape(-1, self.dim)
 
     def _original(self, X, n_offsets):
@@ -438,11 +424,6 @@ class TMatrix:
         blocks = X.reshape(X.shape[:-2] + (n_offsets, self.dim, self.dim))
         return basis @ blocks @ basis.conj().T
 
-    def _column(self, eps, omega_prime, E, offsets, X, **series):
-        """BlockColumn from a stacked eigenbasis solution X of shape (|I| d, d)."""
-        return BlockColumn(epsilon=eps, omega_prime=float(omega_prime), energy=float(E),
-                           offsets=offsets, blocks=self._original(X, len(offsets)), **series)
-
     def stacked_column(self, eps, omega_prime, E, index_depth=1):
         """Column of (1+T_eps)^{-1} by dense solve of the stacked system on
         I(omega') (index_depth=1) or on the depth-2 index set (see `_offsets`);
@@ -450,37 +431,21 @@ class TMatrix:
         omega_prime, E = _real(omega_prime, "omega'"), _real(E, "energy E")
         offsets = self._offsets(index_depth)
         A = np.eye(len(offsets) * self.dim, dtype=complex) + self._stacked_t(eps, omega_prime, E, offsets)
-        return self._column(eps, omega_prime, E, offsets, np.linalg.solve(A, self._rhs(offsets)))
+        X = np.linalg.solve(A, self._rhs(offsets))
+        return BlockColumn(epsilon=eps, omega_prime=omega_prime, energy=E, offsets=offsets,
+                           blocks=self._original(X, len(offsets)))
 
-    def neumann_column(self, eps, omega_prime, E, max_order=None, tol=None):
-        """Column of (1+T_eps)^{-1} summed as the alternating T-power series.
-
-        Accumulates until the added term drops below tol in Frobenius norm
-        or max_order is reached; sets `diverged` when the increments have
-        stopped decreasing over the last 5 orders.  Divergence is reported,
-        not raised: the caller decides (the direct solve remains available).
-        """
-        omega_prime, E = _real(omega_prime, "omega'"), _real(E, "energy E")
-        offsets = self._offsets(1)
-        T = self._stacked_t(eps, omega_prime, E, offsets)
-        total, order, final, converged, diverged = self._neumann_series(T[None], offsets,
-                                                                        max_order, tol)
-        return self._column(eps, omega_prime, E, offsets, total[0], order=int(order[0]),
-                            final_increment=float(final[0]), converged=bool(converged[0]),
-                            diverged=bool(diverged[0]))
-
-    def _neumann_series(self, T, offsets, max_order=None, tol=None):
-        """The series of `neumann_column` for a stack of stacked systems
-        T (C, |I| d, |I| d) at once.  Each column stops on its own: once its
-        term drops below tol or its increments stall it is frozen, and the
-        rest go on.  Every increment is np.linalg.norm of that column's
-        term, the arithmetic of one column alone.  Returns the eigenbasis
-        sums (C, |I| d, d) and, per column, order, final_increment,
-        converged and diverged."""
-        if max_order is None:
-            max_order = self.spec.neumann_max_order
-        if tol is None:
-            tol = self.spec.neumann_tolerance
+    def _neumann_series(self, T, offsets):
+        """(1+T)^{-1} rhs as the alternating T-power series for a stack of
+        stacked systems T (C, |I| d, |I| d), truncated at the model's
+        neumann_max_order and neumann_tolerance.  Each column stops on its
+        own: once its term drops below the tolerance (converged) or its
+        increments stop decreasing over 5 orders (diverged; reported, not
+        raised) it is frozen, and the rest go on.  Every increment is
+        np.linalg.norm of that column's term, the arithmetic of one column
+        alone.  Returns the eigenbasis sums (C, |I| d, d) and, per column,
+        order, final_increment, converged and diverged."""
+        max_order, tol = self.spec.neumann_max_order, self.spec.neumann_tolerance
         n = T.shape[0]
         total = np.broadcast_to(self._rhs(offsets), (n,) + T.shape[1:2] + (self.dim,)).copy()
         order, final = np.zeros(n, dtype=int), np.zeros(n)
@@ -507,15 +472,10 @@ class TMatrix:
                 live, term, T, recent = live[go], term[go], T[go], recent[go]
         return total, order, final, converged, diverged
 
-    def column_residual(self, col):
-        """Frobenius norm of (1+T) @ column - rhs in the stacked system,
-        relative to the rhs."""
-        T = self._stacked_t(col.epsilon, col.omega_prime, col.energy, col.offsets)
-        return float(self._residuals(T, col.offsets, col.blocks[None])[0])
-
     def _residuals(self, T, offsets, blocks):
-        """`column_residual` for a stack: T (C, |I| d, |I| d) and blocks
-        (C, |I|, d, d) in the original basis; one norm per column, (C,)."""
+        """Frobenius norm of (1+T) @ column - rhs relative to the rhs, for a
+        stack: T (C, |I| d, |I| d) and blocks (C, |I|, d, d) in the original
+        basis; one norm per column, (C,)."""
         d = self.dim
         basis = self.spectral.basis
         X = (basis.conj().T @ blocks @ basis).reshape(blocks.shape[0], -1, d)
@@ -531,12 +491,10 @@ class TMatrix:
         energies.  Its direct blocks come from one level-basis solve of all
         columns (`_level_inverses`); one stacked T per column, assembled
         batched and in chunks of at most _STACK_CHUNK_BYTES, gives the
-        residuals and the Neumann series of every column of the chunk at
-        once.  Each field equals, bitwise, its pointwise view: blocks[c] is
-        solve_column(eps, omega', E).blocks, residual[c] is column_residual
-        of that column, and neumann[c], order[c], final_increment[c],
-        converged[c] and diverged[c] are those of neumann_column(eps,
-        omega', E).
+        residuals and the Neumann series (`_neumann_series`) of every column
+        of the chunk at once.  Each field equals, bitwise, the same
+        arithmetic on its column alone: the level-basis solve of that one
+        column, the residual of blocks[c] and the series of its own system.
         """
         eps, E = _index(eps, "eps"), _energies(energies).reshape(-1)
         sd, d, B = self.spectral, self.dim, self.bohr
@@ -612,12 +570,14 @@ class TMatrix:
         A 1-D array of energies sums every energy at once: each entry of
         sums then stacks the energies' totals, an energy's total is frozen
         once its own term drops below tol, and converged is an array, so
-        sums[-1][i] and converged[i] are those of energy E[i] alone.  A sum
-        that overflows to a non-finite value before it is frozen raises
-        NumericError."""
-        pair, E = _series_pair(pair), _energies(E)
+        sums[-1][i] and converged[i] are those of energy E[i] alone.  tol
+        must be a finite number >= 0.  A sum that overflows to a non-finite
+        value before it is frozen raises NumericError."""
+        pair, E, tol = _series_pair(pair), _energies(E), _real(tol, "series tolerance tol")
         if _count(max_orders, "max_orders") < 1:
             raise ValidationError("max_orders must be >= 1")
+        if tol < 0:
+            raise ValidationError(f"series tolerance tol must be >= 0, got {tol!r}")
         total = np.zeros(E.shape + (self.dim, self.dim), dtype=complex)
         live = np.ones(E.shape, dtype=bool)
         sums = []

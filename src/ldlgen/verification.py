@@ -16,7 +16,7 @@ The identity suite (`run_identity_suite`) checks the level-basis solve,
 the closed-form series, the drift routes and the Lindblad form against
 independent oracles, each in a few array passes: the stacked-system
 columns are batched per eps over every (omega', E) probe
-(`TMatrix.column_pass`, bitwise the pointwise views), the series sums take
+(`TMatrix.column_pass`, bitwise one column's arithmetic), the series sums take
 the probe energies as one array, and the three-term reconstruction of
 Theta0 is one contraction over (node, entry, X) for all random X.
 """
@@ -250,20 +250,30 @@ def _limit_report(lambdas, values, target):
 
 
 def _lambdas(f, g, h, lambdas):
-    """At least one lambda, each finite and > 0, as a list of floats.  g
-    squares the distance from its center of the times t + lam^2 u, t over
-    f's extent and |u| up to `_u_extent(h)`, so the largest distance must
-    square to a finite float.  All is checked before any pairing."""
+    """At least one lambda, each finite and > 0 and strictly decreasing, as a
+    list of floats.  g squares the distance from its center of the times
+    t + lam^2 u, t over f's extent and |u| up to `_u_extent(h)`, so the
+    largest distance must square to a finite float.  The Fourier transform
+    of h multiplies h's extent by |u|, and its principal value spans twice
+    h's largest |extent|; both must be finite.  All is checked before any
+    pairing."""
     lambdas = [_real(l, "lambda") for l in lambdas]
     if not lambdas:
         raise ValidationError("need at least one lambda")
     if not min(lambdas) > 0:
         raise ValidationError(f"lambda must be > 0, got {min(lambdas)!r}")
+    if any(l2 >= l1 for l1, l2 in zip(lambdas, lambdas[1:])):
+        raise ValidationError("lambdas must be strictly decreasing")
     lam = max(lambdas)
     reach = max(abs(t - g.center) for t in f.extent()) + lam * lam * _u_extent(h)
     if not math.isfinite(reach * reach):
         raise ValidationError(f"lambda = {lam!r} and the f, g centers {f.center!r}, {g.center!r} "
                               f"put shifted times {reach!r} from g's center; its square overflows")
+    lim = max(abs(x) for x in h.extent())
+    if not (math.isfinite(lim * _u_extent(h)) and math.isfinite(2.0 * lim)):
+        raise ValidationError(f"h packet center {h.center!r}, sigma {h.sigma!r} puts the phases "
+                              f"of its Fourier transform or its principal-value span past the "
+                              f"float range")
     return lambdas
 
 
@@ -283,7 +293,11 @@ def check_delta_limit(f, g, h, omega_match, lambdas, mismatch=1.0):
     against 2 pi h(0) * integral f g (matching frequencies) or 0.  Needs
     lambdas and packets that `_lambdas` admits; at mismatched frequencies
     each lambda must also keep the t rule within MAX_OVERLAP_PANELS panels.
-    Everything is checked before any pairing."""
+    omega_match must be a bool and mismatch a finite number.  Everything is
+    checked before any pairing."""
+    if not isinstance(omega_match, bool):
+        raise ValidationError(f"omega_match must be True or False, got {omega_match!r}")
+    mismatch = _real(mismatch, "frequency mismatch")
     if omega_match:
         return _matched_reports(f, g, h, lambdas)[0]
     lambdas = _lambdas(f, g, h, lambdas)

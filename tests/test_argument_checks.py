@@ -70,6 +70,12 @@ BAD_CALLS = {
     "rect_profile": lambda s, tm, gen: DensityProfile.rect("a", 1, 1),
     "delta_limit_lambdas": lambda s, tm, gen: _limit(check_delta_limit, True, ["a"]),
     "causal_limit_lambdas": lambda s, tm, gen: _limit(check_causal_delta_limit, ["a"]),
+    # a bare TypeError, a misleading panel-count refusal, and "no" read as
+    # True, before mismatch went through _real and omega_match had to be a bool
+    "delta_limit_mismatch_str": lambda s, tm, gen: _limit(check_delta_limit, False, [0.4], "x"),
+    "delta_limit_mismatch_nan": lambda s, tm, gen: _limit(check_delta_limit, False, [0.4],
+                                                          float("nan")),
+    "delta_limit_omega_match_str": lambda s, tm, gen: _limit(check_delta_limit, "no", [0.4]),
     # packet inputs: at the parent sigma = 0 raised a bare ZeroDivisionError,
     # sigma < 0 reversed the extent and passed, center = inf warned twice and
     # coeffs = () gave an all-zero report
@@ -127,6 +133,12 @@ def test_malformed_argument_is_a_validation_error(nr_spec, nr_tm, nr_gen, name):
         BAD_CALLS[name](nr_spec, nr_tm, nr_gen)
 
 
+def test_nan_mismatch_is_refused_as_a_mismatch():
+    # refused before as needing more than MAX_OVERLAP_PANELS panels
+    with pytest.raises(ValidationError, match="frequency mismatch must be finite"):
+        _limit(check_delta_limit, False, [0.4], float("nan"))
+
+
 def test_float_counts_are_stored_as_int(nr_spec):
     grid = EnergyGrid(0.0, 1.0, 16.0)
     assert type(grid.points) is int and grid.nodes.size == 16
@@ -134,8 +146,8 @@ def test_float_counts_are_stored_as_int(nr_spec):
     spec = _spec(nr_spec, dim=2.0, neumann_max_order=64.0)
     assert type(spec.dim) is int and type(spec.neumann_max_order) is int
     tm = TMatrix(spec)
-    col = tm.neumann_column(0, 0.0, 0.5)
-    assert col.converged and col.blocks.shape == (3, 2, 2)
+    cols, c = tm.column_pass(0, [0.5]), tm.spectral.bohr_index(0.0)
+    assert cols.converged[c] and cols.neumann[c].shape == (3, 2, 2)
 
 
 def test_state_file_with_unknown_key_exits_1(tmp_path, capsys):

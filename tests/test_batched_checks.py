@@ -3,16 +3,16 @@
 `TMatrix.column_pass` solves every (omega', E) column of one eps at once,
 `appendix_partial_sums` and `t_components` take the probe energies as one
 array, and the three-term map reconstructs a stack of X in one contraction.
-Each is compared with the pointwise views it replaces in the suite: the
-column fields and series sums bit for bit (and the residual and Neumann
-views with one-column loops kept here), and the whole identity report
-against a per-column reference of `_identity_checks` kept here.
+Each is compared with one-column arithmetic: the column fields bit for bit
+with the direct solve, residual and Neumann loops kept here, the series
+sums with per-energy calls, and the whole identity report against a
+per-column reference of `_identity_checks` kept here.
 """
 
 import numpy as np
 import pytest
 
-from ldlgen import TMatrix, load_model
+from ldlgen import BlockColumn, TMatrix, load_model
 from ldlgen import verification
 from ldlgen.generator import (_diagonal_r, _structure_map, build_generator, choi_matrix, drift,
                               drift_from_t_operator)
@@ -56,6 +56,16 @@ def _probes(tm):
 def _same(a, b):
     a, b = np.asarray(a), np.asarray(b)
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _direct_column(tm, eps, omega_prime, E):
+    """Column of (1+T_eps)^{-1} at (omega', E) from the level-basis solve of
+    that one column."""
+    shifts = np.full((len(tm._level_columns), 1), omega_prime)
+    X = tm._level_inverses(eps, np.array([E]), shifts)[0, :, 0]
+    own = X[tm.spectral.level_index, :, np.arange(tm.dim)].T  # [k, m] = X[level(m), k, m]
+    return BlockColumn(epsilon=eps, omega_prime=omega_prime, energy=E,
+                       offsets=tm.bohr.copy(), blocks=tm.spectral.split(own))
 
 
 def _neumann_loop(tm, eps, omega_prime, E):
@@ -135,21 +145,16 @@ def test_column_pass_matches_per_column_views(tm):
         for wp in tm.bohr:
             for E in energies:
                 assert (cols.omega_prime[c], cols.energy[c]) == (wp, E)
-                direct = tm.solve_column(eps, float(wp), float(E))
+                direct = _direct_column(tm, eps, float(wp), float(E))
                 assert _same(cols.blocks[c], direct.blocks)
-                assert _same(cols.residual[c], tm.column_residual(direct))
                 assert _same(cols.residual[c], _residual_loop(tm, direct))
-                series = tm.neumann_column(eps, float(wp), float(E))
-                assert _same(cols.neumann[c], series.blocks)
                 loop = _neumann_loop(tm, eps, float(wp), float(E))
-                assert _same(series.blocks, tm._original(loop[0], tm.bohr.size))
-                for got, want in zip((series.order, series.final_increment, series.converged,
-                                      series.diverged), loop[1:]):
-                    assert type(got) is type(want) and got == want
-                assert int(cols.order[c]) == series.order
-                assert _same(cols.final_increment[c], series.final_increment)
-                assert bool(cols.converged[c]) is series.converged
-                assert bool(cols.diverged[c]) is series.diverged
+                assert _same(cols.neumann[c], tm._original(loop[0], tm.bohr.size))
+                order, final, converged, diverged = loop[1:]
+                assert int(cols.order[c]) == order
+                assert _same(cols.final_increment[c], final)
+                assert bool(cols.converged[c]) is converged
+                assert bool(cols.diverged[c]) is diverged
                 c += 1
 
 
@@ -179,7 +184,8 @@ def _three_term_per_x(tm, X):
 
 def _identity_checks_per_column(tm, rng):
     """`_identity_checks` one column, one energy and one X at a time, on the
-    pointwise views (the reference for the batched passes)."""
+    one-column loops and the pointwise views (the reference for the batched
+    passes)."""
     check = verification._check
     d, sd = tm.dim, tm.spectral
     energies = _probes(tm)
@@ -189,18 +195,19 @@ def _identity_checks_per_column(tm, rng):
     for eps in (0, 1):
         for wp in tm.bohr:
             for E in energies[::2]:
-                col = tm.solve_column(eps, float(wp), float(E))
-                res_solve = np.maximum(res_solve, tm.column_residual(col))
+                col = _direct_column(tm, eps, float(wp), float(E))
+                res_solve = np.maximum(res_solve, _residual_loop(tm, col))
                 parts = np.linalg.norm(sd.split_operator(col.blocks), axis=(-2, -1))
                 res_transfer = np.maximum(res_transfer,
                                           float((parts * wrong_transfer).sum(axis=1).max()))
-                ncol = tm.neumann_column(eps, float(wp), float(E))
-                if ncol.converged:
-                    diff = np.linalg.norm(col.blocks - ncol.blocks, axis=(-2, -1))
+                total, _, _, converged, _ = _neumann_loop(tm, eps, float(wp), float(E))
+                if converged:
+                    series = tm._original(total, tm.bohr.size)
+                    diff = np.linalg.norm(col.blocks - series, axis=(-2, -1))
                     ref = np.maximum(np.linalg.norm(col.blocks, axis=(-2, -1)), 1e-300)
                     res_neumann = np.maximum(res_neumann, float((diff / ref).max()))
         wide = tm.stacked_column(eps, 0.0, float(energies[0]), index_depth=2)
-        base = tm.solve_column(eps, 0.0, float(energies[0]))
+        base = _direct_column(tm, eps, 0.0, float(energies[0]))
         j = np.searchsorted(wide.offsets, base.offsets)
         res_stability = np.maximum(res_stability, float(
             np.linalg.norm(base.blocks - wide.blocks[j], axis=(-2, -1)).max()))

@@ -150,13 +150,15 @@ def test_r_blocks_match_stacked_oracle(hard_tm):
 def test_solve_column_matches_stacked_oracle(hard_tm):
     tm = hard_tm
     for eps in (0, 1):
+        cols = tm.column_pass(eps, [0.52])
         for omega_prime in (0.0, float(tm.bohr[0])):
-            col = tm.solve_column(eps, omega_prime, 0.52)
+            # one energy: column c of the pass is omega' = bohr[c]
+            c = tm.spectral.bohr_index(omega_prime)
             ref = tm.stacked_column(eps, omega_prime, 0.52)
-            assert np.array_equal(col.offsets, ref.offsets)
-            for got, want in zip(col.blocks, ref.blocks):
+            assert np.array_equal(tm.bohr, ref.offsets)
+            for got, want in zip(cols.blocks[c], ref.blocks):
                 assert np.linalg.norm(got - want) <= 1e-12
-            assert tm.column_residual(col) < 1e-12
+            assert cols.residual[c] < 1e-12
 
 
 def test_drift_identity_on_hard_spectra(hard_tm):

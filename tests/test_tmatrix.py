@@ -73,23 +73,24 @@ def test_kernel_off_lattice_difference_is_zero(nr_tm):
 
 def test_solve_zero_coupling_gives_identity_column():
     tm = _zero_model()
-    col = tm.solve_column(0, 0.0, 0.3)
-    for off, blk in zip(col.offsets, col.blocks):
+    # one energy: column c of the pass is omega' = bohr[c]
+    blocks = tm.column_pass(0, [0.3]).blocks[tm.spectral.bohr_index(0.0)]
+    for off, blk in zip(tm.bohr, blocks):
         expect = np.eye(2) if off == 0.0 else np.zeros((2, 2))
         assert np.abs(blk - expect).max() == 0.0
 
 
 def test_solve_residual_invariant(nr_tm):
     for eps in (0, 1):
-        for wp in (-1.0, 0.0, 1.0):
-            for E in (0.31, 2.47):
-                col = nr_tm.solve_column(eps, wp, E)
-                assert nr_tm.column_residual(col) < 1e-12
+        cols = nr_tm.column_pass(eps, [0.31, 2.47])
+        assert sorted(set(cols.omega_prime)) == [-1.0, 0.0, 1.0]
+        for residual in cols.residual:
+            assert residual < 1e-12
 
 
 def test_solve_block_transfer_invariant(nr_tm):
-    col = nr_tm.solve_column(1, 1.0, 0.52)
-    for off, blk in zip(col.offsets, col.blocks):
+    blocks = nr_tm.column_pass(1, [0.52]).blocks[nr_tm.spectral.bohr_index(1.0)]
+    for off, blk in zip(nr_tm.bohr, blocks):
         comps = block_transfer(blk, nr_tm.spectral)
         for w, comp in comps.items():
             if abs(w - off) > 1e-9:
@@ -98,18 +99,19 @@ def test_solve_block_transfer_invariant(nr_tm):
 
 def test_neumann_zero_coupling_converges_at_order_zero():
     tm = _zero_model()
-    col = tm.neumann_column(0, 0.0, 0.3)
-    assert col.converged and col.order == 0
-    assert np.abs(col.blocks[col.offsets == 0.0] - np.eye(2)).max() == 0.0
+    cols, c = tm.column_pass(0, [0.3]), tm.spectral.bohr_index(0.0)
+    assert cols.converged[c] and cols.order[c] == 0
+    assert np.abs(cols.neumann[c][tm.bohr == 0.0] - np.eye(2)).max() == 0.0
 
 
 def test_neumann_matches_direct_solve(nr_tm):
+    # the series stops below the model's own neumann_tolerance
+    assert nr_tm.spec.neumann_tolerance == 1e-12
     for eps in (0, 1):
-        for E in (0.2, 0.8, 2.3, 2.9):
-            direct = nr_tm.solve_column(eps, 0.0, E)
-            series = nr_tm.neumann_column(eps, 0.0, E, tol=1e-12)
-            assert series.converged and not series.diverged
-            for b1, b2 in zip(direct.blocks, series.blocks):
+        cols = nr_tm.column_pass(eps, [0.2, 0.8, 2.3, 2.9])
+        for c in np.flatnonzero(cols.omega_prime == 0.0):
+            assert cols.converged[c] and not cols.diverged[c]
+            for b1, b2 in zip(cols.blocks[c], cols.neumann[c]):
                 denom = max(np.linalg.norm(b1), 1e-300)
                 assert np.linalg.norm(b1 - b2) / denom < 1e-10
 
@@ -120,7 +122,7 @@ def test_solve_reports_condition_estimate(nr_tm):
     tm = TMatrix(model_from_dict(base_model_doc()))
     tm.condition_limit = 1.0          # any nontrivial system now trips the gate
     with pytest.raises(NumericError, match="condition estimate"):
-        tm.solve_column(0, 0.0, 0.5)
+        tm.column_pass(0, [0.5])
 
 
 # -- the condition gate of the level-basis solve ---------------------------------
@@ -237,8 +239,8 @@ def test_neumann_divergence_flagged():
         vec /= np.linalg.norm(vec)
     radius = float(np.linalg.norm(T @ vec))
     assert radius > 1.0
-    col = tm.neumann_column(0, 0.0, E)
-    assert col.diverged and not col.converged
+    cols, c = tm.column_pass(0, [E]), tm.spectral.bohr_index(0.0)
+    assert cols.diverged[c] and not cols.converged[c]
 
 
 def test_stacked_column_rejects_other_index_depths(nr_tm):
@@ -335,10 +337,10 @@ def test_r_blocks_sampling(nr_tm):
 
 def test_index_set_stability(nr_tm):
     for eps in (0, 1):
-        base = nr_tm.solve_column(eps, 0.0, 0.66)
+        base = nr_tm.column_pass(eps, [0.66]).blocks[nr_tm.spectral.bohr_index(0.0)]
         wide = nr_tm.stacked_column(eps, 0.0, 0.66, index_depth=2)
-        assert wide.offsets.size > base.offsets.size
-        for off, blk in zip(base.offsets, base.blocks):
+        assert wide.offsets.size > nr_tm.bohr.size
+        for off, blk in zip(nr_tm.bohr, base):
             j = int(np.argmin(np.abs(wide.offsets - off)))
             assert np.linalg.norm(blk - wide.blocks[j]) < 1e-12
 
@@ -397,22 +399,25 @@ BAD_CALLS = {
     "partial_sums_pair": lambda tm: tm.appendix_partial_sums("2", 0.5),
     "appendix_int_pair": lambda tm: tm.appendix_term(11, 1, 0.5),
     "partial_sums_int_pair": lambda tm: tm.appendix_partial_sums(10, 0.5),
+    # a bare UFuncTypeError, or every order run and converged False, before
+    # tol went through _real
+    "partial_sums_str_tol": lambda tm: tm.appendix_partial_sums("00", 0.5, tol="x"),
+    "partial_sums_nan_tol": lambda tm: tm.appendix_partial_sums("00", 0.5, tol=NAN),
+    "partial_sums_negative_tol": lambda tm: tm.appendix_partial_sums("00", 0.5, tol=-1.0),
+    # silently depth 1 before index_depth went through _count
+    "stacked_column_bool_depth": lambda tm: tm.stacked_column(0, 0.0, 0.5, index_depth=True),
     "t_kernel_bool_eps": lambda tm: tm.t_kernel(True, 0.0, 0.0, 0.5),
-    "solve_column_eps": lambda tm: tm.solve_column(2, 0.0, 0.5),
     "stacked_column_nan_omega": lambda tm: tm.stacked_column(0, NAN, 0.5),
     "r_blocks_nan_omega": lambda tm: tm.r_blocks(0.5, NAN),
     "r_coefficient_nan_omega": lambda tm: tm.r_coefficient(0, 0, NAN, 0.0, 0.5),
     "theta_map_nan_omega": lambda tm: theta_map(tm, np.eye(2), 0, 0, NAN, 0.0, 0.5),
     "nan_r_blocks": lambda tm: tm.r_blocks([0.5, NAN]),
-    "nan_solve_column": lambda tm: tm.solve_column(0, 0.0, NAN),
     "nan_r_coefficient": lambda tm: tm.r_coefficient(0, 0, 0.0, 0.0, NAN),
     "nan_t_components": lambda tm: tm.t_components(NAN),
     "nan_theta_map": lambda tm: theta_map(tm, np.eye(2), 0, 0, 0.0, 0.0, NAN),
     "nan_stacked_column": lambda tm: tm.stacked_column(0, 0.0, NAN),
     "nan_t_kernel": lambda tm: tm.t_kernel(0, 0.0, 0.0, NAN),
     "nan_appendix_term": lambda tm: tm.appendix_term("01", 1, NAN),
-    "nan_neumann_column": lambda tm: tm.neumann_column(0, 0.0, NAN),
-    "nan_neumann_column_omega": lambda tm: tm.neumann_column(0, NAN, 0.5),
     "column_pass_eps": lambda tm: tm.column_pass(2, [0.5]),
     "nan_column_pass": lambda tm: tm.column_pass(0, [0.5, NAN]),
     "nan_partial_sums_array": lambda tm: tm.appendix_partial_sums("00", [0.5, NAN]),
@@ -434,8 +439,8 @@ def test_scattering_views_reject_bad_input(nr_tm, name):
 
 def test_float_labels_match_integer_labels(nr_tm):
     assert np.array_equal(nr_tm.t_kernel(1.0, 1.0, 0.0, 0.5), nr_tm.t_kernel(1, 1.0, 0.0, 0.5))
-    assert np.array_equal(nr_tm.solve_column(1.0, 0.0, 0.5).blocks,
-                          nr_tm.solve_column(1, 0.0, 0.5).blocks)
+    assert np.array_equal(nr_tm.column_pass(1.0, [0.5]).blocks,
+                          nr_tm.column_pass(1, [0.5]).blocks)
     assert np.array_equal(nr_tm.r_coefficient(1.0, 0.0, 0.0, 0.0, 0.5),
                           nr_tm.r_coefficient(1, 0, 0.0, 0.0, 0.5))
 

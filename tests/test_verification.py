@@ -155,23 +155,57 @@ def test_packet_is_zero_where_the_squared_distance_overflows(packet):
     assert got.tolist() == [0.0, 0.0]
 
 
+def _overlap_spy(monkeypatch):
+    """A spy on `_overlap_vector`: the list of its calls."""
+    calls = []
+    overlap = verification._overlap_vector
+
+    def counted(*args):
+        calls.append(args)
+        return overlap(*args)
+
+    monkeypatch.setattr(verification, "_overlap_vector", counted)
+    return calls
+
+
 @pytest.mark.parametrize("call", [
     lambda f, g, h: check_delta_limit(GaussianPacket(sigma=9e153), g, h, True, [0.4]),
     lambda f, g, h: check_delta_limit(f, g, GaussianPacket(sigma=9e153), True, [0.4]),
     lambda f, g, h: check_delta_limit(GaussianPacket(center=1.7e308), GaussianPacket(-1.7e308),
                                       h, True, [0.4]),
     lambda f, g, h: check_delta_limit(GaussianPacket(center=-1e200), g, h, False, [0.4]),
-    lambda f, g, h: check_causal_delta_limit(f, GaussianPacket(center=1e155), h, [0.4])],
+    lambda f, g, h: check_causal_delta_limit(f, GaussianPacket(center=1e155), h, [0.4]),
+    lambda f, g, h: check_delta_limit(f, g, GaussianPacket(center=1e308), True, [0.4]),
+    lambda f, g, h: check_delta_limit(f, g, GaussianPacket(center=1e300, sigma=1e-10), True,
+                                      [0.4]),
+    lambda f, g, h: check_causal_delta_limit(f, g, GaussianPacket(center=1e308), [0.4]),
+    lambda f, g, h: check_delta_limit(f, g, GaussianPacket(center=9e307, sigma=1e10), True,
+                                      [0.4])],
     ids=["sigma_as_f", "sigma_as_h", "centers_overflow", "mismatched_centers",
-         "causal_centers"])
-def test_limit_checks_refuse_packets_whose_distances_overflow(call):
-    # a 10 sigma extent, or the distance of a shifted time from g's center,
-    # whose square is past the float range: a ValidationError before any
-    # pairing, not an overflow warning (both sigma cases used to warn)
+         "causal_centers", "h_fourier_phase", "h_fourier_phase_narrow",
+         "causal_h_fourier_phase", "h_pv_span"])
+def test_limit_checks_refuse_packets_whose_distances_overflow(monkeypatch, call):
+    # a 10 sigma extent, the distance of a shifted time from g's center, or
+    # h's extent times its u grid or twice over (the principal value's grid)
+    # past the float range: a ValidationError before any pairing, not an
+    # overflow warning (both sigma cases and the four h cases used to warn,
+    # the h cases once the pairings were computed)
+    calls = _overlap_spy(monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValidationError, match="packet sigma|g's center"):
+        with pytest.raises(ValidationError, match="packet sigma|g's center|h packet center"):
             call(*default_test_functions())
+    assert calls == []
+
+
+@pytest.mark.parametrize("omega_match", [True, False])
+def test_limit_checks_refuse_increasing_lambdas_before_any_pairing(monkeypatch, omega_match):
+    # three overlap vectors were computed before LimitCheckReport refused them
+    calls = _overlap_spy(monkeypatch)
+    f, g, h = default_test_functions()
+    with pytest.raises(ValidationError, match="strictly decreasing"):
+        check_delta_limit(f, g, h, omega_match, [0.1, 0.2, 0.4])
+    assert calls == []
 
 
 @pytest.mark.parametrize("n", [8, 320])

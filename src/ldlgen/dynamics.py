@@ -36,13 +36,13 @@ and LeVeque (Am. Stat. 37, 242 (1983)).
 
 RNG streams derive from (seed, trajectory index): trajectory i draws from
 Generator(PCG64(SeedSequence(entropy=seed, spawn_key=(i,)))).  The first
-draw of a whole chunk is computed at once by `_first_uniforms` (the
-SeedSequence hash, PCG64 seeding and one output, as uint64 array
-arithmetic);
-the Generator itself is built only when a trajectory first jumps, and its
-own first draw must equal the vectorised one.  The ensemble runs serially
-(threads gained nothing: the work holds the GIL), so results are bitwise
-reproducible.
+draws of a block of _DRAW_CHUNKS chunks are computed at once by
+`_first_uniforms`: the SeedSequence hash on uint32 arrays, the 128-bit
+PCG64 seeding and one output on (hi, lo) uint64 halves; each chunk gets
+its slice.  The Generator is built only when a trajectory first jumps,
+and its own first draw must equal the vectorised one.  The ensemble runs
+serially (threads gained nothing: the work holds the GIL), so results are
+bitwise reproducible.
 
 Trajectories are stored as (steps + 1, d, d) arrays; (steps + 1) * d^2 may
 not exceed MAX_STORED_ENTRIES, so a step count that would exhaust memory
@@ -58,6 +58,9 @@ from .errors import NumericError, ValidationError, _array, _count, _real
 from .generator import dual_generator_matrix
 
 _CHUNK = 1024
+# first draws are made for this many chunks at once: each uint64 temporary
+# of `_first_uniforms` is then 32 KiB, which stays in cache
+_DRAW_CHUNKS = 4
 _BISECTION_ITERS = 48
 # evolve_master checks the trace drift once per block of this many steps
 _DRIFT_BLOCK = 256
@@ -76,7 +79,7 @@ _HASH_INIT_A, _HASH_MULT_A = 0x43B0D7E5, 0x931E8875
 _HASH_INIT_B, _HASH_MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_PCG_MULT_LIMBS = tuple(_PCG_MULT >> (32 * j) & _MASK32 for j in range(4))
+_PCG_MULT_HI, _PCG_MULT_LO = _PCG_MULT >> 64, _PCG_MULT & (1 << 64) - 1
 
 
 @dataclass
@@ -248,30 +251,44 @@ def _horner(coeffs, x):
     return acc
 
 
-def _carry128(cols):
-    """Limbs of sum_k cols[k] 2^(32 k) mod 2^128, low limb first; every
-    column must stay below 2^64 - 2^32."""
-    out, carry = [], 0
-    for col in cols:
-        total = col + carry
-        out.append(total & _MASK32)
-        carry = total >> 32
-    return out
+def _hasher(const, mult):
+    """numpy SeedSequence's hashmix on the multiplier chain from `const`:
+    successive calls are successive rounds.  Values are Python ints below
+    2^32 or uint32 arrays, whose products wrap by themselves."""
+    def hashmix(value):
+        nonlocal const
+        value = value ^ const
+        const = const * mult & _MASK32
+        value = value * const & _MASK32
+        return value ^ (value >> 16)
+    return hashmix
 
 
-def _mul_add128(x, y):
-    """x * _PCG_MULT + y mod 2^128 on 32-bit limbs, low limb first.  Only
-    the 10 limb products x_i m_j with i + j < 4 reach below 2^128; each is
-    below 2^64 and is split into its low and high 32 bits, which are summed
-    by column before the carries are propagated."""
-    cols = list(y)
-    for i in range(4):
-        for j in range(4 - i):
-            prod = x[i] * _PCG_MULT_LIMBS[j]
-            cols[i + j] = cols[i + j] + (prod & _MASK32)
-            if i + j < 3:
-                cols[i + j + 1] = cols[i + j + 1] + (prod >> 32)
-    return _carry128(cols)
+def _mix(x, y):
+    """SeedSequence's mix; a Python-int x is masked before a uint32-array y
+    meets it, so the difference stays uint32."""
+    out = ((_MIX_MULT_L * x & _MASK32) - _MIX_MULT_R * y) & _MASK32
+    return out ^ (out >> 16)
+
+
+def _add128(hi, lo, add_hi, add_lo):
+    """(hi:lo) + (add_hi:add_lo) mod 2^128 on uint64 halves."""
+    lo = lo + add_lo
+    return hi + add_hi + (lo < add_lo), lo
+
+
+def _pcg_step(hi, lo, inc_hi, inc_lo):
+    """One LCG step (hi:lo) * _PCG_MULT + (inc_hi:inc_lo) mod 2^128 on
+    uint64 halves.  Wrapping 64-bit products give every term but the high
+    half of lo * _PCG_MULT_LO, which is summed from four 32-bit limb
+    products, each below 2^64."""
+    lo0, lo1 = lo & _MASK32, lo >> 32
+    m0, m1 = _PCG_MULT_LO & _MASK32, _PCG_MULT_LO >> 32
+    p01, p10 = lo0 * m1, lo1 * m0
+    mid = (lo0 * m0 >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
+    carry = lo1 * m1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+    return _add128(hi * _PCG_MULT_LO + lo * _PCG_MULT_HI + carry, lo * _PCG_MULT_LO,
+                   inc_hi, inc_lo)
 
 
 def _first_uniforms(seed, start, stop):
@@ -284,48 +301,30 @@ def _first_uniforms(seed, start, stop):
     step; uniform() is that output's top 53 bits times 2^-53.  Only the
     spawn-key word, the last entropy word, differs between trajectories,
     so the seed's words are hashed once on Python integers; the index
-    word's four hashmix/mix rounds and the expansion run on uint64 arrays
-    masked to 32 bits.  The LCG holds its state and increment as four
-    32-bit limbs, low limb first, in uint64 arrays (`_mul_add128`)."""
-    const = _HASH_INIT_A
-
-    def hashmix(value):
-        nonlocal const
-        value = value ^ const
-        const = const * _HASH_MULT_A & _MASK32
-        value = value * const & _MASK32
-        return value ^ (value >> 16)
-
-    def mix(x, y):
-        out = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
-        return out ^ (out >> 16)
-
+    word's four hashmix/mix rounds and the expansion run on uint32 arrays,
+    and the LCG on (hi, lo) uint64 halves (`_pcg_step`)."""
+    hashmix = _hasher(_HASH_INIT_A, _HASH_MULT_A)
     words = [seed >> (32 * j) & _MASK32 for j in range(max(4, -(-seed.bit_length() // 32)))]
     pool = [hashmix(w) for w in words[:4]]
     for src in range(4):
         for dst in range(4):
             if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
     for w in words[4:]:
         for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(w))
-    index = np.arange(start, stop, dtype=np.uint64)
-    pool = [mix(p, hashmix(index)) for p in pool]
-    const, s = _HASH_INIT_B, []
-    for i in range(8):
-        value = pool[i % 4] ^ const
-        const = const * _HASH_MULT_B & _MASK32
-        value = value * const & _MASK32
-        s.append(value ^ (value >> 16))
-    # the 8 words s are little-endian pairs (seed_hi, seed_lo, inc_hi,
+            pool[dst] = _mix(pool[dst], hashmix(w))
+    index = np.arange(start, stop, dtype=np.uint32)
+    pool = [_mix(p, hashmix(index)) for p in pool]
+    expand = _hasher(_HASH_INIT_B, _HASH_MULT_B)
+    s = [expand(pool[i % 4]).astype(np.uint64) for i in range(8)]
+    # the 8 words are little-endian pairs (seed_hi, seed_lo, inc_hi,
     # inc_lo); inc = (inc_hi:inc_lo << 1) | 1
-    inc = [(s[6] << 1 | 1) & _MASK32, (s[7] << 1 | s[6] >> 31) & _MASK32,
-           (s[4] << 1 | s[7] >> 31) & _MASK32, (s[5] << 1 | s[4] >> 31) & _MASK32]
-    lcg = _carry128([a + b for a, b in zip(inc, [s[2], s[3], s[0], s[1]])])
-    lcg = _mul_add128(_mul_add128(lcg, inc), inc)
-    # XSL-RR: rotate hi64 ^ lo64 right by the state's top 6 bits
-    rot = lcg[3] >> 26
-    folded = (lcg[0] ^ lcg[2]) | (lcg[1] ^ lcg[3]) << 32
+    seed_hi, seed_lo, inc_hi, inc_lo = (s[2 * j] | s[2 * j + 1] << 32 for j in range(4))
+    inc = (inc_hi << 1 | inc_lo >> 63, inc_lo << 1 | 1)
+    hi, lo = _pcg_step(*_pcg_step(*_add128(*inc, seed_hi, seed_lo), *inc), *inc)
+    # XSL-RR: rotate hi ^ lo right by the state's top 6 bits
+    rot = hi >> 58
+    folded = hi ^ lo
     raw = (folded >> rot) | (folded << ((64 - rot) & 63))
     return (raw >> 11).astype(float) * 2.0 ** -53
 
@@ -376,15 +375,14 @@ def _no_jump_cohort(psi0, step, n_steps):
     return c, floor, normed[:, :, None] * normed[:, None, :].conj()
 
 
-def _run_chunk(start, stop, seed, cohort, step, heff, weights, ops, dt):
-    """Trajectories [start, stop): the chunk mean of the normalized
-    |psi><psi| at every step and M2, the sum of |x - mean|^2 over the
-    chunk, both (n_steps + 1, d, d), with the jumps fired and the
-    crossings no channel could fire."""
+def _run_chunk(start, u, seed, cohort, step, heff, weights, ops, dt):
+    """Trajectories start, start + 1, ... with first draws u: the chunk
+    mean of the normalized |psi><psi| at every step and M2, the sum of
+    |x - mean|^2 over the chunk, both (n_steps + 1, d, d), with the jumps
+    fired and the crossings no channel could fire."""
     c, floor, proj = cohort
     n_steps, d = c.shape[0] - 1, c.shape[1]
-    n = stop - start
-    u = _first_uniforms(seed, start, stop)
+    n = u.size
     # each trajectory's first jump step: the first k >= 1 with ||c_k||^2 < u
     # (n_steps + 1 if none), which is where the running minimum falls below u
     first = np.searchsorted(-floor, -u, side="right") + 1
@@ -450,15 +448,17 @@ def unravel_jump(gen, psi0, t_max, dt, trajectories, seed, threads=1):
                               f"has norm {step_norm:.6g} > 1; use a smaller dt")
     cohort = _no_jump_cohort(psi0, step, n_steps)
 
-    d = gen.dim
     mean = m2 = None
     counts = np.zeros(2, dtype=int)
-    for start in range(0, trajectories, _CHUNK):
-        stop = min(start + _CHUNK, trajectories)
-        c_mean, c_m2, c_counts = _run_chunk(start, stop, seed, cohort, step, gen.heff,
-                                            gen.weights, gen.ops, dt)
-        counts += c_counts
-        mean, m2 = _merge(mean, m2, start, c_mean, c_m2, stop - start)
+    block = _DRAW_CHUNKS * _CHUNK
+    for lo in range(0, trajectories, block):
+        u = _first_uniforms(seed, lo, min(lo + block, trajectories))
+        for start in range(lo, lo + u.size, _CHUNK):
+            stop = min(start + _CHUNK, trajectories)
+            c_mean, c_m2, c_counts = _run_chunk(start, u[start - lo:stop - lo], seed, cohort,
+                                                step, gen.heff, gen.weights, gen.ops, dt)
+            counts += c_counts
+            mean, m2 = _merge(mean, m2, start, c_mean, c_m2, stop - start)
     m = float(trajectories)
     # a single trajectory has M2 = 0 and so a zero standard error
     stderr = np.sqrt(m2 / (m * max(m - 1.0, 1.0)))

@@ -428,6 +428,7 @@ class TMatrix:
         """Column of (1+T_eps)^{-1} by dense solve of the stacked system on
         I(omega') (index_depth=1) or on the depth-2 index set (see `_offsets`);
         any other depth raises ValidationError."""
+        eps = _index(eps, "eps")
         omega_prime, E = _real(omega_prime, "omega'"), _real(E, "energy E")
         offsets = self._offsets(index_depth)
         A = np.eye(len(offsets) * self.dim, dtype=complex) + self._stacked_t(eps, omega_prime, E, offsets)

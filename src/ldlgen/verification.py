@@ -293,11 +293,14 @@ def check_delta_limit(f, g, h, omega_match, lambdas, mismatch=1.0):
     against 2 pi h(0) * integral f g (matching frequencies) or 0.  Needs
     lambdas and packets that `_lambdas` admits; at mismatched frequencies
     each lambda must also keep the t rule within MAX_OVERLAP_PANELS panels.
-    omega_match must be a bool and mismatch a finite number.  Everything is
-    checked before any pairing."""
+    omega_match must be a bool and mismatch a finite number, nonzero when
+    omega_match is False.  Everything is checked before any pairing."""
     if not isinstance(omega_match, bool):
         raise ValidationError(f"omega_match must be True or False, got {omega_match!r}")
     mismatch = _real(mismatch, "frequency mismatch")
+    if not omega_match and mismatch == 0.0:
+        raise ValidationError("a zero frequency mismatch is a matching pair, whose limit "
+                              "is not 0: pass omega_match=True")
     if omega_match:
         return _matched_reports(f, g, h, lambdas)[0]
     lambdas = _lambdas(f, g, h, lambdas)

@@ -76,6 +76,9 @@ BAD_CALLS = {
     "delta_limit_mismatch_nan": lambda s, tm, gen: _limit(check_delta_limit, False, [0.4],
                                                           float("nan")),
     "delta_limit_omega_match_str": lambda s, tm, gen: _limit(check_delta_limit, "no", [0.4]),
+    # a zero mismatch compared the matched pairing against 0 at the parent
+    "delta_limit_mismatch_zero": lambda s, tm, gen: _limit(check_delta_limit, False,
+                                                           [0.4, 0.2], 0.0),
     # packet inputs: at the parent sigma = 0 raised a bare ZeroDivisionError,
     # sigma < 0 reversed the extent and passed, center = inf warned twice and
     # coeffs = () gave an all-zero report
@@ -148,6 +151,13 @@ def test_float_counts_are_stored_as_int(nr_spec):
     tm = TMatrix(spec)
     cols, c = tm.column_pass(0, [0.5]), tm.spectral.bohr_index(0.0)
     assert cols.converged[c] and cols.neumann[c].shape == (3, 2, 2)
+
+
+def test_stacked_column_reads_eps_as_a_label(nr_tm):
+    col = nr_tm.stacked_column(1.0, 0.0, 0.5)
+    assert type(col.epsilon) is int and col.epsilon == 1
+    with pytest.raises(ValidationError, match="eps must be 0 or 1"):
+        nr_tm.stacked_column(2, 0.0, 0.5)
 
 
 def test_state_file_with_unknown_key_exits_1(tmp_path, capsys):

@@ -388,10 +388,11 @@ def test_chunk_merge_matches_direct_moments(monkeypatch):
 
 @pytest.mark.parametrize("seed", [0, 1, 2024, 2 ** 32 + 5, 2 ** 70 + 3])
 def test_first_uniforms_match_numpy_streams(seed):
-    # ranges across the first chunk boundary and up to the last index a
-    # 32-bit spawn-key word holds
+    # ranges across the first chunk boundary, across draw blocks of four
+    # chunks and up to the last index a 32-bit spawn-key word holds
     top = MAX_TRAJECTORIES
-    for start, stop in ((0, 3), (_CHUNK - 5, 2 * _CHUNK + 5), (top - 4, top)):
+    for start, stop in ((0, 3), (_CHUNK - 5, 2 * _CHUNK + 5), (4 * _CHUNK - 5, 8 * _CHUNK + 5),
+                        (top - 4, top)):
         want = [np.random.Generator(np.random.PCG64(np.random.SeedSequence(
             entropy=seed, spawn_key=(i,)))).uniform() for i in range(start, stop)]
         got = _first_uniforms(seed, start, stop)
@@ -405,7 +406,7 @@ def test_first_uniforms_match_numpy_streams(seed):
 def test_first_uniforms_match_object_array_oracle(seed):
     top = MAX_TRAJECTORIES
     for start, stop in ((0, 3), (1019, 2053), (_CHUNK - 5, 2 * _CHUNK + 5), (0, 20000),
-                        (top - 4, top), (7, 7)):
+                        (4 * _CHUNK - 5, 8 * _CHUNK + 5), (top - 4, top), (7, 7)):
         want = _object_first_uniforms(seed, start, stop)
         got = _first_uniforms(seed, start, stop)
         assert got.dtype == want.dtype == float and np.array_equal(got, want)
@@ -420,13 +421,20 @@ def test_first_uniforms_match_numpy_generators(seed, start, size):
     assert got.dtype == float and np.array_equal(got, _numpy_first_uniforms(seed, start, stop))
 
 
-@pytest.mark.parametrize("case", ["tm_nr", "strong"])
+@pytest.mark.parametrize("case", ["tm_nr", "strong", "strong_two_blocks"])
 def test_unravel_bytes_match_object_array_draws(monkeypatch, nr_gen, case):
     if case == "tm_nr":
         gen, t_max, dt, trajectories, seed = nr_gen.compressed(), 20.0, 0.05, 20000, 2024
-    else:
+    elif case == "strong":
         gen, t_max, dt, trajectories, seed = _strong_gen(), 2.0, 0.01, 4000, 123
+    else:
+        # past the first draw block of four chunks
+        gen, t_max, dt, trajectories, seed = _strong_gen(), 0.5, 0.01, 4 * _CHUNK + 37, 123
     psi0 = np.array([1.0, 1.0]) / np.sqrt(2.0)
+    jumped, exact_rng = [], dynamics._trajectory_rng
+    monkeypatch.setattr(dynamics, "_trajectory_rng",
+                        lambda seed, index, first: jumped.append(index) or
+                        exact_rng(seed, index, first))
     new = unravel_jump(gen, psi0, t_max, dt, trajectories, seed)
     monkeypatch.setattr(dynamics, "_first_uniforms", _object_first_uniforms)
     old = unravel_jump(gen, psi0, t_max, dt, trajectories, seed)
@@ -434,6 +442,8 @@ def test_unravel_bytes_match_object_array_draws(monkeypatch, nr_gen, case):
     assert new.stderr.tobytes() == old.stderr.tobytes()
     assert (new.jumps, new.no_channel) == (old.jumps, old.no_channel)
     assert new.jumps > 0
+    if case == "strong_two_blocks":
+        assert min(jumped) < 4 * _CHUNK <= max(jumped)
 
 
 def test_first_draw_mismatch_raises(monkeypatch):

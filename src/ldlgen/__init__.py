@@ -5,9 +5,8 @@ from .bath import (BathSpec, DensityProfile, EnergyGrid, GammaTable,
 from .dynamics import (DensityTrajectory, JumpEnsemble, evolve_master,
                        unravel_jump, vacuum_decay)
 from .errors import NumericError, ValidationError
-from .generator import (GKSLGenerator, apply_generator, build_generator,
-                        choi_matrix, drift, drift_from_t_operator,
-                        dual_generator_matrix, theta_map)
+from .generator import (GKSLGenerator, build_generator, drift,
+                        drift_from_t_operator, dual_generator_matrix, theta_map)
 from .model import (ModelSpec, SpectralData, block_transfer, load_model,
                     model_from_dict, spectral_decompose)
 from .tmatrix import (BlockColumn, TMatrix, dyson_oracle,
@@ -24,8 +23,8 @@ __all__ = [
     "DensityTrajectory", "JumpEnsemble", "evolve_master", "unravel_jump",
     "vacuum_decay",
     "NumericError", "ValidationError",
-    "GKSLGenerator", "apply_generator", "build_generator", "choi_matrix",
-    "drift", "drift_from_t_operator", "dual_generator_matrix", "theta_map",
+    "GKSLGenerator", "build_generator", "drift", "drift_from_t_operator",
+    "dual_generator_matrix", "theta_map",
     "ModelSpec", "SpectralData", "block_transfer", "load_model",
     "model_from_dict", "spectral_decompose",
     "BlockColumn", "TMatrix", "dyson_oracle", "dyson_reference",

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericError, ValidationError, _count, _fields, _real
+from .errors import NumericError, ValidationError, _array, _count, _fields, _index, _real
 
 
 # the parameters of each profile kind, in the order its constructor takes them
@@ -105,12 +105,6 @@ class DensityProfile:
     def support(self):
         return (self.a, self.b)
 
-    def breakpoints(self):
-        """Interior points where rho is not smooth (table knots)."""
-        if self.kind == "table":
-            return [e for e in self.energies[1:-1]]
-        return []
-
     def __call__(self, E):
         E = np.asarray(E, dtype=float)
         inside = (E >= self.a) & (E <= self.b)
@@ -126,9 +120,9 @@ class DensityProfile:
             return float(out)
         return out
 
-    def norm_squared(self, n_nodes=400):
-        """Integral of rho over its support (the squared form-factor norm)."""
-        x, w = gauss_legendre_nodes(self.a, self.b, n_nodes)
+    def norm_squared(self):
+        """Squared form-factor norm: the integral of rho, by 400-node Gauss-Legendre."""
+        x, w = gauss_legendre_nodes(self.a, self.b, 400)
         return float(np.dot(w, self(x)))
 
     def to_json(self):
@@ -260,11 +254,7 @@ class BathSpec:
     grid: EnergyGrid
 
     def density(self, eps):
-        if eps == 0:
-            return self.rho0
-        if eps == 1:
-            return self.rho1
-        raise ValidationError("density index must be 0 or 1")
+        return (self.rho0, self.rho1)[_index(eps, "eps")]
 
     def support_nodes(self, eps):
         """Grid nodes and trapezoid weights where rho_eps is nonzero, with
@@ -303,6 +293,7 @@ def validate_bath(bath, bohr, beta):
     report.
     """
     beta = _real(beta, "beta")
+    bohr = _array(bohr, (np.size(bohr),), "bohr", dtype=float)
     gap = bath.support_gap
     if gap <= 0:
         raise ValidationError(
@@ -404,7 +395,8 @@ class GammaTable:
 
     ``gamma(eps, E)`` takes a scalar or an array of energies and returns a
     complex scalar or an array of the same shape.  Evaluation is exact
-    and vectorised, so nothing is cached.
+    and vectorised, so nothing is cached.  An energy that is not a finite
+    real number is a ValidationError.
     """
 
     def __init__(self, bath):
@@ -412,7 +404,10 @@ class GammaTable:
 
     def gamma(self, eps, E):
         prof = self.bath.density(eps)
-        E = np.asarray(E, dtype=float)
+        try:
+            E = np.asarray(E, dtype=float)
+        except (TypeError, ValueError):
+            raise ValidationError(f"gamma needs real energies, got {E!r}") from None
         out = np.empty(E.shape, dtype=complex)
         out.real = math.pi * prof(E)
         out.imag = _pv_integral(prof, E)
@@ -426,6 +421,14 @@ def _xlogx(x):
     return np.where(nonzero, x * np.log(np.where(nonzero, ax, 1.0)), 0.0)
 
 
+def _finite_energies(E):
+    """ValidationError naming the first entry of the energy array E that is
+    not finite, if one is."""
+    bad = ~np.isfinite(E)
+    if bad.any():
+        raise ValidationError(f"gamma needs finite energies, got E = {E[bad][0]:g}")
+
+
 def _pv_integral(prof, E):
     """PV integral of rho(E') / (E - E') dE' in closed form, for an array E.
 
@@ -436,12 +439,15 @@ def _pv_integral(prof, E):
            polynomial part is the total change of rho, which vanishes.
     The bump and table forms overflow far from the support (|E| near
     1e300); a value that is not finite there is a NumericError naming E.
+    A NaN or infinite E makes the value non-finite in every form, so it is
+    told apart from an overflow only in these branches: a ValidationError.
     """
     a, b = prof.a, prof.b
     if prof.kind == "rect":
         with np.errstate(divide="ignore", invalid="ignore"):
             val = prof.height * np.log(np.abs((E - a) / (E - b)))
         if not np.all(np.isfinite(val)):
+            _finite_energies(E)
             raise NumericError(
                 "gamma evaluated exactly at a rect support edge where the density "
                 "jumps; the imaginary part diverges logarithmically there -- "
@@ -459,6 +465,7 @@ def _pv_integral(prof, E):
             val = (_xlogx(E[..., None] - knots) * kinks).sum(axis=-1)
     bad = ~np.isfinite(val)
     if bad.any():
+        _finite_energies(E)
         raise NumericError(
             f"gamma overflows at E = {E[bad][0]:g}: the closed-form principal value of "
             f"the {prof.kind} density on [{a:g}, {b:g}] is not finite there")

@@ -25,7 +25,7 @@ import sys
 
 import numpy as np
 
-from .bath import validate_bath
+from .bath import GammaTable, validate_bath
 from .dynamics import (MAX_STORED_ENTRIES, _step_count, _validate_density,
                        _validate_pure_state, evolve_master, trajectory_csv_lines,
                        unravel_jump)
@@ -161,15 +161,7 @@ def _dumps(payload):
 def _emit_json(payload, path):
     """Strict JSON, as `model.read_json` reads it: the text is `_dumps`'s
     own (plus a final newline in a file).  A NaN or infinity in the
-    payload is a numeric failure, and nothing is written.
-
-    A generator document is written by `_emit_generator` to the same text
-    without building the payload: its Kraus family is laid out from a float
-    table by `_kraus_chunks` and written in pieces of at most
-    `_KRAUS_CHUNK_FLOATS` floats (or one entry), so beyond the generator
-    itself the write holds one piece's table, object array and text (about
-    3 MB), never the text of the whole family.
-    """
+    payload is a numeric failure, and nothing is written."""
     text = _dumps(payload)
     if path is None:
         print(text)
@@ -181,8 +173,11 @@ def _emit_json(payload, path):
 def _emit_generator(gen, path):
     """`_emit_json(gen.to_json(), path)`, byte for byte, without building
     the Kraus list: every other key is `_dumps`'s text and the family,
-    whose key sorts last, is laid out by `_kraus_chunks`.  Every value is
-    checked finite before the file is opened."""
+    whose key sorts last, is laid out by `_kraus_chunks` in pieces of at
+    most `_KRAUS_CHUNK_FLOATS` floats (or one entry), so beyond the generator
+    itself the write holds one piece's table, object array and text (about
+    3 MB), never the text of the whole family.  Every value is checked
+    finite before the file is opened."""
     head = _dumps(gen._json_head())
     if not (np.isfinite(gen.weights).all() and np.isfinite(gen.ops).all()):
         raise NumericError(_NON_FINITE)
@@ -254,7 +249,7 @@ def _cmd_validate(args):
             "dim": spec.dim,
             "beta": spec.beta,
             "levels": sd.energies.tolist(),
-            "bohr_set": sd.bohr_set,
+            "bohr_set": sd.bohr.tolist(),
             "is_rwa": sd.is_rwa,
             "rwa_frequency": sd.rwa_frequency,
         },
@@ -268,10 +263,9 @@ def _cmd_gamma(args):
     if args.points > MAX_STORED_ENTRIES:               # before any allocation
         raise ValidationError(f"--points {args.points} exceeds the cap of "
                               f"{MAX_STORED_ENTRIES} energies")
-    spec = load_model(args.model)
-    tm = TMatrix(spec)
+    bath = load_model(args.model).bath
     energies = np.linspace(args.emin, args.emax, args.points)
-    values = tm.gamma(args.epsilon, energies)
+    values = GammaTable(bath).gamma(args.epsilon, energies)
     rows = np.stack([energies, values.real, values.imag], axis=1).tolist()
     _emit_lines(["E,re_gamma,im_gamma", *(",".join(map(repr, row)) for row in rows)], args.out)
     return EXIT_OK

@@ -137,7 +137,9 @@ class GKSLGenerator:
 
     @cached_property
     def choi(self):
-        """Choi matrix sum_j w_j |vec L_j><vec L_j| (row-major vec), read-only."""
+        """Choi matrix sum_j w_j |vec L_j><vec L_j| (row-major vec), read-only:
+        Hermitian, positive semidefinite whenever the weights are nonnegative, of
+        rank the number of independent Kraus directions."""
         vecs = self.ops.reshape(-1, self.dim ** 2)
         return _read_only((vecs.T * self.weights) @ vecs.conj())
 
@@ -157,20 +159,19 @@ class GKSLGenerator:
         return np.einsum("jk,jikl->il", X, self.choi.reshape((self.dim,) * 4).conj())
 
     def apply(self, X):
-        return apply_generator(self, X)
+        """Theta0(X) = Psi(X) - (1/2){Psi(1), X} + i[H, X] = Psi(X) + i(H_eff^+ X - X H_eff)."""
+        X = _array(X, (self.dim, self.dim), "X")
+        return self.psi(X) + 1j * (self.heff.conj().T @ X - X @ self.heff)
 
-    def compressed(self, threshold=1e-12):
+    def compressed(self):
         """Equivalent generator whose Kraus family has at most dim^2 members.
 
-        Eigendecomposes the Choi matrix of Psi and keeps eigenvalues above
-        threshold * max eigenvalue, 0 <= threshold < 1; Psi, and hence the
-        generator, is unchanged up to the truncation.
+        Eigendecomposes the Choi matrix of Psi and keeps the eigenvalues above
+        1e-12 times the largest; Psi, and hence the generator, is unchanged
+        up to the truncation.
         """
-        threshold = _real(threshold, "threshold")
-        if not 0.0 <= threshold < 1.0:
-            raise ValidationError(f"threshold must be >= 0 and < 1, got {threshold!r}")
         evals, evecs = np.linalg.eigh(self.choi)
-        keep = (evals > threshold * max(float(evals.max()), 0.0)) & (evals > 0.0)
+        keep = (evals > 1e-12 * max(float(evals.max()), 0.0)) & (evals > 0.0)
         return GKSLGenerator(drift=self.drift, hamiltonian=self.hamiltonian,
                              weights=evals[keep],
                              ops=evecs.T[keep].reshape(-1, self.dim, self.dim),
@@ -241,12 +242,6 @@ def build_generator(tm):
                          ops=tp.ops[keep], grid=tm.spec.bath.grid)
 
 
-def apply_generator(gen, X):
-    """Theta0(X) = Psi(X) - (1/2){Psi(1), X} + i[H, X] = Psi(X) + i(H_eff^+ X - X H_eff)."""
-    X = _array(X, (gen.dim, gen.dim), "X")
-    return gen.psi(X) + 1j * (gen.heff.conj().T @ X - X @ gen.heff)
-
-
 def dual_generator_matrix(gen):
     """Matrix of the Schroedinger-picture generator on row-major vec(rho):
 
@@ -260,14 +255,3 @@ def dual_generator_matrix(gen):
     kraus = gen.choi.reshape((gen.dim,) * 4).transpose(0, 2, 1, 3).reshape(gen.choi.shape)
     return kraus - 1j * (np.kron(gen.heff, eye) - np.kron(eye, gen.heff.conj()))
 
-
-def heisenberg_generator_matrix(gen):
-    """Matrix of Theta0 itself on row-major vec(X): the adjoint of the
-    Schroedinger-picture matrix (H and Psi(1) are Hermitian)."""
-    return dual_generator_matrix(gen).conj().T
-
-
-def choi_matrix(gen):
-    """Choi matrix of Psi (`gen.choi`, read-only): Hermitian, positive semidefinite
-    whenever the weights are nonnegative, of rank the number of independent Kraus directions."""
-    return gen.choi

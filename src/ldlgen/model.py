@@ -168,10 +168,6 @@ class SpectralData:
     d_blocks: np.ndarray = field(repr=False, default=None)
 
     @property
-    def bohr_set(self):
-        return [float(w) for w in self.bohr]
-
-    @property
     def levels(self):
         """(energy, projection) per level, derived from basis and level_index."""
         out = []
@@ -206,7 +202,7 @@ class SpectralData:
 
     def bohr_index(self, omega):
         """Index of omega in the canonical Bohr set, or None if off-lattice."""
-        idx = int(self.nearest(omega))
+        idx = int(self.nearest(_real(omega, "omega")))
         return None if idx < 0 else idx
 
     def at(self, blocks, omega):
@@ -217,11 +213,7 @@ class SpectralData:
 
     def d_block(self, omega):
         """D_omega, the transfer-omega block of the coupling (zero off lattice)."""
-        return self.at(self.d_blocks, omega)
-
-    def d_dag_block(self, omega):
-        """(D_omega)^dagger, which carries transfer -omega."""
-        return self.d_block(omega).conj().T
+        return self.at(self.d_blocks, _real(omega, "omega"))
 
     @property
     def nonzero_bohr(self):
@@ -304,5 +296,5 @@ def block_transfer(X, spectral):
     X_omega = sum over rep(eps_m - eps_k) = omega of P_k X P_m, read from
     the canonical transfer assignment; the components sum back to X.
     """
-    comps = spectral.split_operator(np.asarray(X, dtype=complex))
+    comps = spectral.split_operator(_array(X, (spectral.dim, spectral.dim), "X"))
     return {float(w): c for w, c in zip(spectral.bohr, comps)}

@@ -91,10 +91,6 @@ class BlockColumn:
     offsets: np.ndarray                 # omega - omega' values, sorted
     blocks: np.ndarray = field(repr=False)   # (|I|, d, d), ordered like offsets
 
-    @property
-    def omegas(self):
-        return self.omega_prime + self.offsets
-
 
 ThermalPass = namedtuple("ThermalPass", "eps coef ops re_gamma")
 # The batched depth-1 columns of `TMatrix.column_pass`, one entry per column.
@@ -143,15 +139,12 @@ class TMatrix:
     def bohr(self):
         return self.spectral.bohr
 
-    def gamma(self, eps, E):
-        return self._gammas.gamma(eps, E)
-
     def _gamma_where(self, eps, args, needed):
         """gamma_eps at args where `needed` (broadcast to args) holds, 0 elsewhere,
         so entries multiplied by a vanishing coupling never reach gamma."""
         needed = np.broadcast_to(needed, args.shape)
         out = np.zeros(args.shape, dtype=complex)
-        out[needed] = self.gamma(eps, args[needed])
+        out[needed] = self._gammas.gamma(eps, args[needed])
         return out
 
     # -- the scattering kernel ------------------------------------------------

@@ -26,10 +26,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bath import _exp_rows, _legendre_rule, validate_bath
+from .bath import _exp_rows, _legendre_rule, gauss_legendre_nodes, validate_bath
 from .errors import ValidationError, _real
-from .generator import (_dagger, _diagonal_r, build_generator, choi_matrix, drift,
-                        drift_from_t_operator)
+from .generator import _dagger, _diagonal_r, build_generator, drift, drift_from_t_operator
 from .tmatrix import _frobenius
 
 # entries of one (u nodes) x (t nodes) block in _overlap_vector: bounds its
@@ -100,8 +99,9 @@ class GaussianPacket:
             np.multiply(x, poly, out=x, where=x != 0)  # 0 even where poly overflowed
         return x
 
-    def extent(self, n_sigma=10.0):
-        pad = n_sigma * self.sigma
+    def extent(self):
+        """(center - 10 sigma, center + 10 sigma), where the limit checks integrate."""
+        pad = 10.0 * self.sigma
         return (self.center - pad, self.center + pad)
 
 
@@ -120,13 +120,12 @@ class LimitCheckReport:
             raise ValidationError("limit-check errors must be finite")
 
 
-def _composite_gl(a, b, n_panels, nodes_per_panel=_PANEL_NODES):
-    """Gauss-Legendre rule on n_panels equal panels of [a, b]; each panel is
-    mapped with the arithmetic of bath.gauss_legendre_nodes, bit for bit."""
-    x, w = _legendre_rule(nodes_per_panel)
+def _composite_gl(a, b, n_panels):
+    """Gauss-Legendre rule of `_PANEL_NODES` nodes on each of n_panels equal
+    panels of [a, b], each mapped by bath.gauss_legendre_nodes."""
     edges = np.linspace(a, b, n_panels + 1)
-    half = 0.5 * (edges[1:] - edges[:-1])[:, None]
-    return (edges[:-1, None] + half * (x + 1.0)).ravel(), (half * w).ravel()
+    x, w = gauss_legendre_nodes(edges[:-1, None], edges[1:, None], _PANEL_NODES)
+    return x.ravel(), w.ravel()
 
 
 def _symmetric_u_grid(u_max, n_panels):
@@ -427,7 +426,7 @@ def _identity_checks(tm, rng):
     direct = np.stack([gen.apply(x) for x in xs])
     res_rec = np.linalg.norm(direct - _three_term_generator(tm, xs), axis=(-2, -1)).max()
     checks.append(_check("lindblad_reconstruction", res_rec, 1e-12))
-    choi = choi_matrix(gen)
+    choi = gen.choi
     min_eig = float(np.linalg.eigvalsh(choi).min())
     norm_choi = float(np.linalg.norm(choi, 2))
     checks.append(_check("choi_positive", 0.0 if min_eig >= 0 else -min_eig, 1e-10 * norm_choi))

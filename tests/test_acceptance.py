@@ -12,8 +12,7 @@ import numpy as np
 
 from ldlgen import TMatrix
 from ldlgen.dynamics import evolve_master, unravel_jump
-from ldlgen.generator import (choi_matrix, drift, drift_from_t_operator,
-                              dual_generator_matrix, theta_map)
+from ldlgen.generator import drift, drift_from_t_operator, dual_generator_matrix, theta_map
 from ldlgen.model import model_from_dict
 from ldlgen.tmatrix import dyson_oracle, dyson_reference, richardson_extrapolate
 from ldlgen.verification import (check_causal_delta_limit, check_delta_limit,
@@ -134,7 +133,7 @@ def test_criterion_06_lindblad_structure(nr_tm, nr_gen, rwa_tm, rwa_gen):
         worst_herm = max(worst_herm, float(np.linalg.norm(gen.hamiltonian - gen.hamiltonian.conj().T)))
         worst_unital = max(worst_unital, float(np.linalg.norm(gen.psi_one - (gen.drift + gen.drift.conj().T))))
         worst_hg = max(worst_hg, float(np.linalg.norm(gen.hamiltonian - (gen.drift - gen.drift.conj().T) / 2j)))
-        c = choi_matrix(gen)
+        c = gen.choi
         worst_choi = worst_choi and (np.linalg.eigvalsh(c).min() >= -1e-10 * np.linalg.norm(c, 2))
     ok = (worst_rec <= 1e-12 and worst_herm <= 1e-12 and worst_unital <= 1e-10
           and worst_hg <= 1e-10 and worst_choi)

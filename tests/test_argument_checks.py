@@ -7,11 +7,12 @@ import json
 import numpy as np
 import pytest
 
-from ldlgen import ValidationError, verification
-from ldlgen.bath import DensityProfile, EnergyGrid, k_inner_product, mu_inv, validate_bath
+from ldlgen import ValidationError, block_transfer, verification
+from ldlgen.bath import (DensityProfile, EnergyGrid, GammaTable, k_inner_product, mu_inv,
+                         validate_bath)
 from ldlgen.cli import run
 from ldlgen.dynamics import evolve_master, unravel_jump
-from ldlgen.generator import GKSLGenerator, apply_generator, theta_map
+from ldlgen.generator import GKSLGenerator, theta_map
 from ldlgen.model import ModelSpec
 from ldlgen.tmatrix import TMatrix, richardson_extrapolate
 from ldlgen.verification import (GaussianPacket, check_causal_delta_limit, check_delta_limit,
@@ -60,7 +61,7 @@ BAD_CALLS = {
     "validate_bath_beta_bool": lambda s, tm, gen: validate_bath(s.bath, tm.bohr, True),
     # a bare ValueError at the parent
     "psi_dimension": lambda s, tm, gen: gen.psi(np.eye(3)),
-    "apply_generator_str": lambda s, tm, gen: apply_generator(gen, "ab"),
+    "apply_generator_str": lambda s, tm, gen: gen.apply("ab"),
     "theta_map_str": lambda s, tm, gen: theta_map(tm, "ab", 0, 0, 0.0, 0.0, 0.5),
     "evolve_master_str": lambda s, tm, gen: evolve_master(gen, "ab", 1.0, 0.1),
     "unravel_jump_str": lambda s, tm, gen: unravel_jump(gen, "ab", 1.0, 0.1, 10, 1),
@@ -116,17 +117,31 @@ BAD_CALLS = {
                                                                [0.4, 1.3e154]),
     # a NaN result at the parent
     "psi_nan": lambda s, tm, gen: gen.psi(NAN),
-    "apply_generator_nan": lambda s, tm, gen: apply_generator(gen, NAN),
+    "apply_generator_nan": lambda s, tm, gen: gen.apply(NAN),
     "richardson_value_nan": lambda s, tm, gen: richardson_extrapolate([np.nan, 1.0],
                                                                       [1e-3, 2e-3]),
-    # an empty Kraus family (Psi = 0) or a bare TypeError at the parent
-    "compressed_threshold_nan": lambda s, tm, gen: gen.compressed(float("nan")),
-    "compressed_threshold_above_one": lambda s, tm, gen: gen.compressed(2.0),
-    "compressed_threshold_str": lambda s, tm, gen: gen.compressed("x"),
     # a bare IndexError at the parent
     "table_profile_empty": lambda s, tm, gen: DensityProfile.table([], []),
     # overflow warnings from np.linspace at the parent
     "energy_grid_span": lambda s, tm, gen: EnergyGrid(-1e308, 1e308, 16).nodes,
+    # NaN components, or a bare ValueError, at the parent
+    "block_transfer_nan": lambda s, tm, gen: block_transfer(NAN, tm.spectral),
+    "block_transfer_dimension": lambda s, tm, gen: block_transfer(np.eye(3), tm.spectral),
+    "block_transfer_str": lambda s, tm, gen: block_transfer("ab", tm.spectral),
+    # a zero block, a bare UFuncTypeError, or None (off the lattice) at the parent
+    "d_block_nan": lambda s, tm, gen: tm.spectral.d_block(float("nan")),
+    "d_block_str": lambda s, tm, gen: tm.spectral.d_block("x"),
+    "bohr_index_nan": lambda s, tm, gen: tm.spectral.bohr_index(float("nan")),
+    "bohr_index_inf": lambda s, tm, gen: tm.spectral.bohr_index(float("inf")),
+    # True read as eps = 1 at the parent
+    "gamma_eps_bool": lambda s, tm, gen: GammaTable(s.bath).gamma(True, 0.5),
+    "mu_inv_eps_bool": lambda s, tm, gen: mu_inv(s.bath, True, 0.5, 1.0),
+    "support_nodes_eps_bool": lambda s, tm, gen: s.bath.support_nodes(True),
+    # a NumericError (exit 2), or a bare ValueError, at the parent
+    "gamma_energy_nan": lambda s, tm, gen: GammaTable(s.bath).gamma(0, float("nan")),
+    "gamma_energy_str": lambda s, tm, gen: GammaTable(s.bath).gamma(0, "x"),
+    # a bare TypeError at the parent
+    "validate_bath_bohr_str": lambda s, tm, gen: validate_bath(s.bath, "ab", 1.0),
 }
 
 

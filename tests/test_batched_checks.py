@@ -14,7 +14,7 @@ import pytest
 
 from ldlgen import BlockColumn, TMatrix, load_model
 from ldlgen import verification
-from ldlgen.generator import (_diagonal_r, _structure_map, build_generator, choi_matrix, drift,
+from ldlgen.generator import (_diagonal_r, _structure_map, build_generator, drift,
                               drift_from_t_operator)
 from ldlgen.model import _cluster_sorted, model_from_dict
 
@@ -257,7 +257,7 @@ def _identity_checks_per_column(tm, rng):
         res_rec = np.maximum(res_rec, float(np.linalg.norm(gen.apply(x)
                                                            - _three_term_per_x(tm, x))))
     checks.append(check("lindblad_reconstruction", res_rec, 1e-12))
-    choi = choi_matrix(gen)
+    choi = gen.choi
     min_eig = float(np.linalg.eigvalsh(choi).min())
     checks.append(check("choi_positive", 0.0 if min_eig >= 0 else -min_eig,
                         1e-10 * float(np.linalg.norm(choi, 2))))

@@ -149,7 +149,7 @@ def _quad_pv(prof, E):
     def subtracted(x):
         return 0.0 if x == E else (prof(x) - c) / (E - x)
 
-    pts = sorted({p for p in prof.breakpoints() + [E] if a < p < b}) or None
+    pts = sorted({p for p in (*prof.energies[1:-1], E) if a < p < b}) or None
     val, _ = quad(subtracted, a, b, points=pts, limit=400, epsabs=1e-15, epsrel=1e-14)
     if c:
         val += c * math.log(abs((E - a) / (E - b)))
@@ -169,7 +169,7 @@ def _oracle_profiles():
 def test_gamma_closed_form_matches_quadrature(kind):
     prof = _oracle_profiles()[kind]
     a, b = prof.support
-    knots = [a, b] + prof.breakpoints()
+    knots = [a, b, *prof.energies[1:-1]]
     points = [a - 3.0, a - 0.5, 0.5 * (a + b) + 0.0123, b + 0.7, b + 5.0]
     points += [t + s for t in knots for s in (-1e-9, 1e-9)]
     if kind != "rect":

@@ -77,6 +77,32 @@ def test_gamma_csv(tmp_path):
     assert float(first[1]) == 0.0            # off support: Re gamma = 0
 
 
+def test_gamma_builds_no_tmatrix(tmp_path, monkeypatch):
+    # gamma reads the bath alone: no TMatrix and no eigendecomposition of h_system
+    from ldlgen import cli, model, tmatrix
+
+    def never(*args, **kwargs):
+        raise AssertionError("gamma built a TMatrix or decomposed h_system")
+
+    monkeypatch.setattr(tmatrix.TMatrix, "__init__", never)
+    for module in (model, tmatrix, cli):
+        monkeypatch.setattr(module, "spectral_decompose", never)
+    out = tmp_path / "gamma.csv"
+    assert run(["gamma", NR, "--epsilon", "1", "--emin", "-1", "--emax", "4",
+                "--points", "6", "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 7
+
+
+def test_star_import_binds_exactly_all():
+    # a name left in __all__ after its definition is deleted fails the import
+    import ldlgen
+
+    namespace = {}
+    exec("from ldlgen import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(ldlgen.__all__)
+
+
 @pytest.mark.parametrize("points", [MAX_STORED_ENTRIES + 1, 10 ** 15])
 def test_gamma_points_above_cap_exits_1(tmp_path, capsys, points):
     out = tmp_path / "gamma.csv"

@@ -12,7 +12,7 @@ differ by less than bohr_tolerance without being equal.
 import numpy as np
 import pytest
 
-from ldlgen import TMatrix
+from ldlgen import GammaTable, TMatrix
 from ldlgen.generator import drift, drift_from_t_operator
 from ldlgen.model import model_from_dict
 from ldlgen.verification import run_identity_suite
@@ -69,21 +69,22 @@ class StackedR:
         sd = self.tm.spectral
         out = np.zeros((self.tm.dim, self.tm.dim), dtype=complex)
         col = self.column(eps, omega_prime, E)
-        for w1, blk in zip(col.omegas, col.blocks):
-            left = sd.d_block(omega - w1) if eps == 1 else sd.d_dag_block(w1 - omega)
+        for w1, blk in zip(col.omega_prime + col.offsets, col.blocks):
+            left = sd.d_block(omega - w1) if eps == 1 else sd.d_block(w1 - omega).conj().T
             out += left @ blk
         return out
 
     def r(self, eps1, eps2, omega, omega_prime, E):
         tm = self.tm
+        gamma = GammaTable(tm.spec.bath).gamma
         if eps1 != eps2:
             return -1j * self._inner(eps2, omega, omega_prime, E)
         out = np.zeros((tm.dim, tm.dim), dtype=complex)
         for b2 in tm.bohr:
             b2 = float(b2)
-            right = tm.spectral.d_dag_block(-b2) if eps1 == 0 else tm.spectral.d_block(b2)
+            right = tm.spectral.d_block(-b2).conj().T if eps1 == 0 else tm.spectral.d_block(b2)
             w2 = omega_prime + b2
-            out += tm.gamma(1 - eps1, E + w2) * (self._inner(1 - eps1, omega, w2, E) @ right)
+            out += gamma(1 - eps1, E + w2) * (self._inner(1 - eps1, omega, w2, E) @ right)
         return -out
 
 
@@ -106,6 +107,7 @@ def test_kernel_matches_bohr_pair_sum(name, hermitian):
     # one (where D~ and D~^+ differ)
     levels, rotate = MODELS[name]
     tm = _model(levels, seed=7, rotate=rotate, hermitian=hermitian)
+    gamma = GammaTable(tm.spec.bath).gamma
     sd = tm.spectral
     B = [float(b) for b in tm.bohr]
     worst, scale = 0.0, 0.0
@@ -114,18 +116,18 @@ def test_kernel_matches_bohr_pair_sum(name, hermitian):
             for w in B:
                 terms = []
                 for m1 in B:
-                    inner = tm.gamma(1 - eps, E + w - m1 if eps == 0 else E + w + m1)
+                    inner = gamma(1 - eps, E + w - m1 if eps == 0 else E + w + m1)
                     for m2 in B:
                         if eps == 0:
-                            terms.append((m1 - m2, inner * (sd.d_block(m1) @ sd.d_dag_block(m2))))
+                            terms.append((m1 - m2, inner * (sd.d_block(m1) @ sd.d_block(m2).conj().T)))
                         else:
-                            terms.append((m2 - m1, inner * (sd.d_dag_block(m1) @ sd.d_block(m2))))
+                            terms.append((m2 - m1, inner * (sd.d_block(m1).conj().T @ sd.d_block(m2))))
                 for wp in B:
                     want = np.zeros((tm.dim, tm.dim), dtype=complex)
                     for shift, term in terms:
                         if abs(shift - (w - wp)) <= sd.tolerance:
                             want += term
-                    want *= tm.gamma(eps, E + w)
+                    want *= gamma(eps, E + w)
                     worst = max(worst, float(np.abs(tm.t_kernel(eps, w, wp, E) - want).max()))
                     scale = max(scale, float(np.abs(want).max()))
     assert scale > 0

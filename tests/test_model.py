@@ -78,7 +78,7 @@ def test_single_offdiagonal_block():
     # H = diag(0,1), D = |e1><e2|
     spec = _two_level([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
     sd = spectral_decompose(spec)
-    assert sd.bohr_set == [-1.0, 0.0, 1.0]
+    assert sd.bohr.tolist() == [-1.0, 0.0, 1.0]
     assert np.allclose(sd.d_block(1.0), spec.coupling)
     assert not sd.d_block(0.0).any()
     assert not sd.d_block(-1.0).any()
@@ -102,7 +102,7 @@ def test_degeneracy_grouping():
     spec = model_from_dict(doc)
     sd = spectral_decompose(spec)
     assert len(sd.levels) == 2
-    assert sd.bohr_set == [-2.0, 0.0, 2.0]
+    assert sd.bohr.tolist() == [-2.0, 0.0, 2.0]
     e0, p0 = sd.levels[0]
     assert e0 == 0.0 and abs(np.trace(p0).real - 2.0) < 1e-12
 
@@ -138,7 +138,7 @@ def test_spectral_invariants_random_model():
             expect = pi if i == j else 0.0
             assert np.linalg.norm(pi @ pj - expect) < 1e-12
 
-    bohr = np.array(sd.bohr_set)
+    bohr = sd.bohr
     assert 0.0 in bohr
     assert np.array_equal(np.sort(-bohr), bohr)
 
@@ -171,7 +171,7 @@ def test_block_transfer_identity(nr_tm):
 def test_block_transfer_reproduces_d_blocks(nr_tm):
     sd = nr_tm.spectral
     comps = block_transfer(nr_tm.spec.coupling, sd)
-    for w in sd.bohr_set:
+    for w in sd.bohr.tolist():
         assert np.abs(comps[w] - sd.d_block(w)).max() < 1e-14
 
 
@@ -193,7 +193,7 @@ def test_block_transfer_on_chained_bohr_cluster():
     assert abs(sd.transfer[0, 1] - (0.1 + 1.4e-9)) < 1e-15
     assert sd.bohr_index(0.1) is None
     comps = block_transfer(spec.coupling, sd)
-    assert list(comps) == sd.bohr_set
+    assert list(comps) == sd.bohr.tolist()
     assert np.abs(sum(comps.values()) - spec.coupling).max() < 1e-12
     assert np.array_equal(np.array(list(comps.values())), sd.d_blocks)
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ldlgen import NumericError, TMatrix, ValidationError, block_transfer, tmatrix
+from ldlgen import GammaTable, NumericError, TMatrix, ValidationError, block_transfer, tmatrix
 from ldlgen.bath import DensityProfile, _exp_rows
 from ldlgen.generator import theta_map
 from ldlgen.model import model_from_dict
@@ -46,21 +46,23 @@ def test_kernel_zero_coupling():
 def test_kernel_rwa_is_diagonal(rwa_tm):
     # single nonzero Bohr block: T^0_{w,w'} = delta_{w,w'} g0(E+w) g1(E-1+w) D D^+
     tm = rwa_tm
+    gamma = GammaTable(tm.spec.bath).gamma
     E = 0.45
     dd = tm.spec.coupling @ tm.spec.coupling.conj().T
     for w in (-1.0, 0.0, 1.0):
-        expect = tm.gamma(0, E + w) * tm.gamma(1, E - 1 + w) * dd
+        expect = gamma(0, E + w) * gamma(1, E - 1 + w) * dd
         assert np.abs(tm.t_kernel(0, w, w, E) - expect).max() < 1e-14
         assert not tm.t_kernel(0, w, w - 1.0, E).any()
 
 
 def test_kernel_sigma_x_hand_expansion(nr_tm):
     tm = nr_tm
+    gamma = GammaTable(tm.spec.bath).gamma
     E = 0.62
     s = 0.1
-    expect = tm.gamma(0, E) * np.diag([
-        tm.gamma(1, E - 1) * s * s,
-        tm.gamma(1, E + 1) * s * s,
+    expect = gamma(0, E) * np.diag([
+        gamma(1, E - 1) * s * s,
+        gamma(1, E + 1) * s * s,
     ])
     assert np.abs(tm.t_kernel(0, 0.0, 0.0, E) - expect).max() < 1e-14
 
@@ -302,9 +304,10 @@ def test_r01_born_order(nr_tm):
 def test_r00_born_order(nr_tm):
     # R^{0,0}_{0,0}(E) ~ -s^2 [g1(E-1)|e1><e1| + g1(E+1)|e2><e2|] + O(||D||^4)
     tm = nr_tm
+    gamma = GammaTable(tm.spec.bath).gamma
     E = 0.44
     s2 = 0.01
-    born = -s2 * np.diag([tm.gamma(1, E - 1.0), tm.gamma(1, E + 1.0)])
+    born = -s2 * np.diag([gamma(1, E - 1.0), gamma(1, E + 1.0)])
     assert np.abs(tm.r_coefficient(0, 0, 0.0, 0.0, E) - born).max() < 3e-4
 
 
@@ -495,6 +498,7 @@ def test_appendix_10_n1_hand_triple_sum(nr_tm):
     # T^{10}_3(E) = i sum_{w,w1,w2} D^+_w D_{w1} D^+_{w2}
     #                 gamma_1(E - w2) gamma_0(E + w1 - w2)
     tm = nr_tm
+    gamma = GammaTable(tm.spec.bath).gamma
     sd = tm.spectral
     E = 0.73
     expect = np.zeros((2, 2), dtype=complex)
@@ -502,7 +506,7 @@ def test_appendix_10_n1_hand_triple_sum(nr_tm):
         for w1 in (-1.0, 1.0):
             for w2 in (-1.0, 1.0):
                 ops = sd.d_block(w).conj().T @ sd.d_block(w1) @ sd.d_block(w2).conj().T
-                expect += ops * tm.gamma(1, E - w2) * tm.gamma(0, E + w1 - w2)
+                expect += ops * gamma(1, E - w2) * gamma(0, E + w1 - w2)
     expect *= 1j
     assert np.abs(tm.appendix_term("10", 1, E) - expect).max() < 1e-14
 
@@ -510,12 +514,13 @@ def test_appendix_10_n1_hand_triple_sum(nr_tm):
 def test_appendix_00_n1_matches_definition(nr_tm):
     # T^{00}_2(E) = -sum_{w,w1} D_w D^+_{w1} gamma_1(E - w1)
     tm = nr_tm
+    gamma = GammaTable(tm.spec.bath).gamma
     sd = tm.spectral
     E = 2.39
     expect = np.zeros((2, 2), dtype=complex)
     for w in (-1.0, 1.0):
         for w1 in (-1.0, 1.0):
-            expect -= sd.d_block(w) @ sd.d_block(w1).conj().T * tm.gamma(1, E - w1)
+            expect -= sd.d_block(w) @ sd.d_block(w1).conj().T * gamma(1, E - w1)
     assert np.abs(tm.appendix_term("00", 1, E) - expect).max() < 1e-14
 
 

@@ -9,9 +9,9 @@ from .generator import (GKSLGenerator, build_generator, drift,
                         drift_from_t_operator, dual_generator_matrix, theta_map)
 from .model import (ModelSpec, SpectralData, block_transfer, load_model,
                     model_from_dict, spectral_decompose)
-from .tmatrix import (BlockColumn, TMatrix, dyson_oracle,
-                      dyson_reference, richardson_extrapolate)
-from .verification import (GaussianPacket, LimitCheckReport,
+from .tmatrix import (TMatrix, dyson_oracle, dyson_reference,
+                      richardson_extrapolate)
+from .verification import (BlockColumn, GaussianPacket, LimitCheckReport,
                            check_causal_delta_limit, check_delta_limit,
                            run_identity_suite)
 

@@ -293,7 +293,7 @@ def validate_bath(bath, bohr, beta):
     report.
     """
     beta = _real(beta, "beta")
-    bohr = _array(bohr, (np.size(bohr),), "bohr", dtype=float)
+    bohr = _array(bohr, (None,), "bohr", dtype=float)
     gap = bath.support_gap
     if gap <= 0:
         raise ValidationError(
@@ -404,10 +404,16 @@ class GammaTable:
 
     def gamma(self, eps, E):
         prof = self.bath.density(eps)
+        # the dtype kind before the float cast, which would read a bool, the
+        # real part of a complex or a numeric string as an energy
         try:
-            E = np.asarray(E, dtype=float)
-        except (TypeError, ValueError):
-            raise ValidationError(f"gamma needs real energies, got {E!r}") from None
+            arr = np.asarray(E)
+            ok = arr.dtype.kind in "iuf"
+        except ValueError:
+            ok = False
+        if not ok:
+            raise ValidationError(f"gamma needs real energies, got {E!r}")
+        E = arr.astype(float, copy=False)
         out = np.empty(E.shape, dtype=complex)
         out.real = math.pi * prof(E)
         out.imag = _pv_integral(prof, E)

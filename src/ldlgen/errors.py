@@ -63,15 +63,17 @@ def _energies(E):
 
 
 def _array(value, shape, where, dtype=complex, nonnegative=False):
-    """A finite array of exactly `shape` as a `dtype` array; anything else is
-    a ValidationError.  With `nonnegative`, a negative entry is one too, and
-    a non-finite or negative entry gets the one message saying both."""
+    """A finite array of exactly `shape` as a `dtype` array, where a None in
+    `shape` takes any length; anything else is a ValidationError.  With
+    `nonnegative`, a negative entry is one too, and a non-finite or negative
+    entry gets the one message saying both."""
     try:
         arr = np.asarray(value, dtype=dtype)
     except (TypeError, ValueError):
         raise ValidationError(f"{where} must be a numeric array") from None
-    if arr.shape != shape:
-        want = " x ".join(map(str, shape)) if len(shape) != 1 else f"of dimension {shape[0]}"
+    if arr.ndim != len(shape) or any(n not in (None, m) for n, m in zip(shape, arr.shape)):
+        want = (" x ".join(map(str, shape)) if len(shape) != 1
+                else "1-D" if shape[0] is None else f"of dimension {shape[0]}")
         raise ValidationError(f"{where} must be {want}, not of shape {arr.shape}")
     if not np.isfinite(arr).all() or (nonnegative and not (arr >= 0.0).all()):
         sign = " and nonnegative" if nonnegative else ""

@@ -9,39 +9,28 @@ omega - omega', partial Neumann chains likewise, and rows outside I are
 satisfied automatically because their would-be entries have off-lattice
 transfer.
 
-The same argument splits the |B|*d stacked block system further.  In the
-eigenbasis of H_S the column of (1+T_eps)^{-1} belonging to eigen-column
-m has exactly one candidate entry per row k, the one in the block
-omega = omega' + rep(e_m - e_k), so the system reduces to d independent
-d x d systems.  `TMatrix.r_blocks` solves them for every grid node at
-once.  The stacked system survives as the verification oracle, with one
-column API: `column_pass`, every depth-1 column of one eps over (omega', E)
-with its residual and Neumann series, and `stacked_column`, its dense solve
-of one column at depth 1 or 2.  The two routes and `t_kernel`
-share one thing, the kernel entries (`TMatrix._kernels`); the oracle
-keeps its own placement of each entry in the one block its canonical
-transfer names, its own dense solve and power series, and the depth-2
-index set that cross-checks the restriction.  One lookup,
-`SpectralData.nearest` (lower offset on a tie), matches every float offset
-to B or to an index set.  The series chains (`appendix_term`) and the
-Dyson oracle never call `_kernels`, so they check the kernel entries
-independently.  The two routes solve the same system when the canonical
+In the eigenbasis of H_S the column of (1+T_eps)^{-1} belonging to
+eigen-column m has exactly one candidate entry per row k, the one in the
+block omega = omega' + rep(e_m - e_k), so the |B|*d stacked block system
+reduces to d independent d x d systems, which `TMatrix.r_blocks` solves
+for every grid node at once.  The reduction holds when the canonical
 transfers compose, transfer[k, m] - transfer[k, p] = transfer[p, m]
 within the Bohr tolerance for every eigen-index triple; chained Bohr
-clusters can break that, and then no placement on the offset lattice
-reproduces the per-eigen-column systems.
+clusters can break it.  The stacked system is the verification oracle
+(`ldlgen.verification`); the series chains (`appendix_term`) and the
+Dyson oracle never call `_kernels`, so they check the kernel entries
+independently.
 """
 
 import itertools
 import math
 from collections import namedtuple
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .bath import GammaTable, _exp_rows, gauss_legendre_nodes, _thermal_weights, validate_bath
 from .errors import NumericError, ValidationError, _array, _count, _energies, _index, _real
-from .model import _cluster_sorted, spectral_decompose
+from .model import spectral_decompose
 
 CONDITION_LIMIT = 1e12
 PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
@@ -54,9 +43,6 @@ MAX_GRID_STEPS = 1 << 20
 # split-exponent factors at MAX_GRID_STEPS hold about 2 sqrt(N) n complex
 # entries, 2 * 1025 * 1024 * 16 B = 32 MiB at the cap.
 MAX_ENERGY_NODES = 1 << 10
-# Largest stack of stacked systems T that `TMatrix.column_pass` holds at once,
-# in bytes (at ladder d = 6 about a third of one epsilon's columns).
-_STACK_CHUNK_BYTES = 1 << 24
 
 
 def _frobenius(X):
@@ -74,28 +60,7 @@ def _series_pair(pair):
     return pair
 
 
-@dataclass
-class BlockColumn:
-    """One column of (1+T_eps)^{-1} at fixed (eps, omega', E), the dense
-    solve of `TMatrix.stacked_column`.
-
-    blocks[i] (original basis) solves sum over j of
-    (1+T_eps)_{omega_i, omega_j}(E) blocks[j] = delta_{omega_i, omega'} Id
-    on the index set omega_i = omega' + offsets[i], and has definite
-    transfer offsets[i].
-    """
-
-    epsilon: int
-    omega_prime: float
-    energy: float
-    offsets: np.ndarray                 # omega - omega' values, sorted
-    blocks: np.ndarray = field(repr=False)   # (|I|, d, d), ordered like offsets
-
-
 ThermalPass = namedtuple("ThermalPass", "eps coef ops re_gamma")
-# The batched depth-1 columns of `TMatrix.column_pass`, one entry per column.
-ColumnPass = namedtuple("ColumnPass", "omega_prime energy blocks residual neumann order "
-                                      "final_increment converged diverged")
 # The eta-independent part of the Dyson oracle on one time grid (see
 # `TMatrix._dyson_grid`), and one density's correlation on it.
 DysonGrid = namedtuple("DysonGrid", "t wts evecs phases corr")
@@ -361,158 +326,6 @@ class TMatrix:
         omega = _real(omega, "omega")
         K = self._kernels(eps, _real(E, "energy E"), np.full(self.dim, omega))
         return self.spectral.at(self.spectral.split(K), omega - _real(omega_prime, "omega'"))
-
-    # -- stacked oracle --------------------------------------------------------
-    #
-    # The |I|*d block system on the index set I(omega') = omega' + offsets,
-    # assembled in the eigenbasis of H_S in one array pass for any stack of
-    # (omega', E).  It shares the kernel entries (`_kernels`) with the
-    # level-basis solve and nothing else: its own placement, dense solve,
-    # power series and depth-2 index set; verification and tests compare the
-    # two.  `column_pass` batches the columns the identity suite reads;
-    # `stacked_column` solves one column densely, at depth 1 or 2.
-
-    def _offsets(self, index_depth):
-        """Offsets of the index set: the Bohr set B (depth 1), or B plus the
-        smallest member of each tolerance cluster of the sums B + B that lie
-        farther than the tolerance from every member of B (depth 2)."""
-        if _count(index_depth, "index_depth") not in (1, 2):
-            raise ValidationError("index_depth must be 1 or 2")
-        B = np.array(self.bohr, dtype=float)
-        if index_depth == 1:
-            return B
-        tol = self.spectral.tolerance
-        sums = np.sort((B[:, None] + B).ravel())
-        sums = sums[self.spectral.nearest(sums) < 0]
-        reps = [sums[idxs[0]] for idxs in _cluster_sorted(sums, tol)] if sums.size else []
-        return np.sort(np.concatenate([B, reps]))
-
-    def _stacked_t(self, eps, omega_prime, E, offsets):
-        """The T part of the stacked block system on omega' + offsets, in the
-        eigenbasis, for omega' and E of one shape S (checked by the caller):
-        shape S + (|I| d, |I| d).  Entry (k, p) of row block i's kernel goes
-        to column block `SpectralData.nearest`(offsets[i] - W[k, p], offsets),
-        the lower one on a tie, and is dropped when none is within the Bohr
-        tolerance: one lookup of |I| d^2 values, the same for every omega', E."""
-        d, n = self.dim, len(offsets)
-        omega_prime, E = np.asarray(omega_prime, dtype=float), np.asarray(E, dtype=float)
-        omega = np.broadcast_to((omega_prime[..., None] + offsets)[..., None], E.shape + (n, d))
-        K = self._kernels(eps, E[..., None], omega)
-        j = self.spectral.nearest(offsets[:, None, None] - self.spectral.transfer, offsets)
-        i, k, p = np.nonzero(j >= 0)
-        T = np.zeros(E.shape + (n, d, n, d), dtype=complex)
-        T[..., i, k, j[i, k, p], p] = K[..., i, k, p]
-        return T.reshape(E.shape + (n * d, n * d))
-
-    def _rhs(self, offsets):
-        """Identity at offset 0, which every index set (`_offsets`) holds exactly."""
-        rhs = np.zeros((len(offsets), self.dim, self.dim), dtype=complex)
-        rhs[np.searchsorted(offsets, 0.0)] = np.eye(self.dim)
-        return rhs.reshape(-1, self.dim)
-
-    def _original(self, X, n_offsets):
-        """Blocks in the original basis from stacked eigenbasis solutions
-        X (..., |I| d, d): shape (..., |I|, d, d)."""
-        basis = self.spectral.basis
-        blocks = X.reshape(X.shape[:-2] + (n_offsets, self.dim, self.dim))
-        return basis @ blocks @ basis.conj().T
-
-    def stacked_column(self, eps, omega_prime, E, index_depth=1):
-        """Column of (1+T_eps)^{-1} by dense solve of the stacked system on
-        I(omega') (index_depth=1) or on the depth-2 index set (see `_offsets`);
-        any other depth raises ValidationError."""
-        eps = _index(eps, "eps")
-        omega_prime, E = _real(omega_prime, "omega'"), _real(E, "energy E")
-        offsets = self._offsets(index_depth)
-        A = np.eye(len(offsets) * self.dim, dtype=complex) + self._stacked_t(eps, omega_prime, E, offsets)
-        X = np.linalg.solve(A, self._rhs(offsets))
-        return BlockColumn(epsilon=eps, omega_prime=omega_prime, energy=E, offsets=offsets,
-                           blocks=self._original(X, len(offsets)))
-
-    def _neumann_series(self, T, offsets):
-        """(1+T)^{-1} rhs as the alternating T-power series for a stack of
-        stacked systems T (C, |I| d, |I| d), truncated at the model's
-        neumann_max_order and neumann_tolerance.  Each column stops on its
-        own: once its term drops below the tolerance (converged) or its
-        increments stop decreasing over 5 orders (diverged; reported, not
-        raised) it is frozen, and the rest go on.  Every increment is
-        np.linalg.norm of that column's term, the arithmetic of one column
-        alone.  Returns the eigenbasis sums (C, |I| d, d) and, per column,
-        order, final_increment, converged and diverged."""
-        max_order, tol = self.spec.neumann_max_order, self.spec.neumann_tolerance
-        n = T.shape[0]
-        total = np.broadcast_to(self._rhs(offsets), (n,) + T.shape[1:2] + (self.dim,)).copy()
-        order, final = np.zeros(n, dtype=int), np.zeros(n)
-        converged, diverged = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
-        live, term, recent = np.arange(n), total.copy(), np.empty((n, 0))
-        for k in range(1, max_order + 1):
-            term = -(T @ term)
-            total[live] += term
-            inc = _frobenius(term)
-            # the last five increments of each live column
-            recent = np.concatenate([recent[:, -4:], inc[:, None]], axis=1)
-            final[live] = inc
-            done = inc < tol
-            # the truncation order actually needed excludes a term below tol
-            order[live] = np.where(done, k - 1, k)
-            converged[live] = done
-            stalled = ~done & (recent.shape[1] >= 5) & (recent[:, -1] >= recent[:, 0])
-            diverged[live] = stalled
-            stop = done | stalled
-            if stop.any():
-                go = ~stop
-                if not go.any():
-                    break
-                live, term, T, recent = live[go], term[go], T[go], recent[go]
-        return total, order, final, converged, diverged
-
-    def _residuals(self, T, offsets, blocks):
-        """Frobenius norm of (1+T) @ column - rhs relative to the rhs, for a
-        stack: T (C, |I| d, |I| d) and blocks (C, |I|, d, d) in the original
-        basis; one norm per column, (C,)."""
-        d = self.dim
-        basis = self.spectral.basis
-        X = (basis.conj().T @ blocks @ basis).reshape(blocks.shape[0], -1, d)
-        A = np.eye(len(offsets) * d, dtype=complex) + T
-        R = A @ X - self._rhs(offsets)
-        return _frobenius(R) / math.sqrt(d)
-
-    def column_pass(self, eps, energies):
-        """Every depth-1 column of (1+T_eps)^{-1} at omega' in B and E in
-        `energies`, in a few array passes.
-
-        Column c is omega' = bohr[c // n], E = energies[c % n] for n
-        energies.  Its direct blocks come from one level-basis solve of all
-        columns (`_level_inverses`); one stacked T per column, assembled
-        batched and in chunks of at most _STACK_CHUNK_BYTES, gives the
-        residuals and the Neumann series (`_neumann_series`) of every column
-        of the chunk at once.  Each field equals, bitwise, the same
-        arithmetic on its column alone: the level-basis solve of that one
-        column, the residual of blocks[c] and the series of its own system.
-        """
-        eps, E = _index(eps, "eps"), _energies(energies).reshape(-1)
-        sd, d, B = self.spectral, self.dim, self.bohr
-        n, m = E.size, B.size * E.size
-        shifts = np.broadcast_to(B, (len(self._level_columns), B.size))
-        X = self._level_inverses(eps, E, shifts)
-        # own[s, i, k, m] = X[i, level(m), s, k, m]
-        own = X[:, sd.level_index, :, :, np.arange(d)].transpose(2, 1, 3, 0)
-        blocks = sd.split(own.reshape(m, d, d))
-        omega_prime, energy = np.repeat(B, n), np.tile(E, B.size)
-        residual, neumann = np.empty(m), np.empty_like(blocks)
-        order, final = np.empty(m, dtype=int), np.empty(m)
-        converged, diverged = np.empty(m, dtype=bool), np.empty(m, dtype=bool)
-        step = max(1, _STACK_CHUNK_BYTES // (16 * (B.size * d) ** 2))
-        for lo in range(0, m, step):
-            part = slice(lo, lo + step)
-            T = self._stacked_t(eps, omega_prime[part], energy[part], B)
-            residual[part] = self._residuals(T, B, blocks[part])
-            total, order[part], final[part], converged[part], diverged[part] = \
-                self._neumann_series(T, B)
-            neumann[part] = self._original(total, B.size)
-        return ColumnPass(omega_prime=omega_prime, energy=energy, blocks=blocks,
-                          residual=residual, neumann=neumann, order=order,
-                          final_increment=final, converged=converged, diverged=diverged)
 
     # -- closed-form series terms ------------------------------------------
 

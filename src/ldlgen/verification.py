@@ -14,21 +14,30 @@ out-of-place formula.
 
 The identity suite (`run_identity_suite`) checks the level-basis solve,
 the closed-form series, the drift routes and the Lindblad form against
-independent oracles, each in a few array passes: the stacked-system
-columns are batched per eps over every (omega', E) probe
-(`TMatrix.column_pass`, bitwise one column's arithmetic), the series sums take
-the probe energies as one array, and the three-term reconstruction of
-Theta0 is one contraction over (node, entry, X) for all random X.
+independent oracles, each in a few array passes: the series sums take the
+probe energies as one array, the three-term reconstruction of Theta0 is
+one contraction over (node, entry, X) for all random X, and the stacked
+oracle solves every (omega', E) probe column of one eps at once
+(`column_pass`, bitwise one column's arithmetic).  That oracle is the
+|I|*d block system of 1+T_eps on I(omega') = omega' + offsets, in the
+eigenbasis of H_S.  It shares only the kernel entries (`TMatrix._kernels`)
+with the level-basis solve: the placement of each entry in the one block
+its canonical transfer names (`SpectralData.nearest`, lower offset on a
+tie), the dense solve (`stacked_column`, one column at depth 1 or 2), the
+power series and the depth-2 index set that cross-checks the restriction
+are its own.
 """
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .bath import _exp_rows, _legendre_rule, gauss_legendre_nodes, validate_bath
-from .errors import ValidationError, _real
+from .errors import ValidationError, _count, _energies, _index, _real
 from .generator import _dagger, _diagonal_r, build_generator, drift, drift_from_t_operator
+from .model import _cluster_sorted
 from .tmatrix import _frobenius
 
 # entries of one (u nodes) x (t nodes) block in _overlap_vector: bounds its
@@ -39,6 +48,9 @@ _PANEL_NODES = 8
 # Most panels of the t rule in a mismatched overlap: 2^19 t nodes, whose
 # complex f w takes 8 MiB (see `_overlap_panels`)
 MAX_OVERLAP_PANELS = 1 << 16
+# Largest stack of stacked systems T that `column_pass` holds at once, in
+# bytes (at ladder d = 6 about a third of one epsilon's columns).
+_STACK_CHUNK_BYTES = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -322,6 +334,182 @@ def default_test_functions():
     return f, f, GaussianPacket(center=0.0, sigma=1.0)
 
 
+# -- stacked oracle -----------------------------------------------------------
+
+
+@dataclass
+class BlockColumn:
+    """One column of (1+T_eps)^{-1} at fixed (eps, omega', E), the dense
+    solve of `stacked_column`.
+
+    blocks[i] (original basis) solves sum over j of
+    (1+T_eps)_{omega_i, omega_j}(E) blocks[j] = delta_{omega_i, omega'} Id
+    on the index set omega_i = omega' + offsets[i], and has definite
+    transfer offsets[i].
+    """
+
+    epsilon: int
+    omega_prime: float
+    energy: float
+    offsets: np.ndarray                 # omega - omega' values, sorted
+    blocks: np.ndarray = field(repr=False)   # (|I|, d, d), ordered like offsets
+
+
+# The batched depth-1 columns of `column_pass`, one entry per column.
+ColumnPass = namedtuple("ColumnPass", "omega_prime energy blocks residual neumann order "
+                                      "final_increment converged diverged")
+
+
+def _offsets(tm, index_depth):
+    """Offsets of the index set: the Bohr set B (depth 1), or B plus the
+    smallest member of each tolerance cluster of the sums B + B that lie
+    farther than the tolerance from every member of B (depth 2)."""
+    if _count(index_depth, "index_depth") not in (1, 2):
+        raise ValidationError("index_depth must be 1 or 2")
+    B = np.array(tm.bohr, dtype=float)
+    if index_depth == 1:
+        return B
+    tol = tm.spectral.tolerance
+    sums = np.sort((B[:, None] + B).ravel())
+    sums = sums[tm.spectral.nearest(sums) < 0]
+    reps = [sums[idxs[0]] for idxs in _cluster_sorted(sums, tol)] if sums.size else []
+    return np.sort(np.concatenate([B, reps]))
+
+
+def _stacked_t(tm, eps, omega_prime, E, offsets):
+    """The T part of the stacked block system on omega' + offsets, in the
+    eigenbasis, for omega' and E of one shape S (checked by the caller):
+    shape S + (|I| d, |I| d).  Entry (k, p) of row block i's kernel goes
+    to column block `SpectralData.nearest`(offsets[i] - W[k, p], offsets),
+    the lower one on a tie, and is dropped when none is within the Bohr
+    tolerance: one lookup of |I| d^2 values, the same for every omega', E."""
+    d, n = tm.dim, len(offsets)
+    omega_prime, E = np.asarray(omega_prime, dtype=float), np.asarray(E, dtype=float)
+    omega = np.broadcast_to((omega_prime[..., None] + offsets)[..., None], E.shape + (n, d))
+    K = tm._kernels(eps, E[..., None], omega)
+    j = tm.spectral.nearest(offsets[:, None, None] - tm.spectral.transfer, offsets)
+    i, k, p = np.nonzero(j >= 0)
+    T = np.zeros(E.shape + (n, d, n, d), dtype=complex)
+    T[..., i, k, j[i, k, p], p] = K[..., i, k, p]
+    return T.reshape(E.shape + (n * d, n * d))
+
+
+def _rhs(tm, offsets):
+    """Identity at offset 0, which every index set (`_offsets`) holds exactly."""
+    rhs = np.zeros((len(offsets), tm.dim, tm.dim), dtype=complex)
+    rhs[np.searchsorted(offsets, 0.0)] = np.eye(tm.dim)
+    return rhs.reshape(-1, tm.dim)
+
+
+def _original(tm, X, n_offsets):
+    """Blocks in the original basis from stacked eigenbasis solutions
+    X (..., |I| d, d): shape (..., |I|, d, d)."""
+    basis = tm.spectral.basis
+    blocks = X.reshape(X.shape[:-2] + (n_offsets, tm.dim, tm.dim))
+    return basis @ blocks @ basis.conj().T
+
+
+def stacked_column(tm, eps, omega_prime, E, index_depth=1):
+    """Column of (1+T_eps)^{-1} by dense solve of the stacked system on
+    I(omega') (index_depth=1) or on the depth-2 index set (see `_offsets`);
+    any other depth raises ValidationError."""
+    eps = _index(eps, "eps")
+    omega_prime, E = _real(omega_prime, "omega'"), _real(E, "energy E")
+    offsets = _offsets(tm, index_depth)
+    A = np.eye(len(offsets) * tm.dim, dtype=complex) + _stacked_t(tm, eps, omega_prime, E, offsets)
+    X = np.linalg.solve(A, _rhs(tm, offsets))
+    return BlockColumn(epsilon=eps, omega_prime=omega_prime, energy=E, offsets=offsets,
+                       blocks=_original(tm, X, len(offsets)))
+
+
+def _neumann_series(tm, T, offsets):
+    """(1+T)^{-1} rhs as the alternating T-power series for a stack of
+    stacked systems T (C, |I| d, |I| d), truncated at the model's
+    neumann_max_order and neumann_tolerance.  Each column stops on its
+    own: once its term drops below the tolerance (converged) or its
+    increments stop decreasing over 5 orders (diverged; reported, not
+    raised) it is frozen, and the rest go on.  Every increment is
+    np.linalg.norm of that column's term, the arithmetic of one column
+    alone.  Returns the eigenbasis sums (C, |I| d, d) and, per column,
+    order, final_increment, converged and diverged."""
+    max_order, tol = tm.spec.neumann_max_order, tm.spec.neumann_tolerance
+    n = T.shape[0]
+    total = np.broadcast_to(_rhs(tm, offsets), (n,) + T.shape[1:2] + (tm.dim,)).copy()
+    order, final = np.zeros(n, dtype=int), np.zeros(n)
+    converged, diverged = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
+    live, term, recent = np.arange(n), total.copy(), np.empty((n, 0))
+    for k in range(1, max_order + 1):
+        term = -(T @ term)
+        total[live] += term
+        inc = _frobenius(term)
+        # the last five increments of each live column
+        recent = np.concatenate([recent[:, -4:], inc[:, None]], axis=1)
+        final[live] = inc
+        done = inc < tol
+        # the truncation order actually needed excludes a term below tol
+        order[live] = np.where(done, k - 1, k)
+        converged[live] = done
+        stalled = ~done & (recent.shape[1] >= 5) & (recent[:, -1] >= recent[:, 0])
+        diverged[live] = stalled
+        stop = done | stalled
+        if stop.any():
+            go = ~stop
+            if not go.any():
+                break
+            live, term, T, recent = live[go], term[go], T[go], recent[go]
+    return total, order, final, converged, diverged
+
+
+def _residuals(tm, T, offsets, blocks):
+    """Frobenius norm of (1+T) @ column - rhs relative to the rhs, for a
+    stack: T (C, |I| d, |I| d) and blocks (C, |I|, d, d) in the original
+    basis; one norm per column, (C,)."""
+    d = tm.dim
+    basis = tm.spectral.basis
+    X = (basis.conj().T @ blocks @ basis).reshape(blocks.shape[0], -1, d)
+    A = np.eye(len(offsets) * d, dtype=complex) + T
+    R = A @ X - _rhs(tm, offsets)
+    return _frobenius(R) / math.sqrt(d)
+
+
+def column_pass(tm, eps, energies):
+    """Every depth-1 column of (1+T_eps)^{-1} at omega' in B and E in
+    `energies`, in a few array passes.
+
+    Column c is omega' = bohr[c // n], E = energies[c % n] for n
+    energies.  Its direct blocks come from one level-basis solve of all
+    columns (`TMatrix._level_inverses`); one stacked T per column,
+    assembled batched and in chunks of at most _STACK_CHUNK_BYTES, gives
+    the residuals and the Neumann series (`_neumann_series`) of every
+    column of the chunk at once.  Each field equals, bitwise, the same
+    arithmetic on its column alone: the level-basis solve of that one
+    column, the residual of blocks[c] and the series of its own system.
+    """
+    eps, E = _index(eps, "eps"), _energies(energies).reshape(-1)
+    sd, d, B = tm.spectral, tm.dim, tm.bohr
+    n, m = E.size, B.size * E.size
+    shifts = np.broadcast_to(B, (len(tm._level_columns), B.size))
+    X = tm._level_inverses(eps, E, shifts)
+    # own[s, i, k, m] = X[i, level(m), s, k, m]
+    own = X[:, sd.level_index, :, :, np.arange(d)].transpose(2, 1, 3, 0)
+    blocks = sd.split(own.reshape(m, d, d))
+    omega_prime, energy = np.repeat(B, n), np.tile(E, B.size)
+    residual, neumann = np.empty(m), np.empty_like(blocks)
+    order, final = np.empty(m, dtype=int), np.empty(m)
+    converged, diverged = np.empty(m, dtype=bool), np.empty(m, dtype=bool)
+    step = max(1, _STACK_CHUNK_BYTES // (16 * (B.size * d) ** 2))
+    for lo in range(0, m, step):
+        part = slice(lo, lo + step)
+        T = _stacked_t(tm, eps, omega_prime[part], energy[part], B)
+        residual[part] = _residuals(tm, T, B, blocks[part])
+        total, order[part], final[part], converged[part], diverged[part] = \
+            _neumann_series(tm, T, B)
+        neumann[part] = _original(tm, total, B.size)
+    return ColumnPass(omega_prime=omega_prime, energy=energy, blocks=blocks,
+                      residual=residual, neumann=neumann, order=order,
+                      final_increment=final, converged=converged, diverged=diverged)
+
+
 # -- identity suite -----------------------------------------------------------
 
 
@@ -343,18 +531,16 @@ def _identity_checks(tm, rng):
     sd = tm.spectral
     checks = []
 
-    # block-column residual / transfer / Neumann / index-set stability: the
-    # level-basis columns against the stacked-system oracle, every
-    # (omega', E) column of one eps batched in one `column_pass`.  Residuals
-    # fold with np.maximum and array max, which keep a NaN where builtin max
-    # would drop it
+    # block-column residual / transfer / Neumann / index-set stability, the
+    # level-basis columns against the stacked oracle.  Residuals fold with
+    # np.maximum and array max, which keep a NaN where builtin max drops it
     res_solve, res_transfer, res_neumann, res_stability = 0.0, 0.0, 0.0, 0.0
     wrong_transfer = ~np.eye(sd.bohr.size, dtype=bool)
     # every other of the three quartile points of each density's support
     probes = np.concatenate([np.linspace(*tm.spec.bath.density(e).support, 5)[1:-1]
                              for e in (0, 1)])[::2]
     for eps in (0, 1):
-        cols = tm.column_pass(eps, probes)
+        cols = column_pass(tm, eps, probes)
         res_solve = np.maximum(res_solve, cols.residual.max())
         # every returned block, re-split from the original basis; at depth 1
         # the offsets are the Bohr set itself
@@ -366,7 +552,7 @@ def _identity_checks(tm, rng):
             diff = np.linalg.norm(direct - cols.neumann[cols.converged], axis=(-2, -1))
             ref = np.maximum(np.linalg.norm(direct, axis=(-2, -1)), 1e-300)
             res_neumann = np.maximum(res_neumann, float((diff / ref).max()))
-        wide = tm.stacked_column(eps, 0.0, float(probes[0]), index_depth=2)
+        wide = stacked_column(tm, eps, 0.0, float(probes[0]), index_depth=2)
         # the column at omega' = 0, E = probes[0]; the depth-2 offsets
         # contain the Bohr set exactly
         base = cols.blocks[sd.bohr_index(0.0) * probes.size]

@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 
-from ldlgen import TMatrix
+from ldlgen import TMatrix, verification
 from ldlgen.dynamics import evolve_master, unravel_jump
 from ldlgen.generator import drift, drift_from_t_operator, dual_generator_matrix, theta_map
 from ldlgen.model import model_from_dict
@@ -53,7 +53,7 @@ def test_criterion_02_neumann_vs_direct(nr_tm, rwa_tm):
         assert tm.spec.neumann_tolerance == 1e-12
         for eps in (0, 1):
             # every column omega' in B, E in ENERGIES
-            cols = tm.column_pass(eps, ENERGIES)
+            cols = verification.column_pass(tm, eps, ENERGIES)
             for direct, series, converged in zip(cols.blocks, cols.neumann, cols.converged):
                 assert converged
                 for b1, b2 in zip(direct, series):

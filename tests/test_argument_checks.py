@@ -142,6 +142,16 @@ BAD_CALLS = {
     "gamma_energy_str": lambda s, tm, gen: GammaTable(s.bath).gamma(0, "x"),
     # a bare TypeError at the parent
     "validate_bath_bohr_str": lambda s, tm, gen: validate_bath(s.bath, "ab", 1.0),
+    # a bare ValueError from np.size of the ragged list at the parent
+    "validate_bath_bohr_ragged": lambda s, tm, gen: validate_bath(s.bath, [[0.0], [1.0, 2.0]],
+                                                                  1.0),
+    # evaluated at the parent: the real part with a ComplexWarning, True as
+    # E = 1, a numeric string parsed by the float cast
+    "gamma_energy_complex": lambda s, tm, gen: GammaTable(s.bath).gamma(0, np.array([0.5 + 1j])),
+    "gamma_energy_bool": lambda s, tm, gen: GammaTable(s.bath).gamma(0, True),
+    "gamma_energy_bool_array": lambda s, tm, gen: GammaTable(s.bath).gamma(
+        0, np.array([True, False])),
+    "gamma_energy_numeric_str": lambda s, tm, gen: GammaTable(s.bath).gamma(0, "0.5"),
 }
 
 
@@ -164,15 +174,15 @@ def test_float_counts_are_stored_as_int(nr_spec):
     spec = _spec(nr_spec, dim=2.0, neumann_max_order=64.0)
     assert type(spec.dim) is int and type(spec.neumann_max_order) is int
     tm = TMatrix(spec)
-    cols, c = tm.column_pass(0, [0.5]), tm.spectral.bohr_index(0.0)
+    cols, c = verification.column_pass(tm, 0, [0.5]), tm.spectral.bohr_index(0.0)
     assert cols.converged[c] and cols.neumann[c].shape == (3, 2, 2)
 
 
 def test_stacked_column_reads_eps_as_a_label(nr_tm):
-    col = nr_tm.stacked_column(1.0, 0.0, 0.5)
+    col = verification.stacked_column(nr_tm, 1.0, 0.0, 0.5)
     assert type(col.epsilon) is int and col.epsilon == 1
     with pytest.raises(ValidationError, match="eps must be 0 or 1"):
-        nr_tm.stacked_column(2, 0.0, 0.5)
+        verification.stacked_column(nr_tm, 2, 0.0, 0.5)
 
 
 def test_state_file_with_unknown_key_exits_1(tmp_path, capsys):

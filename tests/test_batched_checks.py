@@ -1,6 +1,6 @@
 """The batched passes of the identity suite against their per-column views.
 
-`TMatrix.column_pass` solves every (omega', E) column of one eps at once,
+`verification.column_pass` solves every (omega', E) column of one eps at once,
 `appendix_partial_sums` and `t_components` take the probe energies as one
 array, and the three-term map reconstructs a stack of X in one contraction.
 Each is compared with one-column arithmetic: the column fields bit for bit
@@ -71,9 +71,9 @@ def _direct_column(tm, eps, omega_prime, E):
 def _neumann_loop(tm, eps, omega_prime, E):
     """The alternating T-power series of one column, one order at a time:
     (eigenbasis sum, order, final_increment, converged, diverged)."""
-    offsets = tm._offsets(1)
-    T = tm._stacked_t(eps, omega_prime, E, offsets)
-    term = tm._rhs(offsets)
+    offsets = verification._offsets(tm, 1)
+    T = verification._stacked_t(tm, eps, omega_prime, E, offsets)
+    term = verification._rhs(tm, offsets)
     total = term.copy()
     increments = []
     for k in range(1, tm.spec.neumann_max_order + 1):
@@ -91,8 +91,8 @@ def _residual_loop(tm, col):
     """Frobenius norm of (1+T) @ column - rhs for one column."""
     d, basis = tm.dim, tm.spectral.basis
     X = (basis.conj().T @ col.blocks @ basis).reshape(-1, d)
-    T = tm._stacked_t(col.epsilon, col.omega_prime, col.energy, col.offsets)
-    R = (np.eye(len(col.offsets) * d, dtype=complex) + T) @ X - tm._rhs(col.offsets)
+    T = verification._stacked_t(tm, col.epsilon, col.omega_prime, col.energy, col.offsets)
+    R = (np.eye(len(col.offsets) * d, dtype=complex) + T) @ X - verification._rhs(tm, col.offsets)
     return float(np.linalg.norm(R) / np.sqrt(d))
 
 
@@ -128,18 +128,18 @@ def test_stacked_t_placement_matches_dense_argmin(tm):
     # them): the index set and every placed entry, bit for bit
     E = float(_probes(tm)[0])
     for depth in (1, 2):
-        offsets = tm._offsets(depth)
+        offsets = verification._offsets(tm, depth)
         assert _same(offsets, _dense_offsets(tm, depth))
         for eps in (0, 1):
             for wp in (0.0, float(tm.bohr[-1])):
-                assert _same(tm._stacked_t(eps, wp, E, offsets),
+                assert _same(verification._stacked_t(tm, eps, wp, E, offsets),
                              _dense_stacked_t(tm, eps, wp, E, offsets))
 
 
 def test_column_pass_matches_per_column_views(tm):
     energies = np.array(_probes(tm)[::2])
     for eps in (0, 1):
-        cols = tm.column_pass(eps, energies)
+        cols = verification.column_pass(tm, eps, energies)
         assert cols.blocks.shape == (tm.bohr.size * energies.size, tm.bohr.size, tm.dim, tm.dim)
         c = 0
         for wp in tm.bohr:
@@ -149,7 +149,7 @@ def test_column_pass_matches_per_column_views(tm):
                 assert _same(cols.blocks[c], direct.blocks)
                 assert _same(cols.residual[c], _residual_loop(tm, direct))
                 loop = _neumann_loop(tm, eps, float(wp), float(E))
-                assert _same(cols.neumann[c], tm._original(loop[0], tm.bohr.size))
+                assert _same(cols.neumann[c], verification._original(tm, loop[0], tm.bohr.size))
                 order, final, converged, diverged = loop[1:]
                 assert int(cols.order[c]) == order
                 assert _same(cols.final_increment[c], final)
@@ -202,11 +202,11 @@ def _identity_checks_per_column(tm, rng):
                                           float((parts * wrong_transfer).sum(axis=1).max()))
                 total, _, _, converged, _ = _neumann_loop(tm, eps, float(wp), float(E))
                 if converged:
-                    series = tm._original(total, tm.bohr.size)
+                    series = verification._original(tm, total, tm.bohr.size)
                     diff = np.linalg.norm(col.blocks - series, axis=(-2, -1))
                     ref = np.maximum(np.linalg.norm(col.blocks, axis=(-2, -1)), 1e-300)
                     res_neumann = np.maximum(res_neumann, float((diff / ref).max()))
-        wide = tm.stacked_column(eps, 0.0, float(energies[0]), index_depth=2)
+        wide = verification.stacked_column(tm, eps, 0.0, float(energies[0]), index_depth=2)
         base = _direct_column(tm, eps, 0.0, float(energies[0]))
         j = np.searchsorted(wide.offsets, base.offsets)
         res_stability = np.maximum(res_stability, float(

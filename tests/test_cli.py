@@ -320,6 +320,14 @@ def test_check_report_byte_identical_between_runs(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_full_check_report_byte_identical_between_runs_on_the_jumping_model(tmp_path):
+    strong = str(MODELS / "tm_nr_strong.json")
+    outs = [tmp_path / "c1.json", tmp_path / "c2.json"]
+    for out in outs:
+        assert run(["check", strong, "--suite", "all", "--out", str(out)]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
 def test_emitted_json_matrices_reparse_exactly(tmp_path):
     out = tmp_path / "d.json"
     run(["drift", NR, "--out", str(out)])

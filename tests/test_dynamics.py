@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from ldlgen import NumericError, TMatrix, ValidationError, dynamics
+from ldlgen import NumericError, TMatrix, ValidationError, dynamics, load_model
 from ldlgen.dynamics import (_CHUNK, _DRIFT_BLOCK, _HASH_INIT_A, _HASH_INIT_B, _HASH_MULT_A,
                              _HASH_MULT_B, _MASK32, _MIX_MULT_L, _MIX_MULT_R, _PCG_MULT,
                              MAX_STORED_ENTRIES, MAX_TRAJECTORIES, _first_uniforms,
@@ -13,7 +13,7 @@ from ldlgen.dynamics import (_CHUNK, _DRIFT_BLOCK, _HASH_INIT_A, _HASH_INIT_B, _
 from ldlgen.generator import GKSLGenerator, build_generator, dual_generator_matrix
 from ldlgen.model import model_from_dict
 
-from conftest import base_model_doc, random_density
+from conftest import MODELS, base_model_doc, random_density
 
 
 _MASK64, _MASK128 = (1 << 64) - 1, (1 << 128) - 1
@@ -527,6 +527,23 @@ def test_unravel_agrees_with_master_equation():
         diff = np.abs(ens.mean_states[k] - traj.states[k])
         bound = np.maximum(4.0 * ens.stderr[k], 2e-2)
         assert (diff <= bound).all()
+
+
+def test_criterion_08_ensemble_on_a_model_whose_trajectories_jump():
+    # criterion 08's ensemble and band on models/tm_nr_strong.json (coupling
+    # sigma_x, ten times tm_nr's), where trajectories jump over a thousand times
+    gen = build_generator(TMatrix(load_model(MODELS / "tm_nr_strong.json"))).compressed()
+    psi0 = np.array([1.0, 1.0]) / np.sqrt(2.0)
+    t_max, dt, m = 20.0, 0.05, 20000
+    ens = unravel_jump(gen, psi0, t_max, dt, m, seed=2024, threads=1)
+    ens4 = unravel_jump(gen, psi0, t_max, dt, m, seed=2024, threads=4)
+    assert ens.jumps >= 1000 and ens4.jumps == ens.jumps
+    assert all(np.array_equal(a, b) for a, b in zip(ens.mean_states, ens4.mean_states))
+    traj = evolve_master(gen, np.outer(psi0, psi0.conj()), t_max, dt)
+    steps_per_checkpoint = len(traj.states) // 10
+    for k in range(steps_per_checkpoint, len(traj.states), steps_per_checkpoint):
+        diff = np.abs(ens.mean_states[k] - traj.states[k])
+        assert (diff <= np.maximum(4.0 * ens.stderr[k], 2e-2)).all()
 
 
 def test_trajectory_csv_round_trip(nr_gen):

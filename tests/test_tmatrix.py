@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ldlgen import GammaTable, NumericError, TMatrix, ValidationError, block_transfer, tmatrix
+from ldlgen import (GammaTable, NumericError, TMatrix, ValidationError, block_transfer, tmatrix,
+                    verification)
 from ldlgen.bath import DensityProfile, _exp_rows
 from ldlgen.generator import theta_map
 from ldlgen.model import model_from_dict
@@ -76,7 +77,7 @@ def test_kernel_off_lattice_difference_is_zero(nr_tm):
 def test_solve_zero_coupling_gives_identity_column():
     tm = _zero_model()
     # one energy: column c of the pass is omega' = bohr[c]
-    blocks = tm.column_pass(0, [0.3]).blocks[tm.spectral.bohr_index(0.0)]
+    blocks = verification.column_pass(tm, 0, [0.3]).blocks[tm.spectral.bohr_index(0.0)]
     for off, blk in zip(tm.bohr, blocks):
         expect = np.eye(2) if off == 0.0 else np.zeros((2, 2))
         assert np.abs(blk - expect).max() == 0.0
@@ -84,14 +85,14 @@ def test_solve_zero_coupling_gives_identity_column():
 
 def test_solve_residual_invariant(nr_tm):
     for eps in (0, 1):
-        cols = nr_tm.column_pass(eps, [0.31, 2.47])
+        cols = verification.column_pass(nr_tm, eps, [0.31, 2.47])
         assert sorted(set(cols.omega_prime)) == [-1.0, 0.0, 1.0]
         for residual in cols.residual:
             assert residual < 1e-12
 
 
 def test_solve_block_transfer_invariant(nr_tm):
-    blocks = nr_tm.column_pass(1, [0.52]).blocks[nr_tm.spectral.bohr_index(1.0)]
+    blocks = verification.column_pass(nr_tm, 1, [0.52]).blocks[nr_tm.spectral.bohr_index(1.0)]
     for off, blk in zip(nr_tm.bohr, blocks):
         comps = block_transfer(blk, nr_tm.spectral)
         for w, comp in comps.items():
@@ -101,7 +102,7 @@ def test_solve_block_transfer_invariant(nr_tm):
 
 def test_neumann_zero_coupling_converges_at_order_zero():
     tm = _zero_model()
-    cols, c = tm.column_pass(0, [0.3]), tm.spectral.bohr_index(0.0)
+    cols, c = verification.column_pass(tm, 0, [0.3]), tm.spectral.bohr_index(0.0)
     assert cols.converged[c] and cols.order[c] == 0
     assert np.abs(cols.neumann[c][tm.bohr == 0.0] - np.eye(2)).max() == 0.0
 
@@ -110,7 +111,7 @@ def test_neumann_matches_direct_solve(nr_tm):
     # the series stops below the model's own neumann_tolerance
     assert nr_tm.spec.neumann_tolerance == 1e-12
     for eps in (0, 1):
-        cols = nr_tm.column_pass(eps, [0.2, 0.8, 2.3, 2.9])
+        cols = verification.column_pass(nr_tm, eps, [0.2, 0.8, 2.3, 2.9])
         for c in np.flatnonzero(cols.omega_prime == 0.0):
             assert cols.converged[c] and not cols.diverged[c]
             for b1, b2 in zip(cols.blocks[c], cols.neumann[c]):
@@ -124,7 +125,7 @@ def test_solve_reports_condition_estimate(nr_tm):
     tm = TMatrix(model_from_dict(base_model_doc()))
     tm.condition_limit = 1.0          # any nontrivial system now trips the gate
     with pytest.raises(NumericError, match="condition estimate"):
-        tm.column_pass(0, [0.5])
+        verification.column_pass(tm, 0, [0.5])
 
 
 # -- the condition gate of the level-basis solve ---------------------------------
@@ -233,7 +234,7 @@ def test_neumann_divergence_flagged():
     # the radius past 1, so scale until the oracle certifies divergence
     tm = _scaled_model(4.0)
     E = 0.5
-    T = tm._stacked_t(0, 0.0, E, tm._offsets(1))
+    T = verification._stacked_t(tm, 0, 0.0, E, verification._offsets(tm, 1))
     rng = np.random.default_rng(3)
     vec = rng.standard_normal(T.shape[0]) + 1j * rng.standard_normal(T.shape[0])
     for _ in range(300):
@@ -241,14 +242,14 @@ def test_neumann_divergence_flagged():
         vec /= np.linalg.norm(vec)
     radius = float(np.linalg.norm(T @ vec))
     assert radius > 1.0
-    cols, c = tm.column_pass(0, [E]), tm.spectral.bohr_index(0.0)
+    cols, c = verification.column_pass(tm, 0, [E]), tm.spectral.bohr_index(0.0)
     assert cols.diverged[c] and not cols.converged[c]
 
 
 def test_stacked_column_rejects_other_index_depths(nr_tm):
     for depth in (0, 3, -1):
         with pytest.raises(ValidationError, match="index_depth"):
-            nr_tm.stacked_column(0, 0.0, 0.5, index_depth=depth)
+            verification.stacked_column(nr_tm, 0, 0.0, 0.5, index_depth=depth)
 
 
 # -- stacked oracle on a chained Bohr cluster -----------------------------------
@@ -265,10 +266,10 @@ def test_stacked_t_places_each_entry_once(chained_tm):
     tm = chained_tm
     d = tm.dim
     for depth in (1, 2):
-        offsets = tm._offsets(depth)
+        offsets = verification._offsets(tm, depth)
         n = offsets.size
         for eps in (0, 1):
-            T = tm._stacked_t(eps, 0.0, 0.5, offsets).reshape(n, d, n, d)
+            T = verification._stacked_t(tm, eps, 0.0, 0.5, offsets).reshape(n, d, n, d)
             placements = (T != 0).sum(axis=2)
             assert placements.max() == 1
             assert placements.sum() > n * d
@@ -278,11 +279,18 @@ def test_identity_suite_on_chained_cluster(chained_tm):
     # 22 of the 125 eigen-index triples (k, p, m) do not compose
     # (transfer[k, m] - transfer[k, p] misses transfer[p, m] by more than the
     # Bohr tolerance), so no placement on the offset lattice reproduces the
-    # per-eigen-column systems exactly; the two routes still agree closely
+    # per-eigen-column systems exactly; the two routes still agree closely.
+    # The three stacked-vs-level checks must fail here, each above a floor
+    # (measured 9.02e-8, 6.46e-8 and 8.54e-4): if they passed, the stacked
+    # oracle would be reproducing the level-basis split, not checking it
     report = {c["check"]: c for c in run_identity_suite(chained_tm, "identities")["checks"]}
     assert report["block_column_residual"]["residual"] <= 1e-6
     assert report["index_set_stability"]["residual"] <= 1e-6
-    stacked_vs_level = {"block_column_residual", "index_set_stability", "neumann_vs_direct"}
+    floors = {"block_column_residual": 1e-8, "index_set_stability": 1e-8,
+              "neumann_vs_direct": 1e-4}
+    for name, floor in floors.items():
+        assert not report[name]["pass"] and report[name]["residual"] >= floor, name
+    stacked_vs_level = set(floors)
     assert all(c["pass"] for name, c in report.items() if name not in stacked_vs_level)
 
 
@@ -340,8 +348,8 @@ def test_r_blocks_sampling(nr_tm):
 
 def test_index_set_stability(nr_tm):
     for eps in (0, 1):
-        base = nr_tm.column_pass(eps, [0.66]).blocks[nr_tm.spectral.bohr_index(0.0)]
-        wide = nr_tm.stacked_column(eps, 0.0, 0.66, index_depth=2)
+        base = verification.column_pass(nr_tm, eps, [0.66]).blocks[nr_tm.spectral.bohr_index(0.0)]
+        wide = verification.stacked_column(nr_tm, eps, 0.0, 0.66, index_depth=2)
         assert wide.offsets.size > nr_tm.bohr.size
         for off, blk in zip(nr_tm.bohr, base):
             j = int(np.argmin(np.abs(wide.offsets - off)))
@@ -408,9 +416,9 @@ BAD_CALLS = {
     "partial_sums_nan_tol": lambda tm: tm.appendix_partial_sums("00", 0.5, tol=NAN),
     "partial_sums_negative_tol": lambda tm: tm.appendix_partial_sums("00", 0.5, tol=-1.0),
     # silently depth 1 before index_depth went through _count
-    "stacked_column_bool_depth": lambda tm: tm.stacked_column(0, 0.0, 0.5, index_depth=True),
+    "stacked_column_bool_depth": lambda tm: verification.stacked_column(tm, 0, 0.0, 0.5, index_depth=True),
     "t_kernel_bool_eps": lambda tm: tm.t_kernel(True, 0.0, 0.0, 0.5),
-    "stacked_column_nan_omega": lambda tm: tm.stacked_column(0, NAN, 0.5),
+    "stacked_column_nan_omega": lambda tm: verification.stacked_column(tm, 0, NAN, 0.5),
     "r_blocks_nan_omega": lambda tm: tm.r_blocks(0.5, NAN),
     "r_coefficient_nan_omega": lambda tm: tm.r_coefficient(0, 0, NAN, 0.0, 0.5),
     "theta_map_nan_omega": lambda tm: theta_map(tm, np.eye(2), 0, 0, NAN, 0.0, 0.5),
@@ -418,11 +426,11 @@ BAD_CALLS = {
     "nan_r_coefficient": lambda tm: tm.r_coefficient(0, 0, 0.0, 0.0, NAN),
     "nan_t_components": lambda tm: tm.t_components(NAN),
     "nan_theta_map": lambda tm: theta_map(tm, np.eye(2), 0, 0, 0.0, 0.0, NAN),
-    "nan_stacked_column": lambda tm: tm.stacked_column(0, 0.0, NAN),
+    "nan_stacked_column": lambda tm: verification.stacked_column(tm, 0, 0.0, NAN),
     "nan_t_kernel": lambda tm: tm.t_kernel(0, 0.0, 0.0, NAN),
     "nan_appendix_term": lambda tm: tm.appendix_term("01", 1, NAN),
-    "column_pass_eps": lambda tm: tm.column_pass(2, [0.5]),
-    "nan_column_pass": lambda tm: tm.column_pass(0, [0.5, NAN]),
+    "column_pass_eps": lambda tm: verification.column_pass(tm, 2, [0.5]),
+    "nan_column_pass": lambda tm: verification.column_pass(tm, 0, [0.5, NAN]),
     "nan_partial_sums_array": lambda tm: tm.appendix_partial_sums("00", [0.5, NAN]),
     "inf_array_energy": lambda tm: tm.t_components(np.array([0.5, np.inf])),
     "2d_energy": lambda tm: tm.appendix_term("00", 1, np.full((2, 2), 0.5)),
@@ -442,8 +450,8 @@ def test_scattering_views_reject_bad_input(nr_tm, name):
 
 def test_float_labels_match_integer_labels(nr_tm):
     assert np.array_equal(nr_tm.t_kernel(1.0, 1.0, 0.0, 0.5), nr_tm.t_kernel(1, 1.0, 0.0, 0.5))
-    assert np.array_equal(nr_tm.column_pass(1.0, [0.5]).blocks,
-                          nr_tm.column_pass(1, [0.5]).blocks)
+    assert np.array_equal(verification.column_pass(nr_tm, 1.0, [0.5]).blocks,
+                          verification.column_pass(nr_tm, 1, [0.5]).blocks)
     assert np.array_equal(nr_tm.r_coefficient(1.0, 0.0, 0.0, 0.0, 0.5),
                           nr_tm.r_coefficient(1, 0, 0.0, 0.0, 0.5))
 

@@ -368,13 +368,13 @@ def test_suite_rejects_unknown_selector(nr_tm):
 
 def test_nan_residual_fails_its_check(nr_tm, monkeypatch):
     # builtin max(0.0, nan) is 0.0, which once let a NaN residual pass
-    column_pass = TMatrix.column_pass
+    column_pass = verification.column_pass
 
-    def nan_residuals(self, eps, energies):
-        cols = column_pass(self, eps, energies)
+    def nan_residuals(tm, eps, energies):
+        cols = column_pass(tm, eps, energies)
         return cols._replace(residual=np.full_like(cols.residual, np.nan))
 
-    monkeypatch.setattr(TMatrix, "column_pass", nan_residuals)
+    monkeypatch.setattr(verification, "column_pass", nan_residuals)
     report = run_identity_suite(nr_tm, which="identities")
     entry = next(c for c in report["checks"] if c["check"] == "block_column_residual")
     assert entry["residual"] is None and entry["pass"] is False

@@ -64,13 +64,19 @@ def _energies(E):
 
 def _array(value, shape, where, dtype=complex, nonnegative=False):
     """A finite array of exactly `shape` as a `dtype` array, where a None in
-    `shape` takes any length; anything else is a ValidationError.  With
+    `shape` takes any length; anything else is a ValidationError.  The kind
+    is checked before the cast: strings, bytes, booleans and objects are
+    refused, and so is a complex array when `dtype` is float.  With
     `nonnegative`, a negative entry is one too, and a non-finite or negative
     entry gets the one message saying both."""
     try:
-        arr = np.asarray(value, dtype=dtype)
+        arr = np.asarray(value)
     except (TypeError, ValueError):
         raise ValidationError(f"{where} must be a numeric array") from None
+    if arr.dtype.kind not in ("iuf" if dtype is float else "iufc"):
+        kind = "real" if dtype is float else "numeric"
+        raise ValidationError(f"{where} must be a {kind} array, not of dtype {arr.dtype}")
+    arr = arr.astype(dtype, copy=False)
     if arr.ndim != len(shape) or any(n not in (None, m) for n, m in zip(shape, arr.shape)):
         want = (" x ".join(map(str, shape)) if len(shape) != 1
                 else "1-D" if shape[0] is None else f"of dimension {shape[0]}")

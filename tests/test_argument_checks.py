@@ -152,6 +152,25 @@ BAD_CALLS = {
     "gamma_energy_bool_array": lambda s, tm, gen: GammaTable(s.bath).gamma(
         0, np.array([True, False])),
     "gamma_energy_numeric_str": lambda s, tm, gen: GammaTable(s.bath).gamma(0, "0.5"),
+    # accepted at the parent, whose cast parsed numeric strings and bytes and
+    # read booleans and objects as numbers; a complex bohr warned
+    # ComplexWarning and was read at its real part
+    "evolve_master_numeric_str": lambda s, tm, gen: evolve_master(gen, [["1", "0"], ["0", "0"]],
+                                                                  1.0, 0.1),
+    "evolve_master_bool": lambda s, tm, gen: evolve_master(gen, RHO.astype(bool), 1.0, 0.1),
+    "evolve_master_object": lambda s, tm, gen: evolve_master(gen, RHO.astype(object), 1.0, 0.1),
+    "unravel_jump_numeric_str": lambda s, tm, gen: unravel_jump(gen, ["1", "0"], 1.0, 0.1, 10, 1),
+    "unravel_jump_bool": lambda s, tm, gen: unravel_jump(gen, PSI.astype(bool), 1.0, 0.1, 10, 1),
+    "validate_bath_bohr_complex": lambda s, tm, gen: validate_bath(s.bath, np.array([0j + 1]),
+                                                                   1.0),
+    "validate_bath_bohr_numeric_str": lambda s, tm, gen: validate_bath(
+        s.bath, ["-1.0", "0.0", "1.0"], 1.0),
+    "validate_bath_bohr_bool": lambda s, tm, gen: validate_bath(s.bath, [True, False], 1.0),
+    "apply_generator_numeric_str": lambda s, tm, gen: gen.apply([["1", "0"], ["0", "1"]]),
+    "apply_generator_bytes": lambda s, tm, gen: gen.apply(np.array([[b"1", b"0"], [b"0", b"1"]])),
+    "apply_generator_object": lambda s, tm, gen: gen.apply(np.eye(2, dtype=object)),
+    "generator_weights_bool": lambda s, tm, gen: _generator(weights=[True]),
+    "generator_weights_complex": lambda s, tm, gen: _generator(weights=[0.3 + 0j]),
 }
 
 

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +17,7 @@ from ldlgen.dynamics import (_CHUNK, _DRIFT_BLOCK, _HASH_INIT_A, _HASH_INIT_B, _
 from ldlgen.generator import GKSLGenerator, build_generator, dual_generator_matrix
 from ldlgen.model import model_from_dict
 
-from conftest import MODELS, base_model_doc, random_density
+from conftest import MODELS, ROOT, base_model_doc, random_density
 
 
 _MASK64, _MASK128 = (1 << 64) - 1, (1 << 128) - 1
@@ -183,33 +187,130 @@ def _per_step_evolve(liouville, rho0, n_steps, dt):
     return np.array(states).reshape(-1, *rho0.shape)
 
 
-def test_evolve_bytes_match_per_step_loop(nr_gen):
+def _block_power_orbit(step, y0, n_steps):
+    """Oracle for `dynamics._orbit`: the powers S^1 ... S^b, each listed as
+    S @ S^(j-1), and every block of up to b rows the stacked powers (b D, D)
+    times the row before the block.  b is min(_DRIFT_BLOCK, n_steps) within
+    the 1 MiB table budget, and a block also ends where a drift-check block
+    of evolve_master does; y0 is a vector or a (D, D) matrix of columns."""
+    dim = step.shape[0]
+    powers = [step]
+    while len(powers) < min(_DRIFT_BLOCK, n_steps, (1 << 20) // (16 * dim * dim)):
+        powers.append(step @ powers[-1])
+    stacked = np.concatenate(powers)
+    rows = [np.asarray(y0, dtype=complex)]
+    while len(rows) <= n_steps:
+        m = min(len(powers), n_steps + 1 - len(rows),
+                _DRIFT_BLOCK - (len(rows) - 1) % _DRIFT_BLOCK)
+        rows.extend((stacked[:m * dim] @ rows[-1]).reshape(m, *rows[0].shape))
+    return np.array(rows)
+
+
+def _roundoff_bound(step, n_steps, y_max):
+    """A first-order bound on |block-power orbit - per-step orbit| over
+    n_steps, in the max norm.  A complex product of D terms errs by at most
+    c u |A| |x| with c = 2 (D + 2) and u = 2^-53.  Each per-step product adds
+    c u ||S|| Y, carried on by at most K = max_j ||S^j||, so the per-step
+    orbit is off the exact one by n K c u ||S|| Y.  Each table power is off
+    by j K^2 c u ||S||, and each block row adds c u K Y; carried over the
+    blocks, the block orbit is off by about n K^3 c u ||S|| Y.  Their
+    difference is within 3 n K^3 c u max(||S||, 1) Y."""
+    dim = step.shape[0]
+    k = np.abs(_block_power_orbit(step, np.eye(dim), n_steps)).sum(axis=-1).max()
+    norm = max(np.abs(step).sum(axis=1).max(), 1.0)
+    return 3.0 * n_steps * k ** 3 * 2.0 * (dim + 2) * 2.0 ** -53 * norm * y_max
+
+
+def _assert_evolve_orbit(monkeypatch, gen, rho0, n_steps, dt):
+    """evolve_master's states are the block-power oracle's bytes and lie
+    within `_roundoff_bound` of the per-step loop; with the power table's
+    budget at 0, so b = 1, they are the per-step loop's bytes."""
+    liouville = dual_generator_matrix(gen)
+    step = _taylor_step(liouville, dt)
+    states = evolve_master(gen, rho0, n_steps * dt, dt).states
+    y0 = np.asarray(rho0, dtype=complex).reshape(-1)
+    assert states.tobytes() == _block_power_orbit(step, y0, n_steps).tobytes()
+    per_step = _per_step_evolve(liouville, rho0, n_steps, dt)
+    bound = _roundoff_bound(step, n_steps, np.abs(states).max())
+    assert np.abs(states - per_step).max() <= bound
+    with monkeypatch.context() as patch:
+        patch.setattr(dynamics, "_POWER_TABLE_BYTES", 0)
+        one_row = evolve_master(gen, rho0, n_steps * dt, dt).states
+    assert one_row.tobytes() == per_step.tobytes()
+
+
+def test_evolve_bytes_match_per_step_loop(monkeypatch, nr_gen):
+    # at b = 1 the kernel is the per-step gemv; at b = 256 each state is the
+    # block oracle's and moves from the per-step loop at roundoff only.  On
+    # the compressed tm_nr generator the move is 2.9e-15 against a bound of
+    # 4.0e-12 here, and 4.6e-14 against 8.0e-11 over 40,000 steps: a margin
+    # of about 1,400 and 1,700
     psi0 = np.array([1.0, 1.0]) / np.sqrt(2.0)
     rho0 = np.outer(psi0, psi0.conj())
     for gen, t_max, dt in ((nr_gen.compressed(), 100.0, 0.05), (_strong_gen(), 3.0, 0.01)):
         n_steps = round(t_max / dt)
         assert n_steps > _DRIFT_BLOCK
-        want = _per_step_evolve(dual_generator_matrix(gen), rho0, n_steps, dt)
-        assert evolve_master(gen, rho0, t_max, dt).states.tobytes() == want.tobytes()
+        _assert_evolve_orbit(monkeypatch, gen, rho0, n_steps, dt)
 
 
 @pytest.mark.parametrize("d", [3, 4, 5])
-def test_orbit_bytes_match_per_step_products_on_random_generators(d):
+def test_orbit_bytes_match_per_step_products_on_random_generators(monkeypatch, d):
     # evolve_master and the no-jump cohort both step through `_orbit`; over
-    # several drift-check blocks each state must be the bytes of `step @ y`
+    # several drift-check blocks each state must be the block oracle's bytes,
+    # within roundoff of `step @ y` per step, and its bytes at b = 1.  At
+    # d = 5 (D = 25) the 1 MiB table holds 104 powers, so the blocks of the
+    # table and of the drift check do not line up
     rng = np.random.default_rng(100 + d)
     dt, n_steps = 0.05, 2 * _DRIFT_BLOCK + 7
     gen = _random_gen(rng, d, dt)
-    rho0 = random_density(rng, d)
-    want = _per_step_evolve(dual_generator_matrix(gen), rho0, n_steps, dt)
-    assert evolve_master(gen, rho0, n_steps * dt, dt).states.tobytes() == want.tobytes()
+    _assert_evolve_orbit(monkeypatch, gen, random_density(rng, d), n_steps, dt)
     step = _taylor_step(-1j * (gen.hamiltonian - 0.5j * gen.psi_one), dt)
     c = [rng.standard_normal(d) + 1j * rng.standard_normal(d)]
     c[0] /= np.linalg.norm(c[0])
     for _ in range(n_steps):
         c.append(step @ c[-1])
     cohort, _, _ = dynamics._no_jump_cohort(c[0], step, n_steps)
+    assert cohort.tobytes() == _block_power_orbit(step, c[0], n_steps).tobytes()
+    assert np.abs(cohort - c).max() <= _roundoff_bound(step, n_steps, 1.0)
+    monkeypatch.setattr(dynamics, "_POWER_TABLE_BYTES", 0)
+    cohort, _, _ = dynamics._no_jump_cohort(c[0], step, n_steps)
     assert cohort.tobytes() == np.array(c).tobytes()
+
+
+# Runs in a fresh interpreter, so OPENBLAS_NUM_THREADS takes effect: the
+# SHA-256 of evolve_master's states and of the no-jump cohort on a random
+# generator for each d, over a step count past several blocks of the table
+_ORBIT_DIGEST_SCRIPT = """
+import hashlib, sys
+import numpy as np
+sys.path.insert(0, sys.argv[1])
+import test_dynamics as td
+from conftest import random_density
+from ldlgen.dynamics import _no_jump_cohort, _taylor_step, evolve_master
+for d in (2, 3, 4, 5):
+    rng = np.random.default_rng(300 + d)
+    gen = td._random_gen(rng, d, 0.05)
+    states = evolve_master(gen, random_density(rng, d), 600 * 0.05, 0.05).states
+    step = _taylor_step(-1j * (gen.hamiltonian - 0.5j * gen.psi_one), 0.05)
+    psi = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    cohort = _no_jump_cohort(psi / np.linalg.norm(psi), step, 600)[0]
+    print(d, hashlib.sha256(states.tobytes() + cohort.tobytes()).hexdigest())
+"""
+
+
+def test_orbit_bytes_match_across_blas_threads():
+    # from D = 9 on, a stacked product of up to 256 D rows is large enough
+    # for OpenBLAS to split between threads; the states may not depend on it
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    digests = []
+    for threads in ("1", "2"):
+        done = subprocess.run([sys.executable, "-c", _ORBIT_DIGEST_SCRIPT, str(ROOT / "tests")],
+                              capture_output=True, text=True,
+                              env={**env, "OPENBLAS_NUM_THREADS": threads})
+        assert done.returncode == 0, done.stderr
+        digests.append(done.stdout.split())
+    assert len(digests[0]) == 8 and digests[0] == digests[1]
 
 
 def test_evolve_reports_first_trace_drift(monkeypatch):
@@ -358,6 +459,81 @@ def _per_trajectory_ensemble(gen, psi0, n_steps, dt, m, seed):
 def _empty_family_gen():
     h = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
     return GKSLGenerator(drift=np.zeros((2, 2)), hamiltonian=h, weights=[], ops=[])
+
+
+def _per_step_moments(psi):
+    """Mean of the normalized |psi><psi| over the columns of psi (d, n) and
+    M2, the sum of |x - mean|^2: one step's moments."""
+    normed = psi / np.sqrt(np.sum(np.abs(psi) ** 2, axis=0))
+    x = normed[:, None, :] * normed[None, :, :].conj()
+    mean = np.sum(x, axis=2) / psi.shape[1]
+    return mean, np.sum(np.abs(x - mean[:, :, None]) ** 2, axis=2)
+
+
+def _per_step_run_chunk(start, u, seed, cohort, step, heff, weights, ops, dt):
+    """Oracle for `dynamics._run_chunk`: the jumped batch stepped as there,
+    its moments taken and merged with the cohort's at every step."""
+    c, floor, proj = cohort
+    n_steps, d = c.shape[0] - 1, c.shape[1]
+    n = u.size
+    first = np.searchsorted(-floor, -u, side="right") + 1
+    order = np.argsort(first, kind="stable")
+    joined = np.searchsorted(first[order], np.arange(n_steps + 1), side="right")
+    k0 = int(first[order[0]])
+    mean = np.empty((n_steps + 1, d, d), dtype=complex)
+    m2 = np.zeros((n_steps + 1, d, d))
+    mean[:k0] = proj[:k0]
+    psi = np.empty((d, n), dtype=complex)
+    thresholds = np.empty(n)
+    rngs = []
+    counts = np.zeros(2, dtype=int)
+    active = 0
+    for k in range(k0, n_steps + 1):
+        advanced = step @ psi[:, :active]
+        crossed = np.nonzero(np.sum(np.abs(advanced) ** 2, axis=0) < thresholds[:active])[0]
+        for j in crossed:
+            advanced[:, j], thresholds[j], *fired = _resolve_jumps(
+                psi[:, j], dt, thresholds[j], rngs[j], heff, weights, ops)
+            counts += fired
+        psi[:, :active] = advanced
+        for j in range(active, joined[k]):
+            i = order[j]
+            rngs.append(dynamics._trajectory_rng(seed, start + i, u[i]))
+            psi[:, j], thresholds[j], *fired = _resolve_jumps(
+                c[k - 1], dt, u[i], rngs[j], heff, weights, ops)
+            counts += fired
+        active = int(joined[k])
+        mean[k], m2[k] = dynamics._merge(proj[k], 0.0, n - active,
+                                         *_per_step_moments(psi[:, :active]), active)
+    return mean, m2, counts
+
+
+@pytest.mark.parametrize("case", ["tm_nr_seed_7", "tm_nr_seed_8", "strong", "tm_nr_strong",
+                                  "random_d3"])
+def test_held_moments_bytes_match_per_step_moments(monkeypatch, nr_gen, case):
+    # the jumped batch's moments are taken once per run of steps in which it
+    # keeps its size; at a 1000-byte budget a run is also cut every few steps
+    psi0 = np.array([1.0, 1.0]) / np.sqrt(2.0)
+    if case.startswith("tm_nr_seed"):
+        gen, t_max, dt, m, seed = nr_gen.compressed(), 20.0, 0.05, 20000, int(case[-1])
+    elif case == "strong":
+        gen, t_max, dt, m, seed = _strong_gen(), 2.0, 0.01, 1000, 123
+    elif case == "tm_nr_strong":
+        gen = build_generator(TMatrix(load_model(MODELS / "tm_nr_strong.json"))).compressed()
+        t_max, dt, m, seed = 2.0, 0.05, 5000, 2024
+    else:
+        gen, t_max, dt, m, seed = _random_gen(np.random.default_rng(3), 3, 0.05), 5.0, 0.05, 600, 5
+        psi0 = np.ones(3) / np.sqrt(3.0)
+    runs = [unravel_jump(gen, psi0, t_max, dt, m, seed)]
+    monkeypatch.setattr(dynamics, "_MOMENT_BYTES", 1000)
+    runs.append(unravel_jump(gen, psi0, t_max, dt, m, seed))
+    monkeypatch.setattr(dynamics, "_run_chunk", _per_step_run_chunk)
+    want = unravel_jump(gen, psi0, t_max, dt, m, seed)
+    assert want.jumps > 0
+    for ens in runs:
+        assert ens.mean_states.tobytes() == want.mean_states.tobytes()
+        assert ens.stderr.tobytes() == want.stderr.tobytes()
+        assert (ens.jumps, ens.no_channel) == (want.jumps, want.no_channel)
 
 
 def test_chunk_merge_matches_direct_moments(monkeypatch):

@@ -4,17 +4,18 @@ The master equation is integrated with classical fixed-step 4th-order
 Runge-Kutta on the vectorized equation; for this autonomous linear
 system one RK4 step is exactly the degree-4 Taylor polynomial of the
 step map S, which is precomputed once.  The step is fixed, so the k-th
-state of a block is S^k applied to the state before the block: `_powers`
-tabulates S^1 ... S^b once per call, each power S times the one before,
-and `_orbit`, which `evolve_master` and the no-jump cohort below share,
-fills a block of up to b rows with one product of the stacked table
-(b D, D) and that state.  b is at most 256 and at most the steps, and
-the table keeps within 1 MiB, so that it stays in cache: b = 256 up to
-D = 16, 104 at D = 25, and 1 from D = 256 (d = 16) on, where the product
-is the per-step gemv `step @ y` with its bytes.  A block's states differ
-from the per-step product at roundoff (at most 4.6e-14 over 40,000 steps
-of the compressed tm_nr generator).  The trace drift is checked per block
-of 256 steps, and the first offending step is reported.
+state of a block is S^k applied to the state before the block: `_orbit`,
+which `evolve_master` and the no-jump cohort below each call once,
+tabulates S^1 ... S^b, each power S times the one before, and fills the
+trajectory in blocks of up to b rows, each one product of the stacked
+table (b D, D) and the state before the block.  b is at most 256 and at
+most the steps, and the table keeps within 1 MiB, so that it stays in
+cache: b = 256 up to D = 16, 104 at D = 25, and 1 from D = 256 (d = 16)
+on, where the product is the per-step gemv `step @ y` with its bytes.  A
+block's states differ from the per-step product at roundoff (at most
+4.6e-14 over 40,000 steps of the compressed tm_nr generator).  The trace
+drift is checked once, over all stored states, and the first offending
+step is reported.
 
 The Monte-Carlo unravelling is the standard norm-loss construction
 (Dalibard, Castin and Molmer, PRL 68, 580 (1992)): drift under
@@ -74,9 +75,9 @@ _BISECTION_ITERS = 48
 # the jumped batch's states held for one `_moments` call make at most this
 # many bytes of |psi><psi| samples
 _MOMENT_BYTES = 1 << 20
-# evolve_master checks the trace drift once per block of this many steps,
-# and `_orbit` steps at most this many rows per product
-_DRIFT_BLOCK = 256
+# `_orbit` tabulates at most this many step powers, so it steps at most
+# this many rows per product
+_TABLE_ROWS = 256
 # the table of step powers stays within this many bytes, so it stays in
 # cache; from D = 256 (d = 16) on it holds the step alone
 _POWER_TABLE_BYTES = 1 << 20
@@ -161,32 +162,25 @@ def _step_count(t_max, dt, dim):
     return n_steps
 
 
-def _powers(step, rows):
-    """The step's powers S^1 ... S^b as a (b, D, D) array, powers[j - 1] = S^j,
-    for b = min(_DRIFT_BLOCK, rows, _POWER_TABLE_BYTES // (16 D^2)), at least 1.
+def _orbit(step, flat):
+    """Rows 1 ... n - 1 of the C-contiguous (n, D) array `flat`, written in
+    place from row 0 in blocks of up to b rows: row k of a block that starts
+    at row s is S^(k - s + 1) flat[s - 1], with b = min(_TABLE_ROWS, n - 1,
+    _POWER_TABLE_BYTES // (16 D^2)), at least 1.
 
-    Each power is the step times the one before, S^j = S @ S^(j-1)."""
-    dim = step.shape[0]
-    b = max(1, min(_DRIFT_BLOCK, rows, _POWER_TABLE_BYTES // (16 * dim * dim)))
+    The powers S^1 ... S^b are tabulated once, each the step times the one
+    before, S^j = S @ S^(j-1).  A block is one product of the stacked powers
+    (b D, D) with the row before it, written straight into the block's rows.
+    At b = 1 this is the gemv `step @ y` of every row."""
+    rows, dim = flat.shape[0], step.shape[0]
+    b = max(1, min(_TABLE_ROWS, rows - 1, _POWER_TABLE_BYTES // (16 * dim * dim)))
     powers = np.empty((b, dim, dim), dtype=complex)
     powers[0] = step
     for j in range(1, b):
         np.dot(step, powers[j - 1], out=powers[j])
-    return powers
-
-
-def _orbit(powers, flat, lo, hi):
-    """Rows lo..hi-1 of the C-contiguous (n, D) array `flat`, written in
-    place from row lo - 1 in blocks of up to b = len(powers) rows: row k of
-    a block that starts at row s is S^(k - s + 1) flat[s - 1].
-
-    A block is one product of the stacked powers (b D, D) with the row
-    before it, written straight into the block's rows.  At b = 1 this is
-    the gemv `step @ y` of every row."""
-    b, dim = powers.shape[0], powers.shape[1]
     stacked = powers.reshape(b * dim, dim)
-    for start in range(lo, hi, b):
-        stop = min(start + b, hi)
+    for start in range(1, rows, b):
+        stop = min(start + b, rows)
         np.dot(stacked[:(stop - start) * dim], flat[start - 1],
                out=flat[start:stop].reshape(-1))
 
@@ -198,19 +192,17 @@ def evolve_master(gen, rho0, t_max, dt):
     liouville = dual_generator_matrix(gen)
     if dt * np.linalg.norm(liouville, 2) >= 0.1:
         raise ValidationError("dt too large for this generator: require dt*||L|| < 0.1")
-    powers = _powers(_taylor_step(liouville, dt), n_steps)
     states = np.empty((n_steps + 1, gen.dim, gen.dim), dtype=complex)
     states[0] = rho0
-    flat = states.reshape(n_steps + 1, -1)
-    # a block's growth is at most about exp(0.1 * _DRIFT_BLOCK): finite
-    for lo in range(1, n_steps + 1, _DRIFT_BLOCK):
-        hi = min(lo + _DRIFT_BLOCK, n_steps + 1)
-        _orbit(powers, flat, lo, hi)
-        drift = np.abs(np.trace(states[lo:hi], axis1=1, axis2=2).real - 1.0)
-        bad = np.flatnonzero(~(drift <= 1e-6))
-        if bad.size:
-            raise NumericError(f"trace drift {drift[bad[0]]:.3e} exceeded 1e-6 during "
-                               "integration; use a smaller dt")
+    # a growing generator may overflow the states after its first offending
+    # step; only that first step is reported
+    with np.errstate(over="ignore", invalid="ignore"):
+        _orbit(_taylor_step(liouville, dt), states.reshape(n_steps + 1, -1))
+        drift = np.abs(np.einsum("kii->k", states[1:].real) - 1.0)
+    bad = np.flatnonzero(~(drift <= 1e-6))
+    if bad.size:
+        raise NumericError(f"trace drift {drift[bad[0]]:.3e} exceeded 1e-6 during "
+                           "integration; use a smaller dt")
     times = np.arange(n_steps + 1) * dt
     return DensityTrajectory(times=times, states=states)
 
@@ -398,7 +390,7 @@ def _no_jump_cohort(psi0, step, n_steps):
     normalized projectors (n_steps + 1, d, d) (zero where the norm is)."""
     c = np.empty((n_steps + 1, psi0.size), dtype=complex)
     c[0] = psi0
-    _orbit(_powers(step, n_steps), c, 1, n_steps + 1)
+    _orbit(step, c)
     norm2 = np.sum(np.abs(c) ** 2, axis=1)
     norm = np.sqrt(norm2)[:, None]
     normed = np.divide(c, norm, out=np.zeros_like(c), where=norm > 0.0)

@@ -82,7 +82,6 @@ class TMatrix:
         self.spectral = spectral if spectral is not None else spectral_decompose(spec)
         self._gammas = GammaTable(spec.bath)
         sd = self.spectral
-        self.condition_limit = CONDITION_LIMIT
         self._thermal = None
         self._dyson = None          # (key, DysonGrid) of the last Dyson time grid
         # eigenbasis data: the coupling pair (D~, D~^+), indexed by eps in the
@@ -180,7 +179,7 @@ class TMatrix:
             raise
         with np.errstate(over="ignore", invalid="ignore"):
             kappa_f = np.linalg.norm(A, axis=(-2, -1)) * np.linalg.norm(X, axis=(-2, -1))
-        self._condition_gate(eps, E, shifts, A, ~(kappa_f <= self.condition_limit / 2))
+        self._condition_gate(eps, E, shifts, A, ~(kappa_f <= CONDITION_LIMIT / 2))
         return X
 
     def _condition_gate(self, eps, E, shifts, A, unsure):
@@ -193,7 +192,7 @@ class TMatrix:
         cond = np.zeros(unsure.shape)
         cond[unsure] = np.linalg.cond(A[unsure])
         worst = np.unravel_index(np.argmax(np.where(np.isfinite(cond), cond, np.inf)), cond.shape)
-        if not np.isfinite(cond[worst]) or cond[worst] > self.condition_limit:
+        if not np.isfinite(cond[worst]) or cond[worst] > CONDITION_LIMIT:
             n, l, s = worst
             raise NumericError(
                 f"1+T_{eps} at omega'={shifts[l, s]}, E={E[n]} is numerically singular "

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from ldlgen import NumericError, TMatrix, ValidationError, dynamics, load_model
-from ldlgen.dynamics import (_CHUNK, _DRIFT_BLOCK, _HASH_INIT_A, _HASH_INIT_B, _HASH_MULT_A,
+from ldlgen.dynamics import (_CHUNK, _HASH_INIT_A, _HASH_INIT_B, _HASH_MULT_A,
                              _HASH_MULT_B, _MASK32, _MIX_MULT_L, _MIX_MULT_R, _PCG_MULT,
                              MAX_STORED_ENTRIES, MAX_TRAJECTORIES, _first_uniforms,
                              _resolve_jumps, _step_count, _taylor_step, evolve_master,
@@ -190,18 +190,17 @@ def _per_step_evolve(liouville, rho0, n_steps, dt):
 def _block_power_orbit(step, y0, n_steps):
     """Oracle for `dynamics._orbit`: the powers S^1 ... S^b, each listed as
     S @ S^(j-1), and every block of up to b rows the stacked powers (b D, D)
-    times the row before the block.  b is min(_DRIFT_BLOCK, n_steps) within
-    the 1 MiB table budget, and a block also ends where a drift-check block
-    of evolve_master does; y0 is a vector or a (D, D) matrix of columns."""
+    times the row before the block, over one orbit of n_steps rows.  b is
+    min(256, n_steps) within the 1 MiB table budget; y0 is a vector or a
+    (D, D) matrix of columns."""
     dim = step.shape[0]
     powers = [step]
-    while len(powers) < min(_DRIFT_BLOCK, n_steps, (1 << 20) // (16 * dim * dim)):
+    while len(powers) < min(256, n_steps, (1 << 20) // (16 * dim * dim)):
         powers.append(step @ powers[-1])
     stacked = np.concatenate(powers)
     rows = [np.asarray(y0, dtype=complex)]
     while len(rows) <= n_steps:
-        m = min(len(powers), n_steps + 1 - len(rows),
-                _DRIFT_BLOCK - (len(rows) - 1) % _DRIFT_BLOCK)
+        m = min(len(powers), n_steps + 1 - len(rows))
         rows.extend((stacked[:m * dim] @ rows[-1]).reshape(m, *rows[0].shape))
     return np.array(rows)
 
@@ -249,19 +248,19 @@ def test_evolve_bytes_match_per_step_loop(monkeypatch, nr_gen):
     rho0 = np.outer(psi0, psi0.conj())
     for gen, t_max, dt in ((nr_gen.compressed(), 100.0, 0.05), (_strong_gen(), 3.0, 0.01)):
         n_steps = round(t_max / dt)
-        assert n_steps > _DRIFT_BLOCK
+        assert n_steps > 256
         _assert_evolve_orbit(monkeypatch, gen, rho0, n_steps, dt)
 
 
 @pytest.mark.parametrize("d", [3, 4, 5])
 def test_orbit_bytes_match_per_step_products_on_random_generators(monkeypatch, d):
     # evolve_master and the no-jump cohort both step through `_orbit`; over
-    # several drift-check blocks each state must be the block oracle's bytes,
-    # within roundoff of `step @ y` per step, and its bytes at b = 1.  At
-    # d = 5 (D = 25) the 1 MiB table holds 104 powers, so the blocks of the
-    # table and of the drift check do not line up
+    # several blocks of the table each state must be the block oracle's
+    # bytes, within roundoff of `step @ y` per step, and its bytes at b = 1.
+    # At d = 5 (D = 25) the 1 MiB table holds 104 powers, so its blocks do
+    # not end at multiples of 256 steps
     rng = np.random.default_rng(100 + d)
-    dt, n_steps = 0.05, 2 * _DRIFT_BLOCK + 7
+    dt, n_steps = 0.05, 2 * 256 + 7
     gen = _random_gen(rng, d, dt)
     _assert_evolve_orbit(monkeypatch, gen, random_density(rng, d), n_steps, dt)
     step = _taylor_step(-1j * (gen.hamiltonian - 0.5j * gen.psi_one), dt)
@@ -315,7 +314,7 @@ def test_orbit_bytes_match_across_blas_threads():
 
 def test_evolve_reports_first_trace_drift(monkeypatch):
     # a Liouvillian with uniform loss 2e-9 loses 1e-6 of the trace after
-    # about 5,000 steps of 0.1: past the first drift-check block
+    # about 5,000 steps of 0.1: past the first block of the power table
     gen = _zero_gen()
     rho0 = np.diag([0.6, 0.4]).astype(complex)
     lossy = dual_generator_matrix(gen) - 2e-9 * np.eye(4)
@@ -326,6 +325,20 @@ def test_evolve_reports_first_trace_drift(monkeypatch):
     with pytest.raises(NumericError) as err:
         evolve_master(gen, rho0, 1000.0, 0.1)
     assert str(err.value) == message
+
+
+def test_evolve_reports_drift_before_overflow():
+    # an anti-Hermitian "Hamiltonian" grows the trace by exp(0.08) per step
+    # (dt * ||L|| = 0.08), so the 10,000-step orbit overflows; the first
+    # step's drift is reported, without a RuntimeWarning from the overflow
+    # (the test settings turn one into an error)
+    gen = GKSLGenerator(drift=np.zeros((2, 2)), hamiltonian=0.4j * np.eye(2),
+                        weights=[], ops=[])
+    rho0 = np.diag([0.6, 0.4]).astype(complex)
+    with pytest.raises(NumericError) as err:
+        evolve_master(gen, rho0, 1000.0, 0.1)
+    assert str(err.value) == ("trace drift 8.329e-02 exceeded 1e-6 during integration; "
+                              "use a smaller dt")
 
 
 def test_evolve_rejects_oversized_step():

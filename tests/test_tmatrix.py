@@ -119,11 +119,12 @@ def test_neumann_matches_direct_solve(nr_tm):
                 assert np.linalg.norm(b1 - b2) / denom < 1e-10
 
 
-def test_solve_reports_condition_estimate(nr_tm):
+def test_solve_reports_condition_estimate(monkeypatch, nr_tm):
     from ldlgen import NumericError, TMatrix
     from ldlgen.model import model_from_dict
     tm = TMatrix(model_from_dict(base_model_doc()))
-    tm.condition_limit = 1.0          # any nontrivial system now trips the gate
+    # any nontrivial system now trips the gate
+    monkeypatch.setattr(tmatrix, "CONDITION_LIMIT", 1.0)
     with pytest.raises(NumericError, match="condition estimate"):
         verification.column_pass(tm, 0, [0.5])
 
@@ -158,7 +159,7 @@ def _gate_message(tm, eps, energies, shifts):
     return None
 
 
-def test_condition_gate_names_the_oracles_worst_system():
+def test_condition_gate_names_the_oracles_worst_system(monkeypatch):
     # limits between the smallest and the largest kappa_2 of the thermal
     # systems of a strongly coupled model: the message is the full SVD's
     # (kappa_2 from 1.007 to 25.4, so most limits leave systems unscreened)
@@ -170,11 +171,11 @@ def test_condition_gate_names_the_oracles_worst_system():
         kappa = np.unique(np.linalg.cond(A))
         for limit in ((kappa[0] + kappa[1]) / 2, np.sqrt(kappa[0] * kappa[-1]),
                       (kappa[-2] + kappa[-1]) / 2):
-            tm.condition_limit = float(limit)
+            monkeypatch.setattr(tmatrix, "CONDITION_LIMIT", float(limit))
             expected = _oracle_gate(A, limit, eps, E, shifts)
             assert expected is not None
             assert _gate_message(tm, eps, E, shifts) == expected
-        tm.condition_limit = float(kappa[-1])
+        monkeypatch.setattr(tmatrix, "CONDITION_LIMIT", float(kappa[-1]))
         assert _gate_message(tm, eps, E, shifts) is None
 
 
@@ -196,7 +197,7 @@ def test_condition_gate_on_an_exactly_singular_system(monkeypatch):
         np.linalg.solve(A, np.broadcast_to(np.eye(tm.dim, dtype=complex), A.shape))
     with pytest.raises(NumericError) as exc:
         tm._level_inverses(0, E, shifts)
-    assert str(exc.value) == _oracle_gate(A, tm.condition_limit, 0, E, shifts)
+    assert str(exc.value) == _oracle_gate(A, CONDITION_LIMIT, 0, E, shifts)
     assert "E=0.5" in str(exc.value) and "condition estimate inf" in str(exc.value)
 
 
@@ -222,10 +223,11 @@ def test_screened_gate_decides_as_the_full_svd(dim, seed, limit, log_ratios):
             A[n, l, 0] = (u * np.geomspace(1.0, 1.0 / kappa, dim)) @ v.conj().T
     E = 0.1 * np.arange(len(log_ratios))
     shifts = np.zeros((levels, 1))
-    tm.condition_limit = limit
     tm._kernels = lambda eps, energies, omega: A - np.eye(dim)
     seen = np.eye(dim) + (A - np.eye(dim))
-    assert _gate_message(tm, 0, E, shifts) == _oracle_gate(seen, limit, 0, E, shifts)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tmatrix, "CONDITION_LIMIT", limit)
+        assert _gate_message(tm, 0, E, shifts) == _oracle_gate(seen, limit, 0, E, shifts)
 
 
 def test_neumann_divergence_flagged():

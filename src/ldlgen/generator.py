@@ -89,9 +89,10 @@ def theta_map(tm, X, eps1, eps2, omega1, omega2, E):
     at = tm.spectral.at
     R1 = tm.r_blocks(nodes, omega1)
     R2 = R1 if omega2 == omega1 else tm.r_blocks(nodes, omega2)
-    ra = at(R1[:, :, eps1], tm.bohr - omega1).reshape(nodes.size, -1, tm.dim, tm.dim)
+    blocks = 2 * tm.bohr.size
+    ra = at(R1[:, :, eps1], tm.bohr - omega1).reshape(nodes.size, blocks, tm.dim, tm.dim)
     rb = at(R2[:, :, eps2], tm.bohr - omega2).reshape(ra.shape)
-    re_g = tm._re_gamma(nodes).reshape(nodes.size, -1)
+    re_g = tm._re_gamma(nodes).reshape(nodes.size, blocks)
     out = _structure_map(X, at(R2[:, eps1, eps2], omega1 - omega2),
                          at(R1[:, eps2, eps1], omega2 - omega1), ra, rb, re_g)
     return out.reshape(E.shape + X.shape)

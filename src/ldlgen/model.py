@@ -17,6 +17,7 @@ assignment through `SpectralData.split`.
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -176,15 +177,42 @@ class SpectralData:
             out.append((float(energy), v @ v.conj().T))
         return out
 
+    @cached_property
+    def _scatter(self):
+        """`split`'s grouping of the eigenbasis entries, built once: the flat
+        entries (i, j) whose transfer is in ``bohr``, ordered by its index
+        there; the indices present and the first entry of each; and the
+        rank-one products u_i u_j^+ of the ordered entries, one flattened
+        (d^2,) row each, u_i being column i of ``basis``."""
+        flat = self.transfer.reshape(-1)
+        index = np.minimum(np.searchsorted(self.bohr, flat), self.bohr.size - 1)
+        hit = np.flatnonzero(self.bohr[index] == flat)
+        entries = hit[np.argsort(index[hit], kind="stable")]
+        groups, starts = np.unique(index[entries], return_index=True)
+        i, j = np.divmod(entries, self.dim)
+        products = self.basis.T[i, :, None] * self.basis.T[j, None, :].conj()
+        return entries, groups, starts, products.reshape(entries.size, -1)
+
     def split(self, X):
         """Transfer components of operators given in the eigenbasis.
 
         X (..., d, d) holds basis^+ A basis; returns (..., |B|, d, d) in the
-        original basis, entry b the part of A with transfer bohr[b].  The
-        components sum back to A.
+        original basis, entry b the part of A with transfer bohr[b]: the sum
+        of X_ij u_i u_j^+ over the entries (i, j) of that transfer, one
+        `np.add.reduceat` over the rank-one products (`_scatter`), d^4
+        multiply-adds per operator and no BLAS call.  The components sum
+        back to A.  Operators go in chunks whose (entries, d^2) temporaries
+        hold no more than the (|B|, d^2) components they reduce to.
         """
-        masked = X[..., None, :, :] * (self.transfer == self.bohr[:, None, None])
-        return self.basis @ masked @ self.basis.conj().T
+        entries, groups, starts, products = self._scatter
+        d2, n_bohr = self.dim ** 2, self.bohr.size
+        flat = X.reshape(-1, d2)[:, entries]
+        out = np.zeros((flat.shape[0], n_bohr, d2), dtype=np.result_type(X, products))
+        step = max(1, flat.shape[0] * n_bohr // max(entries.size, n_bohr))
+        for lo in range(0, flat.shape[0], step):
+            terms = flat[lo:lo + step, :, None] * products
+            out[lo:lo + step, groups] = np.add.reduceat(terms, starts, axis=1)
+        return out.reshape(X.shape[:-2] + (n_bohr, self.dim, self.dim))
 
     def split_operator(self, A):
         """`split` for operators A (..., d, d) in the original basis."""

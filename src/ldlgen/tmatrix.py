@@ -20,6 +20,18 @@ clusters can break it.  The stacked system is the verification oracle
 (`ldlgen.verification`); the series chains (`appendix_term`) and the
 Dyson oracle never call `_kernels`, so they check the kernel entries
 independently.
+
+Every gamma argument of the kernels and the R blocks is (E_n - a) + b for
+a node E_n and an offset pair (a, b): (W[k, m], omega[k]) inside a
+kernel, (0, omega[k]) outside it and (0, omega' + W) in the R blocks.  The
+pairs do not depend on the node unless the offsets omega do (the stacked
+oracle gives each column its own omega'; each node then gets its own row
+of pairs).  gamma is evaluated on the table of nodes by distinct pairs
+and gathered (`_gamma_pairs`), so it is asked each distinct argument
+once and every value keeps its bits; the index table of a pair set is
+built once per instance.  The products that share
+a factor across nodes (L with the kernel sums, D with the solutions) are
+each one flat GEMM over every row, not one small matmul per node.
 """
 
 import itertools
@@ -43,14 +55,36 @@ MAX_GRID_STEPS = 1 << 20
 # split-exponent factors at MAX_GRID_STEPS hold about 2 sqrt(N) n complex
 # entries, 2 * 1025 * 1024 * 16 B = 32 MiB at the cap.
 MAX_ENERGY_NODES = 1 << 10
+# Most gamma offset-pair index tables a TMatrix keeps; the oldest goes first.
+_PAIR_TABLES = 32
 
 
 def _frobenius(X):
     """np.linalg.norm of each matrix of a stack X (..., m, n), bit for bit: the
     same strided dot products of the real and of the imaginary parts."""
-    flat = X.reshape(X.shape[:-2] + (1, -1))
+    flat = X.reshape(X.shape[:-2] + (1, X.shape[-2] * X.shape[-1]))
     re, im = flat.real, flat.imag
     return np.sqrt(re @ np.swapaxes(re, -1, -2) + im @ np.swapaxes(im, -1, -2))[..., 0, 0]
+
+
+def _offset_pairs(a, b, needed):
+    """Index table of the distinct gamma offset pairs (a[q], b[:, q]) among
+    the positions q where needed[q] holds.  a and needed are (Q,), shared
+    by every node; b is (1, Q) when it is too, else (N, Q), one row per
+    node, so a pair is a's value with b's column.  Pairs are told apart by
+    their bit patterns.  Returns (a[first], b[:, first], inv): the first
+    position of each distinct pair, and each position's pair index, P for
+    a position that is not needed."""
+    q = np.flatnonzero(needed)
+    bits = np.vstack([b[:, q], a[q]]).view(np.int64)
+    order = np.lexsort(bits)
+    sorted_bits = bits[:, order]
+    new = np.ones(q.size, dtype=bool)
+    new[1:] = (sorted_bits[:, 1:] != sorted_bits[:, :-1]).any(axis=0)
+    first = q[order[new]]
+    inv = np.full(a.size, first.size)
+    inv[q[order]] = np.cumsum(new) - 1
+    return a[first], b[:, first], inv
 
 
 def _series_pair(pair):
@@ -72,9 +106,11 @@ class TMatrix:
 
     Every method is a pure function of (model, bath).  The thermal pass
     over the support nodes of both densities is computed once per instance
-    (`thermal_pass`), and the Dyson oracle's time grid once per grid key
-    (`_dyson_grid`), so an instance is cheap to reuse; it is safe for
-    read-only sharing once warmed up and used on one Dyson grid.
+    (`thermal_pass`), the Dyson oracle's time grid once per grid key
+    (`_dyson_grid`) and the index table of a gamma offset-pair set once
+    per pair set (`_kept`), so an instance is cheap to reuse; it is safe
+    for read-only sharing once warmed up and used on one Dyson grid and
+    on pair sets it has already met.
     """
 
     def __init__(self, spec, spectral=None):
@@ -84,6 +120,7 @@ class TMatrix:
         sd = self.spectral
         self._thermal = None
         self._dyson = None          # (key, DysonGrid) of the last Dyson time grid
+        self._pair_tables = {}      # gamma offset-pair index tables (`_gamma_pairs`)
         # eigenbasis data: the coupling pair (D~, D~^+), indexed by eps in the
         # kernels, the R blocks and the series chains; one representative
         # column per level and the transfers between those columns
@@ -111,6 +148,27 @@ class TMatrix:
         out[needed] = self._gammas.gamma(eps, args[needed])
         return out
 
+    def _gamma_pairs(self, eps, nodes, table):
+        """gamma_eps((E_n - a) + b) at the nodes E_n (N,) for every position of
+        an offset-pair table (`_offset_pairs`), 0 where it is not needed:
+        shape (N, Q).  gamma is evaluated on the (N, P) table of the distinct
+        pairs and gathered, so every value has the bits of its position's
+        own argument."""
+        pa, pb, inv = table
+        g = np.zeros((nodes.size, pa.size + 1), dtype=complex)
+        g[:, :-1] = self._gammas.gamma(eps, (nodes[:, None] - pa) + pb)
+        return np.take(g, inv, axis=1)
+
+    def _kept(self, key, build):
+        """build(), kept under key: the offset-pair tables of an offset set
+        are built once per instance; at most _PAIR_TABLES are kept, the
+        oldest dropped first."""
+        if key not in self._pair_tables:
+            if len(self._pair_tables) >= _PAIR_TABLES:
+                del self._pair_tables[next(iter(self._pair_tables))]
+            self._pair_tables[key] = build()
+        return self._pair_tables[key]
+
     # -- the scattering kernel ------------------------------------------------
 
     def _kernels(self, eps, E, omega):
@@ -126,14 +184,41 @@ class TMatrix:
         the Bohr-pair sums gamma D_{mu1} D^+_{mu2} (eps = 0) and
         gamma D^+_{nu1} D_{nu2} (eps = 1); entry (k, p) carries transfer
         W[k, p].  Returns an array of shape (..., d, d).
+
+        The axes of E up to its last one longer than 1 are node axes, the
+        rest offset axes.  Every gamma argument is (E - a) + b for an offset
+        pair (a, b): (0, omega[k]) outside, (W[k, m], omega[k]) inside, so
+        gamma is asked once per node and distinct pair (`_gamma_pairs`);
+        an omega that varies along a node axis gives each node its own row
+        of pairs.  The sum over m is one flat GEMM over every row.
         """
         eps = _index(eps, "eps")
         left, right = self._pair[eps], self._pair[1 - eps]
-        E = np.asarray(E, dtype=float)[..., None]
-        g_out = self._gamma_where(eps, E + omega, left.any(axis=1))
-        inner = (E[..., None] - self.spectral.transfer) + omega[..., None]
-        g_in = self._gamma_where(1 - eps, inner, left != 0)
-        return g_out[..., None] * ((left * g_in) @ right)
+        d = self.dim
+        E, omega = np.asarray(E, dtype=float), np.asarray(omega, dtype=float)
+        shape = np.broadcast_shapes(E.shape, omega.shape[:-1])
+        E = E.reshape((1,) * (len(shape) - E.ndim) + E.shape)
+        lead = max((ax + 1 for ax, n in enumerate(E.shape) if n > 1), default=0)
+        nodes = np.broadcast_to(E, shape[:lead] + E.shape[lead:]).reshape(-1)
+        omega = omega.reshape((1,) * (len(shape) + 1 - omega.ndim) + omega.shape)
+        rows = shape[:lead] if any(n > 1 for n in omega.shape[:lead]) else (1,) * lead
+        b = np.broadcast_to(omega, rows + shape[lead:] + (d,)).reshape(math.prod(rows), -1)
+        outer, inner = self._kept(("kernels", eps, b.shape, b.tobytes()),
+                                  lambda: self._kernel_pairs(eps, b))
+        g_out = self._gamma_pairs(eps, nodes, outer)
+        g_in = self._gamma_pairs(1 - eps, nodes, inner)
+        summed = (left * g_in.reshape(-1, d, d)).reshape(-1, d) @ right
+        return (g_out.reshape(-1, d, 1) * summed.reshape(-1, d, d)).reshape(shape + (d, d))
+
+    def _kernel_pairs(self, eps, b):
+        """The offset-pair tables of `_kernels` for the flattened offsets
+        b (rows, M d): (0, omega[k]) where row k of L is not zero, and
+        (W[k, m], omega[k]) where L[k, m] is not zero."""
+        d, (rows, q) = self.dim, b.shape
+        left, W = self._pair[eps], self.spectral.transfer
+        inner = np.broadcast_to(b.reshape(rows, q, 1), (rows, q, d)).reshape(rows, -1)
+        return (_offset_pairs(np.zeros(q), b, np.resize(left.any(axis=1), q)),
+                _offset_pairs(np.resize(W, q * d), inner, np.resize(left != 0, q * d)))
 
     # -- level-basis solve ---------------------------------------------------
 
@@ -227,23 +312,34 @@ class TMatrix:
 
     def _r_eigen(self, E, omega_prime):
         """The four R^{eps1,eps2}_{., omega'}(E) of `r_blocks` at the nodes E (n,),
-        before the split by transfer: shape (n, 2, 2, d, d), in the eigenbasis."""
+        before the split by transfer: shape (n, 2, 2, d, d), in the eigenbasis.
+        gamma_eps(E + omega') at the offsets omega' + W is asked once per
+        node and distinct offset (`_gamma_pairs`), and both products with
+        the outer D factor are one flat GEMM over every node."""
         lev, W = self.spectral.level_index, self.spectral.transfer
+        d = self.dim
         shifts = omega_prime + self._level_transfer   # shifts[l, l'] = omega' + rep(e_l' - e_l)
-        full = np.empty((E.size, 2, 2, self.dim, self.dim), dtype=complex)
+        full = np.empty((E.size, 2, 2, d, d), dtype=complex)
         for eps in (0, 1):
             X = self._level_inverses(eps, E, shifts)
             # Y[i, m, k, j]: entry k of eigen-column j's solution at the
-            # shift omega_2 = omega' + W[j, m] = omega' + rep(e_m - e_j);
-            # own[i, k, m] at omega'
-            Y = np.diagonal(X[:, lev][:, :, lev], axis1=1, axis2=4)
-            own = np.diagonal(Y, axis1=1, axis2=3)
+            # shift omega_2 = omega' + W[j, m] = omega' + rep(e_m - e_j)
+            Y = X[:, lev[None, :], lev[:, None], :, np.arange(d)].transpose(2, 0, 3, 1)
             # eps = 1 solves feed R^{0,1} and R^{0,0}; eps = 0 feed R^{1,0}, R^{1,1}
             a = 1 - eps
             left, right = self._pair[a], self._pair[eps]
-            g = self._gamma_where(eps, E[:, None, None] + (omega_prime + W), right != 0)
-            full[:, a, eps] = -1j * (left @ own)
-            full[:, a, a] = -np.einsum("xk,imkj,ijm->ixm", left, Y, g * right)
+            b = (omega_prime + W).reshape(1, -1)
+            g = self._gamma_pairs(eps, E, self._kept(
+                ("r", eps, b.tobytes()),
+                lambda: _offset_pairs(np.zeros(d * d), b, (right != 0).reshape(-1))))
+            # rows[0][i, m, k] = Y[i, m, k, m], the solution at omega' itself;
+            # rows[1][i, m, k] = sum_j Y[i, m, k, j] g[i, j, m] right[j, m]
+            rows = np.stack([np.diagonal(Y, axis1=1, axis2=3).transpose(0, 2, 1),
+                             np.einsum("imkj,ijm->imk", Y, g.reshape(-1, d, d) * right)])
+            # out[., i, x, m] = sum_k left[x, k] rows[., i, m, k]
+            out = (rows.reshape(-1, d) @ left.T).reshape(rows.shape).swapaxes(-1, -2)
+            full[:, a, eps] = -1j * out[0]
+            full[:, a, a] = -out[1]
         return full
 
     def _re_gamma(self, nodes):

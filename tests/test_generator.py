@@ -612,6 +612,19 @@ def test_thermal_pass_matches_per_density_assembly(request, model):
     assert _relative(drift_from_t_operator(tm), gamma_t) <= 1e-14
 
 
+def _rotated(doc, seed):
+    """doc with H_S and the coupling in a random unitary basis: the same
+    spectrum and physics, a non-diagonal H_S."""
+    rng = np.random.default_rng(seed)
+    d = int(round(len(doc["system"]["hamiltonian"]) ** 0.5))
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    for key in ("hamiltonian", "coupling"):
+        m = np.array([complex(*z) for z in doc["system"][key]]).reshape(d, d)
+        m = q @ m @ q.conj().T
+        doc["system"][key] = [[z.real, z.imag] for z in ((m + m.conj().T) / 2.0).reshape(-1)]
+    return doc
+
+
 # Runs in a fresh interpreter, so OPENBLAS_NUM_THREADS takes effect.
 _SPLIT_KEPT_HALF_SCRIPT = """
 import sys
@@ -630,10 +643,13 @@ for path in sys.argv[1:]:
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_thermal_pass_splits_only_the_kept_half_bitwise(tmp_path, threads):
     # the pass splits R^{e,eps} for each node's own eps only; the result is
-    # the same bits as splitting all four pairs and keeping half
+    # the same bits as splitting all four pairs and keeping half.  The
+    # rotated ladder model has a non-diagonal H_S, so `split` changes basis
     ladder = tmp_path / "ladder_d3.json"
     ladder.write_text(json.dumps(ladder_model_doc(3, 3)))
-    models = [str(MODELS / "tm_nr.json"), str(MODELS / "tm_rwa.json"), str(ladder)]
+    rotated = tmp_path / "ladder_d3_rotated.json"
+    rotated.write_text(json.dumps(_rotated(ladder_model_doc(3, 3), seed=4)))
+    models = [str(MODELS / "tm_nr.json"), str(MODELS / "tm_rwa.json"), str(ladder), str(rotated)]
     env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
     done = subprocess.run([sys.executable, "-c", _SPLIT_KEPT_HALF_SCRIPT, *models],

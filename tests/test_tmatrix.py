@@ -481,6 +481,28 @@ def test_views_take_energy_arrays(nr_tm):
     assert tm.r_blocks(0.5).shape == tm.r_blocks([0.5]).shape[1:]
 
 
+def test_views_take_an_empty_energy_array(nr_tm):
+    # every view of an energy array returns its empty result on [], shaped
+    # as for any other node count; theta_map and appendix_partial_sums
+    # raised a bare ValueError from a reshape with an inferred size
+    tm, d = nr_tm, nr_tm.dim
+    x = np.array([[0.3, 0.1 - 0.2j], [0.1 + 0.2j, -0.7]])
+    views = {
+        "r_blocks": lambda e: tm.r_blocks(e),
+        "r_coefficient": lambda e: tm.r_coefficient(0, 0, 0.0, 0.0, e),
+        "t_components": lambda e: np.stack(list(tm.t_components(e).values()), axis=-3),
+        "theta_map": lambda e: theta_map(tm, x, 0, 0, 0.0, 0.0, e),
+        "appendix_term": lambda e: tm.appendix_term("01", 1, e),
+        "appendix_partial_sums": lambda e: tm.appendix_partial_sums("00", e, max_orders=3)[0][-1],
+        "column_pass": lambda e: verification.column_pass(tm, 0, e).blocks,
+    }
+    for name, view in views.items():
+        empty, one = view([]), view([0.5])
+        assert empty.shape == (0,) + one.shape[1:], name
+    sums, converged = tm.appendix_partial_sums("00", [], max_orders=3)
+    assert converged.shape == (0,) and sums[-1].shape == (0, d, d)
+
+
 # -- appendix closed forms ------------------------------------------------------
 
 def test_appendix_zero_coupling():

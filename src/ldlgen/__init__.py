@@ -1,7 +1,7 @@
 """Low-density-limit Markovian generators for scattering-coupled open systems."""
 
 from .bath import (BathSpec, DensityProfile, EnergyGrid, GammaTable,
-                   k_inner_product, mu_inv, validate_bath)
+                   validate_bath)
 from .dynamics import (DensityTrajectory, JumpEnsemble, evolve_master,
                        unravel_jump, vacuum_decay)
 from .errors import NumericError, ValidationError
@@ -18,8 +18,7 @@ from .verification import (BlockColumn, GaussianPacket, LimitCheckReport,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BathSpec", "DensityProfile", "EnergyGrid", "GammaTable",
-    "k_inner_product", "mu_inv", "validate_bath",
+    "BathSpec", "DensityProfile", "EnergyGrid", "GammaTable", "validate_bath",
     "DensityTrajectory", "JumpEnsemble", "evolve_master", "unravel_jump",
     "vacuum_decay",
     "NumericError", "ValidationError",

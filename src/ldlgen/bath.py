@@ -3,7 +3,8 @@
 The reservoir enters every in-scope formula only through the scalar
 densities ``rho_eps(E)`` (``eps`` = 0, 1), their half-line Fourier
 transform ``gamma_eps(E)`` and the thermal weight
-``mu_inv(eps, E) = exp(-beta*E) * rho_eps(E)``.
+``w * exp(-beta*E) * rho_eps(E)`` of each support node of the quadrature
+(``_thermal_weights``).
 
 ``gamma`` is evaluated through the identity
 
@@ -328,66 +329,6 @@ def validate_bath(bath, bohr, beta):
         "grid_covers_supports": True,
         "grid": bath.grid.to_json(),
     }
-
-
-def mu_inv(bath, eps, E, beta):
-    """Reciprocal thermal density exp(-beta*E) * rho_eps(E).
-
-    Only the reciprocal is ever needed; the density itself diverges off
-    support and is never formed.  It is 0 wherever rho_eps(E) is, without
-    evaluating the exponential; where rho_eps(E) > 0 and the value
-    overflows, NumericError.
-    """
-    beta, E = _real(beta, "beta"), _real(E, "energy E")
-    rho = bath.density(eps)(E)
-    if rho == 0.0:
-        return 0.0
-    try:
-        value = math.exp(-beta * E) * rho
-    except OverflowError:
-        value = math.inf
-    if not math.isfinite(value):
-        raise NumericError(f"exp(-beta*E)*rho{eps}(E) overflows at beta = {beta:g}, E = {E:g}")
-    return value
-
-
-def k_inner_product(bath, X, Y, omega, beta):
-    """Inner product of rank-one operators |g_f><g_u| and |g_v><g_w|.
-
-    X and Y are index pairs (f, u) and (v, w) with entries in {0, 1}.
-    Evaluates 2*pi * delta_{f,v} * delta_{u,w} *
-    integral of rho_f(E) * exp(-beta*(E-omega)) * rho_u(E-omega) dE
-    by quadrature on the bath grid.  The exponential is evaluated only
-    where the density product is nonzero; where the integrand or the
-    integral is not finite there, NumericError.
-    """
-    f, u = X
-    v, w = Y
-    omega, beta = _real(omega, "omega"), _real(beta, "beta")
-    if f != v or u != w:
-        return 0.0 + 0.0j
-    rho_f = bath.density(f)
-    rho_u = bath.density(u)
-    # trapezoid at the grid's spacing over the exact support overlap, so
-    # discontinuous (rect) supports do not leak weight past their edges
-    lo = max(rho_f.a, rho_u.a + omega)
-    hi = min(rho_f.b, rho_u.b + omega)
-    if lo >= hi:
-        return 0.0 + 0.0j
-    grid = EnergyGrid(lo, hi, max(int(round((hi - lo) / bath.grid.spacing)) + 1, 16))
-    E, wts = grid.nodes, grid.weights
-    dens_f, dens_u = rho_f(E), rho_u(E - omega)
-    on = (dens_f != 0.0) & (dens_u != 0.0)
-    integrand = np.zeros_like(E)
-    with np.errstate(over="ignore", invalid="ignore"):
-        integrand[on] = dens_f[on] * np.exp(-beta * (E[on] - omega)) * dens_u[on]
-        value = 2.0 * math.pi * np.dot(wts, integrand)
-    bad = ~np.isfinite(integrand)
-    if bad.any() or not math.isfinite(value):
-        at = E[bad][0] if bad.any() else E[np.argmax(integrand)]
-        raise NumericError(f"exp(-beta*(E-omega)) overflows the K inner product "
-                           f"at beta = {beta:g}, E = {at:g}")
-    return complex(value)
 
 
 class GammaTable:

@@ -34,7 +34,7 @@ from functools import cached_property
 import numpy as np
 
 from .bath import EnergyGrid
-from .errors import ValidationError, _array, _energies, _fields, _index, _real
+from .errors import ValidationError, _array, _count, _energies, _fields, _index, _real
 from .model import complex_matrix_from_json, complex_matrix_to_json
 
 
@@ -203,7 +203,7 @@ class GKSLGenerator:
             raise ValidationError("kraus must be a list of {weight, operator} objects")
         for entry in entries:
             _fields(entry, "kraus entry", ("weight", "operator"))
-        return cls(
+        gen = cls(
             drift=complex_matrix_from_json(obj["drift"], "drift"),
             hamiltonian=complex_matrix_from_json(obj["hamiltonian"], "hamiltonian"),
             weights=[_real(entry["weight"], "kraus weight") for entry in entries],
@@ -211,6 +211,10 @@ class GKSLGenerator:
                  for entry in entries],
             grid=EnergyGrid.from_json(obj["grid"]) if "grid" in obj else None,
         )
+        if "dim" in obj and _count(obj["dim"], "generator dim") != gen.dim:
+            raise ValidationError(f"generator dim {obj['dim']} does not match its "
+                                  f"{gen.dim} x {gen.dim} hamiltonian")
+        return gen
 
 
 def _dagger(ops):

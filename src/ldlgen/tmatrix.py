@@ -11,9 +11,11 @@ transfer.
 
 In the eigenbasis of H_S the column of (1+T_eps)^{-1} belonging to
 eigen-column m has exactly one candidate entry per row k, the one in the
-block omega = omega' + rep(e_m - e_k), so the |B|*d stacked block system
-reduces to d independent d x d systems, which `TMatrix.r_blocks` solves
-for every grid node at once.  The reduction holds when the canonical
+block omega = omega' + rep(e_m - e_k).  These offsets depend on m only
+through m's level, so the |B|*d stacked block system reduces to one
+d x d system per level, whose inverse holds the columns of every
+eigen-column of that level; `TMatrix._level_inverses` solves them for
+every grid node and omega' at once.  The reduction holds when the canonical
 transfers compose, transfer[k, m] - transfer[k, p] = transfer[p, m]
 within the Bohr tolerance for every eigen-index triple; chained Bohr
 clusters can break it.  The stacked system is the verification oracle
@@ -122,13 +124,12 @@ class TMatrix:
         self._dyson = None          # (key, DysonGrid) of the last Dyson time grid
         self._pair_tables = {}      # gamma offset-pair index tables (`_gamma_pairs`)
         # eigenbasis data: the coupling pair (D~, D~^+), indexed by eps in the
-        # kernels, the R blocks and the series chains; one representative
-        # column per level and the transfers between those columns
+        # kernels, the R blocks and the series chains, and one representative
+        # column per level
         coupling = sd.basis.conj().T @ spec.coupling @ sd.basis
         self._pair = (coupling, coupling.conj().T)
         self._level_columns = np.array([int(np.flatnonzero(sd.level_index == k)[0])
                                         for k in range(sd.energies.size)])
-        self._level_transfer = sd.transfer[np.ix_(self._level_columns, self._level_columns)]
 
     # -- basic lookups -------------------------------------------------
 
@@ -222,25 +223,27 @@ class TMatrix:
 
     # -- level-basis solve ---------------------------------------------------
 
-    def _level_inverses(self, eps, energies, shifts):
-        """Restricted inverses of 1+T_eps for every node and shift at once.
+    def _level_inverses(self, eps, energies, omega_prime):
+        """Restricted inverses of 1+T_eps for every node, omega' and level.
 
         By the finite-index-set argument of the module docstring, the
         column of (1+T_eps)^{-1} at omega' belonging to eigen-column m
         solves a d x d system: its entry x_k is the block at
         omega_k = omega' + rep(e_m - e_k), so the system matrix is
-        1 + `_kernels` with row k at the offset omega_k.  The result
-        equals the stacked system's wherever the canonical transfers
-        compose (see the module docstring); on chained Bohr clusters they
-        need not, and the two systems differ at the size of the entries
-        that break it.
+        1 + `_kernels` with row k at the offset omega_k.  It depends on m
+        only through m's level, so one system per target level serves
+        every column of that level.  The result equals the stacked
+        system's wherever the canonical transfers compose (see the module
+        docstring); on chained Bohr clusters they need not, and the two
+        systems differ at the size of the entries that break it.
 
-        energies: (n,); shifts: (L, S), shifts[l, s] the omega' of a column
-        in level l.  Returns X of shape (n, L, S, d, d): X[..., :, m] for an
-        eigen-column m of level l is the solution; the other columns belong
-        to other levels' right-hand sides and are unused.  Raises
-        NumericError when a system's 2-norm condition number passes the
-        limit, naming the system of largest condition number.
+        energies: (n,); omega_prime: (S,).  Returns X of shape
+        (n, S, L, d, d): X[i, s, l] inverts the system of target level l
+        at omega' = omega_prime[s] and E = energies[i], whose row k sits
+        at omega_prime[s] + W[k, c] for a column c of level l, W the
+        canonical transfer.  Raises NumericError when a system's 2-norm
+        condition number passes the limit, naming the system of largest
+        condition number.
 
         The gate is screened with the inverse the batched solve returns:
         since kappa_2 <= kappa_F = |A|_F |A^-1|_F <= d kappa_2, a system
@@ -253,35 +256,36 @@ class TMatrix:
         system (LinAlgError), every system gets the SVD.
         """
         d = self.dim
-        E = np.asarray(energies, dtype=float)
-        # omega_k = omega' + rep(e_m - e_k) for a column m of each level
-        omega = shifts[:, :, None] + self.spectral.transfer[:, self._level_columns].T[:, None, :]
+        E, omega_prime = np.asarray(energies, dtype=float), np.asarray(omega_prime, dtype=float)
+        # omega[s, l, k] = omega'[s] + rep(e_c - e_k) for the column c of level l
+        omega = omega_prime[:, None, None] + self.spectral.transfer[:, self._level_columns].T
         A = np.eye(d) + self._kernels(eps, E[:, None, None], omega)
         try:
             X = np.linalg.solve(A, np.broadcast_to(np.eye(d, dtype=complex), A.shape))
         except np.linalg.LinAlgError:
-            self._condition_gate(eps, E, shifts, A, np.ones(A.shape[:-2], dtype=bool))
+            self._condition_gate(eps, E, omega_prime, A, np.ones(A.shape[:-2], dtype=bool))
             raise
         with np.errstate(over="ignore", invalid="ignore"):
             kappa_f = np.linalg.norm(A, axis=(-2, -1)) * np.linalg.norm(X, axis=(-2, -1))
-        self._condition_gate(eps, E, shifts, A, ~(kappa_f <= CONDITION_LIMIT / 2))
+        self._condition_gate(eps, E, omega_prime, A, ~(kappa_f <= CONDITION_LIMIT / 2))
         return X
 
-    def _condition_gate(self, eps, E, shifts, A, unsure):
+    def _condition_gate(self, eps, E, omega_prime, A, unsure):
         """NumericError if the largest 2-norm condition number of the systems
-        A (n, L, S, d, d) is not finite or passes the limit, naming that
-        system; only the systems marked `unsure` get an SVD, the others
-        count as 0."""
+        A (n, S, L, d, d) is not finite or passes the limit, naming that
+        system by its omega', target level and E; only the systems marked
+        `unsure` get an SVD, the others count as 0."""
         if not unsure.any():
             return
         cond = np.zeros(unsure.shape)
         cond[unsure] = np.linalg.cond(A[unsure])
-        worst = np.unravel_index(np.argmax(np.where(np.isfinite(cond), cond, np.inf)), cond.shape)
-        if not np.isfinite(cond[worst]) or cond[worst] > CONDITION_LIMIT:
-            n, l, s = worst
+        i, s, level = np.unravel_index(np.argmax(np.where(np.isfinite(cond), cond, np.inf)),
+                                       cond.shape)
+        worst = cond[i, s, level]
+        if not np.isfinite(worst) or worst > CONDITION_LIMIT:
             raise NumericError(
-                f"1+T_{eps} at omega'={shifts[l, s]}, E={E[n]} is numerically singular "
-                f"(condition estimate {cond[worst]:.3e})"
+                f"1+T_{eps} at omega'={omega_prime[s]}, level {level}, E={E[i]} is numerically "
+                f"singular (condition estimate {worst:.3e})"
             )
 
     def r_blocks(self, energies, omega_prime=0.0):
@@ -302,9 +306,11 @@ class TMatrix:
         with every off-lattice D subscript treated as zero.  In the
         eigenbasis, with W the canonical transfer (W[i, j] = rep(e_j - e_i)),
         the sum over omega_2 = omega' + W[j, m] = omega' + rep(e_m - e_j)
-        runs over the entries (j, m) of the outer D factor; for each level
-        pair it needs one restricted inverse per node, so all of them come
-        from a single batched solve (`_level_inverses`).
+        runs over the entries (j, m) of the outer D factor.  Column j of
+        the inverse at omega_2 is column j of the system of m's level at
+        omega', whose row k sits at omega' + W[k, m], so one restricted
+        inverse per node and level serves every (j, m), and all of them
+        come from a single batched solve (`_level_inverses`).
         """
         energies, omega_prime = _energies(energies), _real(omega_prime, "omega'")
         R = self.spectral.split(self._r_eigen(energies.reshape(-1), omega_prime))
@@ -318,13 +324,12 @@ class TMatrix:
         the outer D factor are one flat GEMM over every node."""
         lev, W = self.spectral.level_index, self.spectral.transfer
         d = self.dim
-        shifts = omega_prime + self._level_transfer   # shifts[l, l'] = omega' + rep(e_l' - e_l)
         full = np.empty((E.size, 2, 2, d, d), dtype=complex)
         for eps in (0, 1):
-            X = self._level_inverses(eps, E, shifts)
             # Y[i, m, k, j]: entry k of eigen-column j's solution at the
-            # shift omega_2 = omega' + W[j, m] = omega' + rep(e_m - e_j)
-            Y = X[:, lev[None, :], lev[:, None], :, np.arange(d)].transpose(2, 0, 3, 1)
+            # shift omega_2 = omega' + W[j, m] = omega' + rep(e_m - e_j), from
+            # the system of m's level
+            Y = self._level_inverses(eps, E, [omega_prime])[:, 0, lev]
             # eps = 1 solves feed R^{0,1} and R^{0,0}; eps = 0 feed R^{1,0}, R^{1,1}
             a = 1 - eps
             left, right = self._pair[a], self._pair[eps]
@@ -412,15 +417,6 @@ class TMatrix:
         """The four blocks t^{eps,eps'}(E) = sum over omega of R^{eps,eps'}_{omega,0}(E)."""
         R = self.r_blocks(E)
         return {(a, b): R[..., a, b, :, :, :].sum(axis=-3) for a, b in PAIRS}
-
-    def t_kernel(self, eps, omega, omega_prime, E):
-        """Block T^eps_{omega, omega'}(E) in the original basis: the part of
-        K_eps(omega) (see `_kernels`) with canonical transfer omega - omega'.
-        Off-lattice differences give the zero matrix.
-        """
-        omega = _real(omega, "omega")
-        K = self._kernels(eps, _real(E, "energy E"), np.full(self.dim, omega))
-        return self.spectral.at(self.spectral.split(K), omega - _real(omega_prime, "omega'"))
 
     # -- closed-form series terms ------------------------------------------
 

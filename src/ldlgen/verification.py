@@ -477,8 +477,9 @@ def column_pass(tm, eps, energies):
     `energies`, in a few array passes.
 
     Column c is omega' = bohr[c // n], E = energies[c % n] for n
-    energies.  Its direct blocks come from one level-basis solve of all
-    columns (`TMatrix._level_inverses`); one stacked T per column,
+    energies.  Its direct blocks come from one level-basis solve at every
+    omega' in B (`TMatrix._level_inverses`), column m of the system of
+    m's level; one stacked T per column,
     assembled batched and in chunks of at most _STACK_CHUNK_BYTES, gives
     the residuals and the Neumann series (`_neumann_series`) of every
     column of the chunk at once.  Each field equals, bitwise, the same
@@ -488,10 +489,9 @@ def column_pass(tm, eps, energies):
     eps, E = _index(eps, "eps"), _energies(energies).reshape(-1)
     sd, d, B = tm.spectral, tm.dim, tm.bohr
     n, m = E.size, B.size * E.size
-    shifts = np.broadcast_to(B, (len(tm._level_columns), B.size))
-    X = tm._level_inverses(eps, E, shifts)
-    # own[s, i, k, m] = X[i, level(m), s, k, m]
-    own = X[:, sd.level_index, :, :, np.arange(d)].transpose(2, 1, 3, 0)
+    X = tm._level_inverses(eps, E, B)
+    # own[s, i, k, m] = X[i, s, level(m), k, m]
+    own = X[:, :, sd.level_index, :, np.arange(d)].transpose(2, 1, 3, 0)
     blocks = sd.split(own.reshape(m, d, d))
     omega_prime, energy = np.repeat(B, n), np.tile(E, B.size)
     residual, neumann = np.empty(m), np.empty_like(blocks)

@@ -55,6 +55,14 @@ def ladder_model_doc(seed, dim, near_degenerate=False):
     return ladder.ladder_model(seed, dim, near_degenerate)
 
 
+def t_block(tm, eps, omega, omega_prime, E):
+    """Block T^eps_{omega, omega'}(E) in the original basis: the part of the
+    kernel K_eps(omega) (`TMatrix._kernels`) with canonical transfer
+    omega - omega', the zero matrix when that is off the Bohr lattice."""
+    sd = tm.spectral
+    return sd.at(sd.split(tm._kernels(eps, E, np.full(tm.dim, omega))), omega - omega_prime)
+
+
 def write_model(tmp_path, doc, name="model.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))

@@ -8,8 +8,7 @@ import numpy as np
 import pytest
 
 from ldlgen import ValidationError, block_transfer, verification
-from ldlgen.bath import (DensityProfile, EnergyGrid, GammaTable, k_inner_product, mu_inv,
-                         validate_bath)
+from ldlgen.bath import DensityProfile, EnergyGrid, GammaTable, validate_bath
 from ldlgen.cli import run
 from ldlgen.dynamics import evolve_master, unravel_jump
 from ldlgen.generator import GKSLGenerator, theta_map
@@ -53,9 +52,6 @@ BAD_CALLS = {
     "model_spec_beta": lambda s, tm, gen: _spec(s, beta="x"),
     "energy_grid_e_min": lambda s, tm, gen: EnergyGrid("0", 1.0, 16),
     "richardson_value_str": lambda s, tm, gen: richardson_extrapolate(["x", 1.0], [1e-3, 2e-3]),
-    "k_inner_product_omega": lambda s, tm, gen: k_inner_product(s.bath, (0, 0), (0, 0),
-                                                                "x", 1.0),
-    "mu_inv_energy": lambda s, tm, gen: mu_inv(s.bath, 0, "x", 1.0),
     # a bare UFuncTypeError, and True read as beta = 1, before beta went through _real
     "validate_bath_beta_str": lambda s, tm, gen: validate_bath(s.bath, tm.bohr, "x"),
     "validate_bath_beta_bool": lambda s, tm, gen: validate_bath(s.bath, tm.bohr, True),
@@ -135,7 +131,6 @@ BAD_CALLS = {
     "bohr_index_inf": lambda s, tm, gen: tm.spectral.bohr_index(float("inf")),
     # True read as eps = 1 at the parent
     "gamma_eps_bool": lambda s, tm, gen: GammaTable(s.bath).gamma(True, 0.5),
-    "mu_inv_eps_bool": lambda s, tm, gen: mu_inv(s.bath, True, 0.5, 1.0),
     "support_nodes_eps_bool": lambda s, tm, gen: s.bath.support_nodes(True),
     # a NumericError (exit 2), or a bare ValueError, at the parent
     "gamma_energy_nan": lambda s, tm, gen: GammaTable(s.bath).gamma(0, float("nan")),

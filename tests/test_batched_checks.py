@@ -61,8 +61,7 @@ def _same(a, b):
 def _direct_column(tm, eps, omega_prime, E):
     """Column of (1+T_eps)^{-1} at (omega', E) from the level-basis solve of
     that one column."""
-    shifts = np.full((len(tm._level_columns), 1), omega_prime)
-    X = tm._level_inverses(eps, np.array([E]), shifts)[0, :, 0]
+    X = tm._level_inverses(eps, np.array([E]), [omega_prime])[0, 0]
     own = X[tm.spectral.level_index, :, np.arange(tm.dim)].T  # [k, m] = X[level(m), k, m]
     return BlockColumn(epsilon=eps, omega_prime=omega_prime, energy=E,
                        offsets=tm.bohr.copy(), blocks=tm.spectral.split(own))

@@ -1,17 +1,13 @@
 import math
 import re
-import warnings
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from ldlgen import (NumericError, ValidationError, k_inner_product, load_model, mu_inv,
-                    validate_bath)
+from ldlgen import NumericError, ValidationError, validate_bath
 from ldlgen.bath import (MAX_GRID_POINTS, BathSpec, DensityProfile, EnergyGrid, GammaTable,
                          _legendre_rule, gauss_legendre_nodes)
-
-from conftest import MODELS
 
 
 def _bath(rho0, rho1, grid=None):
@@ -200,130 +196,6 @@ def test_gamma_overflowing_closed_form_is_numeric_error(rho0):
     for E in (1e307, np.array([0.5, -1e307])):
         with pytest.raises(NumericError, match=r"gamma overflows at E = -?1e\+307"):
             gt.gamma(0, E)
-
-
-def test_mu_inv_zero_density():
-    bath = _bath(DensityProfile.bump(0, 1, 1.0), DensityProfile.bump(2, 3, 1.0))
-    assert mu_inv(bath, 0, 1.7, beta=0.5) == 0.0
-
-
-def test_mu_inv_vanishing_density_skips_the_exponential():
-    # exp(1000) overflows a double, but rho0 vanishes at E = -1000
-    bath = _bath(DensityProfile.bump(0, 1, 1.0), DensityProfile.bump(2, 3, 1.0))
-    assert mu_inv(bath, 0, -1000.0, 1.0) == 0.0
-
-
-def test_mu_inv_overflow_on_support_is_numeric_error():
-    bath = _bath(DensityProfile.bump(0, 1, 1.0), DensityProfile.bump(2, 3, 1.0))
-    with pytest.raises(NumericError, match=r"overflows at beta = -2000, E = 0\.5"):
-        mu_inv(bath, 0, 0.5, -2000.0)
-    # exp(-beta E) = exp(709) is finite; ten times it is not
-    rho1 = DensityProfile.bump(2, 3, 1.0)
-    assert math.isfinite(mu_inv(_bath(DensityProfile.rect(-2, -1, 1.0), rho1), 0, -1.0, 709.0))
-    with pytest.raises(NumericError, match="overflows"):
-        mu_inv(_bath(DensityProfile.rect(-2, -1, 10.0), rho1), 0, -1.0, 709.0)
-
-
-def test_mu_inv_beta_zero_collapses():
-    bath = _bath(DensityProfile.bump(0, 1, 1.0), DensityProfile.bump(2, 3, 1.0))
-    assert mu_inv(bath, 0, 0.5, beta=0.0) == bath.rho0(0.5)
-
-
-def test_mu_inv_bump_value():
-    bath = _bath(DensityProfile.bump(0, 1, 1.0), DensityProfile.bump(2, 3, 1.0))
-    expect = 0.25 * math.exp(-0.25)
-    assert abs(mu_inv(bath, 0, 0.5, beta=0.5) - expect) < 1e-14
-    assert abs(expect - 0.194700) < 5e-7
-
-
-def test_k_inner_product_rect():
-    bath = _bath(DensityProfile.rect(0, 1, 1.0), DensityProfile.rect(2, 3, 1.0))
-    val = k_inner_product(bath, (0, 0), (0, 0), omega=0.0, beta=0.0)
-    assert abs(val - 2 * math.pi) < 1e-10
-
-
-def test_k_inner_product_disjoint_factors():
-    bath = _bath(DensityProfile.rect(0, 1, 1.0), DensityProfile.rect(2, 3, 1.0))
-    assert k_inner_product(bath, (0, 0), (1, 1), omega=0.7, beta=0.5) == 0.0
-
-
-def test_k_inner_product_shifted_supports_vanish():
-    bath = _bath(DensityProfile.rect(0, 1, 1.0), DensityProfile.rect(2, 3, 1.0))
-    assert abs(k_inner_product(bath, (0, 0), (0, 0), omega=5.0, beta=0.5)) == 0.0
-
-
-def _hand_trapezoid_k(bath, f, u, omega, beta):
-    """k_inner_product's diagonal entry with the trapezoid rule written out
-    by hand: nodes at the grid's spacing over the support overlap."""
-    rho_f, rho_u = bath.density(f), bath.density(u)
-    lo, hi = max(rho_f.a, rho_u.a + omega), min(rho_f.b, rho_u.b + omega)
-    n = max(int(round((hi - lo) / bath.grid.spacing)) + 1, 16)
-    E = np.linspace(lo, hi, n)
-    wts = np.full(n, (hi - lo) / (n - 1))
-    wts[0] *= 0.5
-    wts[-1] *= 0.5
-    integrand = rho_f(E) * np.exp(-beta * (E - omega)) * rho_u(E - omega)
-    return complex(2.0 * math.pi * np.dot(wts, integrand))
-
-
-@pytest.mark.parametrize("grid", [EnergyGrid(-1.5, 4.5, 481), EnergyGrid(-2.0, 5.0, 97)])
-def test_k_inner_product_equals_hand_trapezoid_bitwise(grid):
-    table = DensityProfile.table([2.0, 2.3, 2.9, 3.0], [0.0, 0.7, 0.2, 0.0])
-    bath = _bath(DensityProfile.bump(0, 1, 1.3), table, grid)
-    for f, u in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        for omega in (-2.5, -1.0, 0.0, 0.37, 1.9):
-            for beta in (0.0, 0.5, 2.0):
-                val = k_inner_product(bath, (f, u), (f, u), omega, beta)
-                lo = max(bath.density(f).a, bath.density(u).a + omega)
-                hi = min(bath.density(f).b, bath.density(u).b + omega)
-                expect = _hand_trapezoid_k(bath, f, u, omega, beta) if lo < hi else 0j
-                assert val == expect
-
-
-@pytest.mark.parametrize("case", ["rect", "tm_nr"])
-def test_k_inner_product_overflow_is_numeric_error(case):
-    if case == "rect":
-        bath = _bath(DensityProfile.rect(-2, -1, 1.0), DensityProfile.bump(2, 3, 1.0),
-                     EnergyGrid(-3.0, 4.0, 481))
-        beta, where = 1000.0, r"beta = 1000, E = -2$"
-    else:
-        bath = load_model(MODELS / "tm_nr.json").bath
-        beta, where = -2000.0, r"beta = -2000, E = 0\.\d+$"
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(NumericError, match="overflows the K inner product at " + where):
-            k_inner_product(bath, (0, 0), (0, 0), 0.0, beta)
-
-
-def test_k_inner_product_skips_the_exponential_where_the_density_vanishes():
-    # the overlap nodes are -2, -2 + 1/69, ...: exp(-355 E) overflows only at
-    # E = -2, the bump's edge, where rho0 is 0
-    bath = _bath(DensityProfile.bump(-2, -1, 1.0), DensityProfile.bump(2, 3, 1.0),
-                 EnergyGrid(-3.0, 4.0, 481))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        value = k_inner_product(bath, (0, 0), (0, 0), 0.0, 355.0)
-    assert math.isfinite(value.real) and value.real > 1e300 and value.imag == 0.0
-
-
-def test_k_inner_product_refuses_more_than_the_grid_cap():
-    # the overlap [0, 2] spans about 131,000 spacings of this grid
-    bath = _bath(DensityProfile.rect(0, 2, 1.0), DensityProfile.rect(3, 4, 1.0),
-                 EnergyGrid(0.0, 1.0, MAX_GRID_POINTS))
-    with pytest.raises(ValidationError, match="above the cap"):
-        k_inner_product(bath, (0, 0), (0, 0), omega=0.0, beta=0.5)
-
-
-def test_k_inner_product_gram_positive():
-    bath = _bath(DensityProfile.bump(0, 1, 1.0), DensityProfile.bump(2, 3, 1.0))
-    family = [(0, 0), (0, 1), (1, 0), (1, 1)]
-    for omega in (-1.0, 0.0, 0.5, 1.0):
-        gram = np.array([[k_inner_product(bath, x, y, omega, beta=0.5)
-                          for y in family] for x in family])
-        assert np.linalg.norm(gram - gram.conj().T) < 1e-12
-        norm = np.linalg.norm(gram, 2)
-        if norm > 0:
-            assert np.linalg.eigvalsh(gram).min() >= -1e-10 * norm
 
 
 def test_validate_bath_pass():

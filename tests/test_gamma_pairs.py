@@ -89,8 +89,7 @@ def test_r_blocks_ask_gamma_for_the_dense_arguments_bits(tm, monkeypatch):
         spy.seen.clear()
         tm.r_blocks(E, omega_prime)
         assert len(spy.seen) == 6
-        shifts = omega_prime + tm._level_transfer
-        omega = shifts[:, :, None] + W[:, tm._level_columns].T[:, None, :]
+        omega = np.array([omega_prime])[:, None, None] + W[:, tm._level_columns].T
         for eps in (0, 1):
             g_out, g_in, g_r = spy.seen[3 * eps:3 * eps + 3]
             outer, inner = _kernel_gammas(tm, eps, E[:, None, None], omega)
@@ -120,8 +119,8 @@ def test_stacked_oracle_kernels_ask_gamma_for_the_dense_arguments_bits(tm, monke
 
 
 def test_kernels_gammas_keep_their_bits_on_a_scalar_energy_and_node_offsets(tm, monkeypatch):
-    # t_kernel's scalar call, and offsets that vary along a node axis that
-    # E shares with them
+    # a scalar energy with one offset for every row (conftest.t_block), and
+    # offsets that vary along a node axis that E shares with them
     spy = _Spy(tm, monkeypatch)
     rng = np.random.default_rng(5)
     d = tm.dim

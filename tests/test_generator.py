@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -485,6 +486,14 @@ def test_generator_from_json_rejects_bad_documents(nr_gen):
         bad = json.loads(json.dumps(doc))
         del bad["kraus"][1][key]
         with pytest.raises(ValidationError, match=f"missing required field '{key}'"):
+            GKSLGenerator.from_json(bad)
+    # "dim" is optional, but when given it is the Hamiltonian's dimension
+    for dim, message in ((3, "generator dim 3 does not match its 2 x 2 hamiltonian"),
+                         ("x", "generator dim must be an integer, got 'x'"),
+                         (True, "generator dim must be an integer, got True")):
+        bad = json.loads(json.dumps(doc))
+        bad["dim"] = dim
+        with pytest.raises(ValidationError, match=re.escape(message)):
             GKSLGenerator.from_json(bad)
 
 

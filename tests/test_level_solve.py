@@ -9,6 +9,8 @@ levels, levels split by less than bohr_tolerance, and two Bohr gaps that
 differ by less than bohr_tolerance without being equal.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,7 @@ from ldlgen.generator import drift, drift_from_t_operator
 from ldlgen.model import model_from_dict
 from ldlgen.verification import run_identity_suite
 
-from conftest import base_model_doc
+from conftest import base_model_doc, ladder_model_doc, t_block
 
 PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
@@ -96,6 +98,46 @@ def test_levels_are_grouped_as_intended():
     assert len(_model([0.0, 0.4, 0.8 + 5e-10], 7).bohr) == 5
 
 
+def _counted_tm(name, monkeypatch):
+    """ladder d3 (three levels) or the exactly degenerate d3 spectrum (two),
+    and the list that records the systems of every batched np.linalg.solve."""
+    if name == "ladder_d3":
+        tm = TMatrix(model_from_dict(ladder_model_doc(0, 3)))
+    else:
+        tm = _model(MODELS[name][0], seed=7)
+    assert (tm.dim, len(tm.spectral.levels)) == ((3, 3) if name == "ladder_d3" else (3, 2))
+    solve, systems = np.linalg.solve, []
+
+    def counting(a, b):
+        systems.append(math.prod(np.shape(a)[:-2]))
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counting)
+    return tm, systems
+
+
+@pytest.mark.parametrize("name", ["ladder_d3", "degenerate_d3"])
+def test_thermal_pass_solves_one_system_per_node_and_level(name, monkeypatch):
+    # per eps, one batched solve of one d x d system per support node and
+    # target level: 2 N L systems in all, not 2 N L^2 (one per level pair)
+    tm, systems = _counted_tm(name, monkeypatch)
+    nodes = tm.thermal_pass().eps.size
+    assert systems == [nodes * len(tm.spectral.levels)] * 2
+
+
+@pytest.mark.parametrize("name", ["ladder_d3", "degenerate_d3"])
+def test_every_caller_solves_one_system_per_node_omega_and_level(name, monkeypatch):
+    # r_blocks at a nonzero omega': one system per node and level for each
+    # eps; column_pass: one per node, omega' in B and level
+    tm, systems = _counted_tm(name, monkeypatch)
+    levels, E = len(tm.spectral.levels), np.linspace(0.1, 2.9, 5)
+    tm.r_blocks(E, float(tm.bohr[-1]))
+    assert systems == [E.size * levels] * 2
+    systems.clear()
+    verification.column_pass(tm, 1, E)
+    assert systems == [E.size * tm.bohr.size * levels]
+
+
 @pytest.mark.parametrize("hermitian", [True, False], ids=["hermitian", "general"])
 @pytest.mark.parametrize("name", sorted(MODELS))
 def test_kernel_matches_bohr_pair_sum(name, hermitian):
@@ -128,7 +170,7 @@ def test_kernel_matches_bohr_pair_sum(name, hermitian):
                         if abs(shift - (w - wp)) <= sd.tolerance:
                             want += term
                     want *= gamma(eps, E + w)
-                    worst = max(worst, float(np.abs(tm.t_kernel(eps, w, wp, E) - want).max()))
+                    worst = max(worst, float(np.abs(t_block(tm, eps, w, wp, E) - want).max()))
                     scale = max(scale, float(np.abs(want).max()))
     assert scale > 0
     assert worst <= 1e-13 * scale

@@ -17,7 +17,7 @@ from ldlgen.tmatrix import (CONDITION_LIMIT, MAX_ENERGY_NODES, _corr_weights, _g
                             dyson_oracle, dyson_reference, richardson_extrapolate)
 from ldlgen.verification import run_identity_suite
 
-from conftest import base_model_doc, chained_cluster_doc, ladder_model_doc
+from conftest import base_model_doc, chained_cluster_doc, ladder_model_doc, t_block
 
 E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])
@@ -36,12 +36,12 @@ def _zero_model():
     return TMatrix(model_from_dict(doc))
 
 
-# -- t_kernel ---------------------------------------------------------------
+# -- T blocks of the kernels ---------------------------------------------------
 
 def test_kernel_zero_coupling():
     tm = _zero_model()
     for eps in (0, 1):
-        assert not tm.t_kernel(eps, 0.0, 0.0, 0.4).any()
+        assert not t_block(tm, eps, 0.0, 0.0, 0.4).any()
 
 
 def test_kernel_rwa_is_diagonal(rwa_tm):
@@ -52,8 +52,8 @@ def test_kernel_rwa_is_diagonal(rwa_tm):
     dd = tm.spec.coupling @ tm.spec.coupling.conj().T
     for w in (-1.0, 0.0, 1.0):
         expect = gamma(0, E + w) * gamma(1, E - 1 + w) * dd
-        assert np.abs(tm.t_kernel(0, w, w, E) - expect).max() < 1e-14
-        assert not tm.t_kernel(0, w, w - 1.0, E).any()
+        assert np.abs(t_block(tm, 0, w, w, E) - expect).max() < 1e-14
+        assert not t_block(tm, 0, w, w - 1.0, E).any()
 
 
 def test_kernel_sigma_x_hand_expansion(nr_tm):
@@ -65,11 +65,11 @@ def test_kernel_sigma_x_hand_expansion(nr_tm):
         gamma(1, E - 1) * s * s,
         gamma(1, E + 1) * s * s,
     ])
-    assert np.abs(tm.t_kernel(0, 0.0, 0.0, E) - expect).max() < 1e-14
+    assert np.abs(t_block(tm, 0, 0.0, 0.0, E) - expect).max() < 1e-14
 
 
 def test_kernel_off_lattice_difference_is_zero(nr_tm):
-    assert not nr_tm.t_kernel(0, 0.7, 0.0, 0.5).any()
+    assert not t_block(nr_tm, 0, 0.7, 0.0, 0.5).any()
 
 
 # -- solve / Neumann ----------------------------------------------------------
@@ -134,56 +134,60 @@ def test_solve_reports_condition_estimate(monkeypatch, nr_tm):
 # The oracle is the gate before screening: np.linalg.cond (an SVD) of every
 # system, the worst one named.
 
-def _level_systems(tm, eps, energies, shifts):
-    """The matrices 1 + K of `_level_inverses`, formed as it forms them."""
-    omega = shifts[:, :, None] + tm.spectral.transfer[:, tm._level_columns].T[:, None, :]
+def _level_systems(tm, eps, energies, omega_prime):
+    """The matrices 1 + K of `_level_inverses`, formed as it forms them:
+    (n, S, L, d, d), row k of system (i, s, l) at omega_prime[s] + W[k, c]
+    for the column c of level l."""
+    omega = omega_prime[:, None, None] + tm.spectral.transfer[:, tm._level_columns].T
     return np.eye(tm.dim) + tm._kernels(eps, energies[:, None, None], omega)
 
 
-def _oracle_gate(A, limit, eps, energies, shifts):
+def _oracle_gate(A, limit, eps, energies, omega_prime):
     """The NumericError text of an SVD of every system, or None when all pass."""
     cond = np.linalg.cond(A)
     worst = np.unravel_index(np.argmax(np.where(np.isfinite(cond), cond, np.inf)), cond.shape)
     if np.isfinite(cond[worst]) and cond[worst] <= limit:
         return None
-    n, l, s = worst
-    return (f"1+T_{eps} at omega'={shifts[l, s]}, E={energies[n]} is numerically singular "
-            f"(condition estimate {cond[worst]:.3e})")
+    n, s, level = worst
+    return (f"1+T_{eps} at omega'={omega_prime[s]}, level {level}, E={energies[n]} is "
+            f"numerically singular (condition estimate {cond[worst]:.3e})")
 
 
-def _gate_message(tm, eps, energies, shifts):
+def _gate_message(tm, eps, energies, omega_prime):
     try:
-        tm._level_inverses(eps, energies, shifts)
+        tm._level_inverses(eps, energies, omega_prime)
     except NumericError as exc:
         return str(exc)
     return None
 
 
 def test_condition_gate_names_the_oracles_worst_system(monkeypatch):
-    # limits between the smallest and the largest kappa_2 of the thermal
-    # systems of a strongly coupled model: the message is the full SVD's
-    # (kappa_2 from 1.007 to 25.4, so most limits leave systems unscreened)
+    # limits between the smallest and the largest kappa_2 of the systems of
+    # a strongly coupled model at every omega' in B (those of the R blocks
+    # at any Bohr omega', the thermal pass's at omega' = 0 among them): the
+    # message is the full SVD's (kappa_2 from 1.007 to 25.4, so most limits
+    # leave systems unscreened)
     tm = _scaled_model(20.0)
     E = np.linspace(-1.4, 4.4, 60)
-    shifts = tm._level_transfer
+    omega_prime = tm.bohr
     for eps in (0, 1):
-        A = _level_systems(tm, eps, E, shifts)
+        A = _level_systems(tm, eps, E, omega_prime)
         kappa = np.unique(np.linalg.cond(A))
         for limit in ((kappa[0] + kappa[1]) / 2, np.sqrt(kappa[0] * kappa[-1]),
                       (kappa[-2] + kappa[-1]) / 2):
             monkeypatch.setattr(tmatrix, "CONDITION_LIMIT", float(limit))
-            expected = _oracle_gate(A, limit, eps, E, shifts)
+            expected = _oracle_gate(A, limit, eps, E, omega_prime)
             assert expected is not None
-            assert _gate_message(tm, eps, E, shifts) == expected
+            assert _gate_message(tm, eps, E, omega_prime) == expected
         monkeypatch.setattr(tmatrix, "CONDITION_LIMIT", float(kappa[-1]))
-        assert _gate_message(tm, eps, E, shifts) is None
+        assert _gate_message(tm, eps, E, omega_prime) is None
 
 
 def test_condition_gate_on_an_exactly_singular_system(monkeypatch):
     # the batched solve raises LinAlgError; the gate still names the system
     tm = TMatrix(model_from_dict(base_model_doc()))
     E = np.array([0.3, 0.5, 0.7])
-    shifts = tm._level_transfer
+    omega_prime = tm.bohr
     kernels = tm._kernels
 
     def singular_at_one(eps, energies, omega):
@@ -192,12 +196,12 @@ def test_condition_gate_on_an_exactly_singular_system(monkeypatch):
         return K
 
     monkeypatch.setattr(tm, "_kernels", singular_at_one)
-    A = _level_systems(tm, 0, E, shifts)
+    A = _level_systems(tm, 0, E, omega_prime)
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.solve(A, np.broadcast_to(np.eye(tm.dim, dtype=complex), A.shape))
     with pytest.raises(NumericError) as exc:
-        tm._level_inverses(0, E, shifts)
-    assert str(exc.value) == _oracle_gate(A, CONDITION_LIMIT, 0, E, shifts)
+        tm._level_inverses(0, E, omega_prime)
+    assert str(exc.value) == _oracle_gate(A, CONDITION_LIMIT, 0, E, omega_prime)
     assert "E=0.5" in str(exc.value) and "condition estimate inf" in str(exc.value)
 
 
@@ -213,21 +217,21 @@ def test_screened_gate_decides_as_the_full_svd(dim, seed, limit, log_ratios):
     tm = _scaled_model(0.1) if dim == 2 else _generic_d4_model()
     rng = np.random.default_rng(seed)
     levels = tm._level_columns.size
-    shape = (len(log_ratios), levels, 1)
+    shape = (len(log_ratios), 1, levels)
     A = np.empty(shape + (dim, dim), dtype=complex)
     for n, r in enumerate(log_ratios):
         for l in range(levels):
             kappa = min(limit * 10.0 ** rng.choice([r, -abs(r)]), 1e17)
             u, v = (np.linalg.qr(rng.standard_normal((dim, dim))
                                  + 1j * rng.standard_normal((dim, dim)))[0] for _ in range(2))
-            A[n, l, 0] = (u * np.geomspace(1.0, 1.0 / kappa, dim)) @ v.conj().T
+            A[n, 0, l] = (u * np.geomspace(1.0, 1.0 / kappa, dim)) @ v.conj().T
     E = 0.1 * np.arange(len(log_ratios))
-    shifts = np.zeros((levels, 1))
+    omega_prime = np.zeros(1)
     tm._kernels = lambda eps, energies, omega: A - np.eye(dim)
     seen = np.eye(dim) + (A - np.eye(dim))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(tmatrix, "CONDITION_LIMIT", limit)
-        assert _gate_message(tm, 0, E, shifts) == _oracle_gate(seen, limit, 0, E, shifts)
+        assert _gate_message(tm, 0, E, omega_prime) == _oracle_gate(seen, limit, 0, E, omega_prime)
 
 
 def test_neumann_divergence_flagged():
@@ -419,7 +423,6 @@ BAD_CALLS = {
     "partial_sums_negative_tol": lambda tm: tm.appendix_partial_sums("00", 0.5, tol=-1.0),
     # silently depth 1 before index_depth went through _count
     "stacked_column_bool_depth": lambda tm: verification.stacked_column(tm, 0, 0.0, 0.5, index_depth=True),
-    "t_kernel_bool_eps": lambda tm: tm.t_kernel(True, 0.0, 0.0, 0.5),
     "stacked_column_nan_omega": lambda tm: verification.stacked_column(tm, 0, NAN, 0.5),
     "r_blocks_nan_omega": lambda tm: tm.r_blocks(0.5, NAN),
     "r_coefficient_nan_omega": lambda tm: tm.r_coefficient(0, 0, NAN, 0.0, 0.5),
@@ -429,7 +432,6 @@ BAD_CALLS = {
     "nan_t_components": lambda tm: tm.t_components(NAN),
     "nan_theta_map": lambda tm: theta_map(tm, np.eye(2), 0, 0, 0.0, 0.0, NAN),
     "nan_stacked_column": lambda tm: verification.stacked_column(tm, 0, 0.0, NAN),
-    "nan_t_kernel": lambda tm: tm.t_kernel(0, 0.0, 0.0, NAN),
     "nan_appendix_term": lambda tm: tm.appendix_term("01", 1, NAN),
     "column_pass_eps": lambda tm: verification.column_pass(tm, 2, [0.5]),
     "nan_column_pass": lambda tm: verification.column_pass(tm, 0, [0.5, NAN]),
@@ -451,7 +453,7 @@ def test_scattering_views_reject_bad_input(nr_tm, name):
 
 
 def test_float_labels_match_integer_labels(nr_tm):
-    assert np.array_equal(nr_tm.t_kernel(1.0, 1.0, 0.0, 0.5), nr_tm.t_kernel(1, 1.0, 0.0, 0.5))
+    assert np.array_equal(t_block(nr_tm, 1.0, 1.0, 0.0, 0.5), t_block(nr_tm, 1, 1.0, 0.0, 0.5))
     assert np.array_equal(verification.column_pass(nr_tm, 1.0, [0.5]).blocks,
                           verification.column_pass(nr_tm, 1, [0.5]).blocks)
     assert np.array_equal(nr_tm.r_coefficient(1.0, 0.0, 0.0, 0.0, 0.5),

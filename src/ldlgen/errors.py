@@ -64,11 +64,11 @@ def _energies(E):
 
 def _array(value, shape, where, dtype=complex, nonnegative=False):
     """A finite array of exactly `shape` as a `dtype` array, where a None in
-    `shape` takes any length; anything else is a ValidationError.  The kind
-    is checked before the cast: strings, bytes, booleans and objects are
-    refused, and so is a complex array when `dtype` is float.  With
-    `nonnegative`, a negative entry is one too, and a non-finite or negative
-    entry gets the one message saying both."""
+    `shape` takes any length and a `shape` of None any shape; anything else
+    is a ValidationError.  The kind is checked before the cast: strings,
+    bytes, booleans and objects are refused, and so is a complex array when
+    `dtype` is float.  With `nonnegative`, a negative entry is one too, and a
+    non-finite or negative entry gets the one message saying both."""
     try:
         arr = np.asarray(value)
     except (TypeError, ValueError):
@@ -77,7 +77,8 @@ def _array(value, shape, where, dtype=complex, nonnegative=False):
         kind = "real" if dtype is float else "numeric"
         raise ValidationError(f"{where} must be a {kind} array, not of dtype {arr.dtype}")
     arr = arr.astype(dtype, copy=False)
-    if arr.ndim != len(shape) or any(n not in (None, m) for n, m in zip(shape, arr.shape)):
+    if shape is not None and (arr.ndim != len(shape)
+                              or any(n not in (None, m) for n, m in zip(shape, arr.shape))):
         want = (" x ".join(map(str, shape)) if len(shape) != 1
                 else "1-D" if shape[0] is None else f"of dimension {shape[0]}")
         raise ValidationError(f"{where} must be {want}, not of shape {arr.shape}")

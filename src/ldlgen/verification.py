@@ -10,7 +10,10 @@ substituted variable u = (t'-t)/lambda^2, where the X quadrature
 produces the Fourier transform of h: the Gaussian envelopes damp the
 u integrand, so the cost is uniform in lambda.  The packets are evaluated
 in place over each chunk of (u, t) nodes, with the bits of the
-out-of-place formula.
+out-of-place formula.  The suite's limit checks pair the shipped test
+functions at fixed lambdas and read no model, so they are computed once per
+process (`_limit_checks`); `check_delta_limit` and
+`check_causal_delta_limit` compute on every call.
 
 The identity suite (`run_identity_suite`) checks the level-basis solve,
 the closed-form series, the drift routes and the Lindblad form against
@@ -28,14 +31,16 @@ power series and the depth-2 index set that cross-checks the restriction
 are its own.
 """
 
+import functools
 import math
 from collections import namedtuple
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .bath import _exp_rows, _legendre_rule, gauss_legendre_nodes, validate_bath
-from .errors import ValidationError, _count, _energies, _index, _real
+from .errors import ValidationError, _array, _count, _energies, _index, _real
 from .generator import _dagger, _diagonal_r, build_generator, drift, drift_from_t_operator
 from .model import _cluster_sorted
 from .tmatrix import _frobenius
@@ -60,6 +65,7 @@ class GaussianPacket:
     center must be finite, sigma finite and > 0 with 2 sigma^2 a normal float
     and (10 sigma)^2 finite, and coeffs a non-empty tuple (or list) of finite
     reals; anything else raises ValidationError.  It is 0 where (x - center)^2 overflows.
+    It takes x as a finite real number or array of any shape (`errors._array`).
     """
 
     center: float = 0.0
@@ -85,7 +91,7 @@ class GaussianPacket:
                                                  for c in self.coeffs))
 
     def __call__(self, x):
-        out = self._overwrite(np.array(x, dtype=float))
+        out = self._overwrite(np.array(_array(x, None, "packet argument", dtype=float)))
         return float(out) if out.ndim == 0 else out
 
     def _overwrite(self, x):
@@ -117,8 +123,23 @@ class GaussianPacket:
         return (self.center - pad, self.center + pad)
 
 
+def _decreasing(lambdas):
+    """lambdas, a 1-D sequence of finite reals (`_real`) that strictly
+    decreases, as a list of floats; anything else is a ValidationError."""
+    if not (isinstance(lambdas, Sequence)
+            or isinstance(lambdas, np.ndarray) and lambdas.ndim == 1):
+        raise ValidationError(f"lambdas must be a 1-D sequence of numbers, got {lambdas!r}")
+    lambdas = [_real(l, "lambda") for l in lambdas]
+    if any(l2 >= l1 for l1, l2 in zip(lambdas, lambdas[1:])):
+        raise ValidationError("lambdas must be strictly decreasing")
+    return lambdas
+
+
 @dataclass
 class LimitCheckReport:
+    """lambdas must be as `_decreasing` admits (kept as its list of floats),
+    and errors finite reals."""
+
     lambdas: list
     errors: list
     limit_value: complex
@@ -126,10 +147,9 @@ class LimitCheckReport:
     values: list = field(default_factory=list)
 
     def __post_init__(self):
-        if any(l2 >= l1 for l1, l2 in zip(self.lambdas, self.lambdas[1:])):
-            raise ValidationError("lambdas must be strictly decreasing")
-        if not all(math.isfinite(e) for e in self.errors):
-            raise ValidationError("limit-check errors must be finite")
+        self.lambdas = _decreasing(self.lambdas)
+        for e in self.errors:
+            _real(e, "limit-check error")
 
 
 def _composite_gl(a, b, n_panels):
@@ -261,20 +281,23 @@ def _limit_report(lambdas, values, target):
 
 
 def _lambdas(f, g, h, lambdas):
-    """At least one lambda, each finite and > 0 and strictly decreasing, as a
-    list of floats.  g squares the distance from its center of the times
+    """At least one lambda, each finite and > 0 and strictly decreasing
+    (`_decreasing`), as a list of floats, for packets f, g and h (any other
+    value is refused).  g squares the distance from its center of the times
     t + lam^2 u, t over f's extent and |u| up to `_u_extent(h)`, so the
     largest distance must square to a finite float.  The Fourier transform
     of h multiplies h's extent by |u|, and its principal value spans twice
     h's largest |extent|; both must be finite.  All is checked before any
     pairing."""
-    lambdas = [_real(l, "lambda") for l in lambdas]
+    for name, packet in (("f", f), ("g", g), ("h", h)):
+        if not isinstance(packet, GaussianPacket):
+            raise ValidationError(f"test function {name} must be a GaussianPacket, "
+                                  f"got {packet!r}")
+    lambdas = _decreasing(lambdas)
     if not lambdas:
         raise ValidationError("need at least one lambda")
     if not min(lambdas) > 0:
         raise ValidationError(f"lambda must be > 0, got {min(lambdas)!r}")
-    if any(l2 >= l1 for l1, l2 in zip(lambdas, lambdas[1:])):
-        raise ValidationError("lambdas must be strictly decreasing")
     lam = max(lambdas)
     reach = max(abs(t - g.center) for t in f.extent()) + lam * lam * _u_extent(h)
     if not math.isfinite(reach * reach):
@@ -513,6 +536,9 @@ def column_pass(tm, eps, energies):
 # -- identity suite -----------------------------------------------------------
 
 
+_CHECK_KEYS = ("check", "residual", "tolerance", "pass")
+
+
 def _check(name, residual, tolerance):
     """One report entry; a non-finite residual is reported as None (JSON
     null) and fails."""
@@ -646,13 +672,20 @@ def _limit_decay_checks(name, rep):
             _check(f"{name}_decay", 0.0 if (rep.monotone and halving) else 1.0, 0.5)]
 
 
+@functools.cache
 def _limit_checks():
+    """The limit entries of the suite as a tuple of (check, residual,
+    tolerance, pass) tuples.  They read no model, only the shipped test
+    functions and lambdas = 0.4, 0.2, 0.1, so they are computed once per
+    process and held immutable; `run_identity_suite` copies them into
+    fresh dicts."""
     f, g, h = default_test_functions()
     lambdas = [0.4, 0.2, 0.1]
     rep, crep = _matched_reports(f, g, h, lambdas)
     ratio = abs(crep.values[-1] / rep.values[-1] - 0.5)
-    return (_limit_decay_checks("delta_limit", rep) + _limit_decay_checks("causal_limit", crep)
-            + [_check("causal_half_ratio", ratio, 1e-3)])
+    checks = (_limit_decay_checks("delta_limit", rep) + _limit_decay_checks("causal_limit", crep)
+              + [_check("causal_half_ratio", ratio, 1e-3)])
+    return tuple(tuple(c[k] for k in _CHECK_KEYS) for c in checks)
 
 
 def run_identity_suite(tm, which="all"):
@@ -661,7 +694,10 @@ def run_identity_suite(tm, which="all"):
     Refuses to run (raises ValidationError) when the bath is not
     admissible (`validate_bath`).  Returns a report dict with one
     {check, residual, tolerance, pass} entry per check, sorted by name; a
-    non-finite residual is None and its check fails.
+    non-finite residual is None and its check fails.  The limit checks
+    ("limits", "all") read no model: they are computed on the first call
+    in a process (`_limit_checks`), and every report gets its own dicts of
+    them, so editing one report leaves the next as it was.
     """
     if which not in ("identities", "limits", "all"):
         raise ValidationError("suite must be one of identities, limits, all")
@@ -673,6 +709,6 @@ def run_identity_suite(tm, which="all"):
         with np.errstate(over="ignore", invalid="ignore"):
             checks.extend(_identity_checks(tm, rng))
     if which in ("limits", "all"):
-        checks.extend(_limit_checks())
+        checks.extend(dict(zip(_CHECK_KEYS, row)) for row in _limit_checks())
     checks.sort(key=lambda c: c["check"])
     return {"checks": checks, "passed": all(c["pass"] for c in checks)}

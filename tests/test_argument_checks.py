@@ -14,8 +14,8 @@ from ldlgen.dynamics import evolve_master, unravel_jump
 from ldlgen.generator import GKSLGenerator, theta_map
 from ldlgen.model import ModelSpec
 from ldlgen.tmatrix import TMatrix, richardson_extrapolate
-from ldlgen.verification import (GaussianPacket, check_causal_delta_limit, check_delta_limit,
-                                 default_test_functions)
+from ldlgen.verification import (GaussianPacket, LimitCheckReport, check_causal_delta_limit,
+                                 check_delta_limit, default_test_functions)
 
 from conftest import MODELS
 
@@ -166,6 +166,26 @@ BAD_CALLS = {
     "apply_generator_object": lambda s, tm, gen: gen.apply(np.eye(2, dtype=object)),
     "generator_weights_bool": lambda s, tm, gen: _generator(weights=[True]),
     "generator_weights_complex": lambda s, tm, gen: _generator(weights=[0.3 + 0j]),
+    # limit-check entries: a bare ValueError or TypeError, or a NaN result,
+    # for a packet argument at the parent
+    "packet_call_str": lambda s, tm, gen: GaussianPacket()("abc"),
+    "packet_call_complex": lambda s, tm, gen: GaussianPacket()(1j),
+    "packet_call_none": lambda s, tm, gen: GaussianPacket()(None),
+    "packet_call_nan": lambda s, tm, gen: GaussianPacket()(float("nan")),
+    # a bare TypeError for a scalar, and a dict read as its keys, at the parent
+    "delta_limit_lambdas_scalar": lambda s, tm, gen: _limit(check_delta_limit, True, 0.4),
+    "delta_limit_lambdas_dict": lambda s, tm, gen: _limit(check_delta_limit, True,
+                                                          {0.4: "a", 0.2: "b"}),
+    # a bare AttributeError for a test function that is not a packet
+    "delta_limit_f_number": lambda s, tm, gen: check_delta_limit(
+        1.0, *default_test_functions()[1:], True, [0.4]),
+    "causal_limit_g_none": lambda s, tm, gen: check_causal_delta_limit(
+        default_test_functions()[0], None, default_test_functions()[2], [0.4]),
+    # a bare TypeError, and a NaN lambda accepted, at the parent
+    "limit_report_lambdas_str": lambda s, tm, gen: LimitCheckReport([0.4, "a"], [1.0, 0.5], 0j,
+                                                                    True),
+    "limit_report_lambdas_nan": lambda s, tm, gen: LimitCheckReport([float("nan")], [1.0], 0j,
+                                                                    True),
 }
 
 

@@ -8,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
+from ldlgen import verification
 from ldlgen.cli import MAX_SERIES_ORDERS, run
 from ldlgen.dynamics import MAX_STORED_ENTRIES
 
@@ -313,10 +314,15 @@ def test_check_pass_and_fail(tmp_path):
 
 
 def test_check_report_byte_identical_between_runs(tmp_path):
+    # a cold run (the limit checks computed afresh) against a warm one (read
+    # from the memo of the first)
     out1 = tmp_path / "c1.json"
     out2 = tmp_path / "c2.json"
+    verification._limit_checks.cache_clear()
     assert run(["check", NR, "--suite", "limits", "--out", str(out1)]) == 0
     assert run(["check", NR, "--suite", "limits", "--out", str(out2)]) == 0
+    info = verification._limit_checks.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
     assert out1.read_bytes() == out2.read_bytes()
 
 

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import functools
 import math
@@ -8,14 +9,25 @@ import pytest
 
 from ldlgen import TMatrix, ValidationError, verification
 from ldlgen.bath import gauss_legendre_nodes
+from ldlgen.cli import run
 from ldlgen.model import model_from_dict
 from ldlgen.verification import (GaussianPacket, LimitCheckReport,
                                  check_causal_delta_limit, check_delta_limit,
                                  default_test_functions, run_identity_suite)
 
-from conftest import base_model_doc
+from conftest import MODELS, base_model_doc
 
 LAMBDAS = [0.4, 0.2, 0.1]
+
+
+@pytest.fixture(autouse=True)
+def cold_limit_memo():
+    """Every test starts on an empty memo of the limit checks and leaves
+    none behind, so a result computed under a patch neither reads nor
+    fills the one the other tests see."""
+    verification._limit_checks.cache_clear()
+    yield
+    verification._limit_checks.cache_clear()
 
 
 def test_report_requires_decreasing_lambdas():
@@ -101,6 +113,7 @@ def test_limit_suite_on_panel_phase_steps_matches_panel_exponentials(nr_tm, monk
 
     stepped, stepped_reports = run()
     monkeypatch.setattr(verification, "_fourier_of_h", _fourier_of_h_panel_exponentials)
+    verification._limit_checks.cache_clear()
     direct, direct_reports = run()
     for new, old in zip(stepped_reports, direct_reports):
         for a, b in zip(new.values, old.values):
@@ -284,16 +297,67 @@ def test_causal_limit_even_h_is_half():
         assert abs(cv / fv - 0.5) < 1e-3
 
 
-def test_limit_checks_compute_each_overlap_once(monkeypatch):
+def _pairing_spy(monkeypatch):
+    """A spy on `_overlap_vector` and `_fourier_of_h`: the list of the names
+    called."""
     calls = []
     for name in ("_overlap_vector", "_fourier_of_h"):
         def counted(*args, _name=name, _fn=getattr(verification, name)):
             calls.append(_name)
             return _fn(*args)
         monkeypatch.setattr(verification, name, counted)
+    return calls
+
+
+def test_limit_checks_compute_each_overlap_once(monkeypatch):
+    calls = _pairing_spy(monkeypatch)
     checks = verification._limit_checks()
     assert sorted(calls) == ["_fourier_of_h"] + ["_overlap_vector"] * len(LAMBDAS)
-    assert all(c["pass"] for c in checks)
+    assert all(passed for *_, passed in checks)
+
+
+def test_warm_suite_limit_entries_are_the_bits_of_a_fresh_computation(nr_tm):
+    run_identity_suite(nr_tm, "limits")
+    warm = run_identity_suite(nr_tm, "all")
+    assert verification._limit_checks.cache_info().misses == 1
+    verification._limit_checks.cache_clear()
+    fresh = sorted(verification._limit_checks())
+    names = {row[0] for row in fresh}
+    got = [tuple(c[k] for k in verification._CHECK_KEYS)
+           for c in warm["checks"] if c["check"] in names]
+    # repr round-trips every float, so equal reprs are equal bits
+    assert repr(got) == repr(fresh) and len(got) == 5
+
+
+def test_editing_a_report_leaves_the_next_one_as_it_was(nr_tm):
+    first = run_identity_suite(nr_tm, "all")
+    expect = copy.deepcopy(first)
+    limits = [c for c in first["checks"] if c["check"].startswith(("delta", "causal"))]
+    limits[0]["pass"] = not limits[0]["pass"]
+    del limits[1]["residual"]
+    limits[2]["check"] = "renamed"
+    assert run_identity_suite(nr_tm, "all") == expect
+    assert run_identity_suite(nr_tm, "limits")["checks"] == [
+        c for c in expect["checks"] if c["check"].startswith(("delta", "causal"))]
+
+
+def test_later_suite_calls_compute_no_pairing(nr_tm, rwa_tm, monkeypatch):
+    calls = _pairing_spy(monkeypatch)
+    first = run_identity_suite(nr_tm, "all")
+    assert sorted(calls) == ["_fourier_of_h"] + ["_overlap_vector"] * len(LAMBDAS)
+    calls.clear()
+    assert run_identity_suite(nr_tm, "all") == first
+    run_identity_suite(rwa_tm, "limits")
+    assert calls == []
+
+
+def test_identities_suite_never_computes_the_limit_checks(nr_tm, tmp_path, monkeypatch):
+    calls = _pairing_spy(monkeypatch)
+    run_identity_suite(nr_tm, "identities")
+    assert run(["check", str(MODELS / "tm_nr.json"), "--suite", "identities",
+                "--out", str(tmp_path / "c.json")]) == 0
+    info = verification._limit_checks.cache_info()
+    assert (info.hits, info.misses, calls) == (0, 0, [])
 
 
 def test_causal_pairing_equals_left_half_grid_pairing():

@@ -28,10 +28,10 @@ a node E_n and an offset pair (a, b): (W[k, m], omega[k]) inside a
 kernel, (0, omega[k]) outside it and (0, omega' + W) in the R blocks.  The
 pairs do not depend on the node unless the offsets omega do (the stacked
 oracle gives each column its own omega'; each node then gets its own row
-of pairs).  gamma is evaluated on the table of nodes by distinct pairs
-and gathered (`_gamma_pairs`), so it is asked each distinct argument
-once and every value keeps its bits; the index table of a pair set is
-built once per instance.  The products that share
+of pairs).  Each call finds the distinct pairs it needs and evaluates
+gamma on the table of nodes by distinct pairs, then gathers it
+(`_gamma_pairs`), so it is asked each distinct argument once and every
+value keeps its bits.  The products that share
 a factor across nodes (L with the kernel sums, D with the solutions) are
 each one flat GEMM over every row, not one small matmul per node.
 """
@@ -57,8 +57,6 @@ MAX_GRID_STEPS = 1 << 20
 # split-exponent factors at MAX_GRID_STEPS hold about 2 sqrt(N) n complex
 # entries, 2 * 1025 * 1024 * 16 B = 32 MiB at the cap.
 MAX_ENERGY_NODES = 1 << 10
-# Most gamma offset-pair index tables a TMatrix keeps; the oldest goes first.
-_PAIR_TABLES = 32
 
 
 def _frobenius(X):
@@ -67,26 +65,6 @@ def _frobenius(X):
     flat = X.reshape(X.shape[:-2] + (1, X.shape[-2] * X.shape[-1]))
     re, im = flat.real, flat.imag
     return np.sqrt(re @ np.swapaxes(re, -1, -2) + im @ np.swapaxes(im, -1, -2))[..., 0, 0]
-
-
-def _offset_pairs(a, b, needed):
-    """Index table of the distinct gamma offset pairs (a[q], b[:, q]) among
-    the positions q where needed[q] holds.  a and needed are (Q,), shared
-    by every node; b is (1, Q) when it is too, else (N, Q), one row per
-    node, so a pair is a's value with b's column.  Pairs are told apart by
-    their bit patterns.  Returns (a[first], b[:, first], inv): the first
-    position of each distinct pair, and each position's pair index, P for
-    a position that is not needed."""
-    q = np.flatnonzero(needed)
-    bits = np.vstack([b[:, q], a[q]]).view(np.int64)
-    order = np.lexsort(bits)
-    sorted_bits = bits[:, order]
-    new = np.ones(q.size, dtype=bool)
-    new[1:] = (sorted_bits[:, 1:] != sorted_bits[:, :-1]).any(axis=0)
-    first = q[order[new]]
-    inv = np.full(a.size, first.size)
-    inv[q[order]] = np.cumsum(new) - 1
-    return a[first], b[:, first], inv
 
 
 def _series_pair(pair):
@@ -108,11 +86,10 @@ class TMatrix:
 
     Every method is a pure function of (model, bath).  The thermal pass
     over the support nodes of both densities is computed once per instance
-    (`thermal_pass`), the Dyson oracle's time grid once per grid key
-    (`_dyson_grid`) and the index table of a gamma offset-pair set once
-    per pair set (`_kept`), so an instance is cheap to reuse; it is safe
-    for read-only sharing once warmed up and used on one Dyson grid and
-    on pair sets it has already met.
+    (`thermal_pass`) and the Dyson oracle's time grid once per grid key
+    (`_dyson_grid`), so an instance is cheap to reuse; it is safe for
+    read-only sharing once its thermal pass is built and it is used on one
+    Dyson grid.
     """
 
     def __init__(self, spec, spectral=None):
@@ -122,7 +99,6 @@ class TMatrix:
         sd = self.spectral
         self._thermal = None
         self._dyson = None          # (key, DysonGrid) of the last Dyson time grid
-        self._pair_tables = {}      # gamma offset-pair index tables (`_gamma_pairs`)
         # eigenbasis data: the coupling pair (D~, D~^+), indexed by eps in the
         # kernels, the R blocks and the series chains, and one representative
         # column per level
@@ -149,77 +125,53 @@ class TMatrix:
         out[needed] = self._gammas.gamma(eps, args[needed])
         return out
 
-    def _gamma_pairs(self, eps, nodes, table):
-        """gamma_eps((E_n - a) + b) at the nodes E_n (N,) for every position of
-        an offset-pair table (`_offset_pairs`), 0 where it is not needed:
-        shape (N, Q).  gamma is evaluated on the (N, P) table of the distinct
-        pairs and gathered, so every value has the bits of its position's
-        own argument."""
-        pa, pb, inv = table
-        g = np.zeros((nodes.size, pa.size + 1), dtype=complex)
-        g[:, :-1] = self._gammas.gamma(eps, (nodes[:, None] - pa) + pb)
+    def _gamma_pairs(self, eps, nodes, a, b, needed):
+        """gamma_eps((E_n - a[q]) + b[., q]) at the nodes E_n (N,), 0 where
+        needed[q] fails: shape (N, Q), for a and needed (Q,) and b (1, Q), or
+        (N, Q) for one row per node.  One lexsort finds the distinct needed
+        pairs by their bits; gamma is asked once per node and distinct pair
+        and gathered, so each value has its own argument's bits."""
+        q = np.flatnonzero(needed)
+        bits = np.vstack([b[:, q], a[q]]).view(np.int64)
+        order = np.lexsort(bits)
+        sorted_bits = bits[:, order]
+        new = np.ones(q.size, dtype=bool)
+        new[1:] = (sorted_bits[:, 1:] != sorted_bits[:, :-1]).any(axis=0)
+        first = q[order[new]]
+        inv = np.full(a.size, first.size)     # P, the zero column, where not needed
+        inv[q[order]] = np.cumsum(new) - 1
+        g = np.zeros((nodes.size, first.size + 1), dtype=complex)
+        g[:, :-1] = self._gammas.gamma(eps, (nodes[:, None] - a[first]) + b[:, first])
         return np.take(g, inv, axis=1)
-
-    def _kept(self, key, build):
-        """build(), kept under key: the offset-pair tables of an offset set
-        are built once per instance; at most _PAIR_TABLES are kept, the
-        oldest dropped first."""
-        if key not in self._pair_tables:
-            if len(self._pair_tables) >= _PAIR_TABLES:
-                del self._pair_tables[next(iter(self._pair_tables))]
-            self._pair_tables[key] = build()
-        return self._pair_tables[key]
 
     # -- the scattering kernel ------------------------------------------------
 
-    def _kernels(self, eps, E, omega):
+    def _kernels(self, eps, nodes, omega):
         """Rows of the kernel operators K_eps in the eigenbasis: row k of
-        K_eps(omega[..., k]) at energy E, for per-row offsets omega of shape
-        (..., d) broadcast against E.  With (L, R) = (D~, D~^+) for eps = 0
-        and (D~^+, D~) for eps = 1, D~ the coupling in the eigenbasis and W
-        the canonical transfer,
+        K_eps(omega[r, j, k]) at each node E = nodes[n], for nodes (N,) and
+        per-row offsets omega (R, M, d), R = 1 when every node shares them
+        and R = N for one row of offsets per node.  With (L, R) = (D~, D~^+)
+        for eps = 0 and (D~^+, D~) for eps = 1, D~ the coupling in the
+        eigenbasis and W the canonical transfer,
 
             K_eps(omega)[k, p] = gamma_eps(E + omega)
                 sum_m gamma_{1-eps}(E - W[k, m] + omega) L[k, m] R[m, p],
 
         the Bohr-pair sums gamma D_{mu1} D^+_{mu2} (eps = 0) and
         gamma D^+_{nu1} D_{nu2} (eps = 1); entry (k, p) carries transfer
-        W[k, p].  Returns an array of shape (..., d, d).
-
-        The axes of E up to its last one longer than 1 are node axes, the
-        rest offset axes.  Every gamma argument is (E - a) + b for an offset
-        pair (a, b): (0, omega[k]) outside, (W[k, m], omega[k]) inside, so
-        gamma is asked once per node and distinct pair (`_gamma_pairs`);
-        an omega that varies along a node axis gives each node its own row
-        of pairs.  The sum over m is one flat GEMM over every row.
+        W[k, p].  Returns an array of shape (N, M, d, d).  gamma is asked
+        once per node and distinct pair (`_gamma_pairs`): (0, omega[k])
+        outside, (W[k, m], omega[k]) inside.  The sum over m is one GEMM.
         """
         eps = _index(eps, "eps")
         left, right = self._pair[eps], self._pair[1 - eps]
-        d = self.dim
-        E, omega = np.asarray(E, dtype=float), np.asarray(omega, dtype=float)
-        shape = np.broadcast_shapes(E.shape, omega.shape[:-1])
-        E = E.reshape((1,) * (len(shape) - E.ndim) + E.shape)
-        lead = max((ax + 1 for ax, n in enumerate(E.shape) if n > 1), default=0)
-        nodes = np.broadcast_to(E, shape[:lead] + E.shape[lead:]).reshape(-1)
-        omega = omega.reshape((1,) * (len(shape) + 1 - omega.ndim) + omega.shape)
-        rows = shape[:lead] if any(n > 1 for n in omega.shape[:lead]) else (1,) * lead
-        b = np.broadcast_to(omega, rows + shape[lead:] + (d,)).reshape(math.prod(rows), -1)
-        outer, inner = self._kept(("kernels", eps, b.shape, b.tobytes()),
-                                  lambda: self._kernel_pairs(eps, b))
-        g_out = self._gamma_pairs(eps, nodes, outer)
-        g_in = self._gamma_pairs(1 - eps, nodes, inner)
+        rows, m, d = omega.shape
+        b, q = omega.reshape(rows, m * d), m * d
+        g_out = self._gamma_pairs(eps, nodes, np.zeros(q), b, np.resize(left.any(axis=1), q))
+        g_in = self._gamma_pairs(1 - eps, nodes, np.resize(self.spectral.transfer, q * d),
+                                 np.repeat(b, d, axis=1), np.resize(left != 0, q * d))
         summed = (left * g_in.reshape(-1, d, d)).reshape(-1, d) @ right
-        return (g_out.reshape(-1, d, 1) * summed.reshape(-1, d, d)).reshape(shape + (d, d))
-
-    def _kernel_pairs(self, eps, b):
-        """The offset-pair tables of `_kernels` for the flattened offsets
-        b (rows, M d): (0, omega[k]) where row k of L is not zero, and
-        (W[k, m], omega[k]) where L[k, m] is not zero."""
-        d, (rows, q) = self.dim, b.shape
-        left, W = self._pair[eps], self.spectral.transfer
-        inner = np.broadcast_to(b.reshape(rows, q, 1), (rows, q, d)).reshape(rows, -1)
-        return (_offset_pairs(np.zeros(q), b, np.resize(left.any(axis=1), q)),
-                _offset_pairs(np.resize(W, q * d), inner, np.resize(left != 0, q * d)))
+        return (g_out.reshape(-1, d, 1) * summed.reshape(-1, d, d)).reshape(nodes.size, m, d, d)
 
     # -- level-basis solve ---------------------------------------------------
 
@@ -241,7 +193,8 @@ class TMatrix:
         (n, S, L, d, d): X[i, s, l] inverts the system of target level l
         at omega' = omega_prime[s] and E = energies[i], whose row k sits
         at omega_prime[s] + W[k, c] for a column c of level l, W the
-        canonical transfer.  Raises NumericError when a system's 2-norm
+        canonical transfer; these offsets are shared by every node, one
+        `_kernels` row (R = 1).  Raises NumericError when a system's 2-norm
         condition number passes the limit, naming the system of largest
         condition number.
 
@@ -259,7 +212,8 @@ class TMatrix:
         E, omega_prime = np.asarray(energies, dtype=float), np.asarray(omega_prime, dtype=float)
         # omega[s, l, k] = omega'[s] + rep(e_c - e_k) for the column c of level l
         omega = omega_prime[:, None, None] + self.spectral.transfer[:, self._level_columns].T
-        A = np.eye(d) + self._kernels(eps, E[:, None, None], omega)
+        K = self._kernels(eps, E, omega.reshape(1, -1, d))
+        A = np.eye(d) + K.reshape((E.size,) + omega.shape + (d,))
         try:
             X = np.linalg.solve(A, np.broadcast_to(np.eye(d, dtype=complex), A.shape))
         except np.linalg.LinAlgError:
@@ -333,10 +287,8 @@ class TMatrix:
             # eps = 1 solves feed R^{0,1} and R^{0,0}; eps = 0 feed R^{1,0}, R^{1,1}
             a = 1 - eps
             left, right = self._pair[a], self._pair[eps]
-            b = (omega_prime + W).reshape(1, -1)
-            g = self._gamma_pairs(eps, E, self._kept(
-                ("r", eps, b.tobytes()),
-                lambda: _offset_pairs(np.zeros(d * d), b, (right != 0).reshape(-1))))
+            g = self._gamma_pairs(eps, E, np.zeros(d * d), (omega_prime + W).reshape(1, -1),
+                                  (right != 0).reshape(-1))
             # rows[0][i, m, k] = Y[i, m, k, m], the solution at omega' itself;
             # rows[1][i, m, k] = sum_j Y[i, m, k, j] g[i, j, m] right[j, m]
             rows = np.stack([np.diagonal(Y, axis1=1, axis2=3).transpose(0, 2, 1),

@@ -137,8 +137,10 @@ def _decreasing(lambdas):
 
 @dataclass
 class LimitCheckReport:
-    """lambdas must be as `_decreasing` admits (kept as its list of floats),
-    and errors finite reals."""
+    """Each field is read strictly, anything else is a ValidationError:
+    lambdas as `_decreasing` admits, errors one finite real per lambda,
+    limit_value a finite number (kept as complex), monotone a bool, and
+    values empty or one finite number per lambda (kept as complex)."""
 
     lambdas: list
     errors: list
@@ -148,8 +150,15 @@ class LimitCheckReport:
 
     def __post_init__(self):
         self.lambdas = _decreasing(self.lambdas)
-        for e in self.errors:
-            _real(e, "limit-check error")
+        n = len(self.lambdas)
+        self.errors = _array(self.errors, (n,), "limit-check errors", dtype=float).tolist()
+        self.limit_value = complex(_array(self.limit_value, (), "limit value"))
+        if not isinstance(self.monotone, (bool, np.bool_)):
+            raise ValidationError(f"monotone must be a bool, got {self.monotone!r}")
+        values = _array(self.values, (None,), "limit-check values")
+        if values.size not in (0, n):
+            raise ValidationError("limit-check values must be empty or one per lambda")
+        self.values = values.tolist()
 
 
 def _composite_gl(a, b, n_panels):
@@ -408,8 +417,9 @@ def _stacked_t(tm, eps, omega_prime, E, offsets):
     tolerance: one lookup of |I| d^2 values, the same for every omega', E."""
     d, n = tm.dim, len(offsets)
     omega_prime, E = np.asarray(omega_prime, dtype=float), np.asarray(E, dtype=float)
-    omega = np.broadcast_to((omega_prime[..., None] + offsets)[..., None], E.shape + (n, d))
-    K = tm._kernels(eps, E[..., None], omega)
+    nodes = E.reshape(-1)                   # one row of offsets per column
+    omega = np.broadcast_to((omega_prime.reshape(-1, 1) + offsets)[..., None], (nodes.size, n, d))
+    K = tm._kernels(eps, nodes, omega).reshape(E.shape + (n, d, d))
     j = tm.spectral.nearest(offsets[:, None, None] - tm.spectral.transfer, offsets)
     i, k, p = np.nonzero(j >= 0)
     T = np.zeros(E.shape + (n, d, n, d), dtype=complex)
@@ -692,7 +702,8 @@ def run_identity_suite(tm, which="all"):
     """Run the named checks at their stated tolerances.
 
     Refuses to run (raises ValidationError) when the bath is not
-    admissible (`validate_bath`).  Returns a report dict with one
+    admissible (`validate_bath`, once: through the thermal pass, or directly
+    for the limits alone).  Returns a report dict with one
     {check, residual, tolerance, pass} entry per check, sorted by name; a
     non-finite residual is None and its check fails.  The limit checks
     ("limits", "all") read no model: they are computed on the first call
@@ -701,13 +712,15 @@ def run_identity_suite(tm, which="all"):
     """
     if which not in ("identities", "limits", "all"):
         raise ValidationError("suite must be one of identities, limits, all")
-    validate_bath(tm.spec.bath, tm.bohr, tm.spec.beta)
     rng = np.random.default_rng(12345)
     checks = []
     if which in ("identities", "all"):
         # a residual that overflows is inf and fails its check, not a warning
         with np.errstate(over="ignore", invalid="ignore"):
+            tm.thermal_pass()
             checks.extend(_identity_checks(tm, rng))
+    else:
+        validate_bath(tm.spec.bath, tm.bohr, tm.spec.beta)
     if which in ("limits", "all"):
         checks.extend(dict(zip(_CHECK_KEYS, row)) for row in _limit_checks())
     checks.sort(key=lambda c: c["check"])

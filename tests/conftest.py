@@ -60,7 +60,8 @@ def t_block(tm, eps, omega, omega_prime, E):
     kernel K_eps(omega) (`TMatrix._kernels`) with canonical transfer
     omega - omega', the zero matrix when that is off the Bohr lattice."""
     sd = tm.spectral
-    return sd.at(sd.split(tm._kernels(eps, E, np.full(tm.dim, omega))), omega - omega_prime)
+    K = tm._kernels(eps, np.array([E], dtype=float), np.full((1, 1, tm.dim), omega))[0, 0]
+    return sd.at(sd.split(K), omega - omega_prime)
 
 
 def write_model(tmp_path, doc, name="model.json"):

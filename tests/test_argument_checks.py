@@ -186,6 +186,25 @@ BAD_CALLS = {
                                                                     True),
     "limit_report_lambdas_nan": lambda s, tm, gen: LimitCheckReport([float("nan")], [1.0], 0j,
                                                                     True),
+    # accepted at the parent: every field but lambdas and the errors' entries
+    # went unread
+    "limit_report_all_fields_str": lambda s, tm, gen: LimitCheckReport([0.4], [1.0], "x", "no",
+                                                                       "abc"),
+    "limit_report_limit_value_str": lambda s, tm, gen: LimitCheckReport([0.4], [1.0], "x", True),
+    "limit_report_limit_value_nan": lambda s, tm, gen: LimitCheckReport([0.4], [1.0],
+                                                                        complex("nan"), True),
+    "limit_report_monotone_str": lambda s, tm, gen: LimitCheckReport([0.4], [1.0], 0j, "no"),
+    "limit_report_monotone_int": lambda s, tm, gen: LimitCheckReport([0.4], [1.0], 0j, 1),
+    "limit_report_errors_short": lambda s, tm, gen: LimitCheckReport([0.4, 0.2], [1.0], 0j,
+                                                                     True),
+    "limit_report_errors_long": lambda s, tm, gen: LimitCheckReport([0.4], [1.0, 0.5], 0j, True),
+    "limit_report_values_str": lambda s, tm, gen: LimitCheckReport([0.4], [1.0], 0j, True, "abc"),
+    "limit_report_values_short": lambda s, tm, gen: LimitCheckReport([0.4, 0.2], [1.0, 0.5], 0j,
+                                                                     True, [1j]),
+    "limit_report_values_nan": lambda s, tm, gen: LimitCheckReport([0.4], [1.0], 0j, True,
+                                                                   [complex("nan")]),
+    # a bare TypeError at the parent
+    "limit_report_errors_scalar": lambda s, tm, gen: LimitCheckReport([0.4], 1.0, 0j, True),
 }
 
 

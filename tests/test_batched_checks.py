@@ -112,7 +112,7 @@ def _dense_stacked_t(tm, eps, omega_prime, E, offsets):
     Bohr tolerance (a tie goes to the lower offset, as with argmin)."""
     d, n = tm.dim, len(offsets)
     omega = np.broadcast_to((omega_prime + offsets)[:, None], (n, d))
-    K = tm._kernels(eps, E, omega)
+    K = tm._kernels(eps, np.array([E]), omega[None])[0]
     dist = np.abs((offsets[:, None, None] - tm.spectral.transfer)[..., None] - offsets)
     j = dist.argmin(axis=-1)
     keep = dist.min(axis=-1) <= tm.spectral.tolerance

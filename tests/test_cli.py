@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from ldlgen import verification
+from ldlgen import cli, tmatrix, verification
 from ldlgen.cli import MAX_SERIES_ORDERS, run
 from ldlgen.dynamics import MAX_STORED_ENTRIES
 
@@ -324,6 +324,35 @@ def test_check_report_byte_identical_between_runs(tmp_path):
     info = verification._limit_checks.cache_info()
     assert (info.misses, info.hits) == (1, 1)
     assert out1.read_bytes() == out2.read_bytes()
+
+
+@pytest.mark.parametrize("suite", ["identities", "limits"])
+def test_inadmissible_bath_exits_1_under_every_suite(tmp_path, capsys, suite):
+    # the suite "all" is the default of test_empty_density_support_exits_1;
+    # the identity checks validate through the thermal pass, the limit
+    # checks alone directly: the same gate message either way
+    for name, (doc, message) in _inadmissible_models().items():
+        path = write_model(tmp_path, doc, f"{name}.json")
+        out = tmp_path / f"{name}.out"
+        assert run(["check", path, "--suite", suite, "--out", str(out)]) == 1, name
+        assert message in capsys.readouterr().err, name
+        assert not out.exists(), name
+
+
+@pytest.mark.parametrize("suite", ["identities", "limits", "all"])
+def test_cold_check_validates_the_bath_once(tmp_path, monkeypatch, suite):
+    # every module that calls the gate calls the one counting wrapper
+    seen = []
+    real = tmatrix.validate_bath
+
+    def counting(*args):
+        seen.append(args)
+        return real(*args)
+
+    for module in (tmatrix, verification, cli):
+        monkeypatch.setattr(module, "validate_bath", counting)
+    assert run(["check", NR, "--suite", suite, "--out", str(tmp_path / "c.json")]) == 0
+    assert len(seen) == 1
 
 
 def test_full_check_report_byte_identical_between_runs_on_the_jumping_model(tmp_path):

@@ -6,7 +6,9 @@ Every gathered value must carry the bits of gamma at the position's own
 dense argument, evaluated here position by position: (E - W) + omega
 inside the kernel, E + omega outside it, and E + (omega' + W) in the R
 blocks, each only where the coupling entry that multiplies it is not
-zero.
+zero.  And gamma must be asked no more than once per node and distinct
+pair: each call's argument count is checked against a count of the
+distinct pairs made here one position at a time.
 
 `SpectralData.split` sums X_ij u_i u_j^+ over the entries of each transfer;
 it is compared with basis @ (X masked to the transfer) @ basis^+ within a
@@ -19,7 +21,7 @@ import pytest
 from ldlgen import GammaTable, TMatrix, load_model, verification
 from ldlgen.model import model_from_dict
 
-from conftest import MODELS, chained_cluster_doc
+from conftest import MODELS, chained_cluster_doc, ladder_model_doc
 from test_level_solve import MODELS as HARD_SPECTRA, _model
 
 BUILDERS = {
@@ -56,8 +58,8 @@ class _Spy:
         self.seen = []
         real = tm._gamma_pairs
 
-        def spy(eps, nodes, table):
-            self.seen.append(real(eps, nodes, table))
+        def spy(eps, nodes, a, b, needed):
+            self.seen.append(real(eps, nodes, a, b, needed))
             return self.seen[-1]
 
         monkeypatch.setattr(tm, "_gamma_pairs", spy)
@@ -129,10 +131,54 @@ def test_kernels_gammas_keep_their_bits_on_a_scalar_energy_and_node_offsets(tm, 
     for E, omega in cases:
         for eps in (0, 1):
             spy.seen.clear()
-            tm._kernels(eps, E, omega)
+            tm._kernels(eps, np.ravel(E), omega.reshape(np.size(E), -1, d))
             outer, inner = _kernel_gammas(tm, eps, E, omega)
             assert _same(spy.seen[0].reshape(outer.shape), outer)
             assert _same(spy.seen[1].reshape(inner.shape), inner)
+
+
+# -- one gamma argument per node and distinct pair ------------------------------
+
+COUNTED = {
+    "ladder_d3": lambda: TMatrix(model_from_dict(ladder_model_doc(0, 3))),
+    "chained": BUILDERS["chained"],
+}
+
+
+def _distinct_pairs(a, b, needed):
+    """How many distinct (a, b) bit patterns the positions where needed
+    holds carry (a, b and needed broadcast together), one position at a
+    time."""
+    a, b, needed = np.broadcast_arrays(a, b, needed)
+    return len({(x.tobytes(), y.tobytes()) for x, y in zip(a[needed], b[needed])})
+
+
+@pytest.mark.parametrize("name", sorted(COUNTED))
+def test_r_blocks_ask_gamma_once_per_node_and_distinct_pair(name, monkeypatch):
+    # per eps: the level solve's kernel outside (0, omega[l, k]) and inside
+    # (W[k, m], omega[l, k]), then the R^{a,a} factor (0, omega' + W[j, m]),
+    # each where the coupling entry that multiplies it is not zero
+    tm = COUNTED[name]()
+    real, asked = tm._gammas.gamma, []
+
+    def spy(eps, E):
+        asked.append((eps, np.size(E)))
+        return real(eps, E)
+
+    monkeypatch.setattr(tm._gammas, "gamma", spy)
+    E, W = _nodes(tm), tm.spectral.transfer
+    for omega_prime in (0.0, float(tm.bohr[-1])):
+        asked.clear()
+        tm.r_blocks(E, omega_prime)
+        omega = omega_prime + W[:, tm._level_columns].T
+        pairs = []
+        for eps in (0, 1):
+            left = tm._pair[eps]
+            pairs += [(eps, _distinct_pairs(0.0, omega, left.any(axis=1))),
+                      (1 - eps, _distinct_pairs(W, omega[:, :, None], left != 0)),
+                      (eps, _distinct_pairs(0.0, omega_prime + W, tm._pair[eps] != 0))]
+        assert all(n > 0 for _, n in pairs)
+        assert asked == [(eps, E.size * n) for eps, n in pairs]
 
 
 # -- split by rank-one scatter ---------------------------------------------------

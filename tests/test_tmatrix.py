@@ -139,7 +139,8 @@ def _level_systems(tm, eps, energies, omega_prime):
     (n, S, L, d, d), row k of system (i, s, l) at omega_prime[s] + W[k, c]
     for the column c of level l."""
     omega = omega_prime[:, None, None] + tm.spectral.transfer[:, tm._level_columns].T
-    return np.eye(tm.dim) + tm._kernels(eps, energies[:, None, None], omega)
+    K = tm._kernels(eps, energies, omega.reshape(1, -1, tm.dim))
+    return np.eye(tm.dim) + K.reshape((energies.size,) + omega.shape + (tm.dim,))
 
 
 def _oracle_gate(A, limit, eps, energies, omega_prime):
@@ -192,7 +193,7 @@ def test_condition_gate_on_an_exactly_singular_system(monkeypatch):
 
     def singular_at_one(eps, energies, omega):
         K = kernels(eps, energies, omega)
-        K[1, 0, 1] = -np.eye(tm.dim)          # A = 0 at E = 0.5
+        K[1, 1] = -np.eye(tm.dim)          # A = 0 at E = 0.5, omega' = B[0], level 1
         return K
 
     monkeypatch.setattr(tm, "_kernels", singular_at_one)

@@ -34,7 +34,7 @@ from .generator import build_generator, drift, drift_from_t_operator
 from .model import (complex_matrix_from_json, complex_matrix_to_json,
                     complex_vector_from_json, load_model, read_json,
                     spectral_decompose)
-from .tmatrix import TMatrix
+from .tmatrix import MAX_SERIES_ORDERS, TMatrix
 from .verification import run_identity_suite
 
 EXIT_OK = 0
@@ -42,11 +42,6 @@ EXIT_VALIDATION = 1
 EXIT_NUMERIC = 2
 EXIT_SUITE = 3
 EXIT_USAGE = 64
-# Largest `tmatrix --orders`.  The JSON holds every cumulative sum, 4 * orders
-# d x d matrices, and a series whose terms are still above the 1e-12 stopping
-# tolerance after 1000 orders shrinks by a factor of 0.97 or more per order:
-# too slow to tell from divergence, so more orders add output, not information.
-MAX_SERIES_ORDERS = 1000
 
 
 class _UsageError(Exception):

@@ -23,17 +23,17 @@ clusters can break it.  The stacked system is the verification oracle
 Dyson oracle never call `_kernels`, so they check the kernel entries
 independently.
 
-Every gamma argument of the kernels and the R blocks is (E_n - a) + b for
-a node E_n and an offset pair (a, b): (W[k, m], omega[k]) inside a
-kernel, (0, omega[k]) outside it and (0, omega' + W) in the R blocks.  The
-pairs do not depend on the node unless the offsets omega do (the stacked
-oracle gives each column its own omega'; each node then gets its own row
-of pairs).  Each call finds the distinct pairs it needs and evaluates
-gamma on the table of nodes by distinct pairs, then gathers it
-(`_gamma_pairs`), so it is asked each distinct argument once and every
-value keeps its bits.  The products that share
-a factor across nodes (L with the kernel sums, D with the solutions) are
-each one flat GEMM over every row, not one small matmul per node.
+Every gamma argument of the kernels, the R blocks and the series chains is
+(E_n - a) + b for a node E_n and an offset pair (a, b): (W[k, m], omega[k])
+inside a kernel, (0, omega[k]) outside it, (0, omega' + W) in the R blocks
+and (0, W) in the series chains.  The pairs do not depend on the node
+unless the offsets omega do (the stacked oracle gives each column its own
+omega'; each node then gets its own row of pairs).  Each call finds the
+distinct pairs it needs and evaluates gamma on the table of nodes by
+distinct pairs, then gathers it (`_gamma_pairs`), so it is asked each
+distinct argument once and every value keeps its bits.  The products that
+share a factor across nodes (L with the kernel sums, D with the solutions)
+are each one flat GEMM over every row, not one small matmul per node.
 """
 
 import itertools
@@ -57,6 +57,12 @@ MAX_GRID_STEPS = 1 << 20
 # split-exponent factors at MAX_GRID_STEPS hold about 2 sqrt(N) n complex
 # entries, 2 * 1025 * 1024 * 16 B = 32 MiB at the cap.
 MAX_ENERGY_NODES = 1 << 10
+# Most orders `appendix_partial_sums` sums, highest n of `appendix_term` and
+# `tmatrix --orders`.  The tmatrix JSON holds 4 * orders d x d matrices, and a
+# series whose terms are still above the 1e-12 stopping tolerance after 1000
+# orders shrinks by a factor of 0.97 or more per order: too slow to tell from
+# divergence, so more orders add output and time, not information.
+MAX_SERIES_ORDERS = 1000
 
 
 def _frobenius(X):
@@ -116,14 +122,6 @@ class TMatrix:
     @property
     def bohr(self):
         return self.spectral.bohr
-
-    def _gamma_where(self, eps, args, needed):
-        """gamma_eps at args where `needed` (broadcast to args) holds, 0 elsewhere,
-        so entries multiplied by a vanishing coupling never reach gamma."""
-        needed = np.broadcast_to(needed, args.shape)
-        out = np.zeros(args.shape, dtype=complex)
-        out[needed] = self._gammas.gamma(eps, args[needed])
-        return out
 
     def _gamma_pairs(self, eps, nodes, a, b, needed):
         """gamma_eps((E_n - a[q]) + b[., q]) at the nodes E_n (N,), 0 where
@@ -377,41 +375,48 @@ class TMatrix:
         k = 2n) or n = 0, 1, ... (off-diagonal pairs, k = 2n+1).
 
         Evaluates the alternating multi-sum over Bohr subscripts with
-        cumulative-shift gamma arguments; terms with any off-lattice
-        subscript vanish because the corresponding D block is zero.  In the
-        eigenbasis the chain of factors j = 2n - [diagonal], ..., 1 is built
-        innermost first: each is a layer (D~ or D~^+) @ L times the Hadamard
-        factor gamma(E + W), because the accumulated shift of entry (k, p)
-        of a partial chain is its canonical transfer W[k, p] (an exact
-        regrouping of the printed sum on spectra whose representatives
-        compose).  A layer depends on j only through (j + a) % 2, so the
-        order-(n+1) chain is the order-n chain with layers 2 and 1 applied
-        on the left, and one chain serves every order.
+        cumulative-shift gamma arguments; terms with any off-lattice subscript
+        vanish because the corresponding D block is zero.  In the eigenbasis the
+        chain of factors j = 2n - [diagonal], ..., 1 is built innermost first:
+        each is a layer (D~, D~^+)[eps] @ L times gamma_eps(E + W) on its
+        non-zero entries, because the accumulated shift of entry (k, p) of a
+        partial chain is its canonical transfer W[k, p] (an exact regrouping of
+        the printed sum on spectra whose representatives compose).  A layer
+        depends on j only through (j + a) % 2, so the order-(n+1) chain is the
+        order-n chain with layers 2 and 1 applied on the left, and one chain
+        serves every order.  gamma_eps(E + W) is one table, built at the first
+        layer of eps on the rows (D~, D~^+)[eps] reaches (`_gamma_pairs`).  As
+        W[k, p] = W[k, c], c the column of p's level, `r_blocks(E)` asks the
+        same at omega' = 0, and it refuses each E a direct call refuses
+        (E + W on a rect support edge in a reached row).
         """
         a, diagonal = int(pair[0]), pair[0] == pair[1]
-        sd = self.spectral
-        args = E[..., None, None] + sd.transfer
+        sd, d = self.spectral, self.dim
+        W = sd.transfer.reshape(1, -1)
         full = (self.spec.coupling, self.spec.coupling.conj().T)[a]
-        chain = np.broadcast_to(np.eye(self.dim, dtype=complex), args.shape)
-        layers = (1,) if diagonal else ()
+        chain = np.broadcast_to(np.eye(d, dtype=complex), E.shape + (d, d))
+        layers, tables = (1,) if diagonal else (), [None, None]
         for n in itertools.count(int(diagonal)):
             for j in layers:
                 # D~^+ with gamma_1 when j + a is odd, D~ with gamma_0 when even
                 geps = (j + a) % 2
+                if tables[geps] is None:
+                    tables[geps] = self._gamma_pairs(geps, E.ravel(), np.zeros(d * d), W, np.repeat(
+                        self._pair[geps].any(axis=1), d)).reshape(chain.shape)
                 chain = self._pair[geps] @ chain
-                chain = chain * self._gamma_where(geps, args, chain != 0)
+                chain = chain * np.where(chain != 0, tables[geps], 0)
             pref = (-1.0) ** n * (1.0 if diagonal else -1j)
             yield n, pref * (full @ (sd.basis @ chain @ sd.basis.conj().T))
             layers = (2, 1)
 
     def appendix_term(self, pair, n, E):
         """Closed-form series term T^{pair}_k(E), k = 2n (diagonal pairs,
-        n >= 1) or k = 2n+1 (off-diagonal pairs, n >= 0); see
-        `_appendix_terms`."""
+        n >= 1) or k = 2n+1 (off-diagonal pairs, n >= 0), with n at most
+        MAX_SERIES_ORDERS; see `_appendix_terms`."""
         pair, n, E = _series_pair(pair), _count(n, "series order n"), _energies(E)
         diagonal = pair[0] == pair[1]
-        if n < diagonal:
-            raise ValidationError(f"series terms of pair {pair} need n >= {int(diagonal)}")
+        if not diagonal <= n <= MAX_SERIES_ORDERS:
+            raise ValidationError(f"pair {pair} needs {diagonal:d} <= n <= {MAX_SERIES_ORDERS}")
         return next(itertools.islice(self._appendix_terms(pair, E), n - diagonal, None))[1]
 
     def appendix_partial_sums(self, pair, E, max_orders=24, tol=1e-12):
@@ -421,11 +426,12 @@ class TMatrix:
         sums then stacks the energies' totals, an energy's total is frozen
         once its own term drops below tol, and converged is an array, so
         sums[-1][i] and converged[i] are those of energy E[i] alone.  tol
-        must be a finite number >= 0.  A sum that overflows to a non-finite
-        value before it is frozen raises NumericError."""
+        must be a finite number >= 0, max_orders at most MAX_SERIES_ORDERS.
+        A sum that overflows to a non-finite value before it is frozen
+        raises NumericError."""
         pair, E, tol = _series_pair(pair), _energies(E), _real(tol, "series tolerance tol")
-        if _count(max_orders, "max_orders") < 1:
-            raise ValidationError("max_orders must be >= 1")
+        if not 1 <= _count(max_orders, "max_orders") <= MAX_SERIES_ORDERS:
+            raise ValidationError(f"max_orders must be between 1 and {MAX_SERIES_ORDERS}")
         if tol < 0:
             raise ValidationError(f"series tolerance tol must be >= 0, got {tol!r}")
         total = np.zeros(E.shape + (self.dim, self.dim), dtype=complex)

@@ -47,6 +47,18 @@ def chained_cluster_doc():
     return doc
 
 
+def decoupled_level_doc(levels=(0.0, 0.3, 0.7)):
+    """d = 3 model whose coupling leaves the top level untouched: the row
+    and the column of that level in D are zero, so no series chain and no
+    kernel row reaches it."""
+    doc = base_model_doc()
+    doc["system"]["hamiltonian"] = [[z, 0.0] for z in np.diag(levels).reshape(-1)]
+    coupling = np.zeros((3, 3), dtype=complex)
+    coupling[:2, :2] = [[0.05, 0.1 + 0.02j], [0.1 - 0.02j, -0.03]]
+    doc["system"]["coupling"] = [[z.real, z.imag] for z in coupling.reshape(-1)]
+    return doc
+
+
 def ladder_model_doc(seed, dim, near_degenerate=False):
     """A model of the benchmark's seeded dimension ladder (perfbench/ladder.py)."""
     spec = importlib.util.spec_from_file_location("ladder", ROOT / "perfbench" / "ladder.py")

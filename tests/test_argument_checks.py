@@ -203,6 +203,10 @@ BAD_CALLS = {
                                                                      True, [1j]),
     "limit_report_values_nan": lambda s, tm, gen: LimitCheckReport([0.4], [1.0], 0j, True,
                                                                    [complex("nan")]),
+    # computed at the parent: 1001 series orders, over the cap of `tmatrix --orders`
+    "appendix_partial_sums_orders_over_cap": lambda s, tm, gen: tm.appendix_partial_sums(
+        "00", 0.5, max_orders=1001),
+    "appendix_term_order_over_cap": lambda s, tm, gen: tm.appendix_term("01", 1001, 0.5),
     # a bare TypeError at the parent
     "limit_report_errors_scalar": lambda s, tm, gen: LimitCheckReport([0.4], 1.0, 0j, True),
 }

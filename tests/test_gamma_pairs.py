@@ -21,7 +21,7 @@ import pytest
 from ldlgen import GammaTable, TMatrix, load_model, verification
 from ldlgen.model import model_from_dict
 
-from conftest import MODELS, chained_cluster_doc, ladder_model_doc
+from conftest import MODELS, chained_cluster_doc, decoupled_level_doc, ladder_model_doc
 from test_level_solve import MODELS as HARD_SPECTRA, _model
 
 BUILDERS = {
@@ -179,6 +179,53 @@ def test_r_blocks_ask_gamma_once_per_node_and_distinct_pair(name, monkeypatch):
                       (eps, _distinct_pairs(0.0, omega_prime + W, tm._pair[eps] != 0))]
         assert all(n > 0 for _, n in pairs)
         assert asked == [(eps, E.size * n) for eps, n in pairs]
+
+
+# -- the series chains ask gamma nothing the R blocks do not ---------------------
+
+SERIES_MODELS = {
+    "tm_nr": BUILDERS["tm_nr"],
+    "tm_rwa": lambda: TMatrix(load_model(MODELS / "tm_rwa.json")),
+    "chained": BUILDERS["chained"],
+    "ladder_d3": COUNTED["ladder_d3"],
+    "generic_d4-rotated": BUILDERS["generic_d4-rotated"],
+    "decoupled_d3": lambda: TMatrix(model_from_dict(decoupled_level_doc())),
+}
+
+
+def _record(tm, monkeypatch):
+    """Every gamma call on tm, as (eps, the bits of its arguments)."""
+    real, asked = tm._gammas.gamma, []
+
+    def spy(eps, E):
+        asked.append((eps, np.asarray(E, dtype=float).ravel().view(np.int64)))
+        return real(eps, E)
+
+    monkeypatch.setattr(tm._gammas, "gamma", spy)
+    return asked
+
+
+@pytest.mark.parametrize("E", [0.37, np.array([0.37, 1.5, 2.61])], ids=["scalar", "array"])
+@pytest.mark.parametrize("name", sorted(SERIES_MODELS))
+def test_series_ask_gamma_only_where_r_blocks_does(name, E, monkeypatch):
+    # a series reads one table per eps: gamma_eps(E + W[k, p]) on the rows k
+    # that (D~, D~^+)[eps] reaches.  W[k, p] = W[k, c] for c the column of
+    # p's level, so r_blocks(E) asks the same argument, with the same bits,
+    # for the level solve's outside factor at omega' = 0
+    tm = SERIES_MODELS[name]()
+    asked, W, series = _record(tm, monkeypatch), tm.spectral.transfer, set()
+    for pair in ("00", "01", "10", "11"):
+        asked.clear()
+        tm.appendix_partial_sums(pair, E, max_orders=4, tol=0.0)
+        assert sorted(eps for eps, _ in asked) == [0, 1]
+        for eps, bits in asked:
+            reached = tm._pair[eps].any(axis=1)[:, None]
+            assert bits.size == np.size(E) * _distinct_pairs(0.0, W, reached)
+            series |= {(eps, b) for b in bits.tolist()}
+    fresh = SERIES_MODELS[name]()
+    asked = _record(fresh, monkeypatch)
+    fresh.r_blocks(E)
+    assert series <= {(eps, b) for eps, bits in asked for b in bits.tolist()}
 
 
 # -- split by rank-one scatter ---------------------------------------------------

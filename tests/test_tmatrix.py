@@ -17,7 +17,8 @@ from ldlgen.tmatrix import (CONDITION_LIMIT, MAX_ENERGY_NODES, _corr_weights, _g
                             dyson_oracle, dyson_reference, richardson_extrapolate)
 from ldlgen.verification import run_identity_suite
 
-from conftest import base_model_doc, chained_cluster_doc, ladder_model_doc, t_block
+from conftest import (base_model_doc, chained_cluster_doc, decoupled_level_doc, ladder_model_doc,
+                      t_block)
 
 E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])
@@ -564,13 +565,17 @@ def _appendix_term_own_chain(tm, pair, n, E):
     the identity (reference for the shared chain of `_appendix_terms`)."""
     a, diagonal = int(pair[0]), pair[0] == pair[1]
     E = np.asarray(E, dtype=float)
-    sd = tm.spectral
+    sd, gamma = tm.spectral, GammaTable(tm.spec.bath).gamma
     args = E[..., None, None] + sd.transfer
     layer = np.broadcast_to(np.eye(tm.dim, dtype=complex), args.shape)
     for j in range(2 * n - diagonal, 0, -1):
         geps = (j + a) % 2
         layer = tm._pair[geps] @ layer
-        layer = layer * tm._gamma_where(geps, args, layer != 0)
+        # gamma at each entry's own argument, 0 where the entry is zero
+        needed = layer != 0
+        dense = np.zeros(args.shape, dtype=complex)
+        dense[needed] = gamma(geps, args[needed])
+        layer = layer * dense
     full = (tm.spec.coupling, tm.spec.coupling.conj().T)[a]
     pref = (-1.0) ** n * (1.0 if diagonal else -1j)
     return pref * (full @ (sd.basis @ layer @ sd.basis.conj().T))
@@ -589,19 +594,46 @@ def test_appendix_shared_chain_matches_own_chain_bitwise(nr_tm):
     # the order-(n+1) chain extends the order-n chain by two layers; every
     # term and partial sum equals the per-term chain bit for bit
     orders = 12
-    for tm in (nr_tm, _generic_d4_model(), _scaled_model(4.0)):
+    for tm in (nr_tm, _generic_d4_model(), _scaled_model(4.0),
+               TMatrix(model_from_dict(chained_cluster_doc())),
+               TMatrix(model_from_dict(decoupled_level_doc()))):
         for pair in ("00", "01", "10", "11"):
-            start = int(pair[0] == pair[1])
             for E in (0.5, np.array([0.37, 1.5, 2.61])):
-                own = [_appendix_term_own_chain(tm, pair, n, E)
-                       for n in range(start, start + orders)]
-                sums, _ = tm.appendix_partial_sums(pair, E, max_orders=orders, tol=0.0)
-                assert len(sums) == orders
-                total = np.zeros((tm.dim, tm.dim), dtype=complex)
-                for n, (want, got) in enumerate(zip(own, sums), start):
-                    total = total + want
-                    assert got.tobytes() == total.tobytes(), (pair, n)
-                    assert tm.appendix_term(pair, n, E).tobytes() == want.tobytes(), (pair, n)
+                _assert_series_match_own_chain(tm, pair, E, orders)
+
+
+def _assert_series_match_own_chain(tm, pair, E, orders):
+    start = int(pair[0] == pair[1])
+    own = [_appendix_term_own_chain(tm, pair, n, E) for n in range(start, start + orders)]
+    sums, _ = tm.appendix_partial_sums(pair, E, max_orders=orders, tol=0.0)
+    assert len(sums) == orders
+    total = np.zeros((tm.dim, tm.dim), dtype=complex)
+    for n, (want, got) in enumerate(zip(own, sums), start):
+        total = total + want
+        assert got.tobytes() == total.tobytes(), (pair, n)
+        assert tm.appendix_term(pair, n, E).tobytes() == want.tobytes(), (pair, n)
+
+
+def test_series_refuse_a_rect_edge_in_a_reached_row_only():
+    # levels 0, 0.25 and 0.5 (binary, so every argument sum is exact) and
+    # rect densities with edges 0, 1 and 2.5, 3.5.  The coupled rows 0 and 1
+    # carry W in {-0.25, 0, 0.25, 0.5}; only the untouched row 2 carries
+    # W[2, 0] = -0.5.  At E = 0.5, E + W[0, 2] is the rho0 edge 1, which the
+    # level solve's outside factor reads too, even though no chain entry at
+    # (0, 2) is ever non-zero.  At E = 1.5 only E + W[2, 0] is an edge.
+    doc = decoupled_level_doc((0.0, 0.25, 0.5))
+    doc["bath"]["rho0"] = {"kind": "rect", "a": 0.0, "b": 1.0, "height": 0.5}
+    doc["bath"]["rho1"] = {"kind": "rect", "a": 2.5, "b": 3.5, "height": 0.5}
+    tm = TMatrix(model_from_dict(doc))
+    assert tm.spectral.transfer[2, 0] == -0.5 and tm.spectral.transfer[0, 2] == 0.5
+    with pytest.raises(NumericError):
+        tm.r_blocks(0.5)
+    for pair in ("00", "01", "10", "11"):
+        with pytest.raises(NumericError):
+            tm.appendix_partial_sums(pair, 0.5, max_orders=3, tol=0.0)
+    tm.r_blocks(1.5)
+    for pair in ("00", "01", "10", "11"):
+        _assert_series_match_own_chain(tm, pair, 1.5, 6)
 
 
 # -- Dyson oracle ----------------------------------------------------------------

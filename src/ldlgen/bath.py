@@ -286,9 +286,9 @@ def validate_bath(bath, bohr, beta):
 
     In this order: the supports of rho0 and rho1 are disjoint, so the
     thermal cross-correlation of the two form factors vanishes at all
-    times; a grid node lies inside each support; the grid covers each
-    support shifted by every Bohr frequency in `bohr`; and at every support
-    node E both beta E and the thermal weight w exp(-beta E) rho(E)
+    times; each density is positive at some grid node; the grid covers
+    each support shifted by every Bohr frequency in `bohr`; and at every
+    support node E both beta E and the thermal weight w exp(-beta E) rho(E)
     (`_thermal_weights`) are finite (the weight may underflow to 0).
     Raises ValidationError on the first violation, otherwise returns a
     report.
@@ -305,6 +305,10 @@ def validate_bath(bath, bohr, beta):
     supports = [bath.density(eps).support for eps in (0, 1)]
     for eps, (a, b) in enumerate(supports):
         if not bath.support_nodes(eps)[0].size:
+            nodes = bath.grid.nodes
+            if ((nodes > a) & (nodes < b)).any():
+                raise ValidationError(f"rho{eps} vanishes at every grid node of its support "
+                                      f"[{a:g}, {b:g}]")
             raise ValidationError(f"no grid node lies inside the support [{a:g}, {b:g}] "
                                   f"of rho{eps}; refine the energy grid")
     missing = [(eps, float(omega)) for omega in bohr for eps, (a, b) in enumerate(supports)

@@ -82,7 +82,7 @@ def _series_pair(pair):
 
 ThermalPass = namedtuple("ThermalPass", "eps coef ops re_gamma")
 # The eta-independent part of the Dyson oracle on one time grid (see
-# `TMatrix._dyson_grid`), and one density's correlation on it.
+# `_dyson_grid`), and one density's correlation on it.
 DysonGrid = namedtuple("DysonGrid", "t wts evecs phases corr")
 GridCorrelation = namedtuple("GridCorrelation", "x c giant baby corr")
 
@@ -92,10 +92,8 @@ class TMatrix:
 
     Every method is a pure function of (model, bath).  The thermal pass
     over the support nodes of both densities is computed once per instance
-    (`thermal_pass`) and the Dyson oracle's time grid once per grid key
-    (`_dyson_grid`), so an instance is cheap to reuse; it is safe for
-    read-only sharing once its thermal pass is built and it is used on one
-    Dyson grid.
+    (`thermal_pass`), so an instance is cheap to reuse; it is safe for
+    read-only sharing once its thermal pass is built.
     """
 
     def __init__(self, spec, spectral=None):
@@ -104,7 +102,6 @@ class TMatrix:
         self._gammas = GammaTable(spec.bath)
         sd = self.spectral
         self._thermal = None
-        self._dyson = None          # (key, DysonGrid) of the last Dyson time grid
         # eigenbasis data: the coupling pair (D~, D~^+), indexed by eps in the
         # kernels, the R blocks and the series chains, and one representative
         # column per level
@@ -192,9 +189,10 @@ class TMatrix:
         at omega' = omega_prime[s] and E = energies[i], whose row k sits
         at omega_prime[s] + W[k, c] for a column c of level l, W the
         canonical transfer; these offsets are shared by every node, one
-        `_kernels` row (R = 1).  Raises NumericError when a system's 2-norm
-        condition number passes the limit, naming the system of largest
-        condition number.
+        `_kernels` row (R = 1).  Raises NumericError when a system has an
+        entry that is not finite (the kernel overflows), naming the first
+        such system, or when a system's 2-norm condition number passes the
+        limit, naming the system of largest condition number.
 
         The gate is screened with the inverse the batched solve returns:
         since kappa_2 <= kappa_F = |A|_F |A^-1|_F <= d kappa_2, a system
@@ -210,8 +208,14 @@ class TMatrix:
         E, omega_prime = np.asarray(energies, dtype=float), np.asarray(omega_prime, dtype=float)
         # omega[s, l, k] = omega'[s] + rep(e_c - e_k) for the column c of level l
         omega = omega_prime[:, None, None] + self.spectral.transfer[:, self._level_columns].T
-        K = self._kernels(eps, E, omega.reshape(1, -1, d))
-        A = np.eye(d) + K.reshape((E.size,) + omega.shape + (d,))
+        with np.errstate(over="ignore", invalid="ignore"):
+            K = self._kernels(eps, E, omega.reshape(1, -1, d))
+            A = np.eye(d) + K.reshape((E.size,) + omega.shape + (d,))
+        finite = np.isfinite(A).all(axis=(-2, -1))
+        if not finite.all():
+            i, s, level = np.argwhere(~finite)[0]
+            raise NumericError(f"1+T_{eps} at omega'={omega_prime[s]}, level {level}, E={E[i]} "
+                               f"overflows: the scattering kernel is not finite there")
         try:
             X = np.linalg.solve(A, np.broadcast_to(np.eye(d, dtype=complex), A.shape))
         except np.linalg.LinAlgError:
@@ -325,34 +329,6 @@ class TMatrix:
                 ops=self.spectral.split(full[np.arange(eps.size), :, eps]),
                 re_gamma=self._re_gamma(nodes))
         return self._thermal
-
-    def _dyson_grid(self, dt, n_steps, n_energy):
-        """The eta-independent part of `dyson_oracle` on the grid t = k dt,
-        k = 0..n_steps: t and its Simpson weights; evecs, the eigenbasis of
-        H_S; phases (d, d, N), phases[p, q] = exp(i (e_p - e_q) t); and corr,
-        one GridCorrelation of n_energy nodes per density eps.  Reads only
-        h_system and the bath densities.  One grid is kept: a call with
-        another key (dt, n_steps, n_energy) drops it before building its own.
-        """
-        key = (dt, n_steps, n_energy)
-        if self._dyson is None or self._dyson[0] != key:
-            self._dyson = None
-            evals, evecs = np.linalg.eigh(self.spec.h_system)
-            t = np.arange(n_steps + 1) * dt
-            # phases[q, p] = conj(phases[p, q]) and phases[p, p] = 1 exactly,
-            # so only the d (d - 1) / 2 rows p < q take exponentials
-            upper = np.triu_indices(evals.size, 1)
-            above = np.exp(1j * (evals[:, None] - evals[None, :])[upper][:, None] * t)
-            phases = np.empty((evals.size, evals.size, t.size), dtype=complex)
-            phases[upper] = above
-            phases[upper[::-1]] = np.conj(above)
-            phases[np.diag_indices(evals.size)] = 1.0
-            grid = DysonGrid(
-                t=t, wts=_simpson_weights(t.size, dt), evecs=evecs, phases=phases,
-                corr=tuple(_grid_correlation(self.spec.bath.density(e), dt, t.size, n_energy)
-                           for e in (0, 1)))
-            self._dyson = (key, grid)
-        return self._dyson[1]
 
     # -- pointwise views ---------------------------------------------------
 
@@ -527,6 +503,50 @@ def _simpson_weights(n_points, h):
     return w * (h / 3.0)
 
 
+# The one Dyson time grid a process keeps, as (key, DysonGrid); see `_dyson_grid`.
+_dyson = None
+
+
+def _dyson_grid(spec, dt, n_steps, n_energy):
+    """The eta-independent part of `dyson_oracle` on the grid t = k dt,
+    k = 0..n_steps: t and its Simpson weights; evecs, the eigenbasis of
+    H_S; phases (d, d, N), phases[p, q] = exp(i (e_p - e_q) t); and corr,
+    one GridCorrelation of n_energy nodes per density eps.
+
+    A process keeps one grid, read-only, in `_dyson`.  Its key is all the
+    grid reads, compared by exact content: the shape and bytes of
+    h_system, the two density profiles, dt, n_steps and n_energy.  So a
+    fresh TMatrix of the same model, or of an equal one loaded again,
+    reuses the grid, and a call with another key drops it before building
+    its own.
+    """
+    global _dyson
+    h = spec.h_system
+    key = (h.shape, h.tobytes(), spec.bath.rho0, spec.bath.rho1, dt, n_steps, n_energy)
+    kept = _dyson
+    if kept is not None and kept[0] == key:
+        return kept[1]
+    # the old grid is freed before the new one is built
+    _dyson = kept = None
+    evals, evecs = np.linalg.eigh(h)
+    t = np.arange(n_steps + 1) * dt
+    # phases[q, p] = conj(phases[p, q]) and phases[p, p] = 1 exactly,
+    # so only the d (d - 1) / 2 rows p < q take exponentials
+    upper = np.triu_indices(evals.size, 1)
+    above = np.exp(1j * (evals[:, None] - evals[None, :])[upper][:, None] * t)
+    phases = np.empty((evals.size, evals.size, t.size), dtype=complex)
+    phases[upper] = above
+    phases[upper[::-1]] = np.conj(above)
+    phases[np.diag_indices(evals.size)] = 1.0
+    wts = _simpson_weights(t.size, dt)
+    corr = tuple(_grid_correlation(spec.bath.density(e), dt, t.size, n_energy) for e in (0, 1))
+    for a in (t, wts, evecs, phases, *itertools.chain.from_iterable(corr)):
+        a.flags.writeable = False
+    grid = DysonGrid(t=t, wts=wts, evecs=evecs, phases=phases, corr=corr)
+    _dyson = (key, grid)
+    return grid
+
+
 def dyson_oracle(tm, pair, n, u, v, eta, *, t_max=400.0, dt=0.01, n_energy=320):
     """Time-domain contraction of the n-th scattering expansion term.
 
@@ -539,20 +559,21 @@ def dyson_oracle(tm, pair, n, u, v, eta, *, t_max=400.0, dt=0.01, n_energy=320):
 
     Cost, with N = t_max / dt + 1 grid points (step count rounded up to
     even) and n_energy = |x| correlation nodes.  Everything that does not
-    depend on eta is built once per TMatrix and grid key (dt, step count,
-    n_energy) and kept until a call on another grid replaces it
-    (`TMatrix._dyson_grid`): the Simpson weights, the eigenbasis of H_S
-    and its d^2 phase rows (d (d - 1) N / 2 exponentials, the rest by
-    conjugate symmetry), and both correlations on the grid, each from
-    about 4 N^(1/4) |x| exponentials (the split-exponent factors of
-    exp(i t x), each table itself split; `_grid_exponentials`), 2 sqrt(N)
-    |x| complex products and N |x| multiply-adds.  A call then pays for the
-    eta-dependent part only: the N damping exponentials, a d^2 N
-    contraction for n = 2, and for n = 3 one split-exponent contraction
-    against the |x| nodes of rho_b of the K of its 2 d^2 damped phase rows
-    that a non-zero coefficient reads, about K N |x| multiply-adds; on the
-    n = 3 cases of acceptance criterion 03 on models/tm_nr.json, K = 2 of
-    the 8 rows.
+    depend on eta is one grid per process (`_dyson_grid`), keyed by H_S,
+    both densities, dt, the step count and n_energy, and kept until a call
+    with another key replaces it, so it outlives its TMatrix (about 8.6 MB
+    on the grid of acceptance criterion 03): the Simpson weights, the
+    eigenbasis of H_S and its d^2 phase rows (d (d - 1) N / 2
+    exponentials, the rest by conjugate symmetry), and both correlations
+    on the grid, each from about 4 N^(1/4) |x| exponentials (the
+    split-exponent factors of exp(i t x), each table itself split;
+    `_grid_exponentials`), 2 sqrt(N) |x| complex products and N |x|
+    multiply-adds.  A call then pays for the eta-dependent part only: the
+    N damping exponentials, a d^2 N contraction for n = 2, and for n = 3
+    one split-exponent contraction against the |x| nodes of rho_b of the
+    K of its 2 d^2 damped phase rows that a non-zero coefficient reads,
+    about K N |x| multiply-adds; on the n = 3 cases of acceptance
+    criterion 03 on models/tm_nr.json, K = 2 of the 8 rows.
     """
     eta = _real(eta, "damping eta")
     if eta <= 0:
@@ -582,7 +603,7 @@ def dyson_oracle(tm, pair, n, u, v, eta, *, t_max=400.0, dt=0.01, n_energy=320):
     n_steps = int(np.rint(t_max / dt))
     if n_steps % 2 == 1:
         n_steps += 1
-    t, wts, evecs, phases, corr = tm._dyson_grid(dt, n_steps, n_energy)
+    t, wts, evecs, phases, corr = _dyson_grid(spec, dt, n_steps, n_energy)
     ut = evecs.conj().T @ u
     vt = evecs.conj().T @ v
     da = evecs.conj().T @ d_ops[a] @ evecs

@@ -205,6 +205,20 @@ def test_validate_bath_pass():
     assert report["disjoint_supports"]
 
 
+@pytest.mark.parametrize("zero", [DensityProfile.rect(0, 1, 0.0), DensityProfile.bump(0, 1, 0.0),
+                                  DensityProfile.table([0, 0.5, 1], [0.0, 0.0, 0.0])],
+                         ids=["rect", "bump", "table"])
+def test_validate_bath_names_a_density_that_vanishes_at_its_grid_nodes(zero):
+    # 81 grid nodes lie in [0, 1]: a finer grid cannot help, so the message
+    # does not ask for one
+    other = DensityProfile.rect(2, 3, 1.0)
+    for eps, bath in enumerate((_bath(zero, other),
+                                _bath(DensityProfile.rect(-1.5, -0.5, 1.0), zero))):
+        with pytest.raises(ValidationError) as info:
+            validate_bath(bath, [0.0], 1.0)
+        assert str(info.value) == f"rho{eps} vanishes at every grid node of its support [0, 1]"
+
+
 def test_validate_bath_overlap_fails():
     bath = _bath(DensityProfile.rect(0, 1.5, 1.0), DensityProfile.rect(1, 3, 1.0))
     with pytest.raises(ValidationError, match="disjoint"):

@@ -448,6 +448,42 @@ def test_overflowing_grid_span_exits_1_without_warnings(tmp_path):
     assert done.stderr.startswith("validation error: no grid node lies inside the support")
 
 
+@pytest.mark.parametrize("model,command", [
+    ("kraus_weight", "generator"), ("kraus_weight", "evolve"), ("kernel", "drift"),
+    ("kernel", "generator"), ("kernel", "tmatrix"), ("kernel", "evolve")])
+def test_overflow_exits_2_with_one_numeric_error_and_no_warning(tmp_path, model, command):
+    # both used to print numpy RuntimeWarnings, then exit 1 with "Kraus weights
+    # must be finite and nonnegative" or exit 2 with "SVD did not converge"
+    doc = base_model_doc()
+    if model == "kraus_weight":
+        doc["bath"]["rho0"] = {"kind": "bump", "a": 0, "b": 1, "amplitude": 1e200}
+        message = ("numeric error: Kraus weight 2 w exp(-beta E) rho0(E) pi rho0(E + omega) "
+                   "overflows at E = 0.0125")
+    else:
+        doc["system"]["coupling"] = [[0, 0], [1e200, 0], [1e200, 0], [0, 0]]
+        message = ("numeric error: 1+T_0 at omega'=0.0, level 0, E="
+                   + ("0.5" if command == "tmatrix" else "0.0125"))
+    rho = tmp_path / "rho0.json"
+    rho.write_text(json.dumps({"matrix": [[0.5, 0.0]] * 4}))
+    extra = {"tmatrix": ["--energy", "0.5"],
+             "evolve": ["--rho0", str(rho), "--tmax", "1", "--dt", "0.1"]}.get(command, [])
+    out = tmp_path / "out"
+    done = _run_warnings_as_errors(command, write_model(tmp_path, doc), *extra, "--out", str(out))
+    assert done.returncode == 2
+    assert done.stderr.startswith(message)
+    assert done.stderr.count("\n") == 1
+    assert not out.exists()
+
+
+def test_density_that_vanishes_at_its_grid_nodes_is_refused_without_asking_for_a_finer_grid(
+        tmp_path, capsys):
+    doc = base_model_doc()
+    doc["bath"]["rho0"] = {"kind": "rect", "a": 0, "b": 1, "height": 0}
+    assert run(["validate", write_model(tmp_path, doc)]) == 1
+    assert capsys.readouterr().err == ("validation error: rho0 vanishes at every grid node of "
+                                       "its support [0, 1]\n")
+
+
 def test_overflowing_thermal_weight_exits_1(tmp_path, capsys):
     # beta * E overflowed to inf in thermal_pass, with a warning and exit 0
     doc = base_model_doc()

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ldlgen import GammaTable, TMatrix, ValidationError, validate_bath
+from ldlgen import GammaTable, NumericError, TMatrix, ValidationError, validate_bath
 from ldlgen.generator import (GKSLGenerator, build_generator, drift, drift_from_t_operator,
                               dual_generator_matrix, _structure_map, theta_map)
 from ldlgen.model import model_from_dict
@@ -157,6 +157,20 @@ def test_build_generator_zero_coupling():
     assert not gen.kraus
     assert not gen.hamiltonian.any()
     assert not gen.drift.any()
+
+
+def test_overflowing_kraus_weight_is_a_numeric_error():
+    # 2 w exp(-beta E) rho0(E) pi rho0(E + omega) overflows for a bump of
+    # amplitude 1e200; numpy warned and the generator's own check called
+    # the weight a validation error.  The drift does not read the weights.
+    doc = base_model_doc()
+    doc["bath"]["rho0"] = {"kind": "bump", "a": 0, "b": 1, "amplitude": 1e200}
+    tm = TMatrix(model_from_dict(doc))
+    with pytest.raises(NumericError) as info:
+        build_generator(tm)
+    assert str(info.value) == ("Kraus weight 2 w exp(-beta E) rho0(E) pi rho0(E + omega) overflows "
+                               "at E = 0.0125 (a support node of rho0), eps' = 0, omega = 0")
+    assert np.isfinite(drift(tm)).all()
 
 
 def test_generator_invariants(nr_gen, rwa_gen):

@@ -11,18 +11,28 @@ from ldlgen import (GammaTable, NumericError, TMatrix, ValidationError, block_tr
                     verification)
 from ldlgen.bath import DensityProfile, _exp_rows
 from ldlgen.generator import theta_map
-from ldlgen.model import model_from_dict
+from ldlgen.model import load_model, model_from_dict
 from ldlgen.tmatrix import (CONDITION_LIMIT, MAX_ENERGY_NODES, _corr_weights, _grid_correlation,
                             _grid_exponentials, _grid_fourier, _parity_pair, _simpson_weights,
                             dyson_oracle, dyson_reference, richardson_extrapolate)
 from ldlgen.verification import run_identity_suite
 
-from conftest import (base_model_doc, chained_cluster_doc, decoupled_level_doc, ladder_model_doc,
-                      t_block)
+from conftest import (MODELS, base_model_doc, chained_cluster_doc, decoupled_level_doc,
+                      ladder_model_doc, t_block)
 
 E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])
 MIX = np.array([0.6, 0.8])
+
+
+@pytest.fixture(autouse=True)
+def cold_dyson_grid():
+    """Every test starts with no kept Dyson grid and leaves none behind, so a
+    grid built under a patch is read by no other test, and a test of a cold
+    build measures one."""
+    tmatrix._dyson = None
+    yield
+    tmatrix._dyson = None
 
 
 def _scaled_model(scale):
@@ -43,6 +53,18 @@ def test_kernel_zero_coupling():
     tm = _zero_model()
     for eps in (0, 1):
         assert not t_block(tm, eps, 0.0, 0.0, 0.4).any()
+
+
+def test_overflowing_kernel_is_a_numeric_error_naming_its_system():
+    # a 1e200 sigma_x coupling overflows the kernel sums: numpy warned three
+    # times and the condition gate's SVD failed with "SVD did not converge"
+    tm = _scaled_model(1e200)
+    with pytest.raises(NumericError) as info:
+        tm.r_blocks(0.5)
+    assert str(info.value) == ("1+T_0 at omega'=0.0, level 0, E=0.5 overflows: the scattering "
+                               "kernel is not finite there")
+    with pytest.raises(NumericError, match="1[+]T_0 at omega'=0.0, level 0, E=0.0125"):
+        tm.thermal_pass()
 
 
 def test_kernel_rwa_is_diagonal(rwa_tm):
@@ -122,7 +144,7 @@ def test_neumann_matches_direct_solve(nr_tm):
 
 def test_solve_reports_condition_estimate(monkeypatch, nr_tm):
     from ldlgen import NumericError, TMatrix
-    from ldlgen.model import model_from_dict
+    from ldlgen.model import load_model, model_from_dict
     tm = TMatrix(model_from_dict(base_model_doc()))
     # any nontrivial system now trips the gate
     monkeypatch.setattr(tmatrix, "CONDITION_LIMIT", 1.0)
@@ -704,9 +726,9 @@ CRITERION_03_CASES = [("00", 2, E1, E1), ("00", 2, E2, E2), ("11", 2, MIX, MIX),
 
 def test_dyson_oracle_bitwise_equal_with_cold_and_warm_rule_cache(nr_spec):
     # the acceptance criterion 03 cases: every value is the same bits whether
-    # each call builds its Gauss-Legendre rules and its time grid afresh (a
-    # new TMatrix) or reuses them (one warm TMatrix), and again after a call
-    # on a second grid has replaced the warm instance's kept grid
+    # each call builds its Gauss-Legendre rules and its time grid afresh (an
+    # emptied grid slot) or reuses them (one warm TMatrix), and again after a
+    # call on a second grid has replaced the kept grid
     from ldlgen.bath import _legendre_rule
 
     etas = (4e-3, 2e-3, 1e-3)
@@ -714,6 +736,7 @@ def test_dyson_oracle_bitwise_equal_with_cold_and_warm_rule_cache(nr_spec):
     for pair, n, u, v in CRITERION_03_CASES:
         for eta in etas:
             _legendre_rule.cache_clear()
+            tmatrix._dyson = None
             cold.append(dyson_oracle(TMatrix(nr_spec), pair, n, u, v, eta, t_max=400.0, dt=0.01))
     warm_tm = TMatrix(nr_spec)
 
@@ -723,7 +746,7 @@ def test_dyson_oracle_bitwise_equal_with_cold_and_warm_rule_cache(nr_spec):
 
     warm = sweep()
     dyson_oracle(warm_tm, "01", 3, E1, E2, 2e-3, t_max=200.0, dt=0.02)
-    assert warm_tm._dyson[0] == (0.02, 10000, 320)
+    assert tmatrix._dyson[0][-3:] == (0.02, 10000, 320)
     replaced = sweep()
     for values in (warm, replaced):
         assert [(z.real.hex(), z.imag.hex()) for z in values] == \
@@ -756,7 +779,7 @@ def test_dyson_sweep_keeps_one_grid_and_peaks_below_the_per_call_grids(nr_spec):
     assert peak < 15.0e6
     assert 8.0e6 < kept < 9.0e6
     assert replaced < 4.0e6
-    assert tm._dyson[0] == (0.02, 10000, 320)
+    assert tmatrix._dyson[0][-3:] == (0.02, 10000, 320)
 
 
 def _one_level_grid_exponentials(n_points, dt, x):
@@ -774,6 +797,7 @@ def test_dyson_oracle_on_split_factor_tables_matches_one_level_factors(nr_spec, 
     etas = (4e-3, 2e-3, 1e-3)
 
     def values():
+        tmatrix._dyson = None
         return [dyson_oracle(TMatrix(nr_spec), pair, n, u, v, eta, t_max=400.0, dt=0.01)
                 for pair, n, u, v in CRITERION_03_CASES for eta in etas]
 
@@ -797,7 +821,7 @@ def test_cold_dyson_grid_evaluates_few_exponentials_per_correlation(nr_spec, mon
         return out
 
     monkeypatch.setattr(np, "exp", counting)
-    grid = TMatrix(nr_spec)._dyson_grid(0.01, 40000, 320)
+    grid = tmatrix._dyson_grid(nr_spec, 0.01, 40000, 320)
     assert sum(counted) - grid.t.size <= 2 * 20000
 
 
@@ -822,7 +846,7 @@ def _n3_full_rows(tm, pair, u, v, eta, t_max, dt, n_energy=320):
     d_ops = (spec.coupling, spec.coupling.conj().T)
     n_steps = int(np.rint(t_max / dt))
     n_steps += n_steps % 2
-    t, wts, evecs, _, corr = tm._dyson_grid(dt, n_steps, n_energy)
+    t, wts, evecs, _, corr = tmatrix._dyson_grid(spec, dt, n_steps, n_energy)
     evals = np.linalg.eigh(spec.h_system)[0]
     phases = np.exp(1j * (evals[:, None] - evals[None, :])[..., None] * t)
     ut = evecs.conj().T @ np.asarray(u, dtype=complex)
@@ -892,10 +916,104 @@ def test_dyson_grid_phases_by_conjugate_symmetry_match_every_exponential(nr_spec
     spec = {"tm_nr": nr_spec,
             "ladder_d3": model_from_dict(ladder_model_doc(0, 3)),
             "ladder_d3_near_degenerate": model_from_dict(ladder_model_doc(0, 3, True))}[model]
-    grid = TMatrix(spec)._dyson_grid(0.01, 40000, 320)
+    grid = tmatrix._dyson_grid(spec, 0.01, 40000, 320)
     evals = np.linalg.eigh(spec.h_system)[0]
     direct = np.exp(1j * (evals[:, None] - evals[None, :])[..., None] * grid.t)
     assert grid.phases.tobytes() == direct.tobytes()
+
+
+def _grid_correlations_built(monkeypatch):
+    """Patch `_grid_correlation` to record its calls: two per grid built."""
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return _grid_correlation(*args)
+
+    monkeypatch.setattr(tmatrix, "_grid_correlation", counting)
+    return calls
+
+
+def _small_oracle(spec, t_max=20.0, dt=0.02, n_energy=64):
+    return _hex(dyson_oracle(TMatrix(spec), "01", 3, E1, E2, 2e-3, t_max=t_max, dt=dt,
+                             n_energy=n_energy))
+
+
+def _edited_spec(edit):
+    doc = base_model_doc()
+    edit(doc)
+    return model_from_dict(doc)
+
+
+GRID_KEY_EDITS = {
+    "h_system": (lambda doc: doc["system"].update(hamiltonian=[[0, 0], [0, 0], [0, 0], [1.25, 0]]),
+                 {}),
+    "rho0": (lambda doc: doc["bath"]["rho0"].update(amplitude=1.5), {}),
+    "rho1": (lambda doc: doc["bath"]["rho1"].update(b=3.25), {}),
+    "dt": (None, {"dt": 0.025, "t_max": 25.0}),
+    "n_steps": (None, {"t_max": 24.0}),
+    "n_energy": (None, {"n_energy": 65}),
+}
+
+
+def test_dyson_grid_is_kept_per_process_and_rebuilt_on_each_key_change(nr_spec, monkeypatch):
+    # one grid per process: a fresh TMatrix of the same model, or of an equal
+    # model loaded again, builds nothing; a change of anything the grid reads
+    # builds a new one, and every value has the bits of a cold build
+    calls = _grid_correlations_built(monkeypatch)
+    cold = _small_oracle(nr_spec)
+    assert len(calls) == 2
+    for spec in (nr_spec, load_model(MODELS / "tm_nr.json"), model_from_dict(base_model_doc())):
+        assert _small_oracle(spec) == cold
+    assert len(calls) == 2
+    for name, (edit, kwargs) in GRID_KEY_EDITS.items():
+        # each edit is one change away from the kept grid of tm_nr
+        assert _small_oracle(nr_spec) == cold
+        spec = _edited_spec(edit) if edit else nr_spec
+        built = len(calls)
+        value = _small_oracle(spec, **kwargs)
+        assert len(calls) == built + 2, name
+        assert _small_oracle(spec, **kwargs) == value
+        assert len(calls) == built + 2, name
+        tmatrix._dyson = None
+        assert _small_oracle(spec, **kwargs) == value, name
+        assert value != cold, name
+
+
+@pytest.mark.parametrize("kind", ["rect", "bump", "table"])
+def test_dyson_grid_of_a_signed_zero_edge_is_the_grid_of_its_unsigned_twin(kind, monkeypatch):
+    # the densities are keyed by equality, under which -0.0 == 0.0: the two
+    # profiles share a grid, and a cold build of either has the same bits
+    profiles = {"rect": lambda a: DensityProfile.rect(a, 1.0, 0.8),
+                "bump": lambda a: DensityProfile.bump(a, 1.0, 1.0),
+                "table": lambda a: DensityProfile.table([a, 0.3, 1.0], [0.0, 0.9, 0.0])}[kind]
+    negative, positive = profiles(-0.0), profiles(0.0)
+    assert math.copysign(1.0, negative.a) == -1.0
+    assert negative == positive
+    specs = [_edited_spec(lambda doc, p=p: doc["bath"].update(rho0=p.to_json()))
+             for p in (negative, positive)]
+
+    def grid_bytes(spec):
+        grid = tmatrix._dyson_grid(spec, 0.02, 1000, 64)
+        return [a.tobytes() for a in (grid.t, grid.wts, grid.evecs, grid.phases,
+                                      *(f for corr in grid.corr for f in corr))]
+
+    calls = _grid_correlations_built(monkeypatch)
+    shared = grid_bytes(specs[0])
+    assert grid_bytes(specs[1]) == shared
+    assert len(calls) == 2
+    tmatrix._dyson = None
+    assert grid_bytes(specs[1]) == shared
+    assert len(calls) == 4
+
+
+def test_dyson_grid_arrays_are_read_only(nr_spec):
+    grid = tmatrix._dyson_grid(nr_spec, 0.02, 1000, 64)
+    arrays = (grid.t, grid.wts, grid.evecs, grid.phases, *(f for corr in grid.corr for f in corr))
+    assert len(arrays) == 14
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a.flat[0] = 0
 
 
 def test_dyson_n3_without_a_nonzero_coefficient_is_the_full_row_zero(nr_tm, monkeypatch):

@@ -8,14 +8,15 @@ state of a block is S^k applied to the state before the block: `_orbit`,
 which `evolve_master` and the no-jump cohort below each call once,
 tabulates S^1 ... S^b, each power S times the one before, and fills the
 trajectory in blocks of up to b rows, each one product of the stacked
-table (b D, D) and the state before the block.  b is at most 256 and at
-most the steps, and the table keeps within 1 MiB, so that it stays in
-cache: b = 256 up to D = 16, 104 at D = 25, and 1 from D = 256 (d = 16)
-on, where the product is the per-step gemv `step @ y` with its bytes.  A
-block's states differ from the per-step product at roundoff (at most
-4.6e-14 over 40,000 steps of the compressed tm_nr generator).  The trace
-drift is checked once, over all stored states, and the first offending
-step is reported.
+table (b D, D) and the state before the block.  b is at most the steps,
+and the table keeps within 1 MiB, so that it stays in cache; b is 1 from
+D = 256 (d = 16) on, where the product is the per-step gemv `step @ y`
+with its bytes.  `evolve_master` tabulates up to 256 powers (104 at
+D = 25); the cohort ceil(sqrt(steps)), the fewest products, b for the
+table and steps / b for the blocks.  A block's states differ from the
+per-step product at roundoff (at most 4.6e-14 over 40,000 steps of the
+compressed tm_nr generator).  The trace drift is checked once, over all
+stored states, and the first offending step is reported.
 
 The Monte-Carlo unravelling is the standard norm-loss construction
 (Dalibard, Castin and Molmer, PRL 68, 580 (1992)): drift under
@@ -41,24 +42,28 @@ are merged with the cohort's (its projector, M2 = 0) at every step, and
 the chunks are merged in index order, both by the update of Chan, Golub
 and LeVeque (Am. Stat. 37, 242 (1983)).  The batch's states are held
 while it keeps its size, up to 1 MiB of their |psi><psi| samples, and
-their moments and merges are taken in one call per run of held steps;
-each step's values are the bytes of a call per step.
+their moments and merges are taken in one call per run of held steps.
+The held steps' products run ahead of the threshold test, which finds the
+first crossing among them in one call (`_advance`).  Each step's values
+are the bytes of a product, a test and a moment call per step.
 
-RNG streams derive from (seed, trajectory index): trajectory i draws from
-Generator(PCG64(SeedSequence(entropy=seed, spawn_key=(i,)))).  The first
-draws of a block of _DRAW_CHUNKS chunks are computed at once by
-`_first_uniforms`: the SeedSequence hash on uint32 arrays, the 128-bit
-PCG64 seeding and one output on (hi, lo) uint64 halves; each chunk gets
-its slice.  The Generator is built only when a trajectory first jumps,
-and its own first draw must equal the vectorised one.  The ensemble runs
-serially (threads gained nothing: the work holds the GIL), so results are
-bitwise reproducible.
+RNG streams derive from the seed.  Trajectory i's first threshold is draw i
+of one ensemble stream, Generator(PCG64(SeedSequence(entropy=seed))), which
+each chunk takes in index order by `random(n)`; PCG64 spends one 64-bit
+output per double, so the chunk size moves no draw.  A trajectory that
+jumps draws the rest from its own stream, Generator(PCG64(SeedSequence(
+entropy=seed, spawn_key=(i,)))), built at its first jump: its first draw
+picks that jump's channel.  SeedSequence keeps the spawned streams
+independent of the ensemble's (O'Neill, HMC-CS-2014-0905 (2014)).  The
+ensemble runs serially (threads gained nothing: the work holds the GIL),
+so results are bitwise reproducible.
 
 Trajectories are stored as (steps + 1, d, d) arrays; (steps + 1) * d^2 may
 not exceed MAX_STORED_ENTRIES, so a step count that would exhaust memory
 is a validation error.
 """
 
+import bisect
 import math
 from dataclasses import dataclass, field
 
@@ -68,15 +73,12 @@ from .errors import NumericError, ValidationError, _array, _count, _real
 from .generator import dual_generator_matrix
 
 _CHUNK = 1024
-# first draws are made for this many chunks at once: each uint64 temporary
-# of `_first_uniforms` is then 32 KiB, which stays in cache
-_DRAW_CHUNKS = 4
 _BISECTION_ITERS = 48
 # the jumped batch's states held for one `_moments` call make at most this
 # many bytes of |psi><psi| samples
 _MOMENT_BYTES = 1 << 20
-# `_orbit` tabulates at most this many step powers, so it steps at most
-# this many rows per product
+# `evolve_master`'s `_orbit` tabulates at most this many step powers, so it
+# steps at most this many rows per product
 _TABLE_ROWS = 256
 # the table of step powers stays within this many bytes, so it stays in
 # cache; from D = 256 (d = 16) on it holds the step alone
@@ -88,15 +90,9 @@ _GRAM_DEGREE = np.add.outer(_POWERS, _POWERS).ravel()
 # Largest stored trajectory, in matrix entries: (steps + 1) * d^2.  At
 # d = 2 that is 1,048,575 steps, 64 MiB for a complex trajectory.
 MAX_STORED_ENTRIES = 1 << 22
-# Trajectory indices must fit one 32-bit spawn-key word (`_first_uniforms`)
+# Largest ensemble accepted: a bound on the run's length, not on the streams,
+# which take any trajectory index
 MAX_TRAJECTORIES = 1 << 32
-# numpy's SeedSequence hash (pool of 4 words) and PCG64 (XSL-RR 128/64)
-_MASK32 = (1 << 32) - 1
-_HASH_INIT_A, _HASH_MULT_A = 0x43B0D7E5, 0x931E8875
-_HASH_INIT_B, _HASH_MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_PCG_MULT_HI, _PCG_MULT_LO = _PCG_MULT >> 64, _PCG_MULT & (1 << 64) - 1
 
 
 @dataclass
@@ -162,10 +158,10 @@ def _step_count(t_max, dt, dim):
     return n_steps
 
 
-def _orbit(step, flat):
+def _orbit(step, flat, table_rows):
     """Rows 1 ... n - 1 of the C-contiguous (n, D) array `flat`, written in
     place from row 0 in blocks of up to b rows: row k of a block that starts
-    at row s is S^(k - s + 1) flat[s - 1], with b = min(_TABLE_ROWS, n - 1,
+    at row s is S^(k - s + 1) flat[s - 1], with b = min(table_rows, n - 1,
     _POWER_TABLE_BYTES // (16 D^2)), at least 1.
 
     The powers S^1 ... S^b are tabulated once, each the step times the one
@@ -173,7 +169,7 @@ def _orbit(step, flat):
     (b D, D) with the row before it, written straight into the block's rows.
     At b = 1 this is the gemv `step @ y` of every row."""
     rows, dim = flat.shape[0], step.shape[0]
-    b = max(1, min(_TABLE_ROWS, rows - 1, _POWER_TABLE_BYTES // (16 * dim * dim)))
+    b = max(1, min(table_rows, rows - 1, _POWER_TABLE_BYTES // (16 * dim * dim)))
     powers = np.empty((b, dim, dim), dtype=complex)
     powers[0] = step
     for j in range(1, b):
@@ -197,7 +193,7 @@ def evolve_master(gen, rho0, t_max, dt):
     # a growing generator may overflow the states after its first offending
     # step; only that first step is reported
     with np.errstate(over="ignore", invalid="ignore"):
-        _orbit(_taylor_step(liouville, dt), states.reshape(n_steps + 1, -1))
+        _orbit(_taylor_step(liouville, dt), states.reshape(n_steps + 1, -1), _TABLE_ROWS)
         drift = np.abs(np.einsum("kii->k", states[1:].real) - 1.0)
     bad = np.flatnonzero(~(drift <= 1e-6))
     if bad.size:
@@ -274,94 +270,10 @@ def _horner(coeffs, x):
     return acc
 
 
-def _hasher(const, mult):
-    """numpy SeedSequence's hashmix on the multiplier chain from `const`:
-    successive calls are successive rounds.  Values are Python ints below
-    2^32 or uint32 arrays, whose products wrap by themselves."""
-    def hashmix(value):
-        nonlocal const
-        value = value ^ const
-        const = const * mult & _MASK32
-        value = value * const & _MASK32
-        return value ^ (value >> 16)
-    return hashmix
-
-
-def _mix(x, y):
-    """SeedSequence's mix; a Python-int x is masked before a uint32-array y
-    meets it, so the difference stays uint32."""
-    out = ((_MIX_MULT_L * x & _MASK32) - _MIX_MULT_R * y) & _MASK32
-    return out ^ (out >> 16)
-
-
-def _add128(hi, lo, add_hi, add_lo):
-    """(hi:lo) + (add_hi:add_lo) mod 2^128 on uint64 halves."""
-    lo = lo + add_lo
-    return hi + add_hi + (lo < add_lo), lo
-
-
-def _pcg_step(hi, lo, inc_hi, inc_lo):
-    """One LCG step (hi:lo) * _PCG_MULT + (inc_hi:inc_lo) mod 2^128 on
-    uint64 halves.  Wrapping 64-bit products give every term but the high
-    half of lo * _PCG_MULT_LO, which is summed from four 32-bit limb
-    products, each below 2^64."""
-    lo0, lo1 = lo & _MASK32, lo >> 32
-    m0, m1 = _PCG_MULT_LO & _MASK32, _PCG_MULT_LO >> 32
-    p01, p10 = lo0 * m1, lo1 * m0
-    mid = (lo0 * m0 >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
-    carry = lo1 * m1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
-    return _add128(hi * _PCG_MULT_LO + lo * _PCG_MULT_HI + carry, lo * _PCG_MULT_LO,
-                   inc_hi, inc_lo)
-
-
-def _first_uniforms(seed, start, stop):
-    """The first `uniform()` of Generator(PCG64(SeedSequence(entropy=seed,
-    spawn_key=(i,)))) for every i in [start, stop), stop <= 2^32, bitwise.
-
-    numpy's SeedSequence hashes the seed's 32-bit words (padded to 4) and
-    the spawn-key word into a pool of 4 words and expands it to 8; PCG64
-    seeds its 128-bit LCG from them and returns the XSL-RR output of one
-    step; uniform() is that output's top 53 bits times 2^-53.  Only the
-    spawn-key word, the last entropy word, differs between trajectories,
-    so the seed's words are hashed once on Python integers; the index
-    word's four hashmix/mix rounds and the expansion run on uint32 arrays,
-    and the LCG on (hi, lo) uint64 halves (`_pcg_step`)."""
-    hashmix = _hasher(_HASH_INIT_A, _HASH_MULT_A)
-    words = [seed >> (32 * j) & _MASK32 for j in range(max(4, -(-seed.bit_length() // 32)))]
-    pool = [hashmix(w) for w in words[:4]]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for w in words[4:]:
-        for dst in range(4):
-            pool[dst] = _mix(pool[dst], hashmix(w))
-    index = np.arange(start, stop, dtype=np.uint32)
-    pool = [_mix(p, hashmix(index)) for p in pool]
-    expand = _hasher(_HASH_INIT_B, _HASH_MULT_B)
-    s = [expand(pool[i % 4]).astype(np.uint64) for i in range(8)]
-    # the 8 words are little-endian pairs (seed_hi, seed_lo, inc_hi,
-    # inc_lo); inc = (inc_hi:inc_lo << 1) | 1
-    seed_hi, seed_lo, inc_hi, inc_lo = (s[2 * j] | s[2 * j + 1] << 32 for j in range(4))
-    inc = (inc_hi << 1 | inc_lo >> 63, inc_lo << 1 | 1)
-    hi, lo = _pcg_step(*_pcg_step(*_add128(*inc, seed_hi, seed_lo), *inc), *inc)
-    # XSL-RR: rotate hi ^ lo right by the state's top 6 bits
-    rot = hi >> 58
-    folded = hi ^ lo
-    raw = (folded >> rot) | (folded << ((64 - rot) & 63))
-    return (raw >> 11).astype(float) * 2.0 ** -53
-
-
-def _trajectory_rng(seed, index, first):
-    """Trajectory `index`'s Generator, advanced past its first draw, which
-    must equal the vectorised `first`."""
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(
+def _trajectory_rng(seed, index):
+    """Trajectory `index`'s own Generator, built at its first jump."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(
         entropy=seed, spawn_key=(int(index),))))
-    drawn = rng.uniform()
-    if drawn != first:
-        raise NumericError(f"trajectory {index}: vectorised first draw {first!r} differs "
-                           f"from its generator's {drawn!r}")
-    return rng
 
 
 def _moments(psi):
@@ -390,7 +302,7 @@ def _no_jump_cohort(psi0, step, n_steps):
     normalized projectors (n_steps + 1, d, d) (zero where the norm is)."""
     c = np.empty((n_steps + 1, psi0.size), dtype=complex)
     c[0] = psi0
-    _orbit(step, c)
+    _orbit(step, c, math.ceil(math.sqrt(n_steps)))
     norm2 = np.sum(np.abs(c) ** 2, axis=1)
     norm = np.sqrt(norm2)[:, None]
     normed = np.divide(c, norm, out=np.zeros_like(c), where=norm > 0.0)
@@ -410,52 +322,72 @@ def _run_chunk(start, u, seed, cohort, step, heff, weights, ops, dt):
     # (n_steps + 1 if none), which is where the running minimum falls below u
     first = np.searchsorted(-floor, -u, side="right") + 1
     order = np.argsort(first, kind="stable")
-    joined = np.searchsorted(first[order], np.arange(n_steps + 1), side="right")
-    k0 = int(first[order[0]])
+    joins = first[order].tolist()
+    k0 = joins[0]
     mean = np.empty((n_steps + 1, d, d), dtype=complex)
     m2 = np.zeros((n_steps + 1, d, d))
     mean[:k0] = proj[:k0]
-    # the jumped batch, in order of first jump: its first `active` columns;
-    # `held` keeps its states from step `since` on while `active` stays put
-    psi = np.empty((d, n), dtype=complex)
+    # the jumped batch, in order of first jump, is `last` (d, active) at step
+    # k; `held` keeps its states from step `since` on while it keeps its size
     thresholds = np.empty(n)
     rngs = []
     counts = np.zeros(2, dtype=int)
-    active, since, held = 0, k0, np.empty((0, d, 0), dtype=complex)
-    for k in range(k0, n_steps + 1):
-        advanced = step @ psi[:, :active]
-        crossed = np.nonzero(np.sum(np.abs(advanced) ** 2, axis=0) < thresholds[:active])[0]
-        for j in crossed:
-            advanced[:, j], thresholds[j], *fired = _resolve_jumps(
-                psi[:, j], dt, thresholds[j], rngs[j], heff, weights, ops)
-            counts += fired
-        psi[:, :active] = advanced
-        if joined[k] != active or k - since == held.shape[0]:
-            if k > since:
-                _held_moments(mean, m2, proj, held[:k - since], since, n)
-            for j in range(active, joined[k]):
+    k, last = k0, np.empty((d, 0), dtype=complex)
+    while k <= n_steps:
+        active = last.shape[1]
+        joined = bisect.bisect_right(joins, k, lo=active)
+        if joined != active:
+            last = np.concatenate([last, np.empty((d, joined - active), dtype=complex)], axis=1)
+            for j in range(active, joined):
                 i = order[j]
-                rngs.append(_trajectory_rng(seed, start + i, u[i]))
-                psi[:, j], thresholds[j], *fired = _resolve_jumps(
+                rngs.append(_trajectory_rng(seed, start + i))
+                last[:, j], thresholds[j], *fired = _resolve_jumps(
                     c[k - 1], dt, u[i], rngs[j], heff, weights, ops)
                 counts += fired
-            active = int(joined[k])
-            if held.shape[2] != active:
-                held = np.empty((max(1, _MOMENT_BYTES // (16 * d * d * active)), d, active),
-                                dtype=complex)
-            since = k
-        held[k - since] = psi[:, :active]
-    if n_steps + 1 > since:
-        _held_moments(mean, m2, proj, held[:n_steps + 1 - since], since, n)
+            # one spare row, for the step at which the held steps stop
+            held = np.empty((max(1, _MOMENT_BYTES // (16 * d * d * joined)) + 1, d, joined),
+                            dtype=complex)
+        # the held steps stop where the next trajectory joins or `held` fills
+        since = k
+        k = min(since + held.shape[0] - 1, joins[joined] if joined < n else n_steps + 1)
+        held[0] = last
+        counts += _advance(held[:min(k, n_steps) + 1 - since], thresholds, rngs, step,
+                           heff, weights, ops, dt)
+        rows = slice(since, k)
+        mean[rows], m2[rows] = _merge(proj[rows], 0.0, n - joined, *_moments(held[:k - since]),
+                                      joined)
+        if k <= n_steps:
+            last = held[k - since].copy()
     return mean, m2, counts
 
 
-def _held_moments(mean, m2, proj, held, since, n):
-    """Chunk moments at steps since, since + 1, ...: the jumped batch's
-    states held (steps, d, active) merged with the cohort's projectors."""
-    rows = slice(since, since + held.shape[0])
-    active = held.shape[2]
-    mean[rows], m2[rows] = _merge(proj[rows], 0.0, n - active, *_moments(held), active)
+def _advance(held, thresholds, rngs, step, heff, weights, ops, dt):
+    """Fill rows 1, 2, ... of the jumped batch's states `held` (steps, d,
+    active) from row 0: each row is `step` times the row before, except
+    for a trajectory whose squared norm falls below its threshold in that
+    step, which `_resolve_jumps` takes on from its state before the step.
+    The products run ahead of the threshold test by a look-ahead that
+    doubles while no trajectory crosses, so a held step costs one product.
+    Returns the jumps fired and the crossings no channel could fire."""
+    counts = np.zeros(2, dtype=int)
+    rows, level = held.shape[0], thresholds[:held.shape[2]]
+    r, ahead = 1, 1
+    while r < rows:
+        stop = min(r + ahead, rows)
+        for s in range(r, stop):
+            np.matmul(step, held[s - 1], out=held[s])
+        below = (np.abs(held[r:stop]) ** 2).sum(axis=1) < level
+        crossing = below.any(axis=1).nonzero()[0]
+        if not crossing.size:
+            r, ahead = stop, 2 * ahead
+            continue
+        s = r + int(crossing[0])
+        for j in below[s - r].nonzero()[0]:
+            held[s, :, j], thresholds[j], *fired = _resolve_jumps(
+                held[s - 1, :, j], dt, thresholds[j], rngs[j], heff, weights, ops)
+            counts += fired
+        r, ahead = s + 1, 1
+    return counts
 
 
 def unravel_jump(gen, psi0, t_max, dt, trajectories, seed, threads=1):
@@ -464,7 +396,9 @@ def unravel_jump(gen, psi0, t_max, dt, trajectories, seed, threads=1):
     Returns the ensemble mean of |psi><psi| (normalized states) at every
     step together with the componentwise Monte-Carlo standard error, the
     number of jumps fired and the number of threshold crossings that no
-    channel could fire.  Fixed (seed, trajectories, dt) give
+    channel could fire.  Trajectory i's first threshold is draw i of the
+    seed's ensemble stream, and from its first jump on it draws from its own
+    (see the module docstring).  Fixed (seed, trajectories, dt) give
     bitwise-identical results.  ``trajectories`` must be an integer in
     [1, 2^32] and ``seed`` a nonnegative one.  ``threads`` must be an
     integer >= 1, as on the command line; it has no effect: the ensemble
@@ -477,8 +411,8 @@ def unravel_jump(gen, psi0, t_max, dt, trajectories, seed, threads=1):
     if _count(threads, "threads") < 1:
         raise ValidationError(f"threads must be at least 1, got {threads!r}")
     if trajectories > MAX_TRAJECTORIES:
-        raise ValidationError(f"trajectories {trajectories} exceeds {MAX_TRAJECTORIES}: "
-                              "trajectory indices must fit one 32-bit spawn-key word")
+        raise ValidationError(f"trajectories {trajectories} exceeds {MAX_TRAJECTORIES}, "
+                              "the largest ensemble unravel_jump accepts")
     n_steps = _step_count(t_max, dt, gen.dim)
     psi0 = _validate_pure_state(psi0, gen.dim)
 
@@ -489,17 +423,15 @@ def unravel_jump(gen, psi0, t_max, dt, trajectories, seed, threads=1):
                               f"has norm {step_norm:.6g} > 1; use a smaller dt")
     cohort = _no_jump_cohort(psi0, step, n_steps)
 
+    stream = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=seed)))
     mean = m2 = None
     counts = np.zeros(2, dtype=int)
-    block = _DRAW_CHUNKS * _CHUNK
-    for lo in range(0, trajectories, block):
-        u = _first_uniforms(seed, lo, min(lo + block, trajectories))
-        for start in range(lo, lo + u.size, _CHUNK):
-            stop = min(start + _CHUNK, trajectories)
-            c_mean, c_m2, c_counts = _run_chunk(start, u[start - lo:stop - lo], seed, cohort,
-                                                step, gen.heff, gen.weights, gen.ops, dt)
-            counts += c_counts
-            mean, m2 = _merge(mean, m2, start, c_mean, c_m2, stop - start)
+    for start in range(0, trajectories, _CHUNK):
+        stop = min(start + _CHUNK, trajectories)
+        c_mean, c_m2, c_counts = _run_chunk(start, stream.random(stop - start), seed, cohort,
+                                            step, gen.heff, gen.weights, gen.ops, dt)
+        counts += c_counts
+        mean, m2 = _merge(mean, m2, start, c_mean, c_m2, stop - start)
     m = float(trajectories)
     # a single trajectory has M2 = 0 and so a zero standard error
     stderr = np.sqrt(m2 / (m * max(m - 1.0, 1.0)))

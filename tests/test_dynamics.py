@@ -4,73 +4,16 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from ldlgen import NumericError, TMatrix, ValidationError, dynamics, load_model
-from ldlgen.dynamics import (_CHUNK, _HASH_INIT_A, _HASH_INIT_B, _HASH_MULT_A,
-                             _HASH_MULT_B, _MASK32, _MIX_MULT_L, _MIX_MULT_R, _PCG_MULT,
-                             MAX_STORED_ENTRIES, MAX_TRAJECTORIES, _first_uniforms,
-                             _resolve_jumps, _step_count, _taylor_step, evolve_master,
-                             trajectory_csv_lines, unravel_jump, vacuum_decay)
+from ldlgen.dynamics import (_CHUNK, MAX_STORED_ENTRIES, MAX_TRAJECTORIES, _resolve_jumps,
+                             _step_count, _taylor_step, evolve_master, trajectory_csv_lines,
+                             unravel_jump, vacuum_decay)
 from ldlgen.generator import GKSLGenerator, build_generator, dual_generator_matrix
 from ldlgen.model import model_from_dict
 
 from conftest import MODELS, ROOT, base_model_doc, random_density
-
-
-_MASK64, _MASK128 = (1 << 64) - 1, (1 << 128) - 1
-
-
-def _object_first_uniforms(seed, start, stop):
-    """Oracle for `dynamics._first_uniforms`: the whole SeedSequence hash
-    per trajectory on uint64 arrays masked to 32 bits, and the 128-bit LCG
-    as Python integers in object arrays."""
-    index = np.arange(start, stop, dtype=np.uint64)
-    words = [seed >> (32 * j) & _MASK32 for j in range(max(4, -(-seed.bit_length() // 32)))]
-    entropy = [np.full(index.shape, w, dtype=np.uint64) for w in words] + [index]
-    const = _HASH_INIT_A
-
-    def hashmix(value):
-        nonlocal const
-        value = value ^ const
-        const = const * _HASH_MULT_A & _MASK32
-        value = value * const & _MASK32
-        return value ^ (value >> 16)
-
-    def mix(x, y):
-        out = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
-        return out ^ (out >> 16)
-
-    pool = [hashmix(w) for w in entropy[:4]]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for w in entropy[4:]:
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(w))
-    const, state = _HASH_INIT_B, []
-    for i in range(8):
-        value = pool[i % 4] ^ const
-        const = const * _HASH_MULT_B & _MASK32
-        value = value * const & _MASK32
-        state.append((value ^ (value >> 16)).astype(object))
-    # little-endian word pairs: (seed_hi, seed_lo, inc_hi, inc_lo)
-    seed_hi, seed_lo, inc_hi, inc_lo = (state[2 * j] | state[2 * j + 1] << 32 for j in range(4))
-    inc = ((inc_hi << 64 | inc_lo) << 1 | 1) & _MASK128
-    lcg = ((inc + (seed_hi << 64 | seed_lo)) * _PCG_MULT + inc) & _MASK128
-    lcg = (lcg * _PCG_MULT + inc) & _MASK128
-    rot = lcg >> 122
-    folded = (lcg >> 64) ^ (lcg & _MASK64)
-    raw = ((folded >> rot) | (folded << (-rot & 63))) & _MASK64
-    return (raw >> 11).astype(float) * 2.0 ** -53
-
-
-def _numpy_first_uniforms(seed, start, stop):
-    return [np.random.Generator(np.random.PCG64(np.random.SeedSequence(
-        entropy=seed, spawn_key=(i,)))).uniform() for i in range(start, stop)]
 
 
 def _zero_gen():
@@ -187,15 +130,16 @@ def _per_step_evolve(liouville, rho0, n_steps, dt):
     return np.array(states).reshape(-1, *rho0.shape)
 
 
-def _block_power_orbit(step, y0, n_steps):
+def _block_power_orbit(step, y0, n_steps, table_rows=256):
     """Oracle for `dynamics._orbit`: the powers S^1 ... S^b, each listed as
     S @ S^(j-1), and every block of up to b rows the stacked powers (b D, D)
     times the row before the block, over one orbit of n_steps rows.  b is
-    min(256, n_steps) within the 1 MiB table budget; y0 is a vector or a
-    (D, D) matrix of columns."""
+    min(table_rows, n_steps) within the 1 MiB table budget, and table_rows
+    is evolve_master's 256 unless given; y0 is a vector or a (D, D) matrix
+    of columns."""
     dim = step.shape[0]
     powers = [step]
-    while len(powers) < min(256, n_steps, (1 << 20) // (16 * dim * dim)):
+    while len(powers) < min(table_rows, n_steps, (1 << 20) // (16 * dim * dim)):
         powers.append(step @ powers[-1])
     stacked = np.concatenate(powers)
     rows = [np.asarray(y0, dtype=complex)]
@@ -257,8 +201,9 @@ def test_orbit_bytes_match_per_step_products_on_random_generators(monkeypatch, d
     # evolve_master and the no-jump cohort both step through `_orbit`; over
     # several blocks of the table each state must be the block oracle's
     # bytes, within roundoff of `step @ y` per step, and its bytes at b = 1.
-    # At d = 5 (D = 25) the 1 MiB table holds 104 powers, so its blocks do
-    # not end at multiples of 256 steps
+    # At d = 5 (D = 25) evolve_master's 1 MiB table holds 104 powers, so its
+    # blocks do not end at multiples of 256 steps; the cohort's table has
+    # ceil(sqrt(519)) = 23 rows
     rng = np.random.default_rng(100 + d)
     dt, n_steps = 0.05, 2 * 256 + 7
     gen = _random_gen(rng, d, dt)
@@ -269,7 +214,7 @@ def test_orbit_bytes_match_per_step_products_on_random_generators(monkeypatch, d
     for _ in range(n_steps):
         c.append(step @ c[-1])
     cohort, _, _ = dynamics._no_jump_cohort(c[0], step, n_steps)
-    assert cohort.tobytes() == _block_power_orbit(step, c[0], n_steps).tobytes()
+    assert cohort.tobytes() == _block_power_orbit(step, c[0], n_steps, 23).tobytes()
     assert np.abs(cohort - c).max() <= _roundoff_bound(step, n_steps, 1.0)
     monkeypatch.setattr(dynamics, "_POWER_TABLE_BYTES", 0)
     cohort, _, _ = dynamics._no_jump_cohort(c[0], step, n_steps)
@@ -439,19 +384,20 @@ def test_unravel_identical_trajectories_across_chunks():
 
 
 def _per_trajectory_ensemble(gen, psi0, n_steps, dt, m, seed):
-    """Oracle for `unravel_jump`: every trajectory run alone from its own
-    (seed, index) Generator, stepped by `step @ psi` and resolved by
-    `_resolve_jumps` when it crosses its threshold.  Returns the plain
-    sample mean and standard error, the jumps fired by each trajectory and
-    the crossings no channel could fire."""
+    """Oracle for `unravel_jump`: every trajectory run alone, stepped by
+    `step @ psi` and resolved by `_resolve_jumps` when it crosses its
+    threshold.  Trajectory i's first threshold is draw i of the seed's
+    stream, and its jumps draw from its own (seed, index) Generator.
+    Returns the plain sample mean and standard error, the jumps fired by
+    each trajectory and the crossings no channel could fire."""
     heff = gen.hamiltonian - 0.5j * gen.psi_one
     step = _taylor_step(-1j * heff, dt)
     x = np.empty((m, n_steps + 1, gen.dim, gen.dim), dtype=complex)
     jumps, no_channel = np.zeros(m, dtype=int), 0
-    for i in range(m):
+    first = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed))).random(m)
+    for i, threshold in enumerate(first):
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=seed,
                                                                          spawn_key=(i,))))
-        threshold = rng.uniform()
         psi = psi0.astype(complex)
         for k in range(n_steps + 1):
             if k:
@@ -484,8 +430,9 @@ def _per_step_moments(psi):
 
 
 def _per_step_run_chunk(start, u, seed, cohort, step, heff, weights, ops, dt):
-    """Oracle for `dynamics._run_chunk`: the jumped batch stepped as there,
-    its moments taken and merged with the cohort's at every step."""
+    """Oracle for `dynamics._run_chunk`: the jumped batch stepped, tested
+    against its thresholds, and its moments taken and merged with the
+    cohort's, one step at a time."""
     c, floor, proj = cohort
     n_steps, d = c.shape[0] - 1, c.shape[1]
     n = u.size
@@ -511,7 +458,7 @@ def _per_step_run_chunk(start, u, seed, cohort, step, heff, weights, ops, dt):
         psi[:, :active] = advanced
         for j in range(active, joined[k]):
             i = order[j]
-            rngs.append(dynamics._trajectory_rng(seed, start + i, u[i]))
+            rngs.append(dynamics._trajectory_rng(seed, start + i))
             psi[:, j], thresholds[j], *fired = _resolve_jumps(
                 c[k - 1], dt, u[i], rngs[j], heff, weights, ops)
             counts += fired
@@ -521,11 +468,14 @@ def _per_step_run_chunk(start, u, seed, cohort, step, heff, weights, ops, dt):
     return mean, m2, counts
 
 
-@pytest.mark.parametrize("case", ["tm_nr_seed_7", "tm_nr_seed_8", "strong", "tm_nr_strong",
+# tm_nr seeds 0 and 6 are the first two seeds >= 0 at which some trajectory
+# of this run jumps
+@pytest.mark.parametrize("case", ["tm_nr_seed_0", "tm_nr_seed_6", "strong", "tm_nr_strong",
                                   "random_d3"])
 def test_held_moments_bytes_match_per_step_moments(monkeypatch, nr_gen, case):
-    # the jumped batch's moments are taken once per run of steps in which it
-    # keeps its size; at a 1000-byte budget a run is also cut every few steps
+    # the jumped batch's products run ahead of its threshold test, and its
+    # moments are taken once per run of steps in which it keeps its size; at
+    # a 1000-byte budget a run is also cut every few steps
     psi0 = np.array([1.0, 1.0]) / np.sqrt(2.0)
     if case.startswith("tm_nr_seed"):
         gen, t_max, dt, m, seed = nr_gen.compressed(), 20.0, 0.05, 20000, int(case[-1])
@@ -575,73 +525,74 @@ def test_chunk_merge_matches_direct_moments(monkeypatch):
             assert ens.jumps == 0 and ens.no_channel > 0
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2024, 2 ** 32 + 5, 2 ** 70 + 3])
-def test_first_uniforms_match_numpy_streams(seed):
-    # ranges across the first chunk boundary, across draw blocks of four
-    # chunks and up to the last index a 32-bit spawn-key word holds
-    top = MAX_TRAJECTORIES
-    for start, stop in ((0, 3), (_CHUNK - 5, 2 * _CHUNK + 5), (4 * _CHUNK - 5, 8 * _CHUNK + 5),
-                        (top - 4, top)):
-        want = [np.random.Generator(np.random.PCG64(np.random.SeedSequence(
-            entropy=seed, spawn_key=(i,)))).uniform() for i in range(start, stop)]
-        got = _first_uniforms(seed, start, stop)
-        assert got.dtype == float and np.array_equal(got, want)
+def _ensemble_stream(seed):
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
 
 
-# seeds 2^128 + 7 and 2^200 + 17 have more than four 32-bit words, so they
-# alone hash the seed words past the pool
-@pytest.mark.parametrize("seed", [0, 1, 2024, 2 ** 32 + 5, 2 ** 70 + 3, 2 ** 128 + 7,
-                                  2 ** 200 + 17])
-def test_first_uniforms_match_object_array_oracle(seed):
-    top = MAX_TRAJECTORIES
-    for start, stop in ((0, 3), (1019, 2053), (_CHUNK - 5, 2 * _CHUNK + 5), (0, 20000),
-                        (4 * _CHUNK - 5, 8 * _CHUNK + 5), (top - 4, top), (7, 7)):
-        want = _object_first_uniforms(seed, start, stop)
-        got = _first_uniforms(seed, start, stop)
-        assert got.dtype == want.dtype == float and np.array_equal(got, want)
+def _chunk_thresholds(monkeypatch, m, seed):
+    """The first thresholds `unravel_jump` hands its `_run_chunk` calls on a
+    two-step `_strong_gen` run of m trajectories, joined in call order."""
+    seen, run_chunk = [], dynamics._run_chunk
+
+    def spy(start, u, *args):
+        seen.append((start, u.copy()))
+        return run_chunk(start, u, *args)
+
+    monkeypatch.setattr(dynamics, "_run_chunk", spy)
+    unravel_jump(_strong_gen(), np.array([1.0, 0.0]), 0.1, 0.05, m, seed)
+    assert [start for start, _ in seen] == list(range(0, m, dynamics._CHUNK))
+    return np.concatenate([u for _, u in seen])
 
 
-@settings(derandomize=True, max_examples=100, deadline=None, database=None)
-@given(seed=st.integers(0, 2 ** 256 - 1), start=st.integers(0, 2 ** 32 - 1),
-       size=st.integers(0, 4))
-def test_first_uniforms_match_numpy_generators(seed, start, size):
-    stop = min(start + size, 2 ** 32)
-    got = _first_uniforms(seed, start, stop)
-    assert got.dtype == float and np.array_equal(got, _numpy_first_uniforms(seed, start, stop))
+# seeds 2^70 + 3 and 2^200 + 17 have more than two and more than four
+# 32-bit words
+@pytest.mark.parametrize("seed", [0, 2024, 2 ** 70 + 3, 2 ** 200 + 17])
+@pytest.mark.parametrize("m", [1, 1023, 1025, 9000])
+def test_first_thresholds_are_the_ensemble_stream(monkeypatch, m, seed):
+    # trajectory i's first threshold is draw i of the seed's one stream,
+    # across partial and whole chunks
+    got = _chunk_thresholds(monkeypatch, m, seed)
+    assert got.tobytes() == _ensemble_stream(seed).random(m).tobytes()
 
 
-@pytest.mark.parametrize("case", ["tm_nr", "strong", "strong_two_blocks"])
-def test_unravel_bytes_match_object_array_draws(monkeypatch, nr_gen, case):
-    if case == "tm_nr":
-        gen, t_max, dt, trajectories, seed = nr_gen.compressed(), 20.0, 0.05, 20000, 2024
-    elif case == "strong":
-        gen, t_max, dt, trajectories, seed = _strong_gen(), 2.0, 0.01, 4000, 123
-    else:
-        # past the first draw block of four chunks
-        gen, t_max, dt, trajectories, seed = _strong_gen(), 0.5, 0.01, 4 * _CHUNK + 37, 123
-    psi0 = np.array([1.0, 1.0]) / np.sqrt(2.0)
-    jumped, exact_rng = [], dynamics._trajectory_rng
-    monkeypatch.setattr(dynamics, "_trajectory_rng",
-                        lambda seed, index, first: jumped.append(index) or
-                        exact_rng(seed, index, first))
-    new = unravel_jump(gen, psi0, t_max, dt, trajectories, seed)
-    monkeypatch.setattr(dynamics, "_first_uniforms", _object_first_uniforms)
-    old = unravel_jump(gen, psi0, t_max, dt, trajectories, seed)
-    assert new.mean_states.tobytes() == old.mean_states.tobytes()
-    assert new.stderr.tobytes() == old.stderr.tobytes()
-    assert (new.jumps, new.no_channel) == (old.jumps, old.no_channel)
-    assert new.jumps > 0
-    if case == "strong_two_blocks":
-        assert min(jumped) < 4 * _CHUNK <= max(jumped)
+def test_first_thresholds_do_not_depend_on_the_chunk_size(monkeypatch):
+    monkeypatch.setattr(dynamics, "_CHUNK", 4)
+    for m in (1, 1023, 1025):
+        for seed in (7, 2 ** 70 + 3):
+            got = _chunk_thresholds(monkeypatch, m, seed)
+            assert got.tobytes() == _ensemble_stream(seed).random(m).tobytes()
 
 
-def test_first_draw_mismatch_raises(monkeypatch):
-    exact = dynamics._first_uniforms
-    monkeypatch.setattr(dynamics, "_first_uniforms",
-                        lambda seed, start, stop: np.nextafter(exact(seed, start, stop), 2.0))
-    psi0 = np.array([1.0, 0.0])
-    with pytest.raises(NumericError, match="first draw"):
-        unravel_jump(_strong_gen(), psi0, 2.0, 0.01, 8, seed=3)
+class _DrawLog:
+    """A trajectory's Generator that records every uniform() it hands out."""
+
+    def __init__(self, rng):
+        self.rng, self.draws = rng, []
+
+    def uniform(self):
+        self.draws.append(self.rng.uniform())
+        return self.draws[-1]
+
+
+def test_jump_draws_are_the_spawned_stream_from_its_first_draw(monkeypatch):
+    # a jump takes two draws, the channel's and then the next threshold's
+    # (`test_resolve_jumps_matches_rebuilt_step_oracle`); the first channel
+    # draw of a trajectory is the first uniform() of its spawned stream
+    logs, trajectory_rng = {}, dynamics._trajectory_rng
+
+    def logged(seed, index, *args):
+        logs[index] = _DrawLog(trajectory_rng(seed, index, *args))
+        return logs[index]
+
+    monkeypatch.setattr(dynamics, "_trajectory_rng", logged)
+    seed = 11
+    ens = unravel_jump(_strong_gen(), np.array([1.0, 1.0]) / np.sqrt(2.0), 2.0, 0.01, 300, seed)
+    assert ens.jumps > 0 and len(logs) > 1
+    assert sum(len(log.draws) for log in logs.values()) == 2 * ens.jumps
+    for index, log in logs.items():
+        own = np.random.Generator(np.random.PCG64(np.random.SeedSequence(
+            entropy=seed, spawn_key=(index,))))
+        assert log.draws == [own.uniform() for _ in log.draws]
 
 
 def test_unravel_rejects_more_trajectories_than_spawn_keys(monkeypatch):
@@ -650,7 +601,7 @@ def test_unravel_rejects_more_trajectories_than_spawn_keys(monkeypatch):
 
     monkeypatch.setattr(dynamics, "_taylor_step", never)
     monkeypatch.setattr(dynamics, "_run_chunk", never)
-    with pytest.raises(ValidationError, match="spawn-key"):
+    with pytest.raises(ValidationError, match="the largest ensemble"):
         unravel_jump(_strong_gen(), np.array([1.0, 0.0]), 1.0, 0.1, MAX_TRAJECTORIES + 1, seed=1)
 
 

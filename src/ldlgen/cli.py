@@ -30,7 +30,7 @@ from .dynamics import (MAX_STORED_ENTRIES, _step_count, _validate_density,
                        _validate_pure_state, evolve_master, trajectory_csv_lines,
                        unravel_jump)
 from .errors import NumericError, ValidationError, _fields
-from .generator import build_generator, drift, drift_from_t_operator
+from .generator import build_generator, drift, drift_from_t_operator, kraus_weights
 from .model import (complex_matrix_from_json, complex_matrix_to_json,
                     complex_vector_from_json, load_model, read_json,
                     spectral_decompose)
@@ -238,6 +238,7 @@ def _cmd_validate(args):
     spec = load_model(args.model)
     sd = spectral_decompose(spec)
     bath_report = validate_bath(spec.bath, sd.bohr, spec.beta)
+    kraus_weights(TMatrix(spec, sd))                  # the build's overflow check, no solve
     payload = {
         "valid": True,
         "model": {

@@ -4,66 +4,64 @@ The master equation is integrated with classical fixed-step 4th-order
 Runge-Kutta on the vectorized equation; for this autonomous linear
 system one RK4 step is exactly the degree-4 Taylor polynomial of the
 step map S, which is precomputed once.  The step is fixed, so the k-th
-state of a block is S^k applied to the state before the block: `_orbit`,
-which `evolve_master` and the no-jump cohort below each call once,
+state of a block is S^k applied to the state before the block: `_orbit`
 tabulates S^1 ... S^b, each power S times the one before, and fills the
 trajectory in blocks of up to b rows, each one product of the stacked
-table (b D, D) and the state before the block.  b is at most the steps,
-and the table keeps within 1 MiB, so that it stays in cache; b is 1 from
-D = 256 (d = 16) on, where the product is the per-step gemv `step @ y`
-with its bytes.  `evolve_master` tabulates up to 256 powers (104 at
-D = 25); the cohort ceil(sqrt(steps)), the fewest products, b for the
-table and steps / b for the blocks.  A block's states differ from the
-per-step product at roundoff (at most 4.6e-14 over 40,000 steps of the
-compressed tm_nr generator).  The trace drift is checked once, over all
-stored states, and the first offending step is reported.
+table (b D, D) and the state before the block.  b is at most the steps
+and 256, and the table keeps within 1 MiB, so that it stays in cache; b
+is 1 from D = 256 (d = 16) on, where the product is the per-step gemv
+`step @ y` with its bytes.  A block's states differ from the per-step
+product at roundoff (at most 4.6e-14 over 40,000 steps of the compressed
+tm_nr generator).  The trace drift is checked once, over all stored
+states, and the first offending step is reported.
 
-The Monte-Carlo unravelling is the standard norm-loss construction
-(Dalibard, Castin and Molmer, PRL 68, 580 (1992)): drift under
-H_eff = H - (i/2) Psi(1), a jump when the squared norm crosses a uniform
-threshold, channel j chosen with probability proportional to
-w_j ||L_j psi||^2 (the first channel whose cumulative weight exceeds the
-draw, so a zero-probability channel never fires).  Every trajectory starts
-from psi0 and follows the same no-jump evolution c_k = step^k psi0 until
-its first jump, so that evolution is integrated once per call (the
-cohort): trajectory i first jumps at the first step k >= 1 where
-||c_k||^2 falls below its first threshold u_i, found for a whole chunk by
-one search against the running minimum of ||c_k||^2.  A no-jump step whose
-2-norm exceeds 1 (+1e-12) is rejected: it would raise norms, so thresholds
-would stop being crossed and jumps would stop firing.  Before a chunk's
-earliest first jump its moments are those of the cohort alone; after it,
-only the jumped trajectories are stepped, one matmul for the batch, and
-each newcomer enters through the jump resolution from c_{k-1}.  Inside a
-crossing step the state is sum_k tau^k v_k over the Taylor rows
-v_k = (-i H_eff)^k psi / k!, and the crossing time is a bisection on its
-squared norm, a degree-8 polynomial.  Each chunk keeps two-pass moments of
-|psi><psi| (the mean and M2, the sum of |x - mean|^2): the jumped batch's
-are merged with the cohort's (its projector, M2 = 0) at every step, and
-the chunks are merged in index order, both by the update of Chan, Golub
-and LeVeque (Am. Stat. 37, 242 (1983)).  The batch's states are held
-while it keeps its size, up to 1 MiB of their |psi><psi| samples, and
-their moments and merges are taken in one call per run of held steps.
-The held steps' products run ahead of the threshold test, which finds the
-first crossing among them in one call (`_advance`).  Each step's values
-are the bytes of a product, a test and a moment call per step.
+The Monte-Carlo unravelling is the waiting-time form of the standard
+norm-loss construction (Dalibard, Castin and Molmer, PRL 68, 580 (1992);
+Daley, Adv. Phys. 63, 77 (2014)): drift under H_eff = H - (i/2) Psi(1), a
+jump when the squared norm falls to a uniform threshold, channel j chosen
+with probability proportional to w_j ||L_j psi||^2 (the first channel
+whose cumulative weight exceeds the draw, so a zero-probability channel
+never fires).  The drift is exact: H_eff = V diag(lam) V^-1 from one `eig`
+per call, so a state psi at time s after psi_0 is V (e^{-i lam s} * V^-1
+psi_0).  A Psi(1) with an eigenvalue below -1e-12 ||Psi(1)||_2 is refused,
+as its drift would raise norms; then every squared norm is nonincreasing,
+with derivative -psi^+ Psi(1) psi, and dt only samples the grid.  A V of
+condition above _COND_LIMIT is a NumericError.
+
+Every trajectory starts from psi0 and follows the same no-jump evolution
+c_k until its first jump (the cohort), so trajectory i jumps only if its
+first threshold u_i lies above the cohort's last squared norm (the running
+minimum over steps k >= 1), first in the step where that minimum falls
+below u_i.  The others never leave the cohort and cost nothing but their
+draw.  The jumpers advance in batches of bounded memory, round by round:
+round r takes each one's r-th crossing, bracketed by its grid step and
+solved by safeguarded Newton on the closed-form squared norm; the channels
+of the round come from one cumulative sum over the (jumpers, channels)
+weights.  The grid step of the next crossing is a bisection over the
+grid, and the states between two jumps are computed in closed form from
+the state after the first.  At each step the moments of |psi><psi|
+(mean and M2, the sum of |x - mean|^2) are taken over the trajectories
+that have jumped, in slices of bounded memory, and merged with each other
+and then with the cohort's (count M minus the number jumped, M2 = 0) by
+the update of Chan, Golub and LeVeque (Am. Stat. 37, 242 (1983)).
 
 RNG streams derive from the seed.  Trajectory i's first threshold is draw i
-of one ensemble stream, Generator(PCG64(SeedSequence(entropy=seed))), which
-each chunk takes in index order by `random(n)`; PCG64 spends one 64-bit
-output per double, so the chunk size moves no draw.  A trajectory that
+of one ensemble stream, Generator(PCG64(SeedSequence(entropy=seed))), taken
+in index order by `random(n)` per block of _CHUNK; PCG64 spends one 64-bit
+output per double, so the block size moves no draw.  A trajectory that
 jumps draws the rest from its own stream, Generator(PCG64(SeedSequence(
-entropy=seed, spawn_key=(i,)))), built at its first jump: its first draw
-picks that jump's channel.  SeedSequence keeps the spawned streams
-independent of the ensemble's (O'Neill, HMC-CS-2014-0905 (2014)).  The
-ensemble runs serially (threads gained nothing: the work holds the GIL),
-so results are bitwise reproducible.
+entropy=seed, spawn_key=(i,)))), built at its first jump: each jump draws
+its channel, then the next threshold.  SeedSequence keeps the spawned
+streams independent of the ensemble's (O'Neill, HMC-CS-2014-0905 (2014)).
+The ensemble runs serially (threads gained nothing: the work holds the
+GIL), and its products are numpy's own loops, not BLAS, so results are
+bitwise reproducible and independent of the BLAS thread count.
 
 Trajectories are stored as (steps + 1, d, d) arrays; (steps + 1) * d^2 may
 not exceed MAX_STORED_ENTRIES, so a step count that would exhaust memory
 is a validation error.
 """
 
-import bisect
 import math
 from dataclasses import dataclass, field
 
@@ -72,21 +70,27 @@ import numpy as np
 from .errors import NumericError, ValidationError, _array, _count, _real
 from .generator import dual_generator_matrix
 
-_CHUNK = 1024
-_BISECTION_ITERS = 48
-# the jumped batch's states held for one `_moments` call make at most this
-# many bytes of |psi><psi| samples
-_MOMENT_BYTES = 1 << 20
+# first thresholds are drawn per block of this many trajectories
+_CHUNK = 1 << 16
+# a batch of jumpers, and a slice of their grid states with its moment
+# temporaries, keep within about this many bytes
+_WORK_BYTES = 1 << 20
+# largest condition number of H_eff's eigenvector matrix: the closed-form
+# states err by about cond(V) 2^-52 relative, 2.2e-10 at the bound
+_COND_LIMIT = 1e6
+# Newton stops once a step moves the crossing time by at most this share
+# of its bracket, or once the squared norm is within this many units of
+# u (a few roundoffs of a norm near 1), and after _NEWTON_ITERS steps in
+# any case
+_NEWTON_TOL = 2.0 ** -40
+_NORM_TOL = 2.0 ** -50
+_NEWTON_ITERS = 100
 # `evolve_master`'s `_orbit` tabulates at most this many step powers, so it
 # steps at most this many rows per product
 _TABLE_ROWS = 256
 # the table of step powers stays within this many bytes, so it stays in
 # cache; from D = 256 (d = 16) on it holds the step alone
 _POWER_TABLE_BYTES = 1 << 20
-# Gram entry (j, k) of the Taylor rows feeds the tau^(j + k) coefficient of
-# the squared norm; _POWERS are the exponents of tau in the step polynomial
-_POWERS = np.arange(5)
-_GRAM_DEGREE = np.add.outer(_POWERS, _POWERS).ravel()
 # Largest stored trajectory, in matrix entries: (steps + 1) * d^2.  At
 # d = 2 that is 1,048,575 steps, 64 MiB for a complex trajectory.
 MAX_STORED_ENTRIES = 1 << 22
@@ -215,179 +219,160 @@ def vacuum_decay(gen, t):
     return expm(-gen.drift * t)
 
 
-def _resolve_jumps(psi_row, remaining, threshold, rng, heff, weights, ops):
-    """Advance one trajectory through `remaining` time, applying jumps.
-
-    psi_row is the unnormalized state at the start of the interval, known
-    to cross `threshold` before its end; weights (K,) and ops (K, d, d) are
-    the stacked Kraus family.  Returns (state, threshold, jumps fired,
-    crossings no channel could fire).  The Taylor rows are formed once per
-    unjumped stretch; the squared norm's coefficients are
-    c_m = sum_{j+k=m} Re<v_j, v_k>."""
-    a = -1j * heff
-    cur = psi_row
-    jumps = 0
-    while True:
-        rows = [cur]
-        for k in (1.0, 2.0, 3.0, 4.0):
-            rows.append(a @ rows[-1] / k)
-        rows = np.array(rows)
-        gram = (rows.conj() @ rows.T).real
-        coeffs = np.bincount(_GRAM_DEGREE, gram.ravel())[::-1].tolist()
-        if _horner(coeffs, remaining) >= threshold:
-            return remaining ** _POWERS @ rows, threshold, jumps, 0
-        lo, hi = 0.0, remaining
-        for _ in range(_BISECTION_ITERS):
-            mid = 0.5 * (lo + hi)
-            if _horner(coeffs, mid) > threshold:
-                lo = mid
-            else:
-                hi = mid
-        cur = hi ** _POWERS @ rows
-        cumulative = np.cumsum(weights * np.sum(np.abs(ops @ cur) ** 2, axis=1))
-        if cumulative.size == 0 or cumulative[-1] <= 0.0:
-            # norm lost with no channel able to fire (integrator loss, or an
-            # empty Kraus family): no jump, so finish the interval unjumped
-            return remaining ** _POWERS @ rows, threshold, jumps, 1
-        # first channel whose cumulative weight exceeds xi < total: its own
-        # weight is positive, even for a draw of exactly 0
-        xi = rng.uniform() * cumulative[-1]
-        channel = np.searchsorted(cumulative, xi, side="right")
-        jumped = ops[channel] @ cur
-        cur = jumped / np.linalg.norm(jumped)
-        jumps += 1
-        threshold = rng.uniform()
-        remaining = remaining - hi
-        if remaining <= 0.0:
-            return cur, threshold, jumps, 0
-
-
-def _horner(coeffs, x):
-    """The polynomial with coefficients `coeffs` (highest degree first) at x."""
-    acc = 0.0
-    for c in coeffs:
-        acc = acc * x + c
-    return acc
-
-
 def _trajectory_rng(seed, index):
     """Trajectory `index`'s own Generator, built at its first jump."""
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(
         entropy=seed, spawn_key=(int(index),))))
 
 
-def _moments(psi):
-    """Mean of the normalized |psi><psi| over the last axis of psi (..., d, n)
-    and M2, the sum of |x - mean|^2; a leading axis is one set per step."""
-    normed = psi / np.sqrt(np.sum(np.abs(psi) ** 2, axis=-2, keepdims=True))
-    x = normed[..., :, None, :] * normed[..., None, :, :].conj()
-    mean = np.sum(x, axis=-1) / psi.shape[-1]
-    return mean, np.sum(np.abs(x - mean[..., None]) ** 2, axis=-1)
+def _no_jump_flow(gen):
+    """(lam, V, V^-1) with gen.heff = V diag(lam) V^-1, after the gates on
+    Psi(1) and on cond(V).  With Psi(1) positive semidefinite every lam
+    lies in the closed lower half-plane: a positive Im lam is roundoff,
+    set to 0 so that no phase grows."""
+    spectrum = np.linalg.eigvalsh(gen.psi_one)
+    if not spectrum[0] >= -1e-12 * np.abs(spectrum).max():
+        raise ValidationError(f"Psi(1) has the eigenvalue {spectrum[0]:.6g} < 0: the no-jump "
+                              "evolution of this generator would raise norms")
+    lam, vec = np.linalg.eig(gen.heff)
+    cond = np.linalg.cond(vec)
+    if not cond <= _COND_LIMIT:
+        raise NumericError(f"H_eff is not diagonalizable to working accuracy: its eigenvector "
+                           f"matrix has condition number {cond:.3e} > {_COND_LIMIT:g}")
+    return lam.real + 1j * np.minimum(lam.imag, 0.0), vec, np.linalg.inv(vec)
+
+
+def _propagate(flow, coef, s):
+    """The states V (e^{-i lam s} * coef) for coef (..., d) and times s (...)."""
+    lam, vec, _ = flow
+    return np.einsum("...j,ij->...i", np.exp(-1j * s[..., None] * lam) * coef, vec)
+
+
+def _norm2(psi):
+    """Squared norms over the last axis."""
+    return np.sum(psi.real ** 2 + psi.imag ** 2, axis=-1)
+
+
+def _crossing_times(flow, psi_one, coef, start, u, lo, hi):
+    """The times t in [lo, hi] at which ||psi(t - start)||^2 = u, psi(s)
+    the state `_propagate(flow, coef, s)`: Newton on the squared norm, with
+    its derivative -psi^+ Psi(1) psi, kept in a bracket that each step
+    narrows, and a bisection step wherever Newton would leave it."""
+    out, pos, t, tol = lo.copy(), np.arange(lo.size), lo, _NEWTON_TOL * (hi - lo)
+    for _ in range(_NEWTON_ITERS):
+        psi = _propagate(flow, coef, t - start)
+        f = _norm2(psi) - u
+        slope = -np.einsum("ni,ij,nj->n", psi.conj(), psi_one, psi).real
+        lo, hi = np.where(f >= 0.0, t, lo), np.where(f >= 0.0, hi, t)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = t - f / slope
+        # a norm within _NORM_TOL of u is the root to roundoff: one more
+        # Newton step if it stays in the bracket, and no bisection after it
+        close = np.abs(f) <= _NORM_TOL * u
+        nxt = np.where((newton >= lo) & (newton <= hi), newton,
+                       np.where(close, t, 0.5 * (lo + hi)))
+        out[pos] = nxt
+        go = ~close & (np.abs(nxt - t) > tol)
+        if not go.any():
+            break
+        pos, t, lo, hi, tol, coef, start, u = (
+            a[go] for a in (pos, nxt, lo, hi, tol, coef, start, u))
+    return out
+
+
+def _crossing_steps(flow, times, coef, start, u, lo, hi):
+    """Each trajectory's first grid step k in (lo, hi] whose squared norm
+    ||psi(t_k - start)||^2 is below u, by bisection over the grid; the
+    norm at step hi must be below u, and it never rises."""
+    todo = np.flatnonzero(hi - lo > 1)
+    while todo.size:
+        mid = (lo[todo] + hi[todo]) // 2
+        below = _norm2(_propagate(flow, coef[todo], times[mid] - start[todo])) < u[todo]
+        hi[todo] = np.where(below, mid, hi[todo])
+        lo[todo] = np.where(below, lo[todo], mid)
+        todo = todo[hi[todo] - lo[todo] > 1]
+    return hi
+
+
+def _jump_rounds(gen, flow, times, psi0, index, u, first, seed):
+    """The trajectories `index`, whose first thresholds u the cohort crosses
+    in steps `first`, advanced round by round to the end.  Returns their
+    stretches after a jump, (since, until, start, coef): the state at grid
+    step since <= k < until is `_propagate(flow, coef, t_k - start)`; and
+    the jumps fired and the crossings no channel could fire.  A crossing
+    that no channel can fire ends the trajectory's jumps: it goes on
+    without one, its norm below its threshold for good."""
+    n = times.size - 1
+    coef = np.tile(np.einsum("ij,j->i", flow[2], psi0), (index.size, 1))
+    start, since, k = np.zeros(index.size), np.zeros(index.size, dtype=int), first
+    live, lo, rngs = np.arange(index.size), times[first - 1], {}
+    stretches, counts = [], np.zeros(2, dtype=int)
+    while live.size:
+        tau = _crossing_times(flow, gen.psi_one, coef, start, u, lo, times[k])
+        lpsi = np.einsum("jab,nb->nja", gen.ops, _propagate(flow, coef, tau - start))
+        cum = np.cumsum(gen.weights * _norm2(lpsi), axis=1)
+        total = cum[:, -1] if cum.shape[1] else np.zeros(live.size)
+        fire = total > 0.0
+        counts += fire.sum(), live.size - fire.sum()
+        ends = np.where(fire, k, n + 1)
+        stretches.append((since, ends, start, coef))
+        live, k, tau, lpsi, cum, total = (a[fire] for a in (live, k, tau, lpsi, cum, total))
+        draws = np.empty((live.size, 2))
+        for row, j in enumerate(live.tolist()):
+            if j not in rngs:
+                rngs[j] = _trajectory_rng(seed, index[j])
+            draws[row] = rngs[j].uniform(), rngs[j].uniform()
+        # the first channel whose cumulative weight exceeds the draw, or the
+        # last one of positive weight should the product round up to total
+        x = (draws[:, 0] * total)[:, None]
+        channel = np.minimum((cum <= x).sum(axis=1), (cum < total[:, None]).sum(axis=1))
+        jumped = lpsi[np.arange(live.size), channel]
+        jumped /= np.sqrt(_norm2(jumped))[:, None]
+        coef, start, since, u = np.einsum("ij,nj->ni", flow[2], jumped), tau, k, draws[:, 1]
+        # the next crossing: none where the norm at the last step stays >= u
+        below = _norm2(_propagate(flow, coef, times[n] - start)) < u
+        stretches.append((since[~below], np.full((~below).sum(), n + 1), start[~below],
+                          coef[~below]))
+        live, coef, start, since, u = (a[below] for a in (live, coef, start, since, u))
+        k = _crossing_steps(flow, times, coef, start, u, since - 1, np.full(live.size, n))
+        lo = np.maximum(start, times[k - 1])
+    kept = [tuple(a[s[0] > 0] for a in s) for s in stretches]
+    return tuple(np.concatenate(a) for a in zip(*kept)), counts
 
 
 def _merge(mean, m2, n, other_mean, other_m2, n_other):
-    """The (mean, M2) of two sets of n and n_other samples, by the update of
-    Chan, Golub and LeVeque; an empty first set gives the second's as is."""
-    if not n:
-        return other_mean, other_m2
+    """The (mean, M2, count) per step of two sets of n and n_other samples
+    (arrays over the steps), by the update of Chan, Golub and LeVeque; a
+    first set with n = 0 and mean 0 gives the second's values as they are."""
     total = n + n_other
     delta = other_mean - mean
-    return (mean + delta * (n_other / total),
-            m2 + (other_m2 + np.abs(delta) ** 2 * (n * n_other / total)))
+    return (mean + delta * (n_other / total)[:, None, None],
+            m2 + (other_m2 + np.abs(delta) ** 2 * (n * n_other / total)[:, None, None]), total)
 
 
-def _no_jump_cohort(psi0, step, n_steps):
-    """The shared no-jump evolution c_k = step^k psi0: the states
-    (n_steps + 1, d), the running minimum of ||c_k||^2 over k >= 1 and the
-    normalized projectors (n_steps + 1, d, d) (zero where the norm is)."""
-    c = np.empty((n_steps + 1, psi0.size), dtype=complex)
-    c[0] = psi0
-    _orbit(step, c, math.ceil(math.sqrt(n_steps)))
-    norm2 = np.sum(np.abs(c) ** 2, axis=1)
-    norm = np.sqrt(norm2)[:, None]
-    normed = np.divide(c, norm, out=np.zeros_like(c), where=norm > 0.0)
-    floor = np.minimum.accumulate(norm2[1:])
-    return c, floor, normed[:, :, None] * normed[:, None, :].conj()
-
-
-def _run_chunk(start, u, seed, cohort, step, heff, weights, ops, dt):
-    """Trajectories start, start + 1, ... with first draws u: the chunk
-    mean of the normalized |psi><psi| at every step and M2, the sum of
-    |x - mean|^2 over the chunk, both (n_steps + 1, d, d), with the jumps
-    fired and the crossings no channel could fire."""
-    c, floor, proj = cohort
-    n_steps, d = c.shape[0] - 1, c.shape[1]
-    n = u.size
-    # each trajectory's first jump step: the first k >= 1 with ||c_k||^2 < u
-    # (n_steps + 1 if none), which is where the running minimum falls below u
-    first = np.searchsorted(-floor, -u, side="right") + 1
-    order = np.argsort(first, kind="stable")
-    joins = first[order].tolist()
-    k0 = joins[0]
-    mean = np.empty((n_steps + 1, d, d), dtype=complex)
-    m2 = np.zeros((n_steps + 1, d, d))
-    mean[:k0] = proj[:k0]
-    # the jumped batch, in order of first jump, is `last` (d, active) at step
-    # k; `held` keeps its states from step `since` on while it keeps its size
-    thresholds = np.empty(n)
-    rngs = []
-    counts = np.zeros(2, dtype=int)
-    k, last = k0, np.empty((d, 0), dtype=complex)
-    while k <= n_steps:
-        active = last.shape[1]
-        joined = bisect.bisect_right(joins, k, lo=active)
-        if joined != active:
-            last = np.concatenate([last, np.empty((d, joined - active), dtype=complex)], axis=1)
-            for j in range(active, joined):
-                i = order[j]
-                rngs.append(_trajectory_rng(seed, start + i))
-                last[:, j], thresholds[j], *fired = _resolve_jumps(
-                    c[k - 1], dt, u[i], rngs[j], heff, weights, ops)
-                counts += fired
-            # one spare row, for the step at which the held steps stop
-            held = np.empty((max(1, _MOMENT_BYTES // (16 * d * d * joined)) + 1, d, joined),
-                            dtype=complex)
-        # the held steps stop where the next trajectory joins or `held` fills
-        since = k
-        k = min(since + held.shape[0] - 1, joins[joined] if joined < n else n_steps + 1)
-        held[0] = last
-        counts += _advance(held[:min(k, n_steps) + 1 - since], thresholds, rngs, step,
-                           heff, weights, ops, dt)
-        rows = slice(since, k)
-        mean[rows], m2[rows] = _merge(proj[rows], 0.0, n - joined, *_moments(held[:k - since]),
-                                      joined)
-        if k <= n_steps:
-            last = held[k - since].copy()
-    return mean, m2, counts
-
-
-def _advance(held, thresholds, rngs, step, heff, weights, ops, dt):
-    """Fill rows 1, 2, ... of the jumped batch's states `held` (steps, d,
-    active) from row 0: each row is `step` times the row before, except
-    for a trajectory whose squared norm falls below its threshold in that
-    step, which `_resolve_jumps` takes on from its state before the step.
-    The products run ahead of the threshold test by a look-ahead that
-    doubles while no trajectory crosses, so a held step costs one product.
-    Returns the jumps fired and the crossings no channel could fire."""
-    counts = np.zeros(2, dtype=int)
-    rows, level = held.shape[0], thresholds[:held.shape[2]]
-    r, ahead = 1, 1
-    while r < rows:
-        stop = min(r + ahead, rows)
-        for s in range(r, stop):
-            np.matmul(step, held[s - 1], out=held[s])
-        below = (np.abs(held[r:stop]) ** 2).sum(axis=1) < level
-        crossing = below.any(axis=1).nonzero()[0]
-        if not crossing.size:
-            r, ahead = stop, 2 * ahead
-            continue
-        s = r + int(crossing[0])
-        for j in below[s - r].nonzero()[0]:
-            held[s, :, j], thresholds[j], *fired = _resolve_jumps(
-                held[s - 1, :, j], dt, thresholds[j], rngs[j], heff, weights, ops)
-            counts += fired
-        r, ahead = s + 1, 1
-    return counts
+def _add_stretches(flow, times, stretches, acc):
+    """Merge into acc, the (mean, M2, count) per step of the trajectories
+    that have jumped, the normalized |psi><psi| of every grid state of the
+    stretches, one slice of pairs (stretch, step) at a time."""
+    since, until, start, coef = stretches
+    d = coef.shape[1]
+    ends = np.cumsum(until - since)
+    size = max(1, _WORK_BYTES // (96 * d * d))
+    for first in range(0, int(ends[-1]) if ends.size else 0, size):
+        pos = np.arange(first, min(first + size, int(ends[-1])))
+        s = np.searchsorted(ends, pos, side="right")
+        k = until[s] - (ends[s] - pos)
+        order = np.argsort(k, kind="stable")
+        k, s = k[order], s[order]
+        psi = _propagate(flow, coef[s], times[k] - start[s])
+        psi /= np.sqrt(_norm2(psi))[:, None]
+        x = psi[:, :, None] * psi[:, None, :].conj()
+        heads = np.flatnonzero(np.diff(k, prepend=-1))
+        steps, count = k[heads], np.diff(heads, append=k.size)
+        mean = np.add.reduceat(x, heads, axis=0) / count[:, None, None]
+        m2 = np.add.reduceat(np.abs(x - np.repeat(mean, count, axis=0)) ** 2, heads, axis=0)
+        acc[0][steps], acc[1][steps], acc[2][steps] = _merge(
+            acc[0][steps], acc[1][steps], acc[2][steps], mean, m2, count.astype(float))
 
 
 def unravel_jump(gen, psi0, t_max, dt, trajectories, seed, threads=1):
@@ -402,8 +387,8 @@ def unravel_jump(gen, psi0, t_max, dt, trajectories, seed, threads=1):
     bitwise-identical results.  ``trajectories`` must be an integer in
     [1, 2^32] and ``seed`` a nonnegative one.  ``threads`` must be an
     integer >= 1, as on the command line; it has no effect: the ensemble
-    always runs serially (see the module docstring).  A dt whose RK4
-    no-jump step has 2-norm above 1 + 1e-12 is a ValidationError.
+    always runs serially.  The module docstring gives the gates on Psi(1)
+    and on the eigenvectors of H_eff; dt only samples the grid.
     """
     trajectories, seed = _count(trajectories, "trajectories"), _count(seed, "seed")
     if trajectories <= 0 or seed < 0:
@@ -414,28 +399,42 @@ def unravel_jump(gen, psi0, t_max, dt, trajectories, seed, threads=1):
         raise ValidationError(f"trajectories {trajectories} exceeds {MAX_TRAJECTORIES}, "
                               "the largest ensemble unravel_jump accepts")
     n_steps = _step_count(t_max, dt, gen.dim)
-    psi0 = _validate_pure_state(psi0, gen.dim)
+    psi0 = _validate_pure_state(psi0, gen.dim).astype(complex)
 
-    step = _taylor_step(-1j * gen.heff, dt)
-    step_norm = np.linalg.norm(step, 2)
-    if not step_norm <= 1.0 + 1e-12:
-        raise ValidationError(f"dt {dt!r} too large for this generator: the no-jump step "
-                              f"has norm {step_norm:.6g} > 1; use a smaller dt")
-    cohort = _no_jump_cohort(psi0, step, n_steps)
+    flow = _no_jump_flow(gen)
+    times = np.arange(n_steps + 1) * dt
+    cohort = _propagate(flow, np.einsum("ij,j->i", flow[2], psi0), times)
+    cohort[0] = psi0                                  # V V^-1 psi0 differs at roundoff
+    norm2 = _norm2(cohort)
+    norm = np.sqrt(norm2)[:, None]
+    normed = np.divide(cohort, norm, out=np.zeros_like(cohort), where=norm > 0.0)
+    # the running minimum of the cohort's squared norm over steps k >= 1
+    floor = np.minimum.accumulate(norm2[1:])
+    last = floor[-1] if n_steps else np.inf
 
+    d = gen.dim
+    acc = (np.zeros((n_steps + 1, d, d), dtype=complex), np.zeros((n_steps + 1, d, d)),
+           np.zeros(n_steps + 1))
+    # a batch's (jumpers, channels, d) array of L_j psi keeps within the budget
+    batch = max(1, _WORK_BYTES // (16 * d * (gen.weights.size + 4)))
     stream = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=seed)))
-    mean = m2 = None
     counts = np.zeros(2, dtype=int)
-    for start in range(0, trajectories, _CHUNK):
-        stop = min(start + _CHUNK, trajectories)
-        c_mean, c_m2, c_counts = _run_chunk(start, stream.random(stop - start), seed, cohort,
-                                            step, gen.heff, gen.weights, gen.ops, dt)
-        counts += c_counts
-        mean, m2 = _merge(mean, m2, start, c_mean, c_m2, stop - start)
+    for block in range(0, trajectories, _CHUNK):
+        u = stream.random(min(_CHUNK, trajectories - block))
+        jumpers = np.flatnonzero(u > last)
+        for j in range(0, jumpers.size, batch):
+            index = jumpers[j:j + batch]
+            # the first step k >= 1 where the running minimum falls below u
+            first = np.searchsorted(-floor, -u[index], side="right") + 1
+            stretches, fired = _jump_rounds(gen, flow, times, psi0, block + index, u[index],
+                                            first, seed)
+            counts += fired
+            _add_stretches(flow, times, stretches, acc)
     m = float(trajectories)
+    proj = normed[:, :, None] * normed[:, None, :].conj()
+    mean, m2, _ = _merge(*acc, proj, 0.0, m - acc[2])
     # a single trajectory has M2 = 0 and so a zero standard error
     stderr = np.sqrt(m2 / (m * max(m - 1.0, 1.0)))
-    times = np.arange(n_steps + 1) * dt
     return JumpEnsemble(trajectories=trajectories, seed=seed, times=times,
                         mean_states=mean, stderr=stderr,
                         jumps=int(counts[0]), no_channel=int(counts[1]))

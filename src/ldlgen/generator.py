@@ -33,9 +33,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .bath import EnergyGrid
+from .bath import EnergyGrid, _thermal_weights
 from .errors import NumericError, ValidationError, _array, _count, _energies, _fields, _index, _real
 from .model import complex_matrix_from_json, complex_matrix_to_json
+from .tmatrix import _support
 
 
 def _diagonal_r(tm, tp):
@@ -227,6 +228,23 @@ def _read_only(a):
     return a
 
 
+def kraus_weights(tm):
+    """The Kraus weights 2 w exp(-beta E) rho_eps(E) pi rho_e(E + omega) on
+    the thermal pass's nodes, (N, 2, |B|), from the densities alone, with no
+    solve; `build_generator` and `ldlgen validate` read them.  A weight that
+    overflows is a NumericError naming its node, eps' and omega."""
+    nodes, wts, rho, eps = _support(tm.spec.bath)
+    with np.errstate(over="ignore"):
+        weight = (2.0 * _thermal_weights(nodes, wts, rho, tm.spec.beta)[:, None, None]
+                  * tm._re_gamma(nodes))
+    if not np.isfinite(weight).all():
+        n, e, b = np.argwhere(~np.isfinite(weight))[0]
+        raise NumericError(
+            f"Kraus weight 2 w exp(-beta E) rho{eps[n]}(E) pi rho{e}(E + omega) overflows at "
+            f"E = {nodes[n]:g} (a support node of rho{eps[n]}), eps' = {e}, omega = {tm.bohr[b]:g}")
+    return weight
+
+
 def build_generator(tm):
     """Assemble the GKSL generator by trapezoid quadrature over the grid.
 
@@ -235,20 +253,13 @@ def build_generator(tm):
     zero weights and zero operators are dropped by one mask.  H and Gamma
     come from the diagonal R blocks on the same nodes, so the
     Lindblad-form identities hold at the level of the discretized
-    integrals, not merely in the continuum limit.  A weight that overflows
-    is a NumericError naming its node, eps' and omega.
+    integrals, not merely in the continuum limit.  The weights come from
+    `kraus_weights`, which refuses one that overflows.
     """
     tp = tm.thermal_pass()
     r00 = _diagonal_r(tm, tp)
     ham = np.einsum("n,nij->ij", tp.coef, (_dagger(r00) - r00) / 2j)
-    with np.errstate(over="ignore"):
-        weight = 2.0 * tp.coef[:, None, None] * tp.re_gamma
-    if not np.isfinite(weight).all():
-        n, e, b = np.argwhere(~np.isfinite(weight))[0]
-        E = np.concatenate([tm.spec.bath.support_nodes(eps)[0] for eps in (0, 1)])[n]
-        raise NumericError(
-            f"Kraus weight 2 w exp(-beta E) rho{tp.eps[n]}(E) pi rho{e}(E + omega) overflows at "
-            f"E = {E:g} (a support node of rho{tp.eps[n]}), eps' = {e}, omega = {tm.bohr[b]:g}")
+    weight = kraus_weights(tm)
     # L = R^{eps',eps}_{omega,0}; no coef is negative, so weight > 0 implies Re gamma > 0
     keep = (weight > 0.0) & tp.ops.reshape(*weight.shape, -1).any(axis=-1)
     return GKSLGenerator(drift=drift(tm), hamiltonian=ham, weights=weight[keep],

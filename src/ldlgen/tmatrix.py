@@ -87,6 +87,14 @@ DysonGrid = namedtuple("DysonGrid", "t wts evecs phases corr")
 GridCorrelation = namedtuple("GridCorrelation", "x c giant baby corr")
 
 
+def _support(bath):
+    """The support nodes of rho0, then of rho1, on one axis of N nodes:
+    nodes, trapezoid weights and density values (N,), and each node's eps."""
+    parts = [bath.support_nodes(e) for e in (0, 1)]
+    nodes, wts, rho = (np.concatenate(a) for a in zip(*parts))
+    return nodes, wts, rho, np.repeat([0, 1], [part[0].size for part in parts])
+
+
 class TMatrix:
     """Bundles a validated model with its spectral data and gamma evaluator.
 
@@ -318,11 +326,8 @@ class TMatrix:
         drift_from_t_operator, build_generator and the three-term map.
         """
         if self._thermal is None:
-            bath = self.spec.bath
-            validate_bath(bath, self.bohr, self.spec.beta)
-            parts = [bath.support_nodes(e) for e in (0, 1)]
-            nodes, wts, rho = (np.concatenate(a) for a in zip(*parts))
-            eps = np.repeat([0, 1], [part[0].size for part in parts])
+            validate_bath(self.spec.bath, self.bohr, self.spec.beta)
+            nodes, wts, rho, eps = _support(self.spec.bath)
             full = self._r_eigen(nodes, 0.0)
             self._thermal = ThermalPass(
                 eps=eps, coef=_thermal_weights(nodes, wts, rho, self.spec.beta),

@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -449,11 +450,13 @@ def test_overflowing_grid_span_exits_1_without_warnings(tmp_path):
 
 
 @pytest.mark.parametrize("model,command", [
-    ("kraus_weight", "generator"), ("kraus_weight", "evolve"), ("kernel", "drift"),
-    ("kernel", "generator"), ("kernel", "tmatrix"), ("kernel", "evolve")])
+    ("kraus_weight", "generator"), ("kraus_weight", "evolve"), ("kraus_weight", "validate"),
+    ("kernel", "drift"), ("kernel", "generator"), ("kernel", "tmatrix"), ("kernel", "evolve")])
 def test_overflow_exits_2_with_one_numeric_error_and_no_warning(tmp_path, model, command):
     # both used to print numpy RuntimeWarnings, then exit 1 with "Kraus weights
-    # must be finite and nonnegative" or exit 2 with "SVD did not converge"
+    # must be finite and nonnegative" or exit 2 with "SVD did not converge";
+    # `validate` accepted the overflowing Kraus weights (exit 0), and now
+    # makes the build's check on them, which needs no solve
     doc = base_model_doc()
     if model == "kraus_weight":
         doc["bath"]["rho0"] = {"kind": "bump", "a": 0, "b": 1, "amplitude": 1e200}
@@ -582,16 +585,26 @@ def test_nonfinite_step_count_exits_1(tmp_path, capsys):
     assert "step count" in capsys.readouterr().err
 
 
-def test_unravel_norm_raising_step_exits_1(tmp_path, capsys):
-    # tm_nr's no-jump generator is tiny, but RK4 is unstable beyond a step
-    # of about 1.3e4: the one step of 2e4 has norm 10.6
+def test_unravel_norm_raising_step_exits_1(tmp_path, capsys, monkeypatch):
+    # dt only samples the grid: one step of 2e4 on tm_nr, whose RK4 no-jump
+    # step had norm 10.6 and was refused, now runs.  A generator whose
+    # Psi(1) has a negative eigenvalue would raise norms; no model builds
+    # one (its Kraus weights are nonnegative), so it is handed in by hand
     psi = tmp_path / "psi0.json"
     psi.write_text(json.dumps({"vector": [[1.0, 0.0], [0.0, 0.0]]}))
     out = tmp_path / "u.csv"
-    assert run(["unravel", NR, "--psi0", str(psi), "--tmax", "20000", "--dt", "20000",
-                "--trajectories", "2", "--seed", "0", "--out", str(out)]) == 1
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("validation error: dt 20000.0 too large")
+    argv = ["unravel", NR, "--psi0", str(psi), "--tmax", "20000", "--dt", "20000",
+            "--trajectories", "2", "--seed", "0", "--out", str(out)]
+    assert run(argv) == 0
+    assert len(out.read_text().splitlines()) == 3
+    out.unlink()
+    bad = cli.build_generator(cli.TMatrix(cli.load_model(NR))).compressed()
+    bad.psi_one = np.diag([1e-3, -1e-3]).astype(complex)
+    monkeypatch.setattr(cli, "build_generator", lambda tm: mock.Mock(compressed=lambda: bad))
+    assert run(argv) == 1
+    assert capsys.readouterr().err == ("validation error: Psi(1) has the eigenvalue -0.001 < 0: "
+                                       "the no-jump evolution of this generator would raise "
+                                       "norms\n")
     assert not out.exists()
 
 

@@ -7,13 +7,64 @@ import pytest
 from scipy.linalg import expm
 
 from ldlgen import NumericError, TMatrix, ValidationError, dynamics, load_model
-from ldlgen.dynamics import (_CHUNK, MAX_STORED_ENTRIES, MAX_TRAJECTORIES, _resolve_jumps,
-                             _step_count, _taylor_step, evolve_master, trajectory_csv_lines,
-                             unravel_jump, vacuum_decay)
+from ldlgen.dynamics import (_CHUNK, MAX_STORED_ENTRIES, MAX_TRAJECTORIES, _step_count,
+                             _taylor_step, evolve_master, trajectory_csv_lines, unravel_jump,
+                             vacuum_decay)
 from ldlgen.generator import GKSLGenerator, build_generator, dual_generator_matrix
 from ldlgen.model import model_from_dict
 
 from conftest import MODELS, ROOT, base_model_doc, random_density
+
+
+# Gram entry (j, k) of the Taylor rows feeds the tau^(j + k) coefficient of
+# the squared norm; _POWERS are the exponents of tau in the step polynomial
+_POWERS = np.arange(5)
+_GRAM_DEGREE = np.add.outer(_POWERS, _POWERS).ravel()
+
+
+def _resolve_jumps(psi_row, remaining, threshold, rng, heff, weights, ops):
+    """The RK4 (Taylor) oracle of one trajectory's jumps: advance it through
+    `remaining` time from the unnormalized state psi_row, known to cross
+    `threshold` before the end; weights (K,) and ops (K, d, d) are the
+    stacked Kraus family.  Returns (state, threshold, jumps fired,
+    crossings no channel could fire, crossing times from the start).  The
+    state inside the interval is the RK4 step polynomial sum_k tau^k v_k
+    over the Taylor rows v_k = (-i H_eff)^k psi / k!, and its squared norm
+    the degree-8 polynomial with c_m = sum_{j+k=m} Re<v_j, v_k>, bisected
+    48 times for each crossing."""
+    a = -1j * heff
+    cur = psi_row
+    jumps, elapsed, crossings = 0, 0.0, []
+    while True:
+        rows = [cur]
+        for k in (1.0, 2.0, 3.0, 4.0):
+            rows.append(a @ rows[-1] / k)
+        rows = np.array(rows)
+        gram = (rows.conj() @ rows.T).real
+        coeffs = np.bincount(_GRAM_DEGREE, gram.ravel())[::-1].tolist()
+        if np.polyval(coeffs, remaining) >= threshold:
+            return remaining ** _POWERS @ rows, threshold, jumps, 0, crossings
+        lo, hi = 0.0, remaining
+        for _ in range(48):
+            mid = 0.5 * (lo + hi)
+            if np.polyval(coeffs, mid) > threshold:
+                lo = mid
+            else:
+                hi = mid
+        cur = hi ** _POWERS @ rows
+        crossings.append(elapsed + hi)
+        cumulative = np.cumsum(weights * np.sum(np.abs(ops @ cur) ** 2, axis=1))
+        if cumulative.size == 0 or cumulative[-1] <= 0.0:
+            return remaining ** _POWERS @ rows, threshold, jumps, 1, crossings
+        xi = rng.uniform() * cumulative[-1]
+        channel = np.searchsorted(cumulative, xi, side="right")
+        jumped = ops[channel] @ cur
+        cur = jumped / np.linalg.norm(jumped)
+        jumps += 1
+        threshold = rng.uniform()
+        remaining, elapsed = remaining - hi, elapsed + hi
+        if remaining <= 0.0:
+            return cur, threshold, jumps, 0, crossings
 
 
 def _zero_gen():
@@ -196,14 +247,22 @@ def test_evolve_bytes_match_per_step_loop(monkeypatch, nr_gen):
         _assert_evolve_orbit(monkeypatch, gen, rho0, n_steps, dt)
 
 
+def _vector_orbit(step, y0, n_steps, table_rows):
+    """`dynamics._orbit` over n_steps from the vector y0, at a table of
+    table_rows step powers."""
+    flat = np.empty((n_steps + 1, y0.size), dtype=complex)
+    flat[0] = y0
+    dynamics._orbit(step, flat, table_rows)
+    return flat
+
+
 @pytest.mark.parametrize("d", [3, 4, 5])
 def test_orbit_bytes_match_per_step_products_on_random_generators(monkeypatch, d):
-    # evolve_master and the no-jump cohort both step through `_orbit`; over
-    # several blocks of the table each state must be the block oracle's
-    # bytes, within roundoff of `step @ y` per step, and its bytes at b = 1.
-    # At d = 5 (D = 25) evolve_master's 1 MiB table holds 104 powers, so its
-    # blocks do not end at multiples of 256 steps; the cohort's table has
-    # ceil(sqrt(519)) = 23 rows
+    # over several blocks of the table each state of `_orbit` must be the
+    # block oracle's bytes, within roundoff of `step @ y` per step, and its
+    # bytes at b = 1, both at evolve_master's table and at a table of 23
+    # rows.  At d = 5 (D = 25) evolve_master's 1 MiB table holds 104
+    # powers, so its blocks do not end at multiples of 256 steps
     rng = np.random.default_rng(100 + d)
     dt, n_steps = 0.05, 2 * 256 + 7
     gen = _random_gen(rng, d, dt)
@@ -213,48 +272,86 @@ def test_orbit_bytes_match_per_step_products_on_random_generators(monkeypatch, d
     c[0] /= np.linalg.norm(c[0])
     for _ in range(n_steps):
         c.append(step @ c[-1])
-    cohort, _, _ = dynamics._no_jump_cohort(c[0], step, n_steps)
-    assert cohort.tobytes() == _block_power_orbit(step, c[0], n_steps, 23).tobytes()
-    assert np.abs(cohort - c).max() <= _roundoff_bound(step, n_steps, 1.0)
+    orbit = _vector_orbit(step, c[0], n_steps, 23)
+    assert orbit.tobytes() == _block_power_orbit(step, c[0], n_steps, 23).tobytes()
+    assert np.abs(orbit - c).max() <= _roundoff_bound(step, n_steps, 1.0)
     monkeypatch.setattr(dynamics, "_POWER_TABLE_BYTES", 0)
-    cohort, _, _ = dynamics._no_jump_cohort(c[0], step, n_steps)
-    assert cohort.tobytes() == np.array(c).tobytes()
+    assert _vector_orbit(step, c[0], n_steps, 23).tobytes() == np.array(c).tobytes()
 
 
-# Runs in a fresh interpreter, so OPENBLAS_NUM_THREADS takes effect: the
-# SHA-256 of evolve_master's states and of the no-jump cohort on a random
-# generator for each d, over a step count past several blocks of the table
+def _digests_at_blas_threads(script):
+    """The lines `script` prints in a fresh interpreter, so that
+    OPENBLAS_NUM_THREADS takes effect, with BLAS on one and on two threads."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    digests = []
+    for threads in ("1", "2"):
+        done = subprocess.run([sys.executable, "-c", script, str(ROOT / "tests")],
+                              capture_output=True, text=True,
+                              env={**env, "OPENBLAS_NUM_THREADS": threads})
+        assert done.returncode == 0, done.stderr
+        digests.append(done.stdout.split())
+    return digests
+
+
+# the SHA-256 of evolve_master's states and of a vector `_orbit` at a table
+# of 25 rows on a random generator for each d, over a step count past
+# several blocks of the table
 _ORBIT_DIGEST_SCRIPT = """
 import hashlib, sys
 import numpy as np
 sys.path.insert(0, sys.argv[1])
 import test_dynamics as td
 from conftest import random_density
-from ldlgen.dynamics import _no_jump_cohort, _taylor_step, evolve_master
+from ldlgen.dynamics import _taylor_step, evolve_master
 for d in (2, 3, 4, 5):
     rng = np.random.default_rng(300 + d)
     gen = td._random_gen(rng, d, 0.05)
     states = evolve_master(gen, random_density(rng, d), 600 * 0.05, 0.05).states
     step = _taylor_step(-1j * (gen.hamiltonian - 0.5j * gen.psi_one), 0.05)
     psi = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-    cohort = _no_jump_cohort(psi / np.linalg.norm(psi), step, 600)[0]
-    print(d, hashlib.sha256(states.tobytes() + cohort.tobytes()).hexdigest())
+    orbit = td._vector_orbit(step, psi / np.linalg.norm(psi), 600, 25)
+    print(d, hashlib.sha256(states.tobytes() + orbit.tobytes()).hexdigest())
 """
 
 
 def test_orbit_bytes_match_across_blas_threads():
     # from D = 9 on, a stacked product of up to 256 D rows is large enough
     # for OpenBLAS to split between threads; the states may not depend on it
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
-    digests = []
-    for threads in ("1", "2"):
-        done = subprocess.run([sys.executable, "-c", _ORBIT_DIGEST_SCRIPT, str(ROOT / "tests")],
-                              capture_output=True, text=True,
-                              env={**env, "OPENBLAS_NUM_THREADS": threads})
-        assert done.returncode == 0, done.stderr
-        digests.append(done.stdout.split())
+    digests = _digests_at_blas_threads(_ORBIT_DIGEST_SCRIPT)
     assert len(digests[0]) == 8 and digests[0] == digests[1]
+
+
+# the SHA-256 of unravel_jump's mean_states and stderr, with its jump
+# counts, on random generators of d = 3 and 5 and on the compressed
+# tm_nr_strong generator; the d = 5 generator is hand-built, so that no
+# Choi matrix of a model build enters
+_UNRAVEL_DIGEST_SCRIPT = """
+import hashlib, sys
+import numpy as np
+sys.path.insert(0, sys.argv[1])
+import test_dynamics as td
+from conftest import MODELS
+from ldlgen import TMatrix, load_model
+from ldlgen.dynamics import unravel_jump
+from ldlgen.generator import build_generator
+runs = []
+for d in (3, 5):
+    gen = td._random_gen(np.random.default_rng(500 + d), d, 0.05)
+    runs.append((gen, np.ones(d) / np.sqrt(d), 5.0, 2000, 7))
+strong = build_generator(TMatrix(load_model(MODELS / "tm_nr_strong.json"))).compressed()
+runs.append((strong, np.ones(2) / np.sqrt(2.0), 2.0, 9000, 2024))
+for gen, psi0, t_max, m, seed in runs:
+    ens = unravel_jump(gen, psi0, t_max, 0.05, m, seed)
+    assert ens.jumps > 0
+    digest = hashlib.sha256(ens.mean_states.tobytes() + ens.stderr.tobytes()).hexdigest()
+    print(gen.dim, ens.jumps, ens.no_channel, digest)
+"""
+
+
+def test_unravel_bytes_match_across_blas_threads():
+    digests = _digests_at_blas_threads(_UNRAVEL_DIGEST_SCRIPT)
+    assert len(digests[0]) == 12 and digests[0] == digests[1]
 
 
 def test_evolve_reports_first_trace_drift(monkeypatch):
@@ -336,80 +433,101 @@ def test_dynamics_rejects_non_finite_input(nr_gen, call):
         call(nr_gen)
 
 
-@pytest.mark.parametrize("h, psi0, t_max, dt, trajectories, seed, exact_tol", [
-    pytest.param([[0.4, 0.1], [0.1, -0.4]], [1.0, 0.0], 2.0, 0.02, 40, 9, 1e-9,
-                 id="short_fine_step"),
-    # RK4 loses 2.1e-4 of the norm per step here, so thresholds are crossed
-    # with no channel to fire; the state must still move through every step
+@pytest.mark.parametrize("h, psi0, t_max, dt, trajectories, seed", [
+    pytest.param([[0.4, 0.1], [0.1, -0.4]], [1.0, 0.0], 2.0, 0.02, 40, 9, id="short_fine_step"),
+    # RK4 lost 2.1e-4 of the norm per step here, so thresholds were crossed
+    # with no channel to fire; the exact no-jump map keeps the norm
     pytest.param([[1.0, 0.0], [0.0, -1.0]], [2 ** -0.5, 2 ** -0.5], 50.0, 0.5, 400, 7,
-                 None, id="lossy_coarse_step"),
+                 id="lossy_coarse_step"),
 ])
-def test_unravel_empty_kraus_is_unitary(h, psi0, t_max, dt, trajectories, seed, exact_tol):
+def test_unravel_empty_kraus_is_unitary(h, psi0, t_max, dt, trajectories, seed):
     gen = GKSLGenerator(drift=np.zeros((2, 2)),
                         hamiltonian=np.array(h, dtype=complex), weights=[], ops=[])
     psi0 = np.array(psi0)
     ens = unravel_jump(gen, psi0, t_max, dt, trajectories, seed=seed)
-    for state in ens.mean_states[::20]:
-        assert abs(np.trace(state).real - 1.0) < 1e-10
-    # identical trajectories: variance is zero up to summation roundoff
-    for err in ens.stderr:
-        assert err.max() < 1e-9
-    # every trajectory follows the normalised no-jump propagation
-    step = _taylor_step(-1j * gen.hamiltonian, dt)
-    psi = psi0.astype(complex)
-    for _ in range(len(ens.times) - 1):
-        psi = step @ psi
-    psi = psi / np.linalg.norm(psi)
-    assert np.abs(ens.mean_states[-1] - np.outer(psi, psi.conj())).max() <= 1e-12
-    if exact_tol is not None:
-        exact = expm(-1j * gen.hamiltonian * t_max) @ psi0
-        assert np.abs(ens.mean_states[-1] - np.outer(exact, exact.conj())).max() < exact_tol
+    assert (ens.jumps, ens.no_channel) == (0, 0)
+    # identical trajectories: the spread is zero
+    assert ens.stderr.max() == 0.0
+    # every trajectory follows the exact unitary propagation
+    exact = _exact_flow(gen.hamiltonian, psi0.astype(complex), ens.times)
+    assert np.abs(ens.mean_states - exact[:, :, None] * exact[:, None, :].conj()).max() <= 1e-13
 
 
 def test_unravel_identical_trajectories_across_chunks():
-    # two full chunks and a partial one: the chunk merge must keep the
-    # spread of identical trajectories at roundoff
+    # two full blocks of first draws and a partial one: identical
+    # trajectories keep a zero spread
     h = np.array([[0.4, 0.1], [0.1, -0.4]], dtype=complex)
     gen = GKSLGenerator(drift=np.zeros((2, 2)), hamiltonian=h, weights=[], ops=[])
     psi0 = np.array([1.0, 0.0])
     ens = unravel_jump(gen, psi0, 1.0, 0.02, 2 * _CHUNK + 3, seed=4)
-    step = _taylor_step(-1j * h, 0.02)
-    psi = psi0.astype(complex)
-    for k, (mean, err) in enumerate(zip(ens.mean_states, ens.stderr)):
-        if k:
-            psi = step @ psi
-        normed = psi / np.linalg.norm(psi)
-        assert err.max() <= 1e-12
-        assert np.abs(mean - np.outer(normed, normed.conj())).max() <= 1e-12
+    exact = _exact_flow(h, psi0.astype(complex), ens.times)
+    assert ens.stderr.max() == 0.0
+    assert np.abs(ens.mean_states - exact[:, :, None] * exact[:, None, :].conj()).max() <= 1e-13
+
+
+def _exact_flow(heff, phi, s):
+    """expm(-i H_eff s) phi for each time in s: scipy's matrix exponential,
+    independent of the eigendecomposition `unravel_jump` propagates with."""
+    return expm(-1j * heff * np.asarray(s, dtype=float)[:, None, None]) @ phi
+
+
+def _squared_norm(psi):
+    return float(np.vdot(psi, psi).real)
+
+
+def _exact_crossing(heff, phi, tau, threshold, lo, hi):
+    """The time t in [lo, hi] at which the squared norm of the state phi,
+    propagated exactly from time tau, falls to `threshold`: bisected until
+    the midpoint is an end, and the end known below it."""
+    while lo < 0.5 * (lo + hi) < hi:
+        mid = 0.5 * (lo + hi)
+        if _squared_norm(_exact_flow(heff, phi, [mid - tau])[0]) >= threshold:
+            lo = mid
+        else:
+            hi = mid
+    return hi
 
 
 def _per_trajectory_ensemble(gen, psi0, n_steps, dt, m, seed):
-    """Oracle for `unravel_jump`: every trajectory run alone, stepped by
-    `step @ psi` and resolved by `_resolve_jumps` when it crosses its
-    threshold.  Trajectory i's first threshold is draw i of the seed's
-    stream, and its jumps draw from its own (seed, index) Generator.
-    Returns the plain sample mean and standard error, the jumps fired by
-    each trajectory and the crossings no channel could fire."""
+    """Oracle for `unravel_jump`: every trajectory run alone on exact
+    propagation, each grid state scipy's expm of the time since the last
+    jump applied to the state after it, and each crossing `_exact_crossing`
+    in the first step whose state falls below the threshold.  Trajectory
+    i's first threshold is draw i of the seed's stream, and its jumps draw
+    from its own (seed, index) Generator.  A crossing no channel can fire is
+    counted and ends the trajectory's jumps.  Returns the plain sample mean
+    and standard error, the jumps fired by each trajectory and the
+    crossings no channel could fire."""
     heff = gen.hamiltonian - 0.5j * gen.psi_one
-    step = _taylor_step(-1j * heff, dt)
+    times = np.arange(n_steps + 1) * dt
     x = np.empty((m, n_steps + 1, gen.dim, gen.dim), dtype=complex)
     jumps, no_channel = np.zeros(m, dtype=int), 0
-    first = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed))).random(m)
-    for i, threshold in enumerate(first):
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=seed,
-                                                                         spawn_key=(i,))))
-        psi = psi0.astype(complex)
-        for k in range(n_steps + 1):
-            if k:
-                after = step @ psi
-                if np.sum(np.abs(after) ** 2) < threshold:
-                    after, threshold, fired, stalled = _resolve_jumps(
-                        psi, dt, threshold, rng, heff, gen.weights, gen.ops)
-                    jumps[i] += fired
-                    no_channel += stalled
-                psi = after
-            normed = psi / np.linalg.norm(psi)
-            x[i, k] = np.outer(normed, normed.conj())
+    for i, threshold in enumerate(_ensemble_stream(seed).random(m)):
+        rng, testing = None, True
+        phi, tau, k = psi0.astype(complex), 0.0, 1
+        states = [phi]
+        while k <= n_steps:
+            ahead = _exact_flow(heff, phi, times[k:] - tau)
+            below = np.flatnonzero(np.sum(np.abs(ahead) ** 2, axis=1) < threshold * testing)
+            stop = below[0] if below.size else ahead.shape[0]
+            states.extend(ahead[:stop])
+            k += stop
+            if k > n_steps:
+                break
+            t = _exact_crossing(heff, phi, tau, threshold, max(tau, times[k - 1]), times[k])
+            cur = _exact_flow(heff, phi, [t - tau])[0]
+            cumulative = np.cumsum(gen.weights * np.sum(np.abs(gen.ops @ cur) ** 2, axis=1))
+            if cumulative.size == 0 or cumulative[-1] <= 0.0:
+                no_channel, testing = no_channel + 1, False
+                continue
+            if rng is None:
+                rng = dynamics._trajectory_rng(seed, i)
+            channel = np.searchsorted(cumulative, rng.uniform() * cumulative[-1], side="right")
+            jumped = gen.ops[channel] @ cur
+            phi, tau, threshold = jumped / np.linalg.norm(jumped), t, rng.uniform()
+            jumps[i] += 1
+        normed = np.array(states) / np.linalg.norm(states, axis=1)[:, None]
+        x[i] = normed[:, :, None] * normed[:, None, :].conj()
     mean = x.mean(axis=0)
     stderr = np.sqrt(np.sum(np.abs(x - mean) ** 2, axis=0) / (m * (m - 1)))
     return mean, stderr, jumps, no_channel
@@ -420,62 +538,19 @@ def _empty_family_gen():
     return GKSLGenerator(drift=np.zeros((2, 2)), hamiltonian=h, weights=[], ops=[])
 
 
-def _per_step_moments(psi):
-    """Mean of the normalized |psi><psi| over the columns of psi (d, n) and
-    M2, the sum of |x - mean|^2: one step's moments."""
-    normed = psi / np.sqrt(np.sum(np.abs(psi) ** 2, axis=0))
-    x = normed[:, None, :] * normed[None, :, :].conj()
-    mean = np.sum(x, axis=2) / psi.shape[1]
-    return mean, np.sum(np.abs(x - mean[:, :, None]) ** 2, axis=2)
-
-
-def _per_step_run_chunk(start, u, seed, cohort, step, heff, weights, ops, dt):
-    """Oracle for `dynamics._run_chunk`: the jumped batch stepped, tested
-    against its thresholds, and its moments taken and merged with the
-    cohort's, one step at a time."""
-    c, floor, proj = cohort
-    n_steps, d = c.shape[0] - 1, c.shape[1]
-    n = u.size
-    first = np.searchsorted(-floor, -u, side="right") + 1
-    order = np.argsort(first, kind="stable")
-    joined = np.searchsorted(first[order], np.arange(n_steps + 1), side="right")
-    k0 = int(first[order[0]])
-    mean = np.empty((n_steps + 1, d, d), dtype=complex)
-    m2 = np.zeros((n_steps + 1, d, d))
-    mean[:k0] = proj[:k0]
-    psi = np.empty((d, n), dtype=complex)
-    thresholds = np.empty(n)
-    rngs = []
-    counts = np.zeros(2, dtype=int)
-    active = 0
-    for k in range(k0, n_steps + 1):
-        advanced = step @ psi[:, :active]
-        crossed = np.nonzero(np.sum(np.abs(advanced) ** 2, axis=0) < thresholds[:active])[0]
-        for j in crossed:
-            advanced[:, j], thresholds[j], *fired = _resolve_jumps(
-                psi[:, j], dt, thresholds[j], rngs[j], heff, weights, ops)
-            counts += fired
-        psi[:, :active] = advanced
-        for j in range(active, joined[k]):
-            i = order[j]
-            rngs.append(dynamics._trajectory_rng(seed, start + i))
-            psi[:, j], thresholds[j], *fired = _resolve_jumps(
-                c[k - 1], dt, u[i], rngs[j], heff, weights, ops)
-            counts += fired
-        active = int(joined[k])
-        mean[k], m2[k] = dynamics._merge(proj[k], 0.0, n - active,
-                                         *_per_step_moments(psi[:, :active]), active)
-    return mean, m2, counts
-
-
 # tm_nr seeds 0 and 6 are the first two seeds >= 0 at which some trajectory
 # of this run jumps
 @pytest.mark.parametrize("case", ["tm_nr_seed_0", "tm_nr_seed_6", "strong", "tm_nr_strong",
                                   "random_d3"])
-def test_held_moments_bytes_match_per_step_moments(monkeypatch, nr_gen, case):
-    # the jumped batch's products run ahead of its threshold test, and its
-    # moments are taken once per run of steps in which it keeps its size; at
-    # a 1000-byte budget a run is also cut every few steps
+def test_moments_do_not_depend_on_the_work_budget(monkeypatch, nr_gen, case):
+    # at a 20,000-byte budget the jumpers run in batches of at most 156
+    # (d = 2) and their grid states in slices of at most 52 pairs, so the
+    # merges cut each step's moments many times; every crossing keeps its
+    # bits, and the moments move at roundoff only.  Each merge at a step
+    # adds at least one sample, so a step sees at most m merges, and each
+    # moves a mean whose entries lie in the unit disk by at most 4 u
+    # (u = 2^-53), and the relative M2 by as much: the bound is 4 m u.
+    # Measured: at most 8.9e-16 on the means and 1.0e-17 on the errors
     psi0 = np.array([1.0, 1.0]) / np.sqrt(2.0)
     if case.startswith("tm_nr_seed"):
         gen, t_max, dt, m, seed = nr_gen.compressed(), 20.0, 0.05, 20000, int(case[-1])
@@ -487,23 +562,20 @@ def test_held_moments_bytes_match_per_step_moments(monkeypatch, nr_gen, case):
     else:
         gen, t_max, dt, m, seed = _random_gen(np.random.default_rng(3), 3, 0.05), 5.0, 0.05, 600, 5
         psi0 = np.ones(3) / np.sqrt(3.0)
-    runs = [unravel_jump(gen, psi0, t_max, dt, m, seed)]
-    monkeypatch.setattr(dynamics, "_MOMENT_BYTES", 1000)
-    runs.append(unravel_jump(gen, psi0, t_max, dt, m, seed))
-    monkeypatch.setattr(dynamics, "_run_chunk", _per_step_run_chunk)
     want = unravel_jump(gen, psi0, t_max, dt, m, seed)
-    assert want.jumps > 0
-    for ens in runs:
-        assert ens.mean_states.tobytes() == want.mean_states.tobytes()
-        assert ens.stderr.tobytes() == want.stderr.tobytes()
-        assert (ens.jumps, ens.no_channel) == (want.jumps, want.no_channel)
+    monkeypatch.setattr(dynamics, "_WORK_BYTES", 20000)
+    got = unravel_jump(gen, psi0, t_max, dt, m, seed)
+    assert want.jumps > 0 and (got.jumps, got.no_channel) == (want.jumps, want.no_channel)
+    bound = 4.0 * m * 2.0 ** -53
+    assert np.abs(got.mean_states - want.mean_states).max() <= bound
+    assert np.abs(got.stderr - want.stderr).max() <= bound * want.stderr.max()
 
 
 def test_chunk_merge_matches_direct_moments(monkeypatch):
-    # chunks of 4, so the merge runs over partial chunks and, in the weak
-    # case, over chunks holding both never-jumped and jumped trajectories;
-    # the RK4 norm loss of the empty family crosses thresholds with no
-    # channel able to fire
+    # blocks of 4 first draws, so the merge runs over partial batches and,
+    # in the weak case, over blocks holding both never-jumped and jumped
+    # trajectories; with exact propagation the empty family crosses no
+    # threshold
     psi0 = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
     monkeypatch.setattr(dynamics, "_CHUNK", 4)
     for gen, t_max, dt, m, seed, who_jumps in (
@@ -522,26 +594,35 @@ def test_chunk_merge_matches_direct_moments(monkeypatch):
             jumped = (jumps > 0).reshape(-1, 4)
             assert (jumped.any(axis=1) & ~jumped.all(axis=1)).any()
         else:
-            assert ens.jumps == 0 and ens.no_channel > 0
+            assert ens.jumps == 0 and ens.no_channel == 0
 
 
 def _ensemble_stream(seed):
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
 
 
-def _chunk_thresholds(monkeypatch, m, seed):
-    """The first thresholds `unravel_jump` hands its `_run_chunk` calls on a
-    two-step `_strong_gen` run of m trajectories, joined in call order."""
-    seen, run_chunk = [], dynamics._run_chunk
+def _decay_gen(rate):
+    """Amplitude damping alone: |1> decays at `rate` into |0>, which is dark."""
+    sm = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+    return _gksl(np.zeros((2, 2), dtype=complex), [rate], [sm])
 
-    def spy(start, u, *args):
-        seen.append((start, u.copy()))
-        return run_chunk(start, u, *args)
 
-    monkeypatch.setattr(dynamics, "_run_chunk", spy)
-    unravel_jump(_strong_gen(), np.array([1.0, 0.0]), 0.1, 0.05, m, seed)
-    assert [start for start, _ in seen] == list(range(0, m, dynamics._CHUNK))
-    return np.concatenate([u for _, u in seen])
+def _first_thresholds(monkeypatch, m, seed):
+    """The trajectories and first thresholds `unravel_jump` hands its
+    `_jump_rounds` calls on a two-step run of m trajectories in which every
+    one jumps (|1> decays at rate 1000), joined in call order."""
+    seen, rounds = [], dynamics._jump_rounds
+
+    def spy(gen, flow, times, psi0, index, u, *args):
+        seen.append((index.copy(), u.copy()))
+        return rounds(gen, flow, times, psi0, index, u, *args)
+
+    monkeypatch.setattr(dynamics, "_jump_rounds", spy)
+    ens = unravel_jump(_decay_gen(1000.0), np.array([0.0, 1.0]), 0.1, 0.05, m, seed)
+    assert ens.jumps == m
+    index, u = (np.concatenate(a) for a in zip(*seen))
+    assert index.tolist() == list(range(m))
+    return u
 
 
 # seeds 2^70 + 3 and 2^200 + 17 have more than two and more than four
@@ -549,9 +630,8 @@ def _chunk_thresholds(monkeypatch, m, seed):
 @pytest.mark.parametrize("seed", [0, 2024, 2 ** 70 + 3, 2 ** 200 + 17])
 @pytest.mark.parametrize("m", [1, 1023, 1025, 9000])
 def test_first_thresholds_are_the_ensemble_stream(monkeypatch, m, seed):
-    # trajectory i's first threshold is draw i of the seed's one stream,
-    # across partial and whole chunks
-    got = _chunk_thresholds(monkeypatch, m, seed)
+    # trajectory i's first threshold is draw i of the seed's one stream
+    got = _first_thresholds(monkeypatch, m, seed)
     assert got.tobytes() == _ensemble_stream(seed).random(m).tobytes()
 
 
@@ -559,7 +639,7 @@ def test_first_thresholds_do_not_depend_on_the_chunk_size(monkeypatch):
     monkeypatch.setattr(dynamics, "_CHUNK", 4)
     for m in (1, 1023, 1025):
         for seed in (7, 2 ** 70 + 3):
-            got = _chunk_thresholds(monkeypatch, m, seed)
+            got = _first_thresholds(monkeypatch, m, seed)
             assert got.tobytes() == _ensemble_stream(seed).random(m).tobytes()
 
 
@@ -576,7 +656,7 @@ class _DrawLog:
 
 def test_jump_draws_are_the_spawned_stream_from_its_first_draw(monkeypatch):
     # a jump takes two draws, the channel's and then the next threshold's
-    # (`test_resolve_jumps_matches_rebuilt_step_oracle`); the first channel
+    # (`test_closed_form_jumps_match_taylor_oracle`); the first channel
     # draw of a trajectory is the first uniform() of its spawned stream
     logs, trajectory_rng = {}, dynamics._trajectory_rng
 
@@ -599,8 +679,8 @@ def test_unravel_rejects_more_trajectories_than_spawn_keys(monkeypatch):
     def never(*args):
         raise AssertionError("unravel_jump ran before rejecting its arguments")
 
-    monkeypatch.setattr(dynamics, "_taylor_step", never)
-    monkeypatch.setattr(dynamics, "_run_chunk", never)
+    monkeypatch.setattr(dynamics, "_no_jump_flow", never)
+    monkeypatch.setattr(dynamics, "_jump_rounds", never)
     with pytest.raises(ValidationError, match="the largest ensemble"):
         unravel_jump(_strong_gen(), np.array([1.0, 0.0]), 1.0, 0.1, MAX_TRAJECTORIES + 1, seed=1)
 
@@ -610,27 +690,76 @@ def test_unravel_rejects_bad_thread_counts(monkeypatch, threads):
     def never(*args):
         raise AssertionError("unravel_jump ran before rejecting its arguments")
 
-    monkeypatch.setattr(dynamics, "_taylor_step", never)
-    monkeypatch.setattr(dynamics, "_run_chunk", never)
+    monkeypatch.setattr(dynamics, "_no_jump_flow", never)
+    monkeypatch.setattr(dynamics, "_jump_rounds", never)
     with pytest.raises(ValidationError, match="threads"):
         unravel_jump(_strong_gen(), np.array([1.0, 0.0]), 1.0, 0.1, 10, seed=1, threads=threads)
 
 
 def test_unravel_rejects_norm_raising_step():
-    # at dt = 10 the RK4 no-jump step of _strong_gen has norm 365: norms
-    # would grow, no threshold would be crossed and no jump would fire
+    # a Psi(1) with a negative eigenvalue makes a no-jump evolution that
+    # raises norms: thresholds would stop being crossed and jumps stop
+    # firing.  Kraus weights are nonnegative, so such a Psi(1) is set by hand
     gen, psi0 = _strong_gen(), np.array([0.0, 1.0])
+    gen.psi_one = np.diag([0.4, -0.2]).astype(complex)
     with pytest.raises(ValidationError) as err:
-        unravel_jump(gen, psi0, 200.0, 10.0, 200, seed=1)
-    assert str(err.value).startswith("dt 10.0 too large for this generator: the no-jump "
-                                     "step has norm 365.")
+        unravel_jump(gen, psi0, 2.0, 0.1, 200, seed=1)
+    assert str(err.value) == ("Psi(1) has the eigenvalue -0.2 < 0: the no-jump evolution of "
+                              "this generator would raise norms")
     with pytest.raises(ValidationError, match="trajectories"):
-        unravel_jump(gen, psi0, 200.0, 10.0, 0, seed=1)
-    # a contracting step passes, as does the empty family's step of norm 0.999895
-    assert unravel_jump(gen, psi0, 40.0, 2.0, 200, seed=1).jumps > 0
-    heff = _empty_family_gen().hamiltonian
-    assert 0.9998 < np.linalg.norm(_taylor_step(-1j * heff, 0.5), 2) < 1.0
-    unravel_jump(_empty_family_gen(), psi0, 5.0, 0.5, 10, seed=1)
+        unravel_jump(gen, psi0, 2.0, 0.1, 0, seed=1)
+    # an eigenvalue of roundoff size passes, as -1e-13 does against the
+    # bound 4e-13 here
+    gen = _strong_gen()
+    gen.psi_one = np.diag([0.4, -1e-13]).astype(complex)
+    unravel_jump(gen, psi0, 2.0, 0.1, 20, seed=1)
+    # dt only samples the grid: at dt = 10 the RK4 no-jump step of
+    # _strong_gen had norm 365, and the run was refused
+    assert unravel_jump(_strong_gen(), psi0, 200.0, 10.0, 200, seed=1).jumps > 0
+
+
+def test_unravel_refuses_a_defective_effective_hamiltonian():
+    # H_eff = g sigma_x - i Gamma |1><1| at Gamma = 2 g is an exceptional
+    # point: its two eigenvectors coincide, and eig's are 1.7e-8 apart
+    sx = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    gen = _gksl(0.5 * sx, [2.0], [np.diag([0.0, 1.0]).astype(complex)])
+    with pytest.raises(NumericError) as err:
+        unravel_jump(gen, np.array([1.0, 0.0]), 1.0, 0.1, 10, seed=1)
+    assert str(err.value).startswith("H_eff is not diagonalizable to working accuracy: its "
+                                     "eigenvector matrix has condition number 8.")
+    assert str(err.value).endswith("> 1e+06")
+
+
+def test_crossing_no_channel_can_fire_is_counted():
+    # with exact propagation the norm falls at the rate sum_j w_j ||L_j psi||^2,
+    # so a crossing always has a channel to fire unless Psi(1) and the Kraus
+    # family disagree, or a norm that should stay 1 rounds below a threshold
+    # just under 1.  Here Psi(1) is set by hand on an empty family: each
+    # crossing is counted, fires nothing, and its trajectory goes on along
+    # the cohort
+    gen = _gksl(np.zeros((2, 2), dtype=complex), [], [])
+    gen.psi_one = np.diag([1.0, 0.0]).astype(complex)
+    psi0 = np.array([1.0, 1.0]) / np.sqrt(2.0)
+    ens = unravel_jump(gen, psi0, 5.0, 0.05, 200, seed=3)
+    cohort = _exact_flow(gen.heff, psi0.astype(complex), ens.times)
+    crossed = _ensemble_stream(3).random(200) > _squared_norm(cohort[-1])
+    assert ens.jumps == 0 and ens.no_channel == crossed.sum() > 50
+    normed = cohort / np.linalg.norm(cohort, axis=1)[:, None]
+    assert np.abs(ens.mean_states - normed[:, :, None] * normed[:, None, :].conj()).max() <= 1e-15
+    assert ens.stderr.max() == 0.0
+
+
+def test_unravel_means_do_not_depend_on_the_grid():
+    # the no-jump evolution is exact and each crossing time the root of its
+    # closed-form norm, so dt only samples the trajectories: halving it
+    # keeps every jump, and the means at shared times agree at roundoff
+    # (the RK4 route moved them by 9.5e-9 here, with 362 jumps each)
+    gen, psi0 = _strong_gen(), np.array([1.0, 1.0]) / np.sqrt(2.0)
+    coarse = unravel_jump(gen, psi0, 2.0, 0.05, 300, 5)
+    fine = unravel_jump(gen, psi0, 2.0, 0.025, 300, 5)
+    assert coarse.jumps == fine.jumps == 362
+    assert np.abs(coarse.mean_states - fine.mean_states[::2]).max() <= 1e-12
+    assert np.abs(coarse.stderr - fine.stderr[::2]).max() <= 1e-12
 
 
 def test_unravel_bitwise_reproducible_across_threads(nr_gen):
@@ -790,21 +919,80 @@ class _ChannelLog(np.ndarray):
         return super().__getitem__(key)
 
 
-def test_zero_draw_never_picks_a_zero_probability_channel():
+def test_zero_draw_never_picks_a_zero_probability_channel(monkeypatch):
     # at the jump |0> is annihilated by channel 0 (probability 0); a draw of
-    # exactly 0 must still pick channel 1, the first with positive weight
+    # exactly 0 must still pick channel 1, the first with positive weight.
+    # The next threshold, 0, is never crossed
     weights = np.array([1.0, 1.0])
     ops = np.array([[[0.0, 1.0], [0.0, 0.0]],
                     [[0.0, 0.0], [1.0, 0.0]]], dtype=complex)
-    heff = -0.5j * np.einsum("j,jki,jkl->il", weights, ops.conj(), ops)
-    psi = np.array([1.0, 0.0], dtype=complex)
-    draws = _ReplayDraws([0.0, 0.0])
-    state, threshold, jumps, no_channel = _resolve_jumps(psi, 2.0, 0.5, draws, heff, weights, ops)
-    assert np.isfinite(state).all()
-    assert threshold == 0.0 and (jumps, no_channel) == (1, 0)
-    assert abs(state[0]) == 0.0 and abs(state[1]) > 0.0
+    gen = _gksl(np.zeros((2, 2), dtype=complex), weights, ops)
+    monkeypatch.setattr(dynamics, "_trajectory_rng", lambda seed, index: _ReplayDraws([0.0, 0.0]))
+    # a seed whose first threshold lies above the no-jump norm e^-2 at t = 2
+    seed = next(s for s in range(100) if _ensemble_stream(s).random() > np.exp(-2.0))
+    ens = unravel_jump(gen, np.array([1.0, 0.0]), 2.0, 0.5, 1, seed)
+    assert (ens.jumps, ens.no_channel) == (1, 0)
+    assert np.isfinite(ens.mean_states).all()
+    assert ens.mean_states[-1, 0, 0] == 0.0 and abs(ens.mean_states[-1, 1, 1] - 1.0) <= 1e-15
 
 
+def _jumped_channel(gen, psi, after):
+    """The channel j whose normalized L_j psi is `after`, up to a phase."""
+    lpsi = gen.ops @ psi
+    overlap = np.abs(lpsi.conj() @ after) / np.maximum(np.linalg.norm(lpsi, axis=1), 1e-300)
+    return int(np.argmax(overlap))
+
+
+def test_closed_form_jumps_match_taylor_oracle(monkeypatch):
+    # one grid step of `remaining` from a random state through several
+    # jumps, by unravel_jump's rounds and by the RK4 Taylor oracle
+    # `_resolve_jumps`, on the same draws.  The bound is RK4's: with
+    # A = -i H_eff and h <= remaining, the Taylor remainder gives
+    # ||e^{Ah} - P_4(Ah)|| <= eps = (||A|| h)^5 / 5! e^{||A|| h}.  A state
+    # error e at the start of a stretch and eps move its squared norm by at
+    # most 2 (e + eps)(1 + e + eps); the norm falls at least at
+    # lambda_min(Psi(1)) u >= 0.4 * 0.995, so the crossing moves by at most
+    # that over 0.398, plus the bisection's remaining 2^-48; the state there
+    # by e + eps + ||A|| dtau; and the state after the jump, L psi / ||L psi||,
+    # by 2 ||L|| / ||L psi|| times that.  The closed form is exact to
+    # roundoff, so the whole difference is the oracle's
+    gen = _strong_gen()
+    heff, flow = gen.heff, dynamics._no_jump_flow(gen)
+    a_norm, rate = np.linalg.norm(heff, 2), np.linalg.eigvalsh(gen.psi_one)[0]
+    rng = np.random.default_rng(12)
+    most, worst = 0, 0.0
+    for _ in range(40):
+        psi = rng.normal(size=2) + 1j * rng.normal(size=2)
+        psi /= np.linalg.norm(psi)
+        # long enough that the first threshold, 0.999, is crossed
+        remaining = float(rng.uniform(0.005, 0.02))
+        draws = np.column_stack([rng.uniform(size=20),
+                                 rng.uniform(0.995, 0.9995, size=20)]).ravel().tolist()
+        want, _, jumps, no_channel, crossings = _resolve_jumps(
+            psi, remaining, 0.999, _ReplayDraws(draws), heff, gen.weights, gen.ops)
+        replay = _ReplayDraws(draws)
+        monkeypatch.setattr(dynamics, "_trajectory_rng", lambda seed, index: replay)
+        (_, _, start, coef), counts = dynamics._jump_rounds(
+            gen, flow, np.array([0.0, remaining]), psi, np.array([0]), np.array([0.999]),
+            np.array([1]), 0)
+        assert counts.tolist() == [jumps, no_channel] and replay.used == 2 * jumps
+        assert start.size == len(crossings) == jumps >= 1
+        eps = (a_norm * remaining) ** 5 / 120.0 * np.exp(a_norm * remaining)
+        err, before = 0.0, (np.linalg.solve(flow[1], psi), 0.0)
+        for tau, want_tau, after in zip(start, crossings, coef):
+            dtau = 2.0 * (err + eps) * (1.0 + err + eps) / (rate * 0.995) + remaining * 2.0 ** -48
+            assert abs(tau - want_tau) <= dtau
+            at = dynamics._propagate(flow, before[0], np.array(tau - before[1]))
+            after = flow[1] @ after
+            op = gen.ops[_jumped_channel(gen, at, after)]
+            err = 2.0 * np.linalg.norm(op, 2) / np.linalg.norm(op @ at) * (
+                err + eps + a_norm * dtau)
+            before = (flow[2] @ after, tau)
+        got = dynamics._propagate(flow, coef[-1], np.array(remaining - start[-1]))
+        assert np.abs(got - want).max() <= err + eps
+        most, worst = max(most, jumps), max(worst, np.abs(got - want).max() / (err + eps))
+    # the oracle's error reaches 1.5 % of the bound (seed 12)
+    assert most >= 3 and worst > 1e-3
 def test_resolve_jumps_matches_rebuilt_step_oracle():
     gen = _strong_gen()
     heff = gen.hamiltonian - 0.5j * gen.psi_one
@@ -824,8 +1012,8 @@ def test_resolve_jumps_matches_rebuilt_step_oracle():
         ops = gen.ops.copy().view(_ChannelLog)
         ops.picked = []
         got_rng = _ReplayDraws(draws)
-        got, got_thr, jumps, no_channel = _resolve_jumps(psi, remaining, 0.999, got_rng, heff,
-                                                         gen.weights, ops)
+        got, got_thr, jumps, no_channel, _ = _resolve_jumps(psi, remaining, 0.999, got_rng, heff,
+                                                            gen.weights, ops)
         assert ops.picked == channels and (jumps, no_channel) == (len(channels), 0)
         assert got_rng.used == ref.used and got_thr == want_thr
         assert np.abs(np.asarray(got) - want).max() <= 1e-12

@@ -186,11 +186,12 @@ def gauss_legendre_nodes(a, b, n):
     return a + half * (x + 1.0), half * w
 
 
-# Largest energy grid.  Each support node keeps its R column, 32 |B| d^2 bytes,
-# and 16 |B| bytes of Re gamma for the life of the TMatrix (`thermal_pass`);
-# building them takes 64 |B| d^2 bytes of R blocks per node and several times
-# that in the level solve.  At 2^16 support nodes the pass keeps 29 MB at d = 2
-# (|B| = 3) and 141 MB at d = 3 (|B| = 7); the shipped models use 481 points.
+# Largest energy grid.  Each support node keeps its R column in the eigenbasis,
+# 32 d^2 bytes, for the life of the TMatrix (`thermal_pass`); building it takes
+# 64 d^2 bytes of R blocks per node and several times that in the level solve,
+# and `build_generator` splits it by transfer into 32 |B| d^2 bytes per node
+# while it assembles the Kraus family.  At 2^16 support nodes the pass keeps
+# 8.4 MB at d = 2 and 19 MB at d = 3; the shipped models use 481 points.
 MAX_GRID_POINTS = 1 << 16
 
 

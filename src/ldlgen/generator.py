@@ -23,9 +23,12 @@ and through the energy-resolved scattering components t^{eps,eps}(E)
 operator, diagonally projected); the two routes must agree.  Both
 routes, the generator and the identity suite's three-term map read one
 thermal pass (`TMatrix.thermal_pass`): the support nodes of both
-densities on one axis, with their quadrature weights, the R column
-R^{e,eps}_{omega,0}(E) and Re gamma, so each is one contraction over the
-node axis.
+densities on one axis, with their quadrature weights and the R column
+R^{e,eps}_{.,0}(E) in the eigenbasis of H_S, so each is one contraction
+over the node axis.  The Bohr frequency omega labels only the jump part:
+drift and H read the omega = 0 blocks, which in the eigenbasis are the
+level-diagonal entries, and rotate their node sum back once; only the
+Kraus family is split by transfer (`build_generator`).
 """
 
 from dataclasses import dataclass, field
@@ -39,15 +42,25 @@ from .model import complex_matrix_from_json, complex_matrix_to_json
 from .tmatrix import _support
 
 
-def _diagonal_r(tm, tp):
-    """R^{eps,eps}_{0,0}(E) at each node of the thermal pass, (N, d, d)."""
-    return tp.ops[np.arange(tp.eps.size), tp.eps, tm.spectral.bohr_index(0.0)]
+def _level_diagonal(tm, tp):
+    """R^{eps,eps}_{0,0}(E) at each node of the thermal pass in the eigenbasis
+    of H_S, (N, d, d): the entries of R^{eps,eps}_{.,0}(E) between two states
+    of one level.  They are exactly the entries of transfer 0.0, since every
+    other entry carries a level difference above the Bohr tolerance."""
+    r = tp.r[np.arange(tp.eps.size), tp.eps]
+    return np.where(tm.spectral.transfer == 0.0, r, 0)
+
+
+def _to_original(tm, X):
+    """The operator X, given in the eigenbasis of H_S, in the original basis."""
+    basis = tm.spectral.basis
+    return basis @ X @ basis.conj().T
 
 
 def drift(tm):
     """Gamma = -sum_eps integral dE exp(-beta E) rho_eps(E) R^{eps,eps}_{0,0}(E)."""
     tp = tm.thermal_pass()
-    return np.einsum("n,nij->ij", -tp.coef, _diagonal_r(tm, tp))
+    return _to_original(tm, np.einsum("n,nij->ij", -tp.coef, _level_diagonal(tm, tp)))
 
 
 def drift_from_t_operator(tm, diagonal_projection=True):
@@ -55,16 +68,18 @@ def drift_from_t_operator(tm, diagonal_projection=True):
 
     Computes i * (thermal partial expectation of the scattering operator)
     = -sum_eps integral dE exp(-beta E) rho_eps(E) t^{eps,eps}(E) and
-    projects onto the level diagonal, its transfer-0 component.  With
-    diagonal_projection=False the bare partial expectation is returned
+    projects onto the level diagonal, its transfer-0 component by `split`.
+    With diagonal_projection=False the bare partial expectation is returned
     (for the single-Bohr-block special case it already equals the drift).
+    The sum over omega is the unsplit R column, so the node sum is taken in
+    the eigenbasis.
     """
     tp = tm.thermal_pass()
-    m = np.einsum("n,nij->ij", -tp.coef, tp.ops[np.arange(tp.eps.size), tp.eps].sum(axis=1))
+    m = np.einsum("n,nij->ij", -tp.coef, tp.r[np.arange(tp.eps.size), tp.eps])
     if not diagonal_projection:
-        return m
+        return _to_original(tm, m)
     sd = tm.spectral
-    return sd.split_operator(m)[sd.bohr_index(0.0)]
+    return sd.split(m)[sd.bohr_index(0.0)]
 
 
 def _structure_map(X, r12, r21, ra, rb, re_g):
@@ -249,21 +264,22 @@ def build_generator(tm):
     """Assemble the GKSL generator by trapezoid quadrature over the grid.
 
     Everything is read from the thermal pass: the Kraus operators are its
-    R column, one entry per (eps, grid node, eps', omega) in that order;
-    zero weights and zero operators are dropped by one mask.  H and Gamma
-    come from the diagonal R blocks on the same nodes, so the
+    R column split by transfer, one entry per (eps, grid node, eps', omega)
+    in that order; zero weights and zero operators are dropped by one mask.
+    H and Gamma come from the diagonal R blocks on the same nodes, so the
     Lindblad-form identities hold at the level of the discretized
     integrals, not merely in the continuum limit.  The weights come from
     `kraus_weights`, which refuses one that overflows.
     """
     tp = tm.thermal_pass()
-    r00 = _diagonal_r(tm, tp)
-    ham = np.einsum("n,nij->ij", tp.coef, (_dagger(r00) - r00) / 2j)
+    r00 = _level_diagonal(tm, tp)
+    ham = _to_original(tm, np.einsum("n,nij->ij", tp.coef, (_dagger(r00) - r00) / 2j))
     weight = kraus_weights(tm)
+    ops = tm.spectral.split(tp.r)
     # L = R^{eps',eps}_{omega,0}; no coef is negative, so weight > 0 implies Re gamma > 0
-    keep = (weight > 0.0) & tp.ops.reshape(*weight.shape, -1).any(axis=-1)
+    keep = (weight > 0.0) & ops.reshape(*weight.shape, -1).any(axis=-1)
     return GKSLGenerator(drift=drift(tm), hamiltonian=ham, weights=weight[keep],
-                         ops=tp.ops[keep], grid=tm.spec.bath.grid)
+                         ops=ops[keep], grid=tm.spec.bath.grid)
 
 
 def dual_generator_matrix(gen):

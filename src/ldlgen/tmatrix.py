@@ -80,7 +80,7 @@ def _series_pair(pair):
     return pair
 
 
-ThermalPass = namedtuple("ThermalPass", "eps coef ops re_gamma")
+ThermalPass = namedtuple("ThermalPass", "eps coef r")
 # The eta-independent part of the Dyson oracle on one time grid (see
 # `_dyson_grid`), and one density's correlation on it.
 DysonGrid = namedtuple("DysonGrid", "t wts evecs phases corr")
@@ -100,8 +100,9 @@ class TMatrix:
 
     Every method is a pure function of (model, bath).  The thermal pass
     over the support nodes of both densities is computed once per instance
-    (`thermal_pass`), so an instance is cheap to reuse; it is safe for
-    read-only sharing once its thermal pass is built.
+    (`thermal_pass`) and holds the R column unsplit, in the eigenbasis, so
+    an instance is cheap to reuse and to keep; it is safe for read-only
+    sharing once its thermal pass is built.
     """
 
     def __init__(self, spec, spectral=None):
@@ -317,22 +318,20 @@ class TMatrix:
     def thermal_pass(self):
         """The support nodes of rho0, then of rho1, on one axis of N nodes:
         eps (N,), each node's density; coef (N,), w exp(-beta E) rho_eps(E);
-        ops (N, 2, |B|, d, d), the R column R^{e,eps}_{omega,0}(E) ordered
-        like bohr; re_gamma (N, 2, |B|), pi rho_e(E + omega).  Built once per
-        instance, after `validate_bath`, from one batched solve of the R
-        blocks (`_r_eigen`, what `r_blocks` splits); only the pairs (e, eps)
-        each node keeps are split by transfer, so ops equals
-        r_blocks(nodes)[arange(N), :, eps].  Read by drift,
+        r (N, 2, d, d), the R column R^{e,eps}_{.,0}(E) in the eigenbasis of
+        H_S, unsplit, so entry (i, j) is the part of transfer W[i, j].  Built
+        once per instance, after `validate_bath`, from one batched solve of
+        the R blocks (`_r_eigen`, what `r_blocks` splits), keeping the pairs
+        (e, eps) of each node's own eps: r equals
+        _r_eigen(nodes, 0.0)[arange(N), :, eps].  Read by drift,
         drift_from_t_operator, build_generator and the three-term map.
         """
         if self._thermal is None:
             validate_bath(self.spec.bath, self.bohr, self.spec.beta)
             nodes, wts, rho, eps = _support(self.spec.bath)
-            full = self._r_eigen(nodes, 0.0)
             self._thermal = ThermalPass(
                 eps=eps, coef=_thermal_weights(nodes, wts, rho, self.spec.beta),
-                ops=self.spectral.split(full[np.arange(eps.size), :, eps]),
-                re_gamma=self._re_gamma(nodes))
+                r=self._r_eigen(nodes, 0.0)[np.arange(eps.size), :, eps])
         return self._thermal
 
     # -- pointwise views ---------------------------------------------------

@@ -41,7 +41,7 @@ import numpy as np
 
 from .bath import _exp_rows, _legendre_rule, gauss_legendre_nodes, validate_bath
 from .errors import ValidationError, _array, _count, _energies, _index, _real
-from .generator import _dagger, _diagonal_r, build_generator, drift, drift_from_t_operator
+from .generator import _dagger, build_generator, drift, drift_from_t_operator, kraus_weights
 from .model import _cluster_sorted
 from .tmatrix import _frobenius
 
@@ -658,18 +658,20 @@ def _identity_checks(tm, rng):
 def _three_term_generator(tm, xs):
     """Theta0(X) for each X of a stack xs (n, d, d), summed from the three-term
     structure map under the same quadrature (independent arithmetic path
-    from the Kraus form), on the R blocks the thermal pass already holds:
+    from the Kraus form), on the R column the thermal pass already holds:
 
         X a + a^+ X + sum over (node n, entry k) of
-            2 coef[n] re_gamma[n, k] ops[n, k]^+ X ops[n, k],
+            weight[n, k] ops[n, k]^+ X ops[n, k],
 
-    a = sum over n of coef[n] R^{eps,eps}_{0,0}: the jump part is one
-    contraction over (node, entry, X).  Reads neither the Choi matrix nor
-    H_eff of the generator."""
+    weight[n, k] = 2 coef[n] Re gamma (`kraus_weights`), ops the R column
+    split by transfer here, unmasked, and a = sum over n of
+    coef[n] R^{eps,eps}_{0,0} = -Gamma, the level-diagonal sum of `drift`:
+    the jump part is one contraction over (node, entry, X).  Reads neither
+    the Choi matrix nor H_eff of the generator."""
     tp = tm.thermal_pass()
-    a = np.einsum("n,nij->ij", tp.coef, _diagonal_r(tm, tp))
-    weight = 2.0 * tp.coef[:, None] * tp.re_gamma.reshape(tp.coef.size, -1)
-    ops = tp.ops.reshape(weight.shape + (tm.dim, tm.dim))
+    a = -drift(tm)
+    weight = kraus_weights(tm).reshape(tp.coef.size, -1)
+    ops = tm.spectral.split(tp.r).reshape(weight.shape + (tm.dim, tm.dim))
     jump = np.einsum("nk,nkji,xjl,nklm->xim", weight, ops.conj(), xs, ops, optimize=True)
     return xs @ a + _dagger(a) @ xs + jump
 

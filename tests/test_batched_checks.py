@@ -14,8 +14,7 @@ import pytest
 
 from ldlgen import BlockColumn, TMatrix, load_model
 from ldlgen import verification
-from ldlgen.generator import (_diagonal_r, _structure_map, build_generator, drift,
-                              drift_from_t_operator)
+from ldlgen.generator import _structure_map, build_generator, drift, drift_from_t_operator
 from ldlgen.model import _cluster_sorted, model_from_dict
 
 from conftest import MODELS, base_model_doc, chained_cluster_doc, ladder_model_doc
@@ -172,12 +171,16 @@ def test_series_on_energy_array_matches_per_energy_calls(tm):
 
 
 def _three_term_per_x(tm, X):
-    """The three-term map of one X through `_structure_map`, node by node."""
+    """The three-term map of one X through `_structure_map`, node by node, on
+    the thermal pass's R column split by transfer: its transfer-0 block of
+    R^{eps,eps} and every block of R^{e,eps} with 2 Re gamma."""
     tp = tm.thermal_pass()
-    r0 = _diagonal_r(tm, tp)
-    ops = tp.ops.reshape(tp.eps.size, -1, tm.dim, tm.dim)
+    sd, kept = tm.spectral, (np.arange(tp.eps.size), tp.eps)
+    r0 = sd.split(tp.r[kept])[:, sd.bohr_index(0.0)]
+    ops = sd.split(tp.r).reshape(tp.eps.size, -1, tm.dim, tm.dim)
+    nodes = np.concatenate([tm.spec.bath.support_nodes(e)[0] for e in (0, 1)])
     terms = _structure_map(np.asarray(X, dtype=complex), r0, r0, ops, ops,
-                           tp.re_gamma.reshape(ops.shape[:2]))
+                           tm._re_gamma(nodes).reshape(ops.shape[:2]))
     return np.einsum("n,nij->ij", tp.coef, terms)
 
 

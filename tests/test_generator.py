@@ -592,6 +592,23 @@ def test_thermal_pass_solves_the_support_nodes_once(nr_spec, monkeypatch):
     assert all(E.size <= 3 for E in calls if not np.array_equal(E, support))
 
 
+def test_drift_routes_split_at_most_one_operator(monkeypatch):
+    # the thermal pass keeps R unsplit: drift reads its level-diagonal
+    # entries, and the t-route splits its one d x d node sum
+    tm = TMatrix(model_from_dict(_rotated(ladder_model_doc(3, 3), seed=4)))
+    split, operators = type(tm.spectral).split, []
+
+    def counting(self, X):
+        operators.append(math.prod(np.shape(X)[:-2]))
+        return split(self, X)
+
+    monkeypatch.setattr(type(tm.spectral), "split", counting)
+    gamma = drift(tm)
+    gamma_t = drift_from_t_operator(tm)
+    assert sum(operators) <= 1
+    assert np.linalg.norm(gamma - gamma_t) < 1e-10
+
+
 def _per_density_assembly(tm):
     """Drift, drift through t, H and the Kraus family assembled one density at
     a time: each density's own support nodes and r_blocks call, its terms
@@ -622,10 +639,15 @@ def _relative(a, b):
     return np.linalg.norm(a - b) / np.linalg.norm(b)
 
 
-@pytest.mark.parametrize("model", ["tm_nr", "tm_rwa", "ladder_d3"])
+@pytest.mark.parametrize("model", ["tm_nr", "tm_rwa", "ladder_d3", "ladder_d3_rotated"])
 def test_thermal_pass_matches_per_density_assembly(request, model):
-    tm = (TMatrix(model_from_dict(ladder_model_doc(3, 3))) if model == "ladder_d3"
-          else request.getfixturevalue(model.replace("tm_", "") + "_tm"))
+    # the rotated model has a non-diagonal H_S, so drift, H and the t-route
+    # rotate their eigenbasis sums by a real change of basis
+    if model.startswith("ladder_d3"):
+        doc = ladder_model_doc(3, 3)
+        tm = TMatrix(model_from_dict(_rotated(doc, seed=4) if model.endswith("rotated") else doc))
+    else:
+        tm = request.getfixturevalue(model.replace("tm_", "") + "_tm")
     gamma, gamma_t, ham, weights, ops = _per_density_assembly(tm)
     gen = build_generator(tm)
     assert gen.weights.tobytes() == weights.tobytes()
@@ -653,21 +675,30 @@ _SPLIT_KEPT_HALF_SCRIPT = """
 import sys
 import numpy as np
 from ldlgen import TMatrix, load_model
+from ldlgen.generator import build_generator, kraus_weights
 for path in sys.argv[1:]:
     tm = TMatrix(load_model(path))
     tp = tm.thermal_pass()
     nodes = np.concatenate([tm.spec.bath.support_nodes(e)[0] for e in (0, 1)])
-    full = tm.r_blocks(nodes)[np.arange(tp.eps.size), :, tp.eps]
-    assert tp.ops.shape == full.shape and tp.ops.tobytes() == full.tobytes(), path
+    kept = (np.arange(tp.eps.size), slice(None), tp.eps)
+    full = tm._r_eigen(nodes, 0.0)[kept]
+    assert tp.r.shape == full.shape and tp.r.tobytes() == full.tobytes(), path
+    split = tm.r_blocks(nodes)[kept]
+    weight = kraus_weights(tm)
+    ops = split[(weight > 0.0) & split.reshape(*weight.shape, -1).any(axis=-1)]
+    gen = build_generator(tm)
+    assert gen.ops.shape == ops.shape and gen.ops.tobytes() == ops.tobytes(), path
     print(path)
 """
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_thermal_pass_splits_only_the_kept_half_bitwise(tmp_path, threads):
-    # the pass splits R^{e,eps} for each node's own eps only; the result is
-    # the same bits as splitting all four pairs and keeping half.  The
-    # rotated ladder model has a non-diagonal H_S, so `split` changes basis
+    # the pass keeps R^{e,eps} for each node's own eps only, unsplit, with
+    # the bits of the full solve; the generator splits that half, and its
+    # family has the bits of splitting all four pairs, keeping half and
+    # masking.  The rotated ladder model has a non-diagonal H_S, so `split`
+    # changes basis
     ladder = tmp_path / "ladder_d3.json"
     ladder.write_text(json.dumps(ladder_model_doc(3, 3)))
     rotated = tmp_path / "ladder_d3_rotated.json"

@@ -10,11 +10,17 @@ weights are manifestly nonnegative: each is
 last factor is Re gamma evaluated straight from the density (never from
 the principal-value part), so Kraus positivity carries no PV noise.
 
-The Kraus family is stored stacked, weights (K,) and operators
-(K, d, d), in the order (eps, grid node, eps', omega).  Its entry axis is
-contracted once, in the cached Choi matrix C = sum_j w_j |vec L_j><vec L_j|,
-which Psi(X), Psi(1), the compressed family and the Liouvillian's Kraus part
-read; the rest reads the cached H_eff = H - (i/2) Psi(1), as in
+The Kraus family, in the order (eps, grid node, eps', omega), is held by
+Bohr sector: weights (K,), and for each entry a row of an operator stack and
+a sector, the stack entries of one transfer.  A built generator's stack is
+the thermal pass's R column in the eigenbasis of H_S, so there each
+operator lies on its sector's entries, and the cached Choi matrix
+C = sum_j w_j |vec L_j><vec L_j| is block-diagonal by sector: one small
+product per sector, then one rotation to the original basis.  A hand-built,
+`from_json` or compressed family is the case of one sector and no
+rotation.  The (K, d, d) operators are split from the stack only when
+`ops` is read.  Psi(X), Psi(1), the compressed family and the Liouvillian's
+Kraus part read C; the rest reads the cached H_eff = H - (i/2) Psi(1), as in
 Theta0(X) = Psi(X) + i(H_eff^+ X - X H_eff).
 
 The drift Gamma is assembled twice: directly from the diagonal R blocks,
@@ -27,11 +33,10 @@ densities on one axis, with their quadrature weights and the R column
 R^{e,eps}_{.,0}(E) in the eigenbasis of H_S, so each is one contraction
 over the node axis.  The Bohr frequency omega labels only the jump part:
 drift and H read the omega = 0 blocks, which in the eigenbasis are the
-level-diagonal entries, and rotate their node sum back once; only the
-Kraus family is split by transfer (`build_generator`).
+level-diagonal entries, and rotate their node sum back once; the Kraus
+family reads every entry, by sector.
 """
 
-from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -114,34 +119,57 @@ def theta_map(tm, X, eps1, eps2, omega1, omega2, E):
     return out.reshape(E.shape + X.shape)
 
 
-@dataclass
 class GKSLGenerator:
     """Drift, effective Hamiltonian and weighted Kraus family.
 
-    The family is stacked: weights (K,) and ops (K, d, d) realize
-    Psi(X) = sum_j weights[j] ops[j]^+ X ops[j]; an empty family has
-    shapes (0,) and (0, d, d).
+    Psi(X) = sum_j weights[j] ops[j]^+ X ops[j], with weights (K,) and ops
+    (K, d, d); an empty family has shapes (0,) and (0, d, d).  The family is
+    held by Bohr sector: entry j is row `_row[j]` of an operator stack given
+    in a basis U, masked to the entries of its sector `_sector[j]`, and
+    ops[j] is that masked row rotated by U.  A generator built from a model
+    holds the thermal pass's R column in the eigenbasis of H_S, with one
+    sector per transfer (`SpectralData`); any other holds ops itself as one
+    sector of every entry, with U = 1.
     """
 
-    drift: np.ndarray
-    hamiltonian: np.ndarray
-    weights: np.ndarray = field(repr=False)
-    ops: np.ndarray = field(repr=False)
-    grid: object = None
+    def __init__(self, drift, hamiltonian, weights, ops, grid=None):
+        d = self._parts(drift, hamiltonian, weights, grid)
+        # an empty family may come as [] rather than of shape (0, d, d)
+        ops = ops if np.size(ops) else np.zeros((0, d, d))
+        self.ops = _array(ops, (self.weights.size, d, d), "Kraus operators")
+        self._stack, self._spectral = self.ops, None
+        self._row, self._sector = np.arange(self.weights.size), np.zeros(self.weights.size, int)
 
-    def __post_init__(self):
-        shape = np.shape(self.hamiltonian)
+    @classmethod
+    def _by_sector(cls, drift, hamiltonian, weights, grid, stack, row, sector, spectral):
+        """The family of rows of `stack` (M, d, d), in the eigenbasis of
+        `spectral`, with sectors indexed like its ``bohr``."""
+        gen = cls.__new__(cls)
+        d = gen._parts(drift, hamiltonian, weights, grid)
+        gen._stack = _array(stack, (None, d, d), "Kraus operators")
+        gen._row, gen._sector, gen._spectral = row, sector, spectral
+        return gen
+
+    def _parts(self, drift, hamiltonian, weights, grid):
+        """Check and set every part but the family's operators; returns d."""
+        shape = np.shape(hamiltonian)
         if len(shape) != 2:
             raise ValidationError(f"hamiltonian must be a matrix, not of shape {shape}")
         d = shape[0]
-        self.hamiltonian = _array(self.hamiltonian, (d, d), "hamiltonian")
-        self.drift = _array(self.drift, (d, d), "drift")
-        weights = np.ravel(self.weights)
+        self.hamiltonian = _array(hamiltonian, (d, d), "hamiltonian")
+        self.drift = _array(drift, (d, d), "drift")
+        weights = np.ravel(weights)
         self.weights = _array(weights, weights.shape, "Kraus weights", dtype=float,
                               nonnegative=True)
-        # an empty family may come as [] rather than of shape (0, d, d)
-        ops = self.ops if np.size(self.ops) else np.zeros((0, d, d))
-        self.ops = _array(ops, (self.weights.size, d, d), "Kraus operators")
+        self.grid = grid
+        return d
+
+    @cached_property
+    def ops(self):
+        """The operators (K, d, d) in the original basis.  A built generator
+        splits its stack by transfer (`SpectralData.split`) on the first read
+        and takes each entry's sector, read-only; any other holds them."""
+        return _read_only(self._spectral.split(self._stack)[self._row, self._sector])
 
     @property
     def dim(self):
@@ -156,9 +184,28 @@ class GKSLGenerator:
     def choi(self):
         """Choi matrix sum_j w_j |vec L_j><vec L_j| (row-major vec), read-only:
         Hermitian, positive semidefinite whenever the weights are nonnegative, of
-        rank the number of independent Kraus directions."""
-        vecs = self.ops.reshape(-1, self.dim ** 2)
-        return _read_only((vecs.T * self.weights) @ vecs.conj())
+        rank the number of independent Kraus directions.
+
+        In the stack's basis each L_j lies on the entries E_g of its sector g,
+        so the matrix there is block-diagonal by sector: block g is
+        sum over j in g of w_j r_j[E_g] r_j[E_g]^+, r_j the flattened stack
+        row, one product per sector.  It is rotated once, by V = U (x) conj(U)
+        (`_rotate`).  With one sector and U = 1 the product is
+        (vecs^T * w) @ conj(vecs) over the whole family."""
+        d2 = self.dim ** 2
+        if self._spectral is None:
+            entries, groups, starts = np.arange(d2), [0], [0]
+        else:
+            entries, groups, starts = self._spectral._scatter[:3]
+        vecs = self._stack.reshape(-1, d2)
+        choi = np.zeros((d2, d2), dtype=complex)
+        for g, lo, hi in zip(groups, starts, [*starts[1:], entries.size]):
+            cols, member = entries[lo:hi], self._sector == g
+            a = vecs[self._row[member][:, None], cols]
+            choi[cols[:, None], cols] = (a.T * self.weights[member]) @ a.conj()
+        if self._spectral is not None:
+            choi = _rotate(choi, self._spectral.basis)
+        return _read_only(choi)
 
     @cached_property
     def heff(self):
@@ -243,6 +290,17 @@ def _read_only(a):
     return a
 
 
+def _rotate(choi, basis):
+    """V C V^+ for V = U (x) conj(U), U = basis: the Choi matrix of the family
+    L -> U L U^+ (row-major vec).  Each column of C, as a d x d matrix X, goes
+    to U X U^+, then each row, as Y, to conj(U) Y U^T: four batched d x d
+    products, 4 d^5 multiply-adds."""
+    d = basis.shape[0]
+    c = basis @ choi.reshape(d, d, d * d).transpose(2, 0, 1) @ basis.conj().T
+    c = basis.conj() @ c.transpose(1, 2, 0).reshape(d * d, d, d) @ basis.T
+    return c.reshape(d * d, d * d)
+
+
 def kraus_weights(tm):
     """The Kraus weights 2 w exp(-beta E) rho_eps(E) pi rho_e(E + omega) on
     the thermal pass's nodes, (N, 2, |B|), from the densities alone, with no
@@ -263,23 +321,30 @@ def kraus_weights(tm):
 def build_generator(tm):
     """Assemble the GKSL generator by trapezoid quadrature over the grid.
 
-    Everything is read from the thermal pass: the Kraus operators are its
-    R column split by transfer, one entry per (eps, grid node, eps', omega)
-    in that order; zero weights and zero operators are dropped by one mask.
-    H and Gamma come from the diagonal R blocks on the same nodes, so the
-    Lindblad-form identities hold at the level of the discretized
-    integrals, not merely in the continuum limit.  The weights come from
-    `kraus_weights`, which refuses one that overflows.
+    Everything is read from the thermal pass.  The Kraus family is its R
+    column by Bohr sector, one entry per (eps, grid node, eps', omega) in
+    that order: entry (n, eps', omega) is r[n, eps'] on the eigenbasis
+    entries of transfer omega, kept where its weight is positive and one of
+    those entries is not zero.  The column is neither copied nor split; its
+    operators are split by transfer only when `ops` is read.  H and Gamma
+    come from the diagonal R blocks on the same nodes, so the Lindblad-form
+    identities hold at the level of the discretized integrals, not merely in
+    the continuum limit.  The weights come from `kraus_weights`, which
+    refuses one that overflows.
     """
-    tp = tm.thermal_pass()
+    tp, sd = tm.thermal_pass(), tm.spectral
     r00 = _level_diagonal(tm, tp)
     ham = _to_original(tm, np.einsum("n,nij->ij", tp.coef, (_dagger(r00) - r00) / 2j))
-    weight = kraus_weights(tm)
-    ops = tm.spectral.split(tp.r)
+    stack = tp.r.reshape(-1, tm.dim, tm.dim)
+    weight = kraus_weights(tm).reshape(stack.shape[0], -1)
+    entries, groups, starts = sd._scatter[:3]
+    nonzero = np.zeros(weight.shape, dtype=bool)
+    nonzero[:, groups] = np.logical_or.reduceat(
+        stack.reshape(stack.shape[0], -1)[:, entries] != 0, starts, axis=1)
     # L = R^{eps',eps}_{omega,0}; no coef is negative, so weight > 0 implies Re gamma > 0
-    keep = (weight > 0.0) & ops.reshape(*weight.shape, -1).any(axis=-1)
-    return GKSLGenerator(drift=drift(tm), hamiltonian=ham, weights=weight[keep],
-                         ops=ops[keep], grid=tm.spec.bath.grid)
+    row, sector = np.nonzero((weight > 0.0) & nonzero)
+    return GKSLGenerator._by_sector(drift(tm), ham, weight[row, sector], tm.spec.bath.grid,
+                                    stack, row, sector, sd)
 
 
 def dual_generator_matrix(gen):

@@ -179,7 +179,8 @@ class SpectralData:
 
     @cached_property
     def _scatter(self):
-        """`split`'s grouping of the eigenbasis entries, built once: the flat
+        """The grouping of the eigenbasis entries by transfer, built once, which
+        `split` and a built generator's Bohr sectors read: the flat
         entries (i, j) whose transfer is in ``bohr``, ordered by its index
         there; the indices present and the first entry of each; and the
         rank-one products u_i u_j^+ of the ordered entries, one flattened

@@ -472,6 +472,15 @@ def test_generator_rejects_bad_parts(field, value, match):
         GKSLGenerator(**parts)
 
 
+def test_built_family_refuses_a_non_finite_column():
+    # an entry off the level diagonal reaches kept Kraus entries, and
+    # neither drift nor H
+    tm = TMatrix(model_from_dict(ladder_model_doc(3, 3)))
+    tm.thermal_pass().r[:, :, 0, 1] = np.nan
+    with pytest.raises(ValidationError, match="Kraus operators must be finite"):
+        build_generator(tm)
+
+
 def test_generator_accepts_zero_weight():
     gen = GKSLGenerator(drift=np.zeros((2, 2)), hamiltonian=np.zeros((2, 2)), weights=[0.0],
                         ops=[np.eye(2)])
@@ -609,6 +618,50 @@ def test_drift_routes_split_at_most_one_operator(monkeypatch):
     assert np.linalg.norm(gamma - gamma_t) < 1e-10
 
 
+def test_generator_splits_its_family_only_when_ops_is_read(monkeypatch):
+    # the build, the Choi matrix and everything that reads it work by Bohr
+    # sector on the unsplit eigenbasis column; `ops` splits that column, the
+    # 2N operators of the thermal pass, once
+    tm = TMatrix(model_from_dict(_rotated(ladder_model_doc(3, 3), seed=4)))
+    tm.thermal_pass()
+    split, operators = type(tm.spectral).split, []
+
+    def counting(self, X):
+        operators.append(math.prod(np.shape(X)[:-2]))
+        return split(self, X)
+
+    monkeypatch.setattr(type(tm.spectral), "split", counting)
+    gen = build_generator(tm)
+    _ = gen.choi, gen.psi_one
+    gen.compressed()
+    dual_generator_matrix(gen)
+    assert sum(operators) == 0
+    ops = gen.ops
+    assert operators == [tm.thermal_pass().r.shape[0] * 2]
+    assert gen.ops is ops and len(operators) == 1
+    assert ops.shape == (gen.weights.size, 3, 3) and not ops.flags.writeable
+
+
+def test_build_and_compression_hold_no_split_column():
+    tm = TMatrix(model_from_dict(ladder_model_doc(0, 8)))
+    tp = tm.thermal_pass()
+    split_bytes = tp.r.nbytes * tm.bohr.size
+    tracemalloc.start()
+    try:
+        build_generator(tm).compressed()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the split column, (2N, |B|, d, d) complex, is 316 * 57 * 64 * 16 B =
+    # 18.4 MB.  The build holds the weights and the keep mask, (2N, |B|),
+    # 0.14 MB, at most one gather of the stack, 2N d^2 complex = 0.32 MB, the
+    # level-diagonal sum, N d^2 complex, and the d^2 x d^2 Choi matrix with
+    # its eigendecomposition, 0.07 MB each: about 1 MB, so a quarter of the
+    # column leaves a margin of four
+    assert split_bytes == 316 * 57 * 64 * 16
+    assert peak < split_bytes / 4
+
+
 def _per_density_assembly(tm):
     """Drift, drift through t, H and the Kraus family assembled one density at
     a time: each density's own support nodes and r_blocks call, its terms
@@ -639,19 +692,25 @@ def _relative(a, b):
     return np.linalg.norm(a - b) / np.linalg.norm(b)
 
 
-@pytest.mark.parametrize("model", ["tm_nr", "tm_rwa", "ladder_d3", "ladder_d3_rotated"])
+@pytest.mark.parametrize("model", ["tm_nr", "tm_rwa", "ladder_d3", "ladder_d3_rotated",
+                                   "ladder_d3_near_degenerate", "chained"])
 def test_thermal_pass_matches_per_density_assembly(request, model):
-    # the rotated model has a non-diagonal H_S, so drift, H and the t-route
-    # rotate their eigenbasis sums by a real change of basis
-    if model.startswith("ladder_d3"):
-        doc = ladder_model_doc(3, 3)
-        tm = TMatrix(model_from_dict(_rotated(doc, seed=4) if model.endswith("rotated") else doc))
+    # the rotated model has a non-diagonal H_S, so drift, H, the t-route and
+    # the Choi matrix rotate their eigenbasis sums by a real change of basis
+    docs = {"ladder_d3": lambda: ladder_model_doc(3, 3),
+            "ladder_d3_rotated": lambda: _rotated(ladder_model_doc(3, 3), seed=4),
+            "ladder_d3_near_degenerate": lambda: ladder_model_doc(3, 3, near_degenerate=True),
+            "chained": chained_cluster_doc}
+    if model in docs:
+        tm = TMatrix(model_from_dict(docs[model]()))
     else:
         tm = request.getfixturevalue(model.replace("tm_", "") + "_tm")
     gamma, gamma_t, ham, weights, ops = _per_density_assembly(tm)
     gen = build_generator(tm)
     assert gen.weights.tobytes() == weights.tobytes()
     assert gen.ops.shape == ops.shape and gen.ops.tobytes() == ops.tobytes()
+    scale = float(weights.sum() * (np.abs(ops) ** 2).sum())
+    assert np.abs(gen.choi - _loop_choi(weights, ops)).max() <= 1e-14 * scale
     assert _relative(gen.drift, gamma) <= 1e-14
     assert _relative(gen.hamiltonian, ham) <= 1e-14
     assert _relative(drift_from_t_operator(tm), gamma_t) <= 1e-14
@@ -672,7 +731,7 @@ def _rotated(doc, seed):
 
 # Runs in a fresh interpreter, so OPENBLAS_NUM_THREADS takes effect.
 _SPLIT_KEPT_HALF_SCRIPT = """
-import sys
+import hashlib, sys
 import numpy as np
 from ldlgen import TMatrix, load_model
 from ldlgen.generator import build_generator, kraus_weights
@@ -687,27 +746,36 @@ for path in sys.argv[1:]:
     weight = kraus_weights(tm)
     ops = split[(weight > 0.0) & split.reshape(*weight.shape, -1).any(axis=-1)]
     gen = build_generator(tm)
+    choi = hashlib.sha256(gen.choi.tobytes()).hexdigest()
     assert gen.ops.shape == ops.shape and gen.ops.tobytes() == ops.tobytes(), path
-    print(path)
+    print(path, choi)
 """
 
 
-@pytest.mark.parametrize("threads", ["1", "2"])
-def test_thermal_pass_splits_only_the_kept_half_bitwise(tmp_path, threads):
+def test_thermal_pass_splits_only_the_kept_half_bitwise(tmp_path):
     # the pass keeps R^{e,eps} for each node's own eps only, unsplit, with
-    # the bits of the full solve; the generator splits that half, and its
-    # family has the bits of splitting all four pairs, keeping half and
-    # masking.  The rotated ladder model has a non-diagonal H_S, so `split`
-    # changes basis
-    ladder = tmp_path / "ladder_d3.json"
-    ladder.write_text(json.dumps(ladder_model_doc(3, 3)))
-    rotated = tmp_path / "ladder_d3_rotated.json"
-    rotated.write_text(json.dumps(_rotated(ladder_model_doc(3, 3), seed=4)))
-    models = [str(MODELS / "tm_nr.json"), str(MODELS / "tm_rwa.json"), str(ladder), str(rotated)]
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": os.pathsep.join(
+    # the bits of the full solve; the generator's family, read through `ops`,
+    # has the bits of splitting all four pairs, keeping half and masking.
+    # The rotated ladder models have a non-diagonal H_S, so `split` changes
+    # basis.  The Choi matrix is a product per Bohr sector, small enough that
+    # BLAS never splits it between threads, so it has the same bytes at one
+    # and at two threads
+    docs = {"ladder_d3": ladder_model_doc(3, 3),
+            "ladder_d3_rotated": _rotated(ladder_model_doc(3, 3), seed=4),
+            "ladder_d5": ladder_model_doc(0, 5), "ladder_d6": ladder_model_doc(0, 6),
+            "ladder_d5_rotated": _rotated(ladder_model_doc(0, 5), seed=0)}
+    models = [str(MODELS / "tm_nr.json"), str(MODELS / "tm_rwa.json")]
+    for name, doc in docs.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+        models.append(str(tmp_path / f"{name}.json"))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-c", _SPLIT_KEPT_HALF_SCRIPT, *models],
-                          capture_output=True, text=True, env=env)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == models
-
+    printed = []
+    for threads in ("1", "2"):
+        done = subprocess.run([sys.executable, "-c", _SPLIT_KEPT_HALF_SCRIPT, *models],
+                              capture_output=True, text=True,
+                              env={**env, "OPENBLAS_NUM_THREADS": threads})
+        assert done.returncode == 0, done.stderr
+        printed.append(done.stdout.split())
+    assert printed[0][::2] == models
+    assert printed[0] == printed[1]

@@ -752,14 +752,7 @@ for path in sys.argv[1:]:
 """
 
 
-def test_thermal_pass_splits_only_the_kept_half_bitwise(tmp_path):
-    # the pass keeps R^{e,eps} for each node's own eps only, unsplit, with
-    # the bits of the full solve; the generator's family, read through `ops`,
-    # has the bits of splitting all four pairs, keeping half and masking.
-    # The rotated ladder models have a non-diagonal H_S, so `split` changes
-    # basis.  The Choi matrix is a product per Bohr sector, small enough that
-    # BLAS never splits it between threads, so it has the same bytes at one
-    # and at two threads
+def _split_kept_half_run(tmp_path, threads):
     docs = {"ladder_d3": ladder_model_doc(3, 3),
             "ladder_d3_rotated": _rotated(ladder_model_doc(3, 3), seed=4),
             "ladder_d5": ladder_model_doc(0, 5), "ladder_d6": ladder_model_doc(0, 6),
@@ -768,14 +761,29 @@ def test_thermal_pass_splits_only_the_kept_half_bitwise(tmp_path):
     for name, doc in docs.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(doc))
         models.append(str(tmp_path / f"{name}.json"))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
-    printed = []
-    for threads in ("1", "2"):
-        done = subprocess.run([sys.executable, "-c", _SPLIT_KEPT_HALF_SCRIPT, *models],
-                              capture_output=True, text=True,
-                              env={**env, "OPENBLAS_NUM_THREADS": threads})
-        assert done.returncode == 0, done.stderr
-        printed.append(done.stdout.split())
-    assert printed[0][::2] == models
-    assert printed[0] == printed[1]
+    done = subprocess.run([sys.executable, "-c", _SPLIT_KEPT_HALF_SCRIPT, *models],
+                          capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    printed = done.stdout.split()
+    assert printed[::2] == models
+    return printed[1::2]
+
+
+@pytest.fixture(scope="module")
+def one_thread_choi(tmp_path_factory):
+    return _split_kept_half_run(tmp_path_factory.mktemp("split"), "1")
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_thermal_pass_splits_only_the_kept_half_bitwise(tmp_path, threads, one_thread_choi):
+    # the pass keeps R^{e,eps} for each node's own eps only, unsplit, with
+    # the bits of the full solve; the generator's family, read through `ops`,
+    # has the bits of splitting all four pairs, keeping half and masking.
+    # The rotated ladder models have a non-diagonal H_S, so `split` changes
+    # basis.  The Choi matrix is a product per Bohr sector, small enough that
+    # BLAS never splits it between threads, so it has the same bytes at one
+    # and at two threads
+    choi = one_thread_choi if threads == "1" else _split_kept_half_run(tmp_path, threads)
+    assert choi == one_thread_choi

@@ -191,11 +191,12 @@ def _kraus_chunks(weights, ops, level):
     A piece is a float table of up to `_KRAUS_CHUNK_FLOATS` cells, one row
     per entry: the row-major re/im pairs of the operator, then the weight
     ("operator" sorts before "weight").  The text before cell p is the same
-    in every row, `cycle[p]`, fixed by d and `level`, so a +0.0 cell, as
-    most cells of a Bohr-masked family are, is the constant text
-    ``cycle[p] + "0.0"``.  The other cells go through one C-encoder call,
-    whose float text is `float.__repr__`; its tokens are split on "," and
-    appended to their `cycle[p]`.  The input must be finite.
+    in every row, `cycle[p]`, fixed by d and `level`, so a +0.0 or -0.0
+    cell, as most cells of a Bohr-masked family are, is the constant text
+    ``cycle[p] + "0.0"`` or ``cycle[p] + "-0.0"``.  The other cells go
+    through one C-encoder call, whose float text is `float.__repr__`; its
+    tokens are split on "," and appended to their `cycle[p]`.  The input
+    must be finite.
     """
     if not weights.size:
         yield "[]"
@@ -205,15 +206,15 @@ def _kraus_chunks(weights, ops, level):
     pairs = ["," + i4, i3 + "]," + i3 + "[" + i4] * ops[0].size
     cycle = np.array([i1 + "}," + entry, *pairs[:-1], i3 + "]" + i2 + "]," + i2 + '"weight": '],
                      dtype=object)
-    zeros = cycle + "0.0"
+    zeros, negative_zeros = cycle + "0.0", cycle + "-0.0"
     rows = max(1, _KRAUS_CHUNK_FLOATS // cycle.size)
     for lo in range(0, weights.size, rows):
         n = min(rows, weights.size - lo)
         table = np.empty((n, cycle.size))
         table[:, :-1] = np.ascontiguousarray(ops[lo:lo + n]).reshape(n, -1).view(float)
         table[:, -1] = weights[lo:lo + n]
-        text = np.tile(zeros, (n, 1))
-        other = (table != 0.0) | np.signbit(table)
+        text = np.where(np.signbit(table), negative_zeros, zeros)
+        other = table != 0.0
         if other.any():
             tokens = _COMPACT.encode(table[other].tolist())[1:-1].split(",")
             text[other] = cycle[other.nonzero()[1]] + np.array(tokens, dtype=object)

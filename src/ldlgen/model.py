@@ -178,6 +178,15 @@ class SpectralData:
         return out
 
     @cached_property
+    def transfer_index(self):
+        """The index in ``bohr`` of each eigenbasis entry's transfer, (d, d),
+        built once; -1 where the transfer is not a member.  The canonical
+        transfers of `spectral_decompose` are members, so bohr[index] has
+        their bits."""
+        index = np.minimum(np.searchsorted(self.bohr, self.transfer), self.bohr.size - 1)
+        return np.where(self.bohr[index] == self.transfer, index, -1)
+
+    @cached_property
     def _scatter(self):
         """The grouping of the eigenbasis entries by transfer, built once, which
         `split` and a built generator's Bohr sectors read: the flat
@@ -185,9 +194,8 @@ class SpectralData:
         there; the indices present and the first entry of each; and the
         rank-one products u_i u_j^+ of the ordered entries, one flattened
         (d^2,) row each, u_i being column i of ``basis``."""
-        flat = self.transfer.reshape(-1)
-        index = np.minimum(np.searchsorted(self.bohr, flat), self.bohr.size - 1)
-        hit = np.flatnonzero(self.bohr[index] == flat)
+        index = self.transfer_index.reshape(-1)
+        hit = np.flatnonzero(index >= 0)
         entries = hit[np.argsort(index[hit], kind="stable")]
         groups, starts = np.unique(index[entries], return_index=True)
         i, j = np.divmod(entries, self.dim)

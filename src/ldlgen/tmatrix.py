@@ -23,19 +23,35 @@ clusters can break it.  The stacked system is the verification oracle
 Dyson oracle never call `_kernels`, so they check the kernel entries
 independently.
 
-Every gamma argument of the kernels, the R blocks and the series chains is
-(E_n - a) + b for a node E_n and an offset pair (a, b): (W[k, m], omega[k])
-inside a kernel, (0, omega[k]) outside it, (0, omega' + W) in the R blocks
-and (0, W) in the series chains.  The pairs do not depend on the node
-unless the offsets omega do (the stacked oracle gives each column its own
-omega'; each node then gets its own row of pairs).  Each call finds the
-distinct pairs it needs and evaluates gamma on the table of nodes by
-distinct pairs, then gathers it (`_gamma_pairs`), so it is asked each
-distinct argument once and every value keeps its bits.  The products that
-share a factor across nodes (L with the kernel sums, D with the solutions)
-are each one flat GEMM over every row, not one small matmul per node.
+The level solve and the R blocks ask gamma on the Bohr lattice only: one
+table per eps of gamma_eps(E_n + (omega' + B[b])), shape (n, S, |B|), at
+the lattice points that the rows of the coupling reach
+(`TMatrix._lattice_gammas`; each transfer's index in B is computed once,
+`SpectralData.transfer_index`).  The outside factor gamma_eps(E + omega_k)
+of a kernel row, omega_k = omega' + W[k, c], and the R^{a,a} factor
+gamma_eps(E + (omega' + W[j, m])) read it with their own arguments' bits.
+The kernel's inner gamma_{1-eps}((E - W[k, m]) + omega_k) reads it at
+E + (omega' + W[m, c]): where the transfers compose
+(W[k, c] - W[k, m] = W[m, c] within COMPOSE_TOLERANCE) the two arguments
+are the same number up to rounding, so each level system is
+1 + diag(g_out) L diag(g_in[l]) R, one flat GEMM over every node, offset,
+level and row (`TMatrix._systems`).  A triple that does not compose, as on
+a chained Bohr cluster, reads gamma at the pairwise argument instead.
+
+The stacked oracle's kernels (`TMatrix._kernels`) and the series chains
+keep the pairwise arguments: every gamma argument there is (E_n - a) + b
+for a node E_n and an offset pair (a, b), (W[k, m], omega[k]) inside a
+kernel, (0, omega[k]) outside it and (0, W) in the series chains.  The
+stacked oracle gives each column its own omega', so each of its nodes gets
+its own row of pairs.  Each call finds the distinct pairs it needs and
+evaluates gamma on the table of nodes by distinct pairs, then gathers it
+(`_gamma_pairs`), so it is asked each distinct argument once and every
+value keeps its bits.  The products that share a factor across nodes (L
+with the kernel sums, D with the solutions) are each one flat GEMM over
+every row, not one small matmul per node.
 """
 
+import functools
 import itertools
 import math
 from collections import namedtuple
@@ -47,6 +63,15 @@ from .errors import NumericError, ValidationError, _array, _count, _energies, _i
 from .model import spectral_decompose
 
 CONDITION_LIMIT = 1e12
+# A triple (l, k, m) of target level, row and intermediate state composes when
+# |(W[k, c] - W[k, m]) - W[m, c]| <= COMPOSE_TOLERANCE * max(1, max |W|), W the
+# canonical transfer and c the column of level l.  Each transfer is one
+# rounded difference of level energies, so where each Bohr cluster holds one
+# difference the defect is a few roundings of max |W| (under 1e-15 max |W|);
+# the 1 stands for the energies E the gamma arguments add W to.  A chained
+# Bohr cluster puts a representative up to the Bohr tolerance (1e-9 by
+# default) from a difference it stands for, far above the bound.
+COMPOSE_TOLERANCE = 1e-12
 PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
 # Largest Dyson-oracle time grid, in steps (the grid has steps + 1 points);
 # at d = 2 the kept d^2 phase rows then take 64 MiB, and the n = 3
@@ -73,6 +98,13 @@ def _frobenius(X):
     return np.sqrt(re @ np.swapaxes(re, -1, -2) + im @ np.swapaxes(im, -1, -2))[..., 0, 0]
 
 
+def _sum_squares(X):
+    """The squared Frobenius norm of each matrix of a stack X (..., m, n):
+    a sum of squares over the real view of X, with no complex copy."""
+    flat = X.reshape(X.shape[:-2] + (X.shape[-2] * X.shape[-1],)).view(float)
+    return np.einsum("...i,...i->...", flat, flat)
+
+
 def _series_pair(pair):
     """An eps-pair label: exactly one of the strings 00, 01, 10, 11."""
     if not isinstance(pair, str) or pair not in ("00", "01", "10", "11"):
@@ -85,6 +117,8 @@ ThermalPass = namedtuple("ThermalPass", "eps coef r")
 # `_dyson_grid`), and one density's correlation on it.
 DysonGrid = namedtuple("DysonGrid", "t wts evecs phases corr")
 GridCorrelation = namedtuple("GridCorrelation", "x c giant baby corr")
+# Where the level solve and the R blocks read the gamma tables (`TMatrix._lattice`).
+Lattice = namedtuple("Lattice", "level outer points r broken")
 
 
 def _support(bath):
@@ -166,6 +200,8 @@ class TMatrix:
         W[k, p].  Returns an array of shape (N, M, d, d).  gamma is asked
         once per node and distinct pair (`_gamma_pairs`): (0, omega[k])
         outside, (W[k, m], omega[k]) inside.  The sum over m is one GEMM.
+        The stacked oracle reads it; the level solve forms its systems on
+        the Bohr lattice instead (`_systems`).
         """
         eps = _index(eps, "eps")
         left, right = self._pair[eps], self._pair[1 - eps]
@@ -179,26 +215,119 @@ class TMatrix:
 
     # -- level-basis solve ---------------------------------------------------
 
-    def _level_inverses(self, eps, energies, omega_prime):
+    @functools.cached_property
+    def _lattice(self):
+        """Where the level solve and the R blocks read the gamma tables of
+        `_lattice_gammas`, built once per instance.  With c_l the column of
+        level l, W the canonical transfer, P = (D~, D~^+) and |B| the index
+        of the tables' zero column:
+
+        level (L, d): [l, k] is the index of W[k, c_l] in bohr;
+        outer (2, L, d): level where row k of P[eps] is not zero, |B|
+            elsewhere;
+        points: per eps, the indices in outer[eps], where table eps is
+            asked; every index `_systems` and `_r_eigen` read from table eps
+            is among them;
+        r (2, d, d): the index of W[j, m] where P[eps][j, m] is not zero,
+            |B| elsewhere (W[j, m] = W[j, c] for c the column of m's level);
+        broken: per eps, the triples (l, k, m) that do not compose
+            (COMPOSE_TOLERANCE) where P[eps][k, m] is not zero, as three
+            index arrays; then the distinct offset pairs (W[k, m], W[k, c_l])
+            of their pairwise arguments, by bits, as two arrays, and each
+            triple's pair.
+        """
+        sd, c = self.spectral, self._level_columns
+        index, W = sd.transfer_index, sd.transfer
+        level, to_c = index[:, c].T, W[:, c].T
+        defect = np.abs((to_c[:, :, None] - W) - to_c[:, None, :])
+        fails = defect > COMPOSE_TOLERANCE * max(1.0, float(np.abs(W).max()))
+        zero = sd.bohr.size
+        outer, points, r, broken = [], [], [], []
+        for P in self._pair:
+            reached = P.any(axis=1)
+            outer.append(np.where(reached, level, zero))
+            points.append(np.flatnonzero(np.bincount(level[:, reached].ravel(), minlength=zero)))
+            r.append(np.where(P != 0, index, zero))
+            l, k, m = np.nonzero(fails & (P != 0))
+            a, b = W[k, m], W[k, c[l]]
+            # no transfer is -0.0, so equal values are equal bits
+            _, first, pair = np.unique(np.stack([a, b], axis=1).view(complex).reshape(-1),
+                                       return_index=True, return_inverse=True)
+            broken.append((l, k, m, a[first], b[first], pair))
+        return Lattice(level, np.array(outer), tuple(points), np.array(r), tuple(broken))
+
+    def _lattice_gammas(self, E, omega_prime):
+        """gamma_eps(E_n + (omega'_s + B[b])) for eps = 0, 1 at the nodes E (n,)
+        and offsets omega' (S,): shape (2, n, S, |B| + 1).  gamma_eps is asked
+        once per node, offset and lattice point b of `_lattice`.points[eps],
+        in one call; every other entry, the last column among them, is 0.
+        B[b] has the bits of each transfer W at b, so a value read for W has
+        the bits of gamma at E + (omega' + W)."""
+        bohr = self.bohr
+        table = np.zeros((2, E.size, omega_prime.size, bohr.size + 1), dtype=complex)
+        for eps, b in enumerate(self._lattice.points):
+            table[eps][..., b] = self._gammas.gamma(
+                eps, E[:, None, None] + (omega_prime[:, None] + bohr[b]))
+        return table
+
+    def _systems(self, eps, E, omega_prime, gammas=None):
+        """The systems 1 + K_eps of `_level_inverses`, shape (n, S, L, d, d),
+        at the nodes E (n,) and offsets omega' (S,), from the gamma tables of
+        `_lattice_gammas` (built here when not given).
+
+        Row k of system (n, s, l) is the kernel row of `_kernels` at
+        omega_k = omega'_s + W[k, c], c the column of level l.  Its inner
+        gamma_{1-eps}((E - W[k, m]) + omega_k) is read at the lattice point
+        E + (omega'_s + W[m, c]), the same value wherever the transfers
+        compose, so each system is
+
+            1 + diag(g_out) L diag(g_in[l]) R,   (L, R) = (D~, D~^+)[eps, 1-eps],
+
+        g_out[k] = gamma_eps(E + (omega'_s + W[k, c])) and g_in[l, m] =
+        gamma_{1-eps}(E + (omega'_s + W[m, c])): one flat GEMM over every
+        (node, offset, level, row).  On the triples that do not compose
+        (`_lattice`.broken) the inner gamma is asked at the pairwise
+        argument of `_kernels` instead, once per node, offset and distinct
+        pair.  Where L[k, m] is zero the product L[k, m] g_in is L[k, m] * 0,
+        and where row k of L is zero g_out is 0, as in `_kernels`.
+        """
+        d, lat = self.dim, self._lattice
+        if gammas is None:
+            gammas = self._lattice_gammas(E, omega_prime)
+        left, right = self._pair[eps], self._pair[1 - eps]
+        shape = (E.size, omega_prime.size) + lat.level.shape + (d,)
+        with np.errstate(over="ignore", invalid="ignore"):
+            # Z[n, s, l, k, m] = left[k, m] g_in[n, s, l, m]
+            Z = np.broadcast_to(left * 0j, shape).copy()
+            np.multiply(left, gammas[1 - eps][..., lat.level][..., None, :], out=Z,
+                        where=left != 0)
+            l, k, m, a, b, pair = lat.broken[eps]
+            if l.size:
+                pairwise = (E[:, None, None] - a) + (omega_prime[:, None] + b)
+                Z[:, :, l, k, m] = left[k, m] * self._gammas.gamma(1 - eps, pairwise)[..., pair]
+            summed = (Z.reshape(-1, d) @ right).reshape(shape)
+            return np.eye(d) + gammas[eps][..., lat.outer[eps]][..., None] * summed
+
+    def _level_inverses(self, eps, energies, omega_prime, gammas=None):
         """Restricted inverses of 1+T_eps for every node, omega' and level.
 
         By the finite-index-set argument of the module docstring, the
         column of (1+T_eps)^{-1} at omega' belonging to eigen-column m
         solves a d x d system: its entry x_k is the block at
         omega_k = omega' + rep(e_m - e_k), so the system matrix is
-        1 + `_kernels` with row k at the offset omega_k.  It depends on m
-        only through m's level, so one system per target level serves
+        1 + K_eps with row k at the offset omega_k (`_systems`).  It depends
+        on m only through m's level, so one system per target level serves
         every column of that level.  The result equals the stacked
         system's wherever the canonical transfers compose (see the module
         docstring); on chained Bohr clusters they need not, and the two
         systems differ at the size of the entries that break it.
 
-        energies: (n,); omega_prime: (S,).  Returns X of shape
-        (n, S, L, d, d): X[i, s, l] inverts the system of target level l
-        at omega' = omega_prime[s] and E = energies[i], whose row k sits
+        energies: (n,); omega_prime: (S,); gammas: the tables of
+        `_lattice_gammas` at these, built here when not given.  Returns X of
+        shape (n, S, L, d, d): X[i, s, l] inverts the system of target level
+        l at omega' = omega_prime[s] and E = energies[i], whose row k sits
         at omega_prime[s] + W[k, c] for a column c of level l, W the
-        canonical transfer; these offsets are shared by every node, one
-        `_kernels` row (R = 1).  Raises NumericError when a system has an
+        canonical transfer.  Raises NumericError when a system has an
         entry that is not finite (the kernel overflows), naming the first
         such system, or when a system's 2-norm condition number passes the
         limit, naming the system of largest condition number.
@@ -210,16 +339,13 @@ class TMatrix:
         relative at the limit), and only the others get the SVD of
         `np.linalg.cond` (`_condition_gate`).  Every system past the limit
         is among them, so the decision and the system named are those of
-        an SVD of every system.  When the solve meets an exactly singular
-        system (LinAlgError), every system gets the SVD.
+        an SVD of every system.  The Frobenius norms are sums of squares
+        over the real views (`_sum_squares`).  When the solve meets an
+        exactly singular system (LinAlgError), every system gets the SVD.
         """
         d = self.dim
         E, omega_prime = np.asarray(energies, dtype=float), np.asarray(omega_prime, dtype=float)
-        # omega[s, l, k] = omega'[s] + rep(e_c - e_k) for the column c of level l
-        omega = omega_prime[:, None, None] + self.spectral.transfer[:, self._level_columns].T
-        with np.errstate(over="ignore", invalid="ignore"):
-            K = self._kernels(eps, E, omega.reshape(1, -1, d))
-            A = np.eye(d) + K.reshape((E.size,) + omega.shape + (d,))
+        A = self._systems(eps, E, omega_prime, gammas)
         finite = np.isfinite(A).all(axis=(-2, -1))
         if not finite.all():
             i, s, level = np.argwhere(~finite)[0]
@@ -231,7 +357,7 @@ class TMatrix:
             self._condition_gate(eps, E, omega_prime, A, np.ones(A.shape[:-2], dtype=bool))
             raise
         with np.errstate(over="ignore", invalid="ignore"):
-            kappa_f = np.linalg.norm(A, axis=(-2, -1)) * np.linalg.norm(X, axis=(-2, -1))
+            kappa_f = np.sqrt(_sum_squares(A)) * np.sqrt(_sum_squares(X))
         self._condition_gate(eps, E, omega_prime, A, ~(kappa_f <= CONDITION_LIMIT / 2))
         return X
 
@@ -284,26 +410,28 @@ class TMatrix:
     def _r_eigen(self, E, omega_prime):
         """The four R^{eps1,eps2}_{., omega'}(E) of `r_blocks` at the nodes E (n,),
         before the split by transfer: shape (n, 2, 2, d, d), in the eigenbasis.
-        gamma_eps(E + omega') at the offsets omega' + W is asked once per
-        node and distinct offset (`_gamma_pairs`), and both products with
-        the outer D factor are one flat GEMM over every node."""
-        lev, W = self.spectral.level_index, self.spectral.transfer
-        d = self.dim
+        One pair of gamma tables on E + (omega' + B) (`_lattice_gammas`)
+        serves both level solves and the R^{a,a} factor gamma_eps(E + omega_2),
+        and both products with the outer D factor are one flat GEMM over
+        every node."""
+        lev, d = self.spectral.level_index, self.dim
+        omega = np.array([omega_prime], dtype=float)
+        gammas = self._lattice_gammas(E, omega)
         full = np.empty((E.size, 2, 2, d, d), dtype=complex)
         for eps in (0, 1):
             # Y[i, m, k, j]: entry k of eigen-column j's solution at the
             # shift omega_2 = omega' + W[j, m] = omega' + rep(e_m - e_j), from
             # the system of m's level
-            Y = self._level_inverses(eps, E, [omega_prime])[:, 0, lev]
+            Y = self._level_inverses(eps, E, omega, gammas)[:, 0, lev]
             # eps = 1 solves feed R^{0,1} and R^{0,0}; eps = 0 feed R^{1,0}, R^{1,1}
             a = 1 - eps
             left, right = self._pair[a], self._pair[eps]
-            g = self._gamma_pairs(eps, E, np.zeros(d * d), (omega_prime + W).reshape(1, -1),
-                                  (right != 0).reshape(-1))
+            # g[i, j, m] = gamma_eps(E + (omega' + W[j, m])) where right[j, m] is not zero
+            g = gammas[eps, :, 0][:, self._lattice.r[eps]]
             # rows[0][i, m, k] = Y[i, m, k, m], the solution at omega' itself;
             # rows[1][i, m, k] = sum_j Y[i, m, k, j] g[i, j, m] right[j, m]
             rows = np.stack([np.diagonal(Y, axis1=1, axis2=3).transpose(0, 2, 1),
-                             np.einsum("imkj,ijm->imk", Y, g.reshape(-1, d, d) * right)])
+                             np.einsum("imkj,ijm->imk", Y, g * right)])
             # out[., i, x, m] = sum_k left[x, k] rows[., i, m, k]
             out = (rows.reshape(-1, d) @ left.T).reshape(rows.shape).swapaxes(-1, -2)
             full[:, a, eps] = -1j * out[0]

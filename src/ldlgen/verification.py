@@ -23,12 +23,15 @@ one contraction over (node, entry, X) for all random X, and the stacked
 oracle solves every (omega', E) probe column of one eps at once
 (`column_pass`, bitwise one column's arithmetic).  That oracle is the
 |I|*d block system of 1+T_eps on I(omega') = omega' + offsets, in the
-eigenbasis of H_S.  It shares only the kernel entries (`TMatrix._kernels`)
-with the level-basis solve: the placement of each entry in the one block
-its canonical transfer names (`SpectralData.nearest`, lower offset on a
-tie), the dense solve (`stacked_column`, one column at depth 1 or 2), the
-power series and the depth-2 index set that cross-checks the restriction
-are its own.
+eigenbasis of H_S.  Its kernel entries come from `TMatrix._kernels`, which
+asks the inner gamma at the pairwise argument (E - W[k, m]) + omega_k; the
+level-basis solve forms its systems on the Bohr lattice
+(`TMatrix._systems`) and calls neither `_kernels` nor `_gamma_pairs`, so
+the two share the eigenbasis coupling and gamma, not the kernel.  The
+placement of each entry in the one block its canonical transfer names
+(`SpectralData.nearest`, lower offset on a tie), the dense solve
+(`stacked_column`, one column at depth 1 or 2), the power series and the
+depth-2 index set that cross-checks the restriction are its own.
 """
 
 import functools

@@ -158,12 +158,10 @@ def test_solve_reports_condition_estimate(monkeypatch, nr_tm):
 # system, the worst one named.
 
 def _level_systems(tm, eps, energies, omega_prime):
-    """The matrices 1 + K of `_level_inverses`, formed as it forms them:
-    (n, S, L, d, d), row k of system (i, s, l) at omega_prime[s] + W[k, c]
-    for the column c of level l."""
-    omega = omega_prime[:, None, None] + tm.spectral.transfer[:, tm._level_columns].T
-    K = tm._kernels(eps, energies, omega.reshape(1, -1, tm.dim))
-    return np.eye(tm.dim) + K.reshape((energies.size,) + omega.shape + (tm.dim,))
+    """The matrices 1 + K that `_level_inverses` solves, from the assembly
+    it calls (`TMatrix._systems`): (n, S, L, d, d), row k of system
+    (i, s, l) at omega_prime[s] + W[k, c] for the column c of level l."""
+    return tm._systems(eps, energies, omega_prime)
 
 
 def _oracle_gate(A, limit, eps, energies, omega_prime):
@@ -212,14 +210,14 @@ def test_condition_gate_on_an_exactly_singular_system(monkeypatch):
     tm = TMatrix(model_from_dict(base_model_doc()))
     E = np.array([0.3, 0.5, 0.7])
     omega_prime = tm.bohr
-    kernels = tm._kernels
+    systems = tm._systems
 
-    def singular_at_one(eps, energies, omega):
-        K = kernels(eps, energies, omega)
-        K[1, 1] = -np.eye(tm.dim)          # A = 0 at E = 0.5, omega' = B[0], level 1
-        return K
+    def singular_at_one(eps, energies, omega_prime, gammas=None):
+        A = systems(eps, energies, omega_prime, gammas)
+        A[1, 0, 1] = 0.0                   # at E = 0.5, omega' = B[0], level 1
+        return A
 
-    monkeypatch.setattr(tm, "_kernels", singular_at_one)
+    monkeypatch.setattr(tm, "_systems", singular_at_one)
     A = _level_systems(tm, 0, E, omega_prime)
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.solve(A, np.broadcast_to(np.eye(tm.dim, dtype=complex), A.shape))
@@ -251,8 +249,8 @@ def test_screened_gate_decides_as_the_full_svd(dim, seed, limit, log_ratios):
             A[n, 0, l] = (u * np.geomspace(1.0, 1.0 / kappa, dim)) @ v.conj().T
     E = 0.1 * np.arange(len(log_ratios))
     omega_prime = np.zeros(1)
-    tm._kernels = lambda eps, energies, omega: A - np.eye(dim)
-    seen = np.eye(dim) + (A - np.eye(dim))
+    tm._systems = lambda eps, energies, omega_prime, gammas=None: A
+    seen = A
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(tmatrix, "CONDITION_LIMIT", limit)
         assert _gate_message(tm, 0, E, omega_prime) == _oracle_gate(seen, limit, 0, E, omega_prime)

@@ -188,10 +188,11 @@ def gauss_legendre_nodes(a, b, n):
 
 # Largest energy grid.  Each support node keeps its R column in the eigenbasis,
 # 32 d^2 bytes, for the life of the TMatrix (`thermal_pass`); building it takes
-# 64 d^2 bytes of R blocks per node and several times that in the level solve,
-# and `build_generator` splits it by transfer into 32 |B| d^2 bytes per node
-# while it assembles the Kraus family.  At 2^16 support nodes the pass keeps
-# 8.4 MB at d = 2 and 19 MB at d = 3; the shipped models use 481 points.
+# 64 d^2 bytes of R blocks per node and several times that in the level solve.
+# `build_generator` holds that column by Bohr sector without copying or
+# splitting it; reading the family's `ops` forms 16 d^2 bytes per kept entry,
+# of which there are up to 2 |B| per node.  At 2^16 support nodes the pass
+# keeps 8.4 MB at d = 2 and 19 MB at d = 3; the shipped models use 481 points.
 MAX_GRID_POINTS = 1 << 16
 
 

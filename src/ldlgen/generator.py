@@ -16,12 +16,14 @@ a sector, the stack entries of one transfer.  A built generator's stack is
 the thermal pass's R column in the eigenbasis of H_S, so there each
 operator lies on its sector's entries, and the cached Choi matrix
 C = sum_j w_j |vec L_j><vec L_j| is block-diagonal by sector: one small
-product per sector, then one rotation to the original basis.  A hand-built,
-`from_json` or compressed family is the case of one sector and no
-rotation.  The (K, d, d) operators are split from the stack only when
-`ops` is read.  Psi(X), Psi(1), the compressed family and the Liouvillian's
-Kraus part read C; the rest reads the cached H_eff = H - (i/2) Psi(1), as in
-Theta0(X) = Psi(X) + i(H_eff^+ X - X H_eff).
+product per sector, then one rotation to the original basis.  The
+compressed family eigendecomposes each sector's block, so it is held by
+the same sectors, one Bohr frequency per operator (the Davies form).  The
+(K, d, d) operators are formed only when `ops` is read, each from its own
+sector's rank-one products.  A hand-built or `from_json` family is the
+case of one sector and no rotation.  Psi(X), Psi(1) and the Liouvillian's
+Kraus part read C; the rest reads the cached H_eff = H - (i/2) Psi(1), as
+in Theta0(X) = Psi(X) + i(H_eff^+ X - X H_eff).
 
 The drift Gamma is assembled twice: directly from the diagonal R blocks,
 and through the energy-resolved scattering components t^{eps,eps}(E)
@@ -37,6 +39,7 @@ level-diagonal entries, and rotate their node sum back once; the Kraus
 family reads every entry, by sector.
 """
 
+from collections import namedtuple
 from functools import cached_property
 
 import numpy as np
@@ -128,22 +131,24 @@ class GKSLGenerator:
     in a basis U, masked to the entries of its sector `_sector[j]`, and
     ops[j] is that masked row rotated by U.  A generator built from a model
     holds the thermal pass's R column in the eigenbasis of H_S, with one
-    sector per transfer (`SpectralData`); any other holds ops itself as one
-    sector of every entry, with U = 1.
+    sector per transfer (`SpectralData`), and its compressed family holds
+    the sector eigenvectors of its Choi matrix there; any other holds ops
+    itself as one sector of every entry, with U = 1.
     """
 
     def __init__(self, drift, hamiltonian, weights, ops, grid=None):
         d = self._parts(drift, hamiltonian, weights, grid)
         # an empty family may come as [] rather than of shape (0, d, d)
         ops = ops if np.size(ops) else np.zeros((0, d, d))
-        self.ops = _array(ops, (self.weights.size, d, d), "Kraus operators")
-        self._stack, self._spectral = self.ops, None
+        self._stack = _array(ops, (self.weights.size, d, d), "Kraus operators")
+        self._spectral = None
         self._row, self._sector = np.arange(self.weights.size), np.zeros(self.weights.size, int)
 
     @classmethod
     def _by_sector(cls, drift, hamiltonian, weights, grid, stack, row, sector, spectral):
         """The family of rows of `stack` (M, d, d), in the eigenbasis of
-        `spectral`, with sectors indexed like its ``bohr``."""
+        `spectral`, with sectors indexed like its ``bohr``; with no
+        `spectral`, rows in order in the original basis, all of sector 0."""
         gen = cls.__new__(cls)
         d = gen._parts(drift, hamiltonian, weights, grid)
         gen._stack = _array(stack, (None, d, d), "Kraus operators")
@@ -166,10 +171,23 @@ class GKSLGenerator:
 
     @cached_property
     def ops(self):
-        """The operators (K, d, d) in the original basis.  A built generator
-        splits its stack by transfer (`SpectralData.split`) on the first read
-        and takes each entry's sector, read-only; any other holds them."""
-        return _read_only(self._spectral.split(self._stack)[self._row, self._sector])
+        """The operators (K, d, d) in the original basis, read-only.  A
+        by-sector entry is formed on the first read from its own sector's
+        rank-one products (`SpectralData._scatter`), summed in
+        `SpectralData.split`'s order, so it has the bits of splitting its
+        stack row; a one-sector family's operators are its stack."""
+        if self._spectral is None:
+            return _read_only(self._stack.view())
+        products = self._spectral._scatter[3]
+        out = np.zeros((self.weights.size, products.shape[1]), dtype=complex)
+        for sector in self._sectors:
+            members, rows = sector.members, sector.rows
+            # chunks whose (members, entries, d^2) terms hold no more than their sums
+            step = max(1, members.size // rows.shape[1])
+            for lo in range(0, members.size, step):
+                terms = rows[lo:lo + step, :, None] * products[sector.span]
+                out[members[lo:lo + step]] = np.add.reduceat(terms, [0], axis=1)[:, 0]
+        return _read_only(out.reshape(-1, self.dim, self.dim))
 
     @property
     def dim(self):
@@ -181,28 +199,42 @@ class GKSLGenerator:
         return list(zip(self.weights.tolist(), self.ops))
 
     @cached_property
-    def choi(self):
-        """Choi matrix sum_j w_j |vec L_j><vec L_j| (row-major vec), read-only:
-        Hermitian, positive semidefinite whenever the weights are nonnegative, of
-        rank the number of independent Kraus directions.
-
-        In the stack's basis each L_j lies on the entries E_g of its sector g,
-        so the matrix there is block-diagonal by sector: block g is
-        sum over j in g of w_j r_j[E_g] r_j[E_g]^+, r_j the flattened stack
-        row, one product per sector.  It is rotated once, by V = U (x) conj(U)
-        (`_rotate`).  With one sector and U = 1 the product is
-        (vecs^T * w) @ conj(vecs) over the whole family."""
+    def _sectors(self):
+        """The family by Bohr sector, built once for `choi`, `compressed` and
+        `ops`: per sector g, its index in ``bohr``, its flat entries E_g and
+        their span in `SpectralData._scatter`, its members in order, their
+        stack rows on E_g, a, and its Choi block (a^T * w) @ conj(a).  A
+        family without a `SpectralData` is sector 0 of every entry."""
         d2 = self.dim ** 2
         if self._spectral is None:
             entries, groups, starts = np.arange(d2), [0], [0]
         else:
             entries, groups, starts = self._spectral._scatter[:3]
         vecs = self._stack.reshape(-1, d2)
+        by_sector = np.argsort(self._sector, kind="stable")
+        first, last = np.searchsorted(self._sector[by_sector], [groups, np.add(groups, 1)])
+        sectors = []
+        for g, lo, hi, m0, m1 in zip(groups, starts, [*starts[1:], entries.size], first, last):
+            cols, members = entries[lo:hi], by_sector[m0:m1]
+            a = vecs[self._row[members][:, None], cols]
+            sectors.append(_Sector(g, cols, slice(lo, hi), members, a,
+                                   (a.T * self.weights[members]) @ a.conj()))
+        return sectors
+
+    @cached_property
+    def choi(self):
+        """Choi matrix sum_j w_j |vec L_j><vec L_j| (row-major vec), read-only:
+        Hermitian, positive semidefinite whenever the weights are nonnegative, of
+        rank the number of independent Kraus directions.
+
+        In the stack's basis each L_j lies on the entries E_g of its sector g,
+        so the matrix there is block-diagonal by sector, one block per sector
+        (`_sectors`).  It is rotated once, by V = U (x) conj(U) (`_rotate`).
+        With one sector and U = 1 it is that sector's block."""
+        d2 = self.dim ** 2
         choi = np.zeros((d2, d2), dtype=complex)
-        for g, lo, hi in zip(groups, starts, [*starts[1:], entries.size]):
-            cols, member = entries[lo:hi], self._sector == g
-            a = vecs[self._row[member][:, None], cols]
-            choi[cols[:, None], cols] = (a.T * self.weights[member]) @ a.conj()
+        for sector in self._sectors:
+            choi[sector.cols[:, None], sector.cols] = sector.block
         if self._spectral is not None:
             choi = _rotate(choi, self._spectral.basis)
         return _read_only(choi)
@@ -230,16 +262,30 @@ class GKSLGenerator:
     def compressed(self):
         """Equivalent generator whose Kraus family has at most dim^2 members.
 
-        Eigendecomposes the Choi matrix of Psi and keeps the eigenvalues above
-        1e-12 times the largest; Psi, and hence the generator, is unchanged
-        up to the truncation.
+        Eigendecomposes each sector's Choi block (`_sectors`) and keeps the
+        eigenvalues above 1e-12 times the largest; Psi, and hence the
+        generator, is unchanged up to the truncation.  Each kept eigenvector
+        is an operator on its sector's entries, so the result is a family by
+        the same sectors, with one Bohr frequency per operator (the Davies
+        form), its entries stably sorted by ascending weight.  A family of one
+        sector eigendecomposes its whole Choi matrix.
         """
-        evals, evecs = np.linalg.eigh(self.choi)
-        keep = (evals > 1e-12 * max(float(evals.max()), 0.0)) & (evals > 0.0)
-        return GKSLGenerator(drift=self.drift, hamiltonian=self.hamiltonian,
-                             weights=evals[keep],
-                             ops=evecs.T[keep].reshape(-1, self.dim, self.dim),
-                             grid=self.grid)
+        pairs = [(sector, *np.linalg.eigh(sector.block)) for sector in self._sectors]
+        top = max(0.0, *(float(evals.max()) for _, evals, _ in pairs))
+        weights, groups, rows = [], [], []
+        for sector, evals, evecs in pairs:
+            keep = (evals > 1e-12 * top) & (evals > 0.0)
+            row = np.zeros((int(keep.sum()), self.dim ** 2), dtype=complex)
+            row[:, sector.cols] = evecs.T[keep]
+            weights.append(evals[keep])
+            groups.append(np.full(row.shape[0], sector.group))
+            rows.append(row)
+        weights = np.concatenate(weights)
+        order = np.argsort(weights, kind="stable")
+        stack = np.concatenate(rows)[order].reshape(-1, self.dim, self.dim)
+        return GKSLGenerator._by_sector(self.drift, self.hamiltonian, weights[order], self.grid,
+                                        stack, np.arange(order.size), np.concatenate(groups)[order],
+                                        self._spectral)
 
     def to_json(self):
         payload = self._json_head()
@@ -278,6 +324,10 @@ class GKSLGenerator:
             raise ValidationError(f"generator dim {obj['dim']} does not match its "
                                   f"{gen.dim} x {gen.dim} hamiltonian")
         return gen
+
+
+# one Bohr sector of a family (`GKSLGenerator._sectors`)
+_Sector = namedtuple("_Sector", "group cols span members rows block")
 
 
 def _dagger(ops):
@@ -325,8 +375,8 @@ def build_generator(tm):
     column by Bohr sector, one entry per (eps, grid node, eps', omega) in
     that order: entry (n, eps', omega) is r[n, eps'] on the eigenbasis
     entries of transfer omega, kept where its weight is positive and one of
-    those entries is not zero.  The column is neither copied nor split; its
-    operators are split by transfer only when `ops` is read.  H and Gamma
+    those entries is not zero.  The column is neither copied nor split; each
+    entry's operator is formed from its sector only when `ops` is read.  H and Gamma
     come from the diagonal R blocks on the same nodes, so the Lindblad-form
     identities hold at the level of the discretized integrals, not merely in
     the continuum limit.  The weights come from `kraus_weights`, which

@@ -259,14 +259,33 @@ def test_choi_single_kraus_rank_one():
     assert int((evals > 1e-10 * evals.max()).sum()) == 1
 
 
-def test_compressed_generator_equivalent(nr_gen):
-    comp = nr_gen.compressed()
-    assert len(comp.kraus) <= nr_gen.dim ** 2
+@pytest.mark.parametrize("model", ["tm_nr", "tm_rwa", "ladder_d3", "ladder_d3_rotated", "chained"])
+def test_compressed_generator_equivalent(request, model):
+    tm = _model_tm(request, model)
+    gen = build_generator(tm)
+    comp = gen.compressed()
+    d = gen.dim
+    assert len(comp.kraus) <= d ** 2
+    # the truncation drops at most d^2 eigenvalues below 1e-12 of the largest,
+    # each moving Psi(X) by at most its weight times |X|_F, and Psi(1), which
+    # H_eff reads, |1|_F = sqrt(d) as much; rounding is d^2 eps of the
+    # largest, far below the second 1e-12 the bound allows
     rng = np.random.default_rng(53)
     for _ in range(5):
-        x = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        assert np.abs(comp.psi(x) - nr_gen.psi(x)).max() < 1e-12
-        assert np.abs(comp.apply(x) - nr_gen.apply(x)).max() < 1e-12
+        x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        bound = 2e-12 * d ** 2 * comp.weights.max() * np.linalg.norm(x)
+        assert np.abs(comp.psi(x) - gen.psi(x)).max() < min(1e-12, bound)
+        assert np.abs(comp.apply(x) - gen.apply(x)).max() < min(1e-12, (1 + d ** 0.5) * bound)
+    # each operator lies, in the eigenbasis of H_S, on the entries of one
+    # transfer omega, so e^{iH_S t} L e^{-iH_S t} = e^{-i omega t} L: the
+    # Davies form, [L, ad_{H_S}] = 0 by construction.  Off its transfer an
+    # operator of unit norm holds only the rounding of at most d^2 rank-one
+    # terms and of the rotation back, under 4 d^2 eps
+    sd = tm.spectral
+    for L in comp.ops:
+        x = sd.basis.conj().T @ L @ sd.basis
+        omega = sd.transfer.flat[np.abs(x).argmax()]
+        assert np.abs(x[sd.transfer != omega]).max(initial=0.0) <= 4 * d ** 2 * np.finfo(float).eps
 
 
 def test_grid_coverage_error():
@@ -619,9 +638,11 @@ def test_drift_routes_split_at_most_one_operator(monkeypatch):
 
 
 def test_generator_splits_its_family_only_when_ops_is_read(monkeypatch):
-    # the build, the Choi matrix and everything that reads it work by Bohr
-    # sector on the unsplit eigenbasis column; `ops` splits that column, the
-    # 2N operators of the thermal pass, once
+    # the build, the Choi matrix, everything that reads it and `compressed()`
+    # work by Bohr sector on the unsplit eigenbasis column, and the first
+    # `ops` read forms each kept entry from its own sector's rank-one
+    # products: nothing splits the column, the 2N operators of the thermal
+    # pass, by transfer
     tm = TMatrix(model_from_dict(_rotated(ladder_model_doc(3, 3), seed=4)))
     tm.thermal_pass()
     split, operators = type(tm.spectral).split, []
@@ -635,10 +656,9 @@ def test_generator_splits_its_family_only_when_ops_is_read(monkeypatch):
     _ = gen.choi, gen.psi_one
     gen.compressed()
     dual_generator_matrix(gen)
-    assert sum(operators) == 0
     ops = gen.ops
-    assert operators == [tm.thermal_pass().r.shape[0] * 2]
-    assert gen.ops is ops and len(operators) == 1
+    assert operators == []
+    assert gen.ops is ops
     assert ops.shape == (gen.weights.size, 3, 3) and not ops.flags.writeable
 
 
@@ -648,8 +668,12 @@ def test_build_and_compression_hold_no_split_column():
     split_bytes = tp.r.nbytes * tm.bohr.size
     tracemalloc.start()
     try:
-        build_generator(tm).compressed()
-        peak = tracemalloc.get_traced_memory()[1]
+        gen = build_generator(tm)
+        gen.compressed()
+        built = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        ops = gen.ops
+        read = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     # the split column, (2N, |B|, d, d) complex, is 316 * 57 * 64 * 16 B =
@@ -659,7 +683,18 @@ def test_build_and_compression_hold_no_split_column():
     # its eigendecomposition, 0.07 MB each: about 1 MB, so a quarter of the
     # column leaves a margin of four
     assert split_bytes == 316 * 57 * 64 * 16
-    assert peak < split_bytes / 4
+    assert built < split_bytes / 4
+    # `ops` is the (K, d, d) family, K d^2 complex, 7.6 MB.  Beside it the
+    # read holds the sector pass: each member's stack row on its sector's
+    # entries, at most 2N d^2 complex = 0.32 MB in all, and the Choi blocks,
+    # at most d^4 complex = 0.07 MB.  A sector has at most 2N members, so a
+    # chunk's rank-one terms and their sums, each no larger than the
+    # sector's rows of the family, hold at most 2 * 2N d^2 complex more:
+    # about family + 1.04 MB in all.  The bound allows family + 2 MB; a
+    # whole-column split holds the 18.4 MB column beside the family
+    family = ops.nbytes
+    assert family == gen.weights.size * 64 * 16
+    assert read < family + 2e6 < family + split_bytes
 
 
 def _per_density_assembly(tm):
@@ -697,14 +732,7 @@ def _relative(a, b):
 def test_thermal_pass_matches_per_density_assembly(request, model):
     # the rotated model has a non-diagonal H_S, so drift, H, the t-route and
     # the Choi matrix rotate their eigenbasis sums by a real change of basis
-    docs = {"ladder_d3": lambda: ladder_model_doc(3, 3),
-            "ladder_d3_rotated": lambda: _rotated(ladder_model_doc(3, 3), seed=4),
-            "ladder_d3_near_degenerate": lambda: ladder_model_doc(3, 3, near_degenerate=True),
-            "chained": chained_cluster_doc}
-    if model in docs:
-        tm = TMatrix(model_from_dict(docs[model]()))
-    else:
-        tm = request.getfixturevalue(model.replace("tm_", "") + "_tm")
+    tm = _model_tm(request, model)
     gamma, gamma_t, ham, weights, ops = _per_density_assembly(tm)
     gen = build_generator(tm)
     assert gen.weights.tobytes() == weights.tobytes()
@@ -714,6 +742,17 @@ def test_thermal_pass_matches_per_density_assembly(request, model):
     assert _relative(gen.drift, gamma) <= 1e-14
     assert _relative(gen.hamiltonian, ham) <= 1e-14
     assert _relative(drift_from_t_operator(tm), gamma_t) <= 1e-14
+
+
+def _model_tm(request, model):
+    """The TMatrix of a shipped model's fixture or of a test model document."""
+    docs = {"ladder_d3": lambda: ladder_model_doc(3, 3),
+            "ladder_d3_rotated": lambda: _rotated(ladder_model_doc(3, 3), seed=4),
+            "ladder_d3_near_degenerate": lambda: ladder_model_doc(3, 3, near_degenerate=True),
+            "chained": chained_cluster_doc}
+    if model in docs:
+        return TMatrix(model_from_dict(docs[model]()))
+    return request.getfixturevalue(model.replace("tm_", "") + "_tm")
 
 
 def _rotated(doc, seed):
@@ -748,7 +787,9 @@ for path in sys.argv[1:]:
     gen = build_generator(tm)
     choi = hashlib.sha256(gen.choi.tobytes()).hexdigest()
     assert gen.ops.shape == ops.shape and gen.ops.tobytes() == ops.tobytes(), path
-    print(path, choi)
+    comp = gen.compressed()
+    compressed = hashlib.sha256(comp.weights.tobytes() + comp.ops.tobytes() + comp.choi.tobytes())
+    print(path, choi, compressed.hexdigest())
 """
 
 
@@ -756,7 +797,8 @@ def _split_kept_half_run(tmp_path, threads):
     docs = {"ladder_d3": ladder_model_doc(3, 3),
             "ladder_d3_rotated": _rotated(ladder_model_doc(3, 3), seed=4),
             "ladder_d5": ladder_model_doc(0, 5), "ladder_d6": ladder_model_doc(0, 6),
-            "ladder_d5_rotated": _rotated(ladder_model_doc(0, 5), seed=0)}
+            "ladder_d5_rotated": _rotated(ladder_model_doc(0, 5), seed=0),
+            "ladder_d12": ladder_model_doc(0, 12)}
     models = [str(MODELS / "tm_nr.json"), str(MODELS / "tm_rwa.json")]
     for name, doc in docs.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(doc))
@@ -767,8 +809,8 @@ def _split_kept_half_run(tmp_path, threads):
                           capture_output=True, text=True, env=env)
     assert done.returncode == 0, done.stderr
     printed = done.stdout.split()
-    assert printed[::2] == models
-    return printed[1::2]
+    assert printed[::3] == models
+    return list(zip(printed[1::3], printed[2::3]))
 
 
 @pytest.fixture(scope="module")
@@ -783,7 +825,8 @@ def test_thermal_pass_splits_only_the_kept_half_bitwise(tmp_path, threads, one_t
     # has the bits of splitting all four pairs, keeping half and masking.
     # The rotated ladder models have a non-diagonal H_S, so `split` changes
     # basis.  The Choi matrix is a product per Bohr sector, small enough that
-    # BLAS never splits it between threads, so it has the same bytes at one
-    # and at two threads
-    choi = one_thread_choi if threads == "1" else _split_kept_half_run(tmp_path, threads)
-    assert choi == one_thread_choi
+    # BLAS never splits it between threads, and `compressed()` runs `eigh` on
+    # each sector's block, at most the transfer-0 block of d x d, so both
+    # have the same bytes at one and at two threads, up to ladder d12
+    digests = one_thread_choi if threads == "1" else _split_kept_half_run(tmp_path, threads)
+    assert digests == one_thread_choi
